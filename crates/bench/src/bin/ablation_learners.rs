@@ -26,7 +26,7 @@ use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_linalg::stats::Summary;
 use mflb_policy::NeuralUpperPolicy;
-use mflb_rl::{CemConfig, CemTrainer, MfcEnv, PpoTrainer, ReinforceConfig, ReinforceTrainer};
+use mflb_rl::{CemConfig, CemTrainer, MeanFieldEnv, PpoTrainer, ReinforceConfig, ReinforceTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,7 +48,7 @@ fn main() {
         Scale::Paper => 500,
     };
     let cfg = SystemConfig::paper().with_dt(dt);
-    let env = MfcEnv::with_horizon(cfg.clone(), train_horizon);
+    let env = MeanFieldEnv::homogeneous(cfg.clone()).with_horizon(train_horizon);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // --- PPO (quick-scale config from the shared trainer module). ---

@@ -29,7 +29,7 @@
 use mflb_core::SystemConfig;
 use mflb_nn::{Activation, DiagGaussian, F32Workspace, Mlp, Tensor, Workspace};
 use mflb_policy::{action_dim, observation_dim, NeuralUpperPolicy};
-use mflb_rl::{train_scenario, MfcEnv, PpoConfig, PpoTrainer};
+use mflb_rl::{train_scenario, Homogeneous, MeanFieldEnv, PpoConfig, PpoTrainer};
 use mflb_sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -449,7 +449,7 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
     {
         let mut config = SystemConfig::paper().with_dt(5.0);
         config.train_episode_len = 50;
-        let env = MfcEnv::new(config);
+        let env = MeanFieldEnv::homogeneous(config);
         let ppo = PpoConfig {
             train_batch_size: if quick { 500 } else { 2000 },
             minibatch_size: 125,
@@ -556,7 +556,7 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
 }
 
 /// Observation dimension of an env without dragging the trait into scope.
-fn env_obs_dim(env: &MfcEnv) -> usize {
+fn env_obs_dim(env: &MeanFieldEnv<Homogeneous>) -> usize {
     use mflb_rl::Env;
     env.obs_dim()
 }

@@ -17,13 +17,17 @@
 //!   learned baseline (the no-trust-region ablation),
 //! * [`cem::CemTrainer`] — cross-entropy search over policy parameters
 //!   (the derivative-free ablation),
-//! * [`mfc_env::MfcEnv`] — the paper's upper-level mean-field MDP
+//! * [`mfc_env::MeanFieldEnv`] — the paper's upper-level mean-field MDP
 //!   (Eq. 29–31) as an environment: observation `[ν_t, onehot λ_t]`,
 //!   action = decision-rule logits with the §4 "manual normalization"
-//!   softmax decoding, reward `−D_t`,
-//! * [`scenario_env`] — training environments selected by a serde
-//!   [`mflb_sim::Scenario`]: homogeneous exponential, heterogeneous pools
-//!   (§2.5) and phase-type service (§5),
+//!   softmax decoding, reward `−D_t`; generic over a [`mfc_env::Closure`]
+//!   that supplies the hidden state and its transition
+//!   ([`mfc_env::Homogeneous`] over the full-mesh or degree-indexed
+//!   [`mfc_env::Integrand`]),
+//! * [`scenario_env`] — [`scenario_env::build_env`] picks the closure a
+//!   serde [`mflb_sim::Scenario`] implies: homogeneous, heterogeneous
+//!   pools (§2.5), phase-type service (§5) or the fault-degraded two-pool
+//!   model,
 //! * [`checkpoint::TrainingCheckpoint`] — the versioned training artifact
 //!   (scenario + config + seed + curve + networks) with strict load-time
 //!   shape validation,
@@ -67,14 +71,12 @@ pub use eval::{
     evaluate_checkpoint, evaluate_checkpoint_configured, evaluate_checkpoint_with_oracle,
     scenario_with_m, EvalReport, EvalRow, OracleSummary,
 };
-pub use mfc_env::MfcEnv;
+pub use mfc_env::{Closure, Homogeneous, Integrand, MeanFieldEnv};
 pub use oracle::{
     oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key, solve_oracle,
     Oracle, OracleConfig, OracleExactness,
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};
-pub use scenario_env::{
-    build_env, hetero_classes, FaultyMfcEnv, GraphMfcEnv, HeteroMfcEnv, PhMfcEnv, PolicyShape,
-};
+pub use scenario_env::{build_env, hetero_classes, Hetero, Ph, PolicyShape, TwoPool};
 pub use train::{train_scenario, train_scenario_from, TrainResult};

@@ -1,83 +1,201 @@
-//! The MFC-MDP as a PPO environment.
+//! The MFC-MDP as a PPO environment, generic over its mean-field closure.
 //!
 //! Observation: `[ν_t (B+1 dims), onehot(λ_t)]` (the canonical encoding
 //! from `mflb_core::mdp`). Action: a continuous vector of `|Z|^d·d`
 //! decision-rule logits, softmax-normalized per observation tuple into
 //! `h_t` — the paper's "manual normalization" parameterization (§4).
-//! Reward: `−D_t` (expected per-queue drops of the epoch). Episodes last
-//! `horizon` decision epochs (Table 1: T = 500 for training).
+//! Reward: `−D_t` (expected per-queue drops of the epoch, plus the
+//! optional holding cost). Episodes last `horizon` decision epochs
+//! (Table 1: T = 500 for training).
+//!
+//! [`MeanFieldEnv`] owns everything every scenario kind shares: the
+//! arrival-level chain, the reward, the horizon and the encoding. A
+//! [`Closure`] supplies only the hidden mean-field state, its one-epoch
+//! transition and the distribution the policy observes; the env restarts
+//! every episode from a pristine copy of the closure as constructed.
+//! [`Homogeneous`] is the paper's own closure; the scenario closures live
+//! in [`crate::scenario_env`].
 
 use crate::env::{Env, StepResult};
-use mflb_core::mdp::{action_dim, encode_observation, observation_dim};
-use mflb_core::{DecisionRule, MeanFieldMdp, MfState, SystemConfig};
+use crate::scenario_env::PolicyShape;
+use mflb_core::mdp::encode_observation;
+use mflb_core::{
+    graph_arrival_rates, mean_field_step_with_rates, per_state_arrival_rates, DecisionRule,
+    StateDist, SystemConfig,
+};
 use rand::rngs::StdRng;
 
-/// The mean-field control environment.
-pub struct MfcEnv {
-    mdp: MeanFieldMdp,
-    state: MfState,
-    t: usize,
-    horizon: usize,
-    num_levels: usize,
+/// The part of the mean-field control MDP that varies between scenario
+/// kinds: the hidden state and its transition. A closure is constructed
+/// at its `t = 0` state (`ν₀`).
+pub trait Closure: Clone + Send + 'static {
+    /// States of the decision rule the policy emits.
+    fn rule_states(&self) -> usize;
+
+    /// The length distribution the policy observes.
+    fn observed(&self) -> StateDist;
+
+    /// Advances one epoch `[t0, t0 + dt)` under `rule` at per-queue
+    /// arrival rate `lambda`. Returns `(expected_drops, true_mean_len)`:
+    /// the per-queue drops of the epoch and the true (not the observed)
+    /// mean queue length at its end, which the holding cost charges.
+    fn step(
+        &mut self,
+        rule: &DecisionRule,
+        lambda: f64,
+        t0: f64,
+        dt: f64,
+        rng: &mut StdRng,
+    ) -> (f64, f64);
 }
 
-impl MfcEnv {
+/// The per-state arrival-rate integrand `λ_t(ν, z)` (Eq. 22).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Integrand {
+    /// The paper's full-mesh Eq. 22.
+    FullMesh,
+    /// The annealed degree-indexed closure over closed neighborhoods of
+    /// size `k` (see [`mflb_core::graph_meanfield`]).
+    Graph {
+        /// Closed-neighborhood size `k ≥ 1` in the `M → ∞` limit.
+        k: usize,
+    },
+}
+
+impl Integrand {
+    /// The per-state arrival rates under `rule` from the measure `nu`.
+    pub fn rates(self, nu: &StateDist, rule: &DecisionRule, lambda: f64) -> Vec<f64> {
+        match self {
+            Integrand::FullMesh => per_state_arrival_rates(nu, rule, lambda),
+            Integrand::Graph { k } => graph_arrival_rates(nu, rule, lambda, k),
+        }
+    }
+}
+
+/// The homogeneous exponential mean field (Eq. 20–28) over an
+/// [`Integrand`]; the policy observes the whole state `ν_t`.
+#[derive(Debug, Clone)]
+pub struct Homogeneous {
+    integrand: Integrand,
+    service_rate: f64,
+    nu: StateDist,
+}
+
+impl Homogeneous {
+    /// The closure at `ν₀` with the config's service rate.
+    pub fn new(config: &SystemConfig, integrand: Integrand) -> Self {
+        let nu = StateDist::new(config.initial_dist.clone());
+        Self { integrand, service_rate: config.service_rate, nu }
+    }
+}
+
+impl Closure for Homogeneous {
+    fn rule_states(&self) -> usize {
+        self.nu.num_states()
+    }
+
+    fn observed(&self) -> StateDist {
+        self.nu.clone()
+    }
+
+    fn step(
+        &mut self,
+        rule: &DecisionRule,
+        lambda: f64,
+        _t0: f64,
+        dt: f64,
+        _rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let rates = self.integrand.rates(&self.nu, rule, lambda);
+        let step = mean_field_step_with_rates(&self.nu, rates, self.service_rate, dt);
+        self.nu = step.next_dist;
+        (step.expected_drops, self.nu.mean_queue_length())
+    }
+}
+
+/// The mean-field control environment over a [`Closure`].
+#[derive(Clone)]
+pub struct MeanFieldEnv<C> {
+    config: SystemConfig,
+    shape: PolicyShape,
+    /// The closure at `t = 0`, cloned into `closure` on every reset.
+    initial: C,
+    closure: C,
+    lambda_idx: usize,
+    t: usize,
+    horizon: usize,
+}
+
+impl<C: Closure> MeanFieldEnv<C> {
     /// Creates the environment with the configured training horizon.
-    pub fn new(config: SystemConfig) -> Self {
+    ///
+    /// # Panics
+    /// Panics if the configuration is inconsistent.
+    pub fn new(config: SystemConfig, closure: C) -> Self {
+        config.validate().expect("invalid system configuration");
+        let shape = PolicyShape::with_rule_states(&config, closure.rule_states());
         let horizon = config.train_episode_len;
-        Self::with_horizon(config, horizon)
+        Self { config, shape, initial: closure.clone(), closure, lambda_idx: 0, t: 0, horizon }
     }
 
-    /// Creates the environment with an explicit episode horizon.
-    pub fn with_horizon(config: SystemConfig, horizon: usize) -> Self {
+    /// Replaces the episode horizon.
+    pub fn with_horizon(mut self, horizon: usize) -> Self {
         assert!(horizon >= 1);
-        let num_levels = config.arrivals.num_levels();
-        let mdp = MeanFieldMdp::new(config);
-        let state = mdp.initial_state_with_lambda(0);
-        Self { mdp, state, t: 0, horizon, num_levels }
-    }
-
-    /// The wrapped MDP (evaluation helpers).
-    pub fn mdp(&self) -> &MeanFieldMdp {
-        &self.mdp
+        self.horizon = horizon;
+        self
     }
 
     /// Decodes a raw action vector into the decision rule it induces.
     pub fn decode_action(&self, action: &[f64]) -> DecisionRule {
-        let cfg = self.mdp.config();
-        DecisionRule::from_logits(cfg.num_states(), cfg.d, action)
+        DecisionRule::from_logits(self.shape.rule_states, self.shape.d, action)
+    }
+
+    fn observe(&self) -> Vec<f64> {
+        encode_observation(&self.closure.observed(), self.lambda_idx, self.shape.num_levels)
     }
 }
 
-impl Env for MfcEnv {
+impl MeanFieldEnv<Homogeneous> {
+    /// The paper's full-mesh model.
+    pub fn homogeneous(config: SystemConfig) -> Self {
+        Self::new(config.clone(), Homogeneous::new(&config, Integrand::FullMesh))
+    }
+}
+
+impl<C: Closure> Env for MeanFieldEnv<C> {
     fn obs_dim(&self) -> usize {
-        observation_dim(self.mdp.config().num_states(), self.num_levels)
+        self.shape.obs_dim()
     }
 
     fn act_dim(&self) -> usize {
-        action_dim(self.mdp.config().num_states(), self.mdp.config().d)
+        self.shape.act_dim()
     }
 
     fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.state = self.mdp.initial_state(rng);
+        self.closure = self.initial.clone();
+        self.lambda_idx = self.config.arrivals.sample_initial(rng);
         self.t = 0;
-        encode_observation(&self.state.dist, self.state.lambda_idx, self.num_levels)
+        self.observe()
     }
 
     fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
         let rule = self.decode_action(action);
-        let (next, reward, _) = self.mdp.step(&self.state, &rule, rng);
-        self.state = next;
-        self.t += 1;
-        StepResult {
-            obs: encode_observation(&self.state.dist, self.state.lambda_idx, self.num_levels),
-            reward,
-            done: self.t >= self.horizon,
+        let dt = self.config.dt;
+        let lambda = self.config.arrivals.level_rate(self.lambda_idx);
+        let (drops, mean_len) = self.closure.step(&rule, lambda, self.t as f64 * dt, dt, rng);
+        let mut cost = drops;
+        if self.config.holding_cost > 0.0 {
+            cost += self.config.holding_cost * mean_len * dt;
         }
+        self.lambda_idx = self.config.arrivals.step(self.lambda_idx, rng);
+        self.t += 1;
+        StepResult { obs: self.observe(), reward: -cost, done: self.t >= self.horizon }
     }
 
     fn boxed_clone(&self) -> Box<dyn Env> {
-        Box::new(Self::with_horizon(self.mdp.config().clone(), self.horizon))
+        let mut fresh = self.clone();
+        (fresh.closure, fresh.lambda_idx, fresh.t) = (self.initial.clone(), 0, 0);
+        Box::new(fresh)
     }
 
     fn horizon_hint(&self) -> Option<usize> {
@@ -90,8 +208,8 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn env() -> MfcEnv {
-        MfcEnv::with_horizon(SystemConfig::paper().with_dt(5.0), 20)
+    fn env() -> MeanFieldEnv<Homogeneous> {
+        MeanFieldEnv::homogeneous(SystemConfig::paper().with_dt(5.0)).with_horizon(20)
     }
 
     #[test]
@@ -132,10 +250,9 @@ mod tests {
         let mut e = env();
         let mut rng = StdRng::seed_from_u64(2);
         e.reset(&mut rng);
-        let lam_idx = e.state.lambda_idx;
-        let lam = e.mdp.config().arrivals.level_rate(lam_idx);
+        let lam = e.config.arrivals.level_rate(e.lambda_idx);
         let expected =
-            mflb_core::mean_field_step(&e.state.dist, &DecisionRule::uniform(6, 2), lam, 1.0, 5.0)
+            mflb_core::mean_field_step(&e.closure.nu, &DecisionRule::uniform(6, 2), lam, 1.0, 5.0)
                 .expected_drops;
         let r = e.step(&vec![0.0; e.act_dim()], &mut rng);
         assert!((r.reward + expected).abs() < 1e-12);

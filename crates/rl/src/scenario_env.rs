@@ -1,58 +1,36 @@
 //! Scenario-selected mean-field training environments.
 //!
-//! PR 2 made every *finite-system* engine reachable from a serde
-//! [`Scenario`]; this module does the same for the *training* side: given a
-//! scenario, [`build_env`] constructs the mean-field control MDP whose
-//! optimal policy is what the scenario's finite system should deploy
-//! (§2.3/§5 of the paper — train in the limit, evaluate at finite `N`):
+//! Given a scenario, [`build_env`] constructs the mean-field control MDP
+//! whose optimal policy is what the scenario's finite system should deploy
+//! (§2.3/§5 of the paper — train in the limit, evaluate at finite `N`).
+//! Every environment is one [`MeanFieldEnv`]; the engine arm only picks
+//! its [`Closure`]:
 //!
-//! * [`EngineSpec::PerClient`] / [`EngineSpec::Aggregate`] /
-//!   [`EngineSpec::Staggered`] / [`EngineSpec::JobLevel`] — the homogeneous
-//!   exponential mean field ([`MfcEnv`], Eq. 20–31). Staggered refreshes and
-//!   job-level FIFO queues share the homogeneous limit, so the same training
-//!   environment serves all four.
-//! * [`EngineSpec::Hetero`] — the heterogeneous-pool mean field
-//!   ([`HeteroMfcEnv`] over [`mflb_core::HeteroMeanField`], the §2.5
-//!   extension). The policy observes the overall queue-**length**
-//!   distribution — exactly what `HeteroEngine::empirical` reports at
-//!   deployment — and emits a decision rule over composite
-//!   `(length, class)` states.
-//! * [`EngineSpec::Ph`] — the phase-type-service mean field ([`PhMfcEnv`]
-//!   over [`mflb_core::PhMeanFieldMdp`], the §5 extension). The policy
-//!   observes the length marginal of the joint `(length, phase)` state.
-//! * [`EngineSpec::Graph`] — the **degree-indexed** graph mean field
-//!   ([`GraphMfcEnv`] over [`mflb_core::graph_mean_field_step`], the
-//!   locality-constrained extension of arXiv:2312.12973): identical
-//!   observation/action interface to the homogeneous model, but the
-//!   per-state arrival rates are the annealed `k`-neighborhood closure.
-//!   A full-mesh topology selects the exact Eq. 20–28 model ([`MfcEnv`]).
-//! * [`EngineSpec::Event`] — the homogeneous mean field with the service
-//!   rate mean-matched to the job-size law (`α / E[size]`): exact in law
-//!   for exponential sizes, a reference model for the heavy-tailed laws.
-//!   Infinite-mean laws are rejected.
+//! | engine arm | closure |
+//! |---|---|
+//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`Homogeneous`] over [`Integrand::FullMesh`] (Eq. 20–28) |
+//! | `Graph` | [`Homogeneous`] over [`Integrand::Graph`] with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes [`Integrand::FullMesh`] |
+//! | `Event` | [`Homogeneous`] over [`Integrand::FullMesh`] with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
+//! | `Hetero` | [`Hetero`] over [`mflb_core::HeteroMeanField`] (§2.5) |
+//! | `Ph` | [`Ph`] over [`mflb_core::ph_mean_field_step`] (§5) |
+//! | any of the above with a non-empty [`FaultPlan`] | [`TwoPool`] over the arm's integrand |
 //!
-//! Scenarios carrying a [`FaultPlan`] (the supported engine kinds:
-//! `Event`, `Graph`, `JobLevel`) train in [`FaultyMfcEnv`] — the same
-//! mean-field model degraded by the plan's *annealed* fault limit:
-//! crashes become the two-state availability ODE scaling the service
-//! rate, stragglers/overloads their window factors, and dropped
-//! observation refreshes freeze the snapshot the policy sees (a POMDP,
-//! exactly the paper's delayed-information information structure).
-//! Fault-free scenarios never touch this path, so their environments,
-//! RNG streams and checkpoints are byte-identical to before.
+//! Staggered refreshes and job-level FIFO queues share the homogeneous
+//! limit. Validation admits fault plans only on `Event`, `Graph` and
+//! `JobLevel`, so [`TwoPool`] only ever wraps an integrand; fault-free
+//! scenarios never touch it.
 //!
 //! [`PolicyShape`] is the single source of truth for the observation/action
 //! dimensions a scenario implies; checkpoint validation and policy
 //! construction both go through it so a net trained for one scenario can
 //! never silently deploy against an incompatible one.
 
-use crate::env::{Env, StepResult};
-use crate::mfc_env::MfcEnv;
-use mflb_core::mdp::{action_dim, encode_observation, observation_dim};
+use crate::env::Env;
+use crate::mfc_env::{Closure, Homogeneous, Integrand, MeanFieldEnv};
+use mflb_core::mdp::{action_dim, observation_dim};
 use mflb_core::{
-    graph_arrival_rates, graph_mean_field_step, mean_field_step_with_rates,
-    per_state_arrival_rates, DecisionRule, FaultPlan, HeteroMeanField, PhMeanFieldMdp, PhMfState,
-    StateDist, SystemConfig,
+    mean_field_step_with_rates, ph_mean_field_step, DecisionRule, FaultPlan, HeteroMeanField,
+    PhDist, StateDist, SystemConfig,
 };
 use mflb_policy::NeuralUpperPolicy;
 use mflb_queue::PhaseType;
@@ -79,13 +57,19 @@ pub struct PolicyShape {
 impl PolicyShape {
     /// Derives the shape from a scenario.
     pub fn for_scenario(scenario: &Scenario) -> Self {
-        let config = &scenario.config;
-        let zs = config.num_states();
+        let zs = scenario.config.num_states();
         let rule_states = match &scenario.engine {
             EngineSpec::Hetero { rates } => zs * hetero_classes(rates).1.len(),
             _ => zs,
         };
-        Self { obs_states: zs, rule_states, d: config.d, num_levels: config.arrivals.num_levels() }
+        Self::with_rule_states(&scenario.config, rule_states)
+    }
+
+    /// The shape of a length-observing policy emitting rules over
+    /// `rule_states` states.
+    pub(crate) fn with_rule_states(config: &SystemConfig, rule_states: usize) -> Self {
+        let obs_states = config.num_states();
+        Self { obs_states, rule_states, d: config.d, num_levels: config.arrivals.num_levels() }
     }
 
     /// Observation dimensionality: `obs_states + num_levels`.
@@ -134,42 +118,24 @@ pub fn hetero_classes(rates: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (weights, class_rates)
 }
 
-/// Builds the mean-field training environment a scenario selects.
+/// Builds the mean-field training environment a scenario selects (see the
+/// module docs for the arm-to-closure table).
 ///
 /// The scenario is validated first; malformed specs come back as `Err`.
 pub fn build_env(scenario: &Scenario) -> Result<Box<dyn Env>, String> {
     scenario.validate()?;
-    let config = scenario.config.clone();
-    // Validation already restricted non-empty plans to the engine kinds
-    // that honor them (Event / Graph / JobLevel), so only those arms need
-    // a faulted branch.
-    let faults = scenario.faults.clone().filter(|p| !p.is_empty());
-    Ok(match &scenario.engine {
-        EngineSpec::PerClient | EngineSpec::Aggregate | EngineSpec::Staggered { .. } => {
-            Box::new(MfcEnv::new(config))
-        }
-        EngineSpec::JobLevel => match faults {
-            Some(plan) => Box::new(FaultyMfcEnv::new(config, plan, None)),
-            None => Box::new(MfcEnv::new(config)),
+    let mut config = scenario.config.clone();
+    use EngineSpec as E;
+    let integrand = match &scenario.engine {
+        E::PerClient | E::Aggregate | E::Staggered { .. } | E::JobLevel => Integrand::FullMesh,
+        E::Graph { topology, .. } => match topology.limit_neighborhood_size() {
+            Some(k) => Integrand::Graph { k },
+            None => Integrand::FullMesh,
         },
-        EngineSpec::Hetero { rates } => Box::new(HeteroMfcEnv::new(config, rates)),
-        EngineSpec::Ph { service } => Box::new(PhMfcEnv::new(config, service.build()?)),
-        EngineSpec::Graph { topology, .. } => {
-            // Accessible sets growing with M: the limit is the paper's
-            // exact full-mesh mean field (k = None in the faulted env).
-            let k = topology.limit_neighborhood_size();
-            match (faults, k) {
-                (Some(plan), k) => Box::new(FaultyMfcEnv::new(config, plan, k)),
-                (None, None) => Box::new(MfcEnv::new(config)),
-                (None, Some(k)) => Box::new(GraphMfcEnv::new(config, k)),
-            }
-        }
-        EngineSpec::Event { job_size } => {
-            // Mean-matched exponential model: a server of rate α working
-            // through mean-size jobs completes them at rate α/mean —
-            // exact in law for exponential sizes, a reference model for
-            // the heavy-tailed laws (the finite-system evaluation stays
-            // job-level either way).
+        E::Event { job_size } => {
+            // A server of rate α working through mean-size jobs completes
+            // them at rate α/mean: exact in law for exponential sizes, a
+            // reference model for the heavy-tailed laws.
             let mean = job_size.mean();
             if !(mean > 0.0 && mean.is_finite()) {
                 return Err(format!(
@@ -177,208 +143,115 @@ pub fn build_env(scenario: &Scenario) -> Result<Box<dyn Env>, String> {
                      finite-mean law (Pareto shape > 1 or a bounded law)"
                 ));
             }
-            let mut c = config;
-            c.service_rate /= mean;
-            match faults {
-                Some(plan) => Box::new(FaultyMfcEnv::new(c, plan, None)),
-                None => Box::new(MfcEnv::new(c)),
-            }
+            config.service_rate /= mean;
+            Integrand::FullMesh
         }
+        E::Hetero { rates } => return Ok(boxed(Hetero::new(&config, rates), config)),
+        E::Ph { service } => return Ok(boxed(Ph::new(&config, service.build()?), config)),
+    };
+    Ok(match scenario.faults.clone().filter(|p| !p.is_empty()) {
+        Some(plan) => boxed(TwoPool::new(&config, plan, integrand), config),
+        None => boxed(Homogeneous::new(&config, integrand), config),
     })
 }
 
-/// The heterogeneous-pool mean-field control MDP as a PPO environment.
-///
-/// Observation: `[length marginal (B+1), onehot(λ_t)]` — the marginal is
-/// what `HeteroEngine::empirical` reports at deployment, so training and
-/// deployment see the same interface (the per-class split is hidden state,
-/// making this a POMDP like the paper's delayed-information setting).
-/// Action: decision-rule logits over composite `(length, class)` tuples.
-/// Reward: `−D_t` (minus the holding-cost extension if configured).
-pub struct HeteroMfcEnv {
-    config: SystemConfig,
-    class_weights: Vec<f64>,
-    class_rates: Vec<f64>,
-    state: HeteroMeanField,
-    lambda_idx: usize,
-    t: usize,
-    horizon: usize,
+fn boxed<C: Closure>(closure: C, config: SystemConfig) -> Box<dyn Env> {
+    Box::new(MeanFieldEnv::new(config, closure))
 }
 
-impl HeteroMfcEnv {
-    /// Creates the environment from a per-server rate vector (deduplicated
-    /// into classes via [`hetero_classes`]).
-    pub fn new(config: SystemConfig, rates: &[f64]) -> Self {
-        config.validate().expect("invalid system configuration");
-        let (class_weights, class_rates) = hetero_classes(rates);
-        let horizon = config.train_episode_len;
-        let state = Self::initial(&config, &class_weights, &class_rates);
-        Self { config, class_weights, class_rates, state, lambda_idx: 0, t: 0, horizon }
+/// The heterogeneous-pool mean field over `(length, class)` states.
+///
+/// The policy observes the overall length marginal `Σ_c w_c·ν_c` — what
+/// `HeteroEngine::empirical` reports at deployment — so the per-class
+/// split is hidden state (a POMDP like the paper's delayed-information
+/// setting), and it emits a rule over the `C·(B+1)` composite states.
+#[derive(Debug, Clone)]
+pub struct Hetero {
+    field: HeteroMeanField,
+}
+
+impl Hetero {
+    /// The closure at `ν₀` in every class, for a per-server rate vector
+    /// (deduplicated into classes via [`hetero_classes`]).
+    pub fn new(config: &SystemConfig, rates: &[f64]) -> Self {
+        let (weights, class_rates) = hetero_classes(rates);
+        let dists = vec![StateDist::new(config.initial_dist.clone()); weights.len()];
+        Self { field: HeteroMeanField::new(weights, class_rates, dists) }
+    }
+}
+
+impl Closure for Hetero {
+    fn rule_states(&self) -> usize {
+        self.field.num_composite_states()
     }
 
-    fn initial(config: &SystemConfig, weights: &[f64], rates: &[f64]) -> HeteroMeanField {
-        let nu0 = StateDist::new(config.initial_dist.clone());
-        HeteroMeanField::new(weights.to_vec(), rates.to_vec(), vec![nu0; weights.len()])
-    }
-
-    /// The overall queue-length marginal `Σ_c w_c·ν_c`.
-    fn length_marginal(&self) -> StateDist {
-        let zs = self.config.num_states();
-        let mut probs = vec![0.0; zs];
-        for (c, &w) in self.class_weights.iter().enumerate() {
-            let dist = self.state.class_dist(c);
-            for (z, p) in probs.iter_mut().enumerate() {
-                *p += w * dist.prob(z);
+    fn observed(&self) -> StateDist {
+        let mut probs = vec![0.0; self.field.num_lengths()];
+        for (c, &w) in self.field.class_weights().iter().enumerate() {
+            for (p, &q) in probs.iter_mut().zip(self.field.class_dist(c).as_slice()) {
+                *p += w * q;
             }
         }
         StateDist::new(probs)
     }
 
-    fn observe(&self) -> Vec<f64> {
-        encode_observation(
-            &self.length_marginal(),
-            self.lambda_idx,
-            self.config.arrivals.num_levels(),
-        )
+    fn step(
+        &mut self,
+        rule: &DecisionRule,
+        lambda: f64,
+        _t0: f64,
+        dt: f64,
+        _rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let step = self.field.step(rule, lambda, dt);
+        self.field = step.next;
+        (step.expected_drops, self.field.mean_queue_length())
     }
 }
 
-impl Env for HeteroMfcEnv {
-    fn obs_dim(&self) -> usize {
-        observation_dim(self.config.num_states(), self.config.arrivals.num_levels())
-    }
+/// The phase-type-service mean field (§5 "non-exponential service
+/// times"): the joint `(length, phase)` distribution is hidden state and
+/// the policy observes its length marginal. The config's `service_rate`
+/// is ignored; the law is the supplied [`PhaseType`].
+#[derive(Debug, Clone)]
+pub struct Ph {
+    service: PhaseType,
+    joint: PhDist,
+}
 
-    fn act_dim(&self) -> usize {
-        action_dim(self.config.num_states() * self.class_rates.len(), self.config.d)
-    }
-
-    fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.state = Self::initial(&self.config, &self.class_weights, &self.class_rates);
-        self.lambda_idx = self.config.arrivals.sample_initial(rng);
-        self.t = 0;
-        self.observe()
-    }
-
-    fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
-        let rule_states = self.config.num_states() * self.class_rates.len();
-        let rule = DecisionRule::from_logits(rule_states, self.config.d, action);
-        let lambda = self.config.arrivals.level_rate(self.lambda_idx);
-        let detail = self.state.step(&rule, lambda, self.config.dt);
-        let mut cost = detail.expected_drops;
-        if self.config.holding_cost > 0.0 {
-            cost += self.config.holding_cost * detail.next.mean_queue_length() * self.config.dt;
-        }
-        self.state = detail.next;
-        self.lambda_idx = self.config.arrivals.step(self.lambda_idx, rng);
-        self.t += 1;
-        StepResult { obs: self.observe(), reward: -cost, done: self.t >= self.horizon }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Env> {
-        Box::new(Self {
-            config: self.config.clone(),
-            class_weights: self.class_weights.clone(),
-            class_rates: self.class_rates.clone(),
-            state: Self::initial(&self.config, &self.class_weights, &self.class_rates),
-            lambda_idx: 0,
-            t: 0,
-            horizon: self.horizon,
-        })
-    }
-
-    fn horizon_hint(&self) -> Option<usize> {
-        Some(self.horizon)
+impl Ph {
+    /// The closure at `ν₀` lifted to the joint space.
+    pub fn new(config: &SystemConfig, service: PhaseType) -> Self {
+        let nu0 = StateDist::new(config.initial_dist.clone());
+        Self { joint: PhDist::from_lengths(&nu0, &service), service }
     }
 }
 
-/// The degree-indexed graph mean-field control MDP as a PPO environment
-/// (the locality-constrained extension; see
-/// [`mflb_core::graph_meanfield`]).
-///
-/// Observation and action are exactly the homogeneous model's —
-/// `[ν_t (B+1), onehot(λ_t)]` in, decision-rule logits over length
-/// tuples out — so graph checkpoints share the homogeneous
-/// [`PolicyShape`] and a net trained here deploys against
-/// `GraphEngine::empirical` unchanged. Only the *dynamics* differ: the
-/// per-state arrival rates use the annealed `k`-neighborhood closure
-/// instead of the Eq. 22 full-mesh integral, which is what teaches the
-/// policy that herding onto globally short queues is capped by each
-/// dispatcher's catchment.
-pub struct GraphMfcEnv {
-    config: SystemConfig,
-    /// Closed-neighborhood size `k` in the `M → ∞` limit.
-    k: usize,
-    nu: StateDist,
-    lambda_idx: usize,
-    t: usize,
-    horizon: usize,
-}
-
-impl GraphMfcEnv {
-    /// Creates the environment for a limit neighborhood size `k ≥ 1`
-    /// (from [`mflb_core::Topology::limit_neighborhood_size`]).
-    pub fn new(config: SystemConfig, k: usize) -> Self {
-        config.validate().expect("invalid system configuration");
-        assert!(k >= 1, "neighborhood size must be at least 1");
-        let horizon = config.train_episode_len;
-        let nu = StateDist::new(config.initial_dist.clone());
-        Self { config, k, nu, lambda_idx: 0, t: 0, horizon }
+impl Closure for Ph {
+    fn rule_states(&self) -> usize {
+        self.joint.buffer() + 1
     }
 
-    fn observe(&self) -> Vec<f64> {
-        encode_observation(&self.nu, self.lambda_idx, self.config.arrivals.num_levels())
+    fn observed(&self) -> StateDist {
+        self.joint.length_marginal()
+    }
+
+    fn step(
+        &mut self,
+        rule: &DecisionRule,
+        lambda: f64,
+        _t0: f64,
+        dt: f64,
+        _rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let step = ph_mean_field_step(&self.joint, rule, lambda, &self.service, dt);
+        self.joint = step.next_dist;
+        (step.expected_drops, self.joint.mean_queue_length())
     }
 }
 
-impl Env for GraphMfcEnv {
-    fn obs_dim(&self) -> usize {
-        observation_dim(self.config.num_states(), self.config.arrivals.num_levels())
-    }
-
-    fn act_dim(&self) -> usize {
-        action_dim(self.config.num_states(), self.config.d)
-    }
-
-    fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.nu = StateDist::new(self.config.initial_dist.clone());
-        self.lambda_idx = self.config.arrivals.sample_initial(rng);
-        self.t = 0;
-        self.observe()
-    }
-
-    fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
-        let rule = DecisionRule::from_logits(self.config.num_states(), self.config.d, action);
-        let lambda = self.config.arrivals.level_rate(self.lambda_idx);
-        let detail = graph_mean_field_step(
-            &self.nu,
-            &rule,
-            lambda,
-            self.config.service_rate,
-            self.config.dt,
-            self.k,
-        );
-        let mut cost = detail.expected_drops;
-        if self.config.holding_cost > 0.0 {
-            cost +=
-                self.config.holding_cost * detail.next_dist.mean_queue_length() * self.config.dt;
-        }
-        self.nu = detail.next_dist;
-        self.lambda_idx = self.config.arrivals.step(self.lambda_idx, rng);
-        self.t += 1;
-        StepResult { obs: self.observe(), reward: -cost, done: self.t >= self.horizon }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Env> {
-        Box::new(Self::new(self.config.clone(), self.k))
-    }
-
-    fn horizon_hint(&self) -> Option<usize> {
-        Some(self.horizon)
-    }
-}
-
-/// The homogeneous mean-field control MDP degraded by a [`FaultPlan`] —
-/// the annealed (`M → ∞`) limit of the finite faulted engines.
+/// The homogeneous mean field degraded by a [`FaultPlan`] — the annealed
+/// (`M → ∞`) limit of the finite faulted engines, over either integrand.
 ///
 /// Per epoch `[t₀, t₀ + Δt)` the plan enters the dynamics as:
 ///
@@ -397,59 +270,55 @@ impl Env for GraphMfcEnv {
 ///   (`Σ_j straggler_factor(j)/M`) scales service the same way.
 /// * **Overload bursts** — [`FaultPlan::arrival_factor`] scales `λ_t`.
 /// * **Observation faults** — each epoch the snapshot refresh is dropped
-///   with probability `drop_prob` (one env-RNG draw); the policy then
-///   keeps observing the *stale* distribution while the true mean field
-///   moves on. This is hidden state — the same POMDP structure as the
-///   paper's delayed-information setting — and is what teaches a
-///   fault-aware policy to hedge instead of trusting old snapshots.
+///   with probability `drop_prob` (one env-RNG draw, made before the
+///   arrival-level draw); the policy then keeps observing the *stale*
+///   distribution while the true mean field moves on. This is hidden
+///   state — the same POMDP structure as the paper's delayed-information
+///   setting — and is what teaches a fault-aware policy to hedge instead
+///   of trusting old snapshots.
 ///
-/// Observation/action dims are the homogeneous model's, so
-/// [`PolicyShape`] is unchanged: fault-trained checkpoints deploy against
-/// any engine the fault-free ones can. With `k = Some(·)` the transition
-/// uses the degree-indexed graph closure instead of the full-mesh
-/// integral ([`GraphMfcEnv`]'s dynamics, degraded the same way).
-pub struct FaultyMfcEnv {
-    config: SystemConfig,
+/// The rule is over plain lengths, so fault-trained checkpoints share the
+/// homogeneous [`PolicyShape`] and deploy against any engine the
+/// fault-free ones can.
+#[derive(Debug, Clone)]
+pub struct TwoPool {
+    integrand: Integrand,
+    service_rate: f64,
+    num_queues: usize,
     plan: FaultPlan,
-    /// `Some(k)`: degree-indexed graph closure; `None`: full-mesh Eq. 22.
-    k: Option<usize>,
     /// Length-distribution mass of the Up pool (sums to the up fraction).
     up: Vec<f64>,
     /// Length-distribution mass of the Down (crashed) pool.
     down: Vec<f64>,
-    /// What the policy sees — the mixture as of the last *successful*
-    /// refresh.
+    /// What the policy sees: the mixture at the last successful refresh.
     observed: StateDist,
-    lambda_idx: usize,
-    t: usize,
-    horizon: usize,
 }
 
-impl FaultyMfcEnv {
-    /// Creates the environment for a validated plan (panics on an invalid
-    /// one — [`build_env`] goes through `Scenario::validate` first and
-    /// reports an `Err` instead).
-    pub fn new(config: SystemConfig, plan: FaultPlan, k: Option<usize>) -> Self {
-        config.validate().expect("invalid system configuration");
+impl TwoPool {
+    /// The closure at `ν₀` with every queue up, for a validated plan
+    /// (panics on an invalid one — [`build_env`] goes through
+    /// `Scenario::validate` first and reports an `Err` instead).
+    pub fn new(config: &SystemConfig, plan: FaultPlan, integrand: Integrand) -> Self {
         plan.validate_for(config.num_queues).expect("invalid fault plan");
-        if let Some(k) = k {
-            assert!(k >= 1, "neighborhood size must be at least 1");
+        let nu0 = config.initial_dist.clone();
+        Self {
+            integrand,
+            service_rate: config.service_rate,
+            num_queues: config.num_queues,
+            plan,
+            down: vec![0.0; nu0.len()],
+            observed: StateDist::new(nu0.clone()),
+            up: nu0,
         }
-        let horizon = config.train_episode_len;
-        let up = config.initial_dist.clone();
-        let down = vec![0.0; up.len()];
-        let observed = StateDist::new(config.initial_dist.clone());
-        Self { config, plan, k, up, down, observed, lambda_idx: 0, t: 0, horizon }
     }
 
     /// Pool-mean straggler factor `Σ_j f_j(t₀)/M` for the epoch.
-    fn mean_straggler_factor(&self, t0: f64) -> f64 {
-        let m = self.config.num_queues.max(1);
-        (0..m).map(|j| self.plan.straggler_factor(j, t0, self.config.dt)).sum::<f64>() / m as f64
+    fn mean_straggler_factor(&self, t0: f64, dt: f64) -> f64 {
+        let m = self.num_queues.max(1);
+        (0..m).map(|j| self.plan.straggler_factor(j, t0, dt)).sum::<f64>() / m as f64
     }
 
-    /// The observable length distribution: the Up + Down mixture (routing
-    /// and snapshots see lengths, never liveness).
+    /// The Up + Down mixture: routing and snapshots see lengths, not liveness.
     fn mixture(&self) -> StateDist {
         let total: f64 = self.up.iter().sum::<f64>() + self.down.iter().sum::<f64>();
         StateDist::new(self.up.iter().zip(&self.down).map(|(u, d)| (u + d) / total).collect())
@@ -469,36 +338,26 @@ impl FaultyMfcEnv {
         }
         mass * step.expected_drops
     }
-
-    fn observe(&self) -> Vec<f64> {
-        encode_observation(&self.observed, self.lambda_idx, self.config.arrivals.num_levels())
-    }
 }
 
-impl Env for FaultyMfcEnv {
-    fn obs_dim(&self) -> usize {
-        observation_dim(self.config.num_states(), self.config.arrivals.num_levels())
+impl Closure for TwoPool {
+    fn rule_states(&self) -> usize {
+        self.up.len()
     }
 
-    fn act_dim(&self) -> usize {
-        action_dim(self.config.num_states(), self.config.d)
+    fn observed(&self) -> StateDist {
+        self.observed.clone()
     }
 
-    fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.up = self.config.initial_dist.clone();
-        self.down = vec![0.0; self.up.len()];
-        self.observed = StateDist::new(self.config.initial_dist.clone());
-        self.lambda_idx = self.config.arrivals.sample_initial(rng);
-        self.t = 0;
-        self.observe()
-    }
-
-    fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
-        let dt = self.config.dt;
-        let t0 = self.t as f64 * dt;
-        let rule = DecisionRule::from_logits(self.config.num_states(), self.config.d, action);
-        let lambda =
-            self.config.arrivals.level_rate(self.lambda_idx) * self.plan.arrival_factor(t0, dt);
+    fn step(
+        &mut self,
+        rule: &DecisionRule,
+        lambda: f64,
+        t0: f64,
+        dt: f64,
+        rng: &mut StdRng,
+    ) -> (f64, f64) {
+        let lambda = lambda * self.plan.arrival_factor(t0, dt);
         // Crash renewal exchange: a length-preserving mass transfer
         // between the Up and Down pools at the per-epoch fail/recover
         // probabilities of the finite engines' per-queue renewals.
@@ -512,113 +371,31 @@ impl Env for FaultyMfcEnv {
                 *d += fail - rec;
             }
         }
-        // Routing sees the mixture — lengths only, never liveness — so
-        // both pools share one length-indexed arrival-rate vector.
-        let mixture = self.mixture();
-        let rates = match self.k {
-            None => per_state_arrival_rates(&mixture, &rule, lambda),
-            Some(k) => graph_arrival_rates(&mixture, &rule, lambda, k),
-        };
-        let service = self.config.service_rate * self.mean_straggler_factor(t0);
-        let mut cost = Self::advance_pool(&mut self.up, &rates, service, dt)
+        // Both pools share one length-indexed arrival-rate vector.
+        let rates = self.integrand.rates(&self.mixture(), rule, lambda);
+        let service = self.service_rate * self.mean_straggler_factor(t0, dt);
+        let drops = Self::advance_pool(&mut self.up, &rates, service, dt)
             + Self::advance_pool(&mut self.down, &rates, 0.0, dt);
-        if self.config.holding_cost > 0.0 {
-            cost += self.config.holding_cost * self.mixture().mean_queue_length() * self.config.dt;
-        }
-        // One env-RNG draw decides the refresh whenever an observation
-        // fault is configured; on a drop the policy keeps seeing the old
-        // snapshot (staleness compounds across consecutive drops).
+        let mixture = self.mixture();
+        let mean_len = mixture.mean_queue_length();
+        // On a dropped refresh the policy keeps seeing the old snapshot
+        // (staleness compounds across consecutive drops).
         let dropped = match &self.plan.observation {
             Some(o) if o.drop_prob > 0.0 => rng.gen::<f64>() < o.drop_prob,
             _ => false,
         };
         if !dropped {
-            self.observed = self.mixture();
+            self.observed = mixture;
         }
-        self.lambda_idx = self.config.arrivals.step(self.lambda_idx, rng);
-        self.t += 1;
-        StepResult { obs: self.observe(), reward: -cost, done: self.t >= self.horizon }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Env> {
-        Box::new(Self::new(self.config.clone(), self.plan.clone(), self.k))
-    }
-
-    fn horizon_hint(&self) -> Option<usize> {
-        Some(self.horizon)
-    }
-}
-
-/// The phase-type-service mean-field control MDP as a PPO environment
-/// (§5 "non-exponential service times").
-///
-/// Observation: `[length marginal (B+1), onehot(λ_t)]`; the joint
-/// `(length, phase)` distribution is hidden state. Action: decision-rule
-/// logits over plain length tuples, as in the homogeneous model.
-pub struct PhMfcEnv {
-    mdp: PhMeanFieldMdp,
-    state: PhMfState,
-    t: usize,
-    horizon: usize,
-}
-
-impl PhMfcEnv {
-    /// Creates the environment for a service-time law.
-    pub fn new(config: SystemConfig, service: PhaseType) -> Self {
-        let horizon = config.train_episode_len;
-        let mdp = PhMeanFieldMdp::new(config, service);
-        let state = PhMfState {
-            dist: mflb_core::PhDist::all_empty(mdp.config().buffer, mdp.service().num_phases()),
-            lambda_idx: 0,
-        };
-        Self { mdp, state, t: 0, horizon }
-    }
-
-    fn observe(&self) -> Vec<f64> {
-        encode_observation(
-            &self.state.dist.length_marginal(),
-            self.state.lambda_idx,
-            self.mdp.config().arrivals.num_levels(),
-        )
-    }
-}
-
-impl Env for PhMfcEnv {
-    fn obs_dim(&self) -> usize {
-        observation_dim(self.mdp.config().num_states(), self.mdp.config().arrivals.num_levels())
-    }
-
-    fn act_dim(&self) -> usize {
-        action_dim(self.mdp.config().num_states(), self.mdp.config().d)
-    }
-
-    fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.state = self.mdp.initial_state(rng);
-        self.t = 0;
-        self.observe()
-    }
-
-    fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
-        let rule =
-            DecisionRule::from_logits(self.mdp.config().num_states(), self.mdp.config().d, action);
-        let (next, reward, _) = self.mdp.step(&self.state, &rule, rng);
-        self.state = next;
-        self.t += 1;
-        StepResult { obs: self.observe(), reward, done: self.t >= self.horizon }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Env> {
-        Box::new(Self::new(self.mdp.config().clone(), self.mdp.service().clone()))
-    }
-
-    fn horizon_hint(&self) -> Option<usize> {
-        Some(self.horizon)
+        (drops, mean_len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::StepResult;
+    use mflb_core::{CrashFaults, JobSizeLaw, ObservationFaults, Topology};
     use mflb_sim::ServiceLaw;
     use rand::SeedableRng;
 
@@ -634,6 +411,55 @@ mod tests {
         Scenario::new(base_config(), EngineSpec::Hetero { rates })
     }
 
+    fn ph_scenario() -> Scenario {
+        let service = ServiceLaw::Erlang { k: 2, rate: 2.0 };
+        Scenario::new(base_config(), EngineSpec::Ph { service })
+    }
+
+    fn graph_scenario(topology: Topology) -> Scenario {
+        Scenario::new(base_config(), EngineSpec::Graph { topology, shard_size: None })
+    }
+
+    /// Builds the scenario's env and checks its dims against the shape.
+    fn built(scenario: &Scenario) -> Box<dyn Env> {
+        let shape = PolicyShape::for_scenario(scenario);
+        let env = build_env(scenario).expect("valid scenario");
+        assert_eq!((env.obs_dim(), env.act_dim()), (shape.obs_dim(), shape.act_dim()));
+        env
+    }
+
+    /// Runs one episode under a constant action from a seeded reset,
+    /// checking every step's reward sign and observed distribution.
+    fn episode(env: &mut dyn Env, seed: u64, logit: f64) -> Vec<StepResult> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert_eq!(env.reset(&mut rng).len(), env.obs_dim());
+        let action = vec![logit; env.act_dim()];
+        let mut steps = Vec::new();
+        loop {
+            let r = env.step(&action, &mut rng);
+            assert!(r.reward <= 0.0, "reward is minus drops");
+            let mass: f64 = r.obs[..6].iter().sum();
+            assert!((mass - 1.0).abs() < 1e-8, "observed dist stays a distribution");
+            let done = r.done;
+            steps.push(r);
+            if done {
+                return steps;
+            }
+        }
+    }
+
+    /// Asserts two envs give the same per-step rewards from the same seed.
+    fn assert_same_rewards(a: &mut dyn Env, b: &mut dyn Env, seed: u64, logit: f64, tol: f64) {
+        for (ra, rb) in episode(a, seed, logit).iter().zip(&episode(b, seed, logit)) {
+            assert!((ra.reward - rb.reward).abs() < tol, "{} vs {}", ra.reward, rb.reward);
+        }
+    }
+
+    fn crashy_plan() -> FaultPlan {
+        let crashes = Some(CrashFaults { mttf: 10.0, mttr: 5.0 });
+        FaultPlan { crashes, ..FaultPlan::empty() }
+    }
+
     #[test]
     fn shapes_per_engine_kind() {
         let homog = PolicyShape::for_scenario(&Scenario::new(base_config(), EngineSpec::Aggregate));
@@ -646,55 +472,23 @@ mod tests {
         assert_eq!(het.obs_dim(), 8);
         assert_eq!(het.act_dim(), 12 * 12 * 2);
 
-        let ph = PolicyShape::for_scenario(&Scenario::new(
-            base_config(),
-            EngineSpec::Ph { service: ServiceLaw::Erlang { k: 2, rate: 2.0 } },
-        ));
+        let ph = PolicyShape::for_scenario(&ph_scenario());
         assert_eq!((ph.obs_states, ph.rule_states), (6, 6));
     }
 
     #[test]
     fn built_envs_match_their_shapes_and_run_episodes() {
+        let job_size = JobSizeLaw::BoundedPareto { shape: 1.5, lo: 0.2, hi: 20.0 };
         let scenarios = vec![
             Scenario::new(base_config(), EngineSpec::Aggregate),
             hetero_scenario(),
-            Scenario::new(
-                base_config(),
-                EngineSpec::Ph { service: ServiceLaw::Erlang { k: 2, rate: 2.0 } },
-            ),
-            Scenario::new(
-                base_config(),
-                EngineSpec::Event {
-                    job_size: mflb_core::JobSizeLaw::BoundedPareto {
-                        shape: 1.5,
-                        lo: 0.2,
-                        hi: 20.0,
-                    },
-                },
-            ),
+            ph_scenario(),
+            Scenario::new(base_config(), EngineSpec::Event { job_size }),
         ];
         for scenario in scenarios {
-            let shape = PolicyShape::for_scenario(&scenario);
-            let mut env = build_env(&scenario).expect("valid scenario");
-            assert_eq!(env.obs_dim(), shape.obs_dim());
-            assert_eq!(env.act_dim(), shape.act_dim());
+            let mut env = built(&scenario);
             assert_eq!(env.horizon_hint(), Some(10));
-            let mut rng = StdRng::seed_from_u64(1);
-            let obs = env.reset(&mut rng);
-            assert_eq!(obs.len(), shape.obs_dim());
-            let action = vec![0.0; env.act_dim()];
-            let mut steps = 0;
-            loop {
-                let r = env.step(&action, &mut rng);
-                steps += 1;
-                assert!(r.reward <= 0.0, "reward is minus drops");
-                let mass: f64 = r.obs[..shape.obs_states].iter().sum();
-                assert!((mass - 1.0).abs() < 1e-8, "length marginal stays a distribution");
-                if r.done {
-                    break;
-                }
-            }
-            assert_eq!(steps, 10);
+            assert_eq!(episode(env.as_mut(), 1, 0.0).len(), 10);
         }
     }
 
@@ -704,64 +498,28 @@ mod tests {
         // model, and both envs consume one RNG draw per step, so identical
         // seeds must give identical rewards.
         let cfg = base_config();
-        let mut hetero = HeteroMfcEnv::new(cfg.clone(), &[1.0; 10]);
-        let mut homog = MfcEnv::new(cfg);
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        hetero.reset(&mut rng_a);
-        homog.reset(&mut rng_b);
-        let action = vec![0.3; homog.act_dim()];
-        for _ in 0..10 {
-            let a = hetero.step(&action, &mut rng_a);
-            let b = homog.step(&action, &mut rng_b);
-            assert!((a.reward - b.reward).abs() < 1e-9, "{} vs {}", a.reward, b.reward);
-        }
+        let mut hetero = MeanFieldEnv::new(cfg.clone(), Hetero::new(&cfg, &[1.0; 10]));
+        assert_same_rewards(&mut hetero, &mut MeanFieldEnv::homogeneous(cfg), 7, 0.3, 1e-9);
     }
 
     #[test]
     fn build_env_rejects_malformed_scenarios() {
         let bad = Scenario::new(base_config(), EngineSpec::Hetero { rates: vec![1.0; 3] });
         assert!(build_env(&bad).is_err(), "pool size mismatch must be rejected");
-        let bad_top = Scenario::new(
-            base_config(),
-            EngineSpec::Graph {
-                topology: mflb_core::Topology::Ring { radius: 7 },
-                shard_size: None,
-            },
-        );
+        let bad_top = graph_scenario(Topology::Ring { radius: 7 });
         assert!(build_env(&bad_top).is_err(), "over-wide ring must be rejected");
-        let infinite_mean = Scenario::new(
-            base_config(),
-            EngineSpec::Event {
-                job_size: mflb_core::JobSizeLaw::Pareto { shape: 0.9, scale: 1.0 },
-            },
-        );
+        let job_size = JobSizeLaw::Pareto { shape: 0.9, scale: 1.0 };
+        let infinite_mean = Scenario::new(base_config(), EngineSpec::Event { job_size });
         let err = build_env(&infinite_mean).err().expect("infinite-mean law must be rejected");
         assert!(err.contains("mean"), "infinite-mean law must be rejected readably: {err}");
     }
 
     #[test]
     fn graph_env_shares_the_homogeneous_policy_shape() {
-        let scenario = Scenario::new(
-            base_config(),
-            EngineSpec::Graph {
-                topology: mflb_core::Topology::Ring { radius: 2 },
-                shard_size: None,
-            },
-        );
+        let scenario = graph_scenario(Topology::Ring { radius: 2 });
         let shape = PolicyShape::for_scenario(&scenario);
         assert_eq!((shape.obs_states, shape.rule_states), (6, 6));
-        let mut env = build_env(&scenario).expect("valid scenario");
-        assert_eq!(env.obs_dim(), shape.obs_dim());
-        assert_eq!(env.act_dim(), shape.act_dim());
-        let mut rng = StdRng::seed_from_u64(1);
-        let obs = env.reset(&mut rng);
-        assert_eq!(obs.len(), shape.obs_dim());
-        let action = vec![0.0; env.act_dim()];
-        let r = env.step(&action, &mut rng);
-        assert!(r.reward <= 0.0);
-        let mass: f64 = r.obs[..6].iter().sum();
-        assert!((mass - 1.0).abs() < 1e-8);
+        episode(built(&scenario).as_mut(), 1, 0.0);
     }
 
     #[test]
@@ -769,23 +527,9 @@ mod tests {
         // FullMesh has no finite limit degree, so build_env must select the
         // exact Eq. 20–28 environment: same RNG consumption, same rewards
         // as the aggregate scenario's env.
-        let graph = Scenario::new(
-            base_config(),
-            EngineSpec::Graph { topology: mflb_core::Topology::FullMesh, shard_size: None },
-        );
-        let agg = Scenario::new(base_config(), EngineSpec::Aggregate);
-        let mut a = build_env(&graph).unwrap();
-        let mut b = build_env(&agg).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(5);
-        let mut rng_b = StdRng::seed_from_u64(5);
-        a.reset(&mut rng_a);
-        b.reset(&mut rng_b);
-        let action = vec![0.2; a.act_dim()];
-        for _ in 0..10 {
-            let ra = a.step(&action, &mut rng_a);
-            let rb = b.step(&action, &mut rng_b);
-            assert!((ra.reward - rb.reward).abs() < 1e-12, "{} vs {}", ra.reward, rb.reward);
-        }
+        let mut a = built(&graph_scenario(Topology::FullMesh));
+        let mut b = built(&Scenario::new(base_config(), EngineSpec::Aggregate));
+        assert_same_rewards(a.as_mut(), b.as_mut(), 5, 0.2, 1e-12);
     }
 
     #[test]
@@ -793,18 +537,9 @@ mod tests {
         // k = 10_000: the annealed closure is numerically indistinguishable
         // from the full-mesh model, so per-step rewards must agree tightly.
         let cfg = base_config();
-        let mut graph = GraphMfcEnv::new(cfg.clone(), 10_000);
-        let mut homog = MfcEnv::new(cfg);
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        graph.reset(&mut rng_a);
-        homog.reset(&mut rng_b);
-        let action = vec![0.3; homog.act_dim()];
-        for _ in 0..10 {
-            let a = graph.step(&action, &mut rng_a);
-            let b = homog.step(&action, &mut rng_b);
-            assert!((a.reward - b.reward).abs() < 1e-4, "{} vs {}", a.reward, b.reward);
-        }
+        let graph = Homogeneous::new(&cfg, Integrand::Graph { k: 10_000 });
+        let mut graph = MeanFieldEnv::new(cfg.clone(), graph);
+        assert_same_rewards(&mut graph, &mut MeanFieldEnv::homogeneous(cfg), 7, 0.3, 1e-4);
     }
 
     #[test]
@@ -814,38 +549,13 @@ mod tests {
         assert!((w[0] - 0.4).abs() < 1e-12 && (w[1] - 0.6).abs() < 1e-12);
     }
 
-    fn crashy_plan() -> mflb_core::FaultPlan {
-        let mut p = mflb_core::FaultPlan::empty();
-        p.crashes = Some(mflb_core::CrashFaults { mttf: 10.0, mttr: 5.0 });
-        p
-    }
-
     #[test]
     fn faulted_scenarios_build_the_faulty_env_with_unchanged_shapes() {
-        // FaultyMfcEnv must keep the homogeneous PolicyShape — a
+        // The two-pool closure must keep the homogeneous PolicyShape — a
         // fault-trained checkpoint deploys anywhere a fault-free one can.
         let scenario =
             Scenario::new(base_config(), EngineSpec::JobLevel).with_faults(crashy_plan());
-        let shape = PolicyShape::for_scenario(&scenario);
-        let mut env = build_env(&scenario).expect("valid faulted scenario");
-        assert_eq!(env.obs_dim(), shape.obs_dim());
-        assert_eq!(env.act_dim(), shape.act_dim());
-        let mut rng = StdRng::seed_from_u64(3);
-        let obs = env.reset(&mut rng);
-        assert_eq!(obs.len(), shape.obs_dim());
-        let action = vec![0.0; env.act_dim()];
-        let mut steps = 0;
-        loop {
-            let r = env.step(&action, &mut rng);
-            steps += 1;
-            assert!(r.reward <= 0.0, "reward is minus drops");
-            let mass: f64 = r.obs[..shape.obs_states].iter().sum();
-            assert!((mass - 1.0).abs() < 1e-8, "observed dist stays a distribution");
-            if r.done {
-                break;
-            }
-        }
-        assert_eq!(steps, 10);
+        assert_eq!(episode(built(&scenario).as_mut(), 3, 0.0).len(), 10);
     }
 
     #[test]
@@ -853,18 +563,10 @@ mod tests {
         // Same seed, same (uniform) actions: parking ~1/3 of the pool in
         // the zero-service Down pool must cost strictly more drops.
         let cfg = base_config();
-        let mut faulted = FaultyMfcEnv::new(cfg.clone(), crashy_plan(), None);
-        let mut pristine = MfcEnv::new(cfg);
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        faulted.reset(&mut rng_a);
-        pristine.reset(&mut rng_b);
-        let action = vec![0.0; pristine.act_dim()];
-        let (mut cost_f, mut cost_p) = (0.0, 0.0);
-        for _ in 0..10 {
-            cost_f -= faulted.step(&action, &mut rng_a).reward;
-            cost_p -= pristine.step(&action, &mut rng_b).reward;
-        }
+        let faulty = TwoPool::new(&cfg, crashy_plan(), Integrand::FullMesh);
+        let cost = |env: &mut dyn Env| -episode(env, 11, 0.0).iter().map(|r| r.reward).sum::<f64>();
+        let cost_f = cost(&mut MeanFieldEnv::new(cfg.clone(), faulty));
+        let cost_p = cost(&mut MeanFieldEnv::homogeneous(cfg));
         assert!(
             cost_f > cost_p,
             "crash-degraded service must drop more: faulted {cost_f} vs pristine {cost_p}"
@@ -876,19 +578,14 @@ mod tests {
         // drop_prob = 1: every refresh fails, so the observed length
         // distribution must stay the initial ν₀ while the true mean field
         // (and hence the reward) keeps moving.
-        let mut plan = mflb_core::FaultPlan::empty();
-        plan.observation = Some(mflb_core::ObservationFaults { drop_prob: 1.0 });
+        let observation = Some(ObservationFaults { drop_prob: 1.0 });
+        let plan = FaultPlan { observation, ..FaultPlan::empty() };
         let cfg = base_config();
-        let zs = cfg.num_states();
         let nu0: Vec<f64> = cfg.initial_dist.clone();
-        let mut env = FaultyMfcEnv::new(cfg, plan, None);
-        let mut rng = StdRng::seed_from_u64(4);
-        env.reset(&mut rng);
-        let action = vec![0.0; env.act_dim()];
+        let mut env = MeanFieldEnv::new(cfg.clone(), TwoPool::new(&cfg, plan, Integrand::FullMesh));
         let mut saw_drops = false;
-        for _ in 0..10 {
-            let r = env.step(&action, &mut rng);
-            for (z, &p) in nu0.iter().enumerate().take(zs) {
+        for r in episode(&mut env, 4, 0.0) {
+            for (z, &p) in nu0.iter().enumerate() {
                 assert!((r.obs[z] - p).abs() < 1e-12, "snapshot must stay frozen at ν₀");
             }
             saw_drops |= r.reward < 0.0;
@@ -898,20 +595,7 @@ mod tests {
 
     #[test]
     fn faulted_graph_scenarios_use_the_degraded_graph_closure() {
-        let scenario = Scenario::new(
-            base_config(),
-            EngineSpec::Graph {
-                topology: mflb_core::Topology::Ring { radius: 2 },
-                shard_size: None,
-            },
-        )
-        .with_faults(crashy_plan());
-        let mut env = build_env(&scenario).expect("valid faulted graph scenario");
-        let mut rng = StdRng::seed_from_u64(6);
-        env.reset(&mut rng);
-        let r = env.step(&vec![0.0; env.act_dim()], &mut rng);
-        assert!(r.reward <= 0.0);
-        let mass: f64 = r.obs[..6].iter().sum();
-        assert!((mass - 1.0).abs() < 1e-8);
+        let scenario = graph_scenario(Topology::Ring { radius: 2 }).with_faults(crashy_plan());
+        episode(built(&scenario).as_mut(), 6, 0.0);
     }
 }

@@ -7,7 +7,7 @@
 //! must produce bit-identical checkpoints.
 
 use mflb_core::SystemConfig;
-use mflb_rl::{train_scenario, Env, MfcEnv, PpoConfig, PpoTrainer, ToyControlEnv};
+use mflb_rl::{train_scenario, Env, MeanFieldEnv, PpoConfig, PpoTrainer, ToyControlEnv};
 use mflb_sim::{EngineSpec, Scenario, ServiceLaw};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,10 +40,10 @@ fn train_params(env: &dyn Env, threads: usize, seed: u64, iters: usize) -> Vec<f
 
 #[test]
 fn one_worker_and_k_workers_produce_identical_nets_fixed_horizon() {
-    // MfcEnv has a fixed horizon, exercising the exact-demand dispatch.
+    // MeanFieldEnv has a fixed horizon, exercising the exact-demand dispatch.
     let mut config = SystemConfig::paper().with_dt(5.0);
     config.train_episode_len = 10;
-    let env = MfcEnv::new(config);
+    let env = MeanFieldEnv::homogeneous(config);
     let single = train_params(&env, 1, 3, 2);
     let multi = train_params(&env, 3, 3, 2);
     assert_eq!(single, multi, "worker count must not affect training");

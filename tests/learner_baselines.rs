@@ -7,13 +7,15 @@
 use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::policy::{rnd_rule, NeuralUpperPolicy};
-use mflb::rl::{CemConfig, CemTrainer, MfcEnv, ReinforceConfig, ReinforceTrainer};
+use mflb::rl::{
+    CemConfig, CemTrainer, Homogeneous, MeanFieldEnv, ReinforceConfig, ReinforceTrainer,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn small_env() -> (SystemConfig, MfcEnv) {
+fn small_env() -> (SystemConfig, MeanFieldEnv<Homogeneous>) {
     let cfg = SystemConfig::paper().with_dt(5.0);
-    let env = MfcEnv::with_horizon(cfg.clone(), 25);
+    let env = MeanFieldEnv::homogeneous(cfg.clone()).with_horizon(25);
     (cfg, env)
 }
 

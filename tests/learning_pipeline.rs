@@ -5,7 +5,7 @@
 use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::policy::{rnd_rule, NeuralUpperPolicy};
-use mflb::rl::{Env, MfcEnv, PpoConfig, PpoTrainer};
+use mflb::rl::{Env, MeanFieldEnv, PpoConfig, PpoTrainer};
 use mflb::sim::{monte_carlo, AggregateEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +36,7 @@ fn quick_ppo() -> PpoConfig {
 fn ppo_improves_over_initial_policy_on_mfc_mdp() {
     let mut config = SystemConfig::paper().with_dt(5.0);
     config.train_episode_len = 60; // short episodes for a fast test
-    let env = MfcEnv::new(config.clone());
+    let env = MeanFieldEnv::homogeneous(config.clone());
     let mut trainer = PpoTrainer::new(&env, quick_ppo(), 5);
     let mut rng = StdRng::seed_from_u64(6);
 
@@ -68,7 +68,7 @@ fn ppo_improves_over_initial_policy_on_mfc_mdp() {
 #[test]
 fn checkpoint_roundtrip_drives_identical_finite_episodes() {
     let config = SystemConfig::paper().with_dt(3.0).with_size(400, 20);
-    let env = MfcEnv::new(config.clone());
+    let env = MeanFieldEnv::homogeneous(config.clone());
     let trainer = PpoTrainer::new(&env, quick_ppo(), 9);
     let policy = NeuralUpperPolicy::new(
         trainer.policy_net().clone(),
@@ -94,7 +94,7 @@ fn mfc_env_observation_matches_policy_expectation() {
     // same canonical encoder: wiring an env obs through the policy network
     // must succeed with the right dims.
     let config = SystemConfig::paper();
-    let mut env = MfcEnv::new(config.clone());
+    let mut env = MeanFieldEnv::homogeneous(config.clone());
     let mut rng = StdRng::seed_from_u64(10);
     let obs = env.reset(&mut rng);
     assert_eq!(obs.len(), env.obs_dim());
