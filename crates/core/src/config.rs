@@ -155,7 +155,49 @@ impl SystemConfig {
         if self.d == 0 {
             return Err("d must be at least 1".into());
         }
+        check_rule_table(self.num_states(), self.d)?;
+        if !(self.dt > 0.0 && self.dt.is_finite()) {
+            return Err(format!("dt must be positive and finite, got {}", self.dt));
+        }
+        if !(self.service_rate > 0.0 && self.service_rate.is_finite()) {
+            return Err(format!(
+                "service_rate must be positive and finite, got {}",
+                self.service_rate
+            ));
+        }
+        if !(self.holding_cost >= 0.0 && self.holding_cost.is_finite()) {
+            return Err(format!(
+                "holding_cost must be non-negative and finite, got {}",
+                self.holding_cost
+            ));
+        }
+        if self.num_queues == 0 {
+            return Err("num_queues must be at least 1".into());
+        }
+        if self.train_episode_len == 0 {
+            return Err("train_episode_len must be at least 1".into());
+        }
         Ok(())
+    }
+}
+
+/// Largest decision-rule table, in entries `|Z|^d·d`, a configuration may
+/// imply. Every rule, policy and training env materializes the full table.
+pub const MAX_RULE_ENTRIES: usize = 1 << 24;
+
+/// Checks that a decision rule over `rule_states` states with `d` samples
+/// has at most [`MAX_RULE_ENTRIES`] entries.
+pub fn check_rule_table(rule_states: usize, d: usize) -> Result<(), String> {
+    let entries = u32::try_from(d)
+        .ok()
+        .and_then(|e| rule_states.checked_pow(e))
+        .and_then(|n| n.checked_mul(d));
+    match entries {
+        Some(n) if n <= MAX_RULE_ENTRIES => Ok(()),
+        _ => Err(format!(
+            "a decision rule over {rule_states} states with d = {d} needs \
+             {rule_states}^{d}·{d} entries, more than the cap of 2^24"
+        )),
     }
 }
 
@@ -205,5 +247,54 @@ mod tests {
         let mut c = SystemConfig::paper();
         c.initial_dist = vec![0.5; 6];
         assert!(c.validate().is_err());
+    }
+
+    fn rejection(edit: impl FnOnce(&mut SystemConfig)) -> String {
+        let mut c = SystemConfig::paper();
+        edit(&mut c);
+        c.validate().expect_err("config must be rejected")
+    }
+
+    #[test]
+    fn validate_rejects_zero_train_episode_len() {
+        assert!(rejection(|c| c.train_episode_len = 0).contains("train_episode_len"));
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_service_rate() {
+        assert!(rejection(|c| c.service_rate = -1.0).contains("service_rate"));
+        assert!(rejection(|c| c.service_rate = 0.0).contains("service_rate"));
+        assert!(rejection(|c| c.service_rate = f64::INFINITY).contains("service_rate"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_dt() {
+        assert!(rejection(|c| c.dt = 0.0).contains("dt"));
+        assert!(rejection(|c| c.dt = -5.0).contains("dt"));
+        assert!(rejection(|c| c.dt = f64::NAN).contains("dt"));
+        assert!(rejection(|c| c.dt = f64::INFINITY).contains("dt"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_queues() {
+        assert!(rejection(|c| c.num_queues = 0).contains("num_queues"));
+    }
+
+    #[test]
+    fn validate_rejects_negative_holding_cost() {
+        assert!(rejection(|c| c.holding_cost = -0.1).contains("holding_cost"));
+        assert!(rejection(|c| c.holding_cost = f64::NAN).contains("holding_cost"));
+    }
+
+    #[test]
+    fn validate_rejects_oversized_rule_tables() {
+        // d = 40 overflows usize; 6^10·10 ≈ 6·10^8 fits but exceeds the cap.
+        assert!(rejection(|c| c.d = 40).contains("2^24"));
+        assert!(rejection(|c| c.d = 10).contains("2^24"));
+        // The largest table in use (B = 300, d = 2: 181,202 entries) passes.
+        SystemConfig::paper().with_buffer(300).validate().unwrap();
+        assert!(check_rule_table(2896, 2).is_ok());
+        assert!(check_rule_table(2897, 2).is_err());
+        assert!(check_rule_table(usize::MAX, 2).is_err());
     }
 }

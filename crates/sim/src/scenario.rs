@@ -116,7 +116,9 @@ use crate::graph_engine::GraphEngine;
 use crate::hetero::HeteroEngine;
 use crate::ph_engine::PhAggregateEngine;
 use crate::staggered::StaggeredEngine;
-use mflb_core::{DecisionRule, FaultPlan, JobSizeLaw, StateDist, SystemConfig, Topology};
+use mflb_core::{
+    check_rule_table, DecisionRule, FaultPlan, JobSizeLaw, StateDist, SystemConfig, Topology,
+};
 use mflb_queue::hetero::ServerPool;
 use mflb_queue::PhaseType;
 use rand::rngs::StdRng;
@@ -384,7 +386,16 @@ impl Scenario {
                         "hetero server rates must be positive and finite".into(),
                     ));
                 }
-                Ok(())
+                // The rule is over composite (length, class) states, with
+                // classes the distinct rates (the engine's quantization).
+                let mut classes: Vec<f64> = Vec::new();
+                for &r in rates {
+                    if !classes.iter().any(|&x| (x - r).abs() < 1e-12) {
+                        classes.push(r);
+                    }
+                }
+                let composite = classes.len() * self.config.num_states();
+                check_rule_table(composite, self.config.d).map_err(ScenarioError::Engine)
             }
             EngineSpec::Staggered { cohorts } => {
                 if *cohorts == 0 {
@@ -731,6 +742,20 @@ mod tests {
             Scenario::new(base_config().with_buffer(300), EngineSpec::Aggregate).build().is_ok(),
             "wide buffers stay fine for engines without u8 snapshots"
         );
+    }
+
+    #[test]
+    fn hetero_composite_rule_table_is_capped() {
+        // (C·(B+1))^d·d: ten distinct rates at B = 300 need 3010²·2 ≈ 1.8·10^7
+        // entries, over the 2^24 cap; two classes need 602²·2 and pass.
+        let wide = base_config().with_buffer(300);
+        let distinct = (1..=10).map(|i| i as f64).collect();
+        let err = Scenario::new(wide.clone(), EngineSpec::Hetero { rates: distinct })
+            .validate()
+            .expect_err("ten classes at B = 300 exceed the cap");
+        assert!(err.to_string().contains("2^24"), "{err}");
+        let two = [1.6, 0.4].repeat(5);
+        Scenario::new(wide, EngineSpec::Hetero { rates: two }).validate().unwrap();
     }
 
     #[test]

@@ -130,6 +130,33 @@ fn validate_subcommand_gates_the_scenario_corpus() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// Configs that used to pass `mflb validate` and then panic or write NaN
+/// in `train`/`serve` are reported as `FAIL` with exit 1.
+#[test]
+fn validate_subcommand_fails_configs_that_would_panic_later() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios");
+    let base = std::fs::read_to_string(dir.join("aggregate.json")).unwrap();
+    let tmp = std::env::temp_dir().join("mflb_validate_config_smoke");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let cases = [
+        ("train_episode_len", "\"train_episode_len\": 500", "\"train_episode_len\": 0"),
+        ("service_rate", "\"service_rate\": 1.0", "\"service_rate\": -1"),
+        ("2^24", "\"d\": 2", "\"d\": 40"),
+        ("num_queues", "\"num_queues\": 100", "\"num_queues\": 0"),
+        ("dt must be positive", "\"dt\": 5.0", "\"dt\": 0.0"),
+    ];
+    for (i, (name, from, to)) in cases.into_iter().enumerate() {
+        assert!(base.contains(from), "aggregate.json no longer contains {from}");
+        let path = tmp.join(format!("bad_{i}.json"));
+        std::fs::write(&path, base.replace(from, to)).unwrap();
+        let out = mflb().arg("validate").arg(&path).output().expect("run mflb validate");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("FAIL") && stderr.contains(name), "{name}: {stderr}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// `mflb bench-diff` — the CI perf gate: self-comparison of the committed
 /// quick-scale baseline (the gate's actual reference) passes, a doctored
 /// regression fails with exit 1.
