@@ -36,7 +36,7 @@ fn scenario_from_file(name: &str) -> Scenario {
 #[ignore = "two full training runs + faulted finite-N eval; quarantined for CI speed"]
 fn fault_trained_policy_beats_fault_blind_on_the_crash_scenario() {
     // Train twice on the quick-scale crash scenario: once fault-aware
-    // (the scenario as shipped — FaultyMfcEnv: a two-pool Up/Down crash
+    // (the scenario as shipped — the TwoPool closure: a two-pool Up/Down crash
     // mean field, overload bursts, stale snapshots) and once fault-blind
     // (same scenario with the plan stripped — the pristine mean field).
     // Deployed in the *faulted* finite system, the fault-aware policy
@@ -51,7 +51,7 @@ fn fault_trained_policy_beats_fault_blind_on_the_crash_scenario() {
     // policy (PPO alone converges too slowly inside the noisy faulted
     // env for a from-scratch comparison to measure anything but
     // convergence luck). The fault-aware arm then fine-tunes that
-    // network *inside* FaultyMfcEnv — crashes push its optimum toward
+    // network *inside* the TwoPool env — crashes push its optimum toward
     // sharper length-avoidance than the pristine one — while the
     // fault-blind arm keeps the pretrained checkpoint as is.
     let ppo = quick_ppo();
