@@ -23,7 +23,7 @@
 //!   softmax decoding, reward `−D_t`; generic over a [`mfc_env::Closure`]
 //!   that supplies the hidden state and its transition
 //!   ([`mfc_env::Homogeneous`] over the full-mesh or degree-indexed
-//!   [`mfc_env::Integrand`]),
+//!   arrival-rate integrand),
 //! * [`scenario_env`] — [`scenario_env::build_env`] picks the closure a
 //!   serde [`mflb_sim::Scenario`] implies: homogeneous, heterogeneous
 //!   pools (§2.5), phase-type service (§5) or the fault-degraded two-pool
@@ -71,12 +71,12 @@ pub use eval::{
     evaluate_checkpoint, evaluate_checkpoint_configured, evaluate_checkpoint_with_oracle,
     scenario_with_m, EvalReport, EvalRow, OracleSummary,
 };
-pub use mfc_env::{Closure, Homogeneous, Integrand, MeanFieldEnv};
+pub use mfc_env::{Closure, Homogeneous, MeanFieldEnv};
 pub use oracle::{
     oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key, solve_oracle,
     Oracle, OracleConfig, OracleExactness,
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};
-pub use scenario_env::{build_env, hetero_classes, Hetero, Ph, PolicyShape, TwoPool};
+pub use scenario_env::{build_env, hetero_classes, PolicyShape};
 pub use train::{train_scenario, train_scenario_from, TrainResult};

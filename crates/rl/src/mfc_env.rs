@@ -51,7 +51,7 @@ pub trait Closure: Clone + Send + 'static {
 
 /// The per-state arrival-rate integrand `λ_t(ν, z)` (Eq. 22).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Integrand {
+pub(crate) enum Integrand {
     /// The paper's full-mesh Eq. 22.
     FullMesh,
     /// The annealed degree-indexed closure over closed neighborhoods of
@@ -64,7 +64,7 @@ pub enum Integrand {
 
 impl Integrand {
     /// The per-state arrival rates under `rule` from the measure `nu`.
-    pub fn rates(self, nu: &StateDist, rule: &DecisionRule, lambda: f64) -> Vec<f64> {
+    pub(crate) fn rates(self, nu: &StateDist, rule: &DecisionRule, lambda: f64) -> Vec<f64> {
         match self {
             Integrand::FullMesh => per_state_arrival_rates(nu, rule, lambda),
             Integrand::Graph { k } => graph_arrival_rates(nu, rule, lambda, k),
@@ -73,7 +73,7 @@ impl Integrand {
 }
 
 /// The homogeneous exponential mean field (Eq. 20–28) over an
-/// [`Integrand`]; the policy observes the whole state `ν_t`.
+/// arrival-rate integrand; the policy observes the whole state `ν_t`.
 #[derive(Debug, Clone)]
 pub struct Homogeneous {
     integrand: Integrand,
@@ -83,7 +83,7 @@ pub struct Homogeneous {
 
 impl Homogeneous {
     /// The closure at `ν₀` with the config's service rate.
-    pub fn new(config: &SystemConfig, integrand: Integrand) -> Self {
+    pub(crate) fn new(config: &SystemConfig, integrand: Integrand) -> Self {
         let nu = StateDist::new(config.initial_dist.clone());
         Self { integrand, service_rate: config.service_rate, nu }
     }

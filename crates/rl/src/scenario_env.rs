@@ -8,16 +8,16 @@
 //!
 //! | engine arm | closure |
 //! |---|---|
-//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`Homogeneous`] over [`Integrand::FullMesh`] (Eq. 20–28) |
-//! | `Graph` | [`Homogeneous`] over [`Integrand::Graph`] with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes [`Integrand::FullMesh`] |
-//! | `Event` | [`Homogeneous`] over [`Integrand::FullMesh`] with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
-//! | `Hetero` | [`Hetero`] over [`mflb_core::HeteroMeanField`] (§2.5) |
-//! | `Ph` | [`Ph`] over [`mflb_core::ph_mean_field_step`] (§5) |
-//! | any of the above with a non-empty [`FaultPlan`] | [`TwoPool`] over the arm's integrand |
+//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`Homogeneous`] over `Integrand::FullMesh` (Eq. 20–28) |
+//! | `Graph` | [`Homogeneous`] over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` |
+//! | `Event` | [`Homogeneous`] over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
+//! | `Hetero` | `Hetero` over [`mflb_core::HeteroMeanField`] (§2.5) |
+//! | `Ph` | `Ph` over [`mflb_core::ph_mean_field_step`] (§5) |
+//! | any of the above with a non-empty [`FaultPlan`] | `TwoPool` over the arm's integrand |
 //!
 //! Staggered refreshes and job-level FIFO queues share the homogeneous
 //! limit. Validation admits fault plans only on `Event`, `Graph` and
-//! `JobLevel`, so [`TwoPool`] only ever wraps an integrand; fault-free
+//! `JobLevel`, so `TwoPool` only ever wraps an integrand; fault-free
 //! scenarios never touch it.
 //!
 //! [`PolicyShape`] is the single source of truth for the observation/action
@@ -166,14 +166,14 @@ fn boxed<C: Closure>(closure: C, config: SystemConfig) -> Box<dyn Env> {
 /// split is hidden state (a POMDP like the paper's delayed-information
 /// setting), and it emits a rule over the `C·(B+1)` composite states.
 #[derive(Debug, Clone)]
-pub struct Hetero {
+pub(crate) struct Hetero {
     field: HeteroMeanField,
 }
 
 impl Hetero {
     /// The closure at `ν₀` in every class, for a per-server rate vector
     /// (deduplicated into classes via [`hetero_classes`]).
-    pub fn new(config: &SystemConfig, rates: &[f64]) -> Self {
+    pub(crate) fn new(config: &SystemConfig, rates: &[f64]) -> Self {
         let (weights, class_rates) = hetero_classes(rates);
         let dists = vec![StateDist::new(config.initial_dist.clone()); weights.len()];
         Self { field: HeteroMeanField::new(weights, class_rates, dists) }
@@ -214,14 +214,14 @@ impl Closure for Hetero {
 /// the policy observes its length marginal. The config's `service_rate`
 /// is ignored; the law is the supplied [`PhaseType`].
 #[derive(Debug, Clone)]
-pub struct Ph {
+pub(crate) struct Ph {
     service: PhaseType,
     joint: PhDist,
 }
 
 impl Ph {
     /// The closure at `ν₀` lifted to the joint space.
-    pub fn new(config: &SystemConfig, service: PhaseType) -> Self {
+    pub(crate) fn new(config: &SystemConfig, service: PhaseType) -> Self {
         let nu0 = StateDist::new(config.initial_dist.clone());
         Self { joint: PhDist::from_lengths(&nu0, &service), service }
     }
@@ -281,7 +281,7 @@ impl Closure for Ph {
 /// homogeneous [`PolicyShape`] and deploy against any engine the
 /// fault-free ones can.
 #[derive(Debug, Clone)]
-pub struct TwoPool {
+pub(crate) struct TwoPool {
     integrand: Integrand,
     service_rate: f64,
     num_queues: usize,
@@ -298,7 +298,7 @@ impl TwoPool {
     /// The closure at `ν₀` with every queue up, for a validated plan
     /// (panics on an invalid one — [`build_env`] goes through
     /// `Scenario::validate` first and reports an `Err` instead).
-    pub fn new(config: &SystemConfig, plan: FaultPlan, integrand: Integrand) -> Self {
+    pub(crate) fn new(config: &SystemConfig, plan: FaultPlan, integrand: Integrand) -> Self {
         plan.validate_for(config.num_queues).expect("invalid fault plan");
         let nu0 = config.initial_dist.clone();
         Self {
