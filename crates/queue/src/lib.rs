@@ -24,7 +24,6 @@
 
 pub mod birth_death;
 pub mod fifo;
-pub mod fluid;
 pub mod gillespie;
 pub mod hetero;
 pub mod mmpp;
@@ -33,7 +32,6 @@ pub mod phase_type;
 pub mod sampler;
 
 pub use birth_death::{BirthDeathQueue, EpochOutcome};
-pub use fluid::{fluid_epoch, fluid_loss_rate, FluidEpoch};
 pub use gillespie::{simulate_ctmc, CtmcSpec};
 pub use mmpp::ArrivalProcess;
 pub use mmpp_fit::{fit_mmpp, MmppFit};

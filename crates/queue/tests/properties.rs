@@ -1,6 +1,5 @@
 //! Crate-level property tests for the queueing substrate.
 
-use mflb_queue::fluid::fluid_epoch;
 use mflb_queue::mmpp::ArrivalProcess;
 use mflb_queue::sampler::Sampler;
 use mflb_queue::BirthDeathQueue;
@@ -79,25 +78,6 @@ proptest! {
         // Queue length sd ≤ ~2; 6σ/√reps band plus slack.
         prop_assert!((mean - expect).abs() < 6.0 * 2.0 / (reps as f64).sqrt() + 0.05,
             "mean {mean} vs expm {expect}");
-    }
-
-    /// Fluid epochs never create mass: drops + final ≤ initial + arrivals.
-    #[test]
-    fn fluid_mass_balance(
-        level in 0.0f64..5.0,
-        lam in 0.0f64..4.0,
-        alpha in 0.0f64..4.0,
-        dt in 0.0f64..10.0,
-    ) {
-        let e = fluid_epoch(level.min(5.0), lam, alpha, 5.0, dt);
-        prop_assert!(e.final_level >= -1e-12 && e.final_level <= 5.0 + 1e-12);
-        prop_assert!(e.drops >= -1e-12);
-        // served = level + arrivals − drops − final ≥ 0 and ≤ α·dt.
-        let served = level + lam * dt - e.drops - e.final_level;
-        prop_assert!(served >= -1e-9, "negative service {served}");
-        prop_assert!(served <= alpha * dt + 1e-9, "overserved {served}");
-        prop_assert!(e.level_integral >= -1e-12);
-        prop_assert!(e.level_integral <= 5.0 * dt + 1e-9);
     }
 
     /// Arrival-process trajectories only visit declared levels and respect
