@@ -36,7 +36,7 @@ pub mod rule;
 pub mod theory;
 pub mod topology;
 
-pub use config::{check_rule_table, SystemConfig, MAX_RULE_ENTRIES};
+pub use config::{check_rule_table, SystemConfig};
 pub use dist::StateDist;
 pub use faults::{
     stream_rng, CrashFaults, FaultPlan, FaultState, ObservationFaults, OverloadWindow,

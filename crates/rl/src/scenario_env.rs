@@ -34,7 +34,7 @@ use mflb_core::{
 };
 use mflb_policy::NeuralUpperPolicy;
 use mflb_queue::PhaseType;
-use mflb_sim::{EngineSpec, Scenario};
+use mflb_sim::{rate_classes, EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -98,20 +98,15 @@ impl PolicyShape {
     }
 }
 
-/// Derives `(class_weights, class_rates)` from a per-server rate vector,
-/// deduplicating rates in first-appearance order — the same quantization
-/// `mflb_sim`'s `HeteroEngine` applies, so the composite state indices of
-/// training and deployment always agree.
+/// Derives `(class_weights, class_rates)` from a per-server rate vector
+/// with [`mflb_sim::rate_classes`] — the quantization `HeteroEngine`
+/// applies, so the composite state indices of training and deployment
+/// always agree.
 pub fn hetero_classes(rates: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut class_rates: Vec<f64> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
-    for &r in rates {
-        if let Some(c) = class_rates.iter().position(|&x| (x - r).abs() < 1e-12) {
-            counts[c] += 1;
-        } else {
-            class_rates.push(r);
-            counts.push(1);
-        }
+    let (class_of, class_rates) = rate_classes(rates);
+    let mut counts = vec![0usize; class_rates.len()];
+    for c in class_of {
+        counts[c] += 1;
     }
     let total = rates.len().max(1) as f64;
     let weights = counts.iter().map(|&c| c as f64 / total).collect();

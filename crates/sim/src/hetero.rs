@@ -16,6 +16,25 @@ use mflb_core::{DecisionRule, StateDist, SystemConfig};
 use mflb_queue::hetero::ServerPool;
 use rand::rngs::StdRng;
 
+/// Quantizes per-server rates into classes, numbered in first-appearance
+/// order: returns each server's class and the distinct class rates. The
+/// training env and the scenario validation use the same quantization,
+/// so composite `(length, class)` indices agree everywhere.
+pub fn rate_classes(rates: &[f64]) -> (Vec<usize>, Vec<f64>) {
+    let mut class_rates: Vec<f64> = Vec::new();
+    let class_of = rates
+        .iter()
+        .map(|&r| match class_rates.iter().position(|&x| (x - r).abs() < 1e-12) {
+            Some(c) => c,
+            None => {
+                class_rates.push(r);
+                class_rates.len() - 1
+            }
+        })
+        .collect();
+    (class_of, class_rates)
+}
+
 /// Episode state of [`HeteroEngine`]: queue lengths plus per-epoch scratch.
 #[derive(Debug, Clone)]
 pub struct HeteroState {
@@ -49,21 +68,7 @@ impl HeteroEngine {
     pub fn new(mut config: SystemConfig, pool: ServerPool) -> Self {
         config.num_queues = pool.len();
         config.validate().expect("invalid system configuration");
-        // Quantize rates into classes (exact comparison suffices: pools are
-        // constructed from explicit class rates).
-        let mut class_rates: Vec<f64> = Vec::new();
-        let class_of = pool
-            .rates()
-            .iter()
-            .map(|&r| {
-                if let Some(c) = class_rates.iter().position(|&x| (x - r).abs() < 1e-12) {
-                    c
-                } else {
-                    class_rates.push(r);
-                    class_rates.len() - 1
-                }
-            })
-            .collect();
+        let (class_of, class_rates) = rate_classes(pool.rates());
         Self { config, pool, class_of, class_rates }
     }
 

@@ -113,7 +113,7 @@ use crate::error::ScenarioError;
 use crate::event_engine::EventEngine;
 use crate::fifo_engine::FifoEngine;
 use crate::graph_engine::GraphEngine;
-use crate::hetero::HeteroEngine;
+use crate::hetero::{rate_classes, HeteroEngine};
 use crate::ph_engine::PhAggregateEngine;
 use crate::staggered::StaggeredEngine;
 use mflb_core::{
@@ -386,15 +386,8 @@ impl Scenario {
                         "hetero server rates must be positive and finite".into(),
                     ));
                 }
-                // The rule is over composite (length, class) states, with
-                // classes the distinct rates (the engine's quantization).
-                let mut classes: Vec<f64> = Vec::new();
-                for &r in rates {
-                    if !classes.iter().any(|&x| (x - r).abs() < 1e-12) {
-                        classes.push(r);
-                    }
-                }
-                let composite = classes.len() * self.config.num_states();
+                // The rule is over composite (length, class) states.
+                let composite = rate_classes(rates).1.len() * self.config.num_states();
                 check_rule_table(composite, self.config.d).map_err(ScenarioError::Engine)
             }
             EngineSpec::Staggered { cohorts } => {
