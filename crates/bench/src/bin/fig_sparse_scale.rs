@@ -20,7 +20,7 @@ use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::{SystemConfig, Topology};
 use mflb_policy::{optimize_beta, softmin_rule};
-use mflb_sim::{run_episode, run_rng, GraphEngine, StepMode};
+use mflb_sim::{run_episode, run_rng, GraphEngine};
 use std::time::Instant;
 
 fn main() {
@@ -49,8 +49,7 @@ fn main() {
         ] {
             let cfg = base_cfg.clone().with_size(4 * m_eff as u64, m_eff);
             let t0 = Instant::now();
-            let engine =
-                GraphEngine::new(cfg, topology).with_mode(StepMode::Sharded).with_workers(workers);
+            let engine = GraphEngine::new(cfg, topology).with_workers(workers);
             let build_s = t0.elapsed().as_secs_f64();
             let k = engine.neighborhood_size();
 

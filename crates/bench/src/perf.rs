@@ -577,7 +577,7 @@ fn env_obs_dim(env: &MeanFieldEnv<Homogeneous>) -> usize {
 pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
     use mflb_core::{per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, Topology};
     use mflb_policy::jsq_rule;
-    use mflb_sim::{Engine, GraphEngine, GraphState, StepMode};
+    use mflb_sim::{Engine, GraphEngine, GraphState};
 
     let unix_time =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_secs();
@@ -686,10 +686,9 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
         let cfg = SystemConfig::paper().with_size(4 * m as u64, m);
         let zs = cfg.num_states();
         let rule = jsq_rule(zs, cfg.d);
-        let engine =
-            GraphEngine::new(cfg, topology).with_mode(StepMode::Sharded).with_workers(workers);
+        let engine = GraphEngine::new(cfg, topology).with_workers(workers);
         let queues: Vec<usize> = (0..m).map(|j| (j * 5) % zs).collect();
-        let mut state = GraphState::from_queues(queues, zs, engine.neighborhood_size());
+        let mut state = GraphState::from_queues(queues);
         let mut rng = StdRng::seed_from_u64(29);
         // One warm-up epoch touches every page out of the timed region.
         black_box(engine.step(&mut state, &rule, 0.9, &mut rng));

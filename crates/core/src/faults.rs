@@ -30,7 +30,8 @@
 //! # Semantics
 //!
 //! Faults are applied at **decision-epoch granularity**. At the start of
-//! each sync interval `[t, t + Δt)` an engine asks the plan for
+//! each sync interval `[t, t + Δt)` an engine asks the plan for three
+//! things, the first two in one [`FaultPlan::open_interval`] call:
 //!
 //! * one *effective service-rate multiplier per queue*
 //!   ([`FaultPlan::service_multiplier`]): the fraction of the interval
@@ -43,8 +44,8 @@
 //! * whether this interval's observation refresh is dropped
 //!   ([`FaultPlan::refresh_dropped`]).
 //!
-//! The crash process carries its Up/Down phase across epochs in a
-//! [`FaultState`]; because sojourns are exponential (memoryless), the
+//! The crash process carries its Up/Down phase across epochs in one
+//! flag per queue; because sojourns are exponential (memoryless), the
 //! within-epoch renewal is re-keyed per epoch from
 //! `(epoch_base, SALT, queue)` without changing the law.
 
@@ -135,30 +136,6 @@ pub struct FaultPlan {
     /// Overload bursts; validated pairwise non-overlapping in time.
     #[serde(default)]
     pub overloads: Vec<OverloadWindow>,
-}
-
-/// Cross-epoch dynamic state of a [`FaultPlan`]: each queue's current
-/// Up/Down phase in the crash renewal process.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultState {
-    up: Vec<bool>,
-}
-
-impl FaultState {
-    /// All `m` servers start Up.
-    pub fn new(m: usize) -> Self {
-        Self { up: vec![true; m] }
-    }
-
-    /// Whether queue `j`'s server is currently Up.
-    pub fn is_up(&self, j: usize) -> bool {
-        self.up[j]
-    }
-
-    /// Mutable Up flags (one per queue), for shard-chunked engines.
-    pub fn up_flags_mut(&mut self) -> &mut [bool] {
-        &mut self.up
-    }
 }
 
 /// Checks a time window's endpoints; `what` names it in complaints.
@@ -375,6 +352,27 @@ impl FaultPlan {
             frac = up_time / dt;
         }
         frac * self.straggler_factor(j, t0, dt)
+    }
+
+    /// Opens the interval `[t0, t0 + dt)` for a finite-system engine:
+    /// fills `mult[j]` with queue `j`'s [`FaultPlan::service_multiplier`]
+    /// (advancing its crash phase `up[j]`) and returns the
+    /// [`FaultPlan::arrival_factor`]. Without service faults `mult` is left
+    /// as it is (engines keep it at all ones) and no randomness is drawn.
+    pub fn open_interval(
+        &self,
+        epoch_base: u64,
+        t0: f64,
+        dt: f64,
+        up: &mut [bool],
+        mult: &mut [f64],
+    ) -> f64 {
+        if self.has_service_faults() {
+            for (j, (up, mult)) in up.iter_mut().zip(mult.iter_mut()).enumerate() {
+                *mult = self.service_multiplier(up, epoch_base, j, t0, dt);
+            }
+        }
+        self.arrival_factor(t0, dt)
     }
 
     /// Deterministic mean-field counterpart of the crash renewal: given

@@ -39,8 +39,7 @@ pub mod topology;
 pub use config::{check_rule_table, SystemConfig};
 pub use dist::StateDist;
 pub use faults::{
-    stream_rng, CrashFaults, FaultPlan, FaultState, ObservationFaults, OverloadWindow,
-    StragglerWindow,
+    stream_rng, CrashFaults, FaultPlan, ObservationFaults, OverloadWindow, StragglerWindow,
 };
 pub use graph_meanfield::{
     graph_arrival_rates, graph_mean_field_step, independent_pair, pair_arrival_rates,

@@ -8,12 +8,13 @@
 //!   (inversion + BTRS transformed rejection), alias-method categoricals and
 //!   multinomials via conditional binomials. These make the *aggregate*
 //!   finite-system engine exact at `N = 10^6` clients.
-//! * [`gillespie`] — exact stochastic simulation of finite-state CTMCs.
 //! * [`birth_death`] — the paper's per-queue model: a finite-buffer
-//!   birth–death chain with drop counting, exact simulation, transient and
-//!   stationary analysis.
+//!   birth–death chain with drop counting, exact (Gillespie) epoch
+//!   simulation, transient and stationary analysis.
 //! * [`mmpp`] — the Markov-modulated arrival-rate chain `λ_{t+1} ∼ P_λ(λ_t)`
 //!   (Eq. 1, 32–33).
+//! * [`mmpp_fit`] — fitting that chain from a trace of per-epoch arrival
+//!   rates.
 //! * [`fifo`] — a job-level FIFO queue with sojourn-time tracking (used by
 //!   the response-time extension experiments).
 //! * [`hetero`] — heterogeneous server pools (the paper's §5 extension).
@@ -24,7 +25,6 @@
 
 pub mod birth_death;
 pub mod fifo;
-pub mod gillespie;
 pub mod hetero;
 pub mod mmpp;
 pub mod mmpp_fit;
@@ -32,7 +32,6 @@ pub mod phase_type;
 pub mod sampler;
 
 pub use birth_death::{BirthDeathQueue, EpochOutcome};
-pub use gillespie::{simulate_ctmc, CtmcSpec};
 pub use mmpp::ArrivalProcess;
 pub use mmpp_fit::{fit_mmpp, MmppFit};
 pub use phase_type::{PhQueue, PhQueueState, PhaseType};

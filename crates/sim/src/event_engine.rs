@@ -18,8 +18,13 @@
 //!   policy gets to emit a fresh rule.
 //!
 //! Job sizes come from a [`JobSizeLaw`] ([`mflb_core::jobs`]) —
-//! exponential reproduces the paper's M/M/1/B length process in law,
-//! Pareto/bounded-Pareto open the heavy-tailed workload axis.
+//! exponential makes every queue an M/M/1/B queue, Pareto/bounded-Pareto
+//! open the heavy-tailed workload axis. Routing is per job: each arrival
+//! samples its own `d` queues, whereas the epoch engines freeze one
+//! routing choice per *client* for the whole epoch. This engine is hence
+//! the `N/M → ∞` limit of [`crate::FifoEngine`], not its equal in law —
+//! with exponential sizes it loses fewer jobs, by a gap that closes as
+//! `N/M` grows (tested in `tests/engine_regression.rs`).
 //!
 //! # Determinism
 //!
@@ -342,15 +347,17 @@ impl EventEngine {
     /// Opens the sync interval `[state.clock, state.clock + Δt)`: decides
     /// whether this interval's observation refresh lands (under the fault
     /// plan's observation channel), re-snapshots the lengths if it does,
-    /// computes every queue's effective service-rate multiplier for the
-    /// interval, and reschedules service for queues recovering from a
-    /// full stall. Must be called exactly once before each
-    /// [`EventEngine::run_interval`]; with no fault plan it reduces to
-    /// the plain snapshot copy.
-    pub(crate) fn begin_interval(&self, state: &mut EventState, epoch_base: u64) {
+    /// opens the interval on the plan ([`FaultPlan::open_interval`]:
+    /// per-queue service-rate multipliers), reschedules service for queues
+    /// recovering from a full stall, and returns the interval's arrival
+    /// factor, by which a synthetic Poisson feed must scale its rate. Must
+    /// be called exactly once before each [`EventEngine::run_interval`];
+    /// with no fault plan it reduces to the plain snapshot copy and
+    /// returns exactly `1.0`.
+    pub(crate) fn begin_interval(&self, state: &mut EventState, epoch_base: u64) -> f64 {
         let Some(plan) = &self.faults else {
             state.snapshot.copy_from_slice(&state.lengths);
-            return;
+            return 1.0;
         };
         if plan.refresh_dropped(epoch_base) {
             state.obs_age += 1;
@@ -358,14 +365,16 @@ impl EventEngine {
             state.snapshot.copy_from_slice(&state.lengths);
             state.obs_age = 0;
         }
-        if !plan.has_service_faults() {
-            return;
-        }
         let t0 = state.clock;
-        let dt = self.config.dt;
+        let factor = plan.open_interval(
+            epoch_base,
+            t0,
+            self.config.dt,
+            &mut state.fault_up,
+            &mut state.mult,
+        );
         let service_rate = self.config.service_rate;
         for j in 0..self.config.num_queues {
-            state.mult[j] = plan.service_multiplier(&mut state.fault_up[j], epoch_base, j, t0, dt);
             // Rescue a stalled queue: its head job starts service at the
             // interval boundary, served at this interval's rate.
             if !state.in_service[j] && state.lengths[j] > 0 && state.mult[j] > 0.0 {
@@ -377,6 +386,7 @@ impl EventEngine {
                 state.in_service[j] = true;
             }
         }
+        factor
     }
 
     /// Runs the event loop over `[state.clock, t_end)`: pulls jobs from
@@ -606,9 +616,9 @@ impl Engine for EventEngine {
         rng: &mut StdRng,
     ) -> EpochStats {
         let epoch_base: u64 = rng.gen();
-        self.begin_interval(state, epoch_base);
+        let arrival_factor = self.begin_interval(state, epoch_base);
         let t_end = state.clock + self.config.dt;
-        let rate = self.config.num_queues as f64 * lambda;
+        let rate = self.config.num_queues as f64 * (lambda * arrival_factor);
         let mut feed = PoissonFeed::new(epoch_base, rate, self.job_size.clone());
         self.run_interval(state, rule, epoch_base, t_end, &mut feed, u64::MAX, None)
     }

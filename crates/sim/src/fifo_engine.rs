@@ -7,8 +7,11 @@
 //! Service is exponential, so the queue-*length* process coincides in law
 //! with [`crate::aggregate::AggregateEngine`] (the FIFO discipline only
 //! decides *which* job departs); client assignment reuses the exact
-//! hierarchical multinomial aggregation over observed lengths. Sojourn
-//! samples of each epoch flow into
+//! hierarchical multinomial aggregation over observed lengths, so each
+//! client sends its whole epoch's traffic to one queue. That sets this
+//! engine apart from [`crate::EventEngine`], which routes every job on
+//! its own: the event engine is this one's `N/M → ∞` limit and loses
+//! fewer jobs at small `N/M`. Sojourn samples of each epoch flow into
 //! [`crate::episode::EpisodeOutcome::sojourns`] through the generic
 //! episode drivers, and [`crate::monte_carlo()`] pools them across runs.
 
@@ -32,6 +35,9 @@ pub struct FifoState {
     /// Per-queue crash renewal state; only consulted when a
     /// [`FaultPlan`] is attached.
     fault_up: Vec<bool>,
+    /// Per-queue service-rate multipliers of the current epoch (all ones
+    /// without service faults).
+    mult: Vec<f64>,
 }
 
 impl FifoState {
@@ -95,7 +101,14 @@ impl Engine for FifoEngine {
             })
             .collect();
         let m = queues.len();
-        FifoState { queues, lengths, counts: vec![0; m], epoch: 0, fault_up: vec![true; m] }
+        FifoState {
+            queues,
+            lengths,
+            counts: vec![0; m],
+            epoch: 0,
+            fault_up: vec![true; m],
+            mult: vec![1.0; m],
+        }
     }
 
     fn empirical(&self, state: &FifoState) -> StateDist {
@@ -109,7 +122,7 @@ impl Engine for FifoEngine {
         lambda: f64,
         rng: &mut StdRng,
     ) -> EpochStats {
-        let FifoState { queues, lengths, counts, epoch, fault_up } = state;
+        let FifoState { queues, lengths, counts, epoch, fault_up, mult } = state;
         let m = queues.len();
         debug_assert_eq!(m, self.config.num_queues);
         let t0 = *epoch as f64 * self.config.dt;
@@ -121,14 +134,11 @@ impl Engine for FifoEngine {
         let lambda = match &self.faults {
             Some(plan) => {
                 let epoch_base: u64 = rng.gen();
-                if plan.has_service_faults() {
-                    let dt = self.config.dt;
-                    for (j, (q, up)) in queues.iter_mut().zip(fault_up.iter_mut()).enumerate() {
-                        let mult = plan.service_multiplier(up, epoch_base, j, t0, dt);
-                        q.service_rate = self.config.service_rate * mult;
-                    }
+                let factor = plan.open_interval(epoch_base, t0, self.config.dt, fault_up, mult);
+                for (q, f) in queues.iter_mut().zip(mult.iter()) {
+                    q.service_rate = self.config.service_rate * f;
                 }
-                lambda * plan.arrival_factor(t0, self.config.dt)
+                lambda * factor
             }
             None => lambda,
         };

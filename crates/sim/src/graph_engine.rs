@@ -31,30 +31,25 @@
 //! perf-only cutover. Per-epoch cost is `O(M·(k + min(k,|Z|)^d·d))`,
 //! independent of `N`.
 //!
-//! ### Execution modes
-//! [`StepMode::Sequential`] is the original single-stream path: one
-//! episode RNG drives the client multinomial, every per-dispatcher draw
-//! and every queue CTMC in index order — **byte-identical** to the PR
-//! that introduced the engine (pinned in `tests/engine_regression.rs`).
-//! [`StepMode::Sharded`] re-keys every stochastic ingredient of an epoch
-//! to its own SplitMix64-derived stream (one `epoch_base` draw from the
+//! ### Sharded stepping
+//! On a sparse topology every stochastic ingredient of an epoch is keyed
+//! to its own SplitMix64-derived stream: one `epoch_base` draw from the
 //! episode RNG per epoch, then per-tree-node home-count splits,
-//! per-dispatcher assignment draws, per-queue CTMCs), so the epoch can be
-//! stepped shard-by-shard in parallel while staying **bit-identical
-//! across any shard size and worker count**: cross-shard routing counts
-//! accumulate through relaxed `AtomicU64` adds (integer addition
-//! commutes) and per-epoch statistics are merged as integers in
-//! shard-index-free form. The mode is auto-selected by system size and
-//! can be forced via [`GraphEngine::with_mode`]; the two modes sample the
-//! same law but different streams.
+//! per-dispatcher assignment draws and per-queue CTMCs. The epoch is
+//! stepped shard-by-shard, in parallel when workers allow, and stays
+//! **bit-identical across any shard size and worker count**: cross-shard
+//! routing counts accumulate through relaxed `AtomicU64` adds (integer
+//! addition commutes) and per-epoch statistics are merged as integers in
+//! shard-index-free form. A system smaller than one shard is stepped as a
+//! single shard on the calling thread.
 //!
 //! ### Full mesh ≡ aggregate, bit for bit
 //! When the topology's accessible sets cover all `M` queues
 //! ([`Topology::is_full_mesh`]), dispatcher identity is irrelevant and
 //! the assignment law is exactly the paper's. The engine then takes the
 //! [`crate::aggregate`] fast path — the *same* RNG call sequence as
-//! [`crate::aggregate::AggregateEngine`], regardless of the configured
-//! mode — so a full-mesh graph episode is **bit-identical** to an
+//! [`crate::aggregate::AggregateEngine`], regardless of the shard
+//! settings — so a full-mesh graph episode is **bit-identical** to an
 //! aggregate-engine episode under the same seed (enforced by
 //! `tests/engine_regression.rs` and the sim property suite).
 
@@ -78,12 +73,7 @@ const SALT_HOME: u64 = 0x9AE1_6A3B_2F90_404F;
 const SALT_ASSIGN: u64 = 0xD1B5_4A32_D192_ED03;
 const SALT_SERVE: u64 = 0x8CB9_2BA7_2F3D_8DD7;
 
-/// Largest system the constructor keeps on the legacy sequential path by
-/// default (small systems gain nothing from sharding, and the sequential
-/// stream is the one the pinned regression constants were captured on).
-const AUTO_SEQUENTIAL_MAX: usize = 4096;
-
-/// Default contiguous dispatcher range per shard in [`StepMode::Sharded`].
+/// Default contiguous dispatcher range per shard.
 const DEFAULT_SHARD_SIZE: usize = 16_384;
 
 /// Below this many clients a dispatcher draws per-client categorical
@@ -93,38 +83,19 @@ const DEFAULT_SHARD_SIZE: usize = 16_384;
 /// perturbs cross-shard determinism.
 const PER_CLIENT_DRAW_MAX: u64 = 16;
 
-/// How [`GraphEngine`] executes one epoch on a sparse topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepMode {
-    /// Single-stream path: the episode RNG drives every draw in index
-    /// order. Byte-identical to the engine's original (PR 5) behaviour;
-    /// auto-selected for systems of at most a few thousand queues.
-    Sequential,
-    /// Partition-independent derived-stream path: one `epoch_base` draw
-    /// per epoch re-keys per-node/per-dispatcher/per-queue streams, so
-    /// shards step in parallel and episodes are bit-identical across any
-    /// shard size and worker count. Auto-selected for large systems.
-    Sharded,
-}
-
 /// Episode state of [`GraphEngine`]: queue lengths plus reusable
-/// per-epoch scratch (client counts, per-dispatcher counts, neighborhood
-/// histogram/rates/probability buffers, and the atomic count lattice the
-/// sharded mode accumulates cross-shard routing into).
+/// per-epoch scratch (client counts, per-dispatcher counts, and the
+/// atomic count lattice shards accumulate cross-shard routing into).
 #[derive(Debug)]
 pub struct GraphState {
     queues: Vec<usize>,
     counts: Vec<u64>,
-    /// Sharded-mode accumulation target: dispatchers add their routed
+    /// Cross-shard accumulation target: dispatchers add their routed
     /// clients here with relaxed `fetch_add` (commutative, hence
     /// deterministic under any thread interleaving); drained back to
     /// zero into `counts` before the service pass.
     counts_atomic: Vec<AtomicU64>,
     home_counts: Vec<u64>,
-    hist: Vec<f64>,
-    rates: Vec<f64>,
-    probs: Vec<f64>,
-    support: Vec<usize>,
     /// Epochs stepped so far — the engine's clock (`t0 = epoch · Δt`) for
     /// window-based fault lookups. Advances even without a fault plan
     /// (no randomness involved).
@@ -148,10 +119,6 @@ impl Clone for GraphState {
                 .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
                 .collect(),
             home_counts: self.home_counts.clone(),
-            hist: self.hist.clone(),
-            rates: self.rates.clone(),
-            probs: self.probs.clone(),
-            support: self.support.clone(),
             epoch: self.epoch,
             fault_up: self.fault_up.clone(),
             mult: self.mult.clone(),
@@ -160,19 +127,14 @@ impl Clone for GraphState {
 }
 
 impl GraphState {
-    /// Wraps explicit queue lengths (benchmarks and tests). `zs` is the
-    /// number of queue states `B + 1`, `k` the accessible-set size.
-    pub fn from_queues(queues: Vec<usize>, zs: usize, k: usize) -> Self {
+    /// Wraps explicit queue lengths (benchmarks and tests).
+    pub fn from_queues(queues: Vec<usize>) -> Self {
         let m = queues.len();
         Self {
             queues,
             counts: vec![0; m],
             counts_atomic: (0..m).map(|_| AtomicU64::new(0)).collect(),
             home_counts: vec![0; m],
-            hist: vec![0.0; zs],
-            rates: vec![0.0; zs],
-            probs: vec![0.0; k],
-            support: Vec::with_capacity(zs),
             epoch: 0,
             fault_up: vec![true; m],
             mult: vec![1.0; m],
@@ -198,9 +160,7 @@ pub struct GraphEngine {
     /// Whether the accessible sets cover all `M` queues (aggregate fast
     /// path, bit-identical RNG stream).
     full_mesh: bool,
-    /// Epoch execution mode (see [`StepMode`]).
-    mode: StepMode,
-    /// Contiguous dispatcher range per shard in sharded mode.
+    /// Contiguous dispatcher range per shard.
     shard_size: usize,
     /// Worker threads for sharded stepping (`0` = one per available
     /// core). Never affects results — only wall-clock.
@@ -212,10 +172,6 @@ pub struct GraphEngine {
 
 impl GraphEngine {
     /// Creates the engine for a validated configuration and topology.
-    ///
-    /// Systems with at most a few thousand queues start in
-    /// [`StepMode::Sequential`] (the pinned legacy stream); larger ones
-    /// in [`StepMode::Sharded`]. Override with [`GraphEngine::with_mode`].
     ///
     /// # Panics
     /// Panics if the configuration or topology is invalid — construct via
@@ -232,18 +188,12 @@ impl GraphEngine {
             let k = csr.neighborhood_size();
             (Some(csr), k)
         };
-        let mode = if full_mesh || m <= AUTO_SEQUENTIAL_MAX {
-            StepMode::Sequential
-        } else {
-            StepMode::Sharded
-        };
         Self {
             config,
             topology,
             csr,
             k,
             full_mesh,
-            mode,
             shard_size: DEFAULT_SHARD_SIZE,
             workers: 0,
             faults: None,
@@ -252,9 +202,10 @@ impl GraphEngine {
 
     /// Attaches a deterministic [`FaultPlan`]. Empty plans are dropped so
     /// a fault-free engine stays bit-identical to one never handed a
-    /// plan; faulted epochs key their crash/straggler streams off one
-    /// extra `epoch_base` draw (sequential mode) or the existing sharded
-    /// epoch base, so they stay bit-identical across shard/worker counts.
+    /// plan; faulted epochs key their crash/straggler streams off the
+    /// sharded epoch base (or, on the full-mesh fast path, one extra
+    /// `epoch_base` draw), so they stay bit-identical across shard/worker
+    /// counts.
     ///
     /// # Panics
     /// Panics on an invalid plan — construct via [`crate::Scenario::build`]
@@ -270,31 +221,19 @@ impl GraphEngine {
         self.faults.as_ref()
     }
 
-    /// Forces the epoch execution mode (no-op on the full-mesh fast path,
-    /// which always follows the aggregate engine's stream).
-    pub fn with_mode(mut self, mode: StepMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the contiguous dispatcher range per shard (≥ 1). Sharded
-    /// episodes are bit-identical for **any** shard size; this knob only
-    /// trades scheduling granularity against per-shard overhead.
+    /// Sets the contiguous dispatcher range per shard (≥ 1). Episodes are
+    /// bit-identical for **any** shard size; this knob only trades
+    /// scheduling granularity against per-shard overhead.
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size.max(1);
         self
     }
 
-    /// Sets the sharded-mode worker-thread count (`0` = one per available
-    /// core). Results are bit-identical for any value.
+    /// Sets the worker-thread count (`0` = one per available core).
+    /// Results are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
-    }
-
-    /// The epoch execution mode in force.
-    pub fn mode(&self) -> StepMode {
-        self.mode
     }
 
     /// The topology in force.
@@ -325,42 +264,18 @@ impl GraphEngine {
         }
     }
 
-    /// Samples the assignments of `clients` clients connected to one
-    /// dispatcher, **adding** the resulting counts into `counts` (exposed
-    /// for the locality property tests: counts outside
-    /// [`GraphEngine::neighborhood`]`(node)` are never touched). This is
-    /// the **sequential-stream** form, drawing from the caller's RNG.
+    /// Samples the assignments of `clients` clients connected to
+    /// dispatcher `node`, **adding** the resulting counts into `counts`.
+    /// Draws from the node's `(epoch_base, node)`-derived stream — the
+    /// exact stream an epoch uses, independent of which shard or worker
+    /// processes the node (exposed for the locality property tests:
+    /// counts outside [`GraphEngine::neighborhood`]`(node)` are never
+    /// touched).
     ///
     /// # Panics
     /// Panics on the full-mesh fast path, which has no per-dispatcher
     /// assignment stage.
     pub fn sample_node_assignments(
-        &self,
-        node: usize,
-        clients: u64,
-        queues: &[usize],
-        rule: &DecisionRule,
-        rng: &mut StdRng,
-        counts: &mut [u64],
-    ) {
-        assert!(!self.full_mesh, "full-mesh fast path has no per-node stage");
-        let zs = self.config.num_states();
-        let mut hist = vec![0.0; zs];
-        let mut rates = vec![0.0; zs];
-        let mut probs = vec![0.0; self.k];
-        let mut support = Vec::with_capacity(zs);
-        self.node_probs(node, queues, rule, &mut hist, &mut rates, &mut probs, &mut support);
-        let row = self.csr.as_ref().expect("sparse path").row(node);
-        multinomial_add_into(rng, clients, &probs, row, counts);
-    }
-
-    /// Sharded-stream counterpart of
-    /// [`GraphEngine::sample_node_assignments`]: draws dispatcher
-    /// `node`'s assignments from its `(epoch_base, node)`-derived stream —
-    /// the exact stream the sharded epoch uses, independent of which
-    /// shard or worker processes the node (exposed for the shard
-    /// determinism and locality property tests).
-    pub fn sample_node_assignments_sharded(
         &self,
         node: usize,
         clients: u64,
@@ -428,90 +343,27 @@ impl GraphEngine {
     }
 
     /// Samples the per-queue client counts for one epoch (exposed for the
-    /// engine-agreement and conservation tests). Follows the engine's
-    /// configured mode: the sequential stream consumes the caller's RNG
-    /// draw-by-draw; the sharded stream consumes exactly one `u64` from
-    /// it (the epoch base).
+    /// engine-agreement and conservation tests). On a sparse topology it
+    /// consumes exactly one `u64` from `rng` (the epoch base); the
+    /// full-mesh fast path follows the aggregate engine's stream.
     pub fn sample_assignments(
         &self,
         queues: &[usize],
         rule: &DecisionRule,
         rng: &mut StdRng,
     ) -> Vec<u64> {
-        let mut state = GraphState::from_queues(queues.to_vec(), self.config.num_states(), self.k);
-        self.sample_assignments_into(rule, rng, &mut state);
-        state.counts
-    }
-
-    fn sample_assignments_into(
-        &self,
-        rule: &DecisionRule,
-        rng: &mut StdRng,
-        state: &mut GraphState,
-    ) {
-        let GraphState {
-            queues,
-            counts,
-            counts_atomic,
-            home_counts,
-            hist,
-            rates,
-            probs,
-            support,
-            ..
-        } = state;
+        let m = queues.len();
         if self.full_mesh {
-            // Dispatcher identity is irrelevant when every accessible set
-            // covers all M queues: take the aggregate engine's exact
-            // hierarchical-multinomial path — same law, same RNG stream.
-            sample_client_assignments_into(
-                self.config.num_clients,
-                self.config.buffer,
-                queues,
-                rule,
-                rng,
-                counts,
-            );
-            return;
+            let (n, buffer) = (self.config.num_clients, self.config.buffer);
+            let mut counts = vec![0; m];
+            sample_client_assignments_into(n, buffer, queues, rule, rng, &mut counts);
+            return counts;
         }
-        match self.mode {
-            StepMode::Sequential => {
-                counts.iter_mut().for_each(|c| *c = 0);
-                // 1. Clients → dispatchers, Multinomial(N, uniform).
-                let m = queues.len();
-                let uniform = 1.0 / m as f64;
-                let mut remaining_n = self.config.num_clients;
-                let mut remaining_mass = 1.0f64;
-                for (i, h) in home_counts.iter_mut().enumerate() {
-                    if remaining_n == 0 {
-                        *h = 0;
-                        continue;
-                    }
-                    let cond =
-                        if i + 1 == m { 1.0 } else { (uniform / remaining_mass).clamp(0.0, 1.0) };
-                    let c = Sampler::binomial(rng, remaining_n, cond);
-                    *h = c;
-                    remaining_n -= c;
-                    remaining_mass -= uniform;
-                }
-                // 2. Per dispatcher: exact multinomial over its neighborhood.
-                for i in 0..m {
-                    if home_counts[i] == 0 {
-                        continue;
-                    }
-                    self.node_probs(i, queues, rule, hist, rates, probs, support);
-                    let row = self.csr.as_ref().expect("sparse path").row(i);
-                    multinomial_add_into(rng, home_counts[i], probs, row, counts);
-                }
-            }
-            StepMode::Sharded => {
-                let epoch_base: u64 = rng.gen();
-                self.run_assignment_pass(queues, home_counts, counts_atomic, rule, epoch_base);
-                for (c, a) in counts.iter_mut().zip(counts_atomic.iter()) {
-                    *c = a.swap(0, Ordering::Relaxed);
-                }
-            }
-        }
+        let mut home_counts = vec![0; m];
+        let counts_atomic: Vec<AtomicU64> = (0..m).map(|_| AtomicU64::new(0)).collect();
+        let epoch_base: u64 = rng.gen();
+        self.run_assignment_pass(queues, &mut home_counts, &counts_atomic, rule, epoch_base);
+        counts_atomic.into_iter().map(AtomicU64::into_inner).collect()
     }
 
     /// Sharded phase 1+2: per-shard home counts (dyadic multinomial
@@ -715,7 +567,7 @@ impl GraphEngine {
         (dropped, served)
     }
 
-    /// One sharded epoch: a single `epoch_base` draw from the episode RNG
+    /// One sparse-topology epoch: a single `epoch_base` draw from the episode RNG
     /// re-keys all phase streams; both passes run shard-parallel. Fault
     /// multipliers ride the same epoch base (computed once, serially),
     /// so faulted sharded episodes stay bit-identical across any shard
@@ -745,14 +597,8 @@ impl GraphEngine {
     /// when no plan is attached.
     fn apply_faults(&self, state: &mut GraphState, epoch_base: u64, t0: f64, lambda: f64) -> f64 {
         let Some(plan) = &self.faults else { return lambda };
-        if plan.has_service_faults() {
-            let dt = self.config.dt;
-            for (j, (up, mult)) in state.fault_up.iter_mut().zip(state.mult.iter_mut()).enumerate()
-            {
-                *mult = plan.service_multiplier(up, epoch_base, j, t0, dt);
-            }
-        }
-        lambda * plan.arrival_factor(t0, self.config.dt)
+        let dt = self.config.dt;
+        lambda * plan.open_interval(epoch_base, t0, dt, &mut state.fault_up, &mut state.mult)
     }
 }
 
@@ -824,6 +670,12 @@ fn sharded_assign_draws(
         if remaining_n == 0 {
             break;
         }
+        // FP subtraction is not exact, so neither `remaining_mass <= p` at
+        // the last positive category nor a nonpositive residual can be
+        // relied on alone: the last index must absorb unconditionally
+        // (else drift above p_last strands clients), and an early absorb
+        // must require p > 0 (else drift below zero dumps clients on a
+        // zero-probability neighbor).
         let c = if t + 1 == probs.len() || (p > 0.0 && remaining_mass <= p) {
             remaining_n
         } else {
@@ -840,8 +692,8 @@ fn sharded_assign_draws(
 
 /// Inversion sample over an unnormalized pmf that never lands on a
 /// zero-probability category (floating-point slack falls back to the
-/// last *positive* entry, mirroring [`multinomial_add_into`]'s absorb
-/// rule).
+/// last *positive* entry, mirroring the binomial chain's absorb rule in
+/// [`sharded_assign_draws`]).
 fn categorical_positive(rng: &mut StdRng, pmf: &[f64]) -> usize {
     let total: f64 = pmf.iter().sum();
     let mut u = rng.gen::<f64>() * total;
@@ -858,43 +710,6 @@ fn categorical_positive(rng: &mut StdRng, pmf: &[f64]) -> usize {
     last_positive
 }
 
-/// Samples `Multinomial(n, probs)` by conditional binomials and **adds**
-/// the category counts onto `counts[targets[t]]`. `probs` must sum to 1
-/// (up to floating-point drift; the last category — and any earlier
-/// positive-probability category the drifted residual mass has shrunk to —
-/// absorbs everyone left, so all `n` trials always land).
-fn multinomial_add_into(
-    rng: &mut StdRng,
-    n: u64,
-    probs: &[f64],
-    targets: &[u32],
-    counts: &mut [u64],
-) {
-    debug_assert_eq!(probs.len(), targets.len());
-    let mut remaining_n = n;
-    let mut remaining_mass: f64 = probs.iter().sum();
-    for (t, &p) in probs.iter().enumerate() {
-        if remaining_n == 0 {
-            break;
-        }
-        // FP subtraction is not exact, so neither `remaining_mass <= p` at
-        // the last positive category nor a nonpositive residual can be
-        // relied on alone: the last index must absorb unconditionally
-        // (else drift above p_last strands clients), and an early absorb
-        // must require p > 0 (else drift below zero dumps clients on a
-        // zero-probability neighbor).
-        let c = if t + 1 == probs.len() || (p > 0.0 && remaining_mass <= p) {
-            remaining_n
-        } else {
-            Sampler::binomial(rng, remaining_n, (p / remaining_mass).clamp(0.0, 1.0))
-        };
-        counts[targets[t] as usize] += c;
-        remaining_n -= c;
-        remaining_mass -= p;
-    }
-    debug_assert_eq!(remaining_n, 0, "every client must land in the neighborhood");
-}
-
 impl Engine for GraphEngine {
     type State = GraphState;
 
@@ -903,11 +718,7 @@ impl Engine for GraphEngine {
     }
 
     fn init_state(&self, rng: &mut StdRng) -> GraphState {
-        GraphState::from_queues(
-            crate::episode::sample_initial_queues(&self.config, rng),
-            self.config.num_states(),
-            self.k,
-        )
+        GraphState::from_queues(crate::episode::sample_initial_queues(&self.config, rng))
     }
 
     fn empirical(&self, state: &GraphState) -> StateDist {
@@ -924,13 +735,13 @@ impl Engine for GraphEngine {
         debug_assert_eq!(state.queues.len(), self.config.num_queues);
         let t0 = state.epoch as f64 * self.config.dt;
         state.epoch += 1;
-        if !self.full_mesh && self.mode == StepMode::Sharded {
+        if !self.full_mesh {
             return self.step_sharded(state, rule, lambda, t0, rng);
         }
-        // A faulted sequential (or full-mesh) epoch draws one extra
-        // `epoch_base` for the crash/straggler streams *before* any other
-        // randomness; a fault-free engine never reaches this draw, so the
-        // pinned legacy streams are untouched.
+        // A faulted full-mesh epoch draws one extra `epoch_base` for the
+        // crash/straggler streams *before* any other randomness; a
+        // fault-free engine never reaches this draw, so it stays on the
+        // aggregate engine's stream.
         let lambda = match &self.faults {
             Some(_) => {
                 let epoch_base: u64 = rng.gen();
@@ -938,8 +749,12 @@ impl Engine for GraphEngine {
             }
             None => lambda,
         };
-        self.sample_assignments_into(rule, rng, state);
+        // Dispatcher identity is irrelevant when every accessible set
+        // covers all M queues: take the aggregate engine's exact
+        // hierarchical-multinomial path — same law, same RNG stream.
         let GraphState { queues, counts, mult, .. } = state;
+        let (n, buffer) = (self.config.num_clients, self.config.buffer);
+        sample_client_assignments_into(n, buffer, queues, rule, rng, counts);
         let m = queues.len();
         let scale = m as f64 * lambda / self.config.num_clients as f64;
         let (dropped, served) = simulate_birth_death_epoch(
@@ -987,14 +802,12 @@ mod tests {
             Topology::Torus { radius: 1 },
             Topology::RandomRegular { degree: 4, seed: 3 },
         ] {
-            for mode in [StepMode::Sequential, StepMode::Sharded] {
-                let engine = GraphEngine::new(cfg.clone(), top.clone()).with_mode(mode);
-                let queues: Vec<usize> = (0..36).map(|j| j % 6).collect();
-                let mut rng = StdRng::seed_from_u64(1);
-                for rule in [DecisionRule::uniform(6, 2), jsq_rule()] {
-                    let counts = engine.sample_assignments(&queues, &rule, &mut rng);
-                    assert_eq!(counts.iter().sum::<u64>(), 10_000, "{top:?} {mode:?}");
-                }
+            let engine = GraphEngine::new(cfg.clone(), top.clone());
+            let queues: Vec<usize> = (0..36).map(|j| j % 6).collect();
+            let mut rng = StdRng::seed_from_u64(1);
+            for rule in [DecisionRule::uniform(6, 2), jsq_rule()] {
+                let counts = engine.sample_assignments(&queues, &rule, &mut rng);
+                assert_eq!(counts.iter().sum::<u64>(), 10_000, "{top:?}");
             }
         }
     }
@@ -1004,18 +817,13 @@ mod tests {
         let cfg = SystemConfig::paper().with_size(5_000, 20);
         let engine = GraphEngine::new(cfg, Topology::Ring { radius: 2 });
         let queues: Vec<usize> = (0..20).map(|j| (j * 3) % 6).collect();
-        let mut rng = StdRng::seed_from_u64(2);
         let mut counts = vec![0u64; 20];
-        engine.sample_node_assignments(7, 1_000, &queues, &jsq_rule(), &mut rng, &mut counts);
+        engine.sample_node_assignments(7, 1_000, &queues, &jsq_rule(), 99, &mut counts);
         assert_eq!(counts.iter().sum::<u64>(), 1_000);
-        let mut sharded = vec![0u64; 20];
-        engine.sample_node_assignments_sharded(7, 1_000, &queues, &jsq_rule(), 99, &mut sharded);
-        assert_eq!(sharded.iter().sum::<u64>(), 1_000);
         let nbrs = engine.neighborhood(7);
         for j in 0..20u32 {
             if !nbrs.contains(&j) {
                 assert_eq!(counts[j as usize], 0, "queue {j} is outside A(7) = {nbrs:?}");
-                assert_eq!(sharded[j as usize], 0, "queue {j} is outside A(7) = {nbrs:?}");
             }
         }
     }
@@ -1076,8 +884,7 @@ mod tests {
         // must produce byte-identical episodes.
         let cfg = SystemConfig::paper().with_size(2_000, 60).with_dt(2.0);
         let policy = FixedRulePolicy::new(jsq_rule(), "JSQ(2)");
-        let base = GraphEngine::new(cfg.clone(), Topology::Ring { radius: 2 })
-            .with_mode(StepMode::Sharded);
+        let base = GraphEngine::new(cfg.clone(), Topology::Ring { radius: 2 });
         let reference = run_episode(
             &base.clone().with_shard_size(1 << 20).with_workers(1),
             &policy,
@@ -1098,28 +905,46 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_sharded_agree_in_law() {
-        // Different streams, same distribution: long-run per-queue count
-        // means under RND must match λ·N/M for both modes, and the two
-        // modes' empirical means must agree with each other.
-        let cfg = SystemConfig::paper().with_size(4_000, 36);
-        let top = Topology::Torus { radius: 1 };
-        let seq = GraphEngine::new(cfg.clone(), top.clone()).with_mode(StepMode::Sequential);
-        let sha = GraphEngine::new(cfg, top).with_mode(StepMode::Sharded).with_shard_size(13);
-        let queues: Vec<usize> = (0..36).map(|j| (j * 7) % 6).collect();
+    fn per_queue_client_means_match_the_neighborhood_routing_law() {
+        // Every client picks a uniform dispatcher, then routes through that
+        // dispatcher's `node_probs`, so E[counts_j] = Σ_i (N/M)·probs_i[j].
+        // Checked on every queue at five standard errors.
+        let (n, m) = (4_000u64, 36usize);
+        let cfg = SystemConfig::paper().with_size(n, m);
+        let engine =
+            GraphEngine::new(cfg.clone(), Topology::Torus { radius: 1 }).with_shard_size(13);
+        let queues: Vec<usize> = (0..m).map(|j| (j * 7) % 6).collect();
         let rule = jsq_rule();
-        let reps = 200;
-        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(9));
-        let (mut tot_seq, mut tot_sha) = (0u64, 0u64);
-        for _ in 0..reps {
-            tot_seq += seq.sample_assignments(&queues, &rule, &mut rng_a)[0];
-            tot_sha += sha.sample_assignments(&queues, &rule, &mut rng_b)[0];
+        let zs = cfg.num_states();
+        let (mut hist, mut rates, mut support) = (vec![0.0; zs], vec![0.0; zs], Vec::new());
+        let mut probs = vec![0.0; engine.neighborhood_size()];
+        let mut expected = vec![0.0; m];
+        for i in 0..m {
+            engine.node_probs(i, &queues, &rule, &mut hist, &mut rates, &mut probs, &mut support);
+            for (&j, &p) in engine.neighborhood(i).iter().zip(&probs) {
+                expected[j as usize] += n as f64 / m as f64 * p;
+            }
         }
-        let (mean_seq, mean_sha) = (tot_seq as f64 / reps as f64, tot_sha as f64 / reps as f64);
-        assert!(
-            (mean_seq - mean_sha).abs() < 0.1 * mean_seq.max(1.0),
-            "mode laws must agree: sequential {mean_seq} vs sharded {mean_sha}"
-        );
+        let reps = 400;
+        let mut rng = StdRng::seed_from_u64(8);
+        let (mut sum, mut sum_sq) = (vec![0.0; m], vec![0.0; m]);
+        for _ in 0..reps {
+            for (j, c) in
+                engine.sample_assignments(&queues, &rule, &mut rng).into_iter().enumerate()
+            {
+                sum[j] += c as f64;
+                sum_sq[j] += (c as f64).powi(2);
+            }
+        }
+        for j in 0..m {
+            let mean = sum[j] / reps as f64;
+            let se = ((sum_sq[j] / reps as f64 - mean * mean) / reps as f64).sqrt();
+            assert!(
+                (mean - expected[j]).abs() <= 5.0 * se,
+                "queue {j}: mean {mean} vs analytic {} (se {se})",
+                expected[j]
+            );
+        }
     }
 
     #[test]
@@ -1163,33 +988,21 @@ mod tests {
 
     #[test]
     fn zero_arrival_rate_only_drains_in_both_modes() {
-        for mode in [StepMode::Sequential, StepMode::Sharded] {
+        // Both stepping modes: the sharded sparse path and the full-mesh
+        // fast path.
+        for top in [Topology::Ring { radius: 1 }, Topology::FullMesh] {
             let cfg = SystemConfig::paper().with_size(100, 10).with_dt(50.0);
-            let engine = GraphEngine::new(cfg, Topology::Ring { radius: 1 }).with_mode(mode);
-            let mut state = GraphState::from_queues(vec![5usize; 10], 6, 3);
+            let engine = GraphEngine::new(cfg, top.clone());
+            let mut state = GraphState::from_queues(vec![5usize; 10]);
             let mut rng = StdRng::seed_from_u64(5);
             let stats = engine.step(&mut state, &DecisionRule::uniform(6, 2), 0.0, &mut rng);
-            assert_eq!(stats.drops, 0.0, "{mode:?}");
+            assert_eq!(stats.drops, 0.0, "{top:?}");
             assert!(
                 state.queues().iter().all(|&z| z == 0),
-                "queues must drain ({mode:?}): {:?}",
+                "queues must drain ({top:?}): {:?}",
                 state.queues()
             );
         }
-    }
-
-    #[test]
-    fn large_systems_auto_select_sharded_mode_and_small_ones_do_not() {
-        let small = GraphEngine::new(
-            SystemConfig::paper().with_size(400, 100),
-            Topology::Ring { radius: 2 },
-        );
-        assert_eq!(small.mode(), StepMode::Sequential);
-        let large = GraphEngine::new(
-            SystemConfig::paper().with_size(40_000, 10_000),
-            Topology::Ring { radius: 2 },
-        );
-        assert_eq!(large.mode(), StepMode::Sharded);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use episode::{
 pub use error::{ScenarioError, ServeError};
 pub use event_engine::{EventEngine, EventState, Timeline};
 pub use fifo_engine::FifoEngine;
-pub use graph_engine::{GraphEngine, GraphState, StepMode};
+pub use graph_engine::{GraphEngine, GraphState};
 pub use hetero::{rate_classes, HeteroEngine};
 pub use monte_carlo::{monte_carlo, monte_carlo_conditioned, MonteCarloResult};
 pub use ph_engine::{sample_initial_ph_queues, PhAggregateEngine};

@@ -59,7 +59,7 @@
 //! | `{"Staggered": {"cohorts": k}}` | cohort-staggered refreshes | `k ≥ 1`; `buffer ≤ 255` |
 //! | `{"Hetero": {"rates": [α…]}}` | heterogeneous pool | non-empty, `len == num_queues`, all rates > 0 and finite |
 //! | `{"Ph": {"service": law}}` | phase-type service | see laws below |
-//! | `{"Graph": {"topology": top, "shard_size": s}}` | locality-constrained routing | see topologies below; `shard_size` is optional (≥ 1 when given — forces sharded parallel stepping with that dispatcher range per shard; omitted = auto by system size) |
+//! | `{"Graph": {"topology": top, "shard_size": s}}` | locality-constrained routing | see topologies below; `shard_size` is optional (≥ 1 when given — the dispatcher range per shard, a scheduling granularity that never changes results; omitted = 16384) |
 //! | `{"Event": {"job_size": law}}` | continuous-time event-heap job-level engine | see job-size laws below |
 //!
 //! Topologies for `Graph` (the [`mflb_core::Topology`] families; clients
@@ -284,12 +284,12 @@ pub enum EngineSpec {
         /// The neighborhood structure (ring / torus / random-regular /
         /// full mesh).
         topology: Topology,
-        /// Forces the sharded parallel stepping path with this contiguous
-        /// dispatcher range per shard (≥ 1). Omitted: the engine picks its
-        /// mode by system size. Sharded episodes are bit-identical for
-        /// **any** shard size and worker count, so this knob only affects
-        /// wall-clock; worker threads stay an execution-level setting
-        /// ([`AnyEngine::with_workers`]), never part of the spec.
+        /// Contiguous dispatcher range per shard (≥ 1; omitted: the
+        /// engine default). It sets scheduling granularity only: episodes
+        /// are bit-identical for **any** shard size and worker count, so
+        /// this knob only affects wall-clock; worker threads stay an
+        /// execution-level setting ([`AnyEngine::with_workers`]), never
+        /// part of the spec.
         #[serde(default)]
         shard_size: Option<usize>,
     },
@@ -447,9 +447,7 @@ impl Scenario {
             EngineSpec::Graph { topology, shard_size } => {
                 let mut engine = GraphEngine::new(self.config.clone(), topology.clone());
                 if let Some(s) = shard_size {
-                    engine = engine
-                        .with_mode(crate::graph_engine::StepMode::Sharded)
-                        .with_shard_size(*s);
+                    engine = engine.with_shard_size(*s);
                 }
                 AnyEngine::Graph(engine.with_faults(plan()))
             }

@@ -538,7 +538,7 @@ pub fn serve_with(
         // with it every pinned stream) is unchanged, while the fault
         // plan's observation channel can settle *before* the decision.
         let epoch_base: u64 = rng.gen();
-        engine.begin_interval(&mut state, epoch_base);
+        let arrival_factor = engine.begin_interval(&mut state, epoch_base);
 
         // Staleness watchdog with hysteresis: degrade to the static tier
         // at age ≥ threshold, return at age ≤ threshold/2.
@@ -584,7 +584,7 @@ pub fn serve_with(
             }
             stats
         } else {
-            let rate = config.num_queues as f64 * lambda;
+            let rate = config.num_queues as f64 * (lambda * arrival_factor);
             let mut feed = PoissonFeed::new(epoch_base, rate, engine.job_size().clone());
             match record.as_deref_mut() {
                 Some(out) => {

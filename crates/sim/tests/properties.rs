@@ -8,7 +8,7 @@ use mflb_core::{DecisionRule, JobSizeLaw, StateDist, SystemConfig, Topology};
 use mflb_sim::aggregate::sample_client_assignments;
 use mflb_sim::{
     run_episode, run_rng, serve, AggregateEngine, Engine, EventEngine, GraphEngine, Job, JobSource,
-    ServeOptions, StepMode, Timeline,
+    ServeOptions, Timeline,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,45 +124,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn graph_assignments_conserve_job_mass(
+    fn sharded_assignments_conserve_job_mass(
         queues in profile_strategy(),
         rule in rule_strategy(),
         n in 1u64..50_000,
+        shard in 1usize..16,
         seed in 0u64..10_000,
     ) {
-        // Job-mass conservation: every client lands on exactly one queue,
-        // for arbitrary profiles, rules and sparse topologies.
         let m = queues.len();
-        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xA11C);
+        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xD44F);
         let top = topology_strategy(m).generate(&mut top_rng);
         let cfg = SystemConfig::paper().with_size(n.max(1), m);
-        let engine = GraphEngine::new(cfg, top);
+        let engine = GraphEngine::new(cfg, top).with_shard_size(shard);
         let mut rng = StdRng::seed_from_u64(seed);
+        // Job-mass conservation: every client lands on exactly one queue,
+        // for arbitrary profiles, rules, sparse topologies and shard sizes.
         let counts = engine.sample_assignments(&queues, &rule, &mut rng);
         prop_assert_eq!(counts.len(), m);
         prop_assert_eq!(counts.iter().sum::<u64>(), n, "every client lands somewhere");
     }
 
     #[test]
-    fn graph_routing_never_leaves_the_neighborhood(
+    fn sharded_routing_never_leaves_the_neighborhood(
         queues in profile_strategy(),
         rule in rule_strategy(),
         node_pick in 0usize..1_000,
         clients in 1u64..20_000,
+        epoch_base in 0u64..u64::MAX,
         seed in 0u64..10_000,
     ) {
+        // The per-dispatcher derived stream (both the ≤16-client
+        // per-client path and the binomial chain above it) must respect
+        // A(i) for any epoch base. Degenerate covers take the aggregate
+        // fast path, which has no per-node stage to test.
         let m = queues.len();
-        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xB22D);
+        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xE55A);
         let top = topology_strategy(m).generate(&mut top_rng);
-        // Degenerate covers take the aggregate fast path, which has no
-        // per-node stage to test — the locality invariant is vacuous there.
         if !top.is_full_mesh(m) {
             let cfg = SystemConfig::paper().with_size(clients, m);
             let engine = GraphEngine::new(cfg, top);
             let node = node_pick % m;
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut counts = vec![0u64; m];
-            engine.sample_node_assignments(node, clients, &queues, &rule, &mut rng, &mut counts);
+            engine.sample_node_assignments(node, clients, &queues, &rule, epoch_base, &mut counts);
             prop_assert_eq!(counts.iter().sum::<u64>(), clients);
             let nbrs = engine.neighborhood(node);
             for (j, &c) in counts.iter().enumerate() {
@@ -231,7 +234,7 @@ proptest! {
         if !top.is_full_mesh(m) {
             let cfg = SystemConfig::paper().with_size(n, m).with_dt(2.0);
             let policy = FixedRulePolicy::new(mflb_policy::jsq_rule(6, 2), "JSQ(2)");
-            let base = GraphEngine::new(cfg, top).with_mode(StepMode::Sharded);
+            let base = GraphEngine::new(cfg, top);
             let one = base.clone().with_shard_size(1 << 20).with_workers(1);
             let reference = run_episode(&one, &policy, 6, &mut run_rng(seed, 0));
             let split = base.with_shard_size(shard_a.min(shard_b)).with_workers(workers);
@@ -241,27 +244,6 @@ proptest! {
             prop_assert_eq!(&got.max_share_per_epoch, &reference.max_share_per_epoch);
             prop_assert_eq!(got.jobs_completed, reference.jobs_completed);
         }
-    }
-
-    #[test]
-    fn sharded_assignments_conserve_job_mass(
-        queues in profile_strategy(),
-        rule in rule_strategy(),
-        n in 1u64..50_000,
-        shard in 1usize..16,
-        seed in 0u64..10_000,
-    ) {
-        let m = queues.len();
-        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xD44F);
-        let top = topology_strategy(m).generate(&mut top_rng);
-        let cfg = SystemConfig::paper().with_size(n.max(1), m);
-        let engine = GraphEngine::new(cfg, top)
-            .with_mode(StepMode::Sharded)
-            .with_shard_size(shard);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let counts = engine.sample_assignments(&queues, &rule, &mut rng);
-        prop_assert_eq!(counts.len(), m);
-        prop_assert_eq!(counts.iter().sum::<u64>(), n, "every client lands somewhere");
     }
 
     #[test]
@@ -399,42 +381,6 @@ proptest! {
         prop_assert_eq!(a.drop_fraction.to_bits(), b.drop_fraction.to_bits());
         prop_assert_eq!(a.mean_queue_len.to_bits(), b.mean_queue_len.to_bits());
     }
-
-    #[test]
-    fn sharded_routing_never_leaves_the_neighborhood(
-        queues in profile_strategy(),
-        rule in rule_strategy(),
-        node_pick in 0usize..1_000,
-        clients in 1u64..20_000,
-        epoch_base in 0u64..u64::MAX,
-        seed in 0u64..10_000,
-    ) {
-        // The per-dispatcher derived stream (both the ≤16-client
-        // per-client path and the binomial chain above it) must respect
-        // A(i) for any epoch base.
-        let m = queues.len();
-        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xE55A);
-        let top = topology_strategy(m).generate(&mut top_rng);
-        if !top.is_full_mesh(m) {
-            let cfg = SystemConfig::paper().with_size(clients, m);
-            let engine = GraphEngine::new(cfg, top);
-            let node = node_pick % m;
-            let mut counts = vec![0u64; m];
-            engine.sample_node_assignments_sharded(
-                node, clients, &queues, &rule, epoch_base, &mut counts,
-            );
-            prop_assert_eq!(counts.iter().sum::<u64>(), clients);
-            let nbrs = engine.neighborhood(node);
-            for (j, &c) in counts.iter().enumerate() {
-                if !nbrs.contains(&(j as u32)) {
-                    prop_assert_eq!(
-                        c, 0,
-                        "queue {} outside A({}) = {:?} got clients", j, node, nbrs
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Strategy: an arbitrary fault plan with every family active — bounded
@@ -483,9 +429,7 @@ proptest! {
         let event = EventEngine::new(cfg.clone(), JobSizeLaw::Exponential { rate: 1.0 })
             .with_faults(plan.clone());
         let fifo = mflb_sim::FifoEngine::new(cfg.clone()).with_faults(plan.clone());
-        let graph = GraphEngine::new(cfg, Topology::Ring { radius: 2 })
-            .with_mode(StepMode::Sharded)
-            .with_faults(plan);
+        let graph = GraphEngine::new(cfg, Topology::Ring { radius: 2 }).with_faults(plan);
         let a = run_episode(&event, &policy, 10, &mut run_rng(seed, 0)).total_drops;
         let b = run_episode(&event, &policy, 10, &mut run_rng(seed, 0)).total_drops;
         prop_assert_eq!(a.to_bits(), b.to_bits());

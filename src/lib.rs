@@ -6,7 +6,7 @@
 //! crate so downstream users can depend on a single crate:
 //!
 //! * [`linalg`] — dense matrices, matrix exponentials, statistics,
-//! * [`queue`] — CTMC queueing substrate, Gillespie simulation, samplers,
+//! * [`queue`] — CTMC queueing substrate, exact queue simulation, samplers,
 //! * [`core`] — the mean-field control model and its exactly-discretized MDP,
 //! * [`policy`] — JSQ(d)/SED(d)/RND/softmin/learned load-balancing policies,
 //! * [`sim`] — the finite N-client M-queue simulator (Algorithm 1),

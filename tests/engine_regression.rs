@@ -18,9 +18,9 @@ use mflb::policy::{jsq_rule, sed_rule};
 use mflb::queue::hetero::ServerPool;
 use mflb::queue::{ArrivalProcess, PhaseType};
 use mflb::sim::{
-    run_episode, run_rng, serve, AggregateEngine, EngineSpec, EventEngine, FifoEngine, GraphEngine,
-    HeteroEngine, JobSource, PerClientEngine, PhAggregateEngine, Scenario, ServeOptions,
-    ServiceLaw, StaggeredEngine, StepMode,
+    run_episode, run_rng, serve, AggregateEngine, Engine, EngineSpec, EventEngine, FifoEngine,
+    GraphEngine, HeteroEngine, JobSource, PerClientEngine, PhAggregateEngine, Scenario,
+    ServeOptions, ServiceLaw, StaggeredEngine,
 };
 
 /// High constant load makes drops frequent, so the pinned totals are
@@ -88,23 +88,13 @@ fn full_mesh_graph_engine_reproduces_the_aggregate_pinned_drops() {
 }
 
 #[test]
-fn ring_graph_engine_reproduces_its_introduction_drops() {
-    // Pinned at the PR that introduced the graph engine: the per-node
-    // multinomial draw order is part of the regression contract.
-    let cfg = hot(SystemConfig::paper().with_size(900, 30).with_dt(3.0));
-    let engine = GraphEngine::new(cfg, Topology::Ring { radius: 2 });
-    let drops = run_episode(&engine, &jsq(), 20, &mut run_rng(0xC0FFEE, 6)).total_drops;
-    assert_eq!(drops.to_bits(), 0x4011333333333333, "got {drops}");
-}
-
-#[test]
 fn sharded_ring_graph_engine_reproduces_its_introduction_drops() {
     // Pinned at the PR that introduced sharded epoch stepping: the
     // derived-stream scheme (dyadic home counts, per-dispatcher assignment
     // streams, per-queue service streams) is a regression contract of its
     // own, independent of the shard size and worker count actually used.
     let cfg = hot(SystemConfig::paper().with_size(900, 30).with_dt(3.0));
-    let base = GraphEngine::new(cfg, Topology::Ring { radius: 2 }).with_mode(StepMode::Sharded);
+    let base = GraphEngine::new(cfg, Topology::Ring { radius: 2 });
     for (shard, workers) in [(1 << 20, 1), (7, 3)] {
         let engine = base.clone().with_shard_size(shard).with_workers(workers);
         let drops = run_episode(&engine, &jsq(), 20, &mut run_rng(0xC0FFEE, 6)).total_drops;
@@ -143,42 +133,47 @@ fn serve_run_reproduces_its_introduction_report() {
     assert_eq!(report.drop_fraction.to_bits(), 0x3f7c4c0c61456a8e, "got {}", report.drop_fraction);
 }
 
-#[test]
-fn event_engine_matches_the_fifo_engine_in_law_for_exponential_sizes() {
-    // Unit-mean exponential job sizes align the event engine's
-    // queue-length process with `FifoEngine`'s in law; the engines differ
-    // only in how routing randomness is organized (per-job thinned-Poisson
-    // draws vs a per-epoch frozen multinomial), so per-epoch drop and
-    // queue-length statistics agree within Monte-Carlo tolerance, not
-    // bit-for-bit.
-    let cfg = hot(SystemConfig::paper().with_size(900, 30).with_dt(3.0));
-    let event = EventEngine::new(cfg.clone(), JobSizeLaw::Exponential { rate: 1.0 });
-    let fifo = FifoEngine::new(cfg);
-    let policy = jsq();
-    let (mut da, mut db) = (Summary::new(), Summary::new());
-    let (mut qa, mut qb) = (Summary::new(), Summary::new());
-    let episode_mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    for r in 0..50 {
-        let a = run_episode(&event, &policy, 15, &mut run_rng(61, r));
-        let b = run_episode(&fifo, &policy, 15, &mut run_rng(62, r));
-        da.push(a.total_drops);
-        db.push(b.total_drops);
-        qa.push(episode_mean(&a.mean_queue_len));
-        qb.push(episode_mean(&b.mean_queue_len));
+/// Episode drop totals of `runs` seeded JSQ(2) episodes of 15 epochs.
+fn drop_summary<E: Engine>(engine: &E, seed: u64, runs: u64) -> Summary {
+    let mut drops = Summary::new();
+    for r in 0..runs {
+        drops.push(run_episode(engine, &jsq(), 15, &mut run_rng(seed, r)).total_drops);
     }
-    let tol = 4.0 * (da.std_err() + db.std_err());
+    drops
+}
+
+#[test]
+fn event_engine_is_the_large_population_limit_of_the_fifo_engine() {
+    // Both engines run M/M/1/B queues, but `FifoEngine` routes whole
+    // clients: each of the N clients sends its whole epoch's traffic to
+    // one queue, so at small N/M a few clients' choices herd the load.
+    // `EventEngine` routes every job on its own, the N/M → ∞ limit (it
+    // never reads N). Event drops must sit below FIFO drops at N = M and
+    // at N = 3M, with a gap that shrinks as N/M grows. Each comparison
+    // must clear four standard errors.
+    let runs = 40;
+    let cfg = |n: u64| hot(SystemConfig::paper().with_size(n, 30).with_dt(3.0));
+    let event =
+        drop_summary(&EventEngine::new(cfg(30), JobSizeLaw::Exponential { rate: 1.0 }), 61, runs);
+    let fifo_m = drop_summary(&FifoEngine::new(cfg(30)), 62, runs);
+    let fifo_3m = drop_summary(&FifoEngine::new(cfg(90)), 63, runs);
+    let se = |a: &Summary, b: &Summary| (a.std_err().powi(2) + b.std_err().powi(2)).sqrt();
+    let (gap_m, gap_3m) = (fifo_m.mean() - event.mean(), fifo_3m.mean() - event.mean());
     assert!(
-        (da.mean() - db.mean()).abs() < tol,
-        "drops: event {} vs fifo {} (tol {tol})",
-        da.mean(),
-        db.mean()
+        gap_m > 4.0 * se(&fifo_m, &event),
+        "N = M: event {} vs FIFO {}",
+        event.mean(),
+        fifo_m.mean()
     );
-    let tol = 4.0 * (qa.std_err() + qb.std_err());
     assert!(
-        (qa.mean() - qb.mean()).abs() < tol,
-        "queue length: event {} vs fifo {} (tol {tol})",
-        qa.mean(),
-        qb.mean()
+        gap_3m > 4.0 * se(&fifo_3m, &event),
+        "N = 3M: event {} vs FIFO {}",
+        event.mean(),
+        fifo_3m.mean()
+    );
+    assert!(
+        gap_m - gap_3m > 4.0 * se(&fifo_m, &fifo_3m),
+        "the gap must shrink with N/M: {gap_m} at N = M vs {gap_3m} at N = 3M"
     );
 }
 
@@ -217,6 +212,8 @@ fn scenario_built_engines_match_the_pinned_values_too() {
 /// The fault plan of the pinned faulted runs: every fault family active
 /// at once, so the pinned constants cover the crash renewal streams, the
 /// straggler/overload window arithmetic and the observation-drop stream.
+/// The FIFO and graph engines route on live lengths, so for them the
+/// observation channel is inert.
 fn regression_fault_plan() -> FaultPlan {
     FaultPlan {
         crashes: Some(CrashFaults { mttf: 20.0, mttr: 5.0 }),
@@ -232,11 +229,14 @@ fn faulted_event_and_fifo_engines_reproduce_their_introduction_drops() {
     // all fault randomness flows through `(epoch_base, salt, index)`
     // counter streams, so these values are a regression contract for the
     // crash renewal sampling order on top of the engines' own streams.
+    // The event value includes the overload window, which the event
+    // engine scales its Poisson stream by; that scaling is tested on its
+    // own by `overload_windows_scale_event_and_serve_arrivals`.
     let cfg = hot(SystemConfig::paper().with_size(900, 30).with_dt(3.0));
     let event = EventEngine::new(cfg.clone(), JobSizeLaw::Exponential { rate: 1.0 })
         .with_faults(regression_fault_plan());
     let drops = run_episode(&event, &jsq(), 20, &mut run_rng(0xC0FFEE, 7)).total_drops;
-    assert_eq!(drops.to_bits(), 0x40333bbbbbbbbbbb, "got {drops}");
+    assert_eq!(drops.to_bits(), 0x403808888888888a, "got {drops}");
 
     let fifo = FifoEngine::new(cfg).with_faults(regression_fault_plan());
     let drops = run_episode(&fifo, &jsq(), 20, &mut run_rng(0xC0FFEE, 8)).total_drops;
@@ -249,12 +249,43 @@ fn faulted_sharded_graph_engine_is_shard_and_worker_independent() {
     // from the counter streams before the parallel service pass — so the
     // pinned value must be reproduced by any (shard size, worker count).
     let cfg = hot(SystemConfig::paper().with_size(900, 30).with_dt(3.0));
-    let base = GraphEngine::new(cfg, Topology::Ring { radius: 2 })
-        .with_mode(StepMode::Sharded)
-        .with_faults(regression_fault_plan());
+    let base =
+        GraphEngine::new(cfg, Topology::Ring { radius: 2 }).with_faults(regression_fault_plan());
     for (shard, workers) in [(1 << 20, 1), (7, 3)] {
         let engine = base.clone().with_shard_size(shard).with_workers(workers);
         let drops = run_episode(&engine, &jsq(), 20, &mut run_rng(0xC0FFEE, 6)).total_drops;
         assert_eq!(drops.to_bits(), 0x4039a22222222223, "got {drops} ({shard}, {workers})");
     }
+}
+
+#[test]
+fn overload_windows_scale_event_and_serve_arrivals() {
+    // An overload window multiplies the arrival rate of every engine that
+    // generates its own arrivals: the event engine's Poisson stream and
+    // the synthetic `serve` feed alike. A threefold burst over the whole
+    // run must show up in both.
+    let cfg = SystemConfig::paper().with_size(900, 30).with_dt(3.0);
+    let plan = FaultPlan {
+        overloads: vec![OverloadWindow { start: 0.0, end: 60.0, factor: 3.0 }],
+        ..FaultPlan::default()
+    };
+    let calm = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
+    let burst = calm.clone().with_faults(plan);
+
+    let drops = |e: &EventEngine| run_episode(e, &jsq(), 20, &mut run_rng(5, 0)).total_drops;
+    let (calm_drops, burst_drops) = (drops(&calm), drops(&burst));
+    assert!(
+        burst_drops > 5.0 * calm_drops.max(1.0),
+        "a 3x overload must flood the queues: {burst_drops} vs {calm_drops} drops"
+    );
+
+    let opts = ServeOptions { duration: Some(60.0), seed: 5, ..Default::default() };
+    let arrived = |e: &EventEngine| {
+        serve(e, &jsq(), "JSQ(2)", &JobSource::Synthetic, &opts, |_| {}).unwrap().jobs_arrived
+    };
+    let (calm_jobs, burst_jobs) = (arrived(&calm), arrived(&burst));
+    assert!(
+        burst_jobs > 2 * calm_jobs,
+        "a 3x overload must triple the synthetic stream: {burst_jobs} vs {calm_jobs} jobs"
+    );
 }
