@@ -124,6 +124,64 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn graph_assignments_conserve_job_mass(
+        queues in profile_strategy(),
+        rule in rule_strategy(),
+        n in 1u64..50_000,
+        workers in 1usize..5,
+        seed in 0u64..10_000,
+    ) {
+        // Job-mass conservation: every client lands on exactly one queue,
+        // for arbitrary profiles, rules, sparse topologies and worker
+        // counts at the default shard size.
+        let m = queues.len();
+        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xA11C);
+        let top = topology_strategy(m).generate(&mut top_rng);
+        let cfg = SystemConfig::paper().with_size(n.max(1), m);
+        let engine = GraphEngine::new(cfg, top).with_workers(workers);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let counts = engine.sample_assignments(&queues, &rule, &mut rng);
+        prop_assert_eq!(counts.len(), m);
+        prop_assert_eq!(counts.iter().sum::<u64>(), n, "every client lands somewhere");
+    }
+
+    #[test]
+    fn graph_routing_never_leaves_the_neighborhood(
+        queues in profile_strategy(),
+        rule in rule_strategy(),
+        clients in 1u64..64,
+        seed in 0u64..10_000,
+    ) {
+        // Every dispatcher of the topology, with client counts on both
+        // sides of the per-client/binomial switch and an `epoch_base`
+        // drawn the way an episode draws it, routes only into A(i).
+        let m = queues.len();
+        let mut top_rng = StdRng::seed_from_u64(seed ^ 0xB22D);
+        let top = topology_strategy(m).generate(&mut top_rng);
+        // Degenerate covers take the aggregate fast path, which has no
+        // per-node stage to test — the locality invariant is vacuous there.
+        if !top.is_full_mesh(m) {
+            let cfg = SystemConfig::paper().with_size(clients, m);
+            let engine = GraphEngine::new(cfg, top);
+            let epoch_base: u64 = StdRng::seed_from_u64(seed).gen();
+            for node in 0..m {
+                let mut counts = vec![0u64; m];
+                engine.sample_node_assignments(node, clients, &queues, &rule, epoch_base, &mut counts);
+                prop_assert_eq!(counts.iter().sum::<u64>(), clients);
+                let nbrs = engine.neighborhood(node);
+                for (j, &c) in counts.iter().enumerate() {
+                    if !nbrs.contains(&(j as u32)) {
+                        prop_assert_eq!(
+                            c, 0,
+                            "queue {} outside A({}) = {:?} got clients", j, node, nbrs
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sharded_assignments_conserve_job_mass(
         queues in profile_strategy(),
         rule in rule_strategy(),
