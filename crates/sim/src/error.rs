@@ -106,6 +106,13 @@ pub enum ServeError {
         /// The offending size.
         size: f64,
     },
+    /// A streamed trace line is not valid UTF-8.
+    TraceUtf8 {
+        /// 1-based line number.
+        line: usize,
+        /// Where the line stops being UTF-8.
+        source: std::str::Utf8Error,
+    },
     /// A streamed trace read failed even after retries.
     TraceIo {
         /// 1-based line number being read.
@@ -139,6 +146,9 @@ impl fmt::Display for ServeError {
             ServeError::JobSize { line, size } => {
                 write!(f, "trace line {line}: job size must be positive and finite, got {size}")
             }
+            ServeError::TraceUtf8 { line, source } => {
+                write!(f, "trace line {line}: invalid UTF-8: {source}")
+            }
             ServeError::TraceIo { line, retries, source } => {
                 write!(f, "trace line {line}: read failed after {retries} retries: {source}")
             }
@@ -160,6 +170,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::TraceParse { source, .. } => Some(source),
+            ServeError::TraceUtf8 { source, .. } => Some(source),
             ServeError::TraceIo { source, .. } => Some(source),
             ServeError::Report(e) => Some(e),
             _ => None,

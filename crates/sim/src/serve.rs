@@ -17,8 +17,14 @@
 //! and finite. Blank lines and `#` comments are skipped. A malformed
 //! line is reported with its 1-based line number ([`parse_trace`]).
 //! Traces replay either fully buffered ([`JobSource::Trace`]) or
-//! streamed line-by-line from any reader — e.g. stdin — with the same
-//! 1-based diagnostics ([`JobSource::Stream`], [`LineTraceReader`]).
+//! streamed from any reader — e.g. stdin — with the same 1-based
+//! diagnostics ([`JobSource::Stream`], [`LineTraceReader`]). A streamed
+//! trace is read and parsed on a dedicated ingest thread that hands the
+//! dispatcher bounded batches of jobs, so parsing overlaps dispatch and
+//! a live pipe is still served as its lines arrive. Both paths decode
+//! lines in the shape [`Job::to_jsonl`] writes with an allocation-free
+//! scanner and defer everything else to `serde_json`
+//! ([`parse_trace_line`]).
 //!
 //! # Graceful degradation
 //!
@@ -38,7 +44,8 @@
 //!   so a flapping channel cannot thrash the tiers;
 //! * **ingestion retry** — streamed trace reads retry transient I/O
 //!   errors with exponential backoff before giving up
-//!   ([`LineTraceReader::with_retry`]).
+//!   ([`LineTraceReader::with_retry`]); a line that is not UTF-8 is not
+//!   an I/O error and ends the run naming that line.
 //!
 //! # Determinism
 //!
@@ -61,8 +68,10 @@ use mflb_core::DecisionRule;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::io::BufRead;
-use std::time::Instant;
+use std::io::{BufRead, ErrorKind};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// One job of a replayed trace: arrival time and size in work units.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,13 +94,21 @@ impl Job {
 /// every complaint), `last_t` the previous job's arrival time (for the
 /// nondecreasing check). Returns `Ok(None)` for blank lines and `#`
 /// comments.
+///
+/// Lines in the shape [`Job::to_jsonl`] writes are decoded by an
+/// allocation-free scanner; anything it does not accept goes through
+/// `serde_json`, so the accepted language, every value and every error
+/// message are those of `serde_json::from_str::<Job>`.
 pub fn parse_trace_line(raw: &str, lineno: usize, last_t: f64) -> Result<Option<Job>, ServeError> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let job: Job = serde_json::from_str(line)
-        .map_err(|source| ServeError::TraceParse { line: lineno, source })?;
+    let job = match scan_job(line) {
+        Some(job) => job,
+        None => serde_json::from_str(line)
+            .map_err(|source| ServeError::TraceParse { line: lineno, source })?,
+    };
     if !(job.t.is_finite() && job.t >= 0.0) {
         return Err(ServeError::ArrivalTime { line: lineno, t: job.t });
     }
@@ -102,6 +119,101 @@ pub fn parse_trace_line(raw: &str, lineno: usize, last_t: f64) -> Result<Option<
         return Err(ServeError::JobSize { line: lineno, size: job.size });
     }
     Ok(Some(job))
+}
+
+/// Decodes a flat JSON object whose members all have numeric values
+/// without allocating. Keys may come in any order with JSON whitespace
+/// between tokens; the first of duplicate keys wins and unknown keys are
+/// skipped, as in the derived `Deserialize`. Numbers are tokenised like
+/// the vendored `serde_json` parser, so every accepted value is
+/// bit-identical to its result. `None` for anything else (escaped keys,
+/// non-numeric values, malformed syntax, missing fields).
+fn scan_job(line: &str) -> Option<Job> {
+    let b = line.as_bytes();
+    let skip_ws = |pos: &mut usize| {
+        while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            *pos += 1;
+        }
+    };
+    let mut pos = 0;
+    skip_ws(&mut pos);
+    if b.get(pos) != Some(&b'{') {
+        return None;
+    }
+    pos += 1;
+    let (mut t, mut size) = (None, None);
+    loop {
+        skip_ws(&mut pos);
+        if b.get(pos) != Some(&b'"') {
+            return None;
+        }
+        let key_start = pos + 1;
+        pos = key_start + b[key_start..].iter().position(|&c| c == b'"' || c == b'\\')?;
+        if b[pos] == b'\\' {
+            return None;
+        }
+        let key = &b[key_start..pos];
+        pos += 1;
+        skip_ws(&mut pos);
+        if b.get(pos) != Some(&b':') {
+            return None;
+        }
+        pos += 1;
+        skip_ws(&mut pos);
+        let value = scan_number(line, &mut pos)?;
+        match key {
+            b"t" => {
+                t.get_or_insert(value);
+            }
+            b"size" => {
+                size.get_or_insert(value);
+            }
+            _ => {}
+        }
+        skip_ws(&mut pos);
+        match b.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b'}') => break,
+            _ => return None,
+        }
+    }
+    pos += 1;
+    skip_ws(&mut pos);
+    if pos != b.len() {
+        return None;
+    }
+    Some(Job { t: t?, size: size? })
+}
+
+/// The number token at `*pos`, tokenised like the vendored `serde_json`
+/// parser: an optional `-`, then the longest run of `[0-9.eE+-]`; a float
+/// (`str::parse::<f64>`) if the run holds any of `.eE+-`, else an integer
+/// (`str::parse::<i128>`, then `as f64`). `None` if no number starts there
+/// or the token does not parse.
+fn scan_number(line: &str, pos: &mut usize) -> Option<f64> {
+    let b = line.as_bytes();
+    let start = *pos;
+    let mut end = match b.get(start)? {
+        b'-' => start + 1,
+        b'0'..=b'9' => start,
+        _ => return None,
+    };
+    let mut is_float = false;
+    while let Some(&c) = b.get(end) {
+        match c {
+            b'0'..=b'9' => {}
+            b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+            _ => break,
+        }
+        end += 1;
+    }
+    *pos = end;
+    let token = &line[start..end];
+    if is_float {
+        token.parse::<f64>().ok()
+    } else {
+        token.parse::<i128>().ok().map(|n| n as f64)
+    }
 }
 
 /// Parses a JSONL job trace (see the module docs for the schema). Every
@@ -118,17 +230,35 @@ pub fn parse_trace(text: &str) -> Result<Vec<Job>, ServeError> {
     Ok(jobs)
 }
 
-/// A streaming JSONL trace reader: parses jobs lazily, line by line,
-/// from any [`BufRead`] (a file, stdin, a pipe) with the same 1-based
-/// line diagnostics as [`parse_trace`]. Transient read errors are
-/// retried with exponential backoff before the run aborts.
+/// Jobs per batch the ingest thread hands to the serve loop.
+const INGEST_BATCH: usize = 4096;
+/// Batches the ingest channel holds ahead of the serve loop.
+const INGEST_DEPTH: usize = 4;
+
+/// One message of the ingest thread: a batch of parsed jobs, or the
+/// error that ended the trace (always the last message).
+type IngestMsg = Result<Vec<Job>, ServeError>;
+
+/// A streaming JSONL trace reader: a dedicated `mflb-ingest` thread reads
+/// and parses lines from any [`BufRead`] `+ Send` source (a file, stdin, a
+/// pipe) with the same 1-based line diagnostics as [`parse_trace`], and
+/// hands the serve loop batches of jobs over a bounded channel, so at
+/// most a constant number of parsed jobs is buffered. The thread parses
+/// every complete line already read before it reads again, so no parsed
+/// job waits behind a read that may block: a live pipe is served as its
+/// lines arrive. Transient read errors are retried with exponential
+/// backoff before the run aborts; a line that is not valid UTF-8 ends the
+/// run with an error naming it. Dropping the reader early (a `max_jobs`
+/// cap) does not wait for the thread: it exits at its next hand-over, or
+/// with the process if its read never returns.
 pub struct LineTraceReader {
-    reader: Box<dyn BufRead>,
-    lineno: usize,
-    last_t: f64,
-    retries: u32,
-    backoff_ms: u64,
-    pending: Option<Job>,
+    rx: Receiver<IngestMsg>,
+    /// Joined once the channel disconnects, so a panic in the ingest
+    /// thread surfaces instead of reading as the end of the trace; a
+    /// reader dropped early leaves the thread to notice the hang-up.
+    thread: Option<JoinHandle<()>>,
+    batch: Vec<Job>,
+    cursor: usize,
     error: Option<ServeError>,
     done: bool,
 }
@@ -136,7 +266,7 @@ pub struct LineTraceReader {
 impl std::fmt::Debug for LineTraceReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LineTraceReader")
-            .field("lineno", &self.lineno)
+            .field("buffered", &(self.batch.len() - self.cursor))
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
@@ -145,31 +275,31 @@ impl std::fmt::Debug for LineTraceReader {
 impl LineTraceReader {
     /// Wraps `reader` with the default retry budget (3 retries, 50 ms
     /// initial backoff).
-    pub fn new(reader: Box<dyn BufRead>) -> Self {
+    pub fn new(reader: Box<dyn BufRead + Send>) -> Self {
         Self::with_retry(reader, 3, 50)
     }
 
-    /// Wraps `reader`, retrying each failed line read up to `retries`
-    /// times with `backoff_ms · 2^attempt` sleeps in between. A retried
-    /// read restarts the line, so the reader must not deliver partial
-    /// lines across errors (files, pipes and stdin all qualify).
-    pub fn with_retry(reader: Box<dyn BufRead>, retries: u32, backoff_ms: u64) -> Self {
-        Self {
-            reader,
-            lineno: 0,
-            last_t: 0.0,
-            retries,
-            backoff_ms,
-            pending: None,
-            error: None,
-            done: false,
-        }
+    /// Wraps `reader`, retrying each failed read up to `retries` times
+    /// with `backoff_ms · 2^attempt` sleeps in between. Bytes read before
+    /// a failure are kept, so a retried read resumes a partial line.
+    /// Reading starts at once, on the ingest thread.
+    pub fn with_retry(reader: Box<dyn BufRead + Send>, retries: u32, backoff_ms: u64) -> Self {
+        let (tx, rx) = sync_channel(INGEST_DEPTH);
+        let spawned = std::thread::Builder::new().name("mflb-ingest".into()).spawn(move || {
+            let batch = Vec::with_capacity(INGEST_BATCH);
+            Ingest { tx, lineno: 0, last_t: 0.0, batch }.run(reader, retries, backoff_ms);
+        });
+        let (thread, error) = match spawned {
+            Ok(handle) => (Some(handle), None),
+            Err(source) => (None, Some(ServeError::TraceIo { line: 1, retries: 0, source })),
+        };
+        Self { rx, thread, batch: Vec::new(), cursor: 0, done: error.is_some(), error }
     }
 
     /// Whether the stream has been fully consumed (EOF reached and the
     /// last job dispatched).
     pub fn exhausted(&self) -> bool {
-        self.done && self.pending.is_none()
+        self.done && self.cursor == self.batch.len()
     }
 
     /// Takes the first ingestion error, if one occurred (the serve loop
@@ -178,60 +308,24 @@ impl LineTraceReader {
         self.error.take()
     }
 
-    fn read_line_with_retry(&mut self, buf: &mut String) -> std::io::Result<usize> {
-        let mut attempt = 0u32;
-        loop {
-            buf.clear();
-            match self.reader.read_line(buf) {
-                Ok(n) => return Ok(n),
-                Err(_) if attempt < self.retries => {
-                    attempt += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        self.backoff_ms << (attempt - 1).min(6),
-                    ));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Advances to the next job (skipping blanks/comments); parks parse
-    /// and I/O failures in `error` and marks the stream done.
+    /// Moves to the next batch once the current one is used up; parks an
+    /// ingest error in `error` and marks the stream done.
     fn fill(&mut self) {
-        if self.pending.is_some() || self.done {
-            return;
-        }
-        let mut buf = String::new();
-        loop {
-            match self.read_line_with_retry(&mut buf) {
-                Ok(0) => {
-                    self.done = true;
-                    return;
+        while self.cursor == self.batch.len() && !self.done {
+            match self.rx.recv() {
+                Ok(Ok(batch)) => {
+                    self.batch = batch;
+                    self.cursor = 0;
                 }
-                Ok(_) => {
-                    self.lineno += 1;
-                    match parse_trace_line(&buf, self.lineno, self.last_t) {
-                        Ok(None) => continue,
-                        Ok(Some(job)) => {
-                            self.last_t = job.t;
-                            self.pending = Some(job);
-                            return;
-                        }
-                        Err(e) => {
-                            self.error = Some(e);
-                            self.done = true;
-                            return;
-                        }
+                Ok(Err(e)) => {
+                    self.error = Some(e);
+                    self.done = true;
+                }
+                Err(RecvError) => {
+                    self.done = true;
+                    if let Some(Err(panic)) = self.thread.take().map(JoinHandle::join) {
+                        std::panic::resume_unwind(panic);
                     }
-                }
-                Err(e) => {
-                    self.error = Some(ServeError::TraceIo {
-                        line: self.lineno + 1,
-                        retries: self.retries,
-                        source: e,
-                    });
-                    self.done = true;
-                    return;
                 }
             }
         }
@@ -241,11 +335,112 @@ impl LineTraceReader {
 impl ArrivalFeed for LineTraceReader {
     fn peek(&mut self, _prev_time: f64, _k: u64) -> Option<(f64, f64)> {
         self.fill();
-        self.pending.map(|j| (j.t, j.size))
+        self.batch.get(self.cursor).map(|j| (j.t, j.size))
     }
 
     fn advance(&mut self) {
-        self.pending = None;
+        self.cursor += 1;
+    }
+}
+
+/// The ingest thread's state. Its reading and sending methods return
+/// `None` once the thread should stop: the trace failed (the error has
+/// been sent) or the serve loop hung up.
+struct Ingest {
+    tx: SyncSender<IngestMsg>,
+    lineno: usize,
+    last_t: f64,
+    batch: Vec<Job>,
+}
+
+impl Ingest {
+    /// Reads `reader` to the end: parses the complete lines of each
+    /// buffer fill, sends the jobs, then reads again, carrying a partial
+    /// line over to the next fill.
+    fn run(
+        &mut self,
+        mut reader: Box<dyn BufRead + Send>,
+        retries: u32,
+        backoff_ms: u64,
+    ) -> Option<()> {
+        let mut carry = Vec::new();
+        let mut attempt = 0u32;
+        loop {
+            let buf = match reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) if attempt < retries => {
+                    attempt += 1;
+                    std::thread::sleep(Duration::from_millis(backoff_ms << (attempt - 1).min(6)));
+                    continue;
+                }
+                Err(source) => {
+                    let line = self.lineno + 1;
+                    return self.fail(ServeError::TraceIo { line, retries, source });
+                }
+            };
+            attempt = 0;
+            if buf.is_empty() {
+                // End of input; the last line may lack its newline.
+                if !carry.is_empty() {
+                    self.line(&carry)?;
+                }
+                return self.flush();
+            }
+            let filled = buf.len();
+            let mut rest = buf;
+            while let Some(eol) = rest.iter().position(|&c| c == b'\n') {
+                if carry.is_empty() {
+                    self.line(&rest[..eol])?;
+                } else {
+                    carry.extend_from_slice(&rest[..eol]);
+                    self.line(&carry)?;
+                    carry.clear();
+                }
+                rest = &rest[eol + 1..];
+            }
+            carry.extend_from_slice(rest);
+            reader.consume(filled);
+            self.flush()?;
+        }
+    }
+
+    /// Parses one line (without its newline) into the batch, sending the
+    /// batch when it is full.
+    fn line(&mut self, bytes: &[u8]) -> Option<()> {
+        self.lineno += 1;
+        let line = self.lineno;
+        let parsed = std::str::from_utf8(bytes)
+            .map_err(|source| ServeError::TraceUtf8 { line, source })
+            .and_then(|text| parse_trace_line(text, line, self.last_t));
+        match parsed {
+            Ok(None) => Some(()),
+            Ok(Some(job)) => {
+                self.last_t = job.t;
+                self.batch.push(job);
+                if self.batch.len() == INGEST_BATCH {
+                    self.flush()?;
+                }
+                Some(())
+            }
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// Sends the jobs parsed so far, if any.
+    fn flush(&mut self) -> Option<()> {
+        if self.batch.is_empty() {
+            return Some(());
+        }
+        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(INGEST_BATCH));
+        self.tx.send(Ok(full)).ok()
+    }
+
+    /// Sends the jobs before the failure, then the error; always `None`.
+    fn fail(&mut self, e: ServeError) -> Option<()> {
+        self.flush()?;
+        self.tx.send(Err(e)).ok()?;
+        None
     }
 }
 
@@ -755,15 +950,162 @@ mod tests {
     #[test]
     fn streamed_source_reports_the_offending_line() {
         let e = engine();
-        let text = "{\"t\": 0.0, \"size\": 1.0}\n{\"t\": 0.5, \"size\": -2.0}\n";
-        let stream = JobSource::Stream(RefCell::new(LineTraceReader::new(Box::new(
-            std::io::Cursor::new(text.to_string()),
-        ))));
-        let err = serve(&e, &jsq(), "JSQ(2)", &stream, &ServeOptions::default(), |_| {})
+        let opts = ServeOptions { seed: 4, report_every: 1, ..Default::default() };
+        // One good line, then more than two ingest batches of them.
+        for k in [1, 2 * INGEST_BATCH + 5] {
+            let jobs: Vec<Job> = (0..k).map(|i| Job { t: i as f64 / 1024.0, size: 1.0 }).collect();
+            let mut text: String = jobs.iter().map(|j| j.to_jsonl() + "\n").collect();
+            text.push_str("{\"t\": 9.0, \"size\": -2.0}\n");
+            let bad_line = format!("line {}", k + 1);
+
+            // The reader hands over all k jobs, then the error.
+            let mut reader = LineTraceReader::new(Box::new(std::io::Cursor::new(text.clone())));
+            let mut served = 0;
+            while let Some((t, _)) = reader.peek(0.0, 0) {
+                assert_eq!(t.to_bits(), jobs[served].t.to_bits());
+                reader.advance();
+                served += 1;
+            }
+            assert_eq!(served, k);
+            let err = reader.take_error().expect("the bad line must surface").to_string();
+            assert!(err.contains(&bad_line), "{err}");
+
+            // Served, every interval before the one admitting job k
+            // dispatches exactly what the buffered replay does.
+            let mut buffered = Vec::new();
+            serve(&e, &jsq(), "JSQ(2)", &JobSource::Trace(jobs.clone()), &opts, |t| {
+                buffered.push(t.clone())
+            })
+            .unwrap();
+            let stream = JobSource::Stream(RefCell::new(LineTraceReader::new(Box::new(
+                std::io::Cursor::new(text),
+            ))));
+            let mut streamed = Vec::new();
+            let err = serve(&e, &jsq(), "JSQ(2)", &stream, &opts, |t| streamed.push(t.clone()))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&bad_line), "{err}");
+            assert!(err.contains("positive"), "{err}");
+            let dt = e.config().dt;
+            assert_eq!(streamed.len(), (jobs[k - 1].t / dt).floor() as usize);
+            assert_eq!(streamed[..], buffered[..streamed.len()]);
+        }
+    }
+
+    /// A reader fed chunk by chunk over a channel: `fill_buf` blocks
+    /// until the next chunk arrives; the input ends when the sender hangs
+    /// up.
+    struct Gated {
+        rx: std::sync::mpsc::Receiver<Vec<u8>>,
+        chunk: Vec<u8>,
+        pos: usize,
+    }
+
+    impl Gated {
+        fn new(rx: std::sync::mpsc::Receiver<Vec<u8>>) -> Self {
+            Self { rx, chunk: Vec::new(), pos: 0 }
+        }
+    }
+
+    impl std::io::Read for Gated {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let buf = self.fill_buf()?;
+            let n = buf.len().min(out.len());
+            out[..n].copy_from_slice(&buf[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Gated {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            while self.pos == self.chunk.len() {
+                match self.rx.recv() {
+                    Ok(chunk) => (self.chunk, self.pos) = (chunk, 0),
+                    Err(_) => break,
+                }
+            }
+            Ok(&self.chunk[self.pos..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn streamed_jobs_are_not_held_back_behind_a_blocked_read() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        tx.send(b"{\"t\": 0.5, \"size\": 1.0}\n{\"t\": 0.75,".to_vec()).unwrap();
+        let mut reader = LineTraceReader::new(Box::new(Gated::new(rx)));
+        // The ingest thread now blocks reading the rest of line 2; line 1
+        // must already be available.
+        assert_eq!(reader.peek(0.0, 0), Some((0.5, 1.0)));
+        reader.advance();
+        tx.send(b" \"size\": 2.0}\n".to_vec()).unwrap();
+        assert_eq!(reader.peek(0.5, 1), Some((0.75, 2.0)), "a partial line carries over");
+        reader.advance();
+        drop(tx);
+        assert_eq!(reader.peek(0.75, 2), None);
+        assert!(reader.exhausted());
+        assert!(reader.take_error().is_none());
+    }
+
+    #[test]
+    fn max_jobs_returns_without_joining_a_blocked_ingest_thread() {
+        let e = engine();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let text: String =
+            (0..50).map(|i| Job { t: 0.1 * i as f64, size: 0.5 }.to_jsonl() + "\n").collect();
+        tx.send(text.into_bytes()).unwrap();
+        // `tx` stays alive, so after 50 lines the stream never ends: the
+        // ingest thread blocks on its next read for as long as the test
+        // runs.
+        let stream =
+            JobSource::Stream(RefCell::new(LineTraceReader::new(Box::new(Gated::new(rx)))));
+        let opts = ServeOptions { max_jobs: Some(30), seed: 5, ..Default::default() };
+        let report = serve(&e, &jsq(), "JSQ(2)", &stream, &opts, |_| {}).unwrap();
+        assert_eq!(report.jobs_arrived, 30);
+        assert_eq!(report.jobs_in_system, 0);
+        drop(stream);
+        drop(tx);
+    }
+
+    #[test]
+    fn streamed_non_utf8_line_is_an_error_naming_it() {
+        let text = b"{\"t\": 0.0, \"size\": 1.0}\n{\"t\": 0.5, \"size\": \xff1.0}\n{\"t\": 1.0, \"size\": 1.0}\n";
+        // A retry would sleep 2 s before reading on.
+        let reader =
+            LineTraceReader::with_retry(Box::new(std::io::Cursor::new(text.to_vec())), 3, 2000);
+        let stream = JobSource::Stream(RefCell::new(reader));
+        let start = Instant::now();
+        let err = serve(&engine(), &jsq(), "JSQ(2)", &stream, &ServeOptions::default(), |_| {})
             .unwrap_err()
             .to_string();
-        assert!(err.contains("line 2"), "{err}");
-        assert!(err.contains("positive"), "{err}");
+        assert!(err.contains("line 2") && err.contains("invalid UTF-8"), "{err}");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "the line must not be retried"
+        );
+    }
+
+    #[test]
+    fn scanner_decodes_numeric_objects_and_defers_the_rest() {
+        let job = Job { t: 0.1 + 0.2, size: 1e-7 };
+        assert_eq!(scan_job(&job.to_jsonl()), Some(job));
+        let reordered = " {\"size\" :2 ,\"x\":-1e3,\t\"t\": 7.5, \"t\": 9}";
+        assert_eq!(scan_job(reordered), Some(Job { t: 7.5, size: 2.0 }));
+        for deferred in [
+            "{\"\\u0074\": 1.0, \"size\": 1.0}",
+            "{\"t\": \"inf\", \"size\": 1.0}",
+            "{\"t\": 1.0, \"size\": 1.0, \"tag\": [1]}",
+            "{\"t\": 1.0}",
+            "{\"t\": 1.0, \"size\": 1.0} x",
+            "{\"t\": 1.0, \"size\": 1.0,}",
+            "{\"t\": 1.2.3, \"size\": 1.0}",
+        ] {
+            assert_eq!(scan_job(deferred), None, "{deferred}");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@ use mflb_core::meanfield::per_state_arrival_rates;
 use mflb_core::{DecisionRule, JobSizeLaw, StateDist, SystemConfig, Topology};
 use mflb_sim::aggregate::sample_client_assignments;
 use mflb_sim::{
-    run_episode, run_rng, serve, AggregateEngine, Engine, EventEngine, GraphEngine, Job, JobSource,
-    ServeOptions, Timeline,
+    parse_trace_line, run_episode, run_rng, serve, AggregateEngine, Engine, EventEngine,
+    GraphEngine, Job, JobSource, ServeError, ServeOptions, Timeline,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -519,5 +519,164 @@ proptest! {
         let a = run_episode(&a_engine, &policy, 10, &mut run_rng(seed, 0)).total_drops;
         let b = run_episode(&b_engine, &policy, 10, &mut run_rng(seed, 0)).total_drops;
         prop_assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+fn pick<'a>(rng: &mut TestRng, choices: &[&'a str]) -> &'a str {
+    choices[rng.gen_range(0..choices.len())]
+}
+
+/// A JSON number token the parser accepts: shortest-round-trip and
+/// exponent floats, and integers up to `i128::MAX`.
+fn number_token(rng: &mut TestRng) -> String {
+    match rng.gen_range(0..5) {
+        0 => format!("{}", rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..12))),
+        1 => format!("{:e}", rng.gen::<f64>() * 10f64.powi(rng.gen_range(-300..300))),
+        2 => rng.gen_range(0u64..100_000).to_string(),
+        3 => {
+            let x = f64::from_bits(rng.gen::<u64>());
+            if x.is_finite() {
+                format!("{x}")
+            } else {
+                "1.5".into()
+            }
+        }
+        _ => pick(
+            rng,
+            &[
+                "9223372036854775807",
+                "9223372036854775808",
+                "18446744073709551616",
+                "170141183460469231731687303715884105727",
+                "-170141183460469231731687303715884105728",
+                "123456789012345678901234567890",
+                "1.",
+                "-0.0",
+                "-0",
+                "0",
+                "1e5",
+                "1E+5",
+                "2.5e-3",
+                "1e400",
+                "-1e400",
+                "5e-324",
+                "3.0",
+            ],
+        )
+        .into(),
+    }
+}
+
+/// A member value: mostly numbers, sometimes tokens the parser rejects
+/// (integers past `i128::MAX`, malformed numbers), strings (including the
+/// non-finite sentinels), arrays, objects or literals.
+fn value_token(rng: &mut TestRng) -> String {
+    match rng.gen_range(0..12) {
+        0..=6 => number_token(rng),
+        7 => pick(
+            rng,
+            &[
+                "170141183460469231731687303715884105728",
+                "-170141183460469231731687303715884105729",
+                "1.2.3",
+                "--1",
+                "-",
+                "1-2",
+                "01",
+                "1e",
+                "0.1e+",
+                "-.5",
+            ],
+        )
+        .into(),
+        8 => pick(rng, &["\"NaN\"", "\"inf\"", "\"-inf\"", "\"1.0\"", "\"a\\\"b\"", "\"\""]).into(),
+        9 => pick(rng, &["[1, 2]", "[]", "{\"a\": 1}", "{}", "[\"x\", {\"t\": 1}]"]).into(),
+        _ => pick(rng, &["null", "true", "false", ".5", "+1", "nan", "inf", "\"t\""]).into(),
+    }
+}
+
+/// Strategy: one trace line near the `{"t": …, "size": …}` shape: a
+/// `Job::to_jsonl` line, a well-formed object of numeric members (any key
+/// order, duplicate and unknown keys), or an object with the
+/// perturbations the scanner must hand to `serde_json`.
+struct TraceLine;
+
+impl Strategy for TraceLine {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        let ws =
+            |rng: &mut TestRng| pick(rng, &["", "", "", " ", "\t", "  ", "\r", " \n ", "\u{c}"]);
+        if rng.gen_bool(0.2) {
+            let t = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-5..8));
+            let size = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-5..3));
+            let job = Job { t: if rng.gen_bool(0.1) { -t } else { t }, size };
+            let garbage = pick(rng, &["", "", "", "x", ",", "}", " 1", "\u{a0}"]);
+            return format!("{}{}{garbage}", ws(rng), job.to_jsonl());
+        }
+        let strict = rng.gen_bool(0.5);
+        let mut line = String::from(if strict { "" } else { pick(rng, &["", "", " ", "#", "x"]) });
+        line.push('{');
+        for i in 0..rng.gen_range(0..6) {
+            if i > 0 {
+                line.push_str(ws(rng));
+                line.push_str(if strict { "," } else { pick(rng, &[",", ",", ",", ";", ""]) });
+            }
+            let key = if strict {
+                pick(rng, &["t", "t", "size", "size", "x", "tt", "T", "siz", "é"])
+            } else {
+                pick(rng, &["t", "size", "size ", "\\u0074", "s\\u0069ze", "", "t\\\"", "é"])
+            };
+            let colon = if strict { ":" } else { pick(rng, &[":", ":", ":", ""]) };
+            line.push_str(&format!("{}\"{key}\"{}{colon}{}", ws(rng), ws(rng), ws(rng)));
+            line.push_str(&if strict { number_token(rng) } else { value_token(rng) });
+            line.push_str(ws(rng));
+        }
+        if strict {
+            line.push('}');
+            line.push_str(ws(rng));
+        } else {
+            line.push_str(pick(rng, &["}", "}", "}", ",}", ""]));
+            line.push_str(ws(rng));
+            line.push_str(pick(rng, &["", "", "", "x", ",", "}", " 1", "{}"]));
+        }
+        line
+    }
+}
+
+/// The reference: `serde_json::from_str::<Job>` on the trimmed line, then
+/// the trace validation, as `(t bits, size bits)` or the error message.
+fn reference_parse(raw: &str, lineno: usize, last_t: f64) -> Result<Option<(u64, u64)>, String> {
+    let line = raw.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let job: Job = serde_json::from_str(line)
+        .map_err(|source| ServeError::TraceParse { line: lineno, source }.to_string())?;
+    let err = if !(job.t.is_finite() && job.t >= 0.0) {
+        ServeError::ArrivalTime { line: lineno, t: job.t }
+    } else if job.t < last_t {
+        ServeError::ArrivalOrder { line: lineno, t: job.t, last_t }
+    } else if !(job.size > 0.0 && job.size.is_finite()) {
+        ServeError::JobSize { line: lineno, size: job.size }
+    } else {
+        return Ok(Some((job.t.to_bits(), job.size.to_bits())));
+    };
+    Err(err.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn trace_line_scanner_matches_the_serde_reference(
+        line in TraceLine,
+        lineno in 1usize..1_000_000,
+        last_t in (0usize..4).prop_map(|i| [0.0, -0.0, 0.5, 1e300][i]),
+    ) {
+        let got = parse_trace_line(&line, lineno, last_t)
+            .map(|job| job.map(|j| (j.t.to_bits(), j.size.to_bits())))
+            .map_err(|e| e.to_string());
+        prop_assert_eq!(got, reference_parse(&line, lineno, last_t), "line {:?}", line);
     }
 }

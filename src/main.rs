@@ -842,11 +842,12 @@ fn cmd_scv_compare() {
 /// human narration goes to stderr. Every malformed request — unknown
 /// policy tier, missing or unloadable checkpoint, bad numeric flag,
 /// malformed trace line — exits 2 *before* any simulation work starts;
+/// a bad line of a trace streamed from stdin exits 2 when it is reached;
 /// runtime failures exit 1.
 fn cmd_serve() {
     use mflb::core::{FaultPlan, JobSizeLaw};
     use mflb::sim::{
-        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeOptions,
+        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeError, ServeOptions,
     };
     use std::cell::RefCell;
 
@@ -1010,8 +1011,8 @@ fn cmd_serve() {
     };
 
     // The trace is read last: everything above this line is pre-flight.
-    // `--trace -` streams JSONL from stdin line by line (parsed lazily,
-    // with bounded retry-with-backoff on read errors).
+    // `--trace -` streams JSONL from stdin, parsed on an ingest thread
+    // (with bounded retry-with-backoff on read errors).
     let source = match arg("--trace").as_deref() {
         Some("-") => {
             let retries: u32 = strict("--ingest-retries").unwrap_or(3);
@@ -1068,7 +1069,14 @@ fn cmd_serve() {
             println!("{}", serde_json::to_string(tick).expect("tick serialization cannot fail"));
         },
     )
-    .unwrap_or_else(|e| fail(e.to_string()));
+    .unwrap_or_else(|e| match e {
+        ServeError::TraceParse { .. }
+        | ServeError::TraceUtf8 { .. }
+        | ServeError::ArrivalTime { .. }
+        | ServeError::ArrivalOrder { .. }
+        | ServeError::JobSize { .. } => fail_usage(e.to_string()),
+        _ => fail(e.to_string()),
+    });
     // Compact, so stdout stays strict JSONL: ticks, then this last line.
     println!("{}", serde_json::to_string(&report).expect("report serialization cannot fail"));
     eprintln!(

@@ -801,3 +801,79 @@ fn recorded_traces_replay_bit_identically_through_the_cli() {
     assert_eq!(a.drop_fraction.to_bits(), b.drop_fraction.to_bits());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `serve --trace -`: a recorded trace streamed over stdin serves exactly
+/// like the same file replayed with `--trace <file>`, and a streamed line
+/// that is not UTF-8 is an input error (exit 2) naming that line.
+#[test]
+fn stdin_stream_serves_like_the_file_replay() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join("mflb_cli_stdin_stream");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("recorded.jsonl");
+    let sys = ["--engine", "event", "--m", "20", "--n", "400", "--dt", "2"];
+    let run = ["--seed", "5", "--duration", "20", "--report-every", "1000"];
+
+    let out = mflb()
+        .args(["simulate"])
+        .args(sys)
+        .args(["--duration", "20", "--seed", "5", "--record-trace", trace.to_str().unwrap()])
+        .output()
+        .expect("run mflb simulate");
+    assert!(out.status.success(), "record failed: {}", String::from_utf8_lossy(&out.stderr));
+    let bytes = std::fs::read(&trace).unwrap();
+
+    let serve_stdin = |input: &[u8]| {
+        let mut child = mflb()
+            .args(["serve"])
+            .args(sys)
+            .args(["--trace", "-"])
+            .args(run)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn mflb serve");
+        // A serve that fails early may close stdin before all of it is
+        // written; its exit status tells.
+        let _ = child.stdin.take().unwrap().write_all(input);
+        child.wait_with_output().expect("wait for mflb serve")
+    };
+    let last_report = |out: &std::process::Output| {
+        assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        mflb::sim::ServeReport::from_json(stdout.lines().last().unwrap()).expect("report JSON")
+    };
+
+    let streamed = last_report(&serve_stdin(&bytes));
+    let replayed = last_report(
+        &mflb()
+            .args(["serve"])
+            .args(sys)
+            .args(["--trace", trace.to_str().unwrap()])
+            .args(run)
+            .output()
+            .expect("run mflb serve"),
+    );
+    assert_eq!(streamed.source, "stream");
+    assert_eq!(replayed.source, "trace");
+    assert!(streamed.jobs_arrived > 0);
+    let counts = |r: &mflb::sim::ServeReport| {
+        [r.jobs_arrived, r.jobs_completed, r.jobs_dropped, r.jobs_shed, r.jobs_in_system]
+    };
+    let times = |r: &mflb::sim::ServeReport| {
+        [r.drop_fraction, r.mean_sojourn, r.max_sojourn, r.sim_time].map(f64::to_bits)
+    };
+    assert_eq!(counts(&streamed), counts(&replayed));
+    assert_eq!(times(&streamed), times(&replayed));
+
+    let mut bad = b"{\"t\": 0.0, \"size\": 1.0}\n{\"t\": 0.5, \"size\": \xff}\n".to_vec();
+    bad.extend_from_slice(&bytes);
+    let out = serve_stdin(&bad);
+    assert_eq!(out.status.code(), Some(2), "a non-UTF-8 line is an input error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2") && stderr.contains("invalid UTF-8"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
