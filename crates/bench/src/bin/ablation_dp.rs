@@ -21,9 +21,7 @@
 //! quantifying the value of ν-feedback that the paper attributes to the
 //! learned policy.
 
-use mflb_bench::harness::{
-    arg_value, jsq_policy, mf_policy_for, print_table, rnd_policy, write_csv, Scale,
-};
+use mflb_bench::harness::{jsq_policy, mf_policy_for, print_table, rnd_policy, write_csv, Scale};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb_linalg::stats::Summary;
@@ -31,8 +29,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(13);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (grid_resolution, dt_grid, episodes): (usize, Vec<f64>, usize) = match scale {
         Scale::Quick => (8, vec![1.0, 5.0, 10.0], 12),
         Scale::Paper => (14, vec![1.0, 3.0, 5.0, 7.0, 10.0], 40),

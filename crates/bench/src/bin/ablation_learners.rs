@@ -20,7 +20,7 @@
 //! it matches or beats both; see `--scale paper` and the shipped
 //! `assets/policies` checkpoints).
 
-use mflb_bench::harness::{arg_value, jsq_policy, print_table, rnd_policy, write_csv, Scale};
+use mflb_bench::harness::{jsq_policy, print_table, rnd_policy, write_csv, Scale};
 use mflb_bench::training::ppo_config_for;
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::{MeanFieldMdp, SystemConfig};
@@ -34,8 +34,9 @@ use rand::SeedableRng;
 type Curve = Vec<(u64, f64)>;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(19);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let step_budget: u64 = match scale {
         Scale::Quick => 300_000,
         Scale::Paper => 5_000_000,

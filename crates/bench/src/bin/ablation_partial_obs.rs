@@ -20,7 +20,7 @@
 //! staleness costs roughly one Δt of the Fig. 5 degradation per epoch;
 //! hiding λ costs little at Δt = 5 (ν already encodes the load level).
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::partial::{ObservationModel, PartialObservationPolicy};
 use mflb_core::{MeanFieldMdp, SystemConfig, UpperPolicy};
 use mflb_dp::{ActionLibrary, DpConfig, DpSolution, GridPolicy};
@@ -46,8 +46,9 @@ fn evaluate_model(
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(17);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (grid_resolution, episodes) = match scale {
         Scale::Quick => (8usize, 12usize),
         Scale::Paper => (14, 40),

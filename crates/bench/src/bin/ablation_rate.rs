@@ -24,7 +24,7 @@
 //! estimate; fitted points whose gap is inside 2·SE are flagged (the
 //! bias is below measurement resolution there).
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::theory::conditioned_return;
 use mflb_core::SystemConfig;
@@ -35,8 +35,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(29);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (m_grid, n_runs, horizon): (Vec<usize>, usize, usize) = match scale {
         Scale::Quick => (vec![8, 16, 32, 64, 128], 400, 20),
         Scale::Paper => (vec![8, 16, 32, 64, 128, 256, 512], 1000, 50),

@@ -21,7 +21,7 @@
 //! advantage over JSQ(2) persists across SCV, and the finite system
 //! tracks the PH mean field.
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::{JobSizeLaw, PhMeanFieldMdp, SystemConfig};
 use mflb_linalg::stats::Summary;
@@ -54,8 +54,9 @@ fn tune_beta_ph(cfg: &SystemConfig, service: &PhaseType, horizon: usize, seed: u
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(11);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (n_runs, m) = match scale {
         Scale::Quick => (20, 50),
         Scale::Paper => (100, 200),

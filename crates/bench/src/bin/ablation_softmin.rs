@@ -14,16 +14,17 @@
 //! (the staler the information, the softer the optimal routing).
 
 use mflb_bench::harness::{
-    arg_value, checkpoint_path, jsq_policy, print_table, rnd_policy, write_csv, Scale,
+    jsq_policy, load_mf_checkpoint, print_table, rnd_policy, write_csv, Scale,
 };
 use mflb_core::{MeanFieldMdp, SystemConfig};
-use mflb_policy::{optimize_beta, NeuralUpperPolicy};
+use mflb_policy::optimize_beta;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(8);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let dt_grid = scale.dt_grid_fig5();
     let episodes = match scale {
         Scale::Quick => 40,
@@ -45,7 +46,7 @@ fn main() {
         let jsq_eval = mdp.evaluate(&jsq_policy(&cfg), horizon, episodes, &mut rng);
         let rnd_eval = mdp.evaluate(&rnd_policy(&cfg), horizon, episodes, &mut rng);
 
-        let (ppo_drops, feedback_gain) = match NeuralUpperPolicy::load(checkpoint_path(dt)) {
+        let (ppo_drops, feedback_gain) = match load_mf_checkpoint(&cfg) {
             Ok(p) => {
                 let e = mdp.evaluate(&p, horizon, episodes, &mut rng);
                 (format!("{:.2}", -e.mean()), format!("{:+.2}", -e.mean() - -soft_eval.mean()))

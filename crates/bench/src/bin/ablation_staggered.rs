@@ -23,7 +23,7 @@
 //! Arrivals are held at the constant high level so both architectures
 //! see identical offered load regardless of epoch length.
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::SystemConfig;
 use mflb_linalg::stats::welch_t_test;
@@ -32,8 +32,9 @@ use mflb_queue::ArrivalProcess;
 use mflb_sim::{monte_carlo, EngineSpec, Scenario};
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(23);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (n_runs, m, total_time) = match scale {
         Scale::Quick => (24usize, 20usize, 40.0f64),
         Scale::Paper => (100, 100, 100.0),

@@ -15,25 +15,25 @@
 //! beyond MF-JSQ(2) — is preserved.
 
 use mflb_bench::harness::{
-    arg_value, checkpoint_path, jsq_policy, print_table, rnd_policy, write_csv, Scale,
+    checkpoint_path, jsq_policy, load_mf_checkpoint, paper_config, print_table, rnd_policy,
+    write_csv, Scale,
 };
 use mflb_bench::training::{iterations_for, ppo_config_for};
-use mflb_core::{MeanFieldMdp, SystemConfig};
+use mflb_core::MeanFieldMdp;
 use mflb_rl::train_scenario;
 use mflb_sim::{EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_args();
-    let dt: f64 = arg_value("--dt").map(|v| v.parse().expect("--dt")).unwrap_or(5.0);
-    let threads: usize = arg_value("--threads").map(|v| v.parse().expect("--threads")).unwrap_or(8);
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(1);
-    let iters: usize = arg_value("--iters")
-        .map(|v| v.parse().expect("--iters"))
-        .unwrap_or_else(|| iterations_for(scale));
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let dt: f64 = args.get("--dt");
+    let threads: usize = args.get("--threads");
+    let seed: u64 = args.get("--seed");
+    let iters: usize = args.get_or("--iters", iterations_for(scale));
 
-    let config = SystemConfig::paper().with_dt(dt);
+    let config = paper_config(dt);
     let horizon = config.train_episode_len; // T = 500 epochs, as in Fig. 3
     let mdp = MeanFieldMdp::new(config.clone());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF163);
@@ -69,11 +69,7 @@ fn main() {
     if let Some(parent) = ckpt.parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    let existing = mflb_rl::TrainingCheckpoint::load(&ckpt)
-        .ok()
-        .and_then(|c| c.into_policy().ok())
-        .or_else(|| mflb_policy::NeuralUpperPolicy::load(&ckpt).ok());
-    let existing_better = match existing {
+    let existing_better = match load_mf_checkpoint(&config).ok() {
         Some(old) => {
             let old_eval = mdp.evaluate(&old, horizon, eval_episodes, &mut rng);
             old_eval.mean() >= final_eval.mean()

@@ -10,15 +10,16 @@
 //! dotted line) and one row per M with the finite-system estimate
 //! ("MF-NM") ± 95% CI, plus the absolute gap — the empirical Theorem 1.
 
-use mflb_bench::harness::{arg_value, mf_policy_for, print_table, write_csv, Scale};
+use mflb_bench::harness::{mf_policy_for, print_table, write_csv, Scale};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_sim::{monte_carlo, AggregateEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(4);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let n_runs = scale.n_runs();
     let m_grid = scale.m_grid_fig4();
     let dt_grid = scale.dt_grid_fig4();

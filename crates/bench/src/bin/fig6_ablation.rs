@@ -7,15 +7,14 @@
 //! cargo run -p mflb-bench --release --bin fig6_ablation -- [--scale quick|paper]
 //! ```
 
-use mflb_bench::harness::{
-    arg_value, jsq_policy, mf_policy_for, print_table, rnd_policy, write_csv, Scale,
-};
+use mflb_bench::harness::{jsq_policy, mf_policy_for, print_table, rnd_policy, write_csv, Scale};
 use mflb_core::SystemConfig;
 use mflb_sim::{monte_carlo, AggregateEngine};
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(6);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let n_runs = scale.n_runs();
     let dt_grid = scale.dt_grid_fig5();
     // (a) N = M = 1000; (b) N = 1000, M = 500.

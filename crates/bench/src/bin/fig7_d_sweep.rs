@@ -15,15 +15,16 @@
 //! samples concentrate the herd onto the same stale-shortest queues —
 //! while the tuned softmin degrades gracefully.
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::SystemConfig;
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
 use mflb_sim::{monte_carlo, AggregateEngine};
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(7);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let n_runs = scale.n_runs();
     let m = scale.m_grid_fig5()[0];
     let dt_grid: Vec<f64> = match scale {

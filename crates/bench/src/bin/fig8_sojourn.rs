@@ -19,7 +19,7 @@
 //! crossover, the tuned softmin tracks the lower envelope. p95 amplifies
 //! the effect (herding creates long-queue episodes that tail jobs eat).
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::SystemConfig;
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
@@ -34,8 +34,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(31);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
     let (n_runs, m) = match scale {
         Scale::Quick => (10usize, 50usize),
         Scale::Paper => (40, 200),

@@ -21,7 +21,7 @@
 //! mean-field column tracks the finite system to leading order (it is an
 //! annealed closure, so expect a several-percent bias on lattices).
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{paper_config, print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::{graph_mean_field_step, StateDist, SystemConfig, Topology};
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
@@ -56,9 +56,10 @@ fn mean_field_drops(
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(7);
-    let dt: f64 = arg_value("--dt").map(|v| v.parse().expect("--dt")).unwrap_or(5.0);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
+    let dt: f64 = args.get("--dt");
     let (m, n_runs, mf_episodes) = match scale {
         Scale::Quick => (50usize, 10usize, 6usize),
         Scale::Paper => (100, 60, 24),
@@ -68,7 +69,7 @@ fn main() {
         Scale::Paper => vec![Some(1), Some(2), Some(4), Some(8), Some(16), None],
     };
 
-    let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
+    let cfg = paper_config(dt).with_m_squared(m);
     let zs = cfg.num_states();
     let d = cfg.d;
     let horizon = cfg.eval_episode_len();

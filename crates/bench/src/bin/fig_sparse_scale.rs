@@ -16,7 +16,7 @@
 //! at the dense `|Z|^d` tuple space. The tracked-gate twin of this demo
 //! lives in `mflb bench --suite graph` (`BENCH_graph_quick.json`).
 
-use mflb_bench::harness::{arg_value, print_table, write_csv, Scale};
+use mflb_bench::harness::{print_table, write_csv, Scale};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::{SystemConfig, Topology};
 use mflb_policy::{optimize_beta, softmin_rule};
@@ -24,9 +24,10 @@ use mflb_sim::{run_episode, run_rng, GraphEngine};
 use std::time::Instant;
 
 fn main() {
-    let scale = Scale::from_args();
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(7);
-    let workers: usize = arg_value("--workers").map(|v| v.parse().expect("--workers")).unwrap_or(0);
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let seed: u64 = args.get("--seed");
+    let workers: usize = args.get("--workers");
     // (queues, torus side, epochs): torus sizes are the nearest squares.
     let cases: Vec<(usize, usize, usize)> = match scale {
         Scale::Quick => vec![(10_000, 100, 50), (100_000, 316, 10), (1_000_000, 1_000, 5)],

@@ -4,6 +4,8 @@ use mflb_bench::harness::{print_table, write_csv};
 use mflb_rl::PpoConfig;
 
 fn main() {
+    // No flags: anything on the command line is an error (exit 2).
+    mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
     let c = PpoConfig::paper();
     let rows: Vec<Vec<String>> = vec![
         vec!["γ".into(), "Discount factor".into(), format!("{}", c.gamma)],

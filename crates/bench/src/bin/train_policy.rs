@@ -13,31 +13,29 @@
 //! `mflb train` — so checkpoints produced here and by the CLI are
 //! interchangeable.
 
-use mflb_bench::harness::{arg_value, checkpoint_path, Scale};
+use mflb_bench::flags::{exit_failure, exit_usage};
+use mflb_bench::harness::{checkpoint_path, paper_config, Scale};
+use mflb_bench::inputs::{load_scenario, Checkpoint};
 use mflb_bench::training::{iterations_for, ppo_config_for};
-use mflb_core::{MeanFieldMdp, SystemConfig};
-use mflb_rl::{train_scenario_from, TrainingCheckpoint};
+use mflb_core::MeanFieldMdp;
+use mflb_rl::train_scenario_from;
 use mflb_sim::{EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::PathBuf;
 
 fn main() {
-    let scale = Scale::from_args();
-    let dt: f64 = arg_value("--dt").map(|v| v.parse().expect("--dt")).unwrap_or(5.0);
-    let threads: usize = arg_value("--threads").map(|v| v.parse().expect("--threads")).unwrap_or(8);
-    let seed: u64 = arg_value("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(1);
-    let iters: usize = arg_value("--iters")
-        .map(|v| v.parse().expect("--iters"))
-        .unwrap_or_else(|| iterations_for(scale));
-    let out =
-        arg_value("--out").map(std::path::PathBuf::from).unwrap_or_else(|| checkpoint_path(dt));
+    let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
+    let scale: Scale = args.get("--scale");
+    let dt: f64 = args.get("--dt");
+    let threads: usize = args.get("--threads");
+    let seed: u64 = args.get("--seed");
+    let iters: usize = args.get_or("--iters", iterations_for(scale));
+    let out = args.str("--out").map(PathBuf::from).unwrap_or_else(|| checkpoint_path(dt));
 
-    let scenario = match arg_value("--scenario") {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).expect("read scenario file");
-            Scenario::from_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
-        }
-        None => Scenario::new(SystemConfig::paper().with_dt(dt), EngineSpec::Aggregate),
+    let scenario = match args.str("--scenario") {
+        Some(path) => load_scenario(path).unwrap_or_else(|e| exit_usage(e)),
+        None => Scenario::new(paper_config(dt), EngineSpec::Aggregate),
     };
     println!(
         "training MF policy: scenario={:?} dt={} scale={} iters={iters} threads={threads} seed={seed}",
@@ -47,18 +45,15 @@ fn main() {
     );
 
     // Warm start: the versioned format, with the legacy PolicyCheckpoint as
-    // a fallback for old artifacts.
-    let init_net = arg_value("--init").map(|p| match TrainingCheckpoint::load(&p) {
-        Ok(c) => c.policy_net,
-        Err(_) => mflb_policy::NeuralUpperPolicy::load(&p)
-            .unwrap_or_else(|e| panic!("load --init {p}: {e}"))
-            .net()
-            .clone(),
+    // a fallback for old artifacts; the network must fit the scenario.
+    let init_net = args.str("--init").map(|p| {
+        let policy = Checkpoint::load(p).and_then(|c| c.fit(&scenario));
+        policy.unwrap_or_else(|e| exit_usage(format!("--init: {e}"))).net().clone()
     });
 
     let ppo = ppo_config_for(scale, threads);
     let result = train_scenario_from(&scenario, ppo, iters, seed, true, init_net.as_ref())
-        .expect("training failed");
+        .unwrap_or_else(|e| exit_failure(format!("training failed: {e}")));
 
     // Final deterministic evaluation in the limiting model (homogeneous
     // scenarios only; richer dynamics are evaluated by `mflb eval`).
@@ -74,7 +69,7 @@ fn main() {
         );
     }
 
-    result.checkpoint.save(&out).expect("save checkpoint");
+    result.checkpoint.save(&out).unwrap_or_else(|e| exit_failure(e));
     println!(
         "versioned checkpoint (format v{}, {} steps) written to {}",
         result.checkpoint.format_version,

@@ -1,6 +1,8 @@
 //! Shared experiment-harness utilities for the per-figure binaries.
 //!
-//! * [`Scale`] — every binary accepts `--scale quick|paper`; `quick`
+//! * [`BINARIES`] — the flag table of every binary, read through
+//!   [`args`].
+//! * [`Scale`] — every figure binary accepts `--scale quick|paper`; `quick`
 //!   shrinks Monte-Carlo counts and system-size grids so the suite runs in
 //!   minutes while preserving the qualitative shape, `paper` reproduces
 //!   Table 1 exactly.
@@ -9,11 +11,99 @@
 //!   otherwise the β-optimized softmin stand-in (clearly labelled).
 //! * table printing and CSV output under `target/experiments/`.
 
+use crate::flags::{exit_usage, Args, Command, Flag, Kind};
+use crate::inputs::Checkpoint;
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::SystemConfig;
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, NeuralUpperPolicy, SoftminPolicy};
+use mflb_sim::{EngineSpec, Scenario};
 use std::io::Write;
 use std::path::PathBuf;
+
+const SCALE: Flag = Flag::new(
+    "--scale",
+    Kind::Choice(&["quick", "paper", "full"]),
+    "experiment scale (full = paper)",
+)
+.default("quick");
+const DT: Flag = Flag::new("--dt", Kind::Number, "synchronization delay Δt").default("5");
+const THREADS: Flag = Flag::new("--threads", Kind::Count, "PPO rollout threads").default("8");
+const ITERS: Flag =
+    Flag::new("--iters", Kind::Count, "PPO iterations [default 120 quick, 6250 paper]");
+
+const fn seed(default: &'static str) -> Flag {
+    Flag::new("--seed", Kind::Count, "RNG seed").default(default)
+}
+
+const fn bin(name: &'static str, about: &'static str, flags: &'static [Flag]) -> Command {
+    Command { name, about, flags, groups: &[], positional: None }
+}
+
+/// The flag table of every binary in this crate.
+pub static BINARIES: &[Command] = &[
+    bin("ablation_dp", "learned policy vs the certified DP optimum", &[SCALE, seed("13")]),
+    bin("ablation_learners", "PPO vs REINFORCE vs CEM at equal budgets", &[SCALE, seed("19")]),
+    bin("ablation_partial_obs", "partially observed queue states", &[SCALE, seed("17")]),
+    bin("ablation_rate", "arrival-rate sweep", &[SCALE, seed("29")]),
+    bin("ablation_service_scv", "phase-type service variability", &[SCALE, seed("11")]),
+    bin("ablation_softmin", "softmin temperature ablation", &[SCALE, seed("8")]),
+    bin("ablation_staggered", "cohort-staggered refreshes", &[SCALE, seed("23")]),
+    bin("fig3_training", "Figure 3: PPO training curve", &[SCALE, DT, THREADS, seed("1"), ITERS]),
+    bin("fig4_convergence", "Figure 4: finite system -> mean field over M", &[SCALE, seed("4")]),
+    bin("fig5_delay_sweep", "Figure 5: MF vs JSQ(2) vs RND over Δt", &[SCALE, seed("5")]),
+    bin("fig6_ablation", "Figure 6: the N ⋡ M ablation", &[SCALE, seed("6")]),
+    bin("fig7_d_sweep", "Figure 7: sweep over the choice count d", &[SCALE, seed("7")]),
+    bin("fig8_sojourn", "Figure 8: job sojourn times", &[SCALE, seed("31")]),
+    bin("fig_locality", "drops vs dispatcher neighborhood size", &[SCALE, seed("7"), DT]),
+    bin(
+        "fig_sparse_scale",
+        "sharded sparse-graph epoch throughput",
+        &[
+            SCALE,
+            seed("7"),
+            Flag::new("--workers", Kind::Count, "shard worker threads (0 = all cores)")
+                .default("0"),
+        ],
+    ),
+    bin("table1_params", "Table 1: system parameters", &[]),
+    bin("table2_hyperparams", "Table 2: PPO hyper-parameters", &[]),
+    bin(
+        "train_policy",
+        "trains an MF policy with PPO and saves a versioned checkpoint",
+        &[
+            SCALE,
+            DT,
+            THREADS,
+            seed("1"),
+            ITERS,
+            Flag::new(
+                "--out",
+                Kind::Text,
+                "checkpoint path [default assets/policies/mf_dt<Δt>.json]",
+            ),
+            Flag::new("--scenario", Kind::Text, "scenario spec JSON (wins over --dt)"),
+            Flag::new("--init", Kind::Text, "warm-start from this checkpoint"),
+        ],
+    ),
+];
+
+/// Parses the process arguments against the table of binary `name`
+/// (`env!("CARGO_BIN_NAME")`); bad input exits with status 2.
+pub fn args(name: &str) -> Args {
+    let command = BINARIES
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("no flag table for binary {name}"));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    command.parse_or_exit(name, &argv)
+}
+
+/// The paper's configuration at `--dt`; an invalid Δt exits with status 2.
+pub fn paper_config(dt: f64) -> SystemConfig {
+    let config = SystemConfig { dt, ..SystemConfig::paper() };
+    config.validate().unwrap_or_else(|e| exit_usage(format!("--dt: {e}")));
+    config
+}
 
 /// Experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +114,14 @@ pub enum Scale {
     Paper,
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(value: &str) -> Result<Self, String> {
+        Scale::parse(value)
+    }
+}
+
 impl Scale {
     /// Parses a `--scale` value; unknown values are an error (no silent
     /// fallback).
@@ -32,19 +130,6 @@ impl Scale {
             "quick" => Ok(Scale::Quick),
             "paper" | "full" => Ok(Scale::Paper),
             other => Err(format!("unknown --scale value `{other}` (expected quick|paper)")),
-        }
-    }
-
-    /// Parses `--scale quick|paper` from the process arguments (default
-    /// quick). An unrecognized value prints an error and exits with
-    /// status 2 instead of silently falling back to `quick`.
-    pub fn from_args() -> Self {
-        match arg_value("--scale") {
-            None => Scale::Quick,
-            Some(v) => Scale::parse(&v).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }),
         }
     }
 
@@ -97,12 +182,6 @@ impl Scale {
     }
 }
 
-/// Returns an optional `--flag value` string argument.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
-}
-
 /// The directory where experiment CSVs are written.
 pub fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
@@ -147,34 +226,7 @@ pub fn mf_policy_for(config: &SystemConfig, search_horizon: usize, seed: u64) ->
 
     let path = checkpoint_path(config.dt);
     if path.exists() {
-        // Versioned training checkpoints first, legacy PolicyCheckpoint as
-        // fallback for pre-subsystem artifacts. Either way the network must
-        // fit *this* homogeneous configuration — the dt-keyed path may hold
-        // a checkpoint trained for a different engine kind or buffer, which
-        // would otherwise blow up inside `MeanFieldMdp::evaluate`.
-        use mflb_rl::PolicyShape;
-        use mflb_sim::{EngineSpec, Scenario};
-        let homog = Scenario::new(config.clone(), EngineSpec::Aggregate);
-        let shape = PolicyShape::for_scenario(&homog);
-        let loaded = mflb_rl::TrainingCheckpoint::load(&path)
-            .and_then(|c| c.validate_for(&homog).map(|()| c))
-            .and_then(|c| c.into_policy())
-            .or_else(|_| NeuralUpperPolicy::load(&path))
-            .and_then(|p| {
-                if p.net().input_dim() == shape.obs_dim() && p.net().output_dim() == shape.act_dim()
-                {
-                    Ok(p)
-                } else {
-                    Err(format!(
-                        "checkpoint network is {} -> {}, configuration needs {} -> {}",
-                        p.net().input_dim(),
-                        p.net().output_dim(),
-                        shape.obs_dim(),
-                        shape.act_dim()
-                    ))
-                }
-            });
-        match loaded {
+        match load_mf_checkpoint(config) {
             Ok(p) => {
                 let mdp = MeanFieldMdp::new(config.clone());
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5E1E);
@@ -202,6 +254,15 @@ pub fn mf_policy_for(config: &SystemConfig, search_horizon: usize, seed: u64) ->
         policy: Box::new(softmin),
         provenance: format!("softmin-beta*={:.3}", res.beta),
     }
+}
+
+/// The PPO checkpoint trained for `config.dt` (see [`checkpoint_path`]),
+/// in either checkpoint format. Its network must fit *this* homogeneous
+/// configuration: the dt-keyed path may hold a checkpoint trained for a
+/// different engine kind or buffer.
+pub fn load_mf_checkpoint(config: &SystemConfig) -> Result<NeuralUpperPolicy, String> {
+    let homog = Scenario::new(config.clone(), EngineSpec::Aggregate);
+    Checkpoint::load(&checkpoint_path(config.dt).to_string_lossy())?.fit(&homog)
 }
 
 /// The MF-JSQ(2) baseline as an upper-level policy.

@@ -1,7 +1,8 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §3 for the experiment index).
 //!
-//! Binaries (all accept `--scale quick|paper`):
+//! Binaries (every figure and ablation binary accepts `--scale
+//! quick|paper`; [`harness::BINARIES`] declares each one's flags):
 //!
 //! * `table1_params`, `table2_hyperparams` — the configuration tables,
 //! * `fig3_training` — PPO training curve vs MF-JSQ(2)/MF-RND baselines,
@@ -19,6 +20,8 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod chart;
+pub mod flags;
 pub mod harness;
+pub mod inputs;
 pub mod perf;
 pub mod training;

@@ -174,6 +174,12 @@ impl SystemConfig {
         if self.num_queues == 0 {
             return Err("num_queues must be at least 1".into());
         }
+        if self.num_clients == 0 {
+            return Err("num_clients must be at least 1".into());
+        }
+        if self.buffer == 0 {
+            return Err("buffer must be at least 1".into());
+        }
         if self.train_episode_len == 0 {
             return Err("train_episode_len must be at least 1".into());
         }

@@ -14,11 +14,14 @@
 //! * [`rl`] — hand-rolled PPO, REINFORCE and CEM,
 //! * [`dp`] — exact value iteration on the discretized MFC MDP,
 //! * [`bench`](mod@bench) — the paper-artifact harness and the tracked
-//!   perf suite behind `mflb bench`.
+//!   perf suite behind `mflb bench`,
+//! * [`cli`] — the flag table of every `mflb` subcommand.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+
+pub mod cli;
 
 pub use mflb_bench as bench;
 pub use mflb_core as core;

@@ -21,11 +21,22 @@
 //! downstream operator uses to train, evaluate and poke at a
 //! configuration. Invoking `mflb` with no subcommand or an unknown one
 //! prints the usage synopsis and exits with status 2.
+//!
+//! Each subcommand's flags are declared once in [`mflb::cli`]; the same
+//! tables parse the command line and render `mflb help`. Bad input (an
+//! unknown, repeated or unparseable flag, an invalid scenario, fault
+//! plan, checkpoint or trace) exits 2; a runtime failure, a `validate`
+//! verdict or a gate breach exits 1.
 
+use mflb::bench::flags::{self, exit_failure as fail, exit_usage as fail_usage, Args};
+use mflb::bench::inputs::{load_scenario, Checkpoint};
+use mflb::cli;
 use mflb::core::mdp::{FixedRulePolicy, UpperPolicy};
-use mflb::core::{MeanFieldMdp, SystemConfig};
+use mflb::core::{
+    check_rule_table, DecisionRule, FaultPlan, JobSizeLaw, MeanFieldMdp, SystemConfig, Topology,
+};
 use mflb::policy::{
-    jsq_rule, optimize_beta, rnd_rule, softmin_rule, InferenceConfig, NeuralUpperPolicy, TanhMode,
+    jsq_rule, lift_to_composite, optimize_beta, rnd_rule, softmin_rule, InferenceConfig, TanhMode,
 };
 use mflb::rl::{
     distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility, train_scenario,
@@ -34,130 +45,84 @@ use mflb::rl::{
 use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario, ServiceLaw};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::PathBuf;
 
-fn arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
+/// The neural inference tier (`--precision`, `--fast-math`), spelled
+/// identically across eval / simulate / serve / bench. `f64` (the default)
+/// is bit-compatible with training; `f32` converts the network weights
+/// once at load; `--fast-math` swaps libm tanh for the vectorizable
+/// rational approximation. Rule-table tiers ignore it.
+fn inference(args: &Args) -> InferenceConfig {
+    let tanh_mode = if args.has("--fast-math") { TanhMode::Fast } else { TanhMode::BitCompat };
+    InferenceConfig { tanh_mode, f32_weights: args.str("--precision") == Some("f32") }
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    arg(flag).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// `true` iff a valueless flag (e.g. `--quick`) is present.
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Worker-thread count for parallel fan-outs: `--workers` (the documented
-/// spelling, so CI perf runs pin their core count) with `--threads` kept
-/// as an alias.
-fn workers_flag(default: usize) -> usize {
-    parse("--workers", parse("--threads", default))
-}
-
-/// Shared `--precision f64|f32` / `--fast-math` parser: the neural
-/// inference tier, spelled identically across eval / simulate / serve /
-/// bench. `f64` (the default) is bit-compatible with training; `f32`
-/// converts the network weights once at load; `--fast-math` swaps libm
-/// tanh for the vectorizable rational approximation. Unknown values are
-/// usage errors (exit 2). Rule-table tiers (jsq/rnd/softmin/distilled)
-/// ignore the result.
-fn inference_flags() -> InferenceConfig {
-    let f32_weights = match arg("--precision").as_deref() {
-        None | Some("f64") => false,
-        Some("f32") => true,
-        Some(other) => fail_usage(format!("unknown --precision '{other}' (f64|f32)")),
-    };
-    let tanh_mode = if has_flag("--fast-math") { TanhMode::Fast } else { TanhMode::BitCompat };
-    InferenceConfig { tanh_mode, f32_weights }
-}
-
-/// Prints an error and exits with status 1 (runtime failure; status 2 is
-/// reserved for usage errors).
-fn fail(msg: impl AsRef<str>) -> ! {
-    eprintln!("error: {}", msg.as_ref());
-    std::process::exit(1);
-}
-
-/// Prints an error and exits with status 2 (usage error: the request
-/// itself is malformed or infeasible, not a runtime failure).
-fn fail_usage(msg: impl AsRef<str>) -> ! {
-    eprintln!("error: {}", msg.as_ref());
-    std::process::exit(2);
-}
-
-/// `--oracle-cache <dir>` with a `target/oracle` default; the literal
-/// value `none` disables checkpoint caching.
-fn oracle_cache_dir() -> Option<std::path::PathBuf> {
-    match arg("--oracle-cache").as_deref() {
-        Some("none") => None,
-        Some(dir) => Some(std::path::PathBuf::from(dir)),
-        None => Some(std::path::PathBuf::from("target/oracle")),
-    }
-}
-
-/// Assembles the oracle solve configuration from `--oracle-grid`,
-/// `--oracle-sweeps`, `--oracle-cache` and the worker flags.
-fn oracle_config_from_flags() -> OracleConfig {
+/// The oracle solve configuration: lattice resolution from `grid_flag`,
+/// `--oracle-sweeps`, `--oracle-cache` (`none` disables caching) and
+/// `--workers`.
+fn oracle_config(args: &Args, grid_flag: &str) -> OracleConfig {
     OracleConfig {
-        grid_resolution: parse("--oracle-grid", 8),
-        max_sweeps: parse("--oracle-sweeps", 4_000),
-        threads: workers_flag(0),
-        cache_dir: oracle_cache_dir(),
+        grid_resolution: args.get(grid_flag),
+        max_sweeps: args.get("--oracle-sweeps"),
+        threads: args.get("--workers"),
+        cache_dir: args.str("--oracle-cache").filter(|d| *d != "none").map(PathBuf::from),
         ..OracleConfig::default()
     }
 }
 
-fn build_config() -> SystemConfig {
-    let dt: f64 = parse("--dt", 5.0);
-    let m: usize = parse("--m", 100);
-    let n: u64 = parse("--n", (m as u64) * (m as u64));
-    let b: usize = parse("--buffer", 5);
-    let d: usize = parse("--d", 2);
-    SystemConfig::paper().with_dt(dt).with_buffer(b).with_d(d).with_size(n, m)
+/// The system flags as a validated [`SystemConfig`] (exit 2 when invalid).
+fn build_config(args: &Args) -> SystemConfig {
+    let m: usize = args.get("--m");
+    let buffer: usize = args.get("--buffer");
+    let d: usize = args.get("--d");
+    // The rule-table cap bounds B before ν₀ is allocated.
+    check_rule_table(buffer.saturating_add(1), d)
+        .unwrap_or_else(|e| fail_usage(format!("invalid system flags: {e}")));
+    let mut initial_dist = vec![0.0; buffer + 1];
+    initial_dist[0] = 1.0;
+    let config = SystemConfig {
+        dt: args.get("--dt"),
+        num_queues: m,
+        num_clients: args.get_or("--n", (m as u64).saturating_mul(m as u64)),
+        buffer,
+        initial_dist,
+        d,
+        ..SystemConfig::paper()
+    };
+    config.validate().unwrap_or_else(|e| fail_usage(format!("invalid system flags: {e}")));
+    config
 }
 
 /// Resolves the scenario: `--scenario <file>` wins; otherwise one is built
-/// from `--engine` plus the common flags.
-fn build_scenario() -> Scenario {
-    if let Some(path) = arg("--scenario") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-        let scenario =
-            Scenario::from_json(&text).unwrap_or_else(|e| fail(format!("parse {path}: {e}")));
-        if let Err(e) = scenario.validate() {
-            fail(format!("invalid scenario {path}: {e}"));
-        }
-        return scenario;
+/// from the engine and system flags. Either way it is validated (exit 2).
+fn build_scenario(args: &Args) -> Scenario {
+    if let Some(path) = args.str("--scenario") {
+        return load_scenario(path).unwrap_or_else(|e| fail_usage(e));
     }
-    let config = build_config();
-    let engine = match arg("--engine").as_deref().unwrap_or("aggregate") {
-        "aggregate" => EngineSpec::Aggregate,
-        "perclient" => EngineSpec::PerClient,
-        "staggered" => EngineSpec::Staggered { cohorts: parse("--cohorts", 4) },
-        "ph" => {
-            EngineSpec::Ph { service: ServiceLaw::MeanScv { mean: 1.0, scv: parse("--scv", 2.0) } }
+    let engine = match args.str("--engine") {
+        Some("perclient") => EngineSpec::PerClient,
+        Some("staggered") => EngineSpec::Staggered { cohorts: args.get("--cohorts") },
+        Some("ph") => {
+            EngineSpec::Ph { service: ServiceLaw::MeanScv { mean: 1.0, scv: args.get("--scv") } }
         }
-        "joblevel" => EngineSpec::JobLevel,
-        "graph" => EngineSpec::Graph { topology: build_topology(), shard_size: None },
-        "event" => EngineSpec::Event { job_size: build_job_size() },
-        other => fail(format!(
-            "unknown --engine '{other}' (aggregate|perclient|staggered|ph|joblevel|graph|event; \
-             heterogeneous pools need a --scenario file)"
-        )),
+        Some("joblevel") => EngineSpec::JobLevel,
+        Some("graph") => EngineSpec::Graph { topology: build_topology(args), shard_size: None },
+        Some("event") => EngineSpec::Event { job_size: build_job_size(args) },
+        _ => EngineSpec::Aggregate,
     };
-    Scenario::new(config, engine)
+    let scenario = Scenario::new(build_config(args), engine);
+    scenario.validate().unwrap_or_else(|e| fail_usage(format!("invalid engine flags: {e}")));
+    scenario
 }
 
-/// Applies `--faults <plan.json>` to a resolved scenario. A malformed or
-/// incompatible plan is a usage error (exit 2) caught before any
-/// simulation work; the flag overrides a scenario-embedded plan.
-fn apply_faults_flag(scenario: Scenario) -> Scenario {
-    let Some(path) = arg("--faults") else { return scenario };
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| fail_usage(format!("{path}: {e}")));
-    let plan = mflb::core::FaultPlan::from_json(&text)
-        .unwrap_or_else(|e| fail_usage(format!("parse {path}: {e}")));
+/// Applies `--faults <plan.json>` to the scenario whose engine will run
+/// it; the flag overrides a scenario-embedded plan. A malformed plan, or
+/// one that engine cannot honor, exits 2 before any simulation work.
+fn load_faults(args: &Args, scenario: Scenario) -> Scenario {
+    let Some(path) = args.str("--faults") else { return scenario };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail_usage(format!("{path}: {e}")));
+    let plan =
+        FaultPlan::from_json(&text).unwrap_or_else(|e| fail_usage(format!("parse {path}: {e}")));
     let faulted = scenario.with_faults(plan);
     if let Err(e) = faulted.validate() {
         fail_usage(format!("fault plan {path}: {e}"));
@@ -165,144 +130,120 @@ fn apply_faults_flag(scenario: Scenario) -> Scenario {
     faulted
 }
 
-/// Resolves `--topology` plus its parameters for `--engine graph`.
-fn build_topology() -> mflb::core::Topology {
-    use mflb::core::Topology;
-    match arg("--topology").as_deref().unwrap_or("ring") {
-        "ring" => Topology::Ring { radius: parse("--radius", 1) },
-        "torus" => Topology::Torus { radius: parse("--radius", 1) },
-        "random" => {
-            Topology::RandomRegular { degree: parse("--degree", 4), seed: parse("--graph-seed", 1) }
+/// `--topology` plus its parameters, for `--engine graph`.
+fn build_topology(args: &Args) -> Topology {
+    match args.str("--topology") {
+        Some("torus") => Topology::Torus { radius: args.get("--radius") },
+        Some("random") => {
+            Topology::RandomRegular { degree: args.get("--degree"), seed: args.get("--graph-seed") }
         }
-        "full" => Topology::FullMesh,
-        other => fail(format!(
-            "unknown --topology '{other}' (ring|torus|random|full; \
-             richer graphs need a --scenario file)"
-        )),
+        Some("full") => Topology::FullMesh,
+        _ => Topology::Ring { radius: args.get("--radius") },
     }
 }
 
-/// Resolves `--job-size` plus its parameters for `--engine event`.
-fn build_job_size() -> mflb::core::JobSizeLaw {
-    use mflb::core::JobSizeLaw;
-    match arg("--job-size").as_deref().unwrap_or("exp") {
-        "exp" => JobSizeLaw::Exponential { rate: parse("--job-rate", 1.0) },
-        "pareto" => JobSizeLaw::Pareto {
-            shape: parse("--job-shape", 2.0),
-            scale: parse("--job-scale", 0.5),
+/// `--job-size` plus its parameters, for `--engine event`.
+fn build_job_size(args: &Args) -> JobSizeLaw {
+    match args.str("--job-size") {
+        Some("pareto") => JobSizeLaw::Pareto {
+            shape: args.get_or("--job-shape", 2.0),
+            scale: args.get("--job-scale"),
         },
-        "bpareto" => JobSizeLaw::BoundedPareto {
-            shape: parse("--job-shape", 1.5),
-            lo: parse("--job-lo", 0.2),
-            hi: parse("--job-hi", 20.0),
+        Some("bpareto") => JobSizeLaw::BoundedPareto {
+            shape: args.get_or("--job-shape", 1.5),
+            lo: args.get("--job-lo"),
+            hi: args.get("--job-hi"),
         },
-        other => fail(format!(
-            "unknown --job-size '{other}' (exp|pareto|bpareto; richer laws need a --scenario file)"
-        )),
+        _ => JobSizeLaw::Exponential { rate: args.get("--job-rate") },
     }
 }
 
-/// Builds the `--policy` selection for a scenario. Rule-based baselines
-/// are lifted to the composite `(length, class)` space on heterogeneous
-/// pools; checkpoints are strictly validated against the scenario's shape.
-fn build_policy_for(scenario: &Scenario) -> Box<dyn UpperPolicy + Sync + Send> {
-    let name = arg("--policy").unwrap_or_else(|| "jsq".into());
-    // Parsed unconditionally so a typo'd --precision exits 2 on every tier.
-    let inference = inference_flags();
-    let config = &scenario.config;
-    let zs = config.num_states();
-    let classes = match &scenario.engine {
-        EngineSpec::Hetero { rates } => mflb::rl::hetero_classes(rates).1.len(),
-        _ => 1,
+/// A `--policy` tier with its checkpoint read, before it is fitted to a
+/// scenario (serve takes its scenario from the checkpoint).
+enum Tier {
+    Jsq,
+    Rnd,
+    Softmin(f64),
+    Neural(Checkpoint),
+    Distilled(String, Box<DistilledCheckpoint>),
+}
+
+/// Reads `--policy` (`default` when absent) and loads the checkpoint it
+/// names. A missing or unloadable checkpoint exits 2.
+fn load_policy(args: &Args, default: &str) -> Tier {
+    let tier = args.str("--policy").unwrap_or(default);
+    let path = || {
+        args.str("--checkpoint")
+            .unwrap_or_else(|| fail_usage(format!("--policy {tier} needs --checkpoint <path>")))
     };
-    let lift = |rule: mflb::core::DecisionRule| {
-        if classes > 1 {
-            mflb::policy::lift_to_composite(&rule, zs, classes)
-        } else {
-            rule
+    match tier {
+        "checkpoint" => Tier::Neural(Checkpoint::load(path()).unwrap_or_else(|e| fail_usage(e))),
+        "distilled" => Tier::Distilled(
+            path().to_string(),
+            Box::new(DistilledCheckpoint::load(path()).unwrap_or_else(|e| fail_usage(e))),
+        ),
+        "rnd" => Tier::Rnd,
+        "softmin" => Tier::Softmin(args.get("--beta")),
+        _ => Tier::Jsq,
+    }
+}
+
+impl Tier {
+    /// The scenario a checkpoint tier was trained or distilled on.
+    fn scenario(&self) -> Option<&Scenario> {
+        match self {
+            Tier::Neural(ckpt) => ckpt.scenario(),
+            Tier::Distilled(_, table) => Some(&table.scenario),
+            _ => None,
         }
-    };
-    match name.as_str() {
-        "jsq" => Box::new(FixedRulePolicy::new(lift(jsq_rule(zs, config.d)), "JSQ(d)")),
-        "rnd" => Box::new(FixedRulePolicy::new(lift(rnd_rule(zs, config.d)), "RND")),
-        "softmin" => {
-            let beta: f64 = parse("--beta", 1.0);
-            Box::new(FixedRulePolicy::new(
-                lift(softmin_rule(zs, config.d, beta)),
-                format!("SOFT({beta})"),
-            ))
-        }
-        "checkpoint" => {
-            let path = arg("--checkpoint").unwrap_or_else(|| {
-                fail("--policy checkpoint needs --checkpoint <path>");
-            });
-            // Versioned training checkpoints first, legacy format second.
-            match TrainingCheckpoint::load(&path) {
-                Ok(ckpt) => {
-                    ckpt.validate_for(scenario).unwrap_or_else(|e| {
-                        fail(format!("{path} does not fit this scenario: {e}"))
-                    });
-                    Box::new(
-                        ckpt.into_policy()
-                            .unwrap_or_else(|e| fail(format!("{path}: {e}")))
-                            .with_inference(inference),
-                    )
-                }
-                Err(versioned_err) => match NeuralUpperPolicy::load(&path) {
-                    Ok(p) => {
-                        // Legacy checkpoints carry no scenario; validate
-                        // their network dims against this scenario's shape
-                        // so a mismatch fails here, not inside an engine.
-                        let shape = mflb::rl::PolicyShape::for_scenario(scenario);
-                        if p.net().input_dim() != shape.obs_dim()
-                            || p.net().output_dim() != shape.act_dim()
-                        {
-                            fail(format!(
-                                "{path} does not fit this scenario: legacy checkpoint \
-                                 network is {} -> {}, scenario needs {} -> {}",
-                                p.net().input_dim(),
-                                p.net().output_dim(),
-                                shape.obs_dim(),
-                                shape.act_dim()
-                            ));
-                        }
-                        Box::new(p.with_inference(inference))
-                    }
-                    Err(legacy_err) => {
-                        fail(format!("load {path}: {versioned_err} (legacy format: {legacy_err})"))
-                    }
-                },
+    }
+
+    /// The policy for `scenario`. Rule-based baselines are lifted to the
+    /// composite `(length, class)` space on heterogeneous pools;
+    /// checkpoints must fit the scenario's shape (exit 2 otherwise).
+    fn build(self, args: &Args, scenario: &Scenario) -> Box<dyn UpperPolicy + Sync + Send> {
+        let (zs, d) = (scenario.config.num_states(), scenario.config.d);
+        let classes = match &scenario.engine {
+            EngineSpec::Hetero { rates } => mflb::rl::hetero_classes(rates).1.len(),
+            _ => 1,
+        };
+        let rule = |rule: DecisionRule, name: String| -> Box<dyn UpperPolicy + Sync + Send> {
+            let rule = if classes > 1 { lift_to_composite(&rule, zs, classes) } else { rule };
+            Box::new(FixedRulePolicy::new(rule, name))
+        };
+        match self {
+            Tier::Jsq => rule(jsq_rule(zs, d), "JSQ(d)".into()),
+            Tier::Rnd => rule(rnd_rule(zs, d), "RND".into()),
+            Tier::Softmin(beta) => rule(softmin_rule(zs, d, beta), format!("SOFT({beta})")),
+            Tier::Neural(ckpt) => Box::new(
+                ckpt.fit(scenario)
+                    .unwrap_or_else(|e| fail_usage(e))
+                    .with_inference(inference(args)),
+            ),
+            Tier::Distilled(path, table) => {
+                table.validate_for(scenario).unwrap_or_else(|e| {
+                    fail_usage(format!("{path} does not fit this scenario: {e}"))
+                });
+                Box::new(table.into_policy().unwrap_or_else(|e| fail_usage(format!("{path}: {e}"))))
             }
         }
-        "distilled" => {
-            let path = arg("--checkpoint").unwrap_or_else(|| {
-                fail("--policy distilled needs --checkpoint <path>");
-            });
-            let table = DistilledCheckpoint::load(&path).unwrap_or_else(|e| fail(e));
-            table
-                .validate_for(scenario)
-                .unwrap_or_else(|e| fail(format!("{path} does not fit this scenario: {e}")));
-            Box::new(table.into_policy().unwrap_or_else(|e| fail(format!("{path}: {e}"))))
-        }
-        other => {
-            eprintln!("unknown policy '{other}' (jsq|rnd|softmin|checkpoint|distilled)");
-            std::process::exit(2);
-        }
     }
 }
 
-/// Homogeneous-model variant of [`build_policy_for`] (the limiting-model
-/// subcommands have no engine spec).
-fn build_policy(config: &SystemConfig) -> Box<dyn UpperPolicy + Sync + Send> {
-    build_policy_for(&Scenario::new(config.clone(), EngineSpec::Aggregate))
+/// Writes `text` to `path`, creating its parent directories; a failure
+/// exits 1.
+fn write_out(path: &std::path::Path, text: &str) {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent).ok();
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| fail(format!("write {}: {e}", path.display())));
 }
 
 /// The CLI's PPO presets. `quick` is sized so `mflb train --scale quick`
 /// finishes in minutes on a laptop core while still clearing the RND
-/// baseline; `paper` is Table 2 verbatim.
+/// baseline; `paper` (alias `full`) is Table 2 verbatim.
 fn ppo_for_scale(scale: &str, threads: usize) -> (PpoConfig, usize) {
     let (mut ppo, iters) = match scale {
-        "paper" | "full" => (PpoConfig::paper(), 6250),
         "quick" => (
             PpoConfig {
                 gamma: 0.9,
@@ -318,30 +259,21 @@ fn ppo_for_scale(scale: &str, threads: usize) -> (PpoConfig, usize) {
             },
             60,
         ),
-        other => {
-            eprintln!("error: unknown --scale value `{other}` (expected quick|paper)");
-            std::process::exit(2);
-        }
+        _ => (PpoConfig::paper(), 6250),
     };
     ppo.rollout_threads = threads.max(1);
     (ppo, iters)
 }
 
-fn cmd_train() {
-    let scenario = apply_faults_flag(build_scenario());
-    let scale = arg("--scale").unwrap_or_else(|| "quick".into());
-    let threads: usize = workers_flag(1);
-    let seed: u64 = parse("--seed", 1);
-    let (ppo, default_iters) = ppo_for_scale(&scale, threads);
-    let iters: usize = parse("--iters", default_iters);
-    let out = arg("--out").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::path::PathBuf::from(format!(
-            "target/checkpoints/mf_{}_dt{}.json",
-            engine_slug(&scenario.engine),
-            scenario.config.dt
-        ))
-    });
-    let curve_path = arg("--curve").map(std::path::PathBuf::from).unwrap_or_else(|| {
+fn cmd_train(args: &Args) {
+    let scenario = load_faults(args, build_scenario(args));
+    let scale = args.str("--scale").unwrap_or("quick");
+    let threads: usize = args.get("--workers");
+    let seed: u64 = args.get("--seed");
+    let (ppo, default_iters) = ppo_for_scale(scale, threads);
+    let iters: usize = args.get_or("--iters", default_iters);
+    let out = out_path(args, "target/checkpoints/mf", &scenario);
+    let curve_path = args.str("--curve").map(PathBuf::from).unwrap_or_else(|| {
         let mut p = out.clone();
         p.set_extension("curve.json");
         p
@@ -371,12 +303,16 @@ fn cmd_train() {
     );
     let curve_json = serde_json::to_string_pretty(&result.checkpoint.curve)
         .expect("curve serialization cannot fail");
-    if let Some(parent) = curve_path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(&curve_path, curve_json).unwrap_or_else(|e| fail(format!("write curve: {e}")));
+    write_out(&curve_path, &curve_json);
     println!("training curve written to {}", curve_path.display());
     println!("next: mflb eval --checkpoint {}", out.display());
+}
+
+/// `--out`, or `<prefix>_<engine>_dt<Δt>.json`.
+fn out_path(args: &Args, prefix: &str, scenario: &Scenario) -> PathBuf {
+    let slug = engine_slug(&scenario.engine);
+    let default = || PathBuf::from(format!("{prefix}_{slug}_dt{}.json", scenario.config.dt));
+    args.str("--out").map_or_else(default, PathBuf::from)
 }
 
 fn engine_slug(spec: &EngineSpec) -> &'static str {
@@ -392,33 +328,38 @@ fn engine_slug(spec: &EngineSpec) -> &'static str {
     }
 }
 
-fn cmd_eval() {
-    let path = arg("--checkpoint").unwrap_or_else(|| fail("eval needs --checkpoint <path>"));
-    let ckpt = TrainingCheckpoint::load(&path).unwrap_or_else(|e| fail(e));
-    let scenario = apply_faults_flag(match arg("--scenario") {
-        Some(p) => {
-            let text = std::fs::read_to_string(&p).unwrap_or_else(|e| fail(format!("{p}: {e}")));
-            Scenario::from_json(&text).unwrap_or_else(|e| fail(format!("parse {p}: {e}")))
-        }
+/// The training checkpoint `--checkpoint` names and the scenario to run
+/// it on: `--scenario` when given, else the checkpoint's own. Bad input
+/// exits 2.
+fn load_trained(args: &Args) -> (TrainingCheckpoint, Scenario) {
+    let path = args.required("--checkpoint");
+    let ckpt = TrainingCheckpoint::load(path).unwrap_or_else(|e| fail_usage(e));
+    let scenario = match args.str("--scenario") {
+        Some(p) => load_scenario(p).unwrap_or_else(|e| fail_usage(e)),
         None => ckpt.scenario.clone(),
+    };
+    (ckpt, scenario)
+}
+
+fn cmd_eval(args: &Args) {
+    let (ckpt, scenario) = load_trained(args);
+    let scenario = load_faults(args, scenario);
+    let m_sweep: Vec<usize> = args.str("--m").map_or(Vec::new(), |v| {
+        v.split(',')
+            .map(|t| {
+                t.trim().parse().unwrap_or_else(|_| fail_usage(format!("bad --m entry '{t}'")))
+            })
+            .collect()
     });
-    let m_sweep: Vec<usize> = arg("--m")
-        .map(|v| {
-            v.split(',')
-                .map(|t| t.trim().parse().unwrap_or_else(|_| fail(format!("bad --m entry '{t}'"))))
-                .collect()
-        })
-        .unwrap_or_default();
-    let runs: usize = parse("--runs", 20);
-    let seed: u64 = parse("--seed", 1);
-    let threads: usize = workers_flag(0);
-    let inference = inference_flags();
-    let max_gap: Option<f64> = arg("--max-gap")
-        .map(|v| v.parse().unwrap_or_else(|_| fail_usage(format!("bad --max-gap value '{v}'"))));
+    let runs: usize = args.get("--runs");
+    let seed: u64 = args.get("--seed");
+    let threads: usize = args.get("--workers");
+    let inference = inference(args);
+    let max_gap: Option<f64> = args.opt("--max-gap");
 
     // `--max-gap` is meaningless without an oracle, so it implies one.
-    let oracle = if has_flag("--oracle") || max_gap.is_some() {
-        let cfg = oracle_config_from_flags();
+    let oracle = if args.has("--oracle") || max_gap.is_some() {
+        let cfg = oracle_config(args, "--oracle-grid");
         // Pre-flight: unsupported engines and oversized lattices are
         // usage errors (exit 2) caught before minutes of value iteration.
         if let Err(e) = oracle_feasibility(&scenario, &cfg) {
@@ -452,36 +393,33 @@ fn cmd_eval() {
             format!(", inference {}", inference.label())
         },
     );
-    let with_gap = report.oracle.is_some();
-    if with_gap {
-        println!(
-            "{:<16} {:>6} {:>10} {:>14} {:>10} {:>10} {:>9}",
-            "policy", "M", "N", "drops/queue", "±95%", "drop frac", "gap %"
-        );
-    } else {
-        println!(
-            "{:<16} {:>6} {:>10} {:>14} {:>10} {:>10}",
-            "policy", "M", "N", "drops/queue", "±95%", "drop frac"
-        );
-    }
+    // The gap column only exists when the oracle ran.
+    let gap = |cell: String| match report.oracle {
+        Some(_) => format!(" {cell:>9}"),
+        None => String::new(),
+    };
+    println!(
+        "{:<16} {:>6} {:>10} {:>14} {:>10} {:>10}{}",
+        "policy",
+        "M",
+        "N",
+        "drops/queue",
+        "±95%",
+        "drop frac",
+        gap("gap %".into())
+    );
     for row in &report.rows {
-        if with_gap {
-            println!(
-                "{:<16} {:>6} {:>10} {:>14.3} {:>10.3} {:>10.4} {:>9}",
-                row.policy,
-                row.m,
-                row.n,
-                row.mean_drops,
-                row.ci95,
-                row.drop_fraction,
-                row.gap_pct.map_or("-".into(), |g| format!("{g:+.2}")),
-            );
-        } else {
-            println!(
-                "{:<16} {:>6} {:>10} {:>14.3} {:>10.3} {:>10.4}",
-                row.policy, row.m, row.n, row.mean_drops, row.ci95, row.drop_fraction
-            );
-        }
+        let cell = row.gap_pct.map_or("-".into(), |g| format!("{g:+.2}"));
+        println!(
+            "{:<16} {:>6} {:>10} {:>14.3} {:>10.3} {:>10.4}{}",
+            row.policy,
+            row.m,
+            row.n,
+            row.mean_drops,
+            row.ci95,
+            row.drop_fraction,
+            gap(cell)
+        );
     }
     if let Some(o) = &report.oracle {
         println!(
@@ -506,17 +444,8 @@ fn cmd_eval() {
             println!("[check] WARNING: learned policy does not beat RND ({l:.3} >= {r:.3})");
         }
     }
-    let out = arg("--out").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::path::PathBuf::from(format!(
-            "target/experiments/eval_{}_dt{}.json",
-            engine_slug(&scenario.engine),
-            scenario.config.dt
-        ))
-    });
-    if let Some(parent) = out.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(&out, report.to_json()).unwrap_or_else(|e| fail(format!("write report: {e}")));
+    let out = out_path(args, "target/experiments/eval", &scenario);
+    write_out(&out, &report.to_json());
     println!("JSON table written to {}", out.display());
 
     // Regression gate (the bench-diff pattern): the worst learned-policy
@@ -542,24 +471,15 @@ fn cmd_eval() {
 /// `mflb distill`: project a trained checkpoint onto a tabular lattice
 /// policy (greedy-match against the softmin library + DP-polish sweep)
 /// and write the versioned [`DistilledCheckpoint`] artifact.
-fn cmd_distill() {
-    let path = arg("--checkpoint").unwrap_or_else(|| fail("distill needs --checkpoint <path>"));
-    let ckpt = TrainingCheckpoint::load(&path).unwrap_or_else(|e| fail(e));
-    let scenario = match arg("--scenario") {
-        Some(p) => {
-            let text = std::fs::read_to_string(&p).unwrap_or_else(|e| fail(format!("{p}: {e}")));
-            Scenario::from_json(&text).unwrap_or_else(|e| fail(format!("parse {p}: {e}")))
-        }
-        None => ckpt.scenario.clone(),
-    };
-    let mut oracle = oracle_config_from_flags();
+fn cmd_distill(args: &Args) {
+    let (ckpt, scenario) = load_trained(args);
     // `--grid` is the natural spelling here (mirrors dp-solve);
-    // --oracle-grid stays as the shared alias.
-    oracle.grid_resolution = parse("--grid", oracle.grid_resolution);
+    // --oracle-grid stays as its alias.
+    let oracle = oracle_config(args, "--grid");
     if let Err(e) = oracle_feasibility(&scenario, &oracle) {
         fail_usage(e);
     }
-    let config = DistillConfig { oracle, polish_slack: parse("--slack", 0.005) };
+    let config = DistillConfig { oracle, polish_slack: args.get("--slack") };
 
     let t0 = std::time::Instant::now();
     let result = distill_checkpoint(&ckpt, &scenario, &config).unwrap_or_else(|e| fail(e));
@@ -580,13 +500,7 @@ fn cmd_distill() {
         println!("note: {}", result.oracle.exactness.note());
     }
 
-    let out = arg("--out").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::path::PathBuf::from(format!(
-            "target/checkpoints/distilled_{}_dt{}.json",
-            engine_slug(&scenario.engine),
-            scenario.config.dt
-        ))
-    });
+    let out = out_path(args, "target/checkpoints/distilled", &scenario);
     table.save(&out).unwrap_or_else(|e| fail(e));
     println!(
         "distilled checkpoint (format v{}) written to {}",
@@ -596,15 +510,16 @@ fn cmd_distill() {
 
     // Deployment check: the table vs its source network in the scenario's
     // finite system (skippable with --runs 0).
-    let runs: usize = parse("--runs", 8);
+    let runs: usize = args.get("--runs");
     if runs > 0 {
-        let seed: u64 = parse("--seed", 1);
+        let seed: u64 = args.get("--seed");
+        let workers: usize = args.get("--workers");
         let engine = scenario.build().unwrap_or_else(|e| fail(e.to_string()));
         let horizon = scenario.config.eval_episode_len();
         let nn = ckpt.into_policy().unwrap_or_else(|e| fail(e));
         let tabular = table.into_policy().unwrap_or_else(|e| fail(e));
-        let mc_nn = monte_carlo(&engine, &nn, horizon, runs, seed, workers_flag(0));
-        let mc_tab = monte_carlo(&engine, &tabular, horizon, runs, seed, workers_flag(0));
+        let mc_nn = monte_carlo(&engine, &nn, horizon, runs, seed, workers);
+        let mc_tab = monte_carlo(&engine, &tabular, horizon, runs, seed, workers);
         println!(
             "finite-system check (M={}, {runs} runs): network {:.3} ± {:.3}, \
              table {:.3} ± {:.3} drops/queue",
@@ -618,18 +533,18 @@ fn cmd_distill() {
     println!("deploy it via --policy distilled --checkpoint {}", out.display());
 }
 
-fn cmd_simulate() {
-    let scenario = apply_faults_flag(build_scenario());
-    if let Some(path) = arg("--record-trace") {
-        record_trace(&scenario, &path);
+fn cmd_simulate(args: &Args) {
+    let scenario = load_faults(args, build_scenario(args));
+    if let Some(path) = args.str("--record-trace") {
+        record_trace(args, &scenario, path);
         return;
     }
     let config = scenario.config.clone();
-    let policy = build_policy_for(&scenario);
-    let runs: usize = parse("--runs", 20);
-    let seed: u64 = parse("--seed", 1);
+    let policy = load_policy(args, "jsq").build(args, &scenario);
+    let runs: usize = args.get("--runs");
+    let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len();
-    let workers = workers_flag(0);
+    let workers: usize = args.get("--workers");
     // Engine-internal workers (the sharded graph engine's shard fan-out;
     // never affects results) vs the Monte-Carlo run fan-out: a single
     // sharded run parallelizes inside the epoch, so keep the run pool
@@ -651,13 +566,13 @@ fn cmd_simulate() {
 /// loop once and dump every job the engine consumed — in the serve trace
 /// schema, in dispatch order — so `mflb serve --trace <out.jsonl>` at the
 /// same seed and duration replays the run bit for bit.
-fn record_trace(scenario: &Scenario, out: &str) {
+fn record_trace(args: &Args, scenario: &Scenario, out: &str) {
     use mflb::sim::{serve_with, EventEngine, JobSource, ServeOptions};
     let EngineSpec::Event { job_size } = &scenario.engine else {
         fail_usage("--record-trace needs an event-engine scenario (--engine event)");
     };
-    let seed: u64 = parse("--seed", 1);
-    let duration: f64 = parse("--duration", scenario.config.eval_time);
+    let seed: u64 = args.get("--seed");
+    let duration: f64 = args.get_or("--duration", scenario.config.eval_time);
     if !(duration > 0.0 && duration.is_finite()) {
         fail_usage(format!("--duration must be positive and finite, got {duration}"));
     }
@@ -665,7 +580,7 @@ fn record_trace(scenario: &Scenario, out: &str) {
     if let Some(plan) = &scenario.faults {
         engine = engine.with_faults(plan.clone());
     }
-    let policy = build_policy_for(scenario);
+    let policy = load_policy(args, "jsq").build(args, scenario);
     let opts = ServeOptions { duration: Some(duration), seed, ..Default::default() };
     let mut jobs = Vec::new();
     let report = serve_with(
@@ -684,10 +599,7 @@ fn record_trace(scenario: &Scenario, out: &str) {
         text.push_str(&job.to_jsonl());
         text.push('\n');
     }
-    if let Some(parent) = std::path::Path::new(out).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(out, text).unwrap_or_else(|e| fail(format!("write {out}: {e}")));
+    write_out(out.as_ref(), &text);
     println!(
         "recorded {} jobs over {:.1} time units to {out} (seed {seed}); replay with: \
          mflb serve --trace {out} --seed {seed} --duration {duration}",
@@ -696,11 +608,16 @@ fn record_trace(scenario: &Scenario, out: &str) {
     );
 }
 
-fn cmd_meanfield() {
-    let config = build_config();
-    let policy = build_policy(&config);
-    let episodes: usize = parse("--episodes", 100);
-    let seed: u64 = parse("--seed", 1);
+/// The `--policy` tier for the homogeneous limiting model of `config`.
+fn homogeneous_policy(args: &Args, config: &SystemConfig) -> Box<dyn UpperPolicy + Sync + Send> {
+    load_policy(args, "jsq").build(args, &Scenario::new(config.clone(), EngineSpec::Aggregate))
+}
+
+fn cmd_meanfield(args: &Args) {
+    let config = build_config(args);
+    let policy = homogeneous_policy(args, &config);
+    let episodes: usize = args.get("--episodes");
+    let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len();
     let mdp = MeanFieldMdp::new(config.clone());
     let mut rng = StdRng::seed_from_u64(seed);
@@ -713,10 +630,10 @@ fn cmd_meanfield() {
     );
 }
 
-fn cmd_compare() {
-    let config = build_config();
-    let runs: usize = parse("--runs", 20);
-    let seed: u64 = parse("--seed", 1);
+fn cmd_compare(args: &Args) {
+    let config = build_config(args);
+    let runs: usize = args.get("--runs");
+    let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len();
     let engine = AggregateEngine::new(config.clone());
     let zs = config.num_states();
@@ -739,9 +656,9 @@ fn cmd_compare() {
     }
 }
 
-fn cmd_tune_beta() {
-    let config = build_config();
-    let seed: u64 = parse("--seed", 1);
+fn cmd_tune_beta(args: &Args) {
+    let config = build_config(args);
+    let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len().min(150);
     let res = optimize_beta(&config, horizon, 10, seed);
     println!("Δt={}: β* = {:.3}  (mean-field return {:.3})", config.dt, res.beta, res.value);
@@ -753,10 +670,13 @@ fn cmd_tune_beta() {
     }
 }
 
-fn cmd_dp_solve() {
+fn cmd_dp_solve(args: &Args) {
     use mflb::dp::{ActionLibrary, DpConfig, DpSolution};
-    let config = build_config();
-    let grid: usize = parse("--grid", 8);
+    let config = build_config(args);
+    let grid: usize = args.get("--grid");
+    if grid == 0 {
+        fail_usage("--grid must be at least 1");
+    }
     let zs = config.num_states();
     let t0 = std::time::Instant::now();
     let dp_cfg = DpConfig { grid_resolution: grid, tol: 1e-6, max_sweeps: 4000, threads: 0 };
@@ -778,15 +698,15 @@ fn cmd_dp_solve() {
             sol.actions().name(sol.greedy_action(&nu0, l))
         );
     }
-    if let Some(path) = arg("--out") {
-        sol.save_json(&path).unwrap_or_else(|e| fail(e.to_string()));
+    if let Some(path) = args.str("--out") {
+        sol.save_json(path).unwrap_or_else(|e| fail(e.to_string()));
         println!("checkpoint written to {path}");
     }
 
     // Quick deployment check against the baselines in the limiting model.
     let mdp = MeanFieldMdp::new(config.clone());
     let horizon = config.eval_episode_len().min(120);
-    let mut rng = StdRng::seed_from_u64(parse("--seed", 1));
+    let mut rng = StdRng::seed_from_u64(args.get("--seed"));
     let policy = sol.into_policy();
     let v_dp = mdp.evaluate(&policy, horizon, 24, &mut rng).mean();
     let jsq = FixedRulePolicy::new(jsq_rule(config.num_states(), config.d), "JSQ");
@@ -794,23 +714,24 @@ fn cmd_dp_solve() {
     println!("mean-field return over {horizon} epochs: DP {v_dp:.2} vs JSQ(d) {v_jsq:.2}");
 }
 
-fn cmd_scv_compare() {
+fn cmd_scv_compare(args: &Args) {
     use mflb::core::PhMeanFieldMdp;
-    use mflb::queue::PhaseType;
-    use mflb::sim::{monte_carlo, PhAggregateEngine};
-    let config = build_config();
-    let scv: f64 = parse("--scv", 2.0);
-    let runs: usize = parse("--runs", 16);
-    let seed: u64 = parse("--seed", 1);
+    use mflb::sim::PhAggregateEngine;
+    let config = build_config(args);
+    let scv: f64 = args.get("--scv");
+    let runs: usize = args.get("--runs");
+    let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len();
-    let service = PhaseType::fit_mean_scv(1.0 / config.service_rate, scv);
+    let service = ServiceLaw::MeanScv { mean: 1.0 / config.service_rate, scv }
+        .build()
+        .unwrap_or_else(|e| fail_usage(format!("--scv: {e}")));
     println!(
         "service: mean {:.3}, SCV {:.3}, {} phases (two-moment PH fit)",
         service.mean(),
         service.scv(),
         service.num_phases()
     );
-    let policy = build_policy(&config);
+    let policy = homogeneous_policy(args, &config);
 
     let mdp = PhMeanFieldMdp::new(config.clone(), service.clone());
     let mut rng = StdRng::seed_from_u64(seed);
@@ -844,101 +765,55 @@ fn cmd_scv_compare() {
 /// malformed trace line — exits 2 *before* any simulation work starts;
 /// a bad line of a trace streamed from stdin exits 2 when it is reached;
 /// runtime failures exit 1.
-fn cmd_serve() {
-    use mflb::core::{FaultPlan, JobSizeLaw};
+fn cmd_serve(args: &Args) {
     use mflb::sim::{
         parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeError, ServeOptions,
     };
     use std::cell::RefCell;
 
-    // Strict flag parsing: serve is the deployment surface, so a typo'd
-    // value must die with exit 2 instead of silently running a default.
-    fn strict<T: std::str::FromStr>(flag: &str) -> Option<T> {
-        arg(flag)
-            .map(|v| v.parse().unwrap_or_else(|_| fail_usage(format!("bad {flag} value '{v}'"))))
-    }
-
-    // With a --checkpoint but no explicit tier, serving the checkpoint is
-    // what the caller meant — defaulting to jsq would silently ignore it.
-    let ckpt_path = arg("--checkpoint");
-    let default_tier = if ckpt_path.is_some() { "checkpoint" } else { "jsq" };
-    let policy_name = arg("--policy").unwrap_or_else(|| default_tier.into());
-    if !matches!(policy_name.as_str(), "jsq" | "rnd" | "softmin" | "checkpoint" | "distilled") {
-        fail_usage(format!(
-            "unknown --policy '{policy_name}' (jsq|rnd|softmin|checkpoint|distilled)"
-        ));
-    }
-    let inference = inference_flags();
-    let max_jobs: Option<u64> = strict("--max-jobs");
+    let max_jobs: Option<u64> = args.opt("--max-jobs");
     if max_jobs == Some(0) {
         fail_usage("--max-jobs must be at least 1");
     }
-    let duration: Option<f64> = strict("--duration");
+    let duration: Option<f64> = args.opt("--duration");
     if let Some(t) = duration {
         if !t.is_finite() || t <= 0.0 {
             fail_usage(format!("--duration must be positive and finite, got {t}"));
         }
     }
-    let report_every: usize = strict("--report-every").unwrap_or(10);
+    let report_every: usize = args.get("--report-every");
     if report_every == 0 {
         fail_usage("--report-every must be at least 1");
     }
-    let seed: u64 = strict("--seed").unwrap_or(1);
+    let seed: u64 = args.get("--seed");
 
     // Graceful-degradation knobs: bounded admission plus the staleness
     // watchdog (which needs a static tier to fall back to).
-    let admission_cap: Option<u64> = strict("--admission-cap");
+    let admission_cap: Option<u64> = args.opt("--admission-cap");
     if admission_cap == Some(0) {
         fail_usage("--admission-cap must be at least 1");
     }
-    let staleness_threshold: Option<u64> = strict("--staleness-threshold");
+    let staleness_threshold: Option<u64> = args.opt("--staleness-threshold");
     if staleness_threshold == Some(0) {
         fail_usage("--staleness-threshold must be at least 1");
     }
-    let fallback_name = arg("--fallback");
-    match (&staleness_threshold, &fallback_name) {
+    match (staleness_threshold, args.str("--fallback")) {
         (Some(_), None) => fail_usage("--staleness-threshold needs --fallback jsq|softmin"),
         (None, Some(_)) => fail_usage("--fallback needs --staleness-threshold <intervals>"),
         _ => {}
     }
 
-    // Checkpoint tiers load (and shape-validate) before the trace is
-    // touched, so a wrong path fails in milliseconds, not after I/O.
-    let needs_ckpt = matches!(policy_name.as_str(), "checkpoint" | "distilled");
-    if needs_ckpt && ckpt_path.is_none() {
-        fail_usage(format!("--policy {policy_name} needs --checkpoint <path>"));
-    }
-    let mut loaded_train: Option<TrainingCheckpoint> = None;
-    let mut loaded_distilled: Option<DistilledCheckpoint> = None;
-    match policy_name.as_str() {
-        "checkpoint" => {
-            let path = ckpt_path.as_deref().expect("checked above");
-            loaded_train = Some(TrainingCheckpoint::load(path).unwrap_or_else(|e| fail_usage(e)));
-        }
-        "distilled" => {
-            let path = ckpt_path.as_deref().expect("checked above");
-            loaded_distilled =
-                Some(DistilledCheckpoint::load(path).unwrap_or_else(|e| fail_usage(e)));
-        }
-        _ => {}
-    }
+    // With a --checkpoint but no explicit tier, serving the checkpoint is
+    // what the caller meant — defaulting to jsq would silently ignore it.
+    // Checkpoints load before the trace is touched, so a wrong path fails
+    // in milliseconds, not after I/O.
+    let tier = load_policy(args, if args.has("--checkpoint") { "checkpoint" } else { "jsq" });
 
     // Scenario resolution: --scenario wins, then the checkpoint's
-    // embedded scenario, then the common engine flags.
-    let scenario = if let Some(p) = arg("--scenario") {
-        let text = std::fs::read_to_string(&p).unwrap_or_else(|e| fail_usage(format!("{p}: {e}")));
-        let s =
-            Scenario::from_json(&text).unwrap_or_else(|e| fail_usage(format!("parse {p}: {e}")));
-        if let Err(e) = s.validate() {
-            fail_usage(format!("invalid scenario {p}: {e}"));
-        }
-        s
-    } else if let Some(c) = &loaded_train {
-        c.scenario.clone()
-    } else if let Some(c) = &loaded_distilled {
-        c.scenario.clone()
-    } else {
-        build_scenario()
+    // embedded scenario, then the engine and system flags.
+    let scenario = match (args.has("--scenario"), tier.scenario()) {
+        (false, Some(embedded)) => embedded.clone(),
+        _ => build_scenario(args),
     };
 
     // Any homogeneous scenario serves: non-event engines adopt the event
@@ -953,70 +828,36 @@ fn cmd_serve() {
         ),
         _ => JobSizeLaw::Exponential { rate: 1.0 },
     };
-
-    let zs = scenario.config.num_states();
-    let d = scenario.config.d;
-    let policy: Box<dyn UpperPolicy + Sync + Send> = match policy_name.as_str() {
-        "jsq" => Box::new(FixedRulePolicy::new(jsq_rule(zs, d), "JSQ(d)")),
-        "rnd" => Box::new(FixedRulePolicy::new(rnd_rule(zs, d), "RND")),
-        "softmin" => {
-            let beta: f64 = strict("--beta").unwrap_or(1.0);
-            Box::new(FixedRulePolicy::new(softmin_rule(zs, d, beta), format!("SOFT({beta})")))
-        }
-        "checkpoint" => {
-            let ckpt = loaded_train.take().expect("loaded above");
-            ckpt.validate_for(&scenario).unwrap_or_else(|e| {
-                fail_usage(format!("checkpoint does not fit this scenario: {e}"))
-            });
-            Box::new(ckpt.into_policy().unwrap_or_else(|e| fail_usage(e)).with_inference(inference))
-        }
-        "distilled" => {
-            let table = loaded_distilled.take().expect("loaded above");
-            table.validate_for(&scenario).unwrap_or_else(|e| {
-                fail_usage(format!("checkpoint does not fit this scenario: {e}"))
-            });
-            Box::new(table.into_policy().unwrap_or_else(|e| fail_usage(e)))
-        }
-        _ => unreachable!("tier validated above"),
-    };
+    let policy = tier.build(args, &scenario);
 
     // The fallback tier is static by design: it must keep working when
     // the observation channel (which checkpoint policies lean on) stalls.
-    let fallback: Option<Box<dyn UpperPolicy + Sync + Send>> = match fallback_name.as_deref() {
+    let (zs, d) = (scenario.config.num_states(), scenario.config.d);
+    let fallback: Option<Box<dyn UpperPolicy + Sync + Send>> = match args.str("--fallback") {
         None => None,
-        Some("jsq") => Some(Box::new(FixedRulePolicy::new(jsq_rule(zs, d), "JSQ(d) fallback"))),
         Some("softmin") => {
-            let beta: f64 = strict("--fallback-beta").unwrap_or(1.0);
+            let beta: f64 = args.get("--fallback-beta");
             Some(Box::new(FixedRulePolicy::new(
                 softmin_rule(zs, d, beta),
                 format!("SOFT({beta}) fallback"),
             )))
         }
-        Some(other) => fail_usage(format!("unknown --fallback '{other}' (jsq|softmin)")),
+        Some(_) => Some(Box::new(FixedRulePolicy::new(jsq_rule(zs, d), "JSQ(d) fallback"))),
     };
 
-    // Fault plan: the --faults flag wins, a scenario-embedded plan rides
-    // along otherwise. Validated (exit 2) before the trace is touched.
-    let fault_plan = match arg("--faults") {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail_usage(format!("{path}: {e}")));
-            let plan = FaultPlan::from_json(&text)
-                .unwrap_or_else(|e| fail_usage(format!("parse {path}: {e}")));
-            plan.validate_for(scenario.config.num_queues)
-                .unwrap_or_else(|e| fail_usage(format!("fault plan {path}: {e}")));
-            Some(plan)
-        }
-        None => scenario.faults.clone(),
-    };
+    // The fault plan runs on the event engine, so that is what it is
+    // validated against: the --faults flag wins, a scenario-embedded plan
+    // rides along otherwise.
+    let engine_spec = EngineSpec::Event { job_size: job_size.clone() };
+    let scenario = load_faults(args, Scenario { engine: engine_spec, ..scenario });
 
     // The trace is read last: everything above this line is pre-flight.
     // `--trace -` streams JSONL from stdin, parsed on an ingest thread
     // (with bounded retry-with-backoff on read errors).
-    let source = match arg("--trace").as_deref() {
+    let source = match args.str("--trace") {
         Some("-") => {
-            let retries: u32 = strict("--ingest-retries").unwrap_or(3);
-            let backoff_ms: u64 = strict("--ingest-backoff-ms").unwrap_or(50);
+            let retries: u32 = args.get("--ingest-retries");
+            let backoff_ms: u64 = args.get("--ingest-backoff-ms");
             JobSource::Stream(RefCell::new(LineTraceReader::with_retry(
                 Box::new(std::io::BufReader::new(std::io::stdin())),
                 retries,
@@ -1034,11 +875,12 @@ fn cmd_serve() {
     };
 
     let mut engine = EventEngine::new(scenario.config.clone(), job_size);
-    if let Some(plan) = fault_plan {
+    if let Some(plan) = scenario.faults {
         engine = engine.with_faults(plan);
     }
     let opts =
         ServeOptions { max_jobs, duration, report_every, seed, admission_cap, staleness_threshold };
+    let inference = inference(args);
     eprintln!(
         "serving: M={} B={} d={} Δt={} sizes={:?} policy={} source={} seed={seed}{}{}{}{}",
         scenario.config.num_queues,
@@ -1099,41 +941,31 @@ fn cmd_serve() {
             report.observation_dropped, report.fallback_activations, report.fallback_intervals,
         );
     }
-    if let Some(out) = arg("--out") {
-        if let Some(parent) = std::path::Path::new(&out).parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        std::fs::write(&out, report.to_json())
-            .unwrap_or_else(|e| fail(format!("write {out}: {e}")));
+    if let Some(out) = args.str("--out") {
+        write_out(out.as_ref(), &report.to_json());
         eprintln!("final report written to {out}");
     }
 }
 
 /// Runs the tracked perf suite ([`mflb::bench::perf`]) and writes the
 /// `BENCH_kernels.json` trajectory file.
-fn cmd_bench() {
-    let quick = has_flag("--quick");
-    let workers: usize = workers_flag(1);
-    // Same spelling as eval/simulate/serve so a typo'd value exits 2 here
-    // too; the kernel suite itself times every inference tier regardless.
-    if inference_flags() != InferenceConfig::default() {
+fn cmd_bench(args: &Args) {
+    let quick = args.has("--quick");
+    let workers: usize = args.get("--workers");
+    // Same spelling as eval/simulate/serve; the kernel suite itself times
+    // every inference tier regardless.
+    if inference(args) != InferenceConfig::default() {
         eprintln!("note: the perf suites time every inference tier; --precision/--fast-math do not narrow them");
     }
-    let suite = arg("--suite").unwrap_or_else(|| "kernels".into());
-    let default_out = match suite.as_str() {
-        "kernels" => "BENCH_kernels.json",
-        "graph" => "BENCH_graph.json",
-        "serve" => "BENCH_serve.json",
-        other => fail_usage(format!("unknown bench suite '{other}' (kernels | graph | serve)")),
-    };
-    let out = arg("--out").unwrap_or_else(|| default_out.into());
+    let suite = args.str("--suite").unwrap_or("kernels");
+    let out = args.str("--out").map_or_else(|| format!("BENCH_{suite}.json"), String::from);
     println!(
         "perf suite '{suite}': {} scale, {workers} worker(s) — pinned seeds, \
          wall-clock + throughput",
         if quick { "quick" } else { "full" }
     );
     let t0 = std::time::Instant::now();
-    let report = match suite.as_str() {
+    let report = match suite {
         "graph" => mflb::bench::perf::run_graph_suite(quick, workers),
         "serve" => mflb::bench::perf::run_serve_suite(quick, workers),
         _ => mflb::bench::perf::run_suite(quick, workers),
@@ -1154,10 +986,7 @@ fn cmd_bench() {
             e.speedup.map_or("-".into(), |s| format!("{s:.2}x")),
         );
     }
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    std::fs::write(&out, report.to_json()).unwrap_or_else(|e| fail(format!("write {out}: {e}")));
+    write_out(out.as_ref(), &report.to_json());
     println!("suite finished in {:.1}s; JSON written to {out}", t0.elapsed().as_secs_f64());
 }
 
@@ -1165,11 +994,10 @@ fn cmd_bench() {
 /// gate): parse, semantic validation and a full engine build for each.
 /// Exit 0 iff every file passes; any failure is reported per file and
 /// turns the run into exit 1.
-fn cmd_validate() {
-    let files: Vec<String> = std::env::args().skip(2).filter(|a| !a.starts_with("--")).collect();
+fn cmd_validate(args: &Args) {
+    let files = &args.positional;
     if files.is_empty() {
-        eprintln!("usage: mflb validate <scenario.json> [more.json ...]");
-        std::process::exit(2);
+        fail_usage("usage: mflb validate <scenario.json> [more.json ...]");
     }
     // Above this many queues a full engine build materializes a
     // multi-megabyte CSR topology per file; semantic validation
@@ -1178,7 +1006,7 @@ fn cmd_validate() {
     // without materializing the graph.
     const BUILD_MAX_QUEUES: usize = 200_000;
     let mut failures = 0usize;
-    for path in &files {
+    for path in files {
         let verdict = std::fs::read_to_string(path)
             .map_err(|e| format!("read: {e}"))
             .and_then(|text| Scenario::from_json(&text).map_err(|e| format!("parse: {e}")))
@@ -1220,17 +1048,16 @@ fn cmd_validate() {
 /// the markdown table on stdout (CI pipes it into
 /// `$GITHUB_STEP_SUMMARY`); exits 1 when any tracked kernel regressed
 /// past `--max-ratio` (default 1.3).
-fn cmd_bench_diff() {
+fn cmd_bench_diff(args: &Args) {
     use mflb::bench::perf::{compare_reports, BenchReport};
-    let baseline_path = arg("--baseline").unwrap_or_else(|| "BENCH_kernels.json".into());
-    let fresh_path =
-        arg("--fresh").unwrap_or_else(|| fail("bench-diff needs --fresh <report.json>"));
-    let max_ratio: f64 = parse("--max-ratio", 1.3);
+    let baseline_path = args.required("--baseline");
+    let fresh_path = args.required("--fresh");
+    let max_ratio: f64 = args.get("--max-ratio");
     let load = |path: &str| -> BenchReport {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
         BenchReport::from_json(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
     };
-    let diff = compare_reports(&load(&baseline_path), &load(&fresh_path), max_ratio);
+    let diff = compare_reports(&load(baseline_path), &load(fresh_path), max_ratio);
     println!("{}", diff.to_markdown());
     let regressions = diff.regressions();
     if !regressions.is_empty() {
@@ -1261,21 +1088,28 @@ fn human_rate(rate: f64, unit: &str) -> (f64, String) {
     }
 }
 
-fn cmd_fit_mmpp() {
+fn cmd_fit_mmpp(args: &Args) {
     use mflb::queue::fit_mmpp;
-    let levels: usize = parse("--levels", 2);
-    let trace: Vec<f64> = match arg("--trace") {
+    let levels: usize = args.get("--levels");
+    if levels == 0 {
+        fail_usage("--levels must be at least 1");
+    }
+    let trace: Vec<f64> = match args.str("--trace") {
         Some(path) => {
-            let raw = std::fs::read_to_string(&path).expect("read trace file");
+            let raw = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail_usage(format!("{path}: {e}")));
             raw.split(|c: char| c.is_whitespace() || c == ',')
                 .filter(|t| !t.is_empty())
-                .map(|t| t.parse().expect("trace entries must be numbers"))
+                .map(|t| match t.parse::<f64>() {
+                    Ok(r) if r.is_finite() && r >= 0.0 => r,
+                    _ => fail_usage(format!("{path}: '{t}' is not a finite non-negative rate")),
+                })
                 .collect()
         }
         None => {
             // Demo: sample the paper's process so the round-trip is visible.
             println!("no --trace <file> given; fitting a demo trace sampled from the paper's MMPP");
-            let mut rng = StdRng::seed_from_u64(parse("--seed", 1));
+            let mut rng = StdRng::seed_from_u64(args.get("--seed"));
             let process = mflb::queue::ArrivalProcess::paper_default();
             let mut level = process.sample_initial(&mut rng);
             (0..5_000)
@@ -1287,6 +1121,13 @@ fn cmd_fit_mmpp() {
                 .collect()
         }
     };
+    if trace.len() < 2 * levels {
+        fail_usage(format!(
+            "fitting {levels} levels needs at least {} rate samples, got {}",
+            2 * levels,
+            trace.len()
+        ));
+    }
     let fit = fit_mmpp(&trace, levels);
     println!(
         "fitted {levels}-level MMPP from {} samples ({} Lloyd iterations, distortion {:.3e}):",
@@ -1309,104 +1150,47 @@ fn cmd_fit_mmpp() {
     println!("use it via SystemConfig::paper().with_arrivals(<the fit>) in library code.");
 }
 
-/// The usage synopsis, listing every subcommand.
+/// The usage synopsis, generated from the flag tables in [`mflb::cli`].
 fn usage() -> String {
-    [
-        "mflb — delayed-information load balancing (ICPP '22 reproduction)",
-        "",
-        "usage: mflb <command> [flags]",
-        "",
-        "commands:",
-        "  train        train a PPO policy for a scenario -> versioned checkpoint + curve JSON",
-        "  eval         evaluate a checkpoint vs JSQ/RND/softmin on its finite system -> JSON table",
-        "               (--oracle adds an exact-DP row + per-policy optimality-gap column;",
-        "                --max-gap <pct> gates the learned gap, exit 1 on breach)",
-        "  distill      project a checkpoint onto a tabular lattice policy via the DP oracle",
-        "               (--checkpoint <path> [--grid G] [--slack f] [--out <json>])",
-        "  simulate     run a finite-system Monte-Carlo evaluation",
-        "               (--record-trace <out.jsonl> instead records one synthetic serve run",
-        "                as a replayable job trace; needs an event-engine scenario)",
-        "  meanfield    evaluate a policy in the limiting mean-field MDP",
-        "  compare      JSQ vs RND vs tuned softmin on one configuration",
-        "  tune-beta    find the optimal softmin temperature for a Δt",
-        "  dp-solve     solve the lattice DP (certified optimum), optionally --out <json>",
-        "  scv-compare  phase-type service: mean-field vs finite at a given --scv",
-        "  fit-mmpp     estimate an L-level MMPP from a rate trace (--trace <file>, --levels L)",
-        "  serve        online dispatcher on the continuous-time event engine: jobs from a",
-        "               synthetic generator or a replayed JSONL trace, routed by --policy",
-        "               (defaults to checkpoint when --checkpoint is given, else jsq)",
-        "               under delayed observations; JSON tick lines + final report on stdout",
-        "               (--trace <jsonl>|- (- = stream stdin; --ingest-retries n",
-        "                --ingest-backoff-ms t) --max-jobs <n> --duration <t> --report-every <k>",
-        "                --seed <s> --out <json>; usage errors exit 2 before the trace is read)",
-        "               graceful degradation: --admission-cap <jobs> sheds load above the cap,",
-        "               --staleness-threshold <k> --fallback jsq|softmin [--fallback-beta f]",
-        "               degrades to the static tier when observations go stale (hysteresis)",
-        "  bench        run a tracked perf suite -> BENCH_<suite>.json (--quick for CI scale;",
-        "               --suite kernels|graph|serve — graph covers sparse rates, sharded",
-        "               epochs, CSR builds at up to 10^6 queues; serve tracks job-level",
-        "               dispatch throughput)",
-        "  bench-diff   gate a fresh perf report against the committed baseline",
-        "               (--baseline <json> --fresh <json> [--max-ratio 1.3])",
-        "  validate     validate scenario spec files (exit 1 on any invalid file)",
-        "  help         print this synopsis",
-        "",
-        "scenario selection (train / eval / simulate):",
-        "  --scenario <file.json>        a spec from examples/scenarios/, or",
-        "  --engine aggregate|perclient|staggered|ph|joblevel|graph|event",
-        "           [--cohorts k] [--scv f]",
-        "           [--topology ring|torus|random|full --radius r --degree g --graph-seed s]",
-        "           [--job-size exp|pareto|bpareto --job-rate r --job-shape a --job-scale x",
-        "            --job-lo l --job-hi h] (job-size law for --engine event)",
-        "",
-        "fault injection (train / eval / simulate / serve):",
-        "  --faults <plan.json>          deterministic fault plan (crashes, stragglers,",
-        "                                observation drops, overload bursts); also embeddable",
-        "                                as a \"faults\" key in scenario JSON. Same seed =>",
-        "                                bit-identical faulted runs; malformed plans exit 2",
-        "",
-        "common flags: --dt <f> --m <int> --n <int> --buffer <int> --d <int>",
-        "              --policy jsq|rnd|softmin|checkpoint|distilled [--beta f] [--checkpoint path]",
-        "              --precision f64|f32 [--fast-math] (neural inference tier for",
-        "              eval/simulate/serve/bench: f32 converts checkpoint weights at load,",
-        "              --fast-math swaps libm tanh for the vectorizable rational approximation;",
-        "              the f64 default reproduces training bit for bit)",
-        "              --oracle [--oracle-grid G] [--oracle-sweeps n] [--oracle-cache dir|none]",
-        "              [--max-gap <pct>] (DP-oracle certification on eval)",
-        "              --runs <int> --episodes <int> --seed <int> --grid <int> --scv <f>",
-        "              --scale quick|paper --iters <int> --out <path>",
-        "              --workers <int> (worker threads for train/eval/bench fan-outs;",
-        "              --threads is an alias — pin it on fixed-core CI runners)",
-    ]
-    .join("\n")
+    flags::usage(
+        "mflb",
+        "delayed-information load balancing (ICPP '22 reproduction)",
+        cli::COMMANDS,
+    )
 }
 
 fn main() {
-    let cmd = std::env::args().nth(1);
-    match cmd.as_deref() {
-        Some("train") => cmd_train(),
-        Some("eval") => cmd_eval(),
-        Some("distill") => cmd_distill(),
-        Some("simulate") => cmd_simulate(),
-        Some("meanfield") => cmd_meanfield(),
-        Some("compare") => cmd_compare(),
-        Some("tune-beta") => cmd_tune_beta(),
-        Some("dp-solve") => cmd_dp_solve(),
-        Some("scv-compare") => cmd_scv_compare(),
-        Some("fit-mmpp") => cmd_fit_mmpp(),
-        Some("serve") => cmd_serve(),
-        Some("bench") => cmd_bench(),
-        Some("bench-diff") => cmd_bench_diff(),
-        Some("validate") => cmd_validate(),
-        Some("help") | Some("--help") | Some("-h") => println!("{}", usage()),
-        unknown => {
-            // No subcommand or an unrecognized one: synopsis on stderr,
-            // exit 2 (usage error), so scripts cannot mistake it for a run.
-            if let Some(u) = unknown {
-                eprintln!("error: unknown command '{u}'\n");
-            }
-            eprintln!("{}", usage());
-            std::process::exit(2);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map(String::as_str);
+    if matches!(name, Some("--help" | "-h")) {
+        println!("{}", usage());
+        return;
+    }
+    let Some(command) = name.and_then(cli::command) else {
+        // No subcommand or an unrecognized one: synopsis on stderr, exit 2
+        // (usage error), so scripts cannot mistake it for a run.
+        if let Some(u) = name {
+            eprintln!("error: unknown command '{u}'\n");
         }
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    };
+    let args = command.parse_or_exit(&format!("mflb {}", command.name), &argv[1..]);
+    match command.name {
+        "train" => cmd_train(&args),
+        "eval" => cmd_eval(&args),
+        "distill" => cmd_distill(&args),
+        "simulate" => cmd_simulate(&args),
+        "meanfield" => cmd_meanfield(&args),
+        "compare" => cmd_compare(&args),
+        "tune-beta" => cmd_tune_beta(&args),
+        "dp-solve" => cmd_dp_solve(&args),
+        "scv-compare" => cmd_scv_compare(&args),
+        "fit-mmpp" => cmd_fit_mmpp(&args),
+        "serve" => cmd_serve(&args),
+        "bench" => cmd_bench(&args),
+        "bench-diff" => cmd_bench_diff(&args),
+        "validate" => cmd_validate(&args),
+        _ => println!("{}", usage()),
     }
 }

@@ -42,7 +42,7 @@ fn help_prints_synopsis_on_stdout_and_exits_0() {
 #[test]
 fn eval_without_checkpoint_fails_cleanly() {
     let out = mflb().arg("eval").output().expect("run mflb");
-    assert_eq!(out.status.code(), Some(1), "runtime error, not a panic");
+    assert_eq!(out.status.code(), Some(2), "a missing required flag is bad input, not a panic");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--checkpoint"), "{stderr}");
 }
@@ -63,7 +63,7 @@ fn train_rejects_malformed_scenario_file() {
     std::fs::write(&bad, "{\"engine\": \"Quantum\"}").unwrap();
     let out =
         mflb().args(["train", "--scenario", bad.to_str().unwrap()]).output().expect("run mflb");
-    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(out.status.code(), Some(2), "a malformed scenario file is bad input");
     std::fs::remove_file(&bad).ok();
 }
 
