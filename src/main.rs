@@ -342,15 +342,17 @@ fn load_trained(args: &Args) -> (TrainingCheckpoint, Scenario) {
 }
 
 fn cmd_eval(args: &Args) {
-    let (ckpt, scenario) = load_trained(args);
-    let scenario = load_faults(args, scenario);
+    // Each M runs with N = M², so M² must fit the client counter.
     let m_sweep: Vec<usize> = args.str("--m").map_or(Vec::new(), |v| {
         v.split(',')
-            .map(|t| {
-                t.trim().parse().unwrap_or_else(|_| fail_usage(format!("bad --m entry '{t}'")))
+            .map(|t| match t.trim().parse::<usize>() {
+                Ok(m) if m >= 1 && (m as u64).checked_mul(m as u64).is_some() => m,
+                _ => fail_usage(format!("bad --m entry '{t}' (need 1 <= M < 2^32)")),
             })
             .collect()
     });
+    let (ckpt, scenario) = load_trained(args);
+    let scenario = load_faults(args, scenario);
     let runs: usize = args.get("--runs");
     let seed: u64 = args.get("--seed");
     let threads: usize = args.get("--workers");
@@ -997,7 +999,7 @@ fn cmd_bench(args: &Args) {
 fn cmd_validate(args: &Args) {
     let files = &args.positional;
     if files.is_empty() {
-        fail_usage("usage: mflb validate <scenario.json> [more.json ...]");
+        fail_usage("validate needs at least one <scenario.json>");
     }
     // Above this many queues a full engine build materializes a
     // multi-megabyte CSR topology per file; semantic validation
@@ -1121,10 +1123,9 @@ fn cmd_fit_mmpp(args: &Args) {
                 .collect()
         }
     };
-    if trace.len() < 2 * levels {
+    if trace.len() / 2 < levels {
         fail_usage(format!(
-            "fitting {levels} levels needs at least {} rate samples, got {}",
-            2 * levels,
+            "fitting {levels} levels needs at least 2 rate samples per level, got {}",
             trace.len()
         ));
     }

@@ -58,6 +58,7 @@ fn inputs_that_used_to_panic_exit_2() {
     assert_usage_error(&["tune-beta", "--dt", "-1"], "dt");
     assert_usage_error(&["compare", "--m", "0"], "num_queues");
     assert_usage_error(&["compare", "--buffer", "0"], "buffer");
+    assert_usage_error(&["eval", "--m", "50,0"], "--m entry '0'");
     assert_usage_error(&["dp-solve", "--grid", "0"], "--grid");
     assert_usage_error(&["fit-mmpp", "--levels", "0"], "--levels");
     assert_usage_error(&["scv-compare", "--scv", "-1"], "--scv");
