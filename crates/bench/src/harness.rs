@@ -114,25 +114,21 @@ pub enum Scale {
     Paper,
 }
 
+/// Parses a `--scale` value; unknown values are an error (no silent
+/// fallback).
 impl std::str::FromStr for Scale {
     type Err = String;
 
     fn from_str(value: &str) -> Result<Self, String> {
-        Scale::parse(value)
-    }
-}
-
-impl Scale {
-    /// Parses a `--scale` value; unknown values are an error (no silent
-    /// fallback).
-    pub fn parse(value: &str) -> Result<Self, String> {
         match value {
             "quick" => Ok(Scale::Quick),
             "paper" | "full" => Ok(Scale::Paper),
             other => Err(format!("unknown --scale value `{other}` (expected quick|paper)")),
         }
     }
+}
 
+impl Scale {
     /// Monte-Carlo run count (Table 1: n = 100).
     pub fn n_runs(self) -> usize {
         match self {
@@ -331,10 +327,10 @@ mod tests {
 
     #[test]
     fn scale_parse_rejects_unknown_values() {
-        assert_eq!(Scale::parse("quick").unwrap(), Scale::Quick);
-        assert_eq!(Scale::parse("paper").unwrap(), Scale::Paper);
-        assert_eq!(Scale::parse("full").unwrap(), Scale::Paper);
-        let err = Scale::parse("qick").unwrap_err();
+        assert_eq!("quick".parse::<Scale>().unwrap(), Scale::Quick);
+        assert_eq!("paper".parse::<Scale>().unwrap(), Scale::Paper);
+        assert_eq!("full".parse::<Scale>().unwrap(), Scale::Paper);
+        let err = "qick".parse::<Scale>().unwrap_err();
         assert!(err.contains("qick"), "message should name the bad value: {err}");
     }
 
