@@ -10,9 +10,11 @@
 
 use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::{
-    CrashFaults, FaultPlan, JobSizeLaw, ObservationFaults, OverloadWindow, StragglerWindow,
-    SystemConfig, Topology,
+    graph_mean_field_step, CrashFaults, FaultPlan, HeteroMeanField, JobSizeLaw, MeanFieldMdp,
+    ObservationFaults, OverloadWindow, PhMeanFieldMdp, StateDist, StragglerWindow, SystemConfig,
+    Topology,
 };
+use mflb::dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, sed_rule};
 use mflb::queue::hetero::ServerPool;
@@ -22,6 +24,8 @@ use mflb::sim::{
     GraphEngine, HeteroEngine, JobSource, PerClientEngine, PhAggregateEngine, Scenario,
     ServeOptions, ServiceLaw, StaggeredEngine,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// High constant load makes drops frequent, so the pinned totals are
 /// sensitive to any perturbation of the sampling order.
@@ -288,4 +292,90 @@ fn overload_windows_scale_event_and_serve_arrivals() {
         burst_jobs > 2 * calm_jobs,
         "a 3x overload must triple the synthetic stream: {burst_jobs} vs {calm_jobs} jobs"
     );
+}
+
+// ---- Mean-field episode pins -------------------------------------------
+//
+// The mean-field rollouts are deterministic given their seed (or their
+// conditioned arrival path), so each is pinned on the exact bits of its
+// undiscounted return.
+
+/// A fixed arrival-level path over the paper's two levels.
+fn level_path() -> Vec<usize> {
+    (0..24).map(|t| (t / 5) % 2).collect()
+}
+
+#[test]
+fn mean_field_rollouts_reproduce_their_pinned_returns() {
+    let mdp = MeanFieldMdp::new(SystemConfig::paper().with_dt(5.0));
+    let sampled = mdp.rollout(&jsq(), 24, &mut StdRng::seed_from_u64(0xC0FFEE)).total_return;
+    assert_eq!(sampled.to_bits(), 0xc01b1ba33793e594, "got {:#x}", sampled.to_bits());
+    let conditioned = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
+    assert_eq!(conditioned.to_bits(), 0xc0186b7370e684de, "got {:#x}", conditioned.to_bits());
+}
+
+#[test]
+fn phase_type_mean_field_reproduces_its_pinned_return() {
+    let cfg = SystemConfig::paper().with_dt(5.0);
+    let mdp = PhMeanFieldMdp::new(cfg, PhaseType::fit_mean_scv(1.0, 2.0));
+    let ret = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
+    assert_eq!(ret.to_bits(), 0xc01bb0b72da6ad6e, "got {:#x}", ret.to_bits());
+}
+
+#[test]
+fn hetero_mean_field_reproduces_its_pinned_return() {
+    let rule = sed_rule(6, 2, &[1.6, 0.4]);
+    let field = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
+    let (_, drops) = field.rollout_conditioned(&rule, &[0.9; 24], 5.0);
+    let ret = -drops;
+    assert_eq!(ret.to_bits(), 0xc025eebb9e834589, "got {:#x}", ret.to_bits());
+}
+
+#[test]
+fn graph_mean_field_reproduces_its_pinned_return() {
+    // One episode of the degree-indexed closure at k = 3, the JSQ row of
+    // the locality figure.
+    let config = SystemConfig::paper().with_dt(5.0);
+    let rule = jsq_rule(6, 2);
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let mut nu = StateDist::new(config.initial_dist.clone());
+    let mut level = config.arrivals.sample_initial(&mut rng);
+    let mut total = 0.0;
+    for _ in 0..24 {
+        let lambda = config.arrivals.level_rate(level);
+        let step = graph_mean_field_step(&nu, &rule, lambda, config.service_rate, config.dt, 3);
+        total += step.expected_drops;
+        nu = step.next_dist;
+        level = config.arrivals.step(level, &mut rng);
+    }
+    let ret = -total;
+    assert_eq!(ret.to_bits(), 0xc018e6d4c0c42c54, "got {:#x}", ret.to_bits());
+}
+
+#[test]
+fn dp_q_values_at_the_empty_vertex_reproduce_their_pins() {
+    let config = SystemConfig::paper().with_dt(5.0);
+    let dp = DpConfig { grid_resolution: 3, tol: 1e-9, max_sweeps: 10_000, threads: 1 };
+    let actions = ActionLibrary::softmin_default(config.num_states(), config.d);
+    let sol = DpSolution::solve(&config, actions, &dp);
+    let q = sol.q_values(&StateDist::all_empty(config.buffer), 0);
+    let bits: Vec<u64> = q.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, vec![0xc03e335affb8fc05; 10], "got {bits:#x?}");
+    // From the empty vertex every rule routes onto empty queues, so the
+    // Q-values tie; a spread-out state tells the actions apart.
+    let q = sol.q_values(&StateDist::uniform(config.buffer), 1);
+    let bits: Vec<u64> = q.iter().map(|v| v.to_bits()).collect();
+    let pinned = [
+        0xc03e332ab0b19352,
+        0xc03e1ea988fb4a02,
+        0xc03e14c4c61cabb9,
+        0xc03e0f4458d8d729,
+        0xc03e0dd9ea6decb4,
+        0xc03e0d91b65684d6,
+        0xc03e0d8973264d8d,
+        0xc03e0d894d3343ae,
+        0xc03e0d894d3001ae,
+        0xc03e0d894d3001ad,
+    ];
+    assert_eq!(bits, pinned, "got {bits:#x?}");
 }
