@@ -112,23 +112,6 @@ impl StateDist {
         assert_eq!(self.num_states(), other.num_states());
         self.probs.iter().zip(other.probs.iter()).map(|(a, b)| (a - b).abs()).sum()
     }
-
-    /// Product-measure probability `μ(z̄) = Π_k ν(z̄_k)` of an observation
-    /// tuple (Eq. 16).
-    pub fn product_prob(&self, tuple: &[usize]) -> f64 {
-        tuple.iter().map(|&z| self.probs[z]).product()
-    }
-
-    /// Renormalizes in place (defensive cleanup after long roll-outs where
-    /// 1e-16-scale drift can accumulate).
-    pub fn renormalize(&mut self) {
-        let mass: f64 = self.probs.iter().sum();
-        if mass > 0.0 {
-            for p in &mut self.probs {
-                *p = p.max(0.0) / mass;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,25 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn product_prob_matches_manual() {
-        let d = StateDist::new(vec![0.2, 0.3, 0.5]);
-        assert!((d.product_prob(&[0, 2]) - 0.1).abs() < 1e-15);
-        assert!((d.product_prob(&[1, 1]) - 0.09).abs() < 1e-15);
-        assert!((d.product_prob(&[]) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     #[should_panic(expected = "sum to 1")]
     fn rejects_unnormalized() {
         StateDist::new(vec![0.5, 0.4]);
-    }
-
-    #[test]
-    fn renormalize_fixes_drift() {
-        let mut d = StateDist::new(vec![0.5, 0.5]);
-        d.probs[0] = 0.5 + 1e-12;
-        d.renormalize();
-        let mass: f64 = d.as_slice().iter().sum();
-        assert!((mass - 1.0).abs() < 1e-15);
     }
 }

@@ -34,7 +34,7 @@
 //! things, the first two in one [`FaultPlan::open_interval`] call:
 //!
 //! * one *effective service-rate multiplier per queue*
-//!   ([`FaultPlan::service_multiplier`]): the fraction of the interval
+//!   (`FaultPlan::service_multiplier`): the fraction of the interval
 //!   the queue's server is Up under the crash renewal process, times the
 //!   overlap-weighted straggler factor. Jobs whose service *starts*
 //!   during the interval are served at `α · multiplier`; a multiplier of
@@ -78,13 +78,6 @@ pub struct CrashFaults {
     pub mttf: f64,
     /// Mean time to repair: mean of the exponential Down sojourn.
     pub mttr: f64,
-}
-
-impl CrashFaults {
-    /// Stationary availability `mttf / (mttf + mttr)`.
-    pub fn availability(&self) -> f64 {
-        self.mttf / (self.mttf + self.mttr)
-    }
 }
 
 /// A service-rate multiplier window (slow — or overclocked — servers).
@@ -321,7 +314,7 @@ impl FaultPlan {
     /// under the crash renewal (advancing `*up` across the interval from
     /// the `(epoch_base, SALT_CRASH, j)` stream), times the straggler
     /// factor. Consumes no randomness when crashes are not configured.
-    pub fn service_multiplier(
+    pub(crate) fn service_multiplier(
         &self,
         up: &mut bool,
         epoch_base: u64,
@@ -355,7 +348,7 @@ impl FaultPlan {
     }
 
     /// Opens the interval `[t0, t0 + dt)` for a finite-system engine:
-    /// fills `mult[j]` with queue `j`'s [`FaultPlan::service_multiplier`]
+    /// fills `mult[j]` with queue `j`'s `service_multiplier`
     /// (advancing its crash phase `up[j]`) and returns the
     /// [`FaultPlan::arrival_factor`]. Without service faults `mult` is left
     /// as it is (engines keep it at all ones) and no randomness is drawn.
@@ -373,25 +366,6 @@ impl FaultPlan {
             }
         }
         self.arrival_factor(t0, dt)
-    }
-
-    /// Deterministic mean-field counterpart of the crash renewal: given
-    /// the Up fraction `u0` of an infinite server population, returns
-    /// `(mean Up fraction over [0, dt], Up fraction at dt)` under the
-    /// two-state ODE `du/dt = (1 − u)/mttr − u/mttf`. `(1, 1)` when no
-    /// crashes are configured.
-    pub fn crash_availability_step(&self, u0: f64, dt: f64) -> (f64, f64) {
-        match &self.crashes {
-            None => (1.0, 1.0),
-            Some(c) => {
-                let a = c.availability();
-                let tau = 1.0 / (1.0 / c.mttf + 1.0 / c.mttr);
-                let decay = (-dt / tau).exp();
-                let u_end = a + (u0 - a) * decay;
-                let mean = a + (u0 - a) * tau * (1.0 - decay) / dt;
-                (mean, u_end)
-            }
-        }
     }
 
     /// Serializes the plan as pretty JSON.
@@ -432,7 +406,6 @@ mod tests {
         let mut up = true;
         assert_eq!(p.service_multiplier(&mut up, 42, 0, 0.0, 5.0), 1.0);
         assert!(up);
-        assert_eq!(p.crash_availability_step(1.0, 5.0), (1.0, 1.0));
     }
 
     #[test]
@@ -566,22 +539,6 @@ mod tests {
         }
         let avail = total / epochs as f64;
         assert!((avail - 0.8).abs() < 0.02, "empirical availability {avail} vs 0.8");
-    }
-
-    #[test]
-    fn mean_field_availability_matches_the_ode() {
-        let p =
-            FaultPlan { crashes: Some(CrashFaults { mttf: 8.0, mttr: 2.0 }), ..FaultPlan::empty() };
-        // From all-up, availability decays toward the stationary 0.8.
-        let (mean, u_end) = p.crash_availability_step(1.0, 5.0);
-        assert!(u_end > 0.8 && u_end < 1.0, "{u_end}");
-        assert!(mean > u_end && mean < 1.0, "{mean}");
-        // From the fixed point it stays put.
-        let (mean, u_end) = p.crash_availability_step(0.8, 5.0);
-        assert!((mean - 0.8).abs() < 1e-12 && (u_end - 0.8).abs() < 1e-12);
-        // Long horizons forget the start state.
-        let (_, u_long) = p.crash_availability_step(0.1, 1e4);
-        assert!((u_long - 0.8).abs() < 1e-9);
     }
 
     #[test]

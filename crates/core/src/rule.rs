@@ -106,7 +106,7 @@ impl DecisionRule {
 
     /// Mixed-radix row index of an observation tuple.
     #[inline]
-    pub fn tuple_index(&self, tuple: &[usize]) -> usize {
+    pub(crate) fn tuple_index(&self, tuple: &[usize]) -> usize {
         debug_assert_eq!(tuple.len(), self.d);
         let mut idx = 0usize;
         for &z in tuple {
@@ -174,17 +174,6 @@ impl DecisionRule {
         assert_eq!(self.num_states, other.num_states);
         assert_eq!(self.d, other.d);
         self.table.iter().zip(other.table.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max)
-    }
-
-    /// Convex combination `(1−w)·self + w·other` — used by ablations that
-    /// morph between JSQ and RND.
-    pub fn blend(&self, other: &DecisionRule, w: f64) -> DecisionRule {
-        assert!((0.0..=1.0).contains(&w));
-        assert_eq!(self.num_states, other.num_states);
-        assert_eq!(self.d, other.d);
-        let table =
-            self.table.iter().zip(other.table.iter()).map(|(a, b)| (1.0 - w) * a + w * b).collect();
-        DecisionRule::new(self.num_states, self.d, table)
     }
 }
 
@@ -261,16 +250,6 @@ mod tests {
         }
         let frac = ones as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.01, "frac {frac}");
-    }
-
-    #[test]
-    fn blend_interpolates() {
-        let a = DecisionRule::from_fn(2, 2, |_| vec![1.0, 0.0]);
-        let b = DecisionRule::from_fn(2, 2, |_| vec![0.0, 1.0]);
-        let mid = a.blend(&b, 0.25);
-        for row in 0..mid.num_rows() {
-            assert!((mid.prob_by_row(row, 0) - 0.75).abs() < 1e-15);
-        }
     }
 
     #[test]

@@ -14,16 +14,6 @@ use crate::mdp::{MeanFieldMdp, UpperPolicy};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// The discounted mean-field value `J(π̂)` conditioned on an explicit
-/// arrival-level sequence (deterministic, no Monte-Carlo error).
-pub fn conditioned_value(
-    config: &SystemConfig,
-    policy: &dyn UpperPolicy,
-    lambda_seq: &[usize],
-) -> f64 {
-    MeanFieldMdp::new(config.clone()).rollout_conditioned(policy, lambda_seq).discounted_return
-}
-
 /// The undiscounted conditioned episode return (the quantity compared in
 /// Fig. 4: cumulative expected per-queue drops, negated).
 pub fn conditioned_return(
@@ -89,21 +79,8 @@ pub fn gaps_shrink(rows: &[ConvergenceRow], tolerance: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mdp::FixedRulePolicy;
-    use crate::rule::DecisionRule;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn conditioned_value_is_deterministic() {
-        let cfg = SystemConfig::paper().with_dt(2.0);
-        let pol = FixedRulePolicy::new(DecisionRule::uniform(6, 2), "MF-RND");
-        let seq = vec![0, 1, 0, 0, 1, 1, 0, 1, 0, 0];
-        let a = conditioned_value(&cfg, &pol, &seq);
-        let b = conditioned_value(&cfg, &pol, &seq);
-        assert_eq!(a, b);
-        assert!(a < 0.0);
-    }
 
     #[test]
     fn lambda_sequence_uses_configured_levels() {
