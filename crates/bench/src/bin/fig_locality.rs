@@ -9,7 +9,7 @@
 //! full mesh, JSQ(d), RND and the β-optimized softmin run Monte-Carlo
 //! episodes of the locality-constrained finite system
 //! ([`mflb_sim::GraphEngine`]), next to the degree-indexed mean-field
-//! prediction for JSQ ([`mflb_core::graph_mean_field_step`]).
+//! prediction for JSQ ([`mflb_core::mdp::Integrand::Graph`]).
 //!
 //! Expected shape: RND is locality-blind (a state-blind rule lands on a
 //! uniformly random queue either way — tested in `mflb-core`), while
@@ -22,38 +22,12 @@
 //! annealed closure, so expect a several-percent bias on lattices).
 
 use mflb_bench::harness::{paper_config, print_table, write_csv, Scale};
-use mflb_core::mdp::FixedRulePolicy;
-use mflb_core::{graph_mean_field_step, StateDist, SystemConfig, Topology};
+use mflb_core::mdp::{FixedRulePolicy, Homogeneous, Integrand, MeanFieldMdp};
+use mflb_core::Topology;
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
 use mflb_sim::{monte_carlo, GraphEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Expected cumulative per-queue drops of the degree-indexed mean field
-/// under a fixed rule, averaged over sampled arrival-level paths.
-fn mean_field_drops(
-    config: &SystemConfig,
-    rule: &mflb_core::DecisionRule,
-    k: usize,
-    horizon: usize,
-    episodes: usize,
-    seed: u64,
-) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0;
-    for _ in 0..episodes {
-        let mut nu = StateDist::new(config.initial_dist.clone());
-        let mut level = config.arrivals.sample_initial(&mut rng);
-        for _ in 0..horizon {
-            let lambda = config.arrivals.level_rate(level);
-            let step = graph_mean_field_step(&nu, rule, lambda, config.service_rate, config.dt, k);
-            total += step.expected_drops;
-            nu = step.next_dist;
-            level = config.arrivals.step(level, &mut rng);
-        }
-    }
-    total / episodes as f64
-}
 
 fn main() {
     let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
@@ -95,7 +69,10 @@ fn main() {
         // Mean-field prediction for the JSQ column (full mesh: k -> a size
         // large enough to be numerically at the limit).
         let mf_k = if radius.is_some() { k } else { 100_000 };
-        let mf_jsq = mean_field_drops(&cfg, &jsq_rule(zs, d), mf_k, horizon, mf_episodes, seed);
+        let graph = Homogeneous::new(&cfg, Integrand::Graph { k: mf_k });
+        let mdp = MeanFieldMdp::with_closure(cfg.clone(), graph);
+        let mf_rng = &mut StdRng::seed_from_u64(seed);
+        let mf_jsq = -mdp.evaluate(&jsq, horizon, mf_episodes, mf_rng).mean();
 
         rows.push(vec![
             label.clone(),

@@ -26,10 +26,11 @@
 //! All workloads are seeded, so two runs on the same machine measure the
 //! same computation.
 
+use mflb_core::mdp::Homogeneous;
 use mflb_core::SystemConfig;
 use mflb_nn::{Activation, DiagGaussian, F32Workspace, Mlp, Tensor, Workspace};
 use mflb_policy::{action_dim, observation_dim, NeuralUpperPolicy};
-use mflb_rl::{train_scenario, Homogeneous, MeanFieldEnv, PpoConfig, PpoTrainer};
+use mflb_rl::{train_scenario, MeanFieldEnv, PpoConfig, PpoTrainer};
 use mflb_sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -118,7 +118,7 @@ impl HeteroMeanField {
 
     /// The composite observation distribution `ν̄(z, c) = w_c·ν_c(z)`
     /// clients sample from.
-    pub fn composite_dist(&self) -> StateDist {
+    pub(crate) fn composite_dist(&self) -> StateDist {
         let zs = self.num_lengths();
         let mut probs = vec![0.0; self.num_composite_states()];
         for (c, (w, d)) in self.class_weights.iter().zip(&self.dists).enumerate() {
@@ -199,31 +199,21 @@ impl HeteroMeanField {
             arrival_rates: rates,
         }
     }
-
-    /// Rolls the system out for `horizon` epochs under a fixed rule and a
-    /// conditioned arrival-rate sequence; returns cumulative expected
-    /// drops per queue.
-    pub fn rollout_conditioned(
-        &self,
-        rule: &DecisionRule,
-        rates: &[f64],
-        dt: f64,
-    ) -> (HeteroMeanField, f64) {
-        let mut state = self.clone();
-        let mut drops = 0.0;
-        for &lambda in rates {
-            let step = state.step(rule, lambda, dt);
-            drops += step.expected_drops;
-            state = step.next;
-        }
-        (state, drops)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::meanfield::mean_field_step;
+
+    /// `epochs` epochs under `rule` at arrival rate 0.9 and `Δt = 5`:
+    /// the end state and the cumulative expected drops per queue.
+    fn run(field: &HeteroMeanField, rule: &DecisionRule, epochs: usize) -> (HeteroMeanField, f64) {
+        (0..epochs).fold((field.clone(), 0.0), |(field, drops), _| {
+            let step = field.step(rule, 0.9, 5.0);
+            (step.next, drops + step.expected_drops)
+        })
+    }
 
     /// JSQ over composite states comparing only lengths (rate-blind).
     fn composite_jsq(zs: usize, classes: usize) -> DecisionRule {
@@ -281,7 +271,7 @@ mod tests {
     fn step_conserves_class_masses_and_bounds_drops() {
         let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
         let rule = composite_sed(6, &[1.6, 0.4]);
-        let (end, drops) = hetero.rollout_conditioned(&rule, &[0.9; 20], 5.0);
+        let (end, drops) = run(&hetero, &rule, 20);
         for c in 0..2 {
             let mass: f64 = end.class_dist(c).as_slice().iter().sum();
             assert!((mass - 1.0).abs() < 1e-9, "class {c} mass {mass}");
@@ -295,7 +285,7 @@ mod tests {
         // as fast ones and their queues must sit higher in steady state.
         let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
         let rule = composite_jsq(6, 2);
-        let (end, _) = hetero.rollout_conditioned(&rule, &[0.9; 40], 5.0);
+        let (end, _) = run(&hetero, &rule, 40);
         assert!(
             end.class_dist(1).mean_queue_length() > end.class_dist(0).mean_queue_length() + 0.5,
             "slow {} vs fast {}",
@@ -307,9 +297,8 @@ mod tests {
     #[test]
     fn sed_beats_rate_blind_jsq_in_hetero_mean_field() {
         let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
-        let seq = vec![0.9; 40];
-        let (_, drops_sed) = hetero.rollout_conditioned(&composite_sed(6, &[1.6, 0.4]), &seq, 5.0);
-        let (_, drops_jsq) = hetero.rollout_conditioned(&composite_jsq(6, 2), &seq, 5.0);
+        let (_, drops_sed) = run(&hetero, &composite_sed(6, &[1.6, 0.4]), 40);
+        let (_, drops_jsq) = run(&hetero, &composite_jsq(6, 2), 40);
         assert!(
             drops_sed < drops_jsq,
             "SED {drops_sed:.3} must beat rate-blind JSQ {drops_jsq:.3}"

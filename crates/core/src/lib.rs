@@ -14,8 +14,12 @@
 //!    exponential of the extended generator `Q̄(ν, z)` accumulating drops
 //!    ([`meanfield`], Eq. 20–28);
 //! 5. the resulting upper-level MDP with state `(ν_t, λ_t)` and action a
-//!    lower-level decision rule `h_t : Z^d → P(U)` ([`mdp::MeanFieldMdp`],
-//!    Eq. 29–31).
+//!    lower-level decision rule `h_t : Z^d → P(U)` (Eq. 29–31):
+//!    [`mdp::MeanFieldMdp`] owns the one episode loop (λ₀ draw, policy
+//!    decision, epoch cost `−D_t`, λ advance) over a [`mdp::Closure`] —
+//!    the paper's [`mdp::Homogeneous`] model by default, or the
+//!    degree-indexed graph, heterogeneous-pool, phase-type and
+//!    fault-degraded closures of the extensions.
 //!
 //! [`theory`] provides the numerical counterpart of Theorem 1 (performance
 //! of the finite system converges to the mean-field performance).
@@ -53,6 +57,6 @@ pub use meanfield::{
     per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, MeanFieldStep,
 };
 pub use partial::{sampled_estimate, ObservationModel, PartialObservationPolicy};
-pub use ph_meanfield::{ph_mean_field_step, PhDist, PhMeanFieldMdp, PhMfState};
+pub use ph_meanfield::{ph_mean_field_step, PhDist};
 pub use rule::DecisionRule;
 pub use topology::{CsrNeighborhoods, Topology};

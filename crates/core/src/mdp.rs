@@ -5,12 +5,21 @@
 //! `ν`-transition is *deterministic* (exact discretization); all
 //! stochasticity comes from the Markov-modulated arrival rate. Reward:
 //! `−D_t`, the negative expected per-queue drops of the epoch.
+//!
+//! [`MeanFieldMdp`] runs the episode over any [`Closure`]: the paper's
+//! [`Homogeneous`] model over either [`Integrand`], the heterogeneous
+//! pool ([`Hetero`]), phase-type service ([`Ph`]) and the fault-degraded
+//! two-pool model ([`TwoPool`]).
+
+mod closures;
+
+pub use closures::{Closure, Hetero, Homogeneous, Integrand, Ph, TwoPool};
 
 use crate::config::SystemConfig;
 use crate::dist::StateDist;
-use crate::meanfield::{mean_field_step, MeanFieldStep};
 use crate::rule::DecisionRule;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Encodes the MFC-MDP observation fed to learned policies:
@@ -47,15 +56,6 @@ pub fn observation_dim(num_states: usize, num_levels: usize) -> usize {
 /// Action (decision-rule logit) dimensionality: `|Z|^d · d`.
 pub fn action_dim(num_states: usize, d: usize) -> usize {
     num_states.pow(d as u32) * d
-}
-
-/// A state of the MFC MDP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MfState {
-    /// Queue-state distribution `ν_t`.
-    pub dist: StateDist,
-    /// Index into the arrival process' level set.
-    pub lambda_idx: usize,
 }
 
 /// A batch of stacked policy observations collected for one decision
@@ -231,20 +231,51 @@ pub struct EpisodeRecord {
     pub discounted_return: f64,
 }
 
-/// The mean-field control MDP.
+/// A state of the MFC MDP: the closure's mean-field state at epoch `t`
+/// and the arrival level `λ_t` in force during that epoch.
 #[derive(Debug, Clone)]
-pub struct MeanFieldMdp {
+pub struct MfState<C = Homogeneous> {
+    /// The closure's hidden mean-field state.
+    pub closure: C,
+    /// Index into the arrival process' level set.
+    pub lambda_idx: usize,
+    /// Epoch index `t` (the epoch starts at time `t·Δt`).
+    pub t: usize,
+}
+
+/// The mean-field control MDP over a [`Closure`], by default the paper's
+/// full-mesh [`Homogeneous`] model.
+///
+/// This is the one owner of the episode: the initial level draw, the
+/// policy decision on [`Closure::observed`], the closure step, the epoch
+/// cost and the arrival-level advance. The RL environment adapter and the
+/// DP step through the same [`MeanFieldMdp::epoch`].
+#[derive(Debug, Clone)]
+pub struct MeanFieldMdp<C = Homogeneous> {
     config: SystemConfig,
+    /// The closure at `t = 0`; every episode starts from a copy.
+    closure: C,
 }
 
 impl MeanFieldMdp {
-    /// Creates the MDP from a validated configuration.
+    /// The paper's full-mesh MDP from a validated configuration.
     ///
     /// # Panics
     /// Panics if the configuration is inconsistent.
     pub fn new(config: SystemConfig) -> Self {
+        let closure = Homogeneous::new(&config, Integrand::FullMesh);
+        Self::with_closure(config, closure)
+    }
+}
+
+impl<C: Closure> MeanFieldMdp<C> {
+    /// The MDP over `closure`, which must be at its `t = 0` state.
+    ///
+    /// # Panics
+    /// Panics if the configuration is inconsistent.
+    pub fn with_closure(config: SystemConfig, closure: C) -> Self {
         config.validate().expect("invalid system configuration");
-        Self { config }
+        Self { config, closure }
     }
 
     /// The underlying configuration.
@@ -252,57 +283,78 @@ impl MeanFieldMdp {
         &self.config
     }
 
-    /// Samples the initial state: `ν₀` from the config, `λ₀` from the
+    /// The closure at `t = 0`.
+    pub fn closure(&self) -> &C {
+        &self.closure
+    }
+
+    /// Samples the initial state: the closure at `ν₀`, `λ₀` from the
     /// arrival process' initial distribution.
-    pub fn initial_state<R: Rng + ?Sized>(&self, rng: &mut R) -> MfState {
-        MfState {
-            dist: StateDist::new(self.config.initial_dist.clone()),
-            lambda_idx: self.config.arrivals.sample_initial(rng),
-        }
+    pub fn initial_state<R: Rng + ?Sized>(&self, rng: &mut R) -> MfState<C> {
+        let lambda_idx = self.config.arrivals.sample_initial(rng);
+        MfState { closure: self.closure.clone(), lambda_idx, t: 0 }
     }
 
-    /// The initial state with a *fixed* arrival level (used when
-    /// conditioning on the arrival sequence, as in Theorem 1).
-    pub fn initial_state_with_lambda(&self, lambda_idx: usize) -> MfState {
-        MfState { dist: StateDist::new(self.config.initial_dist.clone()), lambda_idx }
-    }
-
-    /// One MDP step: applies `rule` for one epoch, then advances the
-    /// arrival level stochastically.
-    ///
-    /// Returns `(next_state, reward, detail)` with `reward = −D_t`.
-    pub fn step<R: Rng + ?Sized>(
-        &self,
-        state: &MfState,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> (MfState, f64, MeanFieldStep) {
-        let next_lambda = self.config.arrivals.step(state.lambda_idx, rng);
-        self.step_with_next_lambda(state, rule, next_lambda)
-    }
-
-    /// One MDP step with an externally prescribed next arrival level —
-    /// fully deterministic, used by the Theorem-1 check which conditions on
-    /// the arrival-rate sequence.
-    pub fn step_with_next_lambda(
-        &self,
-        state: &MfState,
-        rule: &DecisionRule,
-        next_lambda_idx: usize,
-    ) -> (MfState, f64, MeanFieldStep) {
-        let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-        let detail =
-            mean_field_step(&state.dist, rule, lambda, self.config.service_rate, self.config.dt);
-        let next = MfState { dist: detail.next_dist.clone(), lambda_idx: next_lambda_idx };
+    /// Epoch `t` at arrival level `lambda_idx`: advances `closure` under
+    /// `rule` and returns the reward `−D_t`. Deterministic; the arrival
+    /// level is not advanced.
+    pub fn epoch(&self, closure: &mut C, rule: &DecisionRule, lambda_idx: usize, t: usize) -> f64 {
+        let dt = self.config.dt;
+        let lambda = self.config.arrivals.level_rate(lambda_idx);
+        let (drops, mean_len) = closure.step(rule, lambda, t as f64 * dt, dt);
         // Objective: drops, plus the optional holding-cost extension
         // (queueing penalized per job-time-unit; end-of-epoch length is the
         // exactly available statistic).
-        let mut cost = detail.expected_drops;
+        let mut cost = drops;
         if self.config.holding_cost > 0.0 {
-            cost +=
-                self.config.holding_cost * detail.next_dist.mean_queue_length() * self.config.dt;
+            cost += self.config.holding_cost * mean_len * dt;
         }
-        (next, -cost, detail)
+        -cost
+    }
+
+    /// One MDP transition: the [`MeanFieldMdp::epoch`] of `state` under
+    /// `rule`, the closure's observation refresh, then the arrival level
+    /// — `next_lambda` if prescribed (conditioning on the arrival
+    /// sequence, as in Theorem 1), else drawn from the chain. Returns the
+    /// reward `−D_t`.
+    pub fn advance<R: Rng + ?Sized>(
+        &self,
+        state: &mut MfState<C>,
+        rule: &DecisionRule,
+        next_lambda: Option<usize>,
+        rng: &mut R,
+    ) -> f64 {
+        let reward = self.epoch(&mut state.closure, rule, state.lambda_idx, state.t);
+        state.closure.refresh(rng);
+        state.lambda_idx =
+            next_lambda.unwrap_or_else(|| self.config.arrivals.step(state.lambda_idx, rng));
+        state.t += 1;
+        reward
+    }
+
+    /// The episode loop: `horizon` epochs under `policy` from `state`,
+    /// with the levels after `state`'s taken from `levels` if given.
+    fn run<R: Rng + ?Sized>(
+        &self,
+        policy: &dyn UpperPolicy,
+        mut state: MfState<C>,
+        horizon: usize,
+        levels: Option<&[usize]>,
+        rng: &mut R,
+    ) -> EpisodeRecord {
+        let mut rec = EpisodeRecord::default();
+        let mut discount = 1.0;
+        for t in 0..horizon {
+            let lambda = self.config.arrivals.level_rate(state.lambda_idx);
+            let rule = policy.decide(&state.closure.observed(), state.lambda_idx, lambda);
+            let next = levels.map(|seq| *seq.get(t + 1).unwrap_or(&state.lambda_idx));
+            let reward = self.advance(&mut state, &rule, next, rng);
+            rec.drops_per_epoch.push(-reward);
+            rec.total_return += reward;
+            rec.discounted_return += discount * reward;
+            discount *= self.config.gamma;
+        }
+        rec
     }
 
     /// Rolls out `horizon` epochs under an upper-level policy.
@@ -312,56 +364,23 @@ impl MeanFieldMdp {
         horizon: usize,
         rng: &mut R,
     ) -> EpisodeRecord {
-        let mut state = self.initial_state(rng);
-        self.rollout_from(&mut state, policy, horizon, rng)
-    }
-
-    /// Rolls out from a given (mutable) state, advancing it in place.
-    pub fn rollout_from<R: Rng + ?Sized>(
-        &self,
-        state: &mut MfState,
-        policy: &dyn UpperPolicy,
-        horizon: usize,
-        rng: &mut R,
-    ) -> EpisodeRecord {
-        let mut rec = EpisodeRecord::default();
-        let mut discount = 1.0;
-        for _ in 0..horizon {
-            let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-            let rule = policy.decide(&state.dist, state.lambda_idx, lambda);
-            let (next, reward, _) = self.step(state, &rule, rng);
-            rec.drops_per_epoch.push(-reward);
-            rec.total_return += reward;
-            rec.discounted_return += discount * reward;
-            discount *= self.config.gamma;
-            *state = next;
-        }
-        rec
+        let state = self.initial_state(rng);
+        self.run(policy, state, horizon, None, rng)
     }
 
     /// Deterministic rollout conditioned on an explicit arrival-level
     /// sequence `lambda_seq[0..horizon]` (`lambda_seq[t]` is the level in
-    /// force during epoch `t`).
+    /// force during epoch `t`). A closure that draws its own noise (the
+    /// observation drops of [`TwoPool`]) draws it from a fixed-seed
+    /// stream, so the result is a function of the sequence alone.
     pub fn rollout_conditioned(
         &self,
         policy: &dyn UpperPolicy,
         lambda_seq: &[usize],
     ) -> EpisodeRecord {
-        let mut rec = EpisodeRecord::default();
-        let mut discount = 1.0;
-        let mut state = self.initial_state_with_lambda(lambda_seq[0]);
-        for t in 0..lambda_seq.len() {
-            let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-            let rule = policy.decide(&state.dist, state.lambda_idx, lambda);
-            let next_lambda = *lambda_seq.get(t + 1).unwrap_or(&state.lambda_idx);
-            let (next, reward, _) = self.step_with_next_lambda(&state, &rule, next_lambda);
-            rec.drops_per_epoch.push(-reward);
-            rec.total_return += reward;
-            rec.discounted_return += discount * reward;
-            discount *= self.config.gamma;
-            state = next;
-        }
-        rec
+        let state = MfState { closure: self.closure.clone(), lambda_idx: lambda_seq[0], t: 0 };
+        let mut rng = StdRng::seed_from_u64(0);
+        self.run(policy, state, lambda_seq.len(), Some(lambda_seq), &mut rng)
     }
 
     /// Monte-Carlo estimate of the expected undiscounted episode return

@@ -15,20 +15,19 @@
 //!   exponential per epoch-start length — of the extended `M/PH/1/B`
 //!   generator ([`mflb_queue::PhQueue::extended_generator_column`]);
 //! * the upper-level MDP keeps state `(joint distribution, λ_t)` and the
-//!   same decision-rule action space, so every [`UpperPolicy`] (JSQ, RND,
-//!   softmin, trained networks) plugs in unmodified via the length
-//!   marginal.
+//!   same decision-rule action space, so every
+//!   [`UpperPolicy`](crate::mdp::UpperPolicy) (JSQ, RND, softmin, trained
+//!   networks) plugs in unmodified via the length marginal — it is
+//!   [`MeanFieldMdp`](crate::mdp::MeanFieldMdp) over the
+//!   [`Ph`](crate::mdp::Ph) closure.
 //!
 //! With one phase (`PH = exponential`) the model collapses *exactly* to
 //! [`crate::meanfield::mean_field_step`] (tested).
 
-use crate::config::SystemConfig;
 use crate::dist::StateDist;
-use crate::mdp::{EpisodeRecord, UpperPolicy};
 use crate::meanfield::per_state_arrival_rates;
 use crate::rule::DecisionRule;
 use mflb_queue::{PhQueue, PhaseType};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A probability distribution over the joint `(length, phase)` states of
@@ -216,147 +215,16 @@ pub fn ph_mean_field_step(
     }
 }
 
-/// A state of the PH mean-field control MDP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhMfState {
-    /// Joint `(length, phase)` distribution.
-    pub dist: PhDist,
-    /// Index into the arrival process' level set.
-    pub lambda_idx: usize,
-}
-
-/// The mean-field control MDP with phase-type service.
-///
-/// The `service_rate` field of the wrapped [`SystemConfig`] is **ignored**;
-/// the service-time law is the supplied [`PhaseType`]. Upper-level policies
-/// observe the length marginal, so any [`UpperPolicy`] works unchanged.
-#[derive(Debug, Clone)]
-pub struct PhMeanFieldMdp {
-    config: SystemConfig,
-    service: PhaseType,
-}
-
-impl PhMeanFieldMdp {
-    /// Creates the MDP.
-    ///
-    /// # Panics
-    /// Panics if the configuration is inconsistent.
-    pub fn new(config: SystemConfig, service: PhaseType) -> Self {
-        config.validate().expect("invalid system configuration");
-        Self { config, service }
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// The service-time distribution.
-    pub fn service(&self) -> &PhaseType {
-        &self.service
-    }
-
-    /// Samples the initial state: ν₀ lifted to the joint space, λ₀ from
-    /// the arrival process.
-    pub fn initial_state<R: Rng + ?Sized>(&self, rng: &mut R) -> PhMfState {
-        PhMfState {
-            dist: PhDist::from_lengths(
-                &StateDist::new(self.config.initial_dist.clone()),
-                &self.service,
-            ),
-            lambda_idx: self.config.arrivals.sample_initial(rng),
-        }
-    }
-
-    /// One MDP step with an externally prescribed next arrival level
-    /// (deterministic; the Theorem-1 conditioning convention).
-    pub fn step_with_next_lambda(
-        &self,
-        state: &PhMfState,
-        rule: &DecisionRule,
-        next_lambda_idx: usize,
-    ) -> (PhMfState, f64, PhMeanFieldStep) {
-        let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-        let detail = ph_mean_field_step(&state.dist, rule, lambda, &self.service, self.config.dt);
-        let next = PhMfState { dist: detail.next_dist.clone(), lambda_idx: next_lambda_idx };
-        let mut cost = detail.expected_drops;
-        if self.config.holding_cost > 0.0 {
-            cost +=
-                self.config.holding_cost * detail.next_dist.mean_queue_length() * self.config.dt;
-        }
-        (next, -cost, detail)
-    }
-
-    /// One MDP step with the arrival level advancing stochastically.
-    pub fn step<R: Rng + ?Sized>(
-        &self,
-        state: &PhMfState,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> (PhMfState, f64, PhMeanFieldStep) {
-        let next_lambda = self.config.arrivals.step(state.lambda_idx, rng);
-        self.step_with_next_lambda(state, rule, next_lambda)
-    }
-
-    /// Rolls out `horizon` epochs under an upper-level policy (which sees
-    /// the length marginal).
-    pub fn rollout<R: Rng + ?Sized>(
-        &self,
-        policy: &dyn UpperPolicy,
-        horizon: usize,
-        rng: &mut R,
-    ) -> EpisodeRecord {
-        let mut state = self.initial_state(rng);
-        let mut rec = EpisodeRecord::default();
-        let mut discount = 1.0;
-        for _ in 0..horizon {
-            let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-            let rule = policy.decide(&state.dist.length_marginal(), state.lambda_idx, lambda);
-            let (next, reward, _) = self.step(&state, &rule, rng);
-            rec.drops_per_epoch.push(-reward);
-            rec.total_return += reward;
-            rec.discounted_return += discount * reward;
-            discount *= self.config.gamma;
-            state = next;
-        }
-        rec
-    }
-
-    /// Deterministic rollout conditioned on an explicit arrival-level
-    /// sequence.
-    pub fn rollout_conditioned(
-        &self,
-        policy: &dyn UpperPolicy,
-        lambda_seq: &[usize],
-    ) -> EpisodeRecord {
-        let mut rec = EpisodeRecord::default();
-        let mut discount = 1.0;
-        let mut state = PhMfState {
-            dist: PhDist::from_lengths(
-                &StateDist::new(self.config.initial_dist.clone()),
-                &self.service,
-            ),
-            lambda_idx: lambda_seq[0],
-        };
-        for t in 0..lambda_seq.len() {
-            let lambda = self.config.arrivals.level_rate(state.lambda_idx);
-            let rule = policy.decide(&state.dist.length_marginal(), state.lambda_idx, lambda);
-            let next_lambda = *lambda_seq.get(t + 1).unwrap_or(&state.lambda_idx);
-            let (next, reward, _) = self.step_with_next_lambda(&state, &rule, next_lambda);
-            rec.drops_per_epoch.push(-reward);
-            rec.total_return += reward;
-            rec.discounted_return += discount * reward;
-            discount *= self.config.gamma;
-            state = next;
-        }
-        rec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mdp::{FixedRulePolicy, MeanFieldMdp};
+    use crate::config::SystemConfig;
+    use crate::mdp::{FixedRulePolicy, MeanFieldMdp, Ph};
+
+    fn ph_mdp(cfg: SystemConfig, service: PhaseType) -> MeanFieldMdp<Ph> {
+        let closure = Ph::new(&cfg, service);
+        MeanFieldMdp::with_closure(cfg, closure)
+    }
 
     fn jsq() -> DecisionRule {
         DecisionRule::from_fn(6, 2, |t| {
@@ -388,7 +256,7 @@ mod tests {
         // implementation to machine precision on a whole trajectory.
         let cfg = SystemConfig::paper().with_dt(4.0);
         let plain = MeanFieldMdp::new(cfg.clone());
-        let ph = PhMeanFieldMdp::new(cfg, PhaseType::exponential(1.0));
+        let ph = ph_mdp(cfg, PhaseType::exponential(1.0));
         let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
         let seq = vec![0usize, 1, 0, 0, 1, 1, 0, 1, 0, 0];
         let a = plain.rollout_conditioned(&policy, &seq);
@@ -416,7 +284,7 @@ mod tests {
         let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
         let seq = vec![0usize; 30];
         let drops_of = |scv: f64| {
-            let mdp = PhMeanFieldMdp::new(cfg.clone(), PhaseType::fit_mean_scv(1.0, scv));
+            let mdp = ph_mdp(cfg.clone(), PhaseType::fit_mean_scv(1.0, scv));
             -mdp.rollout_conditioned(&policy, &seq).total_return
         };
         let low = drops_of(0.25);
@@ -442,7 +310,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let cfg = SystemConfig::paper().with_dt(5.0);
-        let mdp = PhMeanFieldMdp::new(cfg, PhaseType::fit_mean_scv(1.0, 0.5));
+        let mdp = ph_mdp(cfg, PhaseType::fit_mean_scv(1.0, 0.5));
         let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
         let a = mdp.rollout(&policy, 12, &mut StdRng::seed_from_u64(9));
         let b = mdp.rollout(&policy, 12, &mut StdRng::seed_from_u64(9));

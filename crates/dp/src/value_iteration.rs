@@ -284,16 +284,13 @@ impl DpSolution {
                     if s >= s_count {
                         break;
                     }
-                    let nu = grid.point(s);
+                    let point = mdp.closure().with_dist(grid.point(s));
                     let mut rows: Staged = Vec::with_capacity(num_levels * a_count);
                     for l in 0..num_levels {
-                        let state = mflb_core::MfState { dist: nu.clone(), lambda_idx: l };
                         for a in 0..a_count {
-                            // The ν-transition ignores the *next* level, so
-                            // any placeholder next level is fine here.
-                            let (next, reward, _) =
-                                mdp.step_with_next_lambda(&state, actions.rule(a), 0);
-                            rows.push((reward, grid.interpolate(&next.dist)));
+                            let mut next = point.clone();
+                            let reward = mdp.epoch(&mut next, actions.rule(a), l, 0);
+                            rows.push((reward, grid.interpolate(next.dist())));
                         }
                     }
                     staged.lock()[s] = Some(rows);
@@ -354,14 +351,15 @@ impl DpSolution {
     pub fn q_values(&self, dist: &StateDist, lambda_idx: usize) -> Vec<f64> {
         assert!(lambda_idx < self.num_levels);
         let mdp = MeanFieldMdp::new(self.config.clone());
-        let state = mflb_core::MfState { dist: dist.clone(), lambda_idx };
+        let point = mdp.closure().with_dist(dist.clone());
         let kernel = self.config.arrivals.kernel_row(lambda_idx);
         (0..self.actions.len())
             .map(|a| {
-                let (next, reward, _) = mdp.step_with_next_lambda(&state, self.actions.rule(a), 0);
+                let mut next = point.clone();
+                let reward = mdp.epoch(&mut next, self.actions.rule(a), lambda_idx, 0);
                 let mut cont = 0.0;
                 for (lp, &p) in kernel.iter().enumerate() {
-                    cont += p * self.value(&next.dist, lp);
+                    cont += p * self.value(next.dist(), lp);
                 }
                 reward + self.config.gamma * cont
             })

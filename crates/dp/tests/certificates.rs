@@ -70,18 +70,16 @@ fn value_matches_a_directly_iterated_discounted_rollout() {
     let config = tiny_config();
     let mdp = mflb_core::MeanFieldMdp::new(config.clone());
     for s in [0, 8, 16, 24, 32] {
-        let mut state = mflb_core::MfState { dist: sol.grid().point(s), lambda_idx: 0 };
-        let expected = sol.value(&state.dist, 0);
+        let mut closure = mdp.closure().with_dist(sol.grid().point(s));
+        let expected = sol.value(closure.dist(), 0);
         let mut total = 0.0;
         let mut discount = 1.0;
         // γ = 0.99 ⇒ the tail after 2500 steps is bounded by
         // 0.99^2500 · max|V| ≈ 1e-11 · |V|: negligible.
-        for _ in 0..2_500 {
-            let a = sol.greedy_action(&state.dist, state.lambda_idx);
-            let (next, reward, _) = mdp.step_with_next_lambda(&state, sol.actions().rule(a), 0);
-            total += discount * reward;
+        for t in 0..2_500 {
+            let a = sol.greedy_action(closure.dist(), 0);
+            total += discount * mdp.epoch(&mut closure, sol.actions().rule(a), 0, t);
             discount *= config.gamma;
-            state = next;
         }
         let scale = expected.abs().max(1.0);
         assert!(

@@ -17,16 +17,15 @@
 //!   learned baseline (the no-trust-region ablation),
 //! * [`cem::CemTrainer`] — cross-entropy search over policy parameters
 //!   (the derivative-free ablation),
-//! * [`mfc_env::MeanFieldEnv`] — the paper's upper-level mean-field MDP
-//!   (Eq. 29–31) as an environment: observation `[ν_t, onehot λ_t]`,
-//!   action = decision-rule logits with the §4 "manual normalization"
-//!   softmax decoding, reward `−D_t`; generic over a [`mfc_env::Closure`]
-//!   that supplies the hidden state and its transition
-//!   ([`mfc_env::Homogeneous`] over the full-mesh or degree-indexed
-//!   arrival-rate integrand),
-//! * [`scenario_env`] — [`scenario_env::build_env`] picks the closure a
-//!   serde [`mflb_sim::Scenario`] implies: homogeneous, heterogeneous
-//!   pools (§2.5), phase-type service (§5) or the fault-degraded two-pool
+//! * [`mfc_env::MeanFieldEnv`] — the `Env` adapter over the paper's
+//!   upper-level mean-field MDP ([`mflb_core::mdp::MeanFieldMdp`],
+//!   Eq. 29–31): observation `[ν_t, onehot λ_t]`, action = decision-rule
+//!   logits with the §4 "manual normalization" softmax decoding, reward
+//!   `−D_t`; the MDP runs the epoch over a [`mflb_core::mdp::Closure`],
+//! * [`scenario_env`] — [`scenario_env::build_env`] picks the
+//!   `mflb_core::mdp` closure a serde [`mflb_sim::Scenario`] implies:
+//!   homogeneous (full-mesh or degree-indexed), heterogeneous pools
+//!   (§2.5), phase-type service (§5) or the fault-degraded two-pool
 //!   model,
 //! * [`checkpoint::TrainingCheckpoint`] — the versioned training artifact
 //!   (scenario + config + seed + curve + networks) with strict load-time
@@ -71,10 +70,9 @@ pub use eval::{
     evaluate_checkpoint, evaluate_checkpoint_configured, evaluate_checkpoint_with_oracle,
     scenario_with_m, EvalReport, EvalRow, OracleSummary,
 };
-pub use mfc_env::{Closure, Homogeneous, MeanFieldEnv};
+pub use mfc_env::MeanFieldEnv;
 pub use oracle::{
-    oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key, solve_oracle,
-    Oracle, OracleConfig, OracleExactness,
+    oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key, solve_oracle, Oracle, OracleConfig, OracleExactness,
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};

@@ -8,121 +8,24 @@
 //! optional holding cost). Episodes last `horizon` decision epochs
 //! (Table 1: T = 500 for training).
 //!
-//! [`MeanFieldEnv`] owns everything every scenario kind shares: the
-//! arrival-level chain, the reward, the horizon and the encoding. A
-//! [`Closure`] supplies only the hidden mean-field state, its one-epoch
-//! transition and the distribution the policy observes; the env restarts
-//! every episode from a pristine copy of the closure as constructed.
-//! [`Homogeneous`] is the paper's own closure; the scenario closures live
-//! in [`crate::scenario_env`].
+//! [`MeanFieldEnv`] is a thin adapter over [`MeanFieldMdp`]: it decodes
+//! the action logits into a decision rule, encodes the observation and
+//! counts the horizon, and the MDP runs the epoch (closure step, reward,
+//! arrival-level chain). The closures themselves live in
+//! [`mflb_core::mdp`]; [`crate::scenario_env`] picks one per scenario.
 
 use crate::env::{Env, StepResult};
 use crate::scenario_env::PolicyShape;
-use mflb_core::mdp::encode_observation;
-use mflb_core::{
-    graph_arrival_rates, mean_field_step_with_rates, per_state_arrival_rates, DecisionRule,
-    StateDist, SystemConfig,
-};
+use mflb_core::mdp::{encode_observation, Closure, Homogeneous, Integrand, MeanFieldMdp, MfState};
+use mflb_core::{DecisionRule, SystemConfig};
 use rand::rngs::StdRng;
-
-/// The part of the mean-field control MDP that varies between scenario
-/// kinds: the hidden state and its transition. A closure is constructed
-/// at its `t = 0` state (`ν₀`).
-pub trait Closure: Clone + Send + 'static {
-    /// States of the decision rule the policy emits.
-    fn rule_states(&self) -> usize;
-
-    /// The length distribution the policy observes.
-    fn observed(&self) -> StateDist;
-
-    /// Advances one epoch `[t0, t0 + dt)` under `rule` at per-queue
-    /// arrival rate `lambda`. Returns `(expected_drops, true_mean_len)`:
-    /// the per-queue drops of the epoch and the true (not the observed)
-    /// mean queue length at its end, which the holding cost charges.
-    fn step(
-        &mut self,
-        rule: &DecisionRule,
-        lambda: f64,
-        t0: f64,
-        dt: f64,
-        rng: &mut StdRng,
-    ) -> (f64, f64);
-}
-
-/// The per-state arrival-rate integrand `λ_t(ν, z)` (Eq. 22).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Integrand {
-    /// The paper's full-mesh Eq. 22.
-    FullMesh,
-    /// The annealed degree-indexed closure over closed neighborhoods of
-    /// size `k` (see [`mflb_core::graph_meanfield`]).
-    Graph {
-        /// Closed-neighborhood size `k ≥ 1` in the `M → ∞` limit.
-        k: usize,
-    },
-}
-
-impl Integrand {
-    /// The per-state arrival rates under `rule` from the measure `nu`.
-    pub(crate) fn rates(self, nu: &StateDist, rule: &DecisionRule, lambda: f64) -> Vec<f64> {
-        match self {
-            Integrand::FullMesh => per_state_arrival_rates(nu, rule, lambda),
-            Integrand::Graph { k } => graph_arrival_rates(nu, rule, lambda, k),
-        }
-    }
-}
-
-/// The homogeneous exponential mean field (Eq. 20–28) over an
-/// arrival-rate integrand; the policy observes the whole state `ν_t`.
-#[derive(Debug, Clone)]
-pub struct Homogeneous {
-    integrand: Integrand,
-    service_rate: f64,
-    nu: StateDist,
-}
-
-impl Homogeneous {
-    /// The closure at `ν₀` with the config's service rate.
-    pub(crate) fn new(config: &SystemConfig, integrand: Integrand) -> Self {
-        let nu = StateDist::new(config.initial_dist.clone());
-        Self { integrand, service_rate: config.service_rate, nu }
-    }
-}
-
-impl Closure for Homogeneous {
-    fn rule_states(&self) -> usize {
-        self.nu.num_states()
-    }
-
-    fn observed(&self) -> StateDist {
-        self.nu.clone()
-    }
-
-    fn step(
-        &mut self,
-        rule: &DecisionRule,
-        lambda: f64,
-        _t0: f64,
-        dt: f64,
-        _rng: &mut StdRng,
-    ) -> (f64, f64) {
-        let rates = self.integrand.rates(&self.nu, rule, lambda);
-        let step = mean_field_step_with_rates(&self.nu, rates, self.service_rate, dt);
-        self.nu = step.next_dist;
-        (step.expected_drops, self.nu.mean_queue_length())
-    }
-}
 
 /// The mean-field control environment over a [`Closure`].
 #[derive(Clone)]
 pub struct MeanFieldEnv<C> {
-    config: SystemConfig,
+    mdp: MeanFieldMdp<C>,
     shape: PolicyShape,
-    /// The closure at `t = 0`, cloned into `closure` on every reset.
-    initial: C,
-    closure: C,
-    lambda_idx: usize,
-    t: usize,
+    state: MfState<C>,
     horizon: usize,
 }
 
@@ -132,10 +35,10 @@ impl<C: Closure> MeanFieldEnv<C> {
     /// # Panics
     /// Panics if the configuration is inconsistent.
     pub fn new(config: SystemConfig, closure: C) -> Self {
-        config.validate().expect("invalid system configuration");
         let shape = PolicyShape::with_rule_states(&config, closure.rule_states());
         let horizon = config.train_episode_len;
-        Self { config, shape, initial: closure.clone(), closure, lambda_idx: 0, t: 0, horizon }
+        let state = MfState { closure: closure.clone(), lambda_idx: 0, t: 0 };
+        Self { mdp: MeanFieldMdp::with_closure(config, closure), shape, state, horizon }
     }
 
     /// Replaces the episode horizon.
@@ -151,7 +54,8 @@ impl<C: Closure> MeanFieldEnv<C> {
     }
 
     fn observe(&self) -> Vec<f64> {
-        encode_observation(&self.closure.observed(), self.lambda_idx, self.shape.num_levels)
+        let state = &self.state;
+        encode_observation(&state.closure.observed(), state.lambda_idx, self.shape.num_levels)
     }
 }
 
@@ -172,29 +76,19 @@ impl<C: Closure> Env for MeanFieldEnv<C> {
     }
 
     fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
-        self.closure = self.initial.clone();
-        self.lambda_idx = self.config.arrivals.sample_initial(rng);
-        self.t = 0;
+        self.state = self.mdp.initial_state(rng);
         self.observe()
     }
 
     fn step(&mut self, action: &[f64], rng: &mut StdRng) -> StepResult {
         let rule = self.decode_action(action);
-        let dt = self.config.dt;
-        let lambda = self.config.arrivals.level_rate(self.lambda_idx);
-        let (drops, mean_len) = self.closure.step(&rule, lambda, self.t as f64 * dt, dt, rng);
-        let mut cost = drops;
-        if self.config.holding_cost > 0.0 {
-            cost += self.config.holding_cost * mean_len * dt;
-        }
-        self.lambda_idx = self.config.arrivals.step(self.lambda_idx, rng);
-        self.t += 1;
-        StepResult { obs: self.observe(), reward: -cost, done: self.t >= self.horizon }
+        let reward = self.mdp.advance(&mut self.state, &rule, None, rng);
+        StepResult { obs: self.observe(), reward, done: self.state.t >= self.horizon }
     }
 
     fn boxed_clone(&self) -> Box<dyn Env> {
         let mut fresh = self.clone();
-        (fresh.closure, fresh.lambda_idx, fresh.t) = (self.initial.clone(), 0, 0);
+        fresh.state = MfState { closure: self.mdp.closure().clone(), lambda_idx: 0, t: 0 };
         Box::new(fresh)
     }
 
@@ -250,10 +144,10 @@ mod tests {
         let mut e = env();
         let mut rng = StdRng::seed_from_u64(2);
         e.reset(&mut rng);
-        let lam = e.config.arrivals.level_rate(e.lambda_idx);
-        let expected =
-            mflb_core::mean_field_step(&e.closure.nu, &DecisionRule::uniform(6, 2), lam, 1.0, 5.0)
-                .expected_drops;
+        let lam = e.mdp.config().arrivals.level_rate(e.state.lambda_idx);
+        let nu = e.state.closure.dist();
+        let expected = mflb_core::mean_field_step(nu, &DecisionRule::uniform(6, 2), lam, 1.0, 5.0)
+            .expected_drops;
         let r = e.step(&vec![0.0; e.act_dim()], &mut rng);
         assert!((r.reward + expected).abs() < 1e-12);
     }

@@ -4,20 +4,20 @@
 //! whose optimal policy is what the scenario's finite system should deploy
 //! (§2.3/§5 of the paper — train in the limit, evaluate at finite `N`).
 //! Every environment is one [`MeanFieldEnv`]; the engine arm only picks
-//! its [`Closure`]:
+//! its [`Closure`] from [`mflb_core::mdp`]:
 //!
 //! | engine arm | closure |
 //! |---|---|
 //! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`Homogeneous`] over `Integrand::FullMesh` (Eq. 20–28) |
 //! | `Graph` | [`Homogeneous`] over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` |
 //! | `Event` | [`Homogeneous`] over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
-//! | `Hetero` | `Hetero` over [`mflb_core::HeteroMeanField`] (§2.5) |
-//! | `Ph` | `Ph` over [`mflb_core::ph_mean_field_step`] (§5) |
-//! | any of the above with a non-empty [`FaultPlan`] | `TwoPool` over the arm's integrand |
+//! | `Hetero` | [`Hetero`] over [`mflb_core::HeteroMeanField`] (§2.5), classes from [`hetero_classes`] |
+//! | `Ph` | [`Ph`] over [`mflb_core::ph_mean_field_step`] (§5) |
+//! | any of the above with a non-empty [`FaultPlan`](mflb_core::FaultPlan) | [`TwoPool`] over the arm's integrand |
 //!
 //! Staggered refreshes and job-level FIFO queues share the homogeneous
 //! limit. Validation admits fault plans only on `Event`, `Graph` and
-//! `JobLevel`, so `TwoPool` only ever wraps an integrand; fault-free
+//! `JobLevel`, so [`TwoPool`] only ever wraps an integrand; fault-free
 //! scenarios never touch it.
 //!
 //! [`PolicyShape`] is the single source of truth for the observation/action
@@ -26,17 +26,13 @@
 //! never silently deploy against an incompatible one.
 
 use crate::env::Env;
-use crate::mfc_env::{Closure, Homogeneous, Integrand, MeanFieldEnv};
-use mflb_core::mdp::{action_dim, observation_dim};
-use mflb_core::{
-    mean_field_step_with_rates, ph_mean_field_step, DecisionRule, FaultPlan, HeteroMeanField,
-    PhDist, StateDist, SystemConfig,
+use crate::mfc_env::MeanFieldEnv;
+use mflb_core::mdp::{
+    action_dim, observation_dim, Closure, Hetero, Homogeneous, Integrand, Ph, TwoPool,
 };
+use mflb_core::SystemConfig;
 use mflb_policy::NeuralUpperPolicy;
-use mflb_queue::PhaseType;
 use mflb_sim::{rate_classes, EngineSpec, Scenario};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// The policy interface a scenario implies: what the learned network
 /// observes and the state space of the decision rule it emits.
@@ -141,7 +137,10 @@ pub fn build_env(scenario: &Scenario) -> Result<Box<dyn Env>, String> {
             config.service_rate /= mean;
             Integrand::FullMesh
         }
-        E::Hetero { rates } => return Ok(boxed(Hetero::new(&config, rates), config)),
+        E::Hetero { rates } => {
+            let (weights, class_rates) = hetero_classes(rates);
+            return Ok(boxed(Hetero::new(&config, weights, class_rates), config));
+        }
         E::Ph { service } => return Ok(boxed(Ph::new(&config, service.build()?), config)),
     };
     Ok(match scenario.faults.clone().filter(|p| !p.is_empty()) {
@@ -154,244 +153,13 @@ fn boxed<C: Closure>(closure: C, config: SystemConfig) -> Box<dyn Env> {
     Box::new(MeanFieldEnv::new(config, closure))
 }
 
-/// The heterogeneous-pool mean field over `(length, class)` states.
-///
-/// The policy observes the overall length marginal `Σ_c w_c·ν_c` — what
-/// `HeteroEngine::empirical` reports at deployment — so the per-class
-/// split is hidden state (a POMDP like the paper's delayed-information
-/// setting), and it emits a rule over the `C·(B+1)` composite states.
-#[derive(Debug, Clone)]
-pub(crate) struct Hetero {
-    field: HeteroMeanField,
-}
-
-impl Hetero {
-    /// The closure at `ν₀` in every class, for a per-server rate vector
-    /// (deduplicated into classes via [`hetero_classes`]).
-    pub(crate) fn new(config: &SystemConfig, rates: &[f64]) -> Self {
-        let (weights, class_rates) = hetero_classes(rates);
-        let dists = vec![StateDist::new(config.initial_dist.clone()); weights.len()];
-        Self { field: HeteroMeanField::new(weights, class_rates, dists) }
-    }
-}
-
-impl Closure for Hetero {
-    fn rule_states(&self) -> usize {
-        self.field.num_composite_states()
-    }
-
-    fn observed(&self) -> StateDist {
-        let mut probs = vec![0.0; self.field.num_lengths()];
-        for (c, &w) in self.field.class_weights().iter().enumerate() {
-            for (p, &q) in probs.iter_mut().zip(self.field.class_dist(c).as_slice()) {
-                *p += w * q;
-            }
-        }
-        StateDist::new(probs)
-    }
-
-    fn step(
-        &mut self,
-        rule: &DecisionRule,
-        lambda: f64,
-        _t0: f64,
-        dt: f64,
-        _rng: &mut StdRng,
-    ) -> (f64, f64) {
-        let step = self.field.step(rule, lambda, dt);
-        self.field = step.next;
-        (step.expected_drops, self.field.mean_queue_length())
-    }
-}
-
-/// The phase-type-service mean field (§5 "non-exponential service
-/// times"): the joint `(length, phase)` distribution is hidden state and
-/// the policy observes its length marginal. The config's `service_rate`
-/// is ignored; the law is the supplied [`PhaseType`].
-#[derive(Debug, Clone)]
-pub(crate) struct Ph {
-    service: PhaseType,
-    joint: PhDist,
-}
-
-impl Ph {
-    /// The closure at `ν₀` lifted to the joint space.
-    pub(crate) fn new(config: &SystemConfig, service: PhaseType) -> Self {
-        let nu0 = StateDist::new(config.initial_dist.clone());
-        Self { joint: PhDist::from_lengths(&nu0, &service), service }
-    }
-}
-
-impl Closure for Ph {
-    fn rule_states(&self) -> usize {
-        self.joint.buffer() + 1
-    }
-
-    fn observed(&self) -> StateDist {
-        self.joint.length_marginal()
-    }
-
-    fn step(
-        &mut self,
-        rule: &DecisionRule,
-        lambda: f64,
-        _t0: f64,
-        dt: f64,
-        _rng: &mut StdRng,
-    ) -> (f64, f64) {
-        let step = ph_mean_field_step(&self.joint, rule, lambda, &self.service, dt);
-        self.joint = step.next_dist;
-        (step.expected_drops, self.joint.mean_queue_length())
-    }
-}
-
-/// The homogeneous mean field degraded by a [`FaultPlan`] — the annealed
-/// (`M → ∞`) limit of the finite faulted engines, over either integrand.
-///
-/// Per epoch `[t₀, t₀ + Δt)` the plan enters the dynamics as:
-///
-/// * **Crashes** — the per-queue Up/Down renewal becomes a *two-pool*
-///   mean field: the length distribution splits into an Up pool (full
-///   service) and a Down pool (service 0), with length-preserving mass
-///   exchange at the renewal rates (`1 − e^{−Δt/mttf}` of the Up pool
-///   fails, `1 − e^{−Δt/mttr}` of the Down pool recovers each epoch).
-///   Both pools *receive* arrivals at the same length-indexed rates —
-///   matching the finite engines, where routing cannot see liveness,
-///   only lengths — so crashed queues lengthen, drop, and drag the
-///   observable mixture right. This bimodal limit (not a uniform
-///   service-rate discount) is what makes sharp length-avoidance pay
-///   off in training the way it does against the real faulted engines.
-/// * **Stragglers** — the pool-mean window factor
-///   (`Σ_j straggler_factor(j)/M`) scales service the same way.
-/// * **Overload bursts** — [`FaultPlan::arrival_factor`] scales `λ_t`.
-/// * **Observation faults** — each epoch the snapshot refresh is dropped
-///   with probability `drop_prob` (one env-RNG draw, made before the
-///   arrival-level draw); the policy then keeps observing the *stale*
-///   distribution while the true mean field moves on. This is hidden
-///   state — the same POMDP structure as the paper's delayed-information
-///   setting — and is what teaches a fault-aware policy to hedge instead
-///   of trusting old snapshots.
-///
-/// The rule is over plain lengths, so fault-trained checkpoints share the
-/// homogeneous [`PolicyShape`] and deploy against any engine the
-/// fault-free ones can.
-#[derive(Debug, Clone)]
-pub(crate) struct TwoPool {
-    integrand: Integrand,
-    service_rate: f64,
-    num_queues: usize,
-    plan: FaultPlan,
-    /// Length-distribution mass of the Up pool (sums to the up fraction).
-    up: Vec<f64>,
-    /// Length-distribution mass of the Down (crashed) pool.
-    down: Vec<f64>,
-    /// What the policy sees: the mixture at the last successful refresh.
-    observed: StateDist,
-}
-
-impl TwoPool {
-    /// The closure at `ν₀` with every queue up, for a validated plan
-    /// (panics on an invalid one — [`build_env`] goes through
-    /// `Scenario::validate` first and reports an `Err` instead).
-    pub(crate) fn new(config: &SystemConfig, plan: FaultPlan, integrand: Integrand) -> Self {
-        plan.validate_for(config.num_queues).expect("invalid fault plan");
-        let nu0 = config.initial_dist.clone();
-        Self {
-            integrand,
-            service_rate: config.service_rate,
-            num_queues: config.num_queues,
-            plan,
-            down: vec![0.0; nu0.len()],
-            observed: StateDist::new(nu0.clone()),
-            up: nu0,
-        }
-    }
-
-    /// Pool-mean straggler factor `Σ_j f_j(t₀)/M` for the epoch.
-    fn mean_straggler_factor(&self, t0: f64, dt: f64) -> f64 {
-        let m = self.num_queues.max(1);
-        (0..m).map(|j| self.plan.straggler_factor(j, t0, dt)).sum::<f64>() / m as f64
-    }
-
-    /// The Up + Down mixture: routing and snapshots see lengths, not liveness.
-    fn mixture(&self) -> StateDist {
-        let total: f64 = self.up.iter().sum::<f64>() + self.down.iter().sum::<f64>();
-        StateDist::new(self.up.iter().zip(&self.down).map(|(u, d)| (u + d) / total).collect())
-    }
-
-    /// Advances one pool's mass through the shared per-state arrival
-    /// rates at its own service rate; returns the pool's expected drops.
-    fn advance_pool(pool: &mut [f64], rates: &[f64], service: f64, dt: f64) -> f64 {
-        let mass: f64 = pool.iter().sum();
-        if mass <= 1e-12 {
-            return 0.0;
-        }
-        let cond = StateDist::new(pool.iter().map(|p| p / mass).collect());
-        let step = mean_field_step_with_rates(&cond, rates.to_vec(), service, dt);
-        for (p, z) in pool.iter_mut().zip(0..) {
-            *p = mass * step.next_dist.prob(z);
-        }
-        mass * step.expected_drops
-    }
-}
-
-impl Closure for TwoPool {
-    fn rule_states(&self) -> usize {
-        self.up.len()
-    }
-
-    fn observed(&self) -> StateDist {
-        self.observed.clone()
-    }
-
-    fn step(
-        &mut self,
-        rule: &DecisionRule,
-        lambda: f64,
-        t0: f64,
-        dt: f64,
-        rng: &mut StdRng,
-    ) -> (f64, f64) {
-        let lambda = lambda * self.plan.arrival_factor(t0, dt);
-        // Crash renewal exchange: a length-preserving mass transfer
-        // between the Up and Down pools at the per-epoch fail/recover
-        // probabilities of the finite engines' per-queue renewals.
-        if let Some(c) = &self.plan.crashes {
-            let p_fail = 1.0 - (-dt / c.mttf).exp();
-            let p_rec = 1.0 - (-dt / c.mttr).exp();
-            for (u, d) in self.up.iter_mut().zip(&mut self.down) {
-                let fail = *u * p_fail;
-                let rec = *d * p_rec;
-                *u += rec - fail;
-                *d += fail - rec;
-            }
-        }
-        // Both pools share one length-indexed arrival-rate vector.
-        let rates = self.integrand.rates(&self.mixture(), rule, lambda);
-        let service = self.service_rate * self.mean_straggler_factor(t0, dt);
-        let drops = Self::advance_pool(&mut self.up, &rates, service, dt)
-            + Self::advance_pool(&mut self.down, &rates, 0.0, dt);
-        let mixture = self.mixture();
-        let mean_len = mixture.mean_queue_length();
-        // On a dropped refresh the policy keeps seeing the old snapshot
-        // (staleness compounds across consecutive drops).
-        let dropped = match &self.plan.observation {
-            Some(o) if o.drop_prob > 0.0 => rng.gen::<f64>() < o.drop_prob,
-            _ => false,
-        };
-        if !dropped {
-            self.observed = mixture;
-        }
-        (drops, mean_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::StepResult;
-    use mflb_core::{CrashFaults, JobSizeLaw, ObservationFaults, Topology};
+    use mflb_core::{CrashFaults, FaultPlan, JobSizeLaw, ObservationFaults, Topology};
     use mflb_sim::ServiceLaw;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn base_config() -> SystemConfig {
@@ -493,7 +261,7 @@ mod tests {
         // model, and both envs consume one RNG draw per step, so identical
         // seeds must give identical rewards.
         let cfg = base_config();
-        let mut hetero = MeanFieldEnv::new(cfg.clone(), Hetero::new(&cfg, &[1.0; 10]));
+        let mut hetero = MeanFieldEnv::new(cfg.clone(), Hetero::new(&cfg, vec![1.0], vec![1.0]));
         assert_same_rewards(&mut hetero, &mut MeanFieldEnv::homogeneous(cfg), 7, 0.3, 1e-9);
     }
 

@@ -230,7 +230,8 @@ mod tests {
             s.push(run_episode(&engine, &policy, horizon, &mut run_rng(30, r)).total_drops);
         }
         // Mean-field reference on matched random arrival sequences.
-        let mdp = mflb_core::PhMeanFieldMdp::new(cfg, service);
+        let closure = mflb_core::mdp::Ph::new(&cfg, service);
+        let mdp = mflb_core::MeanFieldMdp::with_closure(cfg, closure);
         let mut mf = Summary::new();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..40 {

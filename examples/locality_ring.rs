@@ -19,8 +19,8 @@
 //! cargo run --release --example locality_ring
 //! ```
 
-use mflb::core::mdp::FixedRulePolicy;
-use mflb::core::{graph_mean_field_step, StateDist, Topology};
+use mflb::core::mdp::{FixedRulePolicy, Homogeneous, Integrand, MeanFieldMdp};
+use mflb::core::Topology;
 use mflb::policy::{jsq_rule, rnd_rule};
 use mflb::sim::{monte_carlo, EngineSpec, Scenario};
 use rand::rngs::StdRng;
@@ -78,22 +78,9 @@ fn main() {
     // Degree-indexed mean-field check: the k-neighborhood annealed closure
     // should land in the same regime as the finite ring's JSQ drops
     // (leading-order prediction; lattice correlations bias it low).
-    let mut rng = StdRng::seed_from_u64(seed);
-    let episodes = 8;
-    let mut mf_total = 0.0;
-    let rule = jsq_rule(zs, d);
-    for _ in 0..episodes {
-        let mut nu = StateDist::new(config.initial_dist.clone());
-        let mut level = config.arrivals.sample_initial(&mut rng);
-        for _ in 0..horizon {
-            let lambda = config.arrivals.level_rate(level);
-            let step = graph_mean_field_step(&nu, &rule, lambda, config.service_rate, config.dt, k);
-            mf_total += step.expected_drops;
-            nu = step.next_dist;
-            level = config.arrivals.step(level, &mut rng);
-        }
-    }
-    let mf_drops = mf_total / episodes as f64;
+    let graph = Homogeneous::new(&config, Integrand::Graph { k });
+    let mdp = MeanFieldMdp::with_closure(config.clone(), graph);
+    let mf_drops = -mdp.evaluate(&jsq, horizon, 8, &mut StdRng::seed_from_u64(seed)).mean();
     println!(
         "\ndegree-indexed mean field (k = {k}): {mf_drops:.2} expected drops/queue \
          vs {ring_jsq_mean:.2} finite-ring JSQ"

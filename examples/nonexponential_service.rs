@@ -11,8 +11,8 @@
 //! cargo run --release --example nonexponential_service
 //! ```
 
-use mflb::core::mdp::FixedRulePolicy;
-use mflb::core::{PhMeanFieldMdp, SystemConfig};
+use mflb::core::mdp::{FixedRulePolicy, MeanFieldMdp, Ph};
+use mflb::core::SystemConfig;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
 use mflb::queue::PhaseType;
 use mflb::sim::{monte_carlo, EngineSpec, Scenario, ServiceLaw};
@@ -47,7 +47,7 @@ fn main() {
 
         // (a) PH mean-field model: joint (length, phase) distribution,
         //     exact discretization per epoch.
-        let mdp = PhMeanFieldMdp::new(config.clone(), service.clone());
+        let mdp = MeanFieldMdp::with_closure(config.clone(), Ph::new(&config, service.clone()));
         let mut rng = StdRng::seed_from_u64(1);
         print!("  mean-field drops: ");
         for p in &policies {

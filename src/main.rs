@@ -39,8 +39,8 @@ use mflb::policy::{
     jsq_rule, lift_to_composite, optimize_beta, rnd_rule, softmin_rule, InferenceConfig, TanhMode,
 };
 use mflb::rl::{
-    distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility, train_scenario,
-    DistillConfig, DistilledCheckpoint, OracleConfig, PpoConfig, TrainingCheckpoint,
+    distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility, train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PpoConfig,
+    TrainingCheckpoint,
 };
 use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario, ServiceLaw};
 use rand::rngs::StdRng;
@@ -717,7 +717,7 @@ fn cmd_dp_solve(args: &Args) {
 }
 
 fn cmd_scv_compare(args: &Args) {
-    use mflb::core::PhMeanFieldMdp;
+    use mflb::core::mdp::Ph;
     use mflb::sim::PhAggregateEngine;
     let config = build_config(args);
     let scv: f64 = args.get("--scv");
@@ -735,7 +735,7 @@ fn cmd_scv_compare(args: &Args) {
     );
     let policy = homogeneous_policy(args, &config);
 
-    let mdp = PhMeanFieldMdp::new(config.clone(), service.clone());
+    let mdp = MeanFieldMdp::with_closure(config.clone(), Ph::new(&config, service.clone()));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mf = mflb::linalg::stats::Summary::new();
     for _ in 0..24 {

@@ -8,11 +8,10 @@
 //! If an intentional behaviour change ever breaks these, re-capture the
 //! constants (print `total_drops.to_bits()`) and say so in the PR.
 
-use mflb::core::mdp::FixedRulePolicy;
+use mflb::core::mdp::{FixedRulePolicy, Hetero, Homogeneous, Integrand, Ph};
 use mflb::core::{
-    graph_mean_field_step, CrashFaults, FaultPlan, HeteroMeanField, JobSizeLaw, MeanFieldMdp,
-    ObservationFaults, OverloadWindow, PhMeanFieldMdp, StateDist, StragglerWindow, SystemConfig,
-    Topology,
+    CrashFaults, FaultPlan, JobSizeLaw, MeanFieldMdp, ObservationFaults, OverloadWindow, StateDist,
+    StragglerWindow, SystemConfig, Topology,
 };
 use mflb::dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb::linalg::stats::Summary;
@@ -317,17 +316,20 @@ fn mean_field_rollouts_reproduce_their_pinned_returns() {
 #[test]
 fn phase_type_mean_field_reproduces_its_pinned_return() {
     let cfg = SystemConfig::paper().with_dt(5.0);
-    let mdp = PhMeanFieldMdp::new(cfg, PhaseType::fit_mean_scv(1.0, 2.0));
+    let closure = Ph::new(&cfg, PhaseType::fit_mean_scv(1.0, 2.0));
+    let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
     assert_eq!(ret.to_bits(), 0xc01bb0b72da6ad6e, "got {:#x}", ret.to_bits());
 }
 
 #[test]
 fn hetero_mean_field_reproduces_its_pinned_return() {
-    let rule = sed_rule(6, 2, &[1.6, 0.4]);
-    let field = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
-    let (_, drops) = field.rollout_conditioned(&rule, &[0.9; 24], 5.0);
-    let ret = -drops;
+    let sed = FixedRulePolicy::new(sed_rule(6, 2, &[1.6, 0.4]), "SED(2)");
+    let mut cfg = SystemConfig::paper().with_dt(5.0);
+    cfg.arrivals = ArrivalProcess::constant(0.9);
+    let closure = Hetero::new(&cfg, vec![0.5, 0.5], vec![1.6, 0.4]);
+    let mdp = MeanFieldMdp::with_closure(cfg, closure);
+    let ret = mdp.rollout_conditioned(&sed, &[0; 24]).total_return;
     assert_eq!(ret.to_bits(), 0xc025eebb9e834589, "got {:#x}", ret.to_bits());
 }
 
@@ -335,20 +337,10 @@ fn hetero_mean_field_reproduces_its_pinned_return() {
 fn graph_mean_field_reproduces_its_pinned_return() {
     // One episode of the degree-indexed closure at k = 3, the JSQ row of
     // the locality figure.
-    let config = SystemConfig::paper().with_dt(5.0);
-    let rule = jsq_rule(6, 2);
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let mut nu = StateDist::new(config.initial_dist.clone());
-    let mut level = config.arrivals.sample_initial(&mut rng);
-    let mut total = 0.0;
-    for _ in 0..24 {
-        let lambda = config.arrivals.level_rate(level);
-        let step = graph_mean_field_step(&nu, &rule, lambda, config.service_rate, config.dt, 3);
-        total += step.expected_drops;
-        nu = step.next_dist;
-        level = config.arrivals.step(level, &mut rng);
-    }
-    let ret = -total;
+    let cfg = SystemConfig::paper().with_dt(5.0);
+    let closure = Homogeneous::new(&cfg, Integrand::Graph { k: 3 });
+    let mdp = MeanFieldMdp::with_closure(cfg, closure);
+    let ret = mdp.rollout(&jsq(), 24, &mut StdRng::seed_from_u64(0xC0FFEE)).total_return;
     assert_eq!(ret.to_bits(), 0xc018e6d4c0c42c54, "got {:#x}", ret.to_bits());
 }
 

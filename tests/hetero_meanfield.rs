@@ -3,8 +3,8 @@
 //! mean-field drops as the pool grows — Theorem 1 carried to the
 //! composite-state extension.
 
-use mflb::core::mdp::FixedRulePolicy;
-use mflb::core::{HeteroMeanField, SystemConfig};
+use mflb::core::mdp::{FixedRulePolicy, Hetero};
+use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::sed_rule;
 use mflb::queue::hetero::ServerPool;
@@ -17,10 +17,14 @@ fn finite_hetero_system_tracks_hetero_mean_field() {
     let horizon = 15usize;
     let class_rates = [1.6f64, 0.4];
     let rule = sed_rule(6, 2, &class_rates);
+    let policy = FixedRulePolicy::new(rule, "SED(2)");
 
     // Mean-field reference at constant λ = 0.9.
-    let mf = HeteroMeanField::all_empty(vec![0.5, 0.5], class_rates.to_vec(), 5);
-    let (_, mf_drops) = mf.rollout_conditioned(&rule, &vec![0.9; horizon], dt);
+    let mut mf_cfg = SystemConfig::paper().with_dt(dt);
+    mf_cfg.arrivals = ArrivalProcess::constant(0.9);
+    let closure = Hetero::new(&mf_cfg, vec![0.5, 0.5], class_rates.to_vec());
+    let mdp = MeanFieldMdp::with_closure(mf_cfg, closure);
+    let mf_drops = -mdp.rollout_conditioned(&policy, &vec![0; horizon]).total_return;
 
     // Finite pools of growing size, same constant arrival level.
     let mut gaps = Vec::new();
@@ -30,7 +34,6 @@ fn finite_hetero_system_tracks_hetero_mean_field() {
         cfg.arrivals = ArrivalProcess::constant(0.9);
         let pool = ServerPool::two_speed(half, 1.6, half, 0.4, 5);
         let engine = HeteroEngine::new(cfg, pool);
-        let policy = FixedRulePolicy::new(rule.clone(), "SED(2)");
         let mut s = Summary::new();
         for r in 0..24 {
             s.push(

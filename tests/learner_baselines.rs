@@ -4,12 +4,10 @@
 //! initialization, and their deployed deterministic policies must be
 //! valid upper-level policies.
 
-use mflb::core::mdp::FixedRulePolicy;
+use mflb::core::mdp::{FixedRulePolicy, Homogeneous};
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::policy::{rnd_rule, NeuralUpperPolicy};
-use mflb::rl::{
-    CemConfig, CemTrainer, Homogeneous, MeanFieldEnv, ReinforceConfig, ReinforceTrainer,
-};
+use mflb::rl::{CemConfig, CemTrainer, MeanFieldEnv, ReinforceConfig, ReinforceTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,9 +24,6 @@ fn eval_policy(cfg: &SystemConfig, policy: &dyn mflb::core::UpperPolicy, seed: u
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full REINFORCE training run; quarantined for CI speed"]
 fn reinforce_learns_on_the_mfc_mdp() {
     let (cfg, env) = small_env();
     let rf_cfg = ReinforceConfig {

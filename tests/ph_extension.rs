@@ -3,8 +3,8 @@
 //! (`mflb-core`) and the finite PH engine (`mflb-sim`) must agree with
 //! each other and collapse to the exponential baseline at one phase.
 
-use mflb::core::mdp::FixedRulePolicy;
-use mflb::core::{MeanFieldMdp, PhMeanFieldMdp, SystemConfig};
+use mflb::core::mdp::{FixedRulePolicy, Ph};
+use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
 use mflb::queue::PhaseType;
@@ -16,13 +16,18 @@ fn config() -> SystemConfig {
     SystemConfig::paper().with_dt(4.0).with_size(1_600, 40)
 }
 
+/// The mean-field MDP over the phase-type closure.
+fn ph_mdp(cfg: &SystemConfig, service: &PhaseType) -> MeanFieldMdp<Ph> {
+    MeanFieldMdp::with_closure(cfg.clone(), Ph::new(cfg, service.clone()))
+}
+
 #[test]
 fn whole_stack_collapses_to_exponential_at_one_phase() {
     // Mean-field: exact agreement over a long conditioned trajectory.
     let cfg = config();
     let policy = FixedRulePolicy::new(jsq_rule(cfg.num_states(), cfg.d), "JSQ(2)");
     let plain = MeanFieldMdp::new(cfg.clone());
-    let ph = PhMeanFieldMdp::new(cfg.clone(), PhaseType::exponential(1.0));
+    let ph = ph_mdp(&cfg, &PhaseType::exponential(1.0));
     let seq: Vec<usize> = (0..60).map(|t| (t / 7) % 2).collect();
     let a = plain.rollout_conditioned(&policy, &seq);
     let b = ph.rollout_conditioned(&policy, &seq);
@@ -54,7 +59,7 @@ fn scv_ordering_holds_in_mean_field_and_finite_system() {
     let mut fin = Vec::new();
     for &scv in &[0.25, 1.0, 4.0] {
         let service = PhaseType::fit_mean_scv(1.0, scv);
-        let mdp = PhMeanFieldMdp::new(cfg.clone(), service.clone());
+        let mdp = ph_mdp(&cfg, &service);
         mf.push(-mdp.rollout_conditioned(&policy, &seq).total_return);
         let engine = PhAggregateEngine::new(cfg.clone(), service);
         let mut s = Summary::new();
@@ -81,7 +86,7 @@ fn finite_ph_system_approaches_mean_field_with_size() {
     let mut gaps = Vec::new();
     for &m in &[10usize, 40, 160] {
         let cfg = SystemConfig::paper().with_dt(4.0).with_size((m * m) as u64, m);
-        let mdp = PhMeanFieldMdp::new(cfg.clone(), service.clone());
+        let mdp = ph_mdp(&cfg, &service);
         let reference = -mdp.rollout_conditioned(&policy, &seq).total_return;
         let engine = PhAggregateEngine::new(cfg, service.clone());
         // Conditioned finite episodes (same arrival path) — the unified
