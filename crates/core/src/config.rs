@@ -165,6 +165,15 @@ impl SystemConfig {
                 self.service_rate
             ));
         }
+        let rate = self.service_rate.max(self.arrivals.max_rate());
+        if self.dt * rate > MAX_EPOCH_EVENTS {
+            return Err(format!(
+                "dt = {} at rate {rate} means {} expected events per queue per epoch, \
+                 more than the cap of {MAX_EPOCH_EVENTS}",
+                self.dt,
+                self.dt * rate
+            ));
+        }
         if !(self.holding_cost >= 0.0 && self.holding_cost.is_finite()) {
             return Err(format!(
                 "holding_cost must be non-negative and finite, got {}",
@@ -186,6 +195,12 @@ impl SystemConfig {
         Ok(())
     }
 }
+
+/// Largest `dt × max(service_rate, top arrival level)` — the expected
+/// number of events per queue in one epoch — a configuration may imply.
+/// Beyond it the epoch's matrix exponential loses all accuracy (and then
+/// overflows); the largest epoch any shipped experiment uses is 60.
+pub const MAX_EPOCH_EVENTS: f64 = 1e4;
 
 /// Largest decision-rule table, in entries `|Z|^d·d`, a configuration may
 /// imply. Every rule, policy and training env materializes the full table.
@@ -279,6 +294,19 @@ mod tests {
         assert!(rejection(|c| c.dt = -5.0).contains("dt"));
         assert!(rejection(|c| c.dt = f64::NAN).contains("dt"));
         assert!(rejection(|c| c.dt = f64::INFINITY).contains("dt"));
+    }
+
+    #[test]
+    fn validate_caps_the_events_per_epoch() {
+        // 1e20 used to panic inside the epoch's matrix exponential, 1e18
+        // reported more drops than jobs can arrive.
+        assert!(rejection(|c| c.dt = 1e20).contains("events per queue per epoch"));
+        assert!(rejection(|c| c.dt = 1e18).contains("events per queue per epoch"));
+        // The bound applies to the faster of service and the top arrival
+        // level, and the cap itself is admitted.
+        assert!(rejection(|c| c.service_rate = 2.0 * MAX_EPOCH_EVENTS).contains("events"));
+        SystemConfig::paper().with_dt(MAX_EPOCH_EVENTS).validate().unwrap();
+        SystemConfig::paper().with_dt(60.0).validate().unwrap();
     }
 
     #[test]

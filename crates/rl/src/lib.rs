@@ -72,7 +72,8 @@ pub use eval::{
 };
 pub use mfc_env::MeanFieldEnv;
 pub use oracle::{
-    oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key, solve_oracle, Oracle, OracleConfig, OracleExactness,
+    check_lattice, oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key,
+    solve_oracle, Oracle, OracleConfig, OracleExactness,
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};

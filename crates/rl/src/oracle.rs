@@ -251,18 +251,29 @@ pub fn oracle_feasibility(
     if oracle.grid_resolution == 0 {
         return Err("oracle grid resolution must be at least 1".into());
     }
-    let config = oracle_mdp_config(scenario)?;
+    check_lattice(&oracle_mdp_config(scenario)?, oracle, "--oracle-grid")?;
+    Ok(exactness)
+}
+
+/// Checks that the lattice DP over `config` at `oracle`'s grid resolution
+/// fits [`OracleConfig::max_table_entries`]; the complaint names
+/// `grid_flag` as the knob to lower.
+pub fn check_lattice(
+    config: &mflb_core::SystemConfig,
+    oracle: &OracleConfig,
+    grid_flag: &str,
+) -> Result<(), String> {
     let zs = config.num_states();
     let actions = ActionLibrary::softmin_default(zs, config.d).len();
     let levels = config.arrivals.num_levels();
     let entries = table_entries(zs, oracle.grid_resolution, levels, actions);
     match entries {
-        Some(n) if n <= oracle.max_table_entries => Ok(exactness),
+        Some(n) if n <= oracle.max_table_entries => Ok(()),
         _ => {
             let shown = entries.map_or("more than 2^64".to_string(), |n| n.to_string());
             Err(format!(
                 "oracle solve infeasible: buffer {} at grid resolution {} needs {} \
-                 transition-table entries (cap {}); lower --oracle-grid or use a \
+                 transition-table entries (cap {}); lower {grid_flag} or use a \
                  smaller buffer",
                 config.buffer, oracle.grid_resolution, shown, oracle.max_table_entries
             ))

@@ -39,7 +39,8 @@ use mflb::policy::{
     jsq_rule, lift_to_composite, optimize_beta, rnd_rule, softmin_rule, InferenceConfig, TanhMode,
 };
 use mflb::rl::{
-    distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility, train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PpoConfig,
+    check_lattice, distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility,
+    train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PpoConfig,
     TrainingCheckpoint,
 };
 use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario, ServiceLaw};
@@ -678,6 +679,10 @@ fn cmd_dp_solve(args: &Args) {
     let grid: usize = args.get("--grid");
     if grid == 0 {
         fail_usage("--grid must be at least 1");
+    }
+    let lattice = OracleConfig { grid_resolution: grid, ..OracleConfig::default() };
+    if let Err(e) = check_lattice(&config, &lattice, "--grid") {
+        fail_usage(e);
     }
     let zs = config.num_states();
     let t0 = std::time::Instant::now();
