@@ -6,7 +6,7 @@
 //! the distilled tabular policy — on arbitrary simplex observations and
 //! on observations produced by a fault-injected finite engine.
 //!
-//! The quarantined test at the bottom is the f32 serving-tier eval gate:
+//! The test at the bottom is the f32 serving-tier eval gate:
 //! a freshly trained checkpoint evaluated under `--precision f32` must
 //! land within a small tolerance of the f64 reference.
 
@@ -167,10 +167,7 @@ proptest! {
 /// `--precision f32` must reproduce the f64 reference drops within the
 /// joint 95% confidence bands of the two Monte-Carlo estimates (with a
 /// 2% relative floor).
-///
-/// Run with `cargo test --release -- --ignored` (CI's long-tests job).
 #[test]
-#[ignore = "trains a quick checkpoint for the precision gate; quarantined for CI speed"]
 fn f32_eval_matches_f64_within_gate() {
     use mflb::rl::{
         evaluate_checkpoint, evaluate_checkpoint_configured, train_scenario, PpoConfig,

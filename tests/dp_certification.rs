@@ -1,11 +1,9 @@
-//! Quarantined optimality-certification gate: quick-scale PPO training
+//! Optimality-certification gate: quick-scale PPO training
 //! must land within a pinned optimality gap of the exact DP oracle — a
 //! much stronger quality bar than "beats RND" — on both the homogeneous
 //! paper dynamics and the phase-type family, the oracle itself must pass
 //! its Bellman-residual self-check, and distillation must stay within 5%
 //! of the network it was projected from.
-//!
-//! Run with `cargo test --release -- --ignored` (CI's long-tests job).
 
 use mflb::rl::{
     distill_checkpoint, evaluate_checkpoint_with_oracle, solve_oracle, train_scenario,
@@ -62,7 +60,6 @@ fn learned_gap_pct(scenario: &Scenario, iters: usize) -> f64 {
 }
 
 #[test]
-#[ignore = "full lattice DP solve + Bellman sweep; quarantined for CI speed"]
 fn oracle_passes_its_bellman_residual_self_check() {
     let scenario = scenario_from_file("oracle_tiny.json");
     let oracle = solve_oracle(&scenario, &quick_oracle(6)).expect("oracle solve failed");
@@ -75,7 +72,6 @@ fn oracle_passes_its_bellman_residual_self_check() {
 }
 
 #[test]
-#[ignore = "full train->certify loop on the homogeneous family; quarantined for CI speed"]
 fn quick_scale_training_stays_within_the_pinned_gap_homogeneous() {
     let scenario = scenario_from_file("oracle_tiny.json");
     let gap = learned_gap_pct(&scenario, 60);
@@ -87,7 +83,6 @@ fn quick_scale_training_stays_within_the_pinned_gap_homogeneous() {
 }
 
 #[test]
-#[ignore = "full train->certify loop on the phase-type family; quarantined for CI speed"]
 fn quick_scale_training_stays_within_the_pinned_gap_phase_type() {
     // The oracle is a mean-matched *reference* here (Erlang-2 service),
     // so the bar is looser: the gap is indicative, not a certificate.
@@ -102,7 +97,6 @@ fn quick_scale_training_stays_within_the_pinned_gap_phase_type() {
 }
 
 #[test]
-#[ignore = "train + distill + finite-N comparison; quarantined for CI speed"]
 fn distilled_table_stays_within_five_percent_of_its_source_network() {
     let scenario = scenario_from_file("oracle_tiny.json");
     let result = train_scenario(&scenario, quick_ppo(), 60, 1, false).expect("training failed");

@@ -18,9 +18,6 @@ fn dp_policy(cfg: &SystemConfig, g: usize) -> mflb::dp::GridPolicy {
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full lattice DP solve; quarantined for CI speed"]
 fn dp_dominates_baselines_in_continuous_mdp() {
     let cfg = SystemConfig::paper().with_dt(5.0);
     let zs = cfg.num_states();
@@ -42,9 +39,6 @@ fn dp_dominates_baselines_in_continuous_mdp() {
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full lattice DP solve; quarantined for CI speed"]
 fn dp_matches_or_beats_the_best_constant_softmin() {
     // The DP optimum over the softmin family with ν-feedback must be at
     // least as good as the best *constant* softmin (β* search) — the
@@ -70,9 +64,6 @@ fn dp_matches_or_beats_the_best_constant_softmin() {
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full lattice DP solve; quarantined for CI speed"]
 fn dp_advantage_transfers_to_finite_system() {
     let cfg = SystemConfig::paper().with_dt(5.0).with_size(2_500, 50);
     let zs = cfg.num_states();
@@ -92,9 +83,6 @@ fn dp_advantage_transfers_to_finite_system() {
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full lattice DP solve; quarantined for CI speed"]
 fn dp_greedy_interpolates_between_rnd_and_jsq_regimes() {
     // Sanity on the *structure* of the solution: at Δt = 1 the optimum
     // should play (numerically) JSQ from the empty start; at Δt = 10 it

@@ -30,9 +30,6 @@ fn quick_ppo() -> PpoConfig {
 }
 
 #[test]
-// Long-running reproduction test (~30-80 s in debug): run with
-// `cargo test -- --ignored`.
-#[ignore = "full PPO training run; quarantined for CI speed"]
 fn ppo_improves_over_initial_policy_on_mfc_mdp() {
     let mut config = SystemConfig::paper().with_dt(5.0);
     config.train_episode_len = 60; // short episodes for a fast test
