@@ -59,20 +59,11 @@ pub struct HeteroMeanFieldStep {
 }
 
 impl HeteroMeanField {
-    /// Creates the system with all queues of every class empty.
+    /// Creates the system from explicit per-class distributions.
     ///
     /// # Panics
     /// Panics on empty/mismatched classes, non-positive rates or weights
     /// not summing to 1.
-    pub fn all_empty(class_weights: Vec<f64>, class_rates: Vec<f64>, buffer: usize) -> Self {
-        let dists = vec![StateDist::all_empty(buffer); class_weights.len()];
-        Self::new(class_weights, class_rates, dists)
-    }
-
-    /// Creates the system from explicit per-class distributions.
-    ///
-    /// # Panics
-    /// See [`HeteroMeanField::all_empty`].
     pub fn new(class_weights: Vec<f64>, class_rates: Vec<f64>, dists: Vec<StateDist>) -> Self {
         assert!(!class_weights.is_empty(), "need at least one class");
         assert_eq!(class_weights.len(), class_rates.len(), "class shape");
@@ -206,6 +197,12 @@ mod tests {
     use super::*;
     use crate::meanfield::mean_field_step;
 
+    /// Two equal classes at `class_rates`, every queue empty (`B = 5`).
+    fn two_classes_empty(class_rates: [f64; 2]) -> HeteroMeanField {
+        let dists = vec![StateDist::all_empty(5); 2];
+        HeteroMeanField::new(vec![0.5, 0.5], class_rates.to_vec(), dists)
+    }
+
     /// `epochs` epochs under `rule` at arrival rate 0.9 and `Δt = 5`:
     /// the end state and the cumulative expected drops per queue.
     fn run(field: &HeteroMeanField, rule: &DecisionRule, epochs: usize) -> (HeteroMeanField, f64) {
@@ -269,7 +266,7 @@ mod tests {
 
     #[test]
     fn step_conserves_class_masses_and_bounds_drops() {
-        let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
+        let hetero = two_classes_empty([1.6, 0.4]);
         let rule = composite_sed(6, &[1.6, 0.4]);
         let (end, drops) = run(&hetero, &rule, 20);
         for c in 0..2 {
@@ -283,7 +280,7 @@ mod tests {
     fn slow_class_fills_faster_under_rate_blind_routing() {
         // Under composite-blind JSQ, slow servers receive the same traffic
         // as fast ones and their queues must sit higher in steady state.
-        let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
+        let hetero = two_classes_empty([1.6, 0.4]);
         let rule = composite_jsq(6, 2);
         let (end, _) = run(&hetero, &rule, 40);
         assert!(
@@ -296,7 +293,7 @@ mod tests {
 
     #[test]
     fn sed_beats_rate_blind_jsq_in_hetero_mean_field() {
-        let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.6, 0.4], 5);
+        let hetero = two_classes_empty([1.6, 0.4]);
         let (_, drops_sed) = run(&hetero, &composite_sed(6, &[1.6, 0.4]), 40);
         let (_, drops_jsq) = run(&hetero, &composite_jsq(6, 2), 40);
         assert!(
@@ -323,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "composite states")]
     fn rejects_rules_over_wrong_state_space() {
-        let hetero = HeteroMeanField::all_empty(vec![0.5, 0.5], vec![1.0, 2.0], 5);
+        let hetero = two_classes_empty([1.0, 2.0]);
         let rule = DecisionRule::uniform(6, 2); // plain, not composite
         hetero.step(&rule, 0.9, 1.0);
     }
