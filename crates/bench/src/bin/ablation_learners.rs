@@ -23,7 +23,7 @@
 use mflb_bench::harness::{jsq_policy, print_table, rnd_policy, write_csv, Scale};
 use mflb_bench::training::ppo_config_for;
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
-use mflb_core::{MeanFieldMdp, SystemConfig};
+use mflb_core::{worker_count, MeanFieldMdp, SystemConfig};
 use mflb_linalg::stats::Summary;
 use mflb_policy::NeuralUpperPolicy;
 use mflb_rl::{CemConfig, CemTrainer, MeanFieldEnv, PpoTrainer, ReinforceConfig, ReinforceTrainer};
@@ -50,7 +50,7 @@ fn main() {
     };
     let cfg = SystemConfig::paper().with_dt(dt);
     let env = MeanFieldEnv::homogeneous(cfg.clone()).with_horizon(train_horizon);
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let threads = worker_count(0);
 
     // --- PPO (quick-scale config from the shared trainer module). ---
     println!("training PPO (budget {step_budget} steps) …");

@@ -60,3 +60,23 @@ pub use partial::{sampled_estimate, ObservationModel, PartialObservationPolicy};
 pub use ph_meanfield::{ph_mean_field_step, PhDist};
 pub use rule::DecisionRule;
 pub use topology::{CsrNeighborhoods, Topology};
+
+/// Resolves a requested worker-thread count: `0` means one per available
+/// core (1 when the core count is unknown), anything else is taken as is.
+pub fn worker_count(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        requested
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn worker_count_resolves_zero_to_available_cores() {
+        assert_eq!(super::worker_count(3), 3);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(super::worker_count(0), cores);
+    }
+}

@@ -33,7 +33,7 @@ use crate::actions::ActionLibrary;
 use crate::error::DpError;
 use crate::simplex_grid::SimplexGrid;
 use mflb_core::mdp::UpperPolicy;
-use mflb_core::{DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
+use mflb_core::{worker_count, DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -269,12 +269,7 @@ impl DpSolution {
         type Staged = Vec<(f64, Vec<(usize, f64)>)>; // per (l, a) of one s
         let staged: Mutex<Vec<Option<Staged>>> = Mutex::new(vec![None; s_count]);
 
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(s_count.max(1));
+        let threads = worker_count(threads).min(s_count.max(1));
 
         let counter = std::sync::atomic::AtomicUsize::new(0);
         crossbeam::scope(|scope| {

@@ -187,12 +187,7 @@ impl CemTrainer {
 
         // Parallel evaluation; results slotted by candidate index so the
         // outcome is independent of scheduling.
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.cfg.threads
-        }
-        .min(pop);
+        let threads = mflb_core::worker_count(self.cfg.threads).min(pop);
         let scores: Mutex<Vec<(f64, u64)>> = Mutex::new(vec![(f64::NAN, 0); pop]);
         let counter = std::sync::atomic::AtomicUsize::new(0);
         let template = &self.template;

@@ -58,8 +58,8 @@ use crate::episode::{
     length_epoch_stats, simulate_birth_death_epoch, stream_rng, Engine, EpochStats,
 };
 use mflb_core::{
-    per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, CsrNeighborhoods,
-    DecisionRule, FaultPlan, StateDist, SystemConfig, Topology,
+    per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, worker_count,
+    CsrNeighborhoods, DecisionRule, FaultPlan, StateDist, SystemConfig, Topology,
 };
 use mflb_queue::sampler::Sampler;
 use rand::rngs::StdRng;
@@ -256,14 +256,6 @@ impl GraphEngine {
         }
     }
 
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.workers
-        }
-    }
-
     /// Samples the assignments of `clients` clients connected to
     /// dispatcher `node`, **adding** the resulting counts into `counts`.
     /// Draws from the node's `(epoch_base, node)`-derived stream — the
@@ -382,7 +374,7 @@ impl GraphEngine {
     ) {
         let shard = self.shard_size.max(1);
         let num_shards = home_counts.len().div_ceil(shard);
-        let workers = self.effective_workers().clamp(1, num_shards.max(1));
+        let workers = worker_count(self.workers).clamp(1, num_shards.max(1));
         if workers == 1 {
             for (s, home) in home_counts.chunks_mut(shard).enumerate() {
                 self.shard_assignment_pass(
@@ -471,7 +463,7 @@ impl GraphEngine {
     ) -> (u64, u64) {
         let shard = self.shard_size.max(1);
         let num_shards = queues.len().div_ceil(shard);
-        let workers = self.effective_workers().clamp(1, num_shards.max(1));
+        let workers = worker_count(self.workers).clamp(1, num_shards.max(1));
         if workers == 1 {
             let (mut dropped, mut served) = (0u64, 0u64);
             for (s, (qs, cs)) in queues.chunks_mut(shard).zip(counts.chunks_mut(shard)).enumerate()

@@ -13,9 +13,11 @@ use crate::episode::{
     run_episode_conditioned, run_episodes_lockstep, run_rng, Engine, EpisodeOutcome,
 };
 use mflb_core::mdp::UpperPolicy;
+use mflb_core::worker_count;
 use mflb_linalg::stats::Summary;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Aggregated Monte-Carlo output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,11 +58,12 @@ impl MonteCarloResult {
     }
 }
 
-/// Episodes per lockstep chunk: each worker claims a chunk of consecutive
-/// run indices and steps them together so the neural policy sees one
-/// 16-row gemm per decision epoch instead of 16 gemvs. A constant
-/// (independent of the thread count) so results stay bit-identical across
-/// worker counts; 16 rows already amortize the 2×256 weight streaming.
+/// Most episodes per lockstep chunk: a worker steps a chunk of
+/// consecutive run indices together, so the neural policy sees one gemm
+/// of up to 16 rows per decision epoch instead of 16 gemvs; 16 rows
+/// already amortize the 2×256 weight streaming. Chunk boundaries may
+/// follow the worker count (see [`chunk_bounds`]) because no result
+/// depends on them.
 const LOCKSTEP_CHUNK: usize = 16;
 
 /// Runs `n_runs` independent episodes of `horizon` epochs and aggregates
@@ -107,45 +110,49 @@ where
     run_many_chunks(n_runs, threads, |start, len| (0..len as u64).map(|i| job(start + i)).collect())
 }
 
-/// Work-stealing chunk scheduler: workers claim chunks of
-/// [`LOCKSTEP_CHUNK`] consecutive run indices. The chunk boundaries are a
-/// pure function of `n_runs` — never of the worker count — so results
-/// are bit-identical regardless of parallelism, exactly as with the old
-/// per-run scheduler.
+/// Chunk layout, as `(start, len)` pairs, for `n_runs` runs on
+/// `workers ≥ 1` workers: the chunk count `k` is the smallest multiple of
+/// `workers` whose chunks hold at most [`LOCKSTEP_CHUNK`] runs, capped at
+/// `n_runs`, and chunk `c` covers runs `[c·n_runs/k, (c+1)·n_runs/k)`.
+/// So every worker gets the same number of chunks, and chunk sizes
+/// differ by at most one (20 runs on 2 workers: 10 + 10).
+fn chunk_bounds(n_runs: usize, workers: usize) -> Vec<(u64, usize)> {
+    let k = (n_runs.div_ceil(LOCKSTEP_CHUNK).div_ceil(workers) * workers).min(n_runs);
+    let start = |c: usize| c * n_runs / k;
+    (0..k).map(|c| (start(c) as u64, start(c + 1) - start(c))).collect()
+}
+
+/// Work-stealing chunk scheduler over [`chunk_bounds`]: `job(start, len)`
+/// runs `len` consecutive runs from `start`, and the outcomes are merged
+/// in run order. Results are bit-identical for every worker count and
+/// chunk layout because each run draws from its private
+/// `run_rng(base_seed, run)` and `decide_batch` equals `decide` row by
+/// row, so a run's outcome does not depend on which runs share its chunk.
 fn run_many_chunks<F>(n_runs: usize, threads: usize, job: F) -> MonteCarloResult
 where
     F: Fn(u64, usize) -> Vec<EpisodeOutcome> + Sync,
 {
-    let n_chunks = n_runs.div_ceil(LOCKSTEP_CHUNK).max(1);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(n_chunks);
-
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, Vec<EpisodeOutcome>)>> = Mutex::new(Vec::with_capacity(n_chunks));
+    let workers = worker_count(threads);
+    let chunks = chunk_bounds(n_runs, workers);
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(u64, Vec<EpisodeOutcome>)>> =
+        Mutex::new(Vec::with_capacity(chunks.len()));
 
     crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let chunk = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if chunk >= n_chunks as u64 {
-                    break;
+        for _ in 0..workers.min(chunks.len()) {
+            scope.spawn(|_| {
+                while let Some(&(start, len)) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcomes = job(start, len);
+                    results.lock().push((start, outcomes));
                 }
-                let start = chunk * LOCKSTEP_CHUNK as u64;
-                let len = LOCKSTEP_CHUNK.min(n_runs - start as usize);
-                let outcomes = job(start, len);
-                results.lock().push((chunk, outcomes));
             });
         }
     })
     .expect("monte-carlo worker panicked");
 
-    let mut chunks = results.into_inner();
-    chunks.sort_by_key(|(chunk, _)| *chunk);
-    let outcomes: Vec<EpisodeOutcome> = chunks.into_iter().flat_map(|(_, outs)| outs).collect();
+    let mut done = results.into_inner();
+    done.sort_by_key(|(start, _)| *start);
+    let outcomes: Vec<EpisodeOutcome> = done.into_iter().flat_map(|(_, outs)| outs).collect();
 
     let mut drops = Summary::new();
     let mut per_run = Vec::with_capacity(n_runs);
@@ -194,6 +201,49 @@ mod tests {
         let engine = AggregateEngine::new(cfg.clone());
         let policy = FixedRulePolicy::new(DecisionRule::uniform(cfg.num_states(), cfg.d), "RND");
         (engine, policy)
+    }
+
+    #[test]
+    fn chunk_bounds_tile_the_runs_evenly_per_worker() {
+        for workers in 1..=8 {
+            for n_runs in 0..=200 {
+                let chunks = chunk_bounds(n_runs, workers);
+                let mut next = 0;
+                for &(start, len) in &chunks {
+                    assert_eq!(start, next, "n={n_runs} w={workers}: contiguous, in order");
+                    assert!((1..=LOCKSTEP_CHUNK).contains(&len), "n={n_runs} w={workers}");
+                    next += len as u64;
+                }
+                assert_eq!(next, n_runs as u64, "n={n_runs} w={workers}: covers every run");
+                let (min, max) = chunks
+                    .iter()
+                    .fold((usize::MAX, 0), |(lo, hi), &(_, len)| (lo.min(len), hi.max(len)));
+                assert!(chunks.is_empty() || max - min <= 1, "n={n_runs} w={workers}");
+                if n_runs >= workers {
+                    assert_eq!(chunks.len() % workers, 0, "n={n_runs} w={workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_bounds_match_the_documented_layouts() {
+        let lens = |n, w| chunk_bounds(n, w).iter().map(|&(_, len)| len).collect::<Vec<_>>();
+        assert_eq!(lens(20, 2), [10, 10]);
+        assert_eq!(lens(20, 4), [5; 4]);
+        assert_eq!(lens(16, 2), [8, 8]);
+        assert_eq!(lens(100, 2), [12, 13, 12, 13, 12, 13, 12, 13]);
+        assert_eq!(lens(3, 4), [1, 1, 1]);
+        assert_eq!(lens(40, 1), [13, 13, 14]);
+        assert!(chunk_bounds(0, 2).is_empty());
+    }
+
+    #[test]
+    fn no_runs_give_an_empty_result() {
+        let (engine, policy) = setup();
+        let r = monte_carlo(&engine, &policy, 10, 0, 42, 2);
+        assert!(r.per_run.is_empty() && r.mean_drops_per_epoch.is_empty());
+        assert_eq!(r.drops.count(), 0);
     }
 
     #[test]
