@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks of the computational kernels.
 //!
 //! These quantify the cost of the pieces that dominate experiment runtime:
-//! the matrix exponential behind the exact discretization, a full MFC-MDP
-//! step, one finite-system epoch under both engines, neural policy
-//! inference and a PPO network update.
+//! a softmin mean-field step, an MFC-MDP rollout, one finite-system epoch
+//! under both engines, neural policy inference and a PPO network update.
+//! The matrix exponential and the JSQ mean-field step are timed by
+//! `mflb bench` instead (`crates/bench/src/perf.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::{mean_field_step, DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
-use mflb_linalg::{expm, Mat};
 use mflb_nn::{Activation, Mlp, Tensor, Workspace};
 use mflb_policy::{jsq_rule, softmin_rule};
 use mflb_queue::sampler::Sampler;
@@ -18,28 +18,8 @@ use mflb_sim::{AggregateEngine, Engine, PerClientEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_expm(c: &mut Criterion) {
-    // The 7x7 extended generator of the paper's B = 5 queues at Δt = 5.
-    let q = mflb_core::meanfield::extended_generator(0.9, 1.0, 5).scaled(5.0);
-    c.bench_function("expm_7x7_extended_generator", |b| b.iter(|| expm(black_box(&q))));
-    let big = {
-        let mut m = Mat::zeros(22, 22);
-        for i in 0..21 {
-            m[(i + 1, i)] = 0.9;
-            m[(i, i + 1)] = 1.0;
-            m[(i, i)] = -1.9;
-        }
-        m.scaled(5.0)
-    };
-    c.bench_function("expm_22x22_B20_generator", |b| b.iter(|| expm(black_box(&big))));
-}
-
 fn bench_mean_field_step(c: &mut Criterion) {
     let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
-    let rule = jsq_rule(6, 2);
-    c.bench_function("mean_field_step_dt5", |b| {
-        b.iter(|| mean_field_step(black_box(&nu), black_box(&rule), 0.9, 1.0, 5.0))
-    });
     let soft = softmin_rule(6, 2, 2.0);
     c.bench_function("mean_field_step_softmin", |b| {
         b.iter(|| mean_field_step(black_box(&nu), black_box(&soft), 0.9, 1.0, 5.0))
@@ -270,7 +250,6 @@ fn bench_dp(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_expm,
     bench_mean_field_step,
     bench_mfc_rollout,
     bench_engines,

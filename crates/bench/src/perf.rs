@@ -4,7 +4,8 @@
 //! training and deployment pipelines funnel through:
 //!
 //! 1. **kernels** — the register-blocked `*_into` GEMMs vs the naive
-//!    allocating matmuls at the paper's 2×256 policy shape,
+//!    allocating matmuls at the paper's 2×256 policy shape, and the Padé
+//!    `expm` and mean-field step behind every mean-field epoch,
 //! 2. **inference tiers** — the `gemv`/workspace `forward_one_into`
 //!    batch-1 fast path vs the allocating `forward_one` it replaced, the
 //!    batched `forward_rows_into` gemm vs K sequential gemvs (the
@@ -271,6 +272,46 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
             entry("gemm_tn_128x256x256_blocked", iters, gblocked, flops, "flop/s"),
             gnaive,
         ));
+    }
+
+    // --- 1b. Mean-field kernels: the Padé `expm` of the exact
+    //     discretization on the paper's B = 5 extended generator and on a
+    //     B = 20 birth-death generator, and one full-mesh JSQ(2) mean-field
+    //     step (one `expm` per occupied state), all at Δt = 5. Untracked
+    //     (no naive twin to ratio against); the absolute cost is the datum. ---
+    {
+        use mflb_core::meanfield::extended_generator;
+        use mflb_core::{mean_field_step, StateDist};
+        use mflb_linalg::{expm, Mat};
+        use mflb_policy::jsq_rule;
+
+        let q = extended_generator(0.9, 1.0, 5).scaled(5.0);
+        let iters = 2_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(expm(black_box(&q)));
+        });
+        entries.push(entry("expm_7x7_extended_generator", iters, secs, 1.0, "ops/s"));
+
+        let mut big = Mat::zeros(22, 22);
+        for i in 0..21 {
+            big[(i + 1, i)] = 0.9;
+            big[(i, i + 1)] = 1.0;
+            big[(i, i)] = -1.9;
+        }
+        let big = big.scaled(5.0);
+        let iters = 200 * scale;
+        let secs = time_loop(iters, || {
+            black_box(expm(black_box(&big)));
+        });
+        entries.push(entry("expm_22x22_B20_generator", iters, secs, 1.0, "ops/s"));
+
+        let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
+        let rule = jsq_rule(6, 2);
+        let iters = 500 * scale;
+        let secs = time_loop(iters, || {
+            black_box(mean_field_step(black_box(&nu), black_box(&rule), 0.9, 1.0, 5.0));
+        });
+        entries.push(entry("mean_field_step_dt5", iters, secs, 1.0, "ops/s"));
     }
 
     // --- 2. Batch-1 inference: gemv fast path vs allocating forward_one

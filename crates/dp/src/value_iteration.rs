@@ -71,7 +71,8 @@ struct TransitionTable {
 /// The solved discretized MDP: optimal values and the greedy policy over
 /// the lattice.
 pub struct DpSolution {
-    config: SystemConfig,
+    /// The full-mesh MDP solved for; the lookahead steps through it.
+    mdp: MeanFieldMdp,
     grid: SimplexGrid,
     actions: ActionLibrary,
     num_levels: usize,
@@ -115,12 +116,13 @@ impl DpSolution {
     /// shape does not match it.
     pub fn solve(config: &SystemConfig, actions: ActionLibrary, dp: &DpConfig) -> Self {
         Self::check_shapes(config, &actions);
+        let mdp = MeanFieldMdp::new(config.clone());
         let grid = SimplexGrid::new(config.num_states(), dp.grid_resolution);
         let num_levels = config.arrivals.num_levels();
         let s_count = grid.num_points();
         let a_count = actions.len();
 
-        let table = Self::precompute(config, &grid, &actions, num_levels, dp.threads);
+        let table = Self::precompute(&mdp, &grid, &actions, num_levels, dp.threads);
 
         // ---- Value-iteration sweeps (pure table arithmetic). -----------
         let gamma = config.gamma;
@@ -156,7 +158,7 @@ impl DpSolution {
             sweeps += 1;
         }
 
-        Self { config: config.clone(), grid, actions, num_levels, values, best, sweeps, residual }
+        Self { mdp, grid, actions, num_levels, values, best, sweeps, residual }
     }
 
     /// Solves the discretized MDP by **policy iteration** (Howard's
@@ -171,12 +173,13 @@ impl DpSolution {
         dp: &DpConfig,
     ) -> Self {
         Self::check_shapes(config, &actions);
+        let mdp = MeanFieldMdp::new(config.clone());
         let grid = SimplexGrid::new(config.num_states(), dp.grid_resolution);
         let num_levels = config.arrivals.num_levels();
         let s_count = grid.num_points();
         let a_count = actions.len();
 
-        let table = Self::precompute(config, &grid, &actions, num_levels, dp.threads);
+        let table = Self::precompute(&mdp, &grid, &actions, num_levels, dp.threads);
         let gamma = config.gamma;
         let kernel: Vec<Vec<f64>> =
             (0..num_levels).map(|l| config.arrivals.kernel_row(l).to_vec()).collect();
@@ -233,7 +236,7 @@ impl DpSolution {
         }
 
         Self {
-            config: config.clone(),
+            mdp,
             grid,
             actions,
             num_levels,
@@ -253,13 +256,12 @@ impl DpSolution {
     /// Parallel precompute of every `(lattice point, level, action)`
     /// one-epoch transition.
     fn precompute(
-        config: &SystemConfig,
+        mdp: &MeanFieldMdp,
         grid: &SimplexGrid,
         actions: &ActionLibrary,
         num_levels: usize,
         threads: usize,
     ) -> TransitionTable {
-        let mdp = MeanFieldMdp::new(config.clone());
         let s_count = grid.num_points();
         let a_count = actions.len();
         let entries = s_count * num_levels * a_count;
@@ -326,37 +328,40 @@ impl DpSolution {
 
     /// The system configuration solved for.
     pub fn config(&self) -> &SystemConfig {
-        &self.config
+        self.mdp.config()
     }
 
     /// Optimal value of an arbitrary state, interpolated over the lattice.
     pub fn value(&self, dist: &StateDist, lambda_idx: usize) -> f64 {
         assert!(lambda_idx < self.num_levels);
-        self.grid
-            .interpolate(dist)
-            .iter()
-            .map(|&(s, w)| w * self.values[s * self.num_levels + lambda_idx])
-            .sum()
+        self.interpolated_value(&self.grid.interpolate(dist), lambda_idx)
+    }
+
+    /// `Σ_k w_k V(v_k, l)` over the interpolation pairs `(v_k, w_k)`.
+    fn interpolated_value(&self, pairs: &[(usize, f64)], lambda_idx: usize) -> f64 {
+        pairs.iter().map(|&(s, w)| w * self.values[s * self.num_levels + lambda_idx]).sum()
     }
 
     /// One-step-lookahead Q-values of every library action at an
     /// arbitrary state: `Q(ν, l, a) = r + γ·Σ_{l'} P(l'|l)·V(ν', l')`
     /// with the next distribution `ν'` stepped through the exact model
-    /// and the continuation interpolated over the lattice.
+    /// and the continuation interpolated over the lattice (once per
+    /// action; the pairs serve every level `l'`).
     pub fn q_values(&self, dist: &StateDist, lambda_idx: usize) -> Vec<f64> {
         assert!(lambda_idx < self.num_levels);
-        let mdp = MeanFieldMdp::new(self.config.clone());
-        let point = mdp.closure().with_dist(dist.clone());
-        let kernel = self.config.arrivals.kernel_row(lambda_idx);
+        let config = self.mdp.config();
+        let point = self.mdp.closure().with_dist(dist.clone());
+        let kernel = config.arrivals.kernel_row(lambda_idx);
         (0..self.actions.len())
             .map(|a| {
                 let mut next = point.clone();
-                let reward = mdp.epoch(&mut next, self.actions.rule(a), lambda_idx, 0);
+                let reward = self.mdp.epoch(&mut next, self.actions.rule(a), lambda_idx, 0);
+                let pairs = self.grid.interpolate(next.dist());
                 let mut cont = 0.0;
                 for (lp, &p) in kernel.iter().enumerate() {
-                    cont += p * self.value(next.dist(), lp);
+                    cont += p * self.interpolated_value(&pairs, lp);
                 }
-                reward + self.config.gamma * cont
+                reward + config.gamma * cont
             })
             .collect()
     }
@@ -402,7 +407,7 @@ impl DpSolution {
     /// Serializable snapshot of this solution.
     pub fn to_checkpoint(&self) -> DpCheckpoint {
         DpCheckpoint {
-            config: self.config.clone(),
+            config: self.config().clone(),
             grid_resolution: self.grid.resolution(),
             action_names: (0..self.actions.len())
                 .map(|a| self.actions.name(a).to_string())
@@ -459,7 +464,7 @@ impl DpSolution {
             )));
         }
         Ok(Self {
-            config: ckpt.config,
+            mdp: MeanFieldMdp::new(ckpt.config),
             grid,
             actions,
             num_levels,

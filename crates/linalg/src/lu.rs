@@ -8,7 +8,8 @@
 use crate::matrix::Mat;
 
 /// An LU factorization `P·A = L·U` of a square matrix with partial
-/// (row) pivoting.
+/// (row) pivoting. The default is the factorization of the empty `0 × 0`
+/// matrix.
 #[derive(Clone, Debug)]
 pub struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper, including
@@ -22,56 +23,73 @@ pub struct Lu {
     singular: bool,
 }
 
+impl Default for Lu {
+    fn default() -> Self {
+        Self { lu: Mat::default(), perm: Vec::new(), perm_sign: 1.0, singular: false }
+    }
+}
+
 impl Lu {
     /// Factorizes a square matrix.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn new(a: &Mat) -> Self {
+        let mut lu = Self::default();
+        lu.factor(a);
+        lu
+    }
+
+    /// Refactorizes `self` as the LU of `a`, reusing the factor and
+    /// permutation buffers.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub(crate) fn factor(&mut self, a: &Mat) {
         assert!(a.is_square(), "LU requires a square matrix");
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        let mut singular = false;
+        let lu = &mut self.lu;
+        lu.clone_from(a);
+        self.perm.clear();
+        self.perm.extend(0..n);
+        self.perm_sign = 1.0;
+        self.singular = false;
 
+        let data = lu.as_mut_slice();
         for k in 0..n {
             // Find the pivot: the largest |entry| in column k at/below row k.
             let mut pivot_row = k;
-            let mut pivot_val = lu[(k, k)].abs();
+            let mut pivot_val = data[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = data[i * n + k].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = i;
                 }
             }
             if pivot_val == 0.0 {
-                singular = true;
+                self.singular = true;
                 continue;
             }
+            let (top, below) = data.split_at_mut((k + 1) * n);
+            let row_k = &mut top[k * n..];
             if pivot_row != k {
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
-                }
+                self.perm.swap(k, pivot_row);
+                self.perm_sign = -self.perm_sign;
+                row_k.swap_with_slice(&mut below[(pivot_row - k - 1) * n..(pivot_row - k) * n]);
             }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
+            let pivot = row_k[k];
+            for row_i in below.chunks_exact_mut(n) {
+                let factor = row_i[k] / pivot;
+                row_i[k] = factor;
                 if factor != 0.0 {
-                    for j in (k + 1)..n {
-                        let upd = factor * lu[(k, j)];
-                        lu[(i, j)] -= upd;
+                    for (x, &u) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                        let upd = factor * u;
+                        *x -= upd;
                     }
                 }
             }
         }
-        Self { lu, perm, perm_sign, singular }
     }
 
     /// `true` iff a zero pivot was hit (matrix numerically singular).
@@ -95,61 +113,70 @@ impl Lu {
     /// Solves `A·x = b` for a single right-hand side.
     ///
     /// Returns `None` if the factorization is singular.
-    // Triangular substitution indexes `x` at lag `j < i`, which iterator
-    // adapters would only obscure.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve_vec(&self, b: &[f64]) -> Option<Vec<f64>> {
         if self.singular {
             return None;
         }
         let n = self.lu.rows();
         assert_eq!(b.len(), n, "rhs length mismatch");
-        // Apply permutation, then forward substitution with unit L.
         let mut x: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 1..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Backward substitution with U.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = acc / self.lu[(i, i)];
-        }
+        self.substitute(&mut x);
         Some(x)
+    }
+
+    /// Forward substitution with unit L, then backward substitution with
+    /// U, in place on an already permuted right-hand side.
+    fn substitute(&self, x: &mut [f64]) {
+        let n = x.len();
+        let lu = self.lu.as_slice();
+        for i in 1..n {
+            let (done, rest) = x.split_at_mut(i);
+            let mut acc = rest[0];
+            for (l, &xj) in lu[i * n..i * n + i].iter().zip(done.iter()) {
+                acc -= l * xj;
+            }
+            rest[0] = acc;
+        }
+        for i in (0..n).rev() {
+            let (head, done) = x.split_at_mut(i + 1);
+            let row = &lu[i * n..(i + 1) * n];
+            let mut acc = head[i];
+            for (u, &xj) in row[i + 1..].iter().zip(done.iter()) {
+                acc -= u * xj;
+            }
+            head[i] = acc / row[i];
+        }
     }
 
     /// Solves `A·X = B` column by column.
     ///
     /// Returns `None` if the factorization is singular.
     pub fn solve_mat(&self, b: &Mat) -> Option<Mat> {
+        let mut out = Mat::default();
+        self.solve_mat_into(b, &mut Vec::new(), &mut out)?;
+        Some(out)
+    }
+
+    /// Solves `A·X = B` column by column into `out` (reshaped to fit),
+    /// with `col` as the reused solve column.
+    ///
+    /// Returns `None` if the factorization is singular.
+    pub(crate) fn solve_mat_into(&self, b: &Mat, col: &mut Vec<f64>, out: &mut Mat) -> Option<()> {
         if self.singular {
             return None;
         }
         let n = self.lu.rows();
         assert_eq!(b.rows(), n, "rhs row count mismatch");
-        let mut out = Mat::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
+        out.reset(n, b.cols());
         for j in 0..b.cols() {
-            for i in 0..n {
-                col[i] = b[(i, j)];
-            }
-            let x = self.solve_vec(&col)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
+            col.clear();
+            col.extend(self.perm.iter().map(|&p| b[(p, j)]));
+            self.substitute(col);
+            for (i, &x) in col.iter().enumerate() {
+                out[(i, j)] = x;
             }
         }
-        Some(out)
-    }
-
-    /// Inverse of the original matrix, or `None` if singular.
-    pub fn inverse(&self) -> Option<Mat> {
-        self.solve_mat(&Mat::identity(self.lu.rows()))
+        Some(())
     }
 }
 
@@ -195,14 +222,6 @@ mod tests {
         let a = Mat::from_rows(&[&[2.0, 1.0, 5.0], &[0.0, 3.0, -1.0], &[0.0, 0.0, 4.0]]);
         let lu = Lu::new(&a);
         assert!((lu.det() - 24.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Mat::from_rows(&[&[3.0, 0.5, -1.0], &[0.2, 2.0, 0.3], &[-0.7, 0.1, 1.5]]);
-        let inv = Lu::new(&a).inverse().unwrap();
-        let prod = a.matmul(&inv);
-        assert!(prod.max_abs_diff(&Mat::identity(3)) < 1e-12);
     }
 
     #[test]
