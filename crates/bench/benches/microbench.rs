@@ -1,30 +1,22 @@
 //! Criterion micro-benchmarks of the computational kernels.
 //!
 //! These quantify the cost of the pieces that dominate experiment runtime:
-//! a softmin mean-field step, an MFC-MDP rollout, one finite-system epoch
-//! under both engines, neural policy inference and a PPO network update.
-//! The matrix exponential and the JSQ mean-field step are timed by
-//! `mflb bench` instead (`crates/bench/src/perf.rs`).
+//! an MFC-MDP rollout, one finite-system epoch under both engines, neural
+//! policy inference and a PPO network update. The matrix exponential and
+//! the mean-field epochs (JSQ, softmin, phase-type and one birth–death
+//! queue) are timed by `mflb bench` instead (`crates/bench/src/perf.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mflb_core::mdp::FixedRulePolicy;
-use mflb_core::{mean_field_step, DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
+use mflb_core::{DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
 use mflb_nn::{Activation, Mlp, Tensor, Workspace};
-use mflb_policy::{jsq_rule, softmin_rule};
+use mflb_policy::jsq_rule;
 use mflb_queue::sampler::Sampler;
 use mflb_sim::aggregate::AggregateState;
 use mflb_sim::client::PerClientState;
 use mflb_sim::{AggregateEngine, Engine, PerClientEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn bench_mean_field_step(c: &mut Criterion) {
-    let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
-    let soft = softmin_rule(6, 2, 2.0);
-    c.bench_function("mean_field_step_softmin", |b| {
-        b.iter(|| mean_field_step(black_box(&nu), black_box(&soft), 0.9, 1.0, 5.0))
-    });
-}
 
 fn bench_mfc_rollout(c: &mut Criterion) {
     let mdp = MeanFieldMdp::new(SystemConfig::paper().with_dt(5.0));
@@ -200,17 +192,8 @@ fn bench_rule_decoding(c: &mut Criterion) {
 }
 
 fn bench_phase_type(c: &mut Criterion) {
-    use mflb_core::{ph_mean_field_step, PhDist};
     use mflb_queue::PhaseType;
-    // One PH mean-field epoch: B = 5 with a 2-phase H2 service
-    // (13 joint states -> 14x14 matrix exponentials per length group).
     let service = PhaseType::fit_mean_scv(1.0, 2.0);
-    let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
-    let joint = PhDist::from_lengths(&nu, &service);
-    let rule = jsq_rule(6, 2);
-    c.bench_function("ph_mean_field_step_2phase_dt5", |b| {
-        b.iter(|| ph_mean_field_step(black_box(&joint), black_box(&rule), 0.9, &service, 5.0))
-    });
     // Gillespie on one PH queue for an epoch (the finite engine's inner
     // loop).
     let q = mflb_queue::PhQueue::new(0.9, service, 5);
@@ -250,7 +233,6 @@ fn bench_dp(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_mean_field_step,
     bench_mfc_rollout,
     bench_engines,
     bench_samplers,

@@ -4,8 +4,9 @@
 //! training and deployment pipelines funnel through:
 //!
 //! 1. **kernels** — the register-blocked `*_into` GEMMs vs the naive
-//!    allocating matmuls at the paper's 2×256 policy shape, and the Padé
-//!    `expm` and mean-field step behind every mean-field epoch,
+//!    allocating matmuls at the paper's 2×256 policy shape, the Padé
+//!    `expm` reference, and the uniformization epoch and mean-field steps
+//!    behind every mean-field closure,
 //! 2. **inference tiers** — the `gemv`/workspace `forward_one_into`
 //!    batch-1 fast path vs the allocating `forward_one` it replaced, the
 //!    batched `forward_rows_into` gemm vs K sequential gemvs (the
@@ -274,18 +275,21 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         ));
     }
 
-    // --- 1b. Mean-field kernels: the Padé `expm` of the exact
-    //     discretization on the paper's B = 5 extended generator and on a
-    //     B = 20 birth-death generator, and one full-mesh JSQ(2) mean-field
-    //     step (one `expm` per occupied state), all at Δt = 5. Untracked
-    //     (no naive twin to ratio against); the absolute cost is the datum. ---
+    // --- 1b. Mean-field kernels: the Padé `expm` (the epoch's test
+    //     reference) on the paper's B = 5 extended generator and on a
+    //     B = 20 birth-death generator; the uniformization epoch of one
+    //     B = 5 birth-death queue; and full mean-field steps (one epoch per
+    //     occupied state) under JSQ(2), softmin and a 2-phase H2 service,
+    //     all at Δt = 5. Untracked (no naive twin to ratio against); the
+    //     absolute cost is the datum. ---
     {
-        use mflb_core::meanfield::extended_generator;
-        use mflb_core::{mean_field_step, StateDist};
+        use mflb_core::{mean_field_step, ph_mean_field_step, PhDist, StateDist};
         use mflb_linalg::{expm, Mat};
-        use mflb_policy::jsq_rule;
+        use mflb_policy::{jsq_rule, softmin_rule};
+        use mflb_queue::{BirthDeathQueue, PhaseType};
 
-        let q = extended_generator(0.9, 1.0, 5).scaled(5.0);
+        let queue = BirthDeathQueue::new(0.9, 1.0, 5);
+        let q = queue.extended_generator_column().scaled(5.0);
         let iters = 2_000 * scale;
         let secs = time_loop(iters, || {
             black_box(expm(black_box(&q)));
@@ -312,6 +316,27 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
             black_box(mean_field_step(black_box(&nu), black_box(&rule), 0.9, 1.0, 5.0));
         });
         entries.push(entry("mean_field_step_dt5", iters, secs, 1.0, "ops/s"));
+
+        let soft = softmin_rule(6, 2, 2.0);
+        let secs = time_loop(iters, || {
+            black_box(mean_field_step(black_box(&nu), black_box(&soft), 0.9, 1.0, 5.0));
+        });
+        entries.push(entry("mean_field_step_softmin", iters, secs, 1.0, "ops/s"));
+
+        // Six length groups of 1 + 5·2 = 11 joint states, one kernel call.
+        let service = PhaseType::fit_mean_scv(1.0, 2.0);
+        let joint = PhDist::from_lengths(&nu, &service);
+        let iters = 100 * scale;
+        let secs = time_loop(iters, || {
+            black_box(ph_mean_field_step(black_box(&joint), black_box(&rule), 0.9, &service, 5.0));
+        });
+        entries.push(entry("ph_mean_field_step_2phase_dt5", iters, secs, 1.0, "ops/s"));
+
+        let iters = 2_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(black_box(&queue).epoch_expectation(2, 5.0));
+        });
+        entries.push(entry("birth_death_epoch_dt5", iters, secs, 1.0, "ops/s"));
     }
 
     // --- 2. Batch-1 inference: gemv fast path vs allocating forward_one

@@ -198,8 +198,10 @@ impl SystemConfig {
 
 /// Largest `dt × max(service_rate, top arrival level)` — the expected
 /// number of events per queue in one epoch — a configuration may imply.
-/// Beyond it the epoch's matrix exponential loses all accuracy (and then
-/// overflows); the largest epoch any shipped experiment uses is 60.
+/// The epoch kernel's cost grows linearly in it (one uniformization
+/// substep per 500 expected events), and `tests/epoch_kernel.rs` in
+/// `mflb-linalg` bounds its error up to this edge; the largest epoch any
+/// shipped experiment uses is 60.
 pub const MAX_EPOCH_EVENTS: f64 = 1e4;
 
 /// Largest decision-rule table, in entries `|Z|^d·d`, a configuration may

@@ -54,11 +54,9 @@
 //! it; both nestings are tested below.
 
 use crate::dist::StateDist;
-use crate::meanfield::{
-    extended_generator, mean_field_step_with_rates, per_state_arrival_rates_into, MeanFieldStep,
-};
+use crate::meanfield::{mean_field_step_with_rates, per_state_arrival_rates_into, MeanFieldStep};
 use crate::rule::DecisionRule;
-use mflb_linalg::expm;
+use mflb_queue::BirthDeathQueue;
 
 /// Computes the degree-indexed per-state arrival rates `λ_t(ν, z)` for a
 /// closed-neighborhood size `k` (see the module docs for the derivation).
@@ -196,23 +194,17 @@ pub fn pair_mean_field_step(
     let buffer = zs - 1;
     let rates = pair_arrival_rates(pair, rule, lambda, k);
 
-    // Per-state endpoint kernels: kernel[z][y] = P(z → y in Δt). The
-    // extended generator's last row is the drop accumulator; the
-    // distribution block is exactly stochastic up to round-off.
-    let mut kernels: Vec<Option<Vec<f64>>> = vec![None; zs];
-    let mut e_z = vec![0.0f64; zs + 1];
-    for z in 0..zs {
-        if pair[z * zs..(z + 1) * zs].iter().sum::<f64>() == 0.0 {
-            continue; // unused endpoint state
-        }
-        let qbar = extended_generator(rates[z].max(0.0), service_rate, buffer).scaled(dt);
-        let etq = expm(&qbar);
-        e_z.iter_mut().for_each(|v| *v = 0.0);
-        e_z[z] = 1.0;
-        let mut col = etq.matvec(&e_z);
-        col.truncate(zs);
-        kernels[z] = Some(col);
-    }
+    // Per-state endpoint kernels: kernel[z][y] = P(z → y in Δt), the
+    // distribution part of the epoch kernel from e_z.
+    let kernels: Vec<Option<Vec<f64>>> = (0..zs)
+        .map(|z| {
+            // Unused endpoint states need no kernel.
+            (pair[z * zs..(z + 1) * zs].iter().sum::<f64>() != 0.0).then(|| {
+                let queue = BirthDeathQueue::new(rates[z].max(0.0), service_rate, buffer);
+                queue.epoch_expectation(z, dt).0
+            })
+        })
+        .collect();
 
     let mut next = vec![0.0f64; zs * zs];
     for z1 in 0..zs {

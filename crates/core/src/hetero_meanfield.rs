@@ -15,17 +15,16 @@
 //!   ([`crate::meanfield::per_state_arrival_rates`] is generic in the
 //!   state-space size, so it is reused unchanged);
 //! * queues of class `c` observed at length `z` advance through
-//!   `exp(Q̄(λ(ν̄, (z,c)), α_c)·Δt)` — the same extended generator with
-//!   the class service rate (Eq. 27–28).
+//!   `exp(Q̄(λ(ν̄, (z,c)), α_c)·Δt)` — the same epoch kernel with the
+//!   class service rate (Eq. 27–28).
 //!
 //! With one class the model collapses *exactly* to
 //! [`crate::meanfield::mean_field_step`] (tested), and the finite
 //! heterogeneous engine tracks it statistically (integration tests).
 
 use crate::dist::StateDist;
-use crate::meanfield::{extended_generator, per_state_arrival_rates};
+use crate::meanfield::{advance_states, per_state_arrival_rates};
 use crate::rule::DecisionRule;
-use mflb_linalg::expm;
 use serde::{Deserialize, Serialize};
 
 /// Composite-state index of `(length z, class c)` — matches
@@ -140,7 +139,6 @@ impl HeteroMeanField {
             "rule must cover composite states"
         );
         let zs = self.num_lengths();
-        let buffer = zs - 1;
         let composite = self.composite_dist();
         // Eq. 22 on the composite space: the integral is the same, only
         // the state alphabet grew.
@@ -148,35 +146,13 @@ impl HeteroMeanField {
 
         let mut next_dists = Vec::with_capacity(self.num_classes());
         let mut drops = 0.0f64;
-        let mut e_z = vec![0.0f64; zs + 1];
-        for (c, dist) in self.dists.iter().enumerate() {
-            let alpha = self.class_rates[c];
-            let w = self.class_weights[c];
-            let mut next = vec![0.0f64; zs];
-            for z in 0..zs {
-                let mass = dist.prob(z);
-                if mass == 0.0 {
-                    continue;
-                }
-                let arrival = rates[composite_state(z, c, zs)].max(0.0);
-                let qbar = extended_generator(arrival, alpha, buffer).scaled(dt);
-                let etq = expm(&qbar);
-                e_z.iter_mut().for_each(|v| *v = 0.0);
-                e_z[z] = 1.0;
-                let advanced = etq.matvec(&e_z);
-                for (nx, a) in next.iter_mut().zip(advanced.iter()) {
-                    *nx += mass * a;
-                }
-                // Per-queue drops weight by the class fraction.
-                drops += w * mass * advanced[zs];
-            }
-            // Class mass is conserved (queues never change class);
-            // renormalize the within-class distribution defensively.
-            let total: f64 = next.iter().sum();
-            debug_assert!((total - 1.0).abs() < 1e-8, "class {c} mass drift {total}");
-            for v in &mut next {
-                *v = v.max(0.0) / total;
-            }
+        // Composite states `c·(B+1) + z` put each class's rates in one block.
+        for (c, (dist, class_rates)) in self.dists.iter().zip(rates.chunks_exact(zs)).enumerate() {
+            let (next, class_drops) =
+                advance_states(dist.as_slice(), class_rates, self.class_rates[c], dt);
+            // Per-queue drops weight by the class fraction; class mass is
+            // conserved (queues never change class).
+            drops += self.class_weights[c] * class_drops;
             next_dists.push(StateDist::new(next));
         }
 

@@ -10,9 +10,9 @@
 //!    state–action distribution `G_t^M` (§2.2);
 //! 3. infinite-queue limit `M → ∞`: queues enter only through the
 //!    queue-state distribution `ν_t ∈ P(Z)` ([`dist::StateDist`], §2.3);
-//! 4. exact discretization of the within-epoch CTMC through the matrix
-//!    exponential of the extended generator `Q̄(ν, z)` accumulating drops
-//!    ([`meanfield`], Eq. 20–28);
+//! 4. exact discretization of the within-epoch CTMC: the action of the
+//!    matrix exponential of the extended generator `Q̄(ν, z)` accumulating
+//!    drops, computed by uniformization ([`meanfield`], Eq. 20–28);
 //! 5. the resulting upper-level MDP with state `(ν_t, λ_t)` and action a
 //!    lower-level decision rule `h_t : Z^d → P(U)` (Eq. 29–31):
 //!    [`mdp::MeanFieldMdp`] owns the one episode loop (λ₀ draw, policy

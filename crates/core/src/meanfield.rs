@@ -8,7 +8,14 @@
 //!    `z`,
 //! 2. for each `z`, the extended generator `Q̄(ν, z)` of Eq. 27 whose last
 //!    row accumulates expected drops,
-//! 3. the exact one-epoch advance `exp(Q̄·Δt)·[e_z; 0]` (Eq. 28),
+//! 3. the exact one-epoch advance `exp(Q̄·Δt)·[e_z; 0]` (Eq. 28), computed
+//!    by uniformization ([`mflb_linalg::advance`], every occupied `z` one
+//!    chain of a [`mflb_linalg::ChainStack`]): the queue generator pushes
+//!    `e_z` through the Poisson series and the drop row becomes an integral
+//!    of the arrival rate on the full-buffer state, exact up to a neglected
+//!    Poisson tail of `1e-18` per substep (the `epoch_kernel` test of
+//!    `mflb-linalg` bounds the gap to the Padé matrix exponential by
+//!    `1e-10`),
 //! 4. the aggregate update `ν_{t+1}(z') = Σ_z ν_t(z)·P^z_{z'}(Δt)` (Eq. 24)
 //!    and expected per-queue drops `D_t = Σ_z ν_t(z)·D^z_t(Δt)` (Eq. 26).
 //!
@@ -21,7 +28,8 @@
 
 use crate::dist::StateDist;
 use crate::rule::DecisionRule;
-use mflb_linalg::{expm, Mat};
+use mflb_linalg::ChainStack;
+use mflb_queue::BirthDeathQueue;
 
 /// Output of one exact mean-field epoch.
 #[derive(Debug, Clone)]
@@ -189,27 +197,6 @@ pub fn per_state_arrival_rates_sparse_into(
     }
 }
 
-/// Builds the paper's extended rate matrix `Q̄(ν, z)` (Eq. 27) in column
-/// convention for a queue with per-epoch arrival rate `arrival` and service
-/// rate `service` over states `{0,…,B}`; size `(B+2)×(B+2)`.
-pub fn extended_generator(arrival: f64, service: f64, buffer: usize) -> Mat {
-    let n = buffer + 1;
-    let mut q = Mat::zeros(n + 1, n + 1);
-    for z in 0..n {
-        if z < buffer {
-            q[(z + 1, z)] += arrival; // arrival z -> z+1
-            q[(z, z)] -= arrival;
-        }
-        if z > 0 {
-            q[(z - 1, z)] += service; // departure z -> z-1
-            q[(z, z)] -= service;
-        }
-    }
-    // Drop accumulator row: Ḋ = arrival · P_B.
-    q[(n, n - 1)] = arrival;
-    q
-}
-
 /// Advances the mean field by one decision epoch of length `dt`.
 ///
 /// Returns the next distribution, the expected per-queue drops and the
@@ -239,39 +226,40 @@ pub fn mean_field_step_with_rates(
     dt: f64,
 ) -> MeanFieldStep {
     assert!(service_rate >= 0.0 && dt > 0.0);
-    let zs = nu.num_states();
-    assert_eq!(rates.len(), zs, "rate vector/state-space mismatch");
-    let buffer = zs - 1;
+    assert_eq!(rates.len(), nu.num_states(), "rate vector/state-space mismatch");
+    let (next, drops) = advance_states(nu.as_slice(), &rates, service_rate, dt);
+    MeanFieldStep { next_dist: StateDist::new(next), expected_drops: drops, arrival_rates: rates }
+}
 
-    let mut next = vec![0.0f64; zs];
-    let mut drops = 0.0f64;
-    let mut e_z = vec![0.0f64; zs + 1];
-    for z in 0..zs {
-        let mass = nu.prob(z);
-        if mass == 0.0 {
-            continue; // queues in state z have zero measure this epoch
-        }
-        let qbar = extended_generator(rates[z].max(0.0), service_rate, buffer).scaled(dt);
-        let etq = expm(&qbar);
-        e_z.iter_mut().for_each(|v| *v = 0.0);
-        e_z[z] = 1.0;
-        let advanced = etq.matvec(&e_z);
-        for (zp, nx) in next.iter_mut().enumerate() {
-            *nx += mass * advanced[zp];
-        }
-        drops += mass * advanced[zs];
+/// The renormalized `Σ_z ν(z)·e_z·exp(Q(rates[z])·Δt)` and the expected
+/// per-queue drops `Σ_z ν(z)·D^z(Δt)` (Eq. 24–28), where `Q(a)` is the
+/// `M/M/1/B` queue at arrival rate `a` (negative rates clamp to 0) and
+/// `service_rate`: one chain of a [`ChainStack`] per occupied state.
+pub(crate) fn advance_states(
+    nu: &[f64],
+    rates: &[f64],
+    service_rate: f64,
+    dt: f64,
+) -> (Vec<f64>, f64) {
+    let zs = nu.len();
+    let mut stack = ChainStack::default();
+    for (z, &mass) in nu.iter().enumerate().filter(|&(_, &mass)| mass != 0.0) {
+        let queue = BirthDeathQueue::new(rates[z].max(0.0), service_rate, zs - 1);
+        let mut start = vec![0.0; zs];
+        start[z] = mass;
+        stack.push(&queue.moves(), &queue.drop_rates(), &start);
     }
+    let (next, drops) = stack.advance(dt, zs);
+    (renormalized(next), drops)
+}
 
-    // The distribution block of exp(Q̄Δt) is exactly stochastic up to
-    // floating-point round-off; renormalize defensively so long roll-outs
-    // cannot drift.
+/// The epoch kernel conserves mass up to round-off; renormalize
+/// defensively so long roll-outs cannot drift.
+pub(crate) fn renormalized(mut next: Vec<f64>) -> Vec<f64> {
     let total: f64 = next.iter().sum();
     debug_assert!((total - 1.0).abs() < 1e-8, "mass drift {total}");
-    for v in &mut next {
-        *v = v.max(0.0) / total;
-    }
-
-    MeanFieldStep { next_dist: StateDist::new(next), expected_drops: drops, arrival_rates: rates }
+    next.iter_mut().for_each(|v| *v = v.max(0.0) / total);
+    next
 }
 
 #[cfg(test)]
@@ -444,12 +432,5 @@ mod tests {
             assert!((a - b).abs() < 1e-10);
         }
         assert!((step.expected_drops - drops).abs() < 1e-10);
-    }
-
-    #[test]
-    fn extended_generator_matches_queue_crate() {
-        let ours = extended_generator(1.3, 0.7, 5);
-        let theirs = mflb_queue::BirthDeathQueue::new(1.3, 0.7, 5).extended_generator_column();
-        assert!(ours.max_abs_diff(&theirs) < 1e-15);
     }
 }

@@ -11,9 +11,10 @@
 //!   Eq. 22 are computed from the *length marginal* of the joint
 //!   distribution;
 //! * queues that start an epoch at length `z` share the frozen arrival
-//!   rate `λ_t(ν, z)`, so the exact one-epoch advance is again a matrix
-//!   exponential per epoch-start length — of the extended `M/PH/1/B`
-//!   generator ([`mflb_queue::PhQueue::extended_generator_column`]);
+//!   rate `λ_t(ν, z)`, so the exact one-epoch advance is again one
+//!   uniformization epoch per epoch-start length — of the `M/PH/1/B`
+//!   quasi-birth–death generator ([`mflb_queue::PhQueue::moves`]) with its
+//!   drop rates, all lengths stacked into one kernel call;
 //! * the upper-level MDP keeps state `(joint distribution, λ_t)` and the
 //!   same decision-rule action space, so every
 //!   [`UpperPolicy`](crate::mdp::UpperPolicy) (JSQ, RND, softmin, trained
@@ -25,8 +26,9 @@
 //! [`crate::meanfield::mean_field_step`] (tested).
 
 use crate::dist::StateDist;
-use crate::meanfield::per_state_arrival_rates;
+use crate::meanfield::{per_state_arrival_rates, renormalized};
 use crate::rule::DecisionRule;
+use mflb_linalg::ChainStack;
 use mflb_queue::{PhQueue, PhaseType};
 use serde::{Deserialize, Serialize};
 
@@ -157,8 +159,8 @@ pub struct PhMeanFieldStep {
 ///
 /// Exactly mirrors [`crate::meanfield::mean_field_step`]: queues are
 /// grouped by their epoch-start **length** (which fixes their frozen
-/// arrival rate), each group advances through the matrix exponential of
-/// the extended `M/PH/1/B` generator, and the results are mixed back.
+/// arrival rate), each group advances through the uniformization epoch of
+/// the `M/PH/1/B` generator, and the results are mixed back.
 pub fn ph_mean_field_step(
     joint: &PhDist,
     rule: &DecisionRule,
@@ -173,43 +175,23 @@ pub fn ph_mean_field_step(
     let nu = joint.length_marginal();
     let rates = per_state_arrival_rates(&nu, rule, lambda);
 
+    // Queues that start the epoch at length z form one chain of the stack.
     let n = 1 + buffer * k;
-    let mut next = vec![0.0f64; n];
-    let mut drops = 0.0f64;
-    let mut start = vec![0.0f64; n];
+    let mut stack = ChainStack::default();
     for z in 0..=buffer {
-        // Restrict the joint distribution to epoch-start length z.
-        start.iter_mut().for_each(|v| *v = 0.0);
-        let mut group_mass = 0.0;
-        if z == 0 {
-            start[0] = joint.as_slice()[0];
-            group_mass = start[0];
-        } else {
-            for i in 0..k {
-                let idx = 1 + (z - 1) * k + i;
-                start[idx] = joint.as_slice()[idx];
-                group_mass += start[idx];
-            }
-        }
-        if group_mass == 0.0 {
+        let group = if z == 0 { 0..1 } else { 1 + (z - 1) * k..1 + z * k };
+        let mut start = vec![0.0f64; n];
+        start[group.clone()].copy_from_slice(&joint.as_slice()[group]);
+        if start.iter().all(|&p| p == 0.0) {
             continue;
         }
         let queue = PhQueue::new(rates[z].max(0.0), service.clone(), buffer);
-        let (advanced, d) = queue.epoch_expectation(&start, dt);
-        for (nx, a) in next.iter_mut().zip(advanced.iter()) {
-            *nx += a;
-        }
-        drops += d;
+        stack.push(&queue.moves(), &queue.drop_rates(), &start);
     }
-
-    let total: f64 = next.iter().sum();
-    debug_assert!((total - 1.0).abs() < 1e-8, "mass drift {total}");
-    for v in &mut next {
-        *v = v.max(0.0) / total;
-    }
+    let (next, drops) = stack.advance(dt, n);
 
     PhMeanFieldStep {
-        next_dist: PhDist::new(next, buffer, k),
+        next_dist: PhDist::new(renormalized(next), buffer, k),
         expected_drops: drops,
         arrival_rates: rates,
     }

@@ -1,10 +1,12 @@
 //! Matrix exponential via scaling and squaring with Padé approximants.
 //!
-//! This is the workhorse behind the paper's *exact discretization*
-//! (Eq. 27–28): one decision epoch of the per-queue continuous-time Markov
-//! chain is advanced by `exp(Q̄·Δt)` where `Q̄` is the extended rate matrix
-//! that simultaneously evolves the queue-state distribution and accumulates
-//! the expected number of dropped packets.
+//! The paper's *exact discretization* (Eq. 27–28) advances one decision
+//! epoch of the per-queue continuous-time Markov chain by `exp(Q̄·Δt)`,
+//! where `Q̄` is the extended rate matrix that simultaneously evolves the
+//! queue-state distribution and accumulates the expected number of dropped
+//! packets. The epoch itself runs on the vector kernel
+//! [`crate::uniformization::advance`]; this whole-matrix exponential is its
+//! test reference and serves callers that need every column.
 //!
 //! The implementation follows Higham, *"The Scaling and Squaring Method for
 //! the Matrix Exponential Revisited"* (SIAM J. Matrix Anal. Appl., 2005):
@@ -12,20 +14,13 @@
 //! bound `θ_m` covers `‖A‖₁`; if even `θ₁₃` is exceeded, scale `A` by
 //! `2^-s` and square the result `s` times.
 //!
-//! Every intermediate lives in a thread-local `PadeWorkspace` reused
-//! across calls, so a warm call allocates only the matrix it returns. The
-//! workspace changes where the numbers are stored, not how they are
-//! computed: the power chain runs `Aᵏ = Aᵏ⁻¹·A` for ascending `k` through
-//! the ikj product that skips zero left terms, each `Aᵏ·b_k` is formed
-//! before it is added to `U` or `V`, and the denominator goes through the
-//! same partial-pivot LU and forward/back substitution as [`Lu::new`] and
-//! [`Lu::solve_mat`]. So the output is bit-identical to evaluating the
-//! approximant with fresh buffers, whatever size or thread ran before. The
-//! workspace sits in a `RefCell` and `expm` never re-enters itself.
+//! The power chain runs `Aᵏ = Aᵏ⁻¹·A` for ascending `k` through the ikj
+//! product that skips zero left terms, and the denominator goes through
+//! the partial-pivot LU of [`Lu::new`]; `tests/expm_bits.rs` pins the
+//! output bits of a fixed corpus.
 
 use crate::lu::Lu;
 use crate::matrix::Mat;
-use std::cell::RefCell;
 
 /// Padé coefficient table for degree 3.
 const B3: [f64; 4] = [120.0, 60.0, 12.0, 1.0];
@@ -73,29 +68,6 @@ const THETA7: f64 = 9.504_178_996_162_932e-1;
 const THETA9: f64 = 2.097_847_961_257_068;
 const THETA13: f64 = 5.371_920_351_148_152;
 
-/// Reused buffers of one Padé evaluation: everything [`expm`] computes
-/// except the matrix it returns. One lives per thread, so a warm call only
-/// allocates its result.
-#[derive(Default)]
-struct PadeWorkspace {
-    /// `A⁰ = I, A¹, …, Aᵐ`; grows to the largest degree seen, never shrinks.
-    powers: Vec<Mat>,
-    /// Odd-power sum `U`; overwritten by the denominator `q(A) = V − U`.
-    u: Mat,
-    /// Even-power sum `V`; overwritten by the numerator `p(A) = U + V`.
-    v: Mat,
-    /// LU factors and permutation of the denominator.
-    lu: Lu,
-    /// Solve column of the `q(A)·R = p(A)` back-substitution.
-    col: Vec<f64>,
-    /// Product buffer of each squaring step.
-    square: Mat,
-}
-
-thread_local! {
-    static WORKSPACE: RefCell<PadeWorkspace> = RefCell::new(PadeWorkspace::default());
-}
-
 /// Computes the matrix exponential `exp(A)` of a square matrix.
 ///
 /// # Panics
@@ -124,69 +96,34 @@ pub fn expm(a: &Mat) -> Mat {
         (&B13, s)
     };
 
-    WORKSPACE.with(|ws| {
-        let ws = &mut *ws.borrow_mut();
-        // A scaled input doubles as the result: the power chain is done
-        // reading it before the solve overwrites it.
-        let mut e = if s == 0 {
-            ws.numerator_and_factors(a, b);
-            Mat::default()
-        } else {
-            let scaled = a.scaled(0.5f64.powi(s as i32));
-            ws.numerator_and_factors(&scaled, b);
-            scaled
-        };
-        ws.lu
-            .solve_mat_into(&ws.v, &mut ws.col, &mut e)
-            .expect("Padé denominator must be nonsingular");
-        for _ in 0..s {
-            e.matmul_into(&e, &mut ws.square);
-            e.clone_from(&ws.square);
-        }
-        e
-    })
+    let mut e = pade(&a.scaled(0.5f64.powi(s as i32)), b);
+    for _ in 0..s {
+        e = e.matmul(&e);
+    }
+    e
 }
 
-impl PadeWorkspace {
-    /// First half of the `[m/m]` Padé approximant `r(A) = q(A)⁻¹ p(A)` of
-    /// the exponential, given the coefficient table `b` of length `m+1`:
-    /// leaves `p(A)` in `self.v` and the LU of `q(A)` in `self.lu`.
-    ///
-    /// Using the standard even/odd splitting: `p(A) = U + V`,
-    /// `q(A) = −U + V` with `U` collecting odd powers and `V` even powers,
-    /// so that `r(A) = (−U+V)⁻¹(U+V)`.
-    fn numerator_and_factors(&mut self, a: &Mat, b: &[f64]) {
-        let n = a.rows();
-        let m = b.len() - 1;
-
-        // Powers of A: A^0 = I, A^1, A^2, ... up to A^m, each A^k = A^(k-1)·A.
-        // m ≤ 13 and n ≤ ~30 in this repository, so storing them is cheap.
-        // For degree 13, Higham's factored form would save a few multiplies;
-        // clarity wins at these sizes.
-        if self.powers.len() < m + 1 {
-            self.powers.resize_with(m + 1, Mat::default);
+/// The `[m/m]` Padé approximant `r(A) = q(A)⁻¹ p(A)` of the exponential,
+/// given the coefficient table `b` of length `m+1`, by the even/odd
+/// splitting `p(A) = V + U`, `q(A) = V − U`, with `U` collecting the odd
+/// powers of `A` and `V` the even ones.
+fn pade(a: &Mat, b: &[f64]) -> Mat {
+    let n = a.rows();
+    let mut power = Mat::identity(n);
+    let (mut u, mut v) = (Mat::zeros(n, n), Mat::zeros(n, n));
+    for (k, &bk) in b.iter().enumerate() {
+        if k > 0 {
+            power = power.matmul(a);
         }
-        self.powers[0].reset(n, n);
-        self.powers[0].add_diag_mut(1.0);
-        for k in 1..=m {
-            let (done, next) = self.powers.split_at_mut(k);
-            done[k - 1].matmul_into(a, &mut next[0]);
+        let target = if k % 2 == 1 { &mut u } else { &mut v };
+        for (t, &x) in target.as_mut_slice().iter_mut().zip(power.as_slice()) {
+            *t += x * bk;
         }
-
-        self.u.reset(n, n); // odd terms
-        self.v.reset(n, n); // even terms
-        for (k, &bk) in b.iter().enumerate() {
-            let target = if k % 2 == 1 { &mut self.u } else { &mut self.v };
-            for (t, &x) in target.as_mut_slice().iter_mut().zip(self.powers[k].as_slice()) {
-                *t += x * bk;
-            }
-        }
-
-        for (u, v) in self.u.as_mut_slice().iter_mut().zip(self.v.as_mut_slice()) {
-            (*u, *v) = (*v - *u, *u + *v);
-        }
-        self.lu.factor(&self.u);
     }
+    for (u, v) in u.as_mut_slice().iter_mut().zip(v.as_mut_slice()) {
+        (*u, *v) = (*v - *u, *u + *v);
+    }
+    Lu::new(&u).solve_mat(&v).expect("Padé denominator must be nonsingular")
 }
 
 #[cfg(test)]

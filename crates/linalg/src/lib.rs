@@ -9,37 +9,19 @@
 //! * [`lu::Lu`] — LU decomposition with partial pivoting (used by the Padé
 //!   matrix exponential),
 //! * [`expm::expm`] — scaling-and-squaring matrix exponential with Padé
-//!   approximants (Higham 2005 degree selection), evaluated in a reused
-//!   per-thread workspace (see below),
-//! * [`uniformization`] — the action of `exp(Q·t)` on a distribution for
-//!   conservative generators `Q`, with rigorous truncation control,
+//!   approximants (Higham 2005 degree selection): the epoch kernel's test
+//!   reference and the phase-type CDF,
+//! * [`uniformization`] — the mean-field epoch kernel [`advance`]: the
+//!   action of `exp(Q·t)` on a vector for a sparse conservative generator
+//!   `Q` given as a list of [`Move`]s, plus the integral of a drop-rate
+//!   vector along the way, with rigorous truncation control,
 //! * [`stats`] — scalar statistics (mean, variance, confidence intervals,
 //!   chi-square goodness-of-fit) used by the experiment harness and the
 //!   sampler test-suites.
 //!
-//! The matrices arising in the model are tiny ((B+2)×(B+2) with B ≈ 5), so
+//! The chains arising in the model are tiny (`B+1` states with B ≈ 5), so
 //! the implementations favour clarity and numerical robustness over
-//! asymptotic tricks; everything is allocation-conscious enough to sit in
-//! the inner loop of the simulator regardless.
-//!
-//! # The `expm` workspace and its bit-identity contract
-//!
-//! Every mean-field epoch calls [`expm()`] once per occupied queue state, so
-//! it keeps its Padé buffers (the power stack, `U`/`V`, which then hold
-//! `q(A)`/`p(A)`, the LU factors with their permutation, the solve column
-//! and the squaring buffer) in a thread-local workspace and allocates only
-//! the returned [`Mat`]. The workspace is an implementation detail with
-//! three rules:
-//!
-//! * **Same operation order.** Its products and its solve run the in-place
-//!   forms that [`Mat::matmul`], [`Lu::new`] and [`Lu::solve_mat`] wrap,
-//!   so its output is bit-identical to allocating every buffer afresh
-//!   (`tests/expm_bits.rs` pins the digest of a fixed corpus).
-//! * **Thread-local.** Each thread owns one workspace, so concurrent calls
-//!   never share state, and a call's result does not depend on what the
-//!   thread computed before.
-//! * **No reentrancy.** `expm` never calls itself while holding the
-//!   workspace; a nested call would panic on the `RefCell` borrow.
+//! asymptotic tricks.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -54,4 +36,7 @@ pub use expm::expm;
 pub use lu::Lu;
 pub use matrix::Mat;
 pub use stationary::{ctmc_stationary, dtmc_stationary, StationaryError};
-pub use uniformization::{transient_distribution, UniformizationError};
+pub use uniformization::{
+    advance, dense_generator, transient_distribution, Advance, ChainStack, Move,
+    UniformizationError, EPOCH_TOL,
+};

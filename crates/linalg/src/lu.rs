@@ -23,38 +23,17 @@ pub struct Lu {
     singular: bool,
 }
 
-impl Default for Lu {
-    fn default() -> Self {
-        Self { lu: Mat::default(), perm: Vec::new(), perm_sign: 1.0, singular: false }
-    }
-}
-
 impl Lu {
     /// Factorizes a square matrix.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn new(a: &Mat) -> Self {
-        let mut lu = Self::default();
-        lu.factor(a);
-        lu
-    }
-
-    /// Refactorizes `self` as the LU of `a`, reusing the factor and
-    /// permutation buffers.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub(crate) fn factor(&mut self, a: &Mat) {
         assert!(a.is_square(), "LU requires a square matrix");
         let n = a.rows();
-        let lu = &mut self.lu;
-        lu.clone_from(a);
-        self.perm.clear();
-        self.perm.extend(0..n);
-        self.perm_sign = 1.0;
-        self.singular = false;
-
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let (mut perm_sign, mut singular) = (1.0, false);
         let data = lu.as_mut_slice();
         for k in 0..n {
             // Find the pivot: the largest |entry| in column k at/below row k.
@@ -68,14 +47,14 @@ impl Lu {
                 }
             }
             if pivot_val == 0.0 {
-                self.singular = true;
+                singular = true;
                 continue;
             }
             let (top, below) = data.split_at_mut((k + 1) * n);
             let row_k = &mut top[k * n..];
             if pivot_row != k {
-                self.perm.swap(k, pivot_row);
-                self.perm_sign = -self.perm_sign;
+                perm.swap(k, pivot_row);
+                perm_sign = -perm_sign;
                 row_k.swap_with_slice(&mut below[(pivot_row - k - 1) * n..(pivot_row - k) * n]);
             }
             let pivot = row_k[k];
@@ -90,6 +69,7 @@ impl Lu {
                 }
             }
         }
+        Self { lu, perm, perm_sign, singular }
     }
 
     /// `true` iff a zero pivot was hit (matrix numerically singular).
@@ -152,31 +132,20 @@ impl Lu {
     ///
     /// Returns `None` if the factorization is singular.
     pub fn solve_mat(&self, b: &Mat) -> Option<Mat> {
-        let mut out = Mat::default();
-        self.solve_mat_into(b, &mut Vec::new(), &mut out)?;
-        Some(out)
-    }
-
-    /// Solves `A·X = B` column by column into `out` (reshaped to fit),
-    /// with `col` as the reused solve column.
-    ///
-    /// Returns `None` if the factorization is singular.
-    pub(crate) fn solve_mat_into(&self, b: &Mat, col: &mut Vec<f64>, out: &mut Mat) -> Option<()> {
         if self.singular {
             return None;
         }
         let n = self.lu.rows();
         assert_eq!(b.rows(), n, "rhs row count mismatch");
-        out.reset(n, b.cols());
+        let mut out = Mat::zeros(n, b.cols());
         for j in 0..b.cols() {
-            col.clear();
-            col.extend(self.perm.iter().map(|&p| b[(p, j)]));
-            self.substitute(col);
+            let mut col: Vec<f64> = self.perm.iter().map(|&p| b[(p, j)]).collect();
+            self.substitute(&mut col);
             for (i, &x) in col.iter().enumerate() {
                 out[(i, j)] = x;
             }
         }
-        Some(())
+        Some(out)
     }
 }
 

@@ -11,7 +11,7 @@ use std::ops::{Index, IndexMut};
 
 /// A dense row-major matrix of `f64`. The default is the empty `0 × 0`
 /// matrix.
-#[derive(Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Mat {
     rows: usize,
     cols: usize,
@@ -22,15 +22,6 @@ impl Mat {
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Reshapes to `rows × cols` and zero-fills, reusing the buffer's
-    /// capacity.
-    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates the `n × n` identity matrix.
@@ -139,17 +130,6 @@ impl Mat {
 
     /// Matrix–matrix product `self * rhs`.
     ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matmul(&self, rhs: &Mat) -> Mat {
-        let mut out = Mat::default();
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Matrix–matrix product `self * rhs` written into `out`, which is
-    /// reshaped to fit and keeps its buffer's capacity.
-    ///
     /// Straightforward ikj-ordered triple loop: with row-major storage this
     /// streams both `self`'s row and `rhs`'s rows sequentially, which is the
     /// cache-friendly ordering for small/medium dense matrices. Every output
@@ -157,11 +137,11 @@ impl Mat {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub(crate) fn matmul_into(&self, rhs: &Mat, out: &mut Mat) {
+    pub fn matmul(&self, rhs: &Mat) -> Mat {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        out.reset(self.rows, rhs.cols);
+        let mut out = Mat::zeros(self.rows, rhs.cols);
         if self.cols == 0 || rhs.cols == 0 {
-            return;
+            return out;
         }
         let a_rows = self.data.chunks_exact(self.cols);
         for (a_row, out_row) in a_rows.zip(out.data.chunks_exact_mut(rhs.cols)) {
@@ -174,6 +154,7 @@ impl Mat {
                 }
             }
         }
+        out
     }
 
     /// Matrix–vector product `self * v` (treating `v` as a column vector).
@@ -242,20 +223,6 @@ impl Mat {
     /// `true` iff all entries are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
-    }
-}
-
-impl Clone for Mat {
-    fn clone(&self) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
-    }
-
-    /// Copies `source` into `self`'s buffer without reallocating when it is
-    /// large enough.
-    fn clone_from(&mut self, source: &Self) {
-        self.rows = source.rows;
-        self.cols = source.cols;
-        self.data.clone_from(&source.data);
     }
 }
 

@@ -1,25 +1,44 @@
-//! Transient CTMC analysis via uniformization (a.k.a. randomization,
-//! Jensen's method).
+//! The mean-field epoch kernel: transient CTMC analysis by uniformization
+//! (Jensen's method), with drop accounting.
 //!
-//! For a *conservative generator* `Q` (row convention: off-diagonal entries
-//! nonnegative, rows summing to zero) and an initial distribution `p₀`, the
-//! distribution at time `t` is
+//! For a conservative generator `Q` in row convention, a start vector `v`
+//! and a rate vector `r`, with `q = max_i |Q_ii|` and `P = I + Q/q`,
 //!
 //! ```text
-//! p(t) = p₀ · exp(Q t) = Σ_{k≥0} PoissonPmf(k; q t) · p₀ Pᵏ,   P = I + Q/q
+//! v·exp(Q t)              = Σ_k PoissonPmf(k; q t) · v Pᵏ
+//! ∫₀ᵗ v·exp(Q s)·r ds     = Σ_k P(N_{qt} > k)/q · (v Pᵏ · r)
 //! ```
 //!
-//! where `q ≥ max_i |Q_ii|` is the uniformization rate. Because `P` is a
-//! proper stochastic matrix, every term is a probability vector, making the
-//! series unconditionally stable — the preferred method in queueing codes.
-//! The truncation point is chosen so the neglected Poisson tail is below a
-//! caller-supplied tolerance.
+//! `P` is stochastic, so every term is nonnegative and the series is
+//! unconditionally stable. This is the paper's exact discretization
+//! (Eq. 27–28) with the extended generator `Q̄` split into the queue
+//! generator `Q` and the drop rates `r` (the arrival rate on the
+//! full-buffer states). [`advance`] is the epoch of every mean-field
+//! closure and of both queues' `epoch_expectation`; the Padé
+//! [`crate::expm()`] is its test reference (`tests/epoch_kernel.rs`).
 //!
-//! This module serves as an independent cross-check of the Padé
-//! [`crate::expm()`] path used for the paper's extended (non-generator) rate
-//! matrices, and as a fast transient solver for pure queue-state questions.
+//! * **No `1 − cdf`.** The weights run forward to a right truncation point
+//!   past which the Poisson mass is provably below the tolerance, and are
+//!   normalized by their sum. The drop integral forms no tail at all:
+//!   summation by parts turns `Σ_k P(N > k)·(v Pᵏ·r)` into
+//!   `Σ_k PoissonPmf(k)·Σ_{j<k} v Pʲ·r`, a sum of nonnegative terms. A tail
+//!   taken as `1 − cdf` stalls at about `1e-16`.
+//! * **Substeps.** `exp(−q t)` underflows past `q t ≈ 745`, so a longer
+//!   epoch runs as equal substeps with `q t ≤ 500`; the vector and the
+//!   drop integral both compose across substeps.
 
 use crate::matrix::Mat;
+
+/// Poisson mass [`advance`] may neglect per substep on the mean-field
+/// epoch path.
+pub const EPOCH_TOL: f64 = 1e-18;
+
+/// Floor on the tolerance, so `tol = 0` still truncates after a number of
+/// terms bounded by a function of `q t` alone.
+const MIN_TOL: f64 = 1e-30;
+
+/// Largest `q t` of one substep.
+const MAX_SUBSTEP_EVENTS: f64 = 500.0;
 
 /// Errors reported by [`transient_distribution`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,11 +87,182 @@ pub fn validate_generator(q: &Mat, tol: f64) -> Result<(), UniformizationError> 
     Ok(())
 }
 
-/// Computes `p₀ · exp(Q t)` for a conservative generator `Q` by
-/// uniformization, truncating the Poisson series once the remaining tail
-/// mass is below `tol`.
+/// One off-diagonal generator entry `(from, to, rate)`. A list of moves is
+/// a sparse conservative generator in row convention; `Q_ii` is minus the
+/// total rate out of `i`.
+pub type Move = (usize, usize, f64);
+
+/// The dense row-convention generator of `moves` on `n` states.
+pub fn dense_generator(n: usize, moves: &[Move]) -> Mat {
+    let mut q = Mat::zeros(n, n);
+    for &(from, to, rate) in moves {
+        q[(from, to)] += rate;
+        q[(from, from)] -= rate;
+    }
+    q
+}
+
+/// Outcome of [`advance`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Advance {
+    /// `∫₀^Δt v·exp(Q s)·r ds`: the expected drops.
+    pub drops: f64,
+    /// Products with `P` taken, over all substeps.
+    pub terms: usize,
+}
+
+/// The epoch kernel: replaces `v` by `v·exp(Q·dt)` for the generator of
+/// `moves`, and returns the integral of `r` along the way, where
+/// `drop_rates` lists the nonzero entries of `r` as `(state, rate)`. Each
+/// substep neglects at most `max(tol, 1e-30)` of Poisson mass; epochs pass
+/// [`EPOCH_TOL`].
 ///
-/// Returns the transient distribution at time `t`.
+/// # Panics
+/// Panics on a state outside `v`, a move that keeps its state, a negative
+/// or non-finite rate, or a negative or non-finite `dt`.
+pub fn advance(
+    moves: &[Move],
+    drop_rates: &[(usize, f64)],
+    v: &mut [f64],
+    dt: f64,
+    tol: f64,
+) -> Advance {
+    let n = v.len();
+    assert!(dt >= 0.0 && dt.is_finite(), "epoch length must be finite and nonnegative");
+    assert!(
+        moves.iter().all(|&(from, to, rate)| from != to
+            && from.max(to) < n
+            && rate >= 0.0
+            && rate.is_finite()),
+        "a move must change a state in 0..{n} at a finite nonnegative rate"
+    );
+    assert!(drop_rates.iter().all(|&(i, _)| i < n), "drop rate outside 0..{n}");
+    if dt == 0.0 {
+        return Advance { drops: 0.0, terms: 0 };
+    }
+    let mut stay = vec![0.0; n];
+    for &(from, _, rate) in moves {
+        stay[from] += rate;
+    }
+    // Any q ≥ max exit rate uniformizes; the zero generator takes q = 1/dt.
+    let max_exit = stay.iter().copied().fold(0.0, f64::max);
+    let q = if max_exit > 0.0 { max_exit } else { 1.0 / dt };
+    let substeps = (q * dt / MAX_SUBSTEP_EVENTS).ceil();
+    let qh = q * dt / substeps;
+    stay.iter_mut().for_each(|s| *s = 1.0 - *s / q);
+    // The off-diagonal part of P by diagonals: band d carries rate/q into
+    // each target j from the state at `windows[d] + j` of a term padded by
+    // `pad` zeros on both sides. A product is then a few full-length
+    // vector updates; a birth–death chain has two bands.
+    let pad = moves.iter().map(|&(from, to, _)| from.abs_diff(to)).max().unwrap_or(0);
+    let (mut windows, mut bands) = (Vec::new(), Vec::new());
+    for &(from, to, rate) in moves.iter().filter(|m| m.2 > 0.0) {
+        let window = pad + from - to;
+        let d = windows.iter().position(|&w| w == window).unwrap_or_else(|| {
+            windows.push(window);
+            bands.resize(bands.len() + n, 0.0);
+            windows.len() - 1
+        });
+        bands[d * n + to] += rate / q;
+    }
+
+    let tol = tol.max(MIN_TOL);
+    let (mut term, mut next, mut acc) =
+        (vec![0.0; n + 2 * pad], vec![0.0; n + 2 * pad], vec![0.0; n]);
+    let (mut drops, mut terms) = (0.0, 0);
+    for _ in 0..substeps as usize {
+        term[pad..pad + n].copy_from_slice(v);
+        acc.iter_mut().for_each(|a| *a = 0.0);
+        // Term k has weight w = PoissonPmf(k; qh); `seen` sums the drop
+        // rates of the terms before k, so `integral` = Σ_k w·seen.
+        let (mut w, mut total, mut seen, mut integral) = ((-qh).exp(), 0.0, 0.0, 0.0);
+        let mut k = 0usize;
+        loop {
+            let now = &term[pad..pad + n];
+            total += w;
+            integral += w * seen;
+            for (a, &t) in acc.iter_mut().zip(now) {
+                *a += w * t;
+            }
+            // With k terms summed, the ratio of each later weight to the one
+            // before is at most qh/k; once that is below 1, the mass not yet
+            // summed is at most w·qh/(k − qh).
+            k += 1;
+            if k as f64 > qh && w * qh <= tol * (k as f64 - qh) {
+                break;
+            }
+            seen += drop_rates.iter().map(|&(i, r)| now[i] * r).sum::<f64>();
+            product(&mut next[pad..pad + n], &term, pad, &stay, &windows, &bands);
+            std::mem::swap(&mut term, &mut next);
+            w *= qh / k as f64;
+        }
+        for (x, &a) in v.iter_mut().zip(&acc) {
+            *x = a / total;
+        }
+        drops += integral / (q * total);
+        terms += k - 1;
+    }
+    Advance { drops, terms }
+}
+
+/// `out = term·P` for the band layout of [`advance`]. Slices as arguments
+/// let the compiler treat `out` as unaliased and vectorize every band.
+fn product(
+    out: &mut [f64],
+    term: &[f64],
+    pad: usize,
+    stay: &[f64],
+    windows: &[usize],
+    bands: &[f64],
+) {
+    let n = out.len();
+    for ((x, &t), &s) in out.iter_mut().zip(&term[pad..pad + n]).zip(stay) {
+        *x = t * s;
+    }
+    for (&window, band) in windows.iter().zip(bands.chunks_exact(n)) {
+        for ((x, &t), &p) in out.iter_mut().zip(&term[window..window + n]).zip(band) {
+            *x += t * p;
+        }
+    }
+}
+
+/// Chains of `n` states each, stacked block-diagonally so one [`advance`]
+/// call moves them all. They share `Δt` and the largest uniformization
+/// rate among them, which is exact for each, and every product runs over
+/// the whole stack instead of one short vector per chain: a mean-field
+/// epoch stacks one chain per occupied queue state.
+#[derive(Debug, Clone, Default)]
+pub struct ChainStack {
+    moves: Vec<Move>,
+    drop_rates: Vec<(usize, f64)>,
+    v: Vec<f64>,
+}
+
+impl ChainStack {
+    /// Stacks a chain: its moves, nonzero drop rates and start vector, with
+    /// states numbered from 0 within the chain.
+    pub fn push(&mut self, moves: &[Move], drop_rates: &[(usize, f64)], start: &[f64]) {
+        let offset = self.v.len();
+        self.moves.extend(moves.iter().map(|&(from, to, rate)| (offset + from, offset + to, rate)));
+        self.drop_rates.extend(drop_rates.iter().map(|&(i, rate)| (offset + i, rate)));
+        self.v.extend_from_slice(start);
+    }
+
+    /// Advances every chain by `dt` to [`EPOCH_TOL`]; returns the sum of
+    /// the end vectors and the summed drops.
+    pub fn advance(mut self, dt: f64, n: usize) -> (Vec<f64>, f64) {
+        let drops = advance(&self.moves, &self.drop_rates, &mut self.v, dt, EPOCH_TOL).drops;
+        let mut sum = vec![0.0; n];
+        for chain in self.v.chunks_exact(n) {
+            sum.iter_mut().zip(chain).for_each(|(s, x)| *s += x);
+        }
+        (sum, drops)
+    }
+}
+
+/// Computes `p₀ · exp(Q t)` for a conservative generator `Q`: [`advance`]
+/// with no drop rates, truncating the Poisson series once the remaining
+/// mass is below `tol` (floored at `1e-30`).
 pub fn transient_distribution(
     q: &Mat,
     p0: &[f64],
@@ -81,69 +271,16 @@ pub fn transient_distribution(
 ) -> Result<Vec<f64>, UniformizationError> {
     validate_generator(q, 1e-9)?;
     let n = q.rows();
-    if p0.len() != n {
-        return Err(UniformizationError::NotADistribution);
-    }
     let mass: f64 = p0.iter().sum();
-    if (mass - 1.0).abs() > 1e-9 || p0.iter().any(|&v| v < -1e-12) {
+    if p0.len() != n || (mass - 1.0).abs() > 1e-9 || p0.iter().any(|&v| v < -1e-12) {
         return Err(UniformizationError::NotADistribution);
     }
-    if t == 0.0 {
-        return Ok(p0.to_vec());
-    }
-
-    // Uniformization rate: strictly positive even for the zero generator.
-    let rate = (0..n).map(|i| -q[(i, i)]).fold(0.0f64, f64::max).max(1e-300);
-    // Stochastic matrix P = I + Q / rate.
-    let mut p = q.scaled(1.0 / rate);
-    p.add_diag_mut(1.0);
-
-    let qt = rate * t;
-    // Iterate the Poisson-weighted series with running pmf recurrence
-    // pmf(k) = pmf(k-1) * qt / k starting from pmf(0) = exp(-qt).
-    // For large qt, exp(-qt) underflows; work with a scaled pmf and
-    // renormalize through the cumulative weight actually accumulated.
-    let mut vk = p0.to_vec(); // p₀ Pᵏ
-    let mut out = vec![0.0; n];
-
-    // Compute log pmf to avoid underflow: start at k0 = floor(qt) (the mode)
-    // would be the fully robust choice, but for the model's qt ≲ 100 the
-    // direct recurrence in linear space with an underflow floor is accurate;
-    // guard with a log-space restart if exp(-qt) underflows.
-    if qt < 700.0 {
-        let mut pmf = (-qt).exp();
-        let mut cumulative = pmf;
-        for (o, v) in out.iter_mut().zip(vk.iter()) {
-            *o += pmf * v;
-        }
-        let mut k = 0usize;
-        while 1.0 - cumulative > tol {
-            k += 1;
-            vk = p.vecmat(&vk);
-            pmf *= qt / k as f64;
-            cumulative += pmf;
-            for (o, v) in out.iter_mut().zip(vk.iter()) {
-                *o += pmf * v;
-            }
-            if k > 100_000 {
-                break; // defensive: tol unreachable in pathological inputs
-            }
-        }
-        // The truncated tail mass (≤ tol) is redistributed by renormalizing,
-        // keeping the output a proper distribution.
-        let s: f64 = out.iter().sum();
-        if s > 0.0 {
-            for o in &mut out {
-                *o /= s;
-            }
-        }
-        Ok(out)
-    } else {
-        // Extremely long horizons: split the interval and recurse. Each half
-        // has qt/2, so the recursion depth is logarithmic.
-        let half = transient_distribution(q, p0, t / 2.0, tol / 2.0)?;
-        transient_distribution(q, &half, t / 2.0, tol / 2.0)
-    }
+    let moves: Vec<Move> = (0..n)
+        .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j, q[(i, j)].max(0.0))))
+        .collect();
+    let mut p = p0.to_vec();
+    advance(&moves, &[], &mut p, t, tol);
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -213,6 +350,38 @@ mod tests {
         let s: f64 = p.iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert!(p.iter().all(|&v| v >= 0.0));
+    }
+
+    #[test]
+    fn tolerances_at_or_below_one_ulp_truncate_after_a_bounded_number_of_terms() {
+        // `1 − cdf` never drops below 0 or 1e-17; the provable tail bound
+        // still truncates, after a number of terms that depends on qt only
+        // (tol is floored at 1e-30), and agrees with tol = 1e-13.
+        let q = birth_death(5, 0.9, 1.0);
+        let moves: Vec<Move> = (0..5).flat_map(|z| [(z, z + 1, 0.9), (z + 1, z, 1.0)]).collect();
+        let p0 = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+        for t in [0.5, 5.0, 50.0] {
+            let qt = 1.9 * t;
+            let reference = transient_distribution(&q, &p0, t, 1e-13).unwrap();
+            for tol in [0.0, 1e-17] {
+                let p = transient_distribution(&q, &p0, t, tol).unwrap();
+                for (a, b) in p.iter().zip(&reference) {
+                    assert!((a - b).abs() < 1e-13, "t={t} tol={tol}: {a} vs {b}");
+                }
+                let mut v = p0;
+                let terms = advance(&moves, &[], &mut v, t, tol).terms;
+                let bound = qt + 12.0 * qt.sqrt() + 90.0;
+                assert!((terms as f64) < bound, "t={t} tol={tol}: {terms} terms, bound {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_generator_integrates_the_drop_rate_over_the_epoch() {
+        let mut v = [0.25, 0.75];
+        let out = advance(&[], &[(1, 2.0)], &mut v, 3.0, EPOCH_TOL);
+        assert_eq!(v, [0.25, 0.75]);
+        assert!((out.drops - 4.5).abs() < 1e-14, "{}", out.drops);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Bit-pins `expm` over a fixed corpus of the paper's extended generators.
 //!
-//! The matrix exponential feeds every mean-field epoch, so checkpoint
-//! fingerprints, regression streams and CLI goldens all hang off its exact
-//! output bits. The digest below was captured from the allocating Padé
-//! implementation that preceded the thread-local workspace; a kernel change
+//! The matrix exponential is the reference the epoch kernel is bounded
+//! against (`epoch_kernel.rs`), so its output bits stay pinned. The digest
+//! below was captured from the allocating Padé implementation; a change
 //! that reorders a single floating-point operation moves it. The
-//! interleaving tests catch workspace state leaking from one call into the
+//! interleaving tests check that no state carries from one call into the
 //! next (a different size in between, or another thread at the same time).
 
 use mflb_linalg::{expm, Mat};

@@ -11,14 +11,17 @@
 //!   one epoch, returning the end state and the number of drops,
 //! * [`BirthDeathQueue::generator`] — the row-convention generator used by
 //!   the analytic transient solvers,
+//! * [`BirthDeathQueue::epoch_expectation`] — the exact one-epoch advance
+//!   (Eq. 28) with its expected drops, by uniformization,
 //! * [`BirthDeathQueue::extended_generator_column`] — the paper's extended
 //!   rate matrix `Q̄` (Eq. 27) in *column* convention, which simultaneously
-//!   tracks the state distribution and the accumulated expected drops,
+//!   tracks the state distribution and the accumulated expected drops (the
+//!   Padé reference of the epoch),
 //! * [`BirthDeathQueue::stationary`] — the analytic M/M/1/B stationary
 //!   distribution (test oracle).
 
 use crate::sampler::Sampler;
-use mflb_linalg::Mat;
+use mflb_linalg::{advance, dense_generator, Mat, Move, EPOCH_TOL};
 use rand::Rng;
 
 /// A finite-buffer `M/M/1/B` queue with fixed rates.
@@ -110,19 +113,22 @@ impl BirthDeathQueue {
     /// Row-convention generator of the queue-length chain (drops ignored:
     /// the chain simply has no up-transition out of `B`).
     pub fn generator(&self) -> Mat {
-        let n = self.num_states();
-        let mut q = Mat::zeros(n, n);
-        for z in 0..n {
+        dense_generator(self.num_states(), &self.moves())
+    }
+
+    /// [`BirthDeathQueue::generator`] as the move list the epoch kernel
+    /// runs on: arrivals `z → z+1` below `B`, departures `z → z−1`.
+    pub fn moves(&self) -> Vec<Move> {
+        let mut moves = Vec::with_capacity(2 * self.buffer);
+        for z in 0..self.num_states() {
             if z < self.buffer {
-                q[(z, z + 1)] = self.arrival_rate;
-                q[(z, z)] -= self.arrival_rate;
+                moves.push((z, z + 1, self.arrival_rate));
             }
             if z > 0 {
-                q[(z, z - 1)] = self.service_rate;
-                q[(z, z)] -= self.service_rate;
+                moves.push((z, z - 1, self.service_rate));
             }
         }
-        q
+        moves
     }
 
     /// The paper's extended rate matrix `Q̄` (Eq. 27) in **column**
@@ -155,19 +161,23 @@ impl BirthDeathQueue {
         q
     }
 
+    /// The drop rates of the epoch kernel: arrivals at the full buffer.
+    pub fn drop_rates(&self) -> Vec<(usize, f64)> {
+        vec![(self.buffer, self.arrival_rate)]
+    }
+
     /// Expected end-of-epoch distribution and drops from a deterministic
-    /// start state, via the matrix exponential of the extended generator.
+    /// start state: Eq. 28's `exp(Q̄·Δt)·[e_state; 0]`, computed by the
+    /// uniformization kernel ([`mflb_linalg::advance`]) to
+    /// [`mflb_linalg::EPOCH_TOL`].
     ///
     /// Returns `(distribution over {0..B}, expected drops)`.
     pub fn epoch_expectation(&self, state: usize, dt: f64) -> (Vec<f64>, f64) {
         debug_assert!(state <= self.buffer);
-        let qbar = self.extended_generator_column().scaled(dt);
-        let e = mflb_linalg::expm(&qbar);
-        let n = self.num_states();
-        let mut v = vec![0.0; n + 1];
+        let mut v = vec![0.0; self.num_states()];
         v[state] = 1.0;
-        let out = e.matvec(&v);
-        (out[..n].to_vec(), out[n])
+        let drops = advance(&self.moves(), &self.drop_rates(), &mut v, dt, EPOCH_TOL).drops;
+        (v, drops)
     }
 
     /// Analytic stationary distribution of the M/M/1/B queue
@@ -285,15 +295,17 @@ mod tests {
 
     #[test]
     fn extended_generator_preserves_distribution_block() {
-        // The first B+1 entries of exp(Q̄ t)·[e_z;0] must match the plain
-        // generator transient (drops accounting must not disturb the chain).
+        // The kernel's distribution must match the first B+1 entries of the
+        // Padé exp(Q̄ t)·[e_z;0] (drops accounting must not disturb the
+        // chain).
         let q = BirthDeathQueue::new(1.7, 0.8, 6);
         let dt = 2.5;
         for z in 0..=6usize {
             let (dist, _) = q.epoch_expectation(z, dt);
-            let mut p0 = vec![0.0; 7];
-            p0[z] = 1.0;
-            let reference = transient_distribution(&q.generator(), &p0, dt, 1e-13).unwrap();
+            let mut e_z = vec![0.0; 8];
+            e_z[z] = 1.0;
+            let reference =
+                mflb_linalg::expm(&q.extended_generator_column().scaled(dt)).matvec(&e_z);
             for (a, b) in dist.iter().zip(reference.iter()) {
                 assert!((a - b).abs() < 1e-9, "z={z}: {a} vs {b}");
             }

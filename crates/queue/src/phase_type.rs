@@ -17,14 +17,13 @@
 //!   Coxian chains — plus [`PhaseType::fit_mean_scv`], the standard
 //!   two-moment fit (Tijms' mixed-Erlang below SCV 1, balanced-means `H₂`
 //!   above) used by the service-variability ablation,
-//! * [`PhQueue`] — the `M/PH/1/B` queue: joint `(z, phase)` generator,
-//!   extended drop-accounting generator in column convention, exact epoch
-//!   expectation via the matrix exponential, and exact Gillespie
-//!   simulation for the finite-system engine.
+//! * [`PhQueue`] — the `M/PH/1/B` queue: joint `(z, phase)` generator and
+//!   drop rates, exact epoch expectation via the uniformization kernel, and
+//!   exact Gillespie simulation for the finite-system engine.
 
 use crate::birth_death::EpochOutcome;
 use crate::sampler::Sampler;
-use mflb_linalg::{expm, Lu, Mat};
+use mflb_linalg::{advance, dense_generator, expm, Lu, Mat, Move, EPOCH_TOL};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -371,82 +370,55 @@ impl PhQueue {
     /// Row-convention generator over the joint states (arrivals at a full
     /// buffer are lost without a state change).
     pub fn generator(&self) -> Mat {
-        let n = self.num_states();
+        dense_generator(self.num_states(), &self.moves())
+    }
+
+    /// [`PhQueue::generator`] as the quasi-birth–death move list the epoch
+    /// kernel runs on.
+    pub fn moves(&self) -> Vec<Move> {
         let k = self.service.num_phases();
         let lam = self.arrival_rate;
         let alpha = self.service.init();
         let s = self.service.subgen();
         let exit = self.service.exit_rates();
-        let mut q = Mat::zeros(n, n);
+        let at = |len, phase| self.state_index(PhQueueState { len, phase });
+        let mut moves = Vec::new();
         // From empty: an arrival starts service in phase j ~ α.
         for j in 0..k {
-            let rate = lam * alpha[j];
-            if rate > 0.0 {
-                let to = self.state_index(PhQueueState { len: 1, phase: j });
-                q[(0, to)] += rate;
-                q[(0, 0)] -= rate;
-            }
+            moves.push((0, at(1, j), lam * alpha[j]));
         }
         for z in 1..=self.buffer {
             for i in 0..k {
-                let from = self.state_index(PhQueueState { len: z, phase: i });
+                let from = at(z, i);
                 // Arrival: queue grows, in-service phase unchanged.
-                if z < self.buffer && lam > 0.0 {
-                    let to = self.state_index(PhQueueState { len: z + 1, phase: i });
-                    q[(from, to)] += lam;
-                    q[(from, from)] -= lam;
+                if z < self.buffer {
+                    moves.push((from, at(z + 1, i), lam));
                 }
                 // Internal phase changes.
-                for j in 0..k {
-                    if j == i {
-                        continue;
-                    }
-                    let rate = s[(i, j)];
-                    if rate > 0.0 {
-                        let to = self.state_index(PhQueueState { len: z, phase: j });
-                        q[(from, to)] += rate;
-                        q[(from, from)] -= rate;
-                    }
+                for j in (0..k).filter(|&j| j != i) {
+                    moves.push((from, at(z, j), s[(i, j)]));
                 }
                 // Service completion: next job (if any) starts in phase ~ α.
-                if exit[i] > 0.0 {
-                    if z == 1 {
-                        q[(from, 0)] += exit[i];
-                        q[(from, from)] -= exit[i];
-                    } else {
-                        for j in 0..k {
-                            let rate = exit[i] * alpha[j];
-                            if rate > 0.0 {
-                                let to = self.state_index(PhQueueState { len: z - 1, phase: j });
-                                q[(from, to)] += rate;
-                                q[(from, from)] -= rate;
-                            }
-                        }
+                if z == 1 {
+                    moves.push((from, 0, exit[i]));
+                } else {
+                    for j in 0..k {
+                        moves.push((from, at(z - 1, j), exit[i] * alpha[j]));
                     }
                 }
             }
         }
-        q
+        moves
     }
 
-    /// The extended rate matrix (Eq. 27 generalized to PH service) in
-    /// **column** convention, size `(1 + B·k + 1)²`: the last row
-    /// accumulates expected drops `Ḋ = λ·Σ_i P_{(B,i)}`.
-    pub fn extended_generator_column(&self) -> Mat {
-        let n = self.num_states();
-        let mut q = self.generator().transpose();
-        let mut ext = Mat::zeros(n + 1, n + 1);
-        for i in 0..n {
-            for j in 0..n {
-                ext[(i, j)] = q[(i, j)];
-            }
-        }
-        q = ext;
-        for i in 0..self.service.num_phases() {
-            let full = self.state_index(PhQueueState { len: self.buffer, phase: i });
-            q[(n, full)] = self.arrival_rate;
-        }
-        q
+    /// The drop rates of the epoch kernel: arrivals at a full buffer, in
+    /// every service phase.
+    pub fn drop_rates(&self) -> Vec<(usize, f64)> {
+        (0..self.service.num_phases())
+            .map(|i| {
+                (self.state_index(PhQueueState { len: self.buffer, phase: i }), self.arrival_rate)
+            })
+            .collect()
     }
 
     /// Exact end-of-epoch expectation from a *joint* start distribution
@@ -458,12 +430,9 @@ impl PhQueue {
     pub fn epoch_expectation(&self, joint_start: &[f64], dt: f64) -> (Vec<f64>, f64) {
         let n = self.num_states();
         assert_eq!(joint_start.len(), n, "joint start distribution length");
-        let qbar = self.extended_generator_column().scaled(dt);
-        let e = expm(&qbar);
-        let mut v = vec![0.0; n + 1];
-        v[..n].copy_from_slice(joint_start);
-        let out = e.matvec(&v);
-        (out[..n].to_vec(), out[n])
+        let mut v = joint_start.to_vec();
+        let drops = advance(&self.moves(), &self.drop_rates(), &mut v, dt, EPOCH_TOL).drops;
+        (v, drops)
     }
 
     /// Stationary distribution of the joint `(length, phase)` chain

@@ -281,12 +281,18 @@ pub fn check_lattice(
     }
 }
 
+/// Names the numerical method behind every mean-field transition the
+/// solve tabulates. Cached values from another method differ in the low
+/// bits, so changing the method changes the key and old entries miss.
+const TRANSITION_KERNEL: &str = "uniformization";
+
 /// The MDP-relevant fields the cache key hashes: everything the
 /// discretized solve depends on, and nothing it does not (system sizes,
 /// horizons and ν₀ are deliberately absent — the value function covers
 /// the whole lattice).
 #[derive(Serialize)]
 struct MdpSignature {
+    transition_kernel: &'static str,
     dt: f64,
     service_rate: f64,
     arrivals: ArrivalProcess,
@@ -308,10 +314,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Content key of an oracle solve: FNV-1a 64 over the canonical JSON of
-/// the MDP-relevant configuration fields plus grid resolution and action
-/// library tag, rendered as 16 hex digits.
+/// the MDP-relevant configuration fields plus grid resolution, action
+/// library and transition-kernel tags, rendered as 16 hex digits.
 pub fn scenario_oracle_key(config: &mflb_core::SystemConfig, grid_resolution: usize) -> String {
+    oracle_key(config, grid_resolution, TRANSITION_KERNEL)
+}
+
+fn oracle_key(
+    config: &mflb_core::SystemConfig,
+    grid_resolution: usize,
+    transition_kernel: &'static str,
+) -> String {
     let sig = MdpSignature {
+        transition_kernel,
         dt: config.dt,
         service_rate: config.service_rate,
         arrivals: config.arrivals.clone(),
@@ -514,6 +529,15 @@ mod tests {
         let c = a.clone().with_dt(2.0);
         assert_ne!(scenario_oracle_key(&a, 4), scenario_oracle_key(&c, 4), "dynamics change");
         assert_ne!(scenario_oracle_key(&a, 4), scenario_oracle_key(&a, 6), "resolution change");
+    }
+
+    #[test]
+    fn cache_key_includes_the_transition_kernel() {
+        // Entries solved with the Padé epoch must miss under the
+        // uniformization kernel.
+        let cfg = tiny_scenario().config;
+        assert_eq!(scenario_oracle_key(&cfg, 4), oracle_key(&cfg, 4, TRANSITION_KERNEL));
+        assert_ne!(scenario_oracle_key(&cfg, 4), oracle_key(&cfg, 4, "pade_expm"));
     }
 
     #[test]

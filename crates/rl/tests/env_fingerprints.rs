@@ -76,22 +76,22 @@ fn example(name: &str) -> Scenario {
 #[test]
 fn checkpoint_fingerprints_are_pinned_per_env_kind() {
     let pinned: &[(&str, u64)] = &[
-        ("aggregate.json", 0x477366d0790fc20e),
-        ("event_crashy.json", 0xbab8018e90668665),
-        ("event_pareto.json", 0x7bf488e3823fd32d),
-        ("graph_ring.json", 0x831e6be85c435a59),
-        ("graph_torus_large.json", 0xc9c1977d2103e190),
-        ("hetero_two_speed.json", 0xae391739c3a8556f),
-        ("joblevel.json", 0x239b58cef721379e),
-        ("oracle_tiny.json", 0x756775154a7ff52a),
-        ("perclient.json", 0x36f8ebe62a355b75),
-        ("ph_erlang2.json", 0x0903ebdb67ad4aa6),
-        ("staggered.json", 0xbadae4f2a34c9dd9),
-        ("full_mesh_graph", 0x0cad53793251d92b),
-        ("ring_graph_crashes", 0xe79b937db99e752c),
-        ("event_crashy_holding", 0x8ac190f54f08e232),
-        ("hetero_holding", 0xd64ccbc23bebebc7),
-        ("ph_holding", 0x86cd342370f500fa),
+        ("aggregate.json", 0xd26132d3c50661de),
+        ("event_crashy.json", 0xd4c4c1cf650c6f98),
+        ("event_pareto.json", 0xeaabc50e3821be9d),
+        ("graph_ring.json", 0x18cb1ce98c2621b4),
+        ("graph_torus_large.json", 0xea9f355a3d08d913),
+        ("hetero_two_speed.json", 0xb2258e13ff671661),
+        ("joblevel.json", 0xe6509f0369497c6e),
+        ("oracle_tiny.json", 0x71ef5c51b9a08dba),
+        ("perclient.json", 0x0cd2a7bd0ff0260d),
+        ("ph_erlang2.json", 0x84687a2771cf4985),
+        ("staggered.json", 0xcc8d9b6cdfcac0a1),
+        ("full_mesh_graph", 0x10a6d5bc5ebeda77),
+        ("ring_graph_crashes", 0x65cc49430740429a),
+        ("event_crashy_holding", 0x29673344a523920c),
+        ("hetero_holding", 0x80108fa323a0d6d7),
+        ("ph_holding", 0x96c69dfbe655db1d),
     ];
     let mut names: Vec<String> = std::fs::read_dir(examples_dir())
         .expect("examples/scenarios exists")

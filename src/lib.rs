@@ -5,7 +5,8 @@
 //! Cui & Koeppl, ICPP '22). It re-exports the public API of every workspace
 //! crate so downstream users can depend on a single crate:
 //!
-//! * [`linalg`] — dense matrices, matrix exponentials, statistics,
+//! * [`linalg`] — dense matrices, the uniformization epoch kernel, matrix
+//!   exponentials, statistics,
 //! * [`queue`] — CTMC queueing substrate, exact queue simulation, samplers,
 //! * [`core`] — the mean-field control model and its exactly-discretized MDP,
 //! * [`policy`] — JSQ(d)/SED(d)/RND/softmin/learned load-balancing policies,

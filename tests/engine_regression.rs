@@ -308,9 +308,9 @@ fn level_path() -> Vec<usize> {
 fn mean_field_rollouts_reproduce_their_pinned_returns() {
     let mdp = MeanFieldMdp::new(SystemConfig::paper().with_dt(5.0));
     let sampled = mdp.rollout(&jsq(), 24, &mut StdRng::seed_from_u64(0xC0FFEE)).total_return;
-    assert_eq!(sampled.to_bits(), 0xc01b1ba33793e594, "got {:#x}", sampled.to_bits());
+    assert_eq!(sampled.to_bits(), 0xc01b1ba33793e595, "got {:#x}", sampled.to_bits());
     let conditioned = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
-    assert_eq!(conditioned.to_bits(), 0xc0186b7370e684de, "got {:#x}", conditioned.to_bits());
+    assert_eq!(conditioned.to_bits(), 0xc0186b7370e684db, "got {:#x}", conditioned.to_bits());
 }
 
 #[test]
@@ -319,7 +319,7 @@ fn phase_type_mean_field_reproduces_its_pinned_return() {
     let closure = Ph::new(&cfg, PhaseType::fit_mean_scv(1.0, 2.0));
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
-    assert_eq!(ret.to_bits(), 0xc01bb0b72da6ad6e, "got {:#x}", ret.to_bits());
+    assert_eq!(ret.to_bits(), 0xc01bb0b72da6ad72, "got {:#x}", ret.to_bits());
 }
 
 #[test]
@@ -330,7 +330,7 @@ fn hetero_mean_field_reproduces_its_pinned_return() {
     let closure = Hetero::new(&cfg, vec![0.5, 0.5], vec![1.6, 0.4]);
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout_conditioned(&sed, &[0; 24]).total_return;
-    assert_eq!(ret.to_bits(), 0xc025eebb9e834589, "got {:#x}", ret.to_bits());
+    assert_eq!(ret.to_bits(), 0xc025eebb9e834587, "got {:#x}", ret.to_bits());
 }
 
 #[test]
@@ -341,7 +341,7 @@ fn graph_mean_field_reproduces_its_pinned_return() {
     let closure = Homogeneous::new(&cfg, Integrand::Graph { k: 3 });
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout(&jsq(), 24, &mut StdRng::seed_from_u64(0xC0FFEE)).total_return;
-    assert_eq!(ret.to_bits(), 0xc018e6d4c0c42c54, "got {:#x}", ret.to_bits());
+    assert_eq!(ret.to_bits(), 0xc018e6d4c0c42c50, "got {:#x}", ret.to_bits());
 }
 
 #[test]
@@ -352,22 +352,22 @@ fn dp_q_values_at_the_empty_vertex_reproduce_their_pins() {
     let sol = DpSolution::solve(&config, actions, &dp);
     let q = sol.q_values(&StateDist::all_empty(config.buffer), 0);
     let bits: Vec<u64> = q.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(bits, vec![0xc03e335affb8fc05; 10], "got {bits:#x?}");
+    assert_eq!(bits, vec![0xc03e335affb8fbf4; 10], "got {bits:#x?}");
     // From the empty vertex every rule routes onto empty queues, so the
     // Q-values tie; a spread-out state tells the actions apart.
     let q = sol.q_values(&StateDist::uniform(config.buffer), 1);
     let bits: Vec<u64> = q.iter().map(|v| v.to_bits()).collect();
     let pinned = [
-        0xc03e332ab0b19352,
-        0xc03e1ea988fb4a02,
-        0xc03e14c4c61cabb9,
-        0xc03e0f4458d8d729,
-        0xc03e0dd9ea6decb4,
-        0xc03e0d91b65684d6,
-        0xc03e0d8973264d8d,
-        0xc03e0d894d3343ae,
-        0xc03e0d894d3001ae,
-        0xc03e0d894d3001ad,
+        0xc03e332ab0b19343,
+        0xc03e1ea988fb49f1,
+        0xc03e14c4c61caba9,
+        0xc03e0f4458d8d718,
+        0xc03e0dd9ea6deca4,
+        0xc03e0d91b65684c5,
+        0xc03e0d8973264d7d,
+        0xc03e0d894d33439e,
+        0xc03e0d894d30019e,
+        0xc03e0d894d30019e,
     ];
     assert_eq!(bits, pinned, "got {bits:#x?}");
 }
