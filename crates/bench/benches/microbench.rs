@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the computational kernels.
 //!
 //! These quantify the cost of the pieces that dominate experiment runtime:
-//! an MFC-MDP rollout, one finite-system epoch under both engines, neural
-//! policy inference and a PPO network update. The matrix exponential and
-//! the mean-field epochs (JSQ, softmin, phase-type and one birth–death
-//! queue) are timed by `mflb bench` instead (`crates/bench/src/perf.rs`).
+//! an MFC-MDP rollout, per-client and staggered finite-system epochs,
+//! neural policy inference and a PPO network update. The matrix
+//! exponential, the mean-field epochs (JSQ, softmin, phase-type and one
+//! birth–death queue) and the aggregate engine's epochs are timed by
+//! `mflb bench` instead (`crates/bench/src/perf.rs`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mflb_core::mdp::FixedRulePolicy;
@@ -12,9 +13,8 @@ use mflb_core::{DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
 use mflb_nn::{Activation, Mlp, Tensor, Workspace};
 use mflb_policy::jsq_rule;
 use mflb_queue::sampler::Sampler;
-use mflb_sim::aggregate::AggregateState;
 use mflb_sim::client::PerClientState;
-use mflb_sim::{AggregateEngine, Engine, PerClientEngine};
+use mflb_sim::{Engine, PerClientEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,23 +30,8 @@ fn bench_mfc_rollout(c: &mut Criterion) {
 }
 
 fn bench_engines(c: &mut Criterion) {
-    // Aggregate engine at the paper's largest size: M = 1000, N = 10^6.
-    // The state is created once and evolves across iterations (each epoch
-    // starts from the previous epoch's queues, converging to steady
-    // state), so the bench measures the allocation-free recurring epoch
-    // cost rather than cold epochs from a fixed profile.
-    let cfg = SystemConfig::paper().with_m_squared(1000).with_dt(5.0);
-    let agg = AggregateEngine::new(cfg.clone());
+    // Per-client engine at a moderate size: M = 100, N = 10^4.
     let rule = jsq_rule(6, 2);
-    c.bench_function("aggregate_epoch_M1000_N1e6", |b| {
-        let mut state = AggregateState::from_queues(vec![1usize; 1000]);
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(2);
-            agg.step(black_box(&mut state), &rule, 0.9, &mut rng)
-        })
-    });
-
-    // Per-client engine at a moderate size for comparison: M = 100, N = 10^4.
     let cfg_small = SystemConfig::paper().with_m_squared(100).with_dt(5.0);
     let per = PerClientEngine::new(cfg_small.clone());
     c.bench_function("per_client_epoch_M100_N1e4", |b| {

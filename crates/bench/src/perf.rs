@@ -586,6 +586,58 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         ));
     }
 
+    // --- 5b. Aggregate engine epochs at the paper's largest size,
+    //     M = 1000, N = 10^6 (Δt = 5): exponential service under JSQ(2)
+    //     and a two-speed rate-class pool under SED(2) over composite
+    //     states. Each state evolves across iterations (steady-state
+    //     epochs, not cold ones). Tracked: the naive twin is the
+    //     per-client engine's O(N·d) epoch at the same N and M, so the
+    //     gate catches either service model falling off the O(M) path. ---
+    {
+        use mflb_policy::{jsq_rule, sed_rule};
+        use mflb_sim::aggregate::AggregateState;
+        use mflb_sim::client::PerClientState;
+        use mflb_sim::{Engine, PerClientEngine, RateClasses};
+
+        let config = SystemConfig::paper().with_m_squared(1000).with_dt(5.0);
+        let m = config.num_queues;
+        let jsq = jsq_rule(config.num_states(), config.d);
+        let mut rng = StdRng::seed_from_u64(19);
+
+        let per = PerClientEngine::new(config.clone());
+        let mut state = PerClientState::from_queues(vec![1; m], config.d);
+        let naive_iters = if quick { 3 } else { 20 };
+        let naive = time_loop(naive_iters, || {
+            black_box(per.step(&mut state, &jsq, 0.9, &mut rng));
+        });
+        let iters = if quick { 100 } else { 1_000 };
+        let naive_secs = naive / naive_iters as f64 * iters as f64;
+
+        let exp = AggregateEngine::new(config.clone());
+        let mut state = AggregateState::from_queues(vec![1; m]);
+        let secs = time_loop(iters, || {
+            black_box(exp.step(&mut state, &jsq, 0.9, &mut rng));
+        });
+        entries.push(with_baseline(
+            entry("aggregate_epoch_exp_M1000_N1e6", iters, secs, 1.0, "epochs/s"),
+            naive_secs,
+        ));
+
+        let mut rates = vec![1.6; m / 2];
+        rates.resize(m, 0.4);
+        let classes = RateClasses::new(&rates);
+        let sed = sed_rule(config.num_states(), config.d, classes.class_rates());
+        let hetero = AggregateEngine::with_service(config, classes);
+        let mut state = AggregateState::from_queues(vec![1; m]);
+        let secs = time_loop(iters, || {
+            black_box(hetero.step(&mut state, &sed, 0.9, &mut rng));
+        });
+        entries.push(with_baseline(
+            entry("aggregate_epoch_rate_classes_M1000_N1e6", iters, secs, 1.0, "epochs/s"),
+            naive_secs,
+        ));
+    }
+
     // --- 6. End-to-end pinned-seed quick-scale training run. ---
     {
         let config = SystemConfig::paper().with_m_squared(20).with_dt(5.0);

@@ -6,8 +6,8 @@
 //! the mean-field state is a *per-class* family of length distributions
 //! `ν_c ∈ P(Z)`; clients observe **composite** states `(z, c)` encoded
 //! as `c·(B+1) + z` (the same convention as `mflb_policy::composite_index`
-//! and the finite `HeteroEngine` in `mflb-sim` — SED(d) rules plug
-//! in directly). The derivation of §2.3 goes through verbatim on the
+//! and the finite `AggregateEngine<RateClasses>` in `mflb-sim` — SED(d)
+//! rules plug in directly). The derivation of §2.3 goes through verbatim on the
 //! composite space:
 //!
 //! * the composite observation distribution is `ν̄(z, c) = w_c·ν_c(z)`;

@@ -48,22 +48,6 @@ impl ActionLibrary {
         Self::new(entries)
     }
 
-    /// A finer softmin library with `per_octave` rules between successive
-    /// powers of two (for resolution ablations).
-    pub fn softmin_fine(num_states: usize, d: usize, per_octave: usize) -> Self {
-        assert!(per_octave >= 1);
-        let mut entries = vec![("softmin(0)".to_string(), softmin_rule(num_states, d, 0.0))];
-        let lo: f64 = 0.25;
-        let hi: f64 = 64.0;
-        let octaves = (hi / lo).log2();
-        let steps = (octaves * per_octave as f64).round() as usize;
-        for s in 0..=steps {
-            let beta = lo * 2f64.powf(s as f64 / per_octave as f64);
-            entries.push((format!("softmin({beta:.3})"), softmin_rule(num_states, d, beta)));
-        }
-        Self::new(entries)
-    }
-
     /// Number of actions.
     pub fn len(&self) -> usize {
         self.rules.len()
@@ -101,13 +85,6 @@ mod tests {
         assert_eq!(lib.len(), 10);
         assert!(lib.rule(0).max_abs_diff(&rnd_rule(6, 2)) < 1e-12);
         assert!(lib.rule(lib.len() - 1).max_abs_diff(&jsq_rule(6, 2)) < 1e-9);
-    }
-
-    #[test]
-    fn fine_library_is_denser() {
-        let coarse = ActionLibrary::softmin_default(6, 2);
-        let fine = ActionLibrary::softmin_fine(6, 2, 3);
-        assert!(fine.len() > 2 * coarse.len());
     }
 
     #[test]

@@ -416,59 +416,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64, f64) {
     (slope, intercept, r2)
 }
 
-/// A tiny SplitMix64 generator so the bootstrap stays dependency-free
-/// (this crate deliberately avoids a `rand` dependency in non-test code).
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n`.
-    fn index(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
-/// Percentile-bootstrap confidence interval for the mean of a sample.
-///
-/// Resamples with replacement `resamples` times and returns the
-/// `(1±level)/2` percentiles of the resampled means — a distribution-free
-/// complement to the Student-t interval of
-/// [`Summary::confidence_interval`], preferable for the skewed per-run
-/// drop totals of lightly loaded systems.
-///
-/// # Panics
-/// Panics on an empty sample, a silly level, or zero resamples.
-pub fn bootstrap_mean_ci(xs: &[f64], level: f64, resamples: usize, seed: u64) -> (f64, f64) {
-    assert!(!xs.is_empty(), "empty sample");
-    assert!((0.0..1.0).contains(&level) && level > 0.0, "level in (0,1)");
-    assert!(resamples >= 10, "need a meaningful number of resamples");
-    let n = xs.len();
-    let mut rng = SplitMix64(seed ^ 0xB007_57A9);
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut total = 0.0;
-        for _ in 0..n {
-            total += xs[rng.index(n)];
-        }
-        means.push(total / n as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let alpha = (1.0 - level) / 2.0;
-    let pick = |q: f64| {
-        let pos = (q * (resamples - 1) as f64).round() as usize;
-        means[pos.min(resamples - 1)]
-    };
-    (pick(alpha), pick(1.0 - alpha))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,36 +565,6 @@ mod tests {
         assert!((t_ab + t_ba).abs() < 1e-12);
         assert!((df_ab - df_ba).abs() < 1e-12);
         assert!((p_ab - p_ba).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bootstrap_interval_brackets_mean_and_shrinks() {
-        let xs: Vec<f64> = (0..200).map(|i| ((i * 97) % 31) as f64 * 0.3).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let (lo, hi) = bootstrap_mean_ci(&xs, 0.95, 2000, 1);
-        assert!(lo < mean && mean < hi, "[{lo}, {hi}] should bracket {mean}");
-        // A wider confidence level gives a wider interval.
-        let (lo99, hi99) = bootstrap_mean_ci(&xs, 0.99, 2000, 1);
-        assert!(lo99 <= lo && hi99 >= hi);
-        // A larger sample gives a tighter interval.
-        let quarter: Vec<f64> = xs.iter().take(50).copied().collect();
-        let (qlo, qhi) = bootstrap_mean_ci(&quarter, 0.95, 2000, 1);
-        assert!(hi - lo < qhi - qlo + 1e-9);
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_in_seed() {
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64).sqrt()).collect();
-        assert_eq!(bootstrap_mean_ci(&xs, 0.95, 500, 42), bootstrap_mean_ci(&xs, 0.95, 500, 42));
-        assert_ne!(bootstrap_mean_ci(&xs, 0.95, 500, 42), bootstrap_mean_ci(&xs, 0.95, 500, 43));
-    }
-
-    #[test]
-    fn bootstrap_constant_sample_is_degenerate_point() {
-        let xs = vec![3.25; 30];
-        let (lo, hi) = bootstrap_mean_ci(&xs, 0.95, 200, 7);
-        assert_eq!(lo, 3.25);
-        assert_eq!(hi, 3.25);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Workspace {
     }
 
     /// Reserves `extra` trailing slots in the flat gradient buffer after
-    /// the network parameters (see [`Workspace::flat_grad_mut`]).
+    /// the network parameters (see [`Mlp::backward_into`]).
     pub fn with_grad_tail(mut self, extra: usize) -> Self {
         self.grad_tail = extra;
         self
@@ -127,18 +127,6 @@ impl Workspace {
     /// Panics if no forward pass has been run yet.
     pub fn output(&self) -> &Tensor {
         self.acts.last().expect("workspace has not seen a forward pass")
-    }
-
-    /// The flat gradient buffer (`num_params + grad_tail` slots) filled by
-    /// the most recent [`Mlp::backward_into`]; the tail is caller-owned.
-    pub fn flat_grad(&self) -> &[f64] {
-        &self.flat
-    }
-
-    /// Mutable access to the flat gradient buffer (for filling the tail
-    /// and for in-place clipping).
-    pub fn flat_grad_mut(&mut self) -> &mut [f64] {
-        &mut self.flat
     }
 
     /// Reshapes all buffers for `mlp` at `batch` rows, reusing capacity.

@@ -17,7 +17,6 @@
 //!   rates.
 //! * [`fifo`] — a job-level FIFO queue with sojourn-time tracking (used by
 //!   the response-time extension experiments).
-//! * [`hetero`] — heterogeneous server pools (the paper's §5 extension).
 //! * [`phase_type`] — phase-type service-time distributions and the
 //!   `M/PH/1/B` queue (the paper's §5 non-exponential-service extension).
 
@@ -25,7 +24,6 @@
 
 pub mod birth_death;
 pub mod fifo;
-pub mod hetero;
 pub mod mmpp;
 pub mod mmpp_fit;
 pub mod phase_type;

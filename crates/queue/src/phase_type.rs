@@ -13,13 +13,14 @@
 //! Provided here:
 //!
 //! * [`PhaseType`] with the classic named members — exponential,
-//!   Erlang-`k` (SCV `1/k < 1`), hyperexponential `H₂` (SCV `> 1`) and
-//!   Coxian chains — plus [`PhaseType::fit_mean_scv`], the standard
+//!   Erlang-`k` (SCV `1/k < 1`) and hyperexponential `H₂` (SCV `> 1`) —
+//!   plus [`PhaseType::fit_mean_scv`], the standard
 //!   two-moment fit (Tijms' mixed-Erlang below SCV 1, balanced-means `H₂`
 //!   above) used by the service-variability ablation,
 //! * [`PhQueue`] — the `M/PH/1/B` queue: joint `(z, phase)` generator and
-//!   drop rates, exact epoch expectation via the uniformization kernel, and
-//!   exact Gillespie simulation for the finite-system engine.
+//!   drop rates and exact epoch expectation via the uniformization kernel;
+//!   [`PhaseType::simulate_queue_epoch`] is its exact Gillespie simulation
+//!   for the finite-system engine.
 
 use crate::birth_death::EpochOutcome;
 use crate::sampler::Sampler;
@@ -99,12 +100,6 @@ impl PhaseType {
         Self::new(init, s)
     }
 
-    /// Erlang-`k` with a prescribed mean (per-phase rate `k/mean`).
-    pub fn erlang_with_mean(k: usize, mean: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite());
-        Self::erlang(k, k as f64 / mean)
-    }
-
     /// Hyperexponential: with probability `probs[i]` the service is
     /// exponential with `rates[i]` (`SCV ≥ 1`).
     pub fn hyperexponential(probs: &[f64], rates: &[f64]) -> Self {
@@ -117,27 +112,6 @@ impl PhaseType {
             s[(i, i)] = -rates[i];
         }
         Self::new(probs.to_vec(), s)
-    }
-
-    /// Coxian chain: phase `i` has total rate `rates[i]` and continues to
-    /// phase `i+1` with probability `continue_probs[i]` (else absorbs);
-    /// `continue_probs.len() == rates.len() − 1`.
-    pub fn coxian(rates: &[f64], continue_probs: &[f64]) -> Self {
-        let k = rates.len();
-        assert!(k >= 1);
-        assert_eq!(continue_probs.len(), k - 1, "need k−1 continuation probabilities");
-        assert!(rates.iter().all(|&r| r > 0.0 && r.is_finite()));
-        assert!(continue_probs.iter().all(|&q| (0.0..=1.0).contains(&q)));
-        let mut s = Mat::zeros(k, k);
-        for i in 0..k {
-            s[(i, i)] = -rates[i];
-            if i + 1 < k {
-                s[(i, i + 1)] = rates[i] * continue_probs[i];
-            }
-        }
-        let mut init = vec![0.0; k];
-        init[0] = 1.0;
-        Self::new(init, s)
     }
 
     /// Standard two-moment fit: returns a PH distribution with the given
@@ -296,6 +270,74 @@ impl PhaseType {
             }
             phase = next;
         }
+    }
+
+    /// Exact Gillespie simulation of one epoch of length `dt` of an
+    /// `M/PH/1/B` queue with this service law, arrival rate `arrival_rate`
+    /// and buffer `buffer`, from a joint state, counting drops.
+    pub fn simulate_queue_epoch<R: Rng + ?Sized>(
+        &self,
+        arrival_rate: f64,
+        buffer: usize,
+        state: PhQueueState,
+        dt: f64,
+        rng: &mut R,
+    ) -> (PhQueueState, EpochOutcome) {
+        debug_assert!(state.len <= buffer);
+        let k = self.num_phases();
+        let s = &self.subgen;
+        let exit = &self.exit;
+        let lam = arrival_rate;
+        let mut z = state.len;
+        let mut phase = if z > 0 { state.phase } else { 0 };
+        let mut t = 0.0;
+        let mut out = EpochOutcome::default();
+        loop {
+            let service_total = if z > 0 { -s[(phase, phase)] } else { 0.0 };
+            let total = lam + service_total;
+            if total <= 0.0 {
+                break;
+            }
+            t += Sampler::exponential(rng, total);
+            if t > dt {
+                break;
+            }
+            let mut u = rng.gen::<f64>() * total;
+            if u < lam {
+                // Arrival.
+                if z == buffer {
+                    out.drops += 1;
+                } else {
+                    if z == 0 {
+                        phase = self.sample_phase(rng);
+                    }
+                    z += 1;
+                    out.accepted += 1;
+                }
+                continue;
+            }
+            u -= lam;
+            // Service-phase event: absorption or internal jump.
+            if u < exit[phase] {
+                z -= 1;
+                out.served += 1;
+                phase = if z > 0 { self.sample_phase(rng) } else { 0 };
+                continue;
+            }
+            u -= exit[phase];
+            for j in 0..k {
+                if j == phase {
+                    continue;
+                }
+                u -= s[(phase, j)];
+                if u <= 0.0 {
+                    phase = j;
+                    break;
+                }
+            }
+        }
+        out.final_state = z;
+        (PhQueueState { len: z, phase: if z > 0 { phase } else { 0 } }, out)
     }
 }
 
@@ -468,68 +510,14 @@ impl PhQueue {
     }
 
     /// Exact Gillespie simulation of one epoch of length `dt` from a joint
-    /// state, counting drops.
+    /// state, counting drops (see [`PhaseType::simulate_queue_epoch`]).
     pub fn simulate_epoch<R: Rng + ?Sized>(
         &self,
         state: PhQueueState,
         dt: f64,
         rng: &mut R,
     ) -> (PhQueueState, EpochOutcome) {
-        debug_assert!(state.len <= self.buffer);
-        let k = self.service.num_phases();
-        let s = self.service.subgen();
-        let exit = self.service.exit_rates();
-        let lam = self.arrival_rate;
-        let mut z = state.len;
-        let mut phase = if z > 0 { state.phase } else { 0 };
-        let mut t = 0.0;
-        let mut out = EpochOutcome::default();
-        loop {
-            let service_total = if z > 0 { -s[(phase, phase)] } else { 0.0 };
-            let total = lam + service_total;
-            if total <= 0.0 {
-                break;
-            }
-            t += Sampler::exponential(rng, total);
-            if t > dt {
-                break;
-            }
-            let mut u = rng.gen::<f64>() * total;
-            if u < lam {
-                // Arrival.
-                if z == self.buffer {
-                    out.drops += 1;
-                } else {
-                    if z == 0 {
-                        phase = self.service.sample_phase(rng);
-                    }
-                    z += 1;
-                    out.accepted += 1;
-                }
-                continue;
-            }
-            u -= lam;
-            // Service-phase event: absorption or internal jump.
-            if u < exit[phase] {
-                z -= 1;
-                out.served += 1;
-                phase = if z > 0 { self.service.sample_phase(rng) } else { 0 };
-                continue;
-            }
-            u -= exit[phase];
-            for j in 0..k {
-                if j == phase {
-                    continue;
-                }
-                u -= s[(phase, j)];
-                if u <= 0.0 {
-                    phase = j;
-                    break;
-                }
-            }
-        }
-        out.final_state = z;
-        (PhQueueState { len: z, phase: if z > 0 { phase } else { 0 } }, out)
+        self.service.simulate_queue_epoch(self.arrival_rate, self.buffer, state, dt, rng)
     }
 }
 
@@ -566,15 +554,6 @@ mod tests {
         assert!((ph.mean() - m1).abs() < 1e-12);
         assert!((ph.variance() - (m2 - m1 * m1)).abs() < 1e-12);
         assert!(ph.scv() > 1.0);
-    }
-
-    #[test]
-    fn coxian_two_phase_moments() {
-        // Coxian(r=[2,1], q=[0.5]): absorb after phase 1 w.p. 0.5.
-        let ph = PhaseType::coxian(&[2.0, 1.0], &[0.5]);
-        // E[T] = 1/2 + 0.5·(1/1) = 1.
-        assert!((ph.mean() - 1.0).abs() < 1e-12);
-        assert_eq!(ph.num_phases(), 2);
     }
 
     #[test]

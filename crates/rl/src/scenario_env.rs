@@ -32,7 +32,7 @@ use mflb_core::mdp::{
 };
 use mflb_core::SystemConfig;
 use mflb_policy::NeuralUpperPolicy;
-use mflb_sim::{rate_classes, EngineSpec, Scenario};
+use mflb_sim::{EngineSpec, RateClasses, Scenario};
 
 /// The policy interface a scenario implies: what the learned network
 /// observes and the state space of the decision rule it emits.
@@ -95,18 +95,12 @@ impl PolicyShape {
 }
 
 /// Derives `(class_weights, class_rates)` from a per-server rate vector
-/// with [`mflb_sim::rate_classes`] — the quantization `HeteroEngine`
-/// applies, so the composite state indices of training and deployment
-/// always agree.
+/// with [`mflb_sim::RateClasses`] — the quantization the finite
+/// `AggregateEngine<RateClasses>` applies, so the composite state indices
+/// of training and deployment always agree.
 pub fn hetero_classes(rates: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let (class_of, class_rates) = rate_classes(rates);
-    let mut counts = vec![0usize; class_rates.len()];
-    for c in class_of {
-        counts[c] += 1;
-    }
-    let total = rates.len().max(1) as f64;
-    let weights = counts.iter().map(|&c| c as f64 / total).collect();
-    (weights, class_rates)
+    let classes = RateClasses::new(rates);
+    (classes.class_weights(), classes.class_rates().to_vec())
 }
 
 /// Builds the mean-field training environment a scenario selects (see the

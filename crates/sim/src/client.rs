@@ -124,11 +124,10 @@ impl Engine for PerClientEngine {
             counts,
             scale,
             &|_| self.config.service_rate,
-            self.config.buffer,
-            self.config.dt,
+            &self.config,
             rng,
         );
-        length_epoch_stats(queues, counts, self.config.num_clients, dropped, served)
+        length_epoch_stats(queues.iter().copied(), counts, self.config.num_clients, dropped, served)
     }
 
     fn name(&self) -> &'static str {

@@ -11,15 +11,14 @@
 //! 4. the arrival level advances (line 20).
 //!
 //! Engines own an associated [`Engine::State`] type, so variants whose
-//! per-queue state is richer than a plain length — phase-carrying
-//! ([`crate::ph_engine::PhAggregateEngine`]), class-composite
-//! ([`crate::hetero::HeteroEngine`]), private-snapshot
+//! per-queue state is richer than a plain length — phase-carrying or
+//! class-composite ([`crate::aggregate::AggregateEngine`] over a
+//! [`crate::aggregate::Service`]), private-snapshot
 //! ([`crate::staggered::StaggeredEngine`]) and job-level
 //! ([`crate::fifo_engine::FifoEngine`]) — all run through the same
 //! [`run_episode`] / [`run_episode_conditioned`] /
 //! [`crate::monte_carlo()`] drivers as the homogeneous
-//! [`crate::client::PerClientEngine`] and
-//! [`crate::aggregate::AggregateEngine`].
+//! [`crate::client::PerClientEngine`].
 
 use mflb_core::mdp::{ObservationBatch, UpperPolicy};
 use mflb_core::{DecisionRule, StateDist, SystemConfig};
@@ -276,11 +275,12 @@ pub(crate) use mflb_core::stream_rng;
 
 /// Shared per-client assignment sweep (Eq. 3–4): every client samples `d`
 /// queue indices uniformly with replacement, observes each through
-/// `observe(j)` (plain length for the homogeneous engine, composite
-/// `(length, class)` index for the heterogeneous one), draws its action
-/// from the rule and increments its destination's count. The draw order is
-/// part of the seed-pinned regression contract — change it only together
-/// with `tests/engine_regression.rs`.
+/// `observe(j)` (the plain length for [`crate::client::PerClientEngine`]; a
+/// composite `(length, class)` index when it serves as the per-client law
+/// oracle of a heterogeneous [`crate::aggregate::AggregateEngine`]), draws
+/// its action from the rule and increments its destination's count. The
+/// draw order is part of the seed-pinned regression contract — change it
+/// only together with `tests/engine_regression.rs`.
 pub(crate) fn sample_per_client_assignments(
     num_clients: u64,
     observe: &dyn Fn(usize) -> usize,
@@ -304,8 +304,24 @@ pub(crate) fn sample_per_client_assignments(
     }
 }
 
+/// Runs one exponential-service queue for `config.dt` with frozen
+/// arrival and service rates (Alg. 1 lines 15–19), in place; returns
+/// `(dropped, served)`.
+pub(crate) fn birth_death_queue_epoch(
+    queue: &mut usize,
+    arrival_rate: f64,
+    service_rate: f64,
+    config: &SystemConfig,
+    rng: &mut StdRng,
+) -> (u64, u64) {
+    let model = mflb_queue::BirthDeathQueue::new(arrival_rate, service_rate, config.buffer);
+    let outcome = model.simulate_epoch(*queue, config.dt, rng);
+    *queue = outcome.final_state;
+    (outcome.drops, outcome.served)
+}
+
 /// Shared birth–death epoch sweep: every queue `j` runs an exact CTMC for
-/// `dt` with frozen arrival rate `scale · counts[j]` (Alg. 1 lines 15–19).
+/// `config.dt` with frozen arrival rate `scale · counts[j]`.
 /// Idle empty queues are skipped — [`mflb_queue::BirthDeathQueue`] with a
 /// zero total rate consumes no randomness, so the skip is RNG-neutral.
 /// Returns `(dropped, served)` raw event counts.
@@ -314,8 +330,7 @@ pub(crate) fn simulate_birth_death_epoch(
     counts: &[u64],
     scale: f64,
     service_rate: &dyn Fn(usize) -> f64,
-    buffer: usize,
-    dt: f64,
+    config: &SystemConfig,
     rng: &mut StdRng,
 ) -> (u64, u64) {
     let mut dropped = 0u64;
@@ -324,31 +339,30 @@ pub(crate) fn simulate_birth_death_epoch(
         if counts[j] == 0 && *q == 0 {
             continue; // idle empty queue: nothing can happen
         }
-        let model =
-            mflb_queue::BirthDeathQueue::new(scale * counts[j] as f64, service_rate(j), buffer);
-        let outcome = model.simulate_epoch(*q, dt, rng);
-        *q = outcome.final_state;
-        dropped += outcome.drops;
-        served += outcome.served;
+        let (d, s) =
+            birth_death_queue_epoch(q, scale * counts[j] as f64, service_rate(j), config, rng);
+        dropped += d;
+        served += s;
     }
     (dropped, served)
 }
 
-/// Assembles the [`EpochStats`] common to all length-state engines.
+/// Assembles the [`EpochStats`] common to all length-state engines from
+/// the end-of-epoch queue lengths and the epoch's per-queue client counts.
 pub(crate) fn length_epoch_stats(
-    queues: &[usize],
+    lengths: impl Iterator<Item = usize>,
     counts: &[u64],
     num_clients: u64,
     dropped: u64,
     served: u64,
 ) -> EpochStats {
-    let m = queues.len().max(1) as f64;
+    let m = counts.len().max(1) as f64;
     let max_count = counts.iter().copied().max().unwrap_or(0);
     EpochStats {
         drops: dropped as f64 / m,
         dropped,
         completed: served,
-        mean_queue_len: queues.iter().map(|&z| z as f64).sum::<f64>() / m,
+        mean_queue_len: lengths.map(|z| z as f64).sum::<f64>() / m,
         max_share: max_count as f64 / num_clients.max(1) as f64,
         sojourns: Vec::new(),
     }

@@ -144,7 +144,7 @@ impl Engine for FifoEngine {
         };
         sample_client_assignments_into(
             self.config.num_clients,
-            self.config.buffer,
+            self.config.num_states(),
             lengths,
             rule,
             rng,

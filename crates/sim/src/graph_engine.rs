@@ -55,7 +55,8 @@
 
 use crate::aggregate::sample_client_assignments_into;
 use crate::episode::{
-    length_epoch_stats, simulate_birth_death_epoch, stream_rng, Engine, EpochStats,
+    birth_death_queue_epoch, length_epoch_stats, simulate_birth_death_epoch, stream_rng, Engine,
+    EpochStats,
 };
 use mflb_core::{
     per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, worker_count,
@@ -346,9 +347,9 @@ impl GraphEngine {
     ) -> Vec<u64> {
         let m = queues.len();
         if self.full_mesh {
-            let (n, buffer) = (self.config.num_clients, self.config.buffer);
+            let (n, zs) = (self.config.num_clients, self.config.num_states());
             let mut counts = vec![0; m];
-            sample_client_assignments_into(n, buffer, queues, rule, rng, &mut counts);
+            sample_client_assignments_into(n, zs, queues, rule, rng, &mut counts);
             return counts;
         }
         let mut home_counts = vec![0; m];
@@ -546,15 +547,11 @@ impl GraphEngine {
                 continue; // idle empty queue: nothing can happen
             }
             let mut rng = stream_rng(epoch_base, SALT_SERVE, j as u64);
-            let model = mflb_queue::BirthDeathQueue::new(
-                scale * cj as f64,
-                self.config.service_rate * mult[j],
-                self.config.buffer,
-            );
-            let outcome = model.simulate_epoch(*q, self.config.dt, &mut rng);
-            *q = outcome.final_state;
-            dropped += outcome.drops;
-            served += outcome.served;
+            let rate = self.config.service_rate * mult[j];
+            let (d, s) =
+                birth_death_queue_epoch(q, scale * cj as f64, rate, &self.config, &mut rng);
+            dropped += d;
+            served += s;
         }
         (dropped, served)
     }
@@ -580,7 +577,7 @@ impl GraphEngine {
         let scale = m as f64 * lambda / self.config.num_clients as f64;
         let (dropped, served) =
             self.run_service_pass(queues, counts, counts_atomic, scale, mult, epoch_base);
-        length_epoch_stats(queues, counts, self.config.num_clients, dropped, served)
+        length_epoch_stats(queues.iter().copied(), counts, self.config.num_clients, dropped, served)
     }
 
     /// Advances the per-queue fault state for the interval `[t0, t0+Δt)`
@@ -745,8 +742,8 @@ impl Engine for GraphEngine {
         // covers all M queues: take the aggregate engine's exact
         // hierarchical-multinomial path — same law, same RNG stream.
         let GraphState { queues, counts, mult, .. } = state;
-        let (n, buffer) = (self.config.num_clients, self.config.buffer);
-        sample_client_assignments_into(n, buffer, queues, rule, rng, counts);
+        let (n, zs) = (self.config.num_clients, self.config.num_states());
+        sample_client_assignments_into(n, zs, queues, rule, rng, counts);
         let m = queues.len();
         let scale = m as f64 * lambda / self.config.num_clients as f64;
         let (dropped, served) = simulate_birth_death_epoch(
@@ -754,11 +751,10 @@ impl Engine for GraphEngine {
             counts,
             scale,
             &|j| self.config.service_rate * mult[j],
-            self.config.buffer,
-            self.config.dt,
+            &self.config,
             rng,
         );
-        length_epoch_stats(queues, counts, self.config.num_clients, dropped, served)
+        length_epoch_stats(queues.iter().copied(), counts, self.config.num_clients, dropped, served)
     }
 
     fn name(&self) -> &'static str {

@@ -13,14 +13,15 @@
 //! * [`aggregate::AggregateEngine`] — exact hierarchical-multinomial
 //!   aggregation of the client layer, `O(M)` per epoch, *identical in
 //!   law* (see its module docs for the argument). This is what makes the
-//!   paper's `N = M² = 10^6` configurations tractable;
-//! * [`hetero::HeteroEngine`] — heterogeneous service rates with
-//!   composite `(length, class)` observations (the paper's §5 extension);
+//!   paper's `N = M² = 10^6` configurations tractable. It is generic over
+//!   a per-queue [`aggregate::Service`]: [`aggregate::Exponential`] (the
+//!   paper's model), [`RateClasses`] (heterogeneous service rates with
+//!   composite `(length, class)` observations, the paper's §5 extension) and
+//!   [`mflb_queue::PhaseType`] (phase-type service over joint
+//!   `(length, phase)` queue states, §5);
 //! * [`staggered::StaggeredEngine`] — cohort-staggered information
 //!   refreshes (the Zhou/Shroff/Wierman baseline), with per-client stale
 //!   snapshots carried in its state;
-//! * [`ph_engine::PhAggregateEngine`] — phase-type service over joint
-//!   `(length, phase)` queue states (§5 extension);
 //! * [`fifo_engine::FifoEngine`] — job-level FIFO queues reporting
 //!   per-job sojourn times (the Fig. 8 response-time extension);
 //! * [`graph_engine::GraphEngine`] — locality-constrained routing over a
@@ -49,14 +50,12 @@ pub mod error;
 pub mod event_engine;
 pub mod fifo_engine;
 pub mod graph_engine;
-pub mod hetero;
 pub mod monte_carlo;
-pub mod ph_engine;
 pub mod scenario;
 pub mod serve;
 pub mod staggered;
 
-pub use aggregate::AggregateEngine;
+pub use aggregate::{AggregateEngine, RateClasses};
 pub use client::PerClientEngine;
 pub use episode::{
     run_episode, run_episode_conditioned, run_episodes_lockstep, run_rng, sample_initial_queues,
@@ -66,9 +65,7 @@ pub use error::{ScenarioError, ServeError};
 pub use event_engine::{EventEngine, EventState, Timeline};
 pub use fifo_engine::FifoEngine;
 pub use graph_engine::{GraphEngine, GraphState};
-pub use hetero::{rate_classes, HeteroEngine};
 pub use monte_carlo::{monte_carlo, monte_carlo_conditioned, MonteCarloResult};
-pub use ph_engine::{sample_initial_ph_queues, PhAggregateEngine};
 pub use scenario::{AnyEngine, AnyState, EngineSpec, Scenario, ServiceLaw};
 pub use serve::{
     parse_trace, parse_trace_line, serve, serve_with, Job, JobSource, LineTraceReader,

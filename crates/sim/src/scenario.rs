@@ -106,20 +106,17 @@
 //! `cohorts = 0` or an over-wide buffer for `Staggered`, and every
 //! service-law complaint of [`ServiceLaw::validate`].
 
-use crate::aggregate::AggregateEngine;
+use crate::aggregate::{AggregateEngine, RateClasses};
 use crate::client::PerClientEngine;
 use crate::episode::{Engine, EpochStats};
 use crate::error::ScenarioError;
 use crate::event_engine::EventEngine;
 use crate::fifo_engine::FifoEngine;
 use crate::graph_engine::GraphEngine;
-use crate::hetero::{rate_classes, HeteroEngine};
-use crate::ph_engine::PhAggregateEngine;
 use crate::staggered::StaggeredEngine;
 use mflb_core::{
     check_rule_table, DecisionRule, FaultPlan, JobSizeLaw, StateDist, SystemConfig, Topology,
 };
-use mflb_queue::hetero::ServerPool;
 use mflb_queue::PhaseType;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -259,8 +256,9 @@ pub enum EngineSpec {
     PerClient,
     /// The exact `O(M)` aggregation ([`AggregateEngine`]).
     Aggregate,
-    /// Heterogeneous service rates (§5; [`HeteroEngine`]). One rate per
-    /// server; must match `config.num_queues`.
+    /// Heterogeneous service rates (§5; [`AggregateEngine`] over
+    /// [`RateClasses`]). One rate per server; must match
+    /// `config.num_queues`.
     Hetero {
         /// Per-server service rates.
         rates: Vec<f64>,
@@ -270,7 +268,7 @@ pub enum EngineSpec {
         /// Number of refresh cohorts (≥ 1; 1 = synchronous model).
         cohorts: usize,
     },
-    /// Phase-type service ([`PhAggregateEngine`]).
+    /// Phase-type service ([`AggregateEngine`] over [`PhaseType`]).
     Ph {
         /// The service-time law.
         service: ServiceLaw,
@@ -387,7 +385,7 @@ impl Scenario {
                     ));
                 }
                 // The rule is over composite (length, class) states.
-                let composite = rate_classes(rates).1.len() * self.config.num_states();
+                let composite = RateClasses::new(rates).num_classes() * self.config.num_states();
                 check_rule_table(composite, self.config.d).map_err(ScenarioError::Engine)
             }
             EngineSpec::Staggered { cohorts } => {
@@ -431,15 +429,15 @@ impl Scenario {
             EngineSpec::Aggregate => {
                 AnyEngine::Aggregate(AggregateEngine::new(self.config.clone()))
             }
-            EngineSpec::Hetero { rates } => AnyEngine::Hetero(HeteroEngine::new(
+            EngineSpec::Hetero { rates } => AnyEngine::Hetero(AggregateEngine::with_service(
                 self.config.clone(),
-                ServerPool::heterogeneous(rates.clone(), self.config.buffer),
+                RateClasses::new(rates),
             )),
             EngineSpec::Staggered { cohorts } => {
                 AnyEngine::Staggered(StaggeredEngine::new(self.config.clone(), *cohorts))
             }
             EngineSpec::Ph { service } => {
-                AnyEngine::Ph(PhAggregateEngine::new(self.config.clone(), service.build()?))
+                AnyEngine::Ph(AggregateEngine::with_service(self.config.clone(), service.build()?))
             }
             EngineSpec::JobLevel => {
                 AnyEngine::JobLevel(FifoEngine::new(self.config.clone()).with_faults(plan()))
@@ -480,11 +478,11 @@ pub enum AnyEngine {
     /// Exact aggregated engine.
     Aggregate(AggregateEngine),
     /// Heterogeneous-pool engine.
-    Hetero(HeteroEngine),
+    Hetero(AggregateEngine<RateClasses>),
     /// Staggered-information engine.
     Staggered(StaggeredEngine),
     /// Phase-type service engine.
-    Ph(PhAggregateEngine),
+    Ph(AggregateEngine<PhaseType>),
     /// Job-level FIFO engine.
     JobLevel(FifoEngine),
     /// Locality-constrained graph engine.
@@ -513,9 +511,9 @@ impl AnyEngine {
 pub enum AnyState {
     PerClient(<PerClientEngine as Engine>::State),
     Aggregate(<AggregateEngine as Engine>::State),
-    Hetero(<HeteroEngine as Engine>::State),
+    Hetero(<AggregateEngine<RateClasses> as Engine>::State),
     Staggered(<StaggeredEngine as Engine>::State),
-    Ph(<PhAggregateEngine as Engine>::State),
+    Ph(<AggregateEngine<PhaseType> as Engine>::State),
     JobLevel(<FifoEngine as Engine>::State),
     Graph(<GraphEngine as Engine>::State),
     Event(<EventEngine as Engine>::State),

@@ -161,17 +161,10 @@ impl Engine for StaggeredEngine {
 
         // Queue evolution with frozen per-queue arrival rates.
         let scale = m as f64 * lambda / n as f64;
-        let (dropped, served) = simulate_birth_death_epoch(
-            queues,
-            counts,
-            scale,
-            &|_| cfg.service_rate,
-            cfg.buffer,
-            cfg.dt,
-            rng,
-        );
+        let (dropped, served) =
+            simulate_birth_death_epoch(queues, counts, scale, &|_| cfg.service_rate, cfg, rng);
         *epoch += 1;
-        length_epoch_stats(queues, counts, cfg.num_clients, dropped, served)
+        length_epoch_stats(queues.iter().copied(), counts, cfg.num_clients, dropped, served)
     }
 
     fn name(&self) -> &'static str {

@@ -40,7 +40,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let counts = sample_client_assignments(n, 5, &queues, &rule, &mut rng);
+        let counts = sample_client_assignments(n, 6, &queues, &rule, &mut rng);
         prop_assert_eq!(counts.len(), queues.len());
         prop_assert_eq!(counts.iter().sum::<u64>(), n, "every client lands somewhere");
     }
@@ -57,7 +57,7 @@ proptest! {
         let reps = 400;
         let (mut a, mut b) = (0u64, 0u64);
         for _ in 0..reps {
-            let counts = sample_client_assignments(4_000, 5, &queues, &rule, &mut rng);
+            let counts = sample_client_assignments(4_000, 6, &queues, &rule, &mut rng);
             a += counts[0];
             b += counts[1];
         }
@@ -90,7 +90,7 @@ proptest! {
         let reps = 60;
         let mut group_totals = [0.0f64; 6];
         for _ in 0..reps {
-            let counts = sample_client_assignments(n, 5, &queues, &rule, &mut rng);
+            let counts = sample_client_assignments(n, 6, &queues, &rule, &mut rng);
             for (j, &z) in queues.iter().enumerate() {
                 group_totals[z] += counts[j] as f64;
             }

@@ -15,7 +15,6 @@ use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::{DecisionRule, SystemConfig};
 use mflb::policy::{jsq_rule, rnd_rule, sed_rule};
 use mflb::queue::fifo::FifoQueue;
-use mflb::queue::hetero::ServerPool;
 use mflb::queue::mmpp::ArrivalProcess;
 use mflb::sim::{monte_carlo, run_rng, AnyEngine, EngineSpec, Scenario};
 use rand::Rng;
@@ -30,7 +29,8 @@ fn lift(rule: &DecisionRule, zs: usize, classes: usize, d: usize) -> DecisionRul
 
 fn main() {
     // 8 fast servers (α = 2.0) + 32 slow ones (α = 0.75); day/night load.
-    let pool = ServerPool::two_speed(8, 2.0, 32, 0.75, 5);
+    let mut rates = vec![2.0; 8];
+    rates.extend([0.75; 32]);
     let day_night = ArrivalProcess::new(
         vec![0.85, 0.35],                     // day, night rate per queue
         vec![vec![0.9, 0.1], vec![0.3, 0.7]], // slow modulation
@@ -39,8 +39,7 @@ fn main() {
     let config = SystemConfig::paper().with_dt(4.0).with_size(40 * 40, 40).with_arrivals(day_night);
     // Data-level scenario: the heterogeneous engine is described by its
     // per-server rates and built through the scenario layer.
-    let scenario =
-        Scenario::new(config.clone(), EngineSpec::Hetero { rates: pool.rates().to_vec() });
+    let scenario = Scenario::new(config.clone(), EngineSpec::Hetero { rates: rates.clone() });
     let built = scenario.build().expect("valid edge scenario");
     let engine = match &built {
         AnyEngine::Hetero(e) => e,
@@ -54,9 +53,10 @@ fn main() {
         8, 32, config.num_clients, config.dt
     );
 
-    let sed = sed_rule(zs, config.d, engine.class_rates());
-    let jsq = lift(&jsq_rule(zs, config.d), zs, engine.num_classes(), config.d);
-    let rnd = lift(&rnd_rule(zs, config.d), zs, engine.num_classes(), config.d);
+    let classes = engine.service();
+    let sed = sed_rule(zs, config.d, classes.class_rates());
+    let jsq = lift(&jsq_rule(zs, config.d), zs, classes.num_classes(), config.d);
+    let rnd = lift(&rnd_rule(zs, config.d), zs, classes.num_classes(), config.d);
 
     println!("\ncumulative per-queue drops over the episode (mean of 20 runs, parallel MC):");
     for (name, rule, seed) in [("SED(2)", &sed, 1u64), ("JSQ(2)", &jsq, 2), ("RND", &rnd, 3)] {
@@ -71,26 +71,26 @@ fn main() {
     for (name, rule, seed) in [("SED(2)", &sed, 11u64), ("JSQ(2)", &jsq, 12)] {
         let mut rng = run_rng(seed, 0);
         let mut queues: Vec<FifoQueue> =
-            pool.rates().iter().map(|&a| FifoQueue::new(a, pool.buffer())).collect();
-        let mut lengths: Vec<usize> = vec![0; pool.len()];
+            rates.iter().map(|&a| FifoQueue::new(a, config.buffer)).collect();
+        let mut lengths: Vec<usize> = vec![0; rates.len()];
         let mut all_sojourns = Vec::new();
         let mut drops = 0u64;
         let mut lambda_idx = 0usize;
         for _ in 0..horizon {
             let lambda = config.arrivals.level_rate(lambda_idx);
             // Client assignment counts for this epoch (stale states).
-            let mut counts = vec![0u64; pool.len()];
+            let mut counts = vec![0u64; rates.len()];
             let mut sampled = vec![0usize; config.d];
             let mut tuple = vec![0usize; config.d];
             for _ in 0..config.num_clients {
                 for k in 0..config.d {
-                    sampled[k] = rng.gen_range(0..pool.len());
-                    tuple[k] = engine.composite_state(sampled[k], lengths[sampled[k]]);
+                    sampled[k] = rng.gen_range(0..rates.len());
+                    tuple[k] = engine.observe(sampled[k], lengths[sampled[k]]);
                 }
                 let u = rule.sample(&tuple, &mut rng);
                 counts[sampled[u]] += 1;
             }
-            let scale = pool.len() as f64 * lambda / config.num_clients as f64;
+            let scale = rates.len() as f64 * lambda / config.num_clients as f64;
             for (j, q) in queues.iter_mut().enumerate() {
                 let stats = q.run_epoch(scale * counts[j] as f64, config.dt, &mut rng);
                 drops += stats.drops;

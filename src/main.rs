@@ -723,15 +723,13 @@ fn cmd_dp_solve(args: &Args) {
 
 fn cmd_scv_compare(args: &Args) {
     use mflb::core::mdp::Ph;
-    use mflb::sim::PhAggregateEngine;
     let config = build_config(args);
     let scv: f64 = args.get("--scv");
     let runs: usize = args.get("--runs");
     let seed: u64 = args.get("--seed");
     let horizon = config.eval_episode_len();
-    let service = ServiceLaw::MeanScv { mean: 1.0 / config.service_rate, scv }
-        .build()
-        .unwrap_or_else(|e| fail_usage(format!("--scv: {e}")));
+    let law = ServiceLaw::MeanScv { mean: 1.0 / config.service_rate, scv };
+    let service = law.build().unwrap_or_else(|e| fail_usage(format!("--scv: {e}")));
     println!(
         "service: mean {:.3}, SCV {:.3}, {} phases (two-moment PH fit)",
         service.mean(),
@@ -746,7 +744,9 @@ fn cmd_scv_compare(args: &Args) {
     for _ in 0..24 {
         mf.push(-mdp.rollout(policy.as_ref(), horizon, &mut rng).total_return);
     }
-    let engine = PhAggregateEngine::new(config.clone(), service);
+    let engine = Scenario::new(config.clone(), EngineSpec::Ph { service: law })
+        .build()
+        .unwrap_or_else(|e| fail_usage(e.to_string()));
     let fin = monte_carlo(&engine, policy.as_ref(), horizon, runs, seed, 0).drops;
     println!(
         "policy {} at Δt={} Te={horizon}: mean-field drops {:.3} ± {:.3}, finite (M={}) {:.3} ± {:.3}",
@@ -978,13 +978,13 @@ fn cmd_bench(args: &Args) {
         _ => mflb::bench::perf::run_suite(quick, workers),
     };
     println!(
-        "{:<36} {:>8} {:>12} {:>14} {:>12} {:>9}",
+        "{:<40} {:>8} {:>12} {:>14} {:>12} {:>9}",
         "benchmark", "iters", "per-op", "throughput", "baseline", "speedup"
     );
     for e in &report.entries {
         let (tp, unit) = human_rate(e.throughput, &e.unit);
         println!(
-            "{:<36} {:>8} {:>10.1}us {:>9.2} {unit:<4} {:>10} {:>9}",
+            "{:<40} {:>8} {:>10.1}us {:>9.2} {unit:<4} {:>10} {:>9}",
             e.name,
             e.iters,
             e.per_op_us,

@@ -16,12 +16,11 @@ use mflb::core::{
 use mflb::dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, sed_rule};
-use mflb::queue::hetero::ServerPool;
 use mflb::queue::{ArrivalProcess, PhaseType};
 use mflb::sim::{
     run_episode, run_rng, serve, AggregateEngine, Engine, EngineSpec, EventEngine, FifoEngine,
-    GraphEngine, HeteroEngine, JobSource, PerClientEngine, PhAggregateEngine, Scenario,
-    ServeOptions, ServiceLaw, StaggeredEngine,
+    GraphEngine, JobSource, PerClientEngine, RateClasses, Scenario, ServeOptions, ServiceLaw,
+    StaggeredEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,12 +52,21 @@ fn aggregate_engine_reproduces_pre_refactor_drops() {
 
 #[test]
 fn hetero_engine_reproduces_pre_refactor_drops() {
-    let pool = ServerPool::two_speed(10, 1.6, 10, 0.4, 5);
-    let engine =
-        HeteroEngine::new(hot(SystemConfig::paper().with_size(800, 20).with_dt(2.0)), pool);
-    let sed = FixedRulePolicy::new(sed_rule(6, 2, engine.class_rates()), "SED(2)");
+    // Re-pinned when the heterogeneous pool moved from the per-client
+    // client loop onto the O(M) hierarchical multinomial over composite
+    // (length, class) states and started drawing its initial lengths from
+    // ν₀: a new stream in the same law, as the chi-square test
+    // `composite_count_marginals_match_per_client_oracle` (mflb-sim
+    // aggregate unit tests) checks.
+    let mut rates = vec![1.6; 10];
+    rates.extend([0.4; 10]);
+    let engine = AggregateEngine::with_service(
+        hot(SystemConfig::paper().with_size(800, 20).with_dt(2.0)),
+        RateClasses::new(&rates),
+    );
+    let sed = FixedRulePolicy::new(sed_rule(6, 2, engine.service().class_rates()), "SED(2)");
     let drops = run_episode(&engine, &sed, 20, &mut run_rng(0xC0FFEE, 3)).total_drops;
-    assert_eq!(drops.to_bits(), 0x3ffe666666666666, "got {drops}");
+    assert_eq!(drops.to_bits(), 0x400b99999999999a, "got {drops}");
 }
 
 #[test]
@@ -71,7 +79,7 @@ fn staggered_engine_reproduces_pre_refactor_drops() {
 
 #[test]
 fn ph_engine_reproduces_pre_refactor_drops() {
-    let engine = PhAggregateEngine::new(
+    let engine = AggregateEngine::with_service(
         hot(SystemConfig::paper().with_size(400, 20).with_dt(3.0)),
         PhaseType::fit_mean_scv(1.0, 2.0),
     );

@@ -7,9 +7,8 @@ use mflb::core::mdp::{FixedRulePolicy, Hetero};
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::sed_rule;
-use mflb::queue::hetero::ServerPool;
 use mflb::queue::ArrivalProcess;
-use mflb::sim::{run_episode, run_rng, HeteroEngine};
+use mflb::sim::{run_episode, run_rng, AggregateEngine, RateClasses};
 
 #[test]
 fn finite_hetero_system_tracks_hetero_mean_field() {
@@ -32,8 +31,9 @@ fn finite_hetero_system_tracks_hetero_mean_field() {
         let mut cfg =
             SystemConfig::paper().with_dt(dt).with_size(((2 * half) * (2 * half)) as u64, 2 * half);
         cfg.arrivals = ArrivalProcess::constant(0.9);
-        let pool = ServerPool::two_speed(half, 1.6, half, 0.4, 5);
-        let engine = HeteroEngine::new(cfg, pool);
+        let mut rates = vec![1.6; half];
+        rates.extend(std::iter::repeat_n(0.4, half));
+        let engine = AggregateEngine::with_service(cfg, RateClasses::new(&rates));
         let mut s = Summary::new();
         for r in 0..24 {
             s.push(

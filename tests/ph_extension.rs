@@ -8,9 +8,7 @@ use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
 use mflb::queue::PhaseType;
-use mflb::sim::{
-    monte_carlo, run_episode, run_episode_conditioned, run_rng, AggregateEngine, PhAggregateEngine,
-};
+use mflb::sim::{monte_carlo, run_episode, run_episode_conditioned, run_rng, AggregateEngine};
 
 fn config() -> SystemConfig {
     SystemConfig::paper().with_dt(4.0).with_size(1_600, 40)
@@ -35,7 +33,7 @@ fn whole_stack_collapses_to_exponential_at_one_phase() {
 
     // Finite engines: statistical agreement of episode totals.
     let agg = AggregateEngine::new(cfg.clone());
-    let ph_engine = PhAggregateEngine::new(cfg.clone(), PhaseType::exponential(1.0));
+    let ph_engine = AggregateEngine::with_service(cfg.clone(), PhaseType::exponential(1.0));
     let mc = monte_carlo(&agg, &policy, 20, 40, 3, 0);
     let mut s = Summary::new();
     for r in 0..40 {
@@ -61,7 +59,7 @@ fn scv_ordering_holds_in_mean_field_and_finite_system() {
         let service = PhaseType::fit_mean_scv(1.0, scv);
         let mdp = ph_mdp(&cfg, &service);
         mf.push(-mdp.rollout_conditioned(&policy, &seq).total_return);
-        let engine = PhAggregateEngine::new(cfg.clone(), service);
+        let engine = AggregateEngine::with_service(cfg.clone(), service);
         let mut s = Summary::new();
         for r in 0..24 {
             s.push(run_episode(&engine, &policy, 25, &mut run_rng(9, r)).total_drops);
@@ -88,7 +86,7 @@ fn finite_ph_system_approaches_mean_field_with_size() {
         let cfg = SystemConfig::paper().with_dt(4.0).with_size((m * m) as u64, m);
         let mdp = ph_mdp(&cfg, &service);
         let reference = -mdp.rollout_conditioned(&policy, &seq).total_return;
-        let engine = PhAggregateEngine::new(cfg, service.clone());
+        let engine = AggregateEngine::with_service(cfg, service.clone());
         // Conditioned finite episodes (same arrival path) — the unified
         // driver handles the fixed λ sequence for every engine now.
         let mut s = Summary::new();
