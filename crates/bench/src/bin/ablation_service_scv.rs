@@ -22,7 +22,7 @@
 //! tracks the PH mean field.
 
 use mflb_bench::harness::{print_table, write_csv, Scale};
-use mflb_core::mdp::{FixedRulePolicy, MeanFieldMdp, Ph, UpperPolicy};
+use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp, UpperPolicy};
 use mflb_core::{JobSizeLaw, SystemConfig};
 use mflb_linalg::stats::Summary;
 use mflb_policy::{jsq_rule, rnd_rule, softmin_rule};
@@ -35,7 +35,8 @@ use mflb_sim::{monte_carlo, EngineSpec, Scenario, ServiceLaw};
 fn tune_beta_ph(cfg: &SystemConfig, service: &PhaseType, horizon: usize, seed: u64) -> f64 {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    let mdp = MeanFieldMdp::with_closure(cfg.clone(), Ph::new(cfg, service.clone()));
+    let closure = MeanField::new(cfg, service.clone(), Integrand::FullMesh);
+    let mdp = MeanFieldMdp::with_closure(cfg.clone(), closure);
     let mut rng = StdRng::seed_from_u64(seed);
     let seqs: Vec<Vec<usize>> =
         (0..6).map(|_| mflb_core::theory::sample_lambda_sequence(cfg, horizon, &mut rng)).collect();
@@ -94,7 +95,8 @@ fn main() {
         }
 
         // PH mean-field reference (stochastic only through λ).
-        let mdp = MeanFieldMdp::with_closure(cfg.clone(), Ph::new(&cfg, service.clone()));
+        let closure = MeanField::new(&cfg, service.clone(), Integrand::FullMesh);
+        let mdp = MeanFieldMdp::with_closure(cfg.clone(), closure);
         let mut mf = Vec::new();
         for (i, (_, policy)) in policies.iter().enumerate() {
             use rand::rngs::StdRng;

@@ -22,8 +22,8 @@
 //! annealed closure, so expect a several-percent bias on lattices).
 
 use mflb_bench::harness::{paper_config, print_table, write_csv, Scale};
-use mflb_core::mdp::{FixedRulePolicy, Homogeneous, Integrand, MeanFieldMdp};
-use mflb_core::Topology;
+use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp};
+use mflb_core::{Exponential, Topology};
 use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
 use mflb_sim::{monte_carlo, GraphEngine};
 use rand::rngs::StdRng;
@@ -69,7 +69,7 @@ fn main() {
         // Mean-field prediction for the JSQ column (full mesh: k -> a size
         // large enough to be numerically at the limit).
         let mf_k = if radius.is_some() { k } else { 100_000 };
-        let graph = Homogeneous::new(&cfg, Integrand::Graph { k: mf_k });
+        let graph = MeanField::new(&cfg, Exponential, Integrand::Graph { k: mf_k });
         let mdp = MeanFieldMdp::with_closure(cfg.clone(), graph);
         let mf_rng = &mut StdRng::seed_from_u64(seed);
         let mf_jsq = -mdp.evaluate(&jsq, horizon, mf_episodes, mf_rng).mean();

@@ -28,7 +28,7 @@
 //! All workloads are seeded, so two runs on the same machine measure the
 //! same computation.
 
-use mflb_core::mdp::Homogeneous;
+use mflb_core::mdp::MeanField;
 use mflb_core::SystemConfig;
 use mflb_nn::{Activation, DiagGaussian, F32Workspace, Mlp, Tensor, Workspace};
 use mflb_policy::{action_dim, observation_dim, NeuralUpperPolicy};
@@ -283,7 +283,8 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
     //     all at Δt = 5. Untracked (no naive twin to ratio against); the
     //     absolute cost is the datum. ---
     {
-        use mflb_core::{mean_field_step, ph_mean_field_step, PhDist, StateDist};
+        use mflb_core::mdp::{Closure, Integrand};
+        use mflb_core::{Exponential, SystemConfig};
         use mflb_linalg::{expm, Mat};
         use mflb_policy::{jsq_rule, softmin_rule};
         use mflb_queue::{BirthDeathQueue, PhaseType};
@@ -309,26 +310,29 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         });
         entries.push(entry("expm_22x22_B20_generator", iters, secs, 1.0, "ops/s"));
 
-        let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
+        // One generic closure step from the same ν each iteration.
+        let mut config = SystemConfig::paper();
+        config.initial_dist = vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03];
+        let exp = MeanField::new(&config, Exponential, Integrand::FullMesh);
         let rule = jsq_rule(6, 2);
         let iters = 500 * scale;
         let secs = time_loop(iters, || {
-            black_box(mean_field_step(black_box(&nu), black_box(&rule), 0.9, 1.0, 5.0));
+            black_box(black_box(&exp).clone().step(black_box(&rule), 0.9, 0.0, 5.0));
         });
         entries.push(entry("mean_field_step_dt5", iters, secs, 1.0, "ops/s"));
 
         let soft = softmin_rule(6, 2, 2.0);
         let secs = time_loop(iters, || {
-            black_box(mean_field_step(black_box(&nu), black_box(&soft), 0.9, 1.0, 5.0));
+            black_box(black_box(&exp).clone().step(black_box(&soft), 0.9, 0.0, 5.0));
         });
         entries.push(entry("mean_field_step_softmin", iters, secs, 1.0, "ops/s"));
 
         // Six length groups of 1 + 5·2 = 11 joint states, one kernel call.
         let service = PhaseType::fit_mean_scv(1.0, 2.0);
-        let joint = PhDist::from_lengths(&nu, &service);
+        let ph = MeanField::new(&config, service, Integrand::FullMesh);
         let iters = 100 * scale;
         let secs = time_loop(iters, || {
-            black_box(ph_mean_field_step(black_box(&joint), black_box(&rule), 0.9, &service, 5.0));
+            black_box(black_box(&ph).clone().step(black_box(&rule), 0.9, 0.0, 5.0));
         });
         entries.push(entry("ph_mean_field_step_2phase_dt5", iters, secs, 1.0, "ops/s"));
 
@@ -675,7 +679,7 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
 }
 
 /// Observation dimension of an env without dragging the trait into scope.
-fn env_obs_dim(env: &MeanFieldEnv<Homogeneous>) -> usize {
+fn env_obs_dim(env: &MeanFieldEnv<MeanField>) -> usize {
     use mflb_rl::Env;
     env.obs_dim()
 }

@@ -54,7 +54,7 @@
 //! it; both nestings are tested below.
 
 use crate::dist::StateDist;
-use crate::meanfield::{mean_field_step_with_rates, per_state_arrival_rates_into, MeanFieldStep};
+use crate::meanfield::{per_state_arrival_rates_into, renormalized, MeanFieldStep};
 use crate::rule::DecisionRule;
 use mflb_queue::BirthDeathQueue;
 
@@ -88,21 +88,6 @@ pub fn graph_arrival_rates(nu: &StateDist, rule: &DecisionRule, lambda: f64, k: 
         }
     }
     rates
-}
-
-/// Advances the degree-indexed graph mean field by one decision epoch of
-/// length `dt`: locality-constrained arrival rates, then the exact
-/// per-state CTMC aggregation of Eq. 24–28.
-pub fn graph_mean_field_step(
-    nu: &StateDist,
-    rule: &DecisionRule,
-    lambda: f64,
-    service_rate: f64,
-    dt: f64,
-    k: usize,
-) -> MeanFieldStep {
-    let rates = graph_arrival_rates(nu, rule, lambda, k);
-    mean_field_step_with_rates(nu, rates, service_rate, dt)
 }
 
 /// Builds the independent (annealed-equivalent) edge distribution
@@ -179,8 +164,8 @@ pub fn pair_arrival_rates(pair: &[f64], rule: &DecisionRule, lambda: f64, k: usi
 /// evolves by its state's exact CTMC kernel (the distribution block of
 /// `exp(Q̄(rate_z) Δt)`, Eq. 24–28), so the edge update is
 /// `q'(y₁,y₂) = Σ q(z₁,z₂)·P^{z₁}(y₁)·P^{z₂}(y₂)`. Returns the next edge
-/// distribution plus the marginal [`MeanFieldStep`] (computed from the
-/// same rates, hence exactly consistent with the edge update's marginal).
+/// distribution plus the marginal [`MeanFieldStep`], mixed from the same
+/// kernels: `ν'(y) = Σ_z ν(z)·P^z(y)` and `D = Σ_z ν(z)·D^z`.
 pub fn pair_mean_field_step(
     pair: &[f64],
     rule: &DecisionRule,
@@ -192,29 +177,35 @@ pub fn pair_mean_field_step(
     assert!(service_rate >= 0.0 && dt > 0.0);
     let zs = pair_num_states(pair);
     let buffer = zs - 1;
+    let nu = pair_marginal(pair);
     let rates = pair_arrival_rates(pair, rule, lambda, k);
 
-    // Per-state endpoint kernels: kernel[z][y] = P(z → y in Δt), the
-    // distribution part of the epoch kernel from e_z.
-    let kernels: Vec<Option<Vec<f64>>> = (0..zs)
+    // Per-state endpoint kernels: kernel[z] = (P(z → ·) in Δt, D^z), the
+    // epoch kernel from e_z. Unused endpoint states need no kernel.
+    let kernels: Vec<Option<(Vec<f64>, f64)>> = (0..zs)
         .map(|z| {
-            // Unused endpoint states need no kernel.
-            (pair[z * zs..(z + 1) * zs].iter().sum::<f64>() != 0.0).then(|| {
-                let queue = BirthDeathQueue::new(rates[z].max(0.0), service_rate, buffer);
-                queue.epoch_expectation(z, dt).0
+            (nu.prob(z) != 0.0).then(|| {
+                BirthDeathQueue::new(rates[z].max(0.0), service_rate, buffer)
+                    .epoch_expectation(z, dt)
             })
         })
         .collect();
 
     let mut next = vec![0.0f64; zs * zs];
+    let mut marginal = vec![0.0f64; zs];
+    let mut drops = 0.0f64;
     for z1 in 0..zs {
-        let Some(p1) = kernels[z1].as_ref() else { continue };
+        let Some((p1, d1)) = kernels[z1].as_ref() else { continue };
+        for (m, &a) in marginal.iter_mut().zip(p1) {
+            *m += nu.prob(z1) * a;
+        }
+        drops += nu.prob(z1) * d1;
         for z2 in 0..zs {
             let mass = pair[z1 * zs + z2];
             if mass == 0.0 {
                 continue;
             }
-            let p2 = kernels[z2].as_ref().expect("edge mass implies endpoint mass");
+            let (p2, _) = kernels[z2].as_ref().expect("edge mass implies endpoint mass");
             for (y1, &a) in p1.iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -227,21 +218,21 @@ pub fn pair_mean_field_step(
             }
         }
     }
-    // Renormalize defensively, exactly like the marginal step does.
-    let total: f64 = next.iter().sum();
-    debug_assert!((total - 1.0).abs() < 1e-8, "edge mass drift {total}");
-    for v in &mut next {
-        *v = v.max(0.0) / total;
-    }
-
-    let step = mean_field_step_with_rates(&pair_marginal(pair), rates, service_rate, dt);
-    (next, step)
+    let step = MeanFieldStep {
+        next_dist: StateDist::new(renormalized(marginal)),
+        expected_drops: drops,
+        arrival_rates: rates,
+    };
+    (renormalized(next), step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use crate::mdp::{Closure, Integrand, MeanField};
     use crate::meanfield::{mean_field_step, per_state_arrival_rates};
+    use crate::service::Exponential;
 
     fn jsq_rule(zs: usize) -> DecisionRule {
         DecisionRule::from_fn(zs, 2, |t| {
@@ -256,6 +247,12 @@ mod tests {
 
     fn mixed_nu() -> StateDist {
         StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03])
+    }
+
+    /// The degree-indexed closure at `nu` with unit service rate.
+    fn graph_closure(nu: &StateDist, k: usize) -> MeanField {
+        let cfg = SystemConfig::paper();
+        MeanField::new(&cfg, Exponential, Integrand::Graph { k }).with_dist(nu.clone())
     }
 
     #[test]
@@ -336,11 +333,12 @@ mod tests {
         let rule = jsq_rule(6);
         for k in [1, 3, 5] {
             for &dt in &[0.5, 5.0] {
-                let step = graph_mean_field_step(&nu, &rule, 0.9, 1.0, dt, k);
-                let mass: f64 = step.next_dist.as_slice().iter().sum();
+                let mut graph = graph_closure(&nu, k);
+                let (drops, _) = graph.step(&rule, 0.9, 0.0, dt);
+                let mass: f64 = graph.dist().as_slice().iter().sum();
                 assert!((mass - 1.0).abs() < 1e-12, "k={k} dt={dt}");
-                assert!(step.expected_drops >= 0.0);
-                assert!(step.expected_drops <= 0.9 * dt + 1e-9, "cannot drop more than arrives");
+                assert!(drops >= 0.0);
+                assert!(drops <= 0.9 * dt + 1e-9, "cannot drop more than arrives");
             }
         }
     }
@@ -453,10 +451,11 @@ mod tests {
         let nu = mixed_nu();
         let rule = DecisionRule::uniform(6, 2);
         let mesh = mean_field_step(&nu, &rule, 0.9, 1.0, 5.0);
-        let graph = graph_mean_field_step(&nu, &rule, 0.9, 1.0, 5.0, 3);
-        for (a, b) in graph.next_dist.as_slice().iter().zip(mesh.next_dist.as_slice()) {
+        let mut graph = graph_closure(&nu, 3);
+        let (drops, _) = graph.step(&rule, 0.9, 0.0, 5.0);
+        for (a, b) in graph.dist().as_slice().iter().zip(mesh.next_dist.as_slice()) {
             assert!((a - b).abs() < 1e-12);
         }
-        assert!((graph.expected_drops - mesh.expected_drops).abs() < 1e-12);
+        assert!((drops - mesh.expected_drops).abs() < 1e-12);
     }
 }

@@ -17,9 +17,14 @@
 //!    lower-level decision rule `h_t : Z^d → P(U)` (Eq. 29–31):
 //!    [`mdp::MeanFieldMdp`] owns the one episode loop (λ₀ draw, policy
 //!    decision, epoch cost `−D_t`, λ advance) over a [`mdp::Closure`] —
-//!    the paper's [`mdp::Homogeneous`] model by default, or the
-//!    degree-indexed graph, heterogeneous-pool, phase-type and
-//!    fault-degraded closures of the extensions.
+//!    by default the paper's model, the [`mdp::MeanField`] of
+//!    [`service::Exponential`] queues. The same generic closure runs the
+//!    extensions' heterogeneous pools ([`service::RateClasses`]) and
+//!    phase-type service ([`mflb_queue::PhaseType`]), the service models
+//!    the finite aggregate engine of `mflb-sim` runs on, over the
+//!    full-mesh or the degree-indexed graph integrand
+//!    ([`graph_meanfield`]); [`mdp::TwoPool`] is the fault-degraded
+//!    closure.
 //!
 //! [`theory`] provides the numerical counterpart of Theorem 1 (performance
 //! of the finite system converges to the mean-field performance).
@@ -30,13 +35,12 @@ pub mod config;
 pub mod dist;
 pub mod faults;
 pub mod graph_meanfield;
-pub mod hetero_meanfield;
 pub mod jobs;
 pub mod mdp;
 pub mod meanfield;
 pub mod partial;
-pub mod ph_meanfield;
 pub mod rule;
+pub mod service;
 pub mod theory;
 pub mod topology;
 
@@ -46,19 +50,17 @@ pub use faults::{
     stream_rng, CrashFaults, FaultPlan, ObservationFaults, OverloadWindow, StragglerWindow,
 };
 pub use graph_meanfield::{
-    graph_arrival_rates, graph_mean_field_step, independent_pair, pair_arrival_rates,
-    pair_marginal, pair_mean_field_step,
+    graph_arrival_rates, independent_pair, pair_arrival_rates, pair_marginal, pair_mean_field_step,
 };
-pub use hetero_meanfield::{HeteroMeanField, HeteroMeanFieldStep};
 pub use jobs::JobSizeLaw;
 pub use mdp::{MeanFieldMdp, MfState, UpperPolicy};
 pub use meanfield::{
-    mean_field_step, mean_field_step_with_rates, per_state_arrival_rates,
-    per_state_arrival_rates_into, per_state_arrival_rates_sparse_into, MeanFieldStep,
+    mean_field_step, per_state_arrival_rates, per_state_arrival_rates_into,
+    per_state_arrival_rates_sparse_into, MeanFieldStep,
 };
 pub use partial::{sampled_estimate, ObservationModel, PartialObservationPolicy};
-pub use ph_meanfield::{ph_mean_field_step, PhDist};
 pub use rule::DecisionRule;
+pub use service::{composite_index, Exponential, RateClasses, ServiceModel};
 pub use topology::{CsrNeighborhoods, Topology};
 
 /// Resolves a requested worker-thread count: `0` means one per available

@@ -6,14 +6,15 @@
 //! stochasticity comes from the Markov-modulated arrival rate. Reward:
 //! `−D_t`, the negative expected per-queue drops of the epoch.
 //!
-//! [`MeanFieldMdp`] runs the episode over any [`Closure`]: the paper's
-//! [`Homogeneous`] model over either [`Integrand`], the heterogeneous
-//! pool ([`Hetero`]), phase-type service ([`Ph`]) and the fault-degraded
-//! two-pool model ([`TwoPool`]).
+//! [`MeanFieldMdp`] runs the episode over any [`Closure`]: the
+//! [`MeanField`] of a [`ServiceModel`](crate::service::ServiceModel) —
+//! the paper's exponential model, heterogeneous pools or phase-type
+//! service — over either [`Integrand`], and the fault-degraded two-pool
+//! model ([`TwoPool`]).
 
 mod closures;
 
-pub use closures::{Closure, Hetero, Homogeneous, Integrand, Ph, TwoPool};
+pub use closures::{Closure, Integrand, MeanField, TwoPool};
 
 use crate::config::SystemConfig;
 use crate::dist::StateDist;
@@ -234,7 +235,7 @@ pub struct EpisodeRecord {
 /// A state of the MFC MDP: the closure's mean-field state at epoch `t`
 /// and the arrival level `λ_t` in force during that epoch.
 #[derive(Debug, Clone)]
-pub struct MfState<C = Homogeneous> {
+pub struct MfState<C = MeanField> {
     /// The closure's hidden mean-field state.
     pub closure: C,
     /// Index into the arrival process' level set.
@@ -244,14 +245,14 @@ pub struct MfState<C = Homogeneous> {
 }
 
 /// The mean-field control MDP over a [`Closure`], by default the paper's
-/// full-mesh [`Homogeneous`] model.
+/// full-mesh exponential [`MeanField`].
 ///
 /// This is the one owner of the episode: the initial level draw, the
 /// policy decision on [`Closure::observed`], the closure step, the epoch
 /// cost and the arrival-level advance. The RL environment adapter and the
 /// DP step through the same [`MeanFieldMdp::epoch`].
 #[derive(Debug, Clone)]
-pub struct MeanFieldMdp<C = Homogeneous> {
+pub struct MeanFieldMdp<C = MeanField> {
     config: SystemConfig,
     /// The closure at `t = 0`; every episode starts from a copy.
     closure: C,
@@ -263,7 +264,7 @@ impl MeanFieldMdp {
     /// # Panics
     /// Panics if the configuration is inconsistent.
     pub fn new(config: SystemConfig) -> Self {
-        let closure = Homogeneous::new(&config, Integrand::FullMesh);
+        let closure = MeanField::new(&config, crate::service::Exponential, Integrand::FullMesh);
         Self::with_closure(config, closure)
     }
 }

@@ -10,12 +10,11 @@ use crate::config::SystemConfig;
 use crate::dist::StateDist;
 use crate::faults::FaultPlan;
 use crate::graph_meanfield::graph_arrival_rates;
-use crate::hetero_meanfield::HeteroMeanField;
-use crate::meanfield::{mean_field_step_with_rates, per_state_arrival_rates};
-use crate::ph_meanfield::{ph_mean_field_step, PhDist};
+use crate::meanfield::{advance_groups, per_state_arrival_rates};
 use crate::rule::DecisionRule;
-use mflb_queue::PhaseType;
+use crate::service::{Exponential, ServiceModel};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// The part of the mean-field control MDP that varies between scenario
 /// kinds: the hidden state and its transition. A closure is constructed
@@ -62,124 +61,101 @@ impl Integrand {
     }
 }
 
-/// The homogeneous exponential mean field (Eq. 20–28) over an
-/// arrival-rate integrand; the policy observes the whole state `ν_t`.
+/// The mean field of a pool of queues with per-queue [`ServiceModel`] `S`
+/// (Eq. 20–28) over an arrival-rate integrand: the paper's model with
+/// [`Exponential`] service, heterogeneous pools with
+/// [`RateClasses`](crate::service::RateClasses) (§2.5) and phase-type
+/// service with [`PhaseType`](mflb_queue::PhaseType) (§5) — the same
+/// types `mflb_sim::AggregateEngine` runs on.
+///
+/// The state is the hidden per-queue distribution; one epoch groups it
+/// into observed states, takes Eq. 22's rate per observed state, advances
+/// each occupied group through its own chain (one
+/// [`ChainStack`](mflb_linalg::ChainStack) for the epoch) and mixes the
+/// results back. The policy observes the length marginal; with
+/// [`Exponential`] service the hidden state is `ν_t` itself.
 #[derive(Debug, Clone)]
-pub struct Homogeneous {
+pub struct MeanField<S = Exponential> {
+    service: S,
     integrand: Integrand,
     service_rate: f64,
-    nu: StateDist,
+    num_lengths: usize,
+    hidden: StateDist,
 }
 
-impl Homogeneous {
-    /// The closure at `ν₀` with the config's service rate.
-    pub fn new(config: &SystemConfig, integrand: Integrand) -> Self {
-        let nu = StateDist::new(config.initial_dist.clone());
-        Self { integrand, service_rate: config.service_rate, nu }
-    }
-
-    /// The same closure at another state `nu` (the DP steps lattice
-    /// points through it).
-    pub fn with_dist(&self, nu: StateDist) -> Self {
-        Self { nu, ..*self }
-    }
-
-    /// The current state `ν_t`.
-    pub fn dist(&self) -> &StateDist {
-        &self.nu
-    }
-}
-
-impl Closure for Homogeneous {
-    fn rule_states(&self) -> usize {
-        self.nu.num_states()
-    }
-
-    fn observed(&self) -> StateDist {
-        self.nu.clone()
-    }
-
-    fn step(&mut self, rule: &DecisionRule, lambda: f64, _t0: f64, dt: f64) -> (f64, f64) {
-        let rates = self.integrand.rates(&self.nu, rule, lambda);
-        let step = mean_field_step_with_rates(&self.nu, rates, self.service_rate, dt);
-        self.nu = step.next_dist;
-        (step.expected_drops, self.nu.mean_queue_length())
-    }
-}
-
-/// The heterogeneous-pool mean field over `(length, class)` states.
-///
-/// The policy observes the overall length marginal `Σ_c w_c·ν_c` — what
-/// a heterogeneous engine reports at deployment — so the per-class split
-/// is hidden state (a POMDP like the paper's delayed-information
-/// setting), and it emits a rule over the `C·(B+1)` composite states.
-#[derive(Debug, Clone)]
-pub struct Hetero {
-    field: HeteroMeanField,
-}
-
-impl Hetero {
-    /// The closure at `ν₀` in every class, for class population
-    /// fractions `class_weights` and service rates `class_rates`.
-    pub fn new(config: &SystemConfig, class_weights: Vec<f64>, class_rates: Vec<f64>) -> Self {
-        let dists = vec![StateDist::new(config.initial_dist.clone()); class_weights.len()];
-        Self { field: HeteroMeanField::new(class_weights, class_rates, dists) }
-    }
-}
-
-impl Closure for Hetero {
-    fn rule_states(&self) -> usize {
-        self.field.num_composite_states()
-    }
-
-    fn observed(&self) -> StateDist {
-        let mut probs = vec![0.0; self.field.num_lengths()];
-        for (c, &w) in self.field.class_weights().iter().enumerate() {
-            for (p, &q) in probs.iter_mut().zip(self.field.class_dist(c).as_slice()) {
-                *p += w * q;
-            }
-        }
-        StateDist::new(probs)
-    }
-
-    fn step(&mut self, rule: &DecisionRule, lambda: f64, _t0: f64, dt: f64) -> (f64, f64) {
-        let step = self.field.step(rule, lambda, dt);
-        self.field = step.next;
-        (step.expected_drops, self.field.mean_queue_length())
-    }
-}
-
-/// The phase-type-service mean field (§5 "non-exponential service
-/// times"): the joint `(length, phase)` distribution is hidden state and
-/// the policy observes its length marginal. The config's `service_rate`
-/// is ignored; the law is the supplied [`PhaseType`].
-#[derive(Debug, Clone)]
-pub struct Ph {
-    service: PhaseType,
-    joint: PhDist,
-}
-
-impl Ph {
-    /// The closure at `ν₀` lifted to the joint space.
-    pub fn new(config: &SystemConfig, service: PhaseType) -> Self {
+impl<S: ServiceModel> MeanField<S> {
+    /// The closure at `ν₀` lifted to `service`'s hidden states, with the
+    /// config's service rate.
+    pub fn new(config: &SystemConfig, service: S, integrand: Integrand) -> Self {
         let nu0 = StateDist::new(config.initial_dist.clone());
-        Self { joint: PhDist::from_lengths(&nu0, &service), service }
+        let hidden = StateDist::new(service.lift(&nu0));
+        let (service_rate, num_lengths) = (config.service_rate, config.num_states());
+        Self { service, integrand, service_rate, num_lengths, hidden }
+    }
+
+    /// The same closure at another hidden state (the DP steps lattice
+    /// points `ν` of the exponential model through it).
+    pub fn with_dist(&self, hidden: StateDist) -> Self {
+        assert_eq!(hidden.num_states(), self.hidden.num_states(), "hidden state layout");
+        Self { hidden, service: self.service.clone(), ..*self }
+    }
+
+    /// The hidden per-queue distribution (`ν_t` for exponential service).
+    pub fn dist(&self) -> &StateDist {
+        &self.hidden
+    }
+
+    /// The distribution over observed states: the hidden one itself when
+    /// every observed state is one hidden state, else the group masses.
+    fn grouped(&self) -> Cow<'_, StateDist> {
+        let n = self.service.num_observed(self.num_lengths);
+        if self.hidden.num_states() == n {
+            return Cow::Borrowed(&self.hidden);
+        }
+        let hidden = self.hidden.as_slice();
+        let mut masses: Vec<f64> =
+            (0..n).map(|o| hidden[self.service.group(o, self.num_lengths)].iter().sum()).collect();
+        // Guard against 1e-16 drift before the StateDist constructor.
+        let total: f64 = masses.iter().sum();
+        masses.iter_mut().for_each(|m| *m /= total);
+        Cow::Owned(StateDist::new(masses))
     }
 }
 
-impl Closure for Ph {
+impl<S: ServiceModel> Closure for MeanField<S> {
     fn rule_states(&self) -> usize {
-        self.joint.buffer() + 1
+        self.service.num_observed(self.num_lengths)
     }
 
     fn observed(&self) -> StateDist {
-        self.joint.length_marginal()
+        let grouped = self.grouped();
+        if grouped.num_states() == self.num_lengths {
+            return grouped.into_owned();
+        }
+        let mut lengths = vec![0.0; self.num_lengths];
+        for (o, &p) in grouped.as_slice().iter().enumerate() {
+            lengths[self.service.observed_length(o, self.num_lengths)] += p;
+        }
+        StateDist::new(lengths)
     }
 
     fn step(&mut self, rule: &DecisionRule, lambda: f64, _t0: f64, dt: f64) -> (f64, f64) {
-        let step = ph_mean_field_step(&self.joint, rule, lambda, &self.service, dt);
-        self.joint = step.next_dist;
-        (step.expected_drops, self.joint.mean_queue_length())
+        let rates = self.integrand.rates(&self.grouped(), rule, lambda);
+        let (next, drops) = advance_groups(
+            &self.service,
+            self.hidden.as_slice(),
+            &rates,
+            self.service_rate,
+            self.num_lengths,
+            dt,
+        );
+        self.hidden = StateDist::new(next);
+        let grouped = self.grouped();
+        let lengths = grouped.as_slice().iter().enumerate();
+        let mean_len = lengths
+            .map(|(o, p)| self.service.observed_length(o, self.num_lengths) as f64 * p)
+            .sum();
+        (drops, mean_len)
     }
 }
 
@@ -266,12 +242,12 @@ impl TwoPool {
         if mass <= 1e-12 {
             return 0.0;
         }
-        let cond = StateDist::new(pool.iter().map(|p| p / mass).collect());
-        let step = mean_field_step_with_rates(&cond, rates.to_vec(), service, dt);
-        for (p, z) in pool.iter_mut().zip(0..) {
-            *p = mass * step.next_dist.prob(z);
+        let cond: Vec<f64> = pool.iter().map(|p| p / mass).collect();
+        let (next, drops) = advance_groups(&Exponential, &cond, rates, service, pool.len(), dt);
+        for (p, q) in pool.iter_mut().zip(next) {
+            *p = mass * q;
         }
-        mass * step.expected_drops
+        mass * drops
     }
 }
 
@@ -317,5 +293,206 @@ impl Closure for TwoPool {
         if !dropped {
             self.observed = self.mixture();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mdp::{FixedRulePolicy, MeanFieldMdp};
+    use crate::meanfield::mean_field_step;
+    use crate::service::RateClasses;
+    use mflb_queue::PhaseType;
+
+    /// JSQ over `zs·classes` states comparing only lengths (rate-blind).
+    fn composite_jsq(zs: usize, classes: usize) -> DecisionRule {
+        DecisionRule::from_fn(zs * classes, 2, |t| {
+            let (a, b) = (t[0] % zs, t[1] % zs);
+            use std::cmp::Ordering::*;
+            match a.cmp(&b) {
+                Less => vec![1.0, 0.0],
+                Greater => vec![0.0, 1.0],
+                Equal => vec![0.5, 0.5],
+            }
+        })
+    }
+
+    /// SED over composite states (delay = (z+1)/α_class).
+    fn composite_sed(zs: usize, class_rates: &[f64]) -> DecisionRule {
+        let rates = class_rates.to_vec();
+        DecisionRule::from_fn(zs * rates.len(), 2, move |t| {
+            let delay = |idx: usize| (idx % zs) as f64 / rates[idx / zs] + 1.0 / rates[idx / zs];
+            let (da, db) = (delay(t[0]), delay(t[1]));
+            if (da - db).abs() < 1e-12 {
+                vec![0.5, 0.5]
+            } else if da < db {
+                vec![1.0, 0.0]
+            } else {
+                vec![0.0, 1.0]
+            }
+        })
+    }
+
+    /// Two equal classes at `class_rates`, every queue empty (`B = 5`).
+    fn two_classes_empty(class_rates: [f64; 2]) -> MeanField<RateClasses> {
+        let cfg = SystemConfig::paper();
+        MeanField::new(&cfg, RateClasses::new(&class_rates), Integrand::FullMesh)
+    }
+
+    /// `epochs` epochs under `rule` at arrival rate 0.9 and `Δt = 5`: the
+    /// end state and the cumulative expected drops per queue.
+    fn run<S: ServiceModel>(
+        field: &MeanField<S>,
+        rule: &DecisionRule,
+        epochs: usize,
+    ) -> (MeanField<S>, f64) {
+        let mut field = field.clone();
+        let drops = (0..epochs).map(|_| field.step(rule, 0.9, 0.0, 5.0).0).sum();
+        (field, drops)
+    }
+
+    /// Mass and mean length of class `c` of a two-class field (`B = 5`).
+    fn class_mass_and_mean(field: &MeanField<RateClasses>, c: usize) -> (f64, f64) {
+        let block = &field.dist().as_slice()[c * 6..(c + 1) * 6];
+        let mass: f64 = block.iter().sum();
+        let mean = block.iter().enumerate().map(|(z, p)| z as f64 * p).sum::<f64>() / mass;
+        (mass, mean)
+    }
+
+    #[test]
+    fn single_class_collapses_to_homogeneous_model() {
+        let nu = StateDist::new(vec![0.3, 0.25, 0.2, 0.15, 0.07, 0.03]);
+        let mut cfg = SystemConfig::paper();
+        cfg.initial_dist = nu.as_slice().to_vec();
+        let mut hetero = MeanField::new(&cfg, RateClasses::new(&[1.0]), Integrand::FullMesh);
+        let rule = composite_jsq(6, 1);
+        let (drops, _) = hetero.step(&rule, 0.9, 0.0, 5.0);
+        let reference = mean_field_step(&nu, &rule, 0.9, 1.0, 5.0);
+        assert!((drops - reference.expected_drops).abs() < 1e-12);
+        for (a, b) in hetero.dist().as_slice().iter().zip(reference.next_dist.as_slice()) {
+            assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn step_conserves_class_masses_and_bounds_drops() {
+        let hetero = two_classes_empty([1.6, 0.4]);
+        let rule = composite_sed(6, &[1.6, 0.4]);
+        let (end, drops) = run(&hetero, &rule, 20);
+        for c in 0..2 {
+            let (mass, _) = class_mass_and_mean(&end, c);
+            assert!((mass - 0.5).abs() < 1e-9, "class {c} mass {mass}");
+        }
+        assert!((0.0..=0.9 * 5.0 * 20.0).contains(&drops));
+    }
+
+    #[test]
+    fn slow_class_fills_faster_under_rate_blind_routing() {
+        // Under composite-blind JSQ, slow servers receive the same traffic
+        // as fast ones and their queues must sit higher in steady state.
+        let hetero = two_classes_empty([1.6, 0.4]);
+        let (end, _) = run(&hetero, &composite_jsq(6, 2), 40);
+        let (fast, slow) = (class_mass_and_mean(&end, 0).1, class_mass_and_mean(&end, 1).1);
+        assert!(slow > fast + 0.5, "slow {slow} vs fast {fast}");
+    }
+
+    #[test]
+    fn sed_beats_rate_blind_jsq_in_hetero_mean_field() {
+        let hetero = two_classes_empty([1.6, 0.4]);
+        let (_, drops_sed) = run(&hetero, &composite_sed(6, &[1.6, 0.4]), 40);
+        let (_, drops_jsq) = run(&hetero, &composite_jsq(6, 2), 40);
+        assert!(
+            drops_sed < drops_jsq,
+            "SED {drops_sed:.3} must beat rate-blind JSQ {drops_jsq:.3}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rule/state-space mismatch")]
+    fn rejects_rules_over_wrong_state_space() {
+        let mut hetero = two_classes_empty([1.0, 2.0]);
+        let rule = DecisionRule::uniform(6, 2); // plain, not composite
+        hetero.step(&rule, 0.9, 0.0, 1.0);
+    }
+
+    fn jsq() -> DecisionRule {
+        composite_jsq(6, 1)
+    }
+
+    fn ph_mdp(cfg: SystemConfig, service: PhaseType) -> MeanFieldMdp<MeanField<PhaseType>> {
+        let closure = MeanField::new(&cfg, service, Integrand::FullMesh);
+        MeanFieldMdp::with_closure(cfg, closure)
+    }
+
+    /// The phase-type closure at `nu` lifted to the joint space (`B = 5`).
+    fn ph_closure(nu: &StateDist, service: PhaseType) -> MeanField<PhaseType> {
+        let mut cfg = SystemConfig::paper();
+        cfg.initial_dist = nu.as_slice().to_vec();
+        MeanField::new(&cfg, service, Integrand::FullMesh)
+    }
+
+    #[test]
+    fn one_phase_reduces_to_plain_mean_field() {
+        // PH = exponential(α): the PH step must agree with the Eq. 20–28
+        // implementation to machine precision on a whole trajectory.
+        let cfg = SystemConfig::paper().with_dt(4.0);
+        let plain = MeanFieldMdp::new(cfg.clone());
+        let ph = ph_mdp(cfg, PhaseType::exponential(1.0));
+        let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
+        let seq = vec![0usize, 1, 0, 0, 1, 1, 0, 1, 0, 0];
+        let a = plain.rollout_conditioned(&policy, &seq);
+        let b = ph.rollout_conditioned(&policy, &seq);
+        for (x, y) in a.drops_per_epoch.iter().zip(b.drops_per_epoch.iter()) {
+            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn step_conserves_mass_and_bounds_drops() {
+        let mut ph = ph_closure(&StateDist::uniform(5), PhaseType::fit_mean_scv(1.0, 2.0));
+        let (drops, _) = ph.step(&jsq(), 0.9, 0.0, 5.0);
+        let mass: f64 = ph.dist().as_slice().iter().sum();
+        assert!((mass - 1.0).abs() < 1e-10);
+        assert!((0.0..=0.9 * 5.0).contains(&drops));
+    }
+
+    #[test]
+    fn higher_service_variability_drops_more() {
+        // Long conditioned rollout at fixed mean service time: SCV 4
+        // service must lose more packets than SCV 0.25 under JSQ.
+        let cfg = SystemConfig::paper().with_dt(5.0);
+        let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
+        let seq = vec![0usize; 30];
+        let drops_of = |scv: f64| {
+            let mdp = ph_mdp(cfg.clone(), PhaseType::fit_mean_scv(1.0, scv));
+            -mdp.rollout_conditioned(&policy, &seq).total_return
+        };
+        let low = drops_of(0.25);
+        let high = drops_of(4.0);
+        assert!(low < high, "SCV 0.25 drops {low} must be below SCV 4 drops {high}");
+    }
+
+    #[test]
+    fn phase_mix_drifts_away_from_alpha_under_load() {
+        // After an epoch under load, the in-service phase distribution is
+        // no longer the fresh-start α (phases age) — the whole reason the
+        // joint state is necessary.
+        let mut ph = ph_closure(&StateDist::all_empty(5), PhaseType::erlang(2, 2.0));
+        ph.step(&jsq(), 0.9, 0.0, 5.0);
+        // Some queues at length 1 must be in the second Erlang stage.
+        let aged = ph.dist().as_slice()[2];
+        assert!(aged > 1e-4, "aged phase mass {aged}");
+    }
+
+    #[test]
+    fn seeded_rollouts_reproduce() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let cfg = SystemConfig::paper().with_dt(5.0);
+        let mdp = ph_mdp(cfg, PhaseType::fit_mean_scv(1.0, 0.5));
+        let policy = FixedRulePolicy::new(jsq(), "MF-JSQ(2)");
+        let a = mdp.rollout(&policy, 12, &mut StdRng::seed_from_u64(9));
+        let b = mdp.rollout(&policy, 12, &mut StdRng::seed_from_u64(9));
+        assert_eq!(a.drops_per_epoch, b.drops_per_epoch);
     }
 }

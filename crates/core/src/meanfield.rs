@@ -28,8 +28,8 @@
 
 use crate::dist::StateDist;
 use crate::rule::DecisionRule;
+use crate::service::{Exponential, ServiceModel};
 use mflb_linalg::ChainStack;
-use mflb_queue::BirthDeathQueue;
 
 /// Output of one exact mean-field epoch.
 #[derive(Debug, Clone)]
@@ -210,46 +210,37 @@ pub fn mean_field_step(
 ) -> MeanFieldStep {
     assert!(lambda >= 0.0, "negative arrival rate");
     let rates = per_state_arrival_rates(nu, rule, lambda);
-    mean_field_step_with_rates(nu, rates, service_rate, dt)
-}
-
-/// Advances the mean field by one epoch under **explicit** per-state
-/// arrival rates (the Eq. 24–28 aggregation with `λ_t(ν, z)` supplied by
-/// the caller). [`mean_field_step`] uses the full-mesh Eq. 22 rates;
-/// [`crate::graph_meanfield::graph_mean_field_step`] the degree-indexed
-/// locality-constrained ones. Consumes `rates` and returns it inside the
-/// step's diagnostics.
-pub fn mean_field_step_with_rates(
-    nu: &StateDist,
-    rates: Vec<f64>,
-    service_rate: f64,
-    dt: f64,
-) -> MeanFieldStep {
-    assert!(service_rate >= 0.0 && dt > 0.0);
-    assert_eq!(rates.len(), nu.num_states(), "rate vector/state-space mismatch");
-    let (next, drops) = advance_states(nu.as_slice(), &rates, service_rate, dt);
+    let (next, drops) =
+        advance_groups(&Exponential, nu.as_slice(), &rates, service_rate, nu.num_states(), dt);
     MeanFieldStep { next_dist: StateDist::new(next), expected_drops: drops, arrival_rates: rates }
 }
 
-/// The renormalized `Σ_z ν(z)·e_z·exp(Q(rates[z])·Δt)` and the expected
-/// per-queue drops `Σ_z ν(z)·D^z(Δt)` (Eq. 24–28), where `Q(a)` is the
-/// `M/M/1/B` queue at arrival rate `a` (negative rates clamp to 0) and
-/// `service_rate`: one chain of a [`ChainStack`] per occupied state.
-pub(crate) fn advance_states(
-    nu: &[f64],
+/// One epoch of the hidden distribution `hidden` under per-observed-state
+/// arrival rates `rates` (Eq. 24–28): every occupied observed state `o`
+/// advances its group through `service`'s chain at `rates[o]` (negative
+/// rates clamp to 0), all chains stacked into one [`ChainStack`]. Returns
+/// the renormalized mixed end distribution and the expected per-queue
+/// drops.
+pub(crate) fn advance_groups<S: ServiceModel>(
+    service: &S,
+    hidden: &[f64],
     rates: &[f64],
     service_rate: f64,
+    num_lengths: usize,
     dt: f64,
 ) -> (Vec<f64>, f64) {
-    let zs = nu.len();
+    assert!(service_rate >= 0.0 && dt > 0.0);
     let mut stack = ChainStack::default();
-    for (z, &mass) in nu.iter().enumerate().filter(|&(_, &mass)| mass != 0.0) {
-        let queue = BirthDeathQueue::new(rates[z].max(0.0), service_rate, zs - 1);
-        let mut start = vec![0.0; zs];
-        start[z] = mass;
-        stack.push(&queue.moves(), &queue.drop_rates(), &start);
+    for (o, &rate) in rates.iter().enumerate() {
+        let group = service.group(o, num_lengths);
+        if hidden[group.clone()].iter().all(|&p| p == 0.0) {
+            continue;
+        }
+        let chain = service.chain(o, rate.max(0.0), service_rate, num_lengths - 1);
+        let at = group.start - chain.block.start;
+        stack.push(chain.block, &chain.moves, &chain.drop_rates, at, &hidden[group]);
     }
-    let (next, drops) = stack.advance(dt, zs);
+    let (next, drops) = stack.advance(dt, hidden.len());
     (renormalized(next), drops)
 }
 

@@ -359,6 +359,46 @@ pub fn chi_square_test(observed: &[f64], expected: &[f64], min_expected: f64) ->
     (stat, df, p)
 }
 
+/// Two-sample chi-square homogeneity test: do histograms `a` and `b`
+/// (counts over the same bins, both sampled) come from one law?
+///
+/// With totals `N_a`, `N_b` the statistic is
+/// `Σ (√(N_b/N_a)·a − √(N_a/N_b)·b)² / (a + b)`, which is
+/// `Σ (a − b)² / (a + b)` for equal totals. Pooling follows
+/// [`chi_square_test`]: bins are merged left to right until both
+/// samples' expected pooled counts under the null,
+/// `(a + b)·N_a/(N_a + N_b)` and `(a + b)·N_b/(N_a + N_b)`, reach
+/// `min_expected`, and an under-filled trailing pool is folded in.
+///
+/// Returns `(statistic, degrees_of_freedom, p_value)`.
+pub fn chi_square_two_sample(a: &[f64], b: &[f64], min_expected: f64) -> (f64, f64, f64) {
+    assert_eq!(a.len(), b.len());
+    let (na, nb): (f64, f64) = (a.iter().sum(), b.iter().sum());
+    assert!(na > 0.0 && nb > 0.0, "both samples need counts");
+    let (ka, kb) = ((nb / na).sqrt(), (na / nb).sqrt());
+    let min_pooled = min_expected * (na + nb) / na.min(nb);
+    let term = |pa: f64, pb: f64| (ka * pa - kb * pb).powi(2) / (pa + pb);
+    let (mut stat, mut bins, mut pool_a, mut pool_b) = (0.0, 0usize, 0.0, 0.0);
+    for (&x, &y) in a.iter().zip(b) {
+        pool_a += x;
+        pool_b += y;
+        if pool_a + pool_b >= min_pooled {
+            stat += term(pool_a, pool_b);
+            bins += 1;
+            pool_a = 0.0;
+            pool_b = 0.0;
+        }
+    }
+    if pool_a + pool_b > 0.0 {
+        if bins > 0 {
+            stat += term(pool_a, pool_b);
+        }
+        bins += 1;
+    }
+    let df = (bins.max(2) - 1) as f64;
+    (stat, df, chi_square_sf(stat, df))
+}
+
 /// Welch's unequal-variances t-test for the difference of two means.
 ///
 /// Returns `(t statistic, Satterthwaite degrees of freedom, two-sided
@@ -504,6 +544,69 @@ mod tests {
         let exp = [25.0, 25.0, 25.0, 25.0];
         let (_, _, p) = chi_square_test(&obs, &exp, 5.0);
         assert!(p < 1e-6);
+    }
+
+    #[test]
+    fn two_sample_statistic_is_the_homogeneity_sum() {
+        // Equal totals: Σ (a − b)²/(a + b) over the unpooled bins.
+        let a = [30.0, 50.0, 20.0];
+        let b = [20.0, 50.0, 30.0];
+        let (stat, df, p) = chi_square_two_sample(&a, &b, 5.0);
+        assert!((stat - (100.0 / 50.0 + 0.0 + 100.0 / 50.0)).abs() < 1e-12);
+        assert_eq!(df, 2.0);
+        assert!((p - chi_square_sf(4.0, 2.0)).abs() < 1e-15);
+        // Identical histograms at different totals are homogeneous.
+        let (stat, _, p) = chi_square_two_sample(&[10.0, 20.0, 30.0], &[20.0, 40.0, 60.0], 5.0);
+        assert!(stat < 1e-12 && p > 0.999);
+    }
+
+    #[test]
+    fn two_sample_pools_sparse_bins_and_rejects_gross_mismatch() {
+        // Sparse tail bins pool into one (df = 3 − 1), then a mismatch.
+        let a = [40.0, 40.0, 1.0, 1.0, 0.0];
+        let b = [40.0, 40.0, 0.0, 1.0, 1.0];
+        let (_, df, p) = chi_square_two_sample(&a, &b, 5.0);
+        assert_eq!(df, 2.0);
+        assert!(p > 0.5);
+        let (_, _, p) = chi_square_two_sample(&[100.0, 0.0], &[0.0, 100.0], 5.0);
+        assert!(p < 1e-6);
+    }
+
+    #[test]
+    fn two_sample_false_alarm_rate_is_nominal() {
+        // Two multinomial samples of one law: p < 0.05 about 5 % of the
+        // time, where treating one sample as the exact expectation
+        // (doubling the variance of each term) alarms far more often.
+        let probs = [0.05, 0.15, 0.3, 0.3, 0.15, 0.05];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut sample = |n: usize| {
+            let mut h = [0.0; 6];
+            for _ in 0..n {
+                let (mut u, mut k) = (uniform(), 0);
+                while k < 5 && u >= probs[k] {
+                    u -= probs[k];
+                    k += 1;
+                }
+                h[k] += 1.0;
+            }
+            h
+        };
+        let trials = 400;
+        let (mut two_sample, mut one_sample) = (0, 0);
+        for _ in 0..trials {
+            let (a, b) = (sample(400), sample(400));
+            two_sample += (chi_square_two_sample(&a, &b, 8.0).2 < 0.05) as usize;
+            one_sample += (chi_square_test(&a, &b, 8.0).2 < 0.05) as usize;
+        }
+        let rate = two_sample as f64 / trials as f64;
+        assert!((0.02..0.09).contains(&rate), "two-sample false-alarm rate {rate}");
+        assert!(one_sample > 2 * two_sample, "{one_sample} vs {two_sample}");
     }
 
     #[test]

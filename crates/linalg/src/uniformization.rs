@@ -28,6 +28,7 @@
 //!   drop integral both compose across substeps.
 
 use crate::matrix::Mat;
+use std::ops::Range;
 
 /// Poisson mass [`advance`] may neglect per substep on the mean-field
 /// epoch path.
@@ -226,35 +227,52 @@ fn product(
     }
 }
 
-/// Chains of `n` states each, stacked block-diagonally so one [`advance`]
-/// call moves them all. They share `Δt` and the largest uniformization
-/// rate among them, which is exact for each, and every product runs over
-/// the whole stack instead of one short vector per chain: a mean-field
-/// epoch stacks one chain per occupied queue state.
+/// Chains stacked block-diagonally so one [`advance`] call moves them all.
+/// They share `Δt` and the largest uniformization rate among them, which
+/// is exact for each, and every product runs over the whole stack instead
+/// of one short vector per chain: a mean-field epoch stacks one chain per
+/// occupied observed state.
 #[derive(Debug, Clone, Default)]
 pub struct ChainStack {
     moves: Vec<Move>,
     drop_rates: Vec<(usize, f64)>,
     v: Vec<f64>,
+    /// The output states each chain's end vector is added into.
+    targets: Vec<Range<usize>>,
 }
 
 impl ChainStack {
-    /// Stacks a chain: its moves, nonzero drop rates and start vector, with
-    /// states numbered from 0 within the chain.
-    pub fn push(&mut self, moves: &[Move], drop_rates: &[(usize, f64)], start: &[f64]) {
+    /// Stacks a chain on the output states `target`: its moves and nonzero
+    /// drop rates, with states numbered from 0 within the chain, and its
+    /// start vector — `start` on the chain's states `start_at..`, zero
+    /// elsewhere.
+    pub fn push(
+        &mut self,
+        target: Range<usize>,
+        moves: &[Move],
+        drop_rates: &[(usize, f64)],
+        start_at: usize,
+        start: &[f64],
+    ) {
         let offset = self.v.len();
         self.moves.extend(moves.iter().map(|&(from, to, rate)| (offset + from, offset + to, rate)));
         self.drop_rates.extend(drop_rates.iter().map(|&(i, rate)| (offset + i, rate)));
-        self.v.extend_from_slice(start);
+        self.v.resize(offset + target.len(), 0.0);
+        self.v[offset + start_at..offset + start_at + start.len()].copy_from_slice(start);
+        self.targets.push(target);
     }
 
-    /// Advances every chain by `dt` to [`EPOCH_TOL`]; returns the sum of
-    /// the end vectors and the summed drops.
+    /// Advances every chain by `dt` to [`EPOCH_TOL`]; returns the end
+    /// vectors summed into an `n`-vector at their targets, and the summed
+    /// drops.
     pub fn advance(mut self, dt: f64, n: usize) -> (Vec<f64>, f64) {
         let drops = advance(&self.moves, &self.drop_rates, &mut self.v, dt, EPOCH_TOL).drops;
         let mut sum = vec![0.0; n];
-        for chain in self.v.chunks_exact(n) {
-            sum.iter_mut().zip(chain).for_each(|(s, x)| *s += x);
+        let mut chains = self.v.as_slice();
+        for target in self.targets {
+            let (chain, rest) = chains.split_at(target.len());
+            sum[target].iter_mut().zip(chain).for_each(|(s, x)| *s += x);
+            chains = rest;
         }
         (sum, drops)
     }

@@ -24,6 +24,7 @@
 //! restriction is enforced by the engine's sampling — property-tested in
 //! `mflb-sim` ("routing never leaves the neighborhood").
 
+pub use mflb_core::composite_index;
 use mflb_core::{DecisionRule, StateDist};
 
 /// MF-JSQ(d): probability `1/|argmin|` on each observed minimum (Eq. 34).
@@ -38,12 +39,6 @@ pub fn jsq_rule(num_states: usize, d: usize) -> DecisionRule {
 /// MF-RND: uniform over the `d` sampled queues (Eq. 35).
 pub fn rnd_rule(num_states: usize, d: usize) -> DecisionRule {
     DecisionRule::uniform(num_states, d)
-}
-
-/// Encodes a composite heterogeneous state `(queue length z, rate class c)`
-/// into a single index `c·(B+1) + z` for rule tables over composite states.
-pub fn composite_index(z: usize, class: usize, num_queue_states: usize) -> usize {
-    class * num_queue_states + z
 }
 
 /// Decodes a composite index back into `(queue length, rate class)`.

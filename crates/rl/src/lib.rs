@@ -77,5 +77,5 @@ pub use oracle::{
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};
-pub use scenario_env::{build_env, hetero_classes, PolicyShape};
+pub use scenario_env::{build_env, PolicyShape};
 pub use train::{train_scenario, train_scenario_from, TrainResult};

@@ -16,8 +16,8 @@
 
 use crate::env::{Env, StepResult};
 use crate::scenario_env::PolicyShape;
-use mflb_core::mdp::{encode_observation, Closure, Homogeneous, Integrand, MeanFieldMdp, MfState};
-use mflb_core::{DecisionRule, SystemConfig};
+use mflb_core::mdp::{encode_observation, Closure, Integrand, MeanField, MeanFieldMdp, MfState};
+use mflb_core::{DecisionRule, Exponential, SystemConfig};
 use rand::rngs::StdRng;
 
 /// The mean-field control environment over a [`Closure`].
@@ -59,10 +59,10 @@ impl<C: Closure> MeanFieldEnv<C> {
     }
 }
 
-impl MeanFieldEnv<Homogeneous> {
+impl MeanFieldEnv<MeanField> {
     /// The paper's full-mesh model.
     pub fn homogeneous(config: SystemConfig) -> Self {
-        Self::new(config.clone(), Homogeneous::new(&config, Integrand::FullMesh))
+        Self::new(config.clone(), MeanField::new(&config, Exponential, Integrand::FullMesh))
     }
 }
 
@@ -102,7 +102,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn env() -> MeanFieldEnv<Homogeneous> {
+    fn env() -> MeanFieldEnv<MeanField> {
         MeanFieldEnv::homogeneous(SystemConfig::paper().with_dt(5.0)).with_horizon(20)
     }
 

@@ -8,15 +8,16 @@
 //!
 //! | engine arm | closure |
 //! |---|---|
-//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`Homogeneous`] over `Integrand::FullMesh` (Eq. 20–28) |
-//! | `Graph` | [`Homogeneous`] over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` |
-//! | `Event` | [`Homogeneous`] over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
-//! | `Hetero` | [`Hetero`] over [`mflb_core::HeteroMeanField`] (§2.5), classes from [`hetero_classes`] |
-//! | `Ph` | [`Ph`] over [`mflb_core::ph_mean_field_step`] (§5) |
+//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` (Eq. 20–28) |
+//! | `Graph` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` |
+//! | `Event` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
+//! | `Hetero` | [`MeanField`]`<`[`RateClasses`]`>` over `Integrand::FullMesh` (§2.5), the classes the finite engine quantizes |
+//! | `Ph` | [`MeanField`]`<`[`PhaseType`](mflb_queue::PhaseType)`>` over `Integrand::FullMesh` (§5) |
 //! | any of the above with a non-empty [`FaultPlan`](mflb_core::FaultPlan) | [`TwoPool`] over the arm's integrand |
 //!
-//! Staggered refreshes and job-level FIFO queues share the homogeneous
-//! limit. Validation admits fault plans only on `Event`, `Graph` and
+//! The `Aggregate`, `Hetero` and `Ph` closures run on the service types
+//! their finite `AggregateEngine<S>` runs on. Staggered refreshes and
+//! job-level FIFO queues share the homogeneous limit. Validation admits fault plans only on `Event`, `Graph` and
 //! `JobLevel`, so [`TwoPool`] only ever wraps an integrand; fault-free
 //! scenarios never touch it.
 //!
@@ -27,12 +28,10 @@
 
 use crate::env::Env;
 use crate::mfc_env::MeanFieldEnv;
-use mflb_core::mdp::{
-    action_dim, observation_dim, Closure, Hetero, Homogeneous, Integrand, Ph, TwoPool,
-};
-use mflb_core::SystemConfig;
+use mflb_core::mdp::{action_dim, observation_dim, Closure, Integrand, MeanField, TwoPool};
+use mflb_core::{Exponential, RateClasses, ServiceModel, SystemConfig};
 use mflb_policy::NeuralUpperPolicy;
-use mflb_sim::{EngineSpec, RateClasses, Scenario};
+use mflb_sim::{EngineSpec, Scenario};
 
 /// The policy interface a scenario implies: what the learned network
 /// observes and the state space of the decision rule it emits.
@@ -55,7 +54,7 @@ impl PolicyShape {
     pub fn for_scenario(scenario: &Scenario) -> Self {
         let zs = scenario.config.num_states();
         let rule_states = match &scenario.engine {
-            EngineSpec::Hetero { rates } => zs * hetero_classes(rates).1.len(),
+            EngineSpec::Hetero { rates } => RateClasses::new(rates).num_observed(zs),
             _ => zs,
         };
         Self::with_rule_states(&scenario.config, rule_states)
@@ -94,15 +93,6 @@ impl PolicyShape {
     }
 }
 
-/// Derives `(class_weights, class_rates)` from a per-server rate vector
-/// with [`mflb_sim::RateClasses`] — the quantization the finite
-/// `AggregateEngine<RateClasses>` applies, so the composite state indices
-/// of training and deployment always agree.
-pub fn hetero_classes(rates: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let classes = RateClasses::new(rates);
-    (classes.class_weights(), classes.class_rates().to_vec())
-}
-
 /// Builds the mean-field training environment a scenario selects (see the
 /// module docs for the arm-to-closure table).
 ///
@@ -132,14 +122,17 @@ pub fn build_env(scenario: &Scenario) -> Result<Box<dyn Env>, String> {
             Integrand::FullMesh
         }
         E::Hetero { rates } => {
-            let (weights, class_rates) = hetero_classes(rates);
-            return Ok(boxed(Hetero::new(&config, weights, class_rates), config));
+            let closure = MeanField::new(&config, RateClasses::new(rates), Integrand::FullMesh);
+            return Ok(boxed(closure, config));
         }
-        E::Ph { service } => return Ok(boxed(Ph::new(&config, service.build()?), config)),
+        E::Ph { service } => {
+            let closure = MeanField::new(&config, service.build()?, Integrand::FullMesh);
+            return Ok(boxed(closure, config));
+        }
     };
     Ok(match scenario.faults.clone().filter(|p| !p.is_empty()) {
         Some(plan) => boxed(TwoPool::new(&config, plan, integrand), config),
-        None => boxed(Homogeneous::new(&config, integrand), config),
+        None => boxed(MeanField::new(&config, Exponential, integrand), config),
     })
 }
 
@@ -255,7 +248,8 @@ mod tests {
         // model, and both envs consume one RNG draw per step, so identical
         // seeds must give identical rewards.
         let cfg = base_config();
-        let mut hetero = MeanFieldEnv::new(cfg.clone(), Hetero::new(&cfg, vec![1.0], vec![1.0]));
+        let one_class = MeanField::new(&cfg, RateClasses::new(&[1.0; 10]), Integrand::FullMesh);
+        let mut hetero = MeanFieldEnv::new(cfg.clone(), one_class);
         assert_same_rewards(&mut hetero, &mut MeanFieldEnv::homogeneous(cfg), 7, 0.3, 1e-9);
     }
 
@@ -294,15 +288,16 @@ mod tests {
         // k = 10_000: the annealed closure is numerically indistinguishable
         // from the full-mesh model, so per-step rewards must agree tightly.
         let cfg = base_config();
-        let graph = Homogeneous::new(&cfg, Integrand::Graph { k: 10_000 });
+        let graph = MeanField::new(&cfg, Exponential, Integrand::Graph { k: 10_000 });
         let mut graph = MeanFieldEnv::new(cfg.clone(), graph);
         assert_same_rewards(&mut graph, &mut MeanFieldEnv::homogeneous(cfg), 7, 0.3, 1e-4);
     }
 
     #[test]
     fn hetero_class_derivation_matches_first_appearance_order() {
-        let (w, r) = hetero_classes(&[1.6, 0.4, 1.6, 0.4, 0.4]);
-        assert_eq!(r, vec![1.6, 0.4]);
+        let classes = RateClasses::new(&[1.6, 0.4, 1.6, 0.4, 0.4]);
+        let w = classes.class_weights();
+        assert_eq!(classes.class_rates(), &[1.6, 0.4]);
         assert!((w[0] - 0.4).abs() < 1e-12 && (w[1] - 0.6).abs() < 1e-12);
     }
 

@@ -81,7 +81,7 @@ fn checkpoint_fingerprints_are_pinned_per_env_kind() {
         ("event_pareto.json", 0xeaabc50e3821be9d),
         ("graph_ring.json", 0x18cb1ce98c2621b4),
         ("graph_torus_large.json", 0xea9f355a3d08d913),
-        ("hetero_two_speed.json", 0xb2258e13ff671661),
+        ("hetero_two_speed.json", 0x8f0de3157621e64d),
         ("joblevel.json", 0xe6509f0369497c6e),
         ("oracle_tiny.json", 0x71ef5c51b9a08dba),
         ("perclient.json", 0x0cd2a7bd0ff0260d),
@@ -90,7 +90,7 @@ fn checkpoint_fingerprints_are_pinned_per_env_kind() {
         ("full_mesh_graph", 0x10a6d5bc5ebeda77),
         ("ring_graph_crashes", 0x65cc49430740429a),
         ("event_crashy_holding", 0x29673344a523920c),
-        ("hetero_holding", 0x80108fa323a0d6d7),
+        ("hetero_holding", 0x70c356dfb3978c6a),
         ("ph_holding", 0x96c69dfbe655db1d),
     ];
     let mut names: Vec<String> = std::fs::read_dir(examples_dir())

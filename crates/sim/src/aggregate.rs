@@ -39,6 +39,8 @@ use crate::episode::{
     birth_death_queue_epoch, length_epoch_stats, sample_initial_queues, Engine, EpochStats,
 };
 use mflb_core::meanfield::per_state_arrival_rates;
+use mflb_core::service::{composite_index, ServiceModel};
+pub use mflb_core::service::{Exponential, RateClasses};
 use mflb_core::{DecisionRule, StateDist, SystemConfig};
 use mflb_queue::sampler::Sampler;
 use mflb_queue::{PhQueueState, PhaseType};
@@ -115,8 +117,11 @@ pub fn sample_client_assignments_into(
 
 /// A per-queue service model of [`AggregateEngine`]: what a queue carries
 /// across epochs, what the clients observe of it, how it starts and how
-/// it evolves for one epoch.
-pub trait Service: Clone + Debug + Send + Sync {
+/// it evolves for one epoch. The observed-state count and the chains the
+/// mean field runs come from the [`ServiceModel`] supertrait, so the
+/// engine and its mean-field limit ([`mflb_core::mdp::MeanField`]) share
+/// one type.
+pub trait Service: ServiceModel {
     /// Per-queue state carried across epochs.
     type Queue: Copy + Debug + Send + Sync;
 
@@ -125,12 +130,6 @@ pub trait Service: Clone + Debug + Send + Sync {
 
     /// Queue length of a per-queue state.
     fn length(queue: Self::Queue) -> usize;
-
-    /// Number of observed states, given the `B + 1` queue lengths
-    /// (decision rules range over exactly these states).
-    fn num_observed(&self, num_lengths: usize) -> usize {
-        num_lengths
-    }
 
     /// Observed state of queue `j` in state `queue` (its length unless the
     /// service says otherwise).
@@ -155,9 +154,6 @@ pub trait Service: Clone + Debug + Send + Sync {
 
 /// Exponential service at `config.service_rate` on every queue — the
 /// paper's model.
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential;
-
 impl Service for Exponential {
     type Queue = usize;
 
@@ -185,60 +181,9 @@ impl Service for Exponential {
     }
 }
 
-/// Heterogeneous exponential service (the paper's §5 extension): server
-/// `j` serves at its rate class's rate, and clients observe composite
-/// `(length, class)` states `c·(B+1) + z`, so rules are built over
-/// `C·(B+1)` states (e.g. with `mflb_policy::sed_rule`).
+/// Heterogeneous exponential service: server `j` serves at its class
+/// rate and is observed in its composite `(length, class)` state.
 /// `config.service_rate` is ignored.
-#[derive(Debug, Clone)]
-pub struct RateClasses {
-    /// Rate class of each server (index into `class_rates`).
-    class_of: Vec<usize>,
-    /// Distinct class rates, in class order.
-    class_rates: Vec<f64>,
-}
-
-impl RateClasses {
-    /// Quantizes per-server rates into classes, numbered in
-    /// first-appearance order (rates within `1e-12` share a class). The
-    /// scenario validation and the training env use the same quantization,
-    /// so composite indices agree everywhere.
-    pub fn new(rates: &[f64]) -> Self {
-        let mut class_rates: Vec<f64> = Vec::new();
-        let class_of = rates
-            .iter()
-            .map(|&r| match class_rates.iter().position(|&x| (x - r).abs() < 1e-12) {
-                Some(c) => c,
-                None => {
-                    class_rates.push(r);
-                    class_rates.len() - 1
-                }
-            })
-            .collect();
-        Self { class_of, class_rates }
-    }
-
-    /// Number of distinct rate classes.
-    pub fn num_classes(&self) -> usize {
-        self.class_rates.len()
-    }
-
-    /// Distinct class rates.
-    pub fn class_rates(&self) -> &[f64] {
-        &self.class_rates
-    }
-
-    /// Fraction of servers in each class.
-    pub fn class_weights(&self) -> Vec<f64> {
-        let mut counts = vec![0usize; self.num_classes()];
-        for &c in &self.class_of {
-            counts[c] += 1;
-        }
-        let total = self.class_of.len().max(1) as f64;
-        counts.iter().map(|&c| c as f64 / total).collect()
-    }
-}
-
 impl Service for RateClasses {
     type Queue = usize;
 
@@ -250,16 +195,12 @@ impl Service for RateClasses {
         queue
     }
 
-    fn num_observed(&self, num_lengths: usize) -> usize {
-        self.num_classes() * num_lengths
-    }
-
     fn observe(&self, j: usize, queue: usize, num_lengths: usize) -> usize {
-        mflb_policy::composite_index(queue, self.class_of[j], num_lengths)
+        composite_index(queue, self.class_of(j), num_lengths)
     }
 
     fn initial_queues(&self, config: &SystemConfig, rng: &mut StdRng) -> Vec<usize> {
-        assert_eq!(self.class_of.len(), config.num_queues, "one rate per server");
+        assert_eq!(self.num_servers(), config.num_queues, "one rate per server");
         sample_initial_queues(config, rng)
     }
 
@@ -271,16 +212,15 @@ impl Service for RateClasses {
         config: &SystemConfig,
         rng: &mut StdRng,
     ) -> (u64, u64) {
-        let rate = self.class_rates[self.class_of[j]];
+        let rate = self.class_rates()[self.class_of(j)];
         birth_death_queue_epoch(queue, arrival_rate, rate, config, rng)
     }
 }
 
-/// Phase-type service — the simulator counterpart of
-/// [`mflb_core::ph_meanfield`]. Each queue is an `M/PH/1/B` chain over
-/// joint `(length, phase)` states, simulated exactly with Gillespie;
-/// phases persist across epochs, so residual service ages correctly.
-/// Clients observe lengths only. `config.service_rate` is ignored.
+/// Phase-type service. Each queue is an `M/PH/1/B` chain over joint
+/// `(length, phase)` states, simulated exactly with Gillespie; phases
+/// persist across epochs, so residual service ages correctly. Clients
+/// observe lengths only. `config.service_rate` is ignored.
 impl Service for PhaseType {
     type Queue = PhQueueState;
 
@@ -452,8 +392,8 @@ mod tests {
     use super::*;
     use crate::episode::{run_episode, run_rng, sample_per_client_assignments};
     use crate::monte_carlo::monte_carlo;
-    use mflb_core::mdp::FixedRulePolicy;
-    use mflb_linalg::stats::{chi_square_test, Summary};
+    use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField};
+    use mflb_linalg::stats::{chi_square_two_sample, Summary};
     use mflb_policy::sed_rule;
     use rand::SeedableRng;
 
@@ -498,8 +438,9 @@ mod tests {
     /// with the hierarchical sampler and with the per-client oracle (every
     /// client samples `d` queues and observes them through
     /// [`AggregateEngine::observe`]); the count distribution of queue `j`
-    /// must agree: means within joint noise, and a chi-square test on the
-    /// count histogram (30 buckets over `[0, max_c]`) at p > 1e-4.
+    /// must agree: means within joint noise, and a two-sample chi-square
+    /// test on the count histograms (30 buckets over `[0, max_c]`) at
+    /// p > 1e-4.
     fn assert_count_marginal_matches_per_client_oracle<S: Service>(
         engine: &AggregateEngine<S>,
         queues: &[S::Queue],
@@ -543,8 +484,9 @@ mod tests {
             sum_a.mean(),
             sum_b.mean()
         );
-        // Histogram agreement via chi-square (per-client as "expected").
-        let (_, _, p) = chi_square_test(&hist_a, &hist_b, 8.0);
+        // Histogram agreement via the two-sample chi-square test (both
+        // histograms are sampled).
+        let (_, _, p) = chi_square_two_sample(&hist_a, &hist_b, 8.0);
         assert!(p > 1e-4, "queue {j} count-histogram chi-square p = {p}");
     }
 
@@ -643,7 +585,7 @@ mod tests {
 
     #[test]
     fn rate_classes_start_from_nu0() {
-        // The Hetero closure starts every class at ν₀; so must the engine.
+        // The mean field starts every class at ν₀; so must the engine.
         let mut cfg = SystemConfig::paper().with_size(400, 20);
         cfg.initial_dist = vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0];
         let engine = AggregateEngine::with_service(cfg, two_speed(10, 10));
@@ -755,7 +697,7 @@ mod tests {
             s.push(run_episode(&engine, &policy, horizon, &mut run_rng(30, r)).total_drops);
         }
         // Mean-field reference on matched random arrival sequences.
-        let closure = mflb_core::mdp::Ph::new(&cfg, service);
+        let closure = MeanField::new(&cfg, service, Integrand::FullMesh);
         let mdp = mflb_core::MeanFieldMdp::with_closure(cfg, closure);
         let mut mf = Summary::new();
         let mut rng = StdRng::seed_from_u64(7);

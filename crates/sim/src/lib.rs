@@ -14,11 +14,13 @@
 //!   aggregation of the client layer, `O(M)` per epoch, *identical in
 //!   law* (see its module docs for the argument). This is what makes the
 //!   paper's `N = M² = 10^6` configurations tractable. It is generic over
-//!   a per-queue [`aggregate::Service`]: [`aggregate::Exponential`] (the
+//!   a per-queue [`aggregate::Service`]: [`Exponential`] (the
 //!   paper's model), [`RateClasses`] (heterogeneous service rates with
 //!   composite `(length, class)` observations, the paper's §5 extension) and
 //!   [`mflb_queue::PhaseType`] (phase-type service over joint
-//!   `(length, phase)` queue states, §5);
+//!   `(length, phase)` queue states, §5) — the service models of
+//!   `mflb_core::service`, so the engine and its mean-field limit
+//!   `mflb_core::mdp::MeanField` run on one type;
 //! * [`staggered::StaggeredEngine`] — cohort-staggered information
 //!   refreshes (the Zhou/Shroff/Wierman baseline), with per-client stale
 //!   snapshots carried in its state;
@@ -55,7 +57,7 @@ pub mod scenario;
 pub mod serve;
 pub mod staggered;
 
-pub use aggregate::{AggregateEngine, RateClasses};
+pub use aggregate::{AggregateEngine, Exponential, RateClasses};
 pub use client::PerClientEngine;
 pub use episode::{
     run_episode, run_episode_conditioned, run_episodes_lockstep, run_rng, sample_initial_queues,

@@ -19,8 +19,8 @@
 //! cargo run --release --example locality_ring
 //! ```
 
-use mflb::core::mdp::{FixedRulePolicy, Homogeneous, Integrand, MeanFieldMdp};
-use mflb::core::Topology;
+use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp};
+use mflb::core::{Exponential, Topology};
 use mflb::policy::{jsq_rule, rnd_rule};
 use mflb::sim::{monte_carlo, EngineSpec, Scenario};
 use rand::rngs::StdRng;
@@ -78,7 +78,7 @@ fn main() {
     // Degree-indexed mean-field check: the k-neighborhood annealed closure
     // should land in the same regime as the finite ring's JSQ drops
     // (leading-order prediction; lattice correlations bias it low).
-    let graph = Homogeneous::new(&config, Integrand::Graph { k });
+    let graph = MeanField::new(&config, Exponential, Integrand::Graph { k });
     let mdp = MeanFieldMdp::with_closure(config.clone(), graph);
     let mf_drops = -mdp.evaluate(&jsq, horizon, 8, &mut StdRng::seed_from_u64(seed)).mean();
     println!(

@@ -11,7 +11,7 @@
 //! cargo run --release --example nonexponential_service
 //! ```
 
-use mflb::core::mdp::{FixedRulePolicy, MeanFieldMdp, Ph};
+use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp};
 use mflb::core::SystemConfig;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
 use mflb::queue::PhaseType;
@@ -47,7 +47,8 @@ fn main() {
 
         // (a) PH mean-field model: joint (length, phase) distribution,
         //     exact discretization per epoch.
-        let mdp = MeanFieldMdp::with_closure(config.clone(), Ph::new(&config, service.clone()));
+        let closure = MeanField::new(&config, service.clone(), Integrand::FullMesh);
+        let mdp = MeanFieldMdp::with_closure(config.clone(), closure);
         let mut rng = StdRng::seed_from_u64(1);
         print!("  mean-field drops: ");
         for p in &policies {

@@ -205,7 +205,7 @@ impl Tier {
     fn build(self, args: &Args, scenario: &Scenario) -> Box<dyn UpperPolicy + Sync + Send> {
         let (zs, d) = (scenario.config.num_states(), scenario.config.d);
         let classes = match &scenario.engine {
-            EngineSpec::Hetero { rates } => mflb::rl::hetero_classes(rates).1.len(),
+            EngineSpec::Hetero { rates } => mflb::sim::RateClasses::new(rates).num_classes(),
             _ => 1,
         };
         let rule = |rule: DecisionRule, name: String| -> Box<dyn UpperPolicy + Sync + Send> {
@@ -722,7 +722,7 @@ fn cmd_dp_solve(args: &Args) {
 }
 
 fn cmd_scv_compare(args: &Args) {
-    use mflb::core::mdp::Ph;
+    use mflb::core::mdp::{Integrand, MeanField};
     let config = build_config(args);
     let scv: f64 = args.get("--scv");
     let runs: usize = args.get("--runs");
@@ -738,7 +738,8 @@ fn cmd_scv_compare(args: &Args) {
     );
     let policy = homogeneous_policy(args, &config);
 
-    let mdp = MeanFieldMdp::with_closure(config.clone(), Ph::new(&config, service.clone()));
+    let closure = MeanField::new(&config, service.clone(), Integrand::FullMesh);
+    let mdp = MeanFieldMdp::with_closure(config.clone(), closure);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mf = mflb::linalg::stats::Summary::new();
     for _ in 0..24 {

@@ -8,10 +8,10 @@
 //! If an intentional behaviour change ever breaks these, re-capture the
 //! constants (print `total_drops.to_bits()`) and say so in the PR.
 
-use mflb::core::mdp::{FixedRulePolicy, Hetero, Homogeneous, Integrand, Ph};
+use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField};
 use mflb::core::{
-    CrashFaults, FaultPlan, JobSizeLaw, MeanFieldMdp, ObservationFaults, OverloadWindow, StateDist,
-    StragglerWindow, SystemConfig, Topology,
+    CrashFaults, Exponential, FaultPlan, JobSizeLaw, MeanFieldMdp, ObservationFaults,
+    OverloadWindow, StateDist, StragglerWindow, SystemConfig, Topology,
 };
 use mflb::dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb::linalg::stats::Summary;
@@ -324,7 +324,7 @@ fn mean_field_rollouts_reproduce_their_pinned_returns() {
 #[test]
 fn phase_type_mean_field_reproduces_its_pinned_return() {
     let cfg = SystemConfig::paper().with_dt(5.0);
-    let closure = Ph::new(&cfg, PhaseType::fit_mean_scv(1.0, 2.0));
+    let closure = MeanField::new(&cfg, PhaseType::fit_mean_scv(1.0, 2.0), Integrand::FullMesh);
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout_conditioned(&jsq(), &level_path()).total_return;
     assert_eq!(ret.to_bits(), 0xc01bb0b72da6ad72, "got {:#x}", ret.to_bits());
@@ -335,10 +335,10 @@ fn hetero_mean_field_reproduces_its_pinned_return() {
     let sed = FixedRulePolicy::new(sed_rule(6, 2, &[1.6, 0.4]), "SED(2)");
     let mut cfg = SystemConfig::paper().with_dt(5.0);
     cfg.arrivals = ArrivalProcess::constant(0.9);
-    let closure = Hetero::new(&cfg, vec![0.5, 0.5], vec![1.6, 0.4]);
+    let closure = MeanField::new(&cfg, RateClasses::new(&[1.6, 0.4]), Integrand::FullMesh);
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout_conditioned(&sed, &[0; 24]).total_return;
-    assert_eq!(ret.to_bits(), 0xc025eebb9e834587, "got {:#x}", ret.to_bits());
+    assert_eq!(ret.to_bits(), 0xc025eebb9e83458c, "got {:#x}", ret.to_bits());
 }
 
 #[test]
@@ -346,7 +346,7 @@ fn graph_mean_field_reproduces_its_pinned_return() {
     // One episode of the degree-indexed closure at k = 3, the JSQ row of
     // the locality figure.
     let cfg = SystemConfig::paper().with_dt(5.0);
-    let closure = Homogeneous::new(&cfg, Integrand::Graph { k: 3 });
+    let closure = MeanField::new(&cfg, Exponential, Integrand::Graph { k: 3 });
     let mdp = MeanFieldMdp::with_closure(cfg, closure);
     let ret = mdp.rollout(&jsq(), 24, &mut StdRng::seed_from_u64(0xC0FFEE)).total_return;
     assert_eq!(ret.to_bits(), 0xc018e6d4c0c42c50, "got {:#x}", ret.to_bits());

@@ -3,7 +3,7 @@
 //! mean-field drops as the pool grows — Theorem 1 carried to the
 //! composite-state extension.
 
-use mflb::core::mdp::{FixedRulePolicy, Hetero};
+use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField};
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::sed_rule;
@@ -21,7 +21,7 @@ fn finite_hetero_system_tracks_hetero_mean_field() {
     // Mean-field reference at constant λ = 0.9.
     let mut mf_cfg = SystemConfig::paper().with_dt(dt);
     mf_cfg.arrivals = ArrivalProcess::constant(0.9);
-    let closure = Hetero::new(&mf_cfg, vec![0.5, 0.5], class_rates.to_vec());
+    let closure = MeanField::new(&mf_cfg, RateClasses::new(&class_rates), Integrand::FullMesh);
     let mdp = MeanFieldMdp::with_closure(mf_cfg, closure);
     let mf_drops = -mdp.rollout_conditioned(&policy, &vec![0; horizon]).total_return;
 

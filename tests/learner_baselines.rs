@@ -4,14 +4,14 @@
 //! initialization, and their deployed deterministic policies must be
 //! valid upper-level policies.
 
-use mflb::core::mdp::{FixedRulePolicy, Homogeneous};
+use mflb::core::mdp::{FixedRulePolicy, MeanField};
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::policy::{rnd_rule, NeuralUpperPolicy};
 use mflb::rl::{CemConfig, CemTrainer, MeanFieldEnv, ReinforceConfig, ReinforceTrainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn small_env() -> (SystemConfig, MeanFieldEnv<Homogeneous>) {
+fn small_env() -> (SystemConfig, MeanFieldEnv<MeanField>) {
     let cfg = SystemConfig::paper().with_dt(5.0);
     let env = MeanFieldEnv::homogeneous(cfg.clone()).with_horizon(25);
     (cfg, env)

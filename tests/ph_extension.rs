@@ -3,7 +3,7 @@
 //! (`mflb-core`) and the finite PH engine (`mflb-sim`) must agree with
 //! each other and collapse to the exponential baseline at one phase.
 
-use mflb::core::mdp::{FixedRulePolicy, Ph};
+use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField};
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
@@ -15,8 +15,9 @@ fn config() -> SystemConfig {
 }
 
 /// The mean-field MDP over the phase-type closure.
-fn ph_mdp(cfg: &SystemConfig, service: &PhaseType) -> MeanFieldMdp<Ph> {
-    MeanFieldMdp::with_closure(cfg.clone(), Ph::new(cfg, service.clone()))
+fn ph_mdp(cfg: &SystemConfig, service: &PhaseType) -> MeanFieldMdp<MeanField<PhaseType>> {
+    let closure = MeanField::new(cfg, service.clone(), Integrand::FullMesh);
+    MeanFieldMdp::with_closure(cfg.clone(), closure)
 }
 
 #[test]

@@ -1,9 +1,18 @@
 //! Property-based invariants of the phase-type extension, for arbitrary
 //! distributions, rules and fitted service laws.
 
-use mflb::core::{ph_mean_field_step, DecisionRule, PhDist, StateDist};
+use mflb::core::mdp::{Closure, Integrand, MeanField};
+use mflb::core::{DecisionRule, StateDist, SystemConfig};
 use mflb::queue::{PhQueue, PhaseType};
 use proptest::prelude::*;
+
+/// The phase-type mean-field closure at `nu` (B = 4), lifted to the
+/// joint `(length, phase)` space.
+fn ph_closure(nu: &StateDist, service: PhaseType) -> MeanField<PhaseType> {
+    let mut cfg = SystemConfig::paper().with_buffer(4);
+    cfg.initial_dist = nu.as_slice().to_vec();
+    MeanField::new(&cfg, service, Integrand::FullMesh)
+}
 
 /// Strategy: a random length distribution over `{0..B}` for B = 4.
 fn dist_strategy() -> impl Strategy<Value = StateDist> {
@@ -43,14 +52,14 @@ proptest! {
         lambda in 0.0f64..1.5,
         dt in 0.2f64..8.0,
     ) {
-        let joint = PhDist::from_lengths(&nu, &service);
-        let step = ph_mean_field_step(&joint, &rule, lambda, &service, dt);
-        let mass: f64 = step.next_dist.as_slice().iter().sum();
+        let mut joint = ph_closure(&nu, service);
+        let (drops, _) = joint.step(&rule, lambda, 0.0, dt);
+        let mass: f64 = joint.dist().as_slice().iter().sum();
         prop_assert!((mass - 1.0).abs() < 1e-8, "mass {mass}");
-        prop_assert!(step.next_dist.as_slice().iter().all(|&p| p >= 0.0));
-        prop_assert!(step.expected_drops >= -1e-12);
-        prop_assert!(step.expected_drops <= lambda * dt + 1e-9,
-            "drops {} exceed arrivals {}", step.expected_drops, lambda * dt);
+        prop_assert!(joint.dist().as_slice().iter().all(|&p| p >= 0.0));
+        prop_assert!(drops >= -1e-12);
+        prop_assert!(drops <= lambda * dt + 1e-9,
+            "drops {} exceed arrivals {}", drops, lambda * dt);
     }
 
     #[test]
@@ -58,8 +67,8 @@ proptest! {
         nu in dist_strategy(),
         service in service_strategy(),
     ) {
-        let joint = PhDist::from_lengths(&nu, &service);
-        prop_assert!(joint.length_marginal().l1_distance(&nu) < 1e-10);
+        let joint = ph_closure(&nu, service);
+        prop_assert!(joint.observed().l1_distance(&nu) < 1e-10);
     }
 
     #[test]
