@@ -179,14 +179,14 @@ impl Scale {
 }
 
 /// The directory where experiment CSVs are written.
-pub fn experiments_dir() -> PathBuf {
+pub(crate) fn experiments_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     dir
 }
 
 /// The directory holding trained policy checkpoints.
-pub fn policies_dir() -> PathBuf {
+pub(crate) fn policies_dir() -> PathBuf {
     PathBuf::from("assets/policies")
 }
 

@@ -14,8 +14,8 @@
 //! * `fig_sparse_scale` — sharded sparse-graph epoch throughput from
 //!   10^4 to 10^6 queues (ours).
 //!
-//! `cargo bench -p mflb-bench` runs the criterion micro-benchmarks of the
-//! computational kernels.
+//! [`perf`] holds the timed suites behind `mflb bench` and the
+//! `mflb bench-diff` gate.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

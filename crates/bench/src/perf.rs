@@ -5,8 +5,9 @@
 //!
 //! 1. **kernels** — the register-blocked `*_into` GEMMs vs the naive
 //!    allocating matmuls at the paper's 2×256 policy shape, the Padé
-//!    `expm` reference, and the uniformization epoch and mean-field steps
-//!    behind every mean-field closure,
+//!    `expm` reference, the uniformization epoch and mean-field steps
+//!    behind every mean-field closure, the aggregate engine's binomial,
+//!    Poisson and multinomial draws, and logit-to-rule decoding,
 //! 2. **inference tiers** — the `gemv`/workspace `forward_one_into`
 //!    batch-1 fast path vs the allocating `forward_one` it replaced, the
 //!    batched `forward_rows_into` gemm vs K sequential gemvs (the
@@ -15,8 +16,15 @@
 //! 3. **PPO** — rollout collection and minibatch-update throughput of
 //!    [`mflb_rl::PpoTrainer`] on the mean-field control environment,
 //! 4. **deployment** — Monte-Carlo finite-system epochs driven by a
-//!    [`mflb_policy::NeuralUpperPolicy`] decision per epoch, plus one
-//!    end-to-end pinned-seed quick-scale `train_scenario` run.
+//!    [`mflb_policy::NeuralUpperPolicy`] decision per epoch, the aggregate,
+//!    staggered and phase-type Gillespie epochs, plus one end-to-end
+//!    pinned-seed quick-scale `train_scenario` run,
+//! 5. **lattice DP** — simplex snap and interpolation (the inner step of
+//!    every Bellman backup) and one whole value-iteration solve.
+//!
+//! Entries with a naive twin time both sides in alternating rounds and
+//! report each side's median round, so drift in machine speed during the
+//! run hits both sides alike.
 //!
 //! `mflb bench` serializes the [`BenchReport`] to `BENCH_kernels.json`,
 //! establishing the repo's perf trajectory: every PR's CI uploads the
@@ -100,7 +108,9 @@ pub struct PerfDiffRow {
     /// `baseline_speedup / fresh_speedup` — how much of the kernel's
     /// same-machine margin over its naive twin was lost (`> 1` = lost).
     pub ratio: Option<f64>,
-    /// Whether `ratio` exceeds the gate threshold.
+    /// Whether the fresh report lacks this baseline entry.
+    pub missing: bool,
+    /// Whether the entry is missing or `ratio` exceeds the gate threshold.
     pub regressed: bool,
 }
 
@@ -110,7 +120,7 @@ pub struct PerfDiffRow {
 /// CI runner are different machines), so the gate compares each kernel's
 /// **speedup over its own in-run naive twin** — a same-machine ratio by
 /// construction. Entries without an in-run baseline (rollout/update/MC
-/// throughputs) are listed for visibility but never gate.
+/// throughputs) are listed for visibility and gate only on being present.
 #[derive(Debug, Clone)]
 pub struct PerfDiff {
     /// Per-kernel comparison, in baseline-report order.
@@ -120,7 +130,8 @@ pub struct PerfDiff {
 }
 
 impl PerfDiff {
-    /// The kernels whose same-machine margin regressed past the threshold.
+    /// The kernels that are missing from the fresh report or whose
+    /// same-machine margin regressed past the threshold.
     pub fn regressions(&self) -> Vec<&PerfDiffRow> {
         self.rows.iter().filter(|r| r.regressed).collect()
     }
@@ -141,6 +152,7 @@ impl PerfDiff {
         let fmt = |v: Option<f64>| v.map_or("–".to_string(), |s| format!("{s:.2}x"));
         for r in &self.rows {
             let verdict = match (r.ratio, r.regressed) {
+                _ if r.missing => "**MISSING**",
                 (None, _) => "untracked",
                 (Some(_), true) => "**REGRESSED**",
                 (Some(_), false) => "ok",
@@ -159,7 +171,7 @@ impl PerfDiff {
             out.push_str("\nAll tracked kernels within the gate.\n");
         } else {
             out.push_str(&format!(
-                "\n**{n} kernel(s) regressed past the {:.2}x gate.**\n",
+                "\n**{n} kernel(s) missing or regressed past the {:.2}x gate.**\n",
                 self.max_ratio
             ));
         }
@@ -168,28 +180,32 @@ impl PerfDiff {
 }
 
 /// Diffs a fresh perf report against the committed baseline (see
-/// [`PerfDiff`] for the gating semantics). Kernels present in only one
-/// report are skipped silently — renaming a kernel therefore *removes* it
-/// from the gate, so rename together with the committed baseline.
+/// [`PerfDiff`] for the gating semantics). A baseline entry the fresh
+/// report lacks is a failing `missing` row, so renaming or dropping an
+/// entry needs the committed baseline regenerated with it; entries only
+/// the fresh report has are not compared.
 pub fn compare_reports(baseline: &BenchReport, fresh: &BenchReport, max_ratio: f64) -> PerfDiff {
     assert!(max_ratio > 0.0 && max_ratio.is_finite());
-    let mut rows = Vec::new();
-    for b in &baseline.entries {
-        let Some(f) = fresh.entries.iter().find(|f| f.name == b.name) else {
-            continue;
-        };
-        let ratio = match (b.speedup, f.speedup) {
-            (Some(bs), Some(fs)) if fs > 0.0 => Some(bs / fs),
-            _ => None,
-        };
-        rows.push(PerfDiffRow {
-            name: b.name.clone(),
-            baseline_speedup: b.speedup,
-            fresh_speedup: f.speedup,
-            ratio,
-            regressed: ratio.is_some_and(|r| r > max_ratio),
-        });
-    }
+    let rows = baseline
+        .entries
+        .iter()
+        .map(|b| {
+            let f = fresh.entries.iter().find(|f| f.name == b.name);
+            let fresh_speedup = f.and_then(|f| f.speedup);
+            let ratio = match (b.speedup, fresh_speedup) {
+                (Some(bs), Some(fs)) if fs > 0.0 => Some(bs / fs),
+                _ => None,
+            };
+            PerfDiffRow {
+                name: b.name.clone(),
+                baseline_speedup: b.speedup,
+                fresh_speedup,
+                ratio,
+                missing: f.is_none(),
+                regressed: f.is_none() || ratio.is_some_and(|r| r > max_ratio),
+            }
+        })
+        .collect();
     PerfDiff { rows, max_ratio }
 }
 
@@ -200,6 +216,29 @@ fn time_loop<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         f();
     }
     t0.elapsed().as_secs_f64()
+}
+
+/// Most rounds a naive-vs-fast comparison is split into (see
+/// [`interleaved`]).
+const ROUNDS: usize = 20;
+
+/// Times `iters` repetitions of each closure in `min(ROUNDS, iters)`
+/// alternating rounds, so that drift in machine speed over the run hits
+/// every side alike. Returns each side's median round scaled to `iters`
+/// repetitions (total seconds, like [`time_loop`]).
+fn interleaved<const K: usize>(iters: usize, mut sides: [&mut dyn FnMut(); K]) -> [f64; K] {
+    let rounds = ROUNDS.min(iters);
+    assert!(iters.is_multiple_of(rounds), "{iters} repetitions do not split into {rounds} rounds");
+    let mut secs = [(); K].map(|_| Vec::with_capacity(rounds));
+    for _ in 0..rounds {
+        for (side, f) in secs.iter_mut().zip(sides.iter_mut()) {
+            side.push(time_loop(iters / rounds, f));
+        }
+    }
+    secs.map(|mut side| {
+        side.sort_by(f64::total_cmp);
+        (side[(rounds - 1) / 2] + side[rounds / 2]) / 2.0 * rounds as f64
+    })
 }
 
 /// Builds an entry from a timed loop: `ops_per_iter` units of work per
@@ -245,14 +284,19 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let a = bench_tensor(128, 256, 1);
         let w = bench_tensor(256, 256, 2);
         let iters = 40 * scale;
-        let naive = time_loop(iters, || {
-            black_box(black_box(&a).matmul(&w));
-        });
         let mut out = Tensor::zeros(128, 256);
-        let blocked = time_loop(iters, || {
-            black_box(&a).matmul_into(&w, &mut out);
-            black_box(&out);
-        });
+        let [naive, blocked] = interleaved(
+            iters,
+            [
+                &mut || {
+                    black_box(black_box(&a).matmul(&w));
+                },
+                &mut || {
+                    black_box(&a).matmul_into(&w, &mut out);
+                    black_box(&out);
+                },
+            ],
+        );
         let flops = 2.0 * 128.0 * 256.0 * 256.0;
         entries.push(with_baseline(
             entry("gemm_nn_128x256x256_blocked", iters, blocked, flops, "flop/s"),
@@ -261,14 +305,19 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
 
         // Weight-gradient shape: activationsᵀ·∂y, both batch-major.
         let g = bench_tensor(128, 256, 5);
-        let gnaive = time_loop(iters, || {
-            black_box(black_box(&a).matmul_tn(&g));
-        });
         let mut gout = Tensor::zeros(256, 256);
-        let gblocked = time_loop(iters, || {
-            black_box(&a).matmul_tn_into(&g, &mut gout);
-            black_box(&gout);
-        });
+        let [gnaive, gblocked] = interleaved(
+            iters,
+            [
+                &mut || {
+                    black_box(black_box(&a).matmul_tn(&g));
+                },
+                &mut || {
+                    black_box(&a).matmul_tn_into(&g, &mut gout);
+                    black_box(&gout);
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("gemm_tn_128x256x256_blocked", iters, gblocked, flops, "flop/s"),
             gnaive,
@@ -343,6 +392,38 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         entries.push(entry("birth_death_epoch_dt5", iters, secs, 1.0, "ops/s"));
     }
 
+    // --- 1c. The aggregate engine's per-epoch draws: BTRS binomial, PTRS
+    //     Poisson and a six-way multinomial at N = 10^6 clients, plus
+    //     decoding a policy's logits into a decision rule (|Z| = 6, d = 2).
+    //     Untracked. ---
+    {
+        use mflb_core::DecisionRule;
+        use mflb_queue::Sampler;
+
+        let mut rng = StdRng::seed_from_u64(4);
+        let iters = 20_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(Sampler::binomial(&mut rng, 1_000_000, black_box(0.001)));
+        });
+        entries.push(entry("binomial_btrs_n1e6_p1e-3", iters, secs, 1.0, "ops/s"));
+        let secs = time_loop(iters, || {
+            black_box(Sampler::poisson(&mut rng, black_box(4500.0)));
+        });
+        entries.push(entry("poisson_ptrs_mean4500", iters, secs, 1.0, "ops/s"));
+        let probs = [0.3, 0.25, 0.2, 0.15, 0.07, 0.03];
+        let iters = 5_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(Sampler::multinomial(&mut rng, 1_000_000, black_box(&probs)));
+        });
+        entries.push(entry("multinomial_6cat_n1e6", iters, secs, 1.0, "ops/s"));
+
+        let logits: Vec<f64> = (0..72).map(|i| (i as f64 * 0.37).sin()).collect();
+        let secs = time_loop(iters, || {
+            black_box(DecisionRule::from_logits(6, 2, black_box(&logits)));
+        });
+        entries.push(entry("decision_rule_from_logits_36x2", iters, secs, 1.0, "ops/s"));
+    }
+
     // --- 2. Batch-1 inference: gemv fast path vs allocating forward_one
     //     on the paper's 2×256 policy network (the Monte-Carlo decide and
     //     rollout hot path). ---
@@ -351,13 +432,18 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let mlp = Mlp::new(&[8, 256, 256, 72], Activation::Tanh, &mut rng);
         let obs = [0.25; 8];
         let iters = 2_000 * scale;
-        let naive = time_loop(iters, || {
-            black_box(mlp.forward_one(black_box(&obs)));
-        });
         let mut ws = Workspace::new();
-        let fast = time_loop(iters, || {
-            black_box(mlp.forward_one_into(black_box(&obs), &mut ws));
-        });
+        let [naive, fast] = interleaved(
+            iters,
+            [
+                &mut || {
+                    black_box(mlp.forward_one(black_box(&obs)));
+                },
+                &mut || {
+                    black_box(mlp.forward_one_into(black_box(&obs), &mut ws));
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("policy_forward_one_batch1_gemv", iters, fast, 1.0, "ops/s"),
             naive,
@@ -371,13 +457,18 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         // kernel on this shape.
         let quick_net = Mlp::new(&[8, 32, 32, 72], Activation::Tanh, &mut rng);
         let qiters = 20_000 * scale;
-        let qnaive = time_loop(qiters, || {
-            black_box(quick_net.forward_one(black_box(&obs)));
-        });
         let mut qws = Workspace::new();
-        let qfast = time_loop(qiters, || {
-            black_box(quick_net.forward_one_into(black_box(&obs), &mut qws));
-        });
+        let [qnaive, qfast] = interleaved(
+            qiters,
+            [
+                &mut || {
+                    black_box(quick_net.forward_one(black_box(&obs)));
+                },
+                &mut || {
+                    black_box(quick_net.forward_one_into(black_box(&obs), &mut qws));
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("policy_forward_one_batch1_gemv_2x32", qiters, qfast, 1.0, "ops/s"),
             qnaive,
@@ -393,15 +484,20 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let head = mflb_nn::Linear::xavier(32, 72, &mut rng);
         let hx: Vec<f64> = (0..32).map(|i| (i as f64 * 0.17).sin()).collect();
         let hiters = 50_000 * scale;
-        let hnaive = time_loop(hiters, || {
-            black_box(head.forward(&Tensor::from_row(black_box(&hx))));
-        });
         let mut hout = Tensor::zeros(1, 72);
         let hxt = Tensor::from_row(&hx);
-        let hfast = time_loop(hiters, || {
-            head.forward_into(black_box(&hxt), &mut hout);
-            black_box(&hout);
-        });
+        let [hnaive, hfast] = interleaved(
+            hiters,
+            [
+                &mut || {
+                    black_box(head.forward(&Tensor::from_row(black_box(&hx))));
+                },
+                &mut || {
+                    head.forward_into(black_box(&hxt), &mut hout);
+                    black_box(&hout);
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("gemv_policy_head_32x72_batch1", hiters, hfast, 1.0, "ops/s"),
             hnaive,
@@ -422,26 +518,30 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let k = 32usize;
         let rows: Vec<f64> = (0..k * 8).map(|i| ((i as f64) * 0.13).sin() * 0.5 + 0.5).collect();
         let iters = 200 * scale;
-        let mut ws_seq = Workspace::new();
-        let gemv = time_loop(iters, || {
-            for r in 0..k {
-                black_box(mlp.forward_one_into(black_box(&rows[r * 8..(r + 1) * 8]), &mut ws_seq));
-            }
-        });
-        let mut ws = Workspace::new();
-        let batched = time_loop(iters, || {
-            black_box(mlp.forward_rows_into(k, black_box(&rows), &mut ws));
-        });
+        let f32_net = mlp.to_f32();
+        let (mut ws_seq, mut ws, mut ws32) =
+            (Workspace::new(), Workspace::new(), F32Workspace::new());
+        let [gemv, batched, f32_secs] = interleaved(
+            iters,
+            [
+                &mut || {
+                    for r in 0..k {
+                        let row = black_box(&rows[r * 8..(r + 1) * 8]);
+                        black_box(mlp.forward_one_into(row, &mut ws_seq));
+                    }
+                },
+                &mut || {
+                    black_box(mlp.forward_rows_into(k, black_box(&rows), &mut ws));
+                },
+                &mut || {
+                    black_box(f32_net.forward_rows_into(k, black_box(&rows), &mut ws32));
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("batched_vs_gemv", iters, batched, k as f64, "rows/s"),
             gemv,
         ));
-
-        let f32_net = mlp.to_f32();
-        let mut ws32 = F32Workspace::new();
-        let f32_secs = time_loop(iters, || {
-            black_box(f32_net.forward_rows_into(k, black_box(&rows), &mut ws32));
-        });
         entries
             .push(with_baseline(entry("f32_vs_f64", iters, f32_secs, k as f64, "rows/s"), batched));
     }
@@ -497,19 +597,24 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let mlp = Mlp::new(&[8, 256, 256, 72], Activation::Tanh, &mut rng);
         let batch = bench_tensor(128, 8, 3);
         let iters = 20 * scale;
-        let naive = time_loop(iters, || {
-            let cache = mlp.forward_cached(black_box(&batch));
-            let grad = cache.output().clone();
-            black_box(mlp.backward(&cache, &grad));
-        });
         let mut ws = Workspace::new();
         let mut grad = Tensor::zeros(0, 0);
-        let fast = time_loop(iters, || {
-            mlp.forward_into(black_box(&batch), &mut ws);
-            grad.reset(128, 72);
-            grad.as_mut_slice().copy_from_slice(ws.output().as_slice());
-            black_box(mlp.backward_into(&mut ws, &grad));
-        });
+        let [naive, fast] = interleaved(
+            iters,
+            [
+                &mut || {
+                    let cache = mlp.forward_cached(black_box(&batch));
+                    let grad = cache.output().clone();
+                    black_box(mlp.backward(&cache, &grad));
+                },
+                &mut || {
+                    mlp.forward_into(black_box(&batch), &mut ws);
+                    grad.reset(128, 72);
+                    grad.as_mut_slice().copy_from_slice(ws.output().as_slice());
+                    black_box(mlp.backward_into(&mut ws, &grad));
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("mlp_forward_backward_batch128_ws", iters, fast, 1.0, "ops/s"),
             naive,
@@ -642,6 +747,64 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         ));
     }
 
+    // --- 5c. Finite-system epochs off the aggregate path: the staggered
+    //     engine (per-client, 4 snapshot cohorts) at M = 100, N = 10^4, and
+    //     one Gillespie epoch of a single H2 phase-type queue (Δt = 5), the
+    //     per-queue step of `AggregateEngine<PhaseType>`. Untracked. ---
+    {
+        use mflb_policy::jsq_rule;
+        use mflb_queue::{PhQueue, PhQueueState, PhaseType};
+        use mflb_sim::{Engine, StaggeredEngine};
+
+        let config = SystemConfig::paper().with_m_squared(100).with_dt(5.0);
+        let rule = jsq_rule(config.num_states(), config.d);
+        let staggered = StaggeredEngine::new(config, 4);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut state = staggered.init_state(&mut rng);
+        let iters = 20 * scale;
+        let secs = time_loop(iters, || {
+            black_box(staggered.step(&mut state, &rule, 0.9, &mut rng));
+        });
+        entries.push(entry("staggered_epoch_M100_N1e4_c4", iters, secs, 1.0, "epochs/s"));
+
+        let queue = PhQueue::new(0.9, PhaseType::fit_mean_scv(1.0, 2.0), 5);
+        let iters = 10_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(queue.simulate_epoch(PhQueueState { len: 2, phase: 0 }, 5.0, &mut rng));
+        });
+        entries.push(entry("ph_queue_gillespie_epoch_dt5", iters, secs, 1.0, "epochs/s"));
+    }
+
+    // --- 5d. The lattice DP: snapping and interpolating a distribution on
+    //     the B = 5, G = 12 simplex lattice (the inner step of every
+    //     Bellman backup), and one whole value-iteration solve on the
+    //     B = 3, G = 8 lattice with the softmin action library (about
+    //     0.1 s, so quick runs it once). Untracked. ---
+    {
+        use mflb_core::StateDist;
+        use mflb_dp::{ActionLibrary, DpConfig, DpSolution, SimplexGrid};
+
+        let grid = SimplexGrid::new(6, 12);
+        let nu = StateDist::new(vec![0.23, 0.17, 0.31, 0.12, 0.09, 0.08]);
+        let iters = 10_000 * scale;
+        let secs = time_loop(iters, || {
+            black_box(grid.interpolate(black_box(&nu)));
+        });
+        entries.push(entry("simplex_interpolate_B5_G12", iters, secs, 1.0, "ops/s"));
+        let secs = time_loop(iters, || {
+            black_box(grid.snap(black_box(&nu)));
+        });
+        entries.push(entry("simplex_snap_B5_G12", iters, secs, 1.0, "ops/s"));
+
+        let config = SystemConfig::paper().with_buffer(3).with_dt(5.0);
+        let dp = DpConfig { grid_resolution: 8, tol: 1e-6, max_sweeps: 4000, threads: 1 };
+        let secs = time_loop(scale, || {
+            let actions = ActionLibrary::softmin_default(config.num_states(), config.d);
+            black_box(DpSolution::solve(black_box(&config), actions, &dp));
+        });
+        entries.push(entry("value_iteration_B3_G8", scale, secs, 1.0, "ops/s"));
+    }
+
     // --- 6. End-to-end pinned-seed quick-scale training run. ---
     {
         let config = SystemConfig::paper().with_m_squared(20).with_dt(5.0);
@@ -719,24 +882,29 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
             hist[z] = w;
         }
         let support = vec![0usize, 2, 5, 7, 10];
-        let mut rates = vec![0.0f64; zs];
+        let (mut dense_rates, mut sparse_rates) = (vec![0.0f64; zs], vec![0.0f64; zs]);
         // Sub-µs kernel: enough iterations that the timed region is tens of
         // milliseconds even at quick scale, or the margin ratio is noise.
         let iters = 200_000 * scale;
-        let dense = time_loop(iters, || {
-            per_state_arrival_rates_into(black_box(&hist), &rule, 1.0, &mut rates);
-            black_box(&rates);
-        });
-        let sparse = time_loop(iters, || {
-            per_state_arrival_rates_sparse_into(
-                black_box(&hist),
-                black_box(&support),
-                &rule,
-                1.0,
-                &mut rates,
-            );
-            black_box(&rates);
-        });
+        let [dense, sparse] = interleaved(
+            iters,
+            [
+                &mut || {
+                    per_state_arrival_rates_into(black_box(&hist), &rule, 1.0, &mut dense_rates);
+                    black_box(&dense_rates);
+                },
+                &mut || {
+                    per_state_arrival_rates_sparse_into(
+                        black_box(&hist),
+                        black_box(&support),
+                        &rule,
+                        1.0,
+                        &mut sparse_rates,
+                    );
+                    black_box(&sparse_rates);
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("graph_rates_sparse_B10_d2", iters, sparse, 1.0, "ops/s"),
             dense,
@@ -755,9 +923,6 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
         let k = csr.neighborhood_size();
         let queues: Vec<usize> = (0..m).map(|j| (j * 7) % zs).collect();
         let inv_k = 1.0 / k as f64;
-        let mut hist = vec![0.0f64; zs];
-        let mut rates = vec![0.0f64; zs];
-        let mut support: Vec<usize> = Vec::with_capacity(zs);
         let fill_hist = |node: usize, hist: &mut [f64], support: &mut Vec<usize>| {
             hist.iter_mut().for_each(|h| *h = 0.0);
             support.clear();
@@ -771,27 +936,41 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
             hist.iter_mut().for_each(|h| *h *= inv_k);
             support.sort_unstable();
         };
+        // Each side sweeps with its own scratch (histogram, support, rates).
+        let scratch = || (vec![0.0f64; zs], Vec::with_capacity(zs), vec![0.0f64; zs]);
+        let (mut dense_hist, mut dense_support, mut dense_rates) = scratch();
+        let (mut hist, mut support, mut rates) = scratch();
         let iters = 10 * scale;
-        let dense = time_loop(iters, || {
-            for node in 0..m {
-                fill_hist(node, &mut hist, &mut support);
-                per_state_arrival_rates_into(black_box(&hist), &rule, 1.0, &mut rates);
-                black_box(&rates);
-            }
-        });
-        let sparse = time_loop(iters, || {
-            for node in 0..m {
-                fill_hist(node, &mut hist, &mut support);
-                per_state_arrival_rates_sparse_into(
-                    black_box(&hist),
-                    black_box(&support),
-                    &rule,
-                    1.0,
-                    &mut rates,
-                );
-                black_box(&rates);
-            }
-        });
+        let [dense, sparse] = interleaved(
+            iters,
+            [
+                &mut || {
+                    for node in 0..m {
+                        fill_hist(node, &mut dense_hist, &mut dense_support);
+                        per_state_arrival_rates_into(
+                            black_box(&dense_hist),
+                            &rule,
+                            1.0,
+                            &mut dense_rates,
+                        );
+                        black_box(&dense_rates);
+                    }
+                },
+                &mut || {
+                    for node in 0..m {
+                        fill_hist(node, &mut hist, &mut support);
+                        per_state_arrival_rates_sparse_into(
+                            black_box(&hist),
+                            black_box(&support),
+                            &rule,
+                            1.0,
+                            &mut rates,
+                        );
+                        black_box(&rates);
+                    }
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("graph_rates_sweep_ring_M10k", iters, sparse, m as f64, "nodes/s"),
             dense,
@@ -869,31 +1048,36 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
         let events: Vec<f64> =
             (0..n).map(|i| (i as f64 * 0.618_033_988_75).fract() * 1e3).collect();
         let iters = 20 * scale;
-        let heap = time_loop(iters, || {
-            let mut tl: Timeline<usize> = Timeline::new();
-            for (i, &t) in events.iter().enumerate() {
-                tl.schedule(t, i);
-            }
-            let mut checksum = 0.0f64;
-            while let Some((t, _, _)) = tl.pop() {
-                checksum += t;
-            }
-            black_box(checksum);
-        });
-        let scan = time_loop(iters, || {
-            let mut pending = black_box(&events).clone();
-            let mut checksum = 0.0f64;
-            while !pending.is_empty() {
-                let mut min = 0usize;
-                for (i, &t) in pending.iter().enumerate() {
-                    if t < pending[min] {
-                        min = i;
+        let [scan, heap] = interleaved(
+            iters,
+            [
+                &mut || {
+                    let mut pending = black_box(&events).clone();
+                    let mut checksum = 0.0f64;
+                    while !pending.is_empty() {
+                        let mut min = 0usize;
+                        for (i, &t) in pending.iter().enumerate() {
+                            if t < pending[min] {
+                                min = i;
+                            }
+                        }
+                        checksum += pending.swap_remove(min);
                     }
-                }
-                checksum += pending.swap_remove(min);
-            }
-            black_box(checksum);
-        });
+                    black_box(checksum);
+                },
+                &mut || {
+                    let mut tl: Timeline<usize> = Timeline::new();
+                    for (i, &t) in events.iter().enumerate() {
+                        tl.schedule(t, i);
+                    }
+                    let mut checksum = 0.0f64;
+                    while let Some((t, _, _)) = tl.pop() {
+                        checksum += t;
+                    }
+                    black_box(checksum);
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("serve_timeline_heap_n4k", iters, heap, n as f64, "events/s"),
             scan,
@@ -909,14 +1093,19 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
         let lengths: Vec<usize> = (0..m).map(|j| (j * 3) % (buffer + 1)).collect();
         let jobs_per_interval = 256usize;
         let iters = 200 * scale;
-        let once = time_loop(iters, || {
-            black_box(StateDist::empirical(black_box(&lengths), buffer));
-        });
-        let per_job = time_loop(iters, || {
-            for _ in 0..jobs_per_interval {
-                black_box(StateDist::empirical(black_box(&lengths), buffer));
-            }
-        });
+        let [per_job, once] = interleaved(
+            iters,
+            [
+                &mut || {
+                    for _ in 0..jobs_per_interval {
+                        black_box(StateDist::empirical(black_box(&lengths), buffer));
+                    }
+                },
+                &mut || {
+                    black_box(StateDist::empirical(black_box(&lengths), buffer));
+                },
+            ],
+        );
         entries.push(with_baseline(
             entry("serve_observe_refresh_M1k", iters, once, jobs_per_interval as f64, "jobs/s"),
             per_job,
@@ -1071,14 +1260,28 @@ mod tests {
             ("brand_new", Some(3.0)),
         ]);
         let diff = compare_reports(&baseline, &fresh, 1.3);
-        assert_eq!(diff.rows.len(), 3, "only shared entries are compared");
+        assert_eq!(diff.rows.len(), 3, "entries only the fresh report has are not compared");
         let regressed: Vec<&str> = diff.regressions().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(regressed, vec!["gemm"]);
         let md = diff.to_markdown();
         assert!(md.contains("| `gemm` |"), "{md}");
         assert!(md.contains("REGRESSED"), "{md}");
         assert!(md.contains("untracked"), "throughput-only entries never gate: {md}");
-        assert!(md.contains("1 kernel(s) regressed"), "{md}");
+        assert!(md.contains("1 kernel(s) missing or regressed"), "{md}");
+    }
+
+    #[test]
+    fn compare_reports_fails_on_baseline_entries_missing_from_fresh() {
+        let baseline = report_with(&[("gemv", Some(2.0)), ("rollout", None), ("gemm", Some(1.5))]);
+        let fresh = report_with(&[("gemv", Some(2.0))]);
+        let diff = compare_reports(&baseline, &fresh, 1.3);
+        assert_eq!(diff.rows.len(), 3, "every baseline entry gets a row");
+        let missing: Vec<&str> = diff.regressions().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(missing, vec!["rollout", "gemm"], "untracked entries must be present too");
+        assert!(diff.regressions().iter().all(|r| r.missing && r.fresh_speedup.is_none()));
+        let md = diff.to_markdown();
+        assert!(md.contains("| `rollout` | – | – | – | **MISSING** |"), "{md}");
+        assert!(md.contains("2 kernel(s) missing or regressed"), "{md}");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Mat {
     }
 
     /// Scales every entry by `s` in place.
-    pub fn scale_mut(&mut self, s: f64) {
+    pub(crate) fn scale_mut(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }

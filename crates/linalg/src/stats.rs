@@ -89,7 +89,7 @@ impl Summary {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -114,7 +114,7 @@ impl Summary {
 
     /// Two-sided confidence interval for the mean at the given level using
     /// the Student-t critical value (matches the paper's 95% error bars).
-    pub fn confidence_interval(&self, level: f64) -> (f64, f64) {
+    pub(crate) fn confidence_interval(&self, level: f64) -> (f64, f64) {
         if self.n < 2 {
             return (self.mean(), self.mean());
         }
@@ -152,7 +152,7 @@ pub fn student_t_critical(df: u64, level: f64) -> f64 {
 }
 
 /// Student-t cumulative distribution function.
-pub fn student_t_cdf(t: f64, df: f64) -> f64 {
+pub(crate) fn student_t_cdf(t: f64, df: f64) -> f64 {
     if t == 0.0 {
         return 0.5;
     }
@@ -195,7 +195,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Regularized lower incomplete gamma function `P(a, x)`.
-pub fn regularized_lower_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn regularized_lower_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0);
     if x == 0.0 {
         return 0.0;
@@ -250,7 +250,7 @@ fn regularized_upper_gamma_cf(a: f64, x: f64) -> f64 {
 
 /// Regularized incomplete beta function `I_x(a, b)` via the standard
 /// continued fraction with the symmetry transformation for convergence.
-pub fn regularized_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn regularized_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0);
     assert!((0.0..=1.0).contains(&x), "x must be in [0,1]");
     if x == 0.0 {

@@ -41,14 +41,6 @@ impl Linear {
         self.w.cols()
     }
 
-    /// Scales all weights (used to shrink the final policy layer so the
-    /// initial policy is near-uniform, as in common PPO implementations).
-    pub fn scale_weights(&mut self, factor: f64) {
-        for v in self.w.as_mut_slice() {
-            *v *= factor;
-        }
-    }
-
     /// Forward pass on a batch `(batch × fan_in) → (batch × fan_out)`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let mut y = x.matmul(&self.w);

@@ -1,10 +1,9 @@
 //! Multi-layer perceptron with explicit backprop and flat-parameter I/O.
 //!
 //! The paper's policy/value networks are tanh MLPs with two hidden layers
-//! of 256 units (Fig. 2, Table 2); [`Mlp::policy_default`] builds exactly
-//! that shape. Gradients come back as a flat `Vec<f64>` aligned with
-//! [`Mlp::write_params`] order, so the optimizer ([`crate::adam::Adam`])
-//! can stay a plain flat-vector method.
+//! of 256 units (Fig. 2, Table 2). Gradients come back as a flat
+//! `Vec<f64>` aligned with [`Mlp::write_params`] order, so the optimizer
+//! ([`crate::adam::Adam`]) can stay a plain flat-vector method.
 
 use crate::fast::{fast_tanh, F32Mlp, TanhMode};
 use crate::linear::Linear;
@@ -175,15 +174,6 @@ impl Mlp {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         let layers = sizes.windows(2).map(|w| Linear::xavier(w[0], w[1], rng)).collect();
         Self { layers, activation, tanh_mode: TanhMode::default() }
-    }
-
-    /// The paper's policy/value network shape: two tanh hidden layers of
-    /// 256 units (Fig. 2), with the final layer scaled by 0.01 so the
-    /// initial policy is near-uniform after softmax normalization.
-    pub fn policy_default<R: Rng + ?Sized>(obs_dim: usize, act_dim: usize, rng: &mut R) -> Self {
-        let mut mlp = Self::new(&[obs_dim, 256, 256, act_dim], Activation::Tanh, rng);
-        mlp.layers.last_mut().unwrap().scale_weights(0.01);
-        mlp
     }
 
     /// Input dimensionality.
@@ -475,19 +465,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn policy_default_shape_matches_paper() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mlp = Mlp::policy_default(8, 72, &mut rng);
-        assert_eq!(mlp.input_dim(), 8);
-        assert_eq!(mlp.output_dim(), 72);
-        // 8·256 + 256 + 256·256 + 256 + 256·72 + 72
-        assert_eq!(mlp.num_params(), 8 * 256 + 256 + 256 * 256 + 256 + 256 * 72 + 72);
-        // Small final layer => near-zero initial outputs.
-        let out = mlp.forward_one(&[0.3; 8]);
-        assert!(out.iter().all(|v| v.abs() < 0.5));
     }
 
     #[test]

@@ -431,15 +431,6 @@ impl Tensor {
         }
     }
 
-    /// Entry-wise product, in place (`self *= other`).
-    pub fn hadamard_inplace(&mut self, other: &Tensor) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
-        }
-    }
-
     /// Column sums (bias gradients).
     pub fn col_sums(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.cols];
@@ -545,12 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_hadamard() {
+    fn map_inplace_applies_entrywise() {
         let mut a = Tensor::from_vec(1, 3, vec![1.0, -1.0, 2.0]);
         a.map_inplace(|v| v * v);
         assert_eq!(a.as_slice(), &[1.0, 1.0, 4.0]);
-        let b = Tensor::from_vec(1, 3, vec![2.0, 3.0, 0.5]);
-        a.hadamard_inplace(&b);
-        assert_eq!(a.as_slice(), &[2.0, 3.0, 2.0]);
     }
 }

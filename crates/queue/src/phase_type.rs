@@ -174,12 +174,12 @@ impl PhaseType {
     }
 
     /// Sub-generator `S` (row convention).
-    pub fn subgen(&self) -> &Mat {
+    pub(crate) fn subgen(&self) -> &Mat {
         &self.subgen
     }
 
     /// Absorption rates `s⁰` per phase.
-    pub fn exit_rates(&self) -> &[f64] {
+    pub(crate) fn exit_rates(&self) -> &[f64] {
         &self.exit
     }
 
@@ -389,7 +389,7 @@ impl PhQueue {
 
     /// Flat index of a joint state (`0` = empty).
     #[inline]
-    pub fn state_index(&self, state: PhQueueState) -> usize {
+    pub(crate) fn state_index(&self, state: PhQueueState) -> usize {
         if state.len == 0 {
             0
         } else {
@@ -489,7 +489,7 @@ impl PhQueue {
     }
 
     /// Stationary queue-**length** marginal (sums the phase dimension).
-    pub fn stationary_lengths(&self) -> Vec<f64> {
+    pub(crate) fn stationary_lengths(&self) -> Vec<f64> {
         let joint = self.stationary();
         let k = self.service.num_phases();
         let mut lengths = vec![0.0; self.buffer + 1];

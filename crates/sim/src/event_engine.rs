@@ -121,11 +121,6 @@ impl<T> Timeline<T> {
         self.heap.pop().map(|s| (s.time, s.seq, s.payload))
     }
 
-    /// Time of the earliest scheduled event, if any.
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -304,7 +304,7 @@ impl LineTraceReader {
 
     /// Takes the first ingestion error, if one occurred (the serve loop
     /// turns it into its own `Err`).
-    pub fn take_error(&mut self) -> Option<ServeError> {
+    pub(crate) fn take_error(&mut self) -> Option<ServeError> {
         self.error.take()
     }
 

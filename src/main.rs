@@ -1054,8 +1054,9 @@ fn cmd_validate(args: &Args) {
 /// Diffs a fresh perf report against the committed baseline and gates on
 /// same-machine kernel speedup ratios (the CI perf-smoke gate). Prints
 /// the markdown table on stdout (CI pipes it into
-/// `$GITHUB_STEP_SUMMARY`); exits 1 when any tracked kernel regressed
-/// past `--max-ratio` (default 1.3).
+/// `$GITHUB_STEP_SUMMARY`); exits 1 when a baseline entry is missing
+/// from the fresh report or a tracked kernel regressed past
+/// `--max-ratio` (default 1.3).
 fn cmd_bench_diff(args: &Args) {
     use mflb::bench::perf::{compare_reports, BenchReport};
     let baseline_path = args.required("--baseline");
@@ -1070,6 +1071,10 @@ fn cmd_bench_diff(args: &Args) {
     let regressions = diff.regressions();
     if !regressions.is_empty() {
         for r in &regressions {
+            if r.missing {
+                eprintln!("error: kernel `{}` is in the baseline but not in {fresh_path}", r.name);
+                continue;
+            }
             eprintln!(
                 "error: kernel `{}` lost {:.2}x of its same-machine margin \
                  (baseline {:.2}x -> fresh {:.2}x, gate {max_ratio}x)",
