@@ -1166,7 +1166,8 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
     //     stragglers, dropped observation refreshes, overload bursts —
     //     and (b) an engine handed an *empty* plan. Empty plans must
     //     normalize onto the pristine fast path, so the empty-plan entry
-    //     carries the pristine run as its same-machine baseline: its
+    //     carries the pristine runs, timed in alternating rounds with
+    //     it, as its same-machine baseline: its
     //     "speedup" is pinned ≈ 1.0 and bench-diff gates the
     //     no-plan-no-overhead contract. The faulted entry tracks
     //     absolute faulted-dispatch throughput. ---
@@ -1186,7 +1187,6 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
             (t0.elapsed().as_secs_f64(), report.jobs_arrived as f64)
         };
         let pristine = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
-        let (pristine_secs, _) = run(&pristine);
 
         let plan = FaultPlan {
             crashes: Some(CrashFaults { mttf: 50.0, mttr: 10.0 }),
@@ -1197,9 +1197,13 @@ pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
         let (faulted_secs, faulted_jobs) = run(&pristine.clone().with_faults(plan));
         entries.push(entry("serve_dispatch_faulted_M100", 1, faulted_secs, faulted_jobs, "jobs/s"));
 
-        let (empty_secs, empty_jobs) = run(&pristine.clone().with_faults(FaultPlan::empty()));
+        // One serve run per side and round, in alternating rounds.
+        let empty = pristine.clone().with_faults(FaultPlan::empty());
+        let mut empty_jobs = 0.0;
+        let [pristine_secs, empty_secs] =
+            interleaved(ROUNDS, [&mut || _ = run(&pristine), &mut || empty_jobs = run(&empty).1]);
         entries.push(with_baseline(
-            entry("serve_dispatch_empty_plan_M100", 1, empty_secs, empty_jobs, "jobs/s"),
+            entry("serve_dispatch_empty_plan_M100", ROUNDS, empty_secs, empty_jobs, "jobs/s"),
             pristine_secs,
         ));
     }

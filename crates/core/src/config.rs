@@ -206,10 +206,10 @@ pub const MAX_EPOCH_EVENTS: f64 = 1e4;
 
 /// Largest decision-rule table, in entries `|Z|^d·d`, a configuration may
 /// imply. Every rule, policy and training env materializes the full table.
-pub const MAX_RULE_ENTRIES: usize = 1 << 24;
+const MAX_RULE_ENTRIES: usize = 1 << 24;
 
 /// Checks that a decision rule over `rule_states` states with `d` samples
-/// has at most [`MAX_RULE_ENTRIES`] entries.
+/// has at most 2^24 entries, the cap every rule table is held to.
 pub fn check_rule_table(rule_states: usize, d: usize) -> Result<(), String> {
     let entries = u32::try_from(d)
         .ok()

@@ -24,7 +24,7 @@
 //! |---|---|---|
 //! | `"crashes": {"mttf": f, "mttr": r}` | per-queue crash/recovery: each queue alternates Up/Down sojourns, exponential with means `f` (time to failure) and `r` (time to repair) | `f, r` > 0, finite |
 //! | `"stragglers": [{"start": a, "end": b, "factor": c, "queues": [..]}]` | service-rate multiplier `c` on `[a, b)`; `queues` restricts the window to listed queue indices (absent = all queues) | `0 ≤ a < b` finite, `c ≥ 0` finite, windows must not overlap in time |
-//! | `"observation": {"drop_prob": p}` | each sync-snapshot refresh is independently *dropped* with probability `p`, so routing keeps using the previous (extra-stale) snapshot | `p ∈ [0, 1]` |
+//! | `"observation": {"drop_prob": p}` | each sync-snapshot refresh is independently *dropped* with probability `p`, so routing keeps using the previous (extra-stale) snapshot; only engines that route on a snapshot honor it (a `Scenario` on the graph or job-level engine rejects it) | `p ∈ [0, 1]` |
 //! | `"overloads": [{"start": a, "end": b, "factor": c}]` | arrival-rate multiplier `c` on `[a, b)` (synthetic streams only — a replayed trace already fixes its arrivals) | `0 ≤ a < b` finite, `c ≥ 0` finite, windows must not overlap |
 //!
 //! # Semantics

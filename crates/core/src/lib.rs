@@ -49,9 +49,7 @@ pub use dist::StateDist;
 pub use faults::{
     stream_rng, CrashFaults, FaultPlan, ObservationFaults, OverloadWindow, StragglerWindow,
 };
-pub use graph_meanfield::{
-    graph_arrival_rates, independent_pair, pair_arrival_rates, pair_marginal, pair_mean_field_step,
-};
+pub use graph_meanfield::graph_arrival_rates;
 pub use jobs::JobSizeLaw;
 pub use mdp::{MeanFieldMdp, MfState, UpperPolicy};
 pub use meanfield::{

@@ -202,24 +202,19 @@ impl Topology {
         }
     }
 
-    /// Materializes the closed neighborhoods for an `m`-queue system,
-    /// flattened with stride [`Topology::neighborhood_size`]: entry
-    /// `j·k + 0` is `j` itself (the dispatcher's own queue), followed by
-    /// its neighbors in ascending index order. Deterministic for a fixed
-    /// spec — the random-regular draw is pinned by its embedded seed.
-    ///
-    /// Compatibility wrapper over [`Topology::csr`] (same per-row
-    /// contract, widened to `usize`); engines should prefer the CSR form,
-    /// which is 2× smaller and avoids this extra `O(M·k)` copy.
-    pub fn neighborhoods(&self, m: usize) -> Result<Vec<usize>, String> {
+    /// The [`Topology::csr`] rows for an `m`-queue system, flattened with
+    /// stride [`Topology::neighborhood_size`] and widened to `usize`.
+    #[cfg(test)]
+    fn neighborhoods(&self, m: usize) -> Result<Vec<usize>, String> {
         let csr = self.csr(m)?;
         Ok(csr.indices.iter().map(|&i| i as usize).collect())
     }
 
     /// Materializes the closed neighborhoods in compressed-sparse-row
-    /// form (`O(M·k)` time, two exact-size allocations). Per-row layout
-    /// is identical to [`Topology::neighborhoods`]: own queue first, then
-    /// neighbors in ascending index order.
+    /// form (`O(M·k)` time, two exact-size allocations). Each row holds
+    /// the dispatcher's own queue first, then its neighbors in ascending
+    /// index order. Deterministic for a fixed spec — the random-regular
+    /// draw is pinned by its embedded seed.
     pub fn csr(&self, m: usize) -> Result<CsrNeighborhoods, String> {
         self.validate(m)?;
         let k = self.neighborhood_size(m);

@@ -35,7 +35,7 @@ pub mod uniformization;
 pub use expm::expm;
 pub use lu::Lu;
 pub use matrix::Mat;
-pub use stationary::{ctmc_stationary, dtmc_stationary, StationaryError};
+pub use stationary::{ctmc_stationary, StationaryError};
 pub use uniformization::{
     advance, dense_generator, transient_distribution, Advance, ChainStack, Move,
     UniformizationError, EPOCH_TOL,

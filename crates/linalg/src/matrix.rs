@@ -212,14 +212,6 @@ impl Mat {
         self.data.iter().zip(other.data.iter()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max)
     }
 
-    /// Adds `s` to every diagonal entry in place.
-    pub fn add_diag_mut(&mut self, s: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += s;
-        }
-    }
-
     /// `true` iff all entries are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())

@@ -1,4 +1,4 @@
-//! Stationary distributions of finite CTMCs and DTMCs.
+//! Stationary distributions of finite CTMCs.
 //!
 //! Solves `π·Q = 0, Σπ = 1` (row-convention generator `Q`) by replacing
 //! one balance equation with the normalization constraint and LU-solving
@@ -54,24 +54,6 @@ pub fn ctmc_stationary(q: &Mat) -> Result<Vec<f64>, StationaryError> {
     Ok(pi.into_iter().map(|p| p.max(0.0)).collect())
 }
 
-/// Stationary distribution of a row-stochastic DTMC kernel.
-pub fn dtmc_stationary(p: &Mat) -> Result<Vec<f64>, StationaryError> {
-    if !p.is_square() {
-        return Err(StationaryError::InvalidChain);
-    }
-    let n = p.rows();
-    for i in 0..n {
-        let s: f64 = p.row(i).iter().sum();
-        if (s - 1.0).abs() > 1e-9 || p.row(i).iter().any(|&v| v < -1e-12) {
-            return Err(StationaryError::InvalidChain);
-        }
-    }
-    // π(P − I) = 0: reuse the CTMC path with generator Q = P − I.
-    let mut q = p.clone();
-    q.add_diag_mut(-1.0);
-    ctmc_stationary(&q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +96,6 @@ mod tests {
         let pi = ctmc_stationary(&q).unwrap();
         assert!((pi[0] - 0.25).abs() < 1e-12);
         assert!((pi[1] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dtmc_paper_modulation_kernel() {
-        let p = Mat::from_rows(&[&[0.8, 0.2], &[0.5, 0.5]]);
-        let pi = dtmc_stationary(&p).unwrap();
-        assert!((pi[0] - 5.0 / 7.0).abs() < 1e-12);
-        assert!((pi[1] - 2.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod softmin;
 pub mod upper;
 
 pub use rules::{
-    composite_decode, composite_index, jsq_rule, lift_to_composite, rnd_rule, rule_l1_weighted,
-    sed_rule,
+    composite_index, jsq_rule, lift_to_composite, rnd_rule, rule_l1_weighted, sed_rule,
 };
 pub use softmin::{optimize_beta, softmin_rule, BetaSearchResult, SoftminPolicy};
 pub use upper::{

@@ -42,7 +42,7 @@ pub fn rnd_rule(num_states: usize, d: usize) -> DecisionRule {
 }
 
 /// Decodes a composite index back into `(queue length, rate class)`.
-pub fn composite_decode(idx: usize, num_queue_states: usize) -> (usize, usize) {
+fn composite_decode(idx: usize, num_queue_states: usize) -> (usize, usize) {
     (idx % num_queue_states, idx / num_queue_states)
 }
 

@@ -15,7 +15,7 @@ use crate::oracle::{solve_oracle, OracleConfig};
 use crate::scenario_env::PolicyShape;
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_policy::InferenceConfig;
-use mflb_sim::{monte_carlo, EngineSpec, Scenario};
+use mflb_sim::{monte_carlo, EngineSpec, MonteCarloResult, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// One (policy, system size) cell of the evaluation table.
@@ -114,60 +114,27 @@ pub fn scenario_with_m(scenario: &Scenario, m: usize) -> Scenario {
     out
 }
 
+/// Drops-denominator floor of the gap computation: keeps the percentage
+/// finite when the oracle achieves (numerically) zero drops.
+const GAP_EPSILON: f64 = 1e-9;
+
 /// Evaluates a checkpoint on its scenario's finite system for each `M` in
 /// `m_sweep` (empty sweep → the scenario's own size), comparing the
 /// learned policy against JSQ(d), RND and softmin(β*).
 ///
 /// `threads = 0` uses all available cores for the Monte-Carlo fan-out.
-pub fn evaluate_checkpoint(
-    ckpt: &TrainingCheckpoint,
-    scenario: &Scenario,
-    m_sweep: &[usize],
-    runs: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<EvalReport, String> {
-    evaluate_checkpoint_with_oracle(ckpt, scenario, m_sweep, runs, seed, threads, None)
-}
-
-/// Drops-denominator floor of the gap computation: keeps the percentage
-/// finite when the oracle achieves (numerically) zero drops.
-const GAP_EPSILON: f64 = 1e-9;
-
-/// [`evaluate_checkpoint`] plus optimality-gap certification: when an
-/// [`OracleConfig`] is supplied, the discretized-MDP optimum is solved
-/// (or loaded from its cache), deployed in the same finite system as an
-/// extra `MF-DP (oracle)` row per `M`, and every row gains a `gap_pct`
-/// column — `(drops − oracle drops) / max(oracle drops, ε) · 100`, with
-/// the oracle's own row pinned to exactly `0`.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_checkpoint_with_oracle(
-    ckpt: &TrainingCheckpoint,
-    scenario: &Scenario,
-    m_sweep: &[usize],
-    runs: usize,
-    seed: u64,
-    threads: usize,
-    oracle: Option<&OracleConfig>,
-) -> Result<EvalReport, String> {
-    evaluate_checkpoint_configured(
-        ckpt,
-        scenario,
-        m_sweep,
-        runs,
-        seed,
-        threads,
-        oracle,
-        InferenceConfig::default(),
-    )
-}
-
-/// [`evaluate_checkpoint_with_oracle`] with an explicit
-/// [`InferenceConfig`] for the learned policy's network (precision tier
-/// and tanh mode — `mflb eval --precision f32` / `--fast-math` land
-/// here). The baselines and the oracle are rule tables and are unaffected;
-/// the default config reproduces [`evaluate_checkpoint_with_oracle`]
-/// bit for bit.
+///
+/// With an [`OracleConfig`] the eval also certifies optimality gaps: the
+/// discretized-MDP optimum is solved (or loaded from its cache), deployed
+/// in the same finite system as an extra `MF-DP (oracle)` row per `M`,
+/// and every row gains a `gap_pct` column —
+/// `(drops − oracle drops) / max(oracle drops, ε) · 100`, with the
+/// oracle's own row pinned to exactly `0`.
+///
+/// `inference` sets the learned policy's network precision tier and tanh
+/// mode (`mflb eval --precision f32` / `--fast-math`); the baselines and
+/// the oracle are rule tables and are unaffected. Plain evaluation is
+/// `InferenceConfig::default()`.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_checkpoint_configured(
     ckpt: &TrainingCheckpoint,
@@ -224,46 +191,31 @@ pub fn evaluate_checkpoint_configured(
         let engine = sized.build()?;
         let n = sized.config.num_clients;
         let group_start = rows.len();
-        let mc = monte_carlo(&engine, &learned, horizon, runs, seed, threads);
-        rows.push(EvalRow {
-            policy: "MF (learned)".into(),
+        let row = |policy: &str, mc: &MonteCarloResult| EvalRow {
+            policy: policy.into(),
             m,
             n,
             mean_drops: mc.mean(),
             ci95: mc.ci95(),
             drop_fraction: mc.drop_fraction(),
             gap_pct: None,
-        });
+        };
+        let mc = monte_carlo(&engine, &learned, horizon, runs, seed, threads);
+        rows.push(row("MF (learned)", &mc));
         for (label, policy) in &baselines {
             let mc = monte_carlo(&engine, policy, horizon, runs, seed, threads);
-            rows.push(EvalRow {
-                policy: label.clone(),
-                m,
-                n,
-                mean_drops: mc.mean(),
-                ci95: mc.ci95(),
-                drop_fraction: mc.drop_fraction(),
-                gap_pct: None,
-            });
+            rows.push(row(label, &mc));
         }
         if let Some(o) = &oracle {
             let mc = monte_carlo(&engine, &o.policy, horizon, runs, seed, threads);
             let oracle_drops = mc.mean();
-            for row in &mut rows[group_start..] {
-                row.gap_pct =
-                    Some((row.mean_drops - oracle_drops) / oracle_drops.max(GAP_EPSILON) * 100.0);
+            for r in &mut rows[group_start..] {
+                r.gap_pct =
+                    Some((r.mean_drops - oracle_drops) / oracle_drops.max(GAP_EPSILON) * 100.0);
             }
-            rows.push(EvalRow {
-                policy: "MF-DP (oracle)".into(),
-                m,
-                n,
-                mean_drops: oracle_drops,
-                ci95: mc.ci95(),
-                drop_fraction: mc.drop_fraction(),
-                // The oracle is its own yardstick: pinned to exactly 0,
-                // not recomputed through the division.
-                gap_pct: Some(0.0),
-            });
+            // The oracle is its own yardstick: pinned to exactly 0, not
+            // recomputed through the division.
+            rows.push(EvalRow { gap_pct: Some(0.0), ..row("MF-DP (oracle)", &mc) });
         }
     }
 

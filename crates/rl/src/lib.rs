@@ -32,12 +32,12 @@
 //!   shape validation,
 //! * [`train::train_scenario`] — the `Scenario → PPO → checkpoint` driver
 //!   behind `mflb train`,
-//! * [`eval::evaluate_checkpoint`] — finite-N Monte-Carlo comparison of a
+//! * [`eval::evaluate_checkpoint_configured`] — finite-N Monte-Carlo comparison of a
 //!   checkpoint against JSQ(d)/RND/softmin, the Fig. 4–6 protocol,
 //! * [`oracle`] — the exact-DP bridge: classify a scenario's oracle
 //!   exactness, solve (or cache) the discretized MDP and report
 //!   per-policy optimality gaps through
-//!   [`eval::evaluate_checkpoint_with_oracle`] / `mflb eval --oracle`,
+//!   [`eval::evaluate_checkpoint_configured`] / `mflb eval --oracle`,
 //! * [`distill`] — projection of a neural checkpoint onto a tabular
 //!   lattice policy (greedy-match + DP polish), the `mflb distill`
 //!   backend.
@@ -67,13 +67,12 @@ pub use distill::{
 };
 pub use env::{Env, StepResult, ToyControlEnv};
 pub use eval::{
-    evaluate_checkpoint, evaluate_checkpoint_configured, evaluate_checkpoint_with_oracle,
-    scenario_with_m, EvalReport, EvalRow, OracleSummary,
+    evaluate_checkpoint_configured, scenario_with_m, EvalReport, EvalRow, OracleSummary,
 };
 pub use mfc_env::MeanFieldEnv;
 pub use oracle::{
-    check_lattice, oracle_exactness, oracle_feasibility, oracle_mdp_config, scenario_oracle_key,
-    solve_oracle, Oracle, OracleConfig, OracleExactness,
+    check_lattice, oracle_feasibility, oracle_mdp_config, solve_oracle, Oracle, OracleConfig,
+    OracleExactness,
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};

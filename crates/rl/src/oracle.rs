@@ -6,7 +6,7 @@
 //! trained checkpoint can be certified against the model-based optimum
 //! instead of merely "beats RND":
 //!
-//! * [`oracle_exactness`] classifies a [`Scenario`]: for every engine
+//! * [`oracle_feasibility`] classifies a [`Scenario`]: for every engine
 //!   whose mean-field limit *is* the homogeneous Eq. 20–31 model
 //!   (Aggregate, PerClient, Staggered, JobLevel, full-mesh Graph) the DP
 //!   optimum is **exact**; phase-type service and finite-neighborhood
@@ -138,7 +138,7 @@ impl Oracle {
 
 /// Classifies how well the DP oracle describes a scenario, or rejects
 /// scenarios the oracle cannot model at all.
-pub fn oracle_exactness(scenario: &Scenario) -> Result<OracleExactness, String> {
+fn oracle_exactness(scenario: &Scenario) -> Result<OracleExactness, String> {
     match &scenario.engine {
         EngineSpec::PerClient
         | EngineSpec::Aggregate
@@ -316,7 +316,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Content key of an oracle solve: FNV-1a 64 over the canonical JSON of
 /// the MDP-relevant configuration fields plus grid resolution, action
 /// library and transition-kernel tags, rendered as 16 hex digits.
-pub fn scenario_oracle_key(config: &mflb_core::SystemConfig, grid_resolution: usize) -> String {
+fn scenario_oracle_key(config: &mflb_core::SystemConfig, grid_resolution: usize) -> String {
     oracle_key(config, grid_resolution, TRANSITION_KERNEL)
 }
 

@@ -1,6 +1,7 @@
 //! Round-trip and strict-validation behaviour of the versioned checkpoint.
 
 use mflb_core::SystemConfig;
+use mflb_policy::InferenceConfig;
 use mflb_rl::{train_scenario, PpoConfig, TrainingCheckpoint, CHECKPOINT_FORMAT_VERSION};
 use mflb_sim::{EngineSpec, Scenario, ServiceLaw};
 
@@ -114,7 +115,17 @@ fn eval_report_structure_for_ph_scenario() {
         EngineSpec::Ph { service: ServiceLaw::Erlang { k: 2, rate: 2.0 } },
     );
     let result = train_tiny(&scenario);
-    let report = mflb_rl::evaluate_checkpoint(&result.checkpoint, &scenario, &[], 3, 1, 0).unwrap();
+    let report = mflb_rl::evaluate_checkpoint_configured(
+        &result.checkpoint,
+        &scenario,
+        &[],
+        3,
+        1,
+        0,
+        None,
+        InferenceConfig::default(),
+    )
+    .unwrap();
     assert_eq!(report.rows.len(), 4, "learned + 3 baselines at the scenario's own size");
     assert!(report.rows.iter().all(|r| r.mean_drops.is_finite() && r.ci95 >= 0.0));
     assert!(report.mean_drops_of("MF (learned)").is_some());

@@ -15,10 +15,12 @@
 //! class-composite ([`crate::aggregate::AggregateEngine`] over a
 //! [`crate::aggregate::Service`]), private-snapshot
 //! ([`crate::staggered::StaggeredEngine`]) and job-level
-//! ([`crate::fifo_engine::FifoEngine`]) — all run through the same
-//! [`run_episode`] / [`run_episode_conditioned`] /
-//! [`crate::monte_carlo()`] drivers as the homogeneous
-//! [`crate::client::PerClientEngine`].
+//! ([`crate::fifo_engine::FifoEngine`]) — all run through the one episode
+//! loop, [`run_episodes_lockstep`], as the homogeneous
+//! [`crate::client::PerClientEngine`]. It steps a batch of episodes
+//! together, on the arrival chain or on a prescribed `λ` path;
+//! [`run_episode`] is its one-episode case and [`crate::monte_carlo()`]
+//! fans chunks of it out over threads.
 
 use mflb_core::mdp::{ObservationBatch, UpperPolicy};
 use mflb_core::{DecisionRule, StateDist, SystemConfig};
@@ -150,62 +152,64 @@ pub fn sample_initial_queues(config: &SystemConfig, rng: &mut StdRng) -> Vec<usi
 }
 
 /// Runs one episode of `horizon` epochs under an upper-level policy, with
-/// the arrival level evolving stochastically (Algorithm 1).
+/// the arrival level evolving stochastically (Algorithm 1): the
+/// one-episode case of [`run_episodes_lockstep`].
 pub fn run_episode<E: Engine>(
     engine: &E,
     policy: &dyn UpperPolicy,
     horizon: usize,
     rng: &mut StdRng,
 ) -> EpisodeOutcome {
-    let config = engine.config();
-    let mut state = engine.init_state(rng);
-    let mut lambda_idx = config.arrivals.sample_initial(rng);
-    let mut out = EpisodeOutcome::default();
-    // Route the decision through the batched entry point (batch of one):
-    // `decide_batch` is bit-identical to `decide` for every policy, and
-    // going through one code path keeps the sequential and lockstep
-    // drivers impossible to drift apart.
-    let mut batch = ObservationBatch::new(config.num_states(), config.arrivals.num_levels());
-    let mut rules = vec![DecisionRule::uniform(1, 1)];
-    for _ in 0..horizon {
-        let lambda = config.arrivals.level_rate(lambda_idx);
-        batch.clear();
-        batch.push(engine.empirical(&state), lambda_idx, lambda);
-        policy.decide_batch(&batch, &mut rules);
-        let stats = engine.step(&mut state, &rules[0], lambda, rng);
-        out.record(lambda_idx, stats);
-        lambda_idx = config.arrivals.step(lambda_idx, rng);
-    }
-    out.finish();
-    out
+    let mut outs = run_episodes_lockstep(engine, policy, horizon, None, std::slice::from_mut(rng));
+    outs.pop().expect("one episode per RNG")
 }
 
-/// Runs `rngs.len()` episodes in lockstep: each decision epoch stacks
-/// every live episode's observation into one [`ObservationBatch`] and
-/// makes a single [`UpperPolicy::decide_batch`] call, turning the neural
-/// policy's per-episode gemvs into one gemm per layer.
+/// The episode loop: runs `rngs.len()` episodes of `horizon` epochs in
+/// lockstep. Each decision epoch stacks every episode's observation into
+/// one [`ObservationBatch`] and makes a single
+/// [`UpperPolicy::decide_batch`] call, turning the neural policy's
+/// per-episode gemvs into one gemm per layer.
 ///
-/// Bit-identical to calling [`run_episode`] once per RNG: each episode's
-/// RNG is private and consumed in exactly the same order (`init_state`,
-/// `sample_initial`, then per epoch `step` and the arrival-level
-/// transition), and `decide`/`decide_batch` draw no randomness. The
-/// Monte-Carlo driver ([`crate::monte_carlo()`]) runs chunks of episodes
-/// through this path.
+/// With `levels = None` the arrival level follows its Markov chain
+/// (Algorithm 1). With a prescribed path, `levels[t]` is the level in
+/// force during epoch `t` for every episode, and the chain is neither
+/// sampled nor stepped — the Theorem-1 setting, where the same `λ` path is
+/// fed to the mean-field model ([`mflb_core::MeanFieldMdp`]'s
+/// `rollout_conditioned`) and the finite system.
+///
+/// Each episode's outcome is a function of its own RNG alone: the RNG is
+/// private and consumed in the same order for any batch (`init_state`,
+/// `sample_initial` if the chain runs, then per epoch `step` and the
+/// chain transition), and `decide`/`decide_batch` draw no randomness and
+/// agree row by row. So a batch of `k` episodes is bit-identical to `k`
+/// calls of [`run_episode`]; [`crate::monte_carlo()`] relies on this to
+/// cut runs into chunks freely.
+///
+/// # Panics
+///
+/// If a prescribed path is shorter than `horizon`.
 pub fn run_episodes_lockstep<E: Engine>(
     engine: &E,
     policy: &dyn UpperPolicy,
     horizon: usize,
+    levels: Option<&[usize]>,
     rngs: &mut [StdRng],
 ) -> Vec<EpisodeOutcome> {
     let config = engine.config();
     let k = rngs.len();
     let mut states: Vec<E::State> = rngs.iter_mut().map(|r| engine.init_state(r)).collect();
-    let mut lambda_idxs: Vec<usize> =
-        rngs.iter_mut().map(|r| config.arrivals.sample_initial(r)).collect();
+    // A prescribed path overwrites every level at the top of each epoch.
+    let mut lambda_idxs: Vec<usize> = match levels {
+        Some(_) => vec![0; k],
+        None => rngs.iter_mut().map(|r| config.arrivals.sample_initial(r)).collect(),
+    };
     let mut outs = vec![EpisodeOutcome::default(); k];
     let mut batch = ObservationBatch::new(config.num_states(), config.arrivals.num_levels());
     let mut rules = vec![DecisionRule::uniform(1, 1); k];
-    for _ in 0..horizon {
+    for t in 0..horizon {
+        if let Some(seq) = levels {
+            lambda_idxs.fill(seq[t]);
+        }
         batch.clear();
         for i in 0..k {
             let lambda = config.arrivals.level_rate(lambda_idxs[i]);
@@ -215,39 +219,15 @@ pub fn run_episodes_lockstep<E: Engine>(
         for i in 0..k {
             let stats = engine.step(&mut states[i], &rules[i], batch.lambda(i), &mut rngs[i]);
             outs[i].record(lambda_idxs[i], stats);
-            lambda_idxs[i] = config.arrivals.step(lambda_idxs[i], &mut rngs[i]);
+            if levels.is_none() {
+                lambda_idxs[i] = config.arrivals.step(lambda_idxs[i], &mut rngs[i]);
+            }
         }
     }
     for o in &mut outs {
         o.finish();
     }
     outs
-}
-
-/// Runs one episode conditioned on an explicit arrival-level sequence (the
-/// Theorem-1 setting: the same `λ` path is fed to the mean-field model and
-/// the finite system). Available for every engine.
-pub fn run_episode_conditioned<E: Engine>(
-    engine: &E,
-    policy: &dyn UpperPolicy,
-    lambda_seq: &[usize],
-    rng: &mut StdRng,
-) -> EpisodeOutcome {
-    let config = engine.config();
-    let mut state = engine.init_state(rng);
-    let mut out = EpisodeOutcome::default();
-    let mut batch = ObservationBatch::new(config.num_states(), config.arrivals.num_levels());
-    let mut rules = vec![DecisionRule::uniform(1, 1)];
-    for &lambda_idx in lambda_seq {
-        let lambda = config.arrivals.level_rate(lambda_idx);
-        batch.clear();
-        batch.push(engine.empirical(&state), lambda_idx, lambda);
-        policy.decide_batch(&batch, &mut rules);
-        let stats = engine.step(&mut state, &rules[0], lambda, rng);
-        out.record(lambda_idx, stats);
-    }
-    out.finish();
-    out
 }
 
 /// Derives a per-run RNG from a base seed (stable across thread counts so

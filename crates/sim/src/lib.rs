@@ -3,8 +3,9 @@
 //!
 //! Every engine owns an associated [`Engine::State`] (queue contents plus
 //! reusable scratch buffers) and exposes three hooks — `init_state`,
-//! `empirical`, `step` — so the generic episode drivers
-//! ([`run_episode`], [`run_episode_conditioned`]) and the thread-parallel
+//! `empirical`, `step` — so the one episode loop
+//! ([`run_episodes_lockstep`], on the arrival chain or a prescribed `λ`
+//! path; [`run_episode`] is its one-episode case) and the thread-parallel
 //! [`monte_carlo()`] fan-out work identically for all of them:
 //!
 //! * [`client::PerClientEngine`] — the literal model: every client samples
@@ -60,8 +61,8 @@ pub mod staggered;
 pub use aggregate::{AggregateEngine, Exponential, RateClasses};
 pub use client::PerClientEngine;
 pub use episode::{
-    run_episode, run_episode_conditioned, run_episodes_lockstep, run_rng, sample_initial_queues,
-    Engine, EpisodeOutcome, EpochStats,
+    run_episode, run_episodes_lockstep, run_rng, sample_initial_queues, Engine, EpisodeOutcome,
+    EpochStats,
 };
 pub use error::{ScenarioError, ServeError};
 pub use event_engine::{EventEngine, EventState, Timeline};

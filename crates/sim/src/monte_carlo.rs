@@ -4,14 +4,15 @@
 //! simulations and reports means with 95% confidence intervals (Fig. 4–6).
 //! Runs are distributed over worker threads with crossbeam's scoped
 //! threads; each run derives its RNG from `(base_seed, run_index)` so the
-//! result is bit-identical regardless of the worker count. The driver is
-//! generic over [`Engine`], so every engine — including the
+//! result is bit-identical regardless of the worker count. Each worker
+//! runs chunks of consecutive runs through the one episode loop,
+//! [`run_episodes_lockstep`], on the arrival chain ([`monte_carlo()`]) or
+//! on a shared `λ` path ([`monte_carlo_conditioned`]). Both are generic
+//! over [`Engine`], so every engine — including the
 //! heterogeneous, staggered-information, phase-type and job-level ones —
 //! fans out over threads.
 
-use crate::episode::{
-    run_episode_conditioned, run_episodes_lockstep, run_rng, Engine, EpisodeOutcome,
-};
+use crate::episode::{run_episodes_lockstep, run_rng, Engine, EpisodeOutcome};
 use mflb_core::mdp::UpperPolicy;
 use mflb_core::worker_count;
 use mflb_linalg::stats::Summary;
@@ -82,14 +83,12 @@ pub fn monte_carlo<E: Engine>(
     base_seed: u64,
     threads: usize,
 ) -> MonteCarloResult {
-    run_many_chunks(n_runs, threads, |start, len| {
-        let mut rngs: Vec<_> = (0..len).map(|i| run_rng(base_seed, start + i as u64)).collect();
-        run_episodes_lockstep(engine, policy, horizon, &mut rngs)
-    })
+    run_many_chunks(engine, policy, horizon, None, n_runs, base_seed, threads)
 }
 
 /// Conditioned variant: every run uses the same arrival-level sequence
-/// (queue noise still differs per run), isolating the Theorem-1 comparison.
+/// (queue noise still differs per run), isolating the Theorem-1
+/// comparison. Runs on the same lockstep chunks as [`monte_carlo`].
 pub fn monte_carlo_conditioned<E: Engine>(
     engine: &E,
     policy: &(dyn UpperPolicy + Sync),
@@ -98,16 +97,7 @@ pub fn monte_carlo_conditioned<E: Engine>(
     base_seed: u64,
     threads: usize,
 ) -> MonteCarloResult {
-    run_many(n_runs, threads, |run| {
-        run_episode_conditioned(engine, policy, lambda_seq, &mut run_rng(base_seed, run))
-    })
-}
-
-fn run_many<F>(n_runs: usize, threads: usize, job: F) -> MonteCarloResult
-where
-    F: Fn(u64) -> EpisodeOutcome + Sync,
-{
-    run_many_chunks(n_runs, threads, |start, len| (0..len as u64).map(|i| job(start + i)).collect())
+    run_many_chunks(engine, policy, lambda_seq.len(), Some(lambda_seq), n_runs, base_seed, threads)
 }
 
 /// Chunk layout, as `(start, len)` pairs, for `n_runs` runs on
@@ -122,16 +112,22 @@ fn chunk_bounds(n_runs: usize, workers: usize) -> Vec<(u64, usize)> {
     (0..k).map(|c| (start(c) as u64, start(c + 1) - start(c))).collect()
 }
 
-/// Work-stealing chunk scheduler over [`chunk_bounds`]: `job(start, len)`
-/// runs `len` consecutive runs from `start`, and the outcomes are merged
-/// in run order. Results are bit-identical for every worker count and
-/// chunk layout because each run draws from its private
-/// `run_rng(base_seed, run)` and `decide_batch` equals `decide` row by
-/// row, so a run's outcome does not depend on which runs share its chunk.
-fn run_many_chunks<F>(n_runs: usize, threads: usize, job: F) -> MonteCarloResult
-where
-    F: Fn(u64, usize) -> Vec<EpisodeOutcome> + Sync,
-{
+/// Work-stealing chunk scheduler over [`chunk_bounds`]: each chunk runs
+/// its consecutive runs through one [`run_episodes_lockstep`] call, and
+/// the outcomes are merged in run order. Results are bit-identical for
+/// every worker count and chunk layout because each run draws from its
+/// private `run_rng(base_seed, run)` and `decide_batch` equals `decide`
+/// row by row, so a run's outcome does not depend on which runs share
+/// its chunk.
+fn run_many_chunks<E: Engine>(
+    engine: &E,
+    policy: &(dyn UpperPolicy + Sync),
+    horizon: usize,
+    levels: Option<&[usize]>,
+    n_runs: usize,
+    base_seed: u64,
+    threads: usize,
+) -> MonteCarloResult {
     let workers = worker_count(threads);
     let chunks = chunk_bounds(n_runs, workers);
     let next = AtomicUsize::new(0);
@@ -142,7 +138,10 @@ where
         for _ in 0..workers.min(chunks.len()) {
             scope.spawn(|_| {
                 while let Some(&(start, len)) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let outcomes = job(start, len);
+                    let mut rngs: Vec<_> =
+                        (0..len as u64).map(|i| run_rng(base_seed, start + i)).collect();
+                    let outcomes =
+                        run_episodes_lockstep(engine, policy, horizon, levels, &mut rngs);
                     results.lock().push((start, outcomes));
                 }
             });

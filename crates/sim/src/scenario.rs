@@ -312,8 +312,9 @@ pub struct Scenario {
     /// Optional deterministic fault plan (crashes, stragglers,
     /// observation faults, overload bursts — [`mflb_core::faults`]).
     /// Only the job- and queue-level engines (`Event`, `Graph`,
-    /// `JobLevel`) honor one; `None` or an empty plan is the fault-free
-    /// model.
+    /// `JobLevel`) honor one, and of those only `Event` keeps an
+    /// observation snapshot for observation faults to act on; `None` or
+    /// an empty plan is the fault-free model.
     #[serde(default)]
     pub faults: Option<FaultPlan>,
 }
@@ -360,6 +361,13 @@ impl Scenario {
                     "engine kind does not honor a fault plan \
                      (supported: Event, Graph, JobLevel)"
                         .into(),
+                ));
+            }
+            // Graph and JobLevel route on live lengths: there is no
+            // observation snapshot for a dropped refresh to keep stale.
+            if plan.observation.is_some() && !matches!(self.engine, EngineSpec::Event { .. }) {
+                return Err(ScenarioError::Faults(
+                    "engine kind does not honor observation faults (supported: Event)".into(),
                 ));
             }
             plan.validate_for(self.config.num_queues).map_err(ScenarioError::Faults)?;

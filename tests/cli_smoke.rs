@@ -679,6 +679,18 @@ fn fault_plan_usage_errors_exit_2() {
         .expect("run mflb simulate");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("does not honor"));
+    // Graph and JobLevel honor crashes but route on live lengths, so they
+    // reject observation faults instead of ignoring them.
+    let observed = dir.join("observed.json");
+    std::fs::write(&observed, "{\"observation\": {\"drop_prob\": 0.3}}").unwrap();
+    for engine in ["graph", "joblevel"] {
+        let out = mflb()
+            .args(["simulate", "--engine", engine, "--faults", observed.to_str().unwrap()])
+            .output()
+            .expect("run mflb simulate");
+        assert_eq!(out.status.code(), Some(2), "{engine}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("does not honor"), "{engine}");
+    }
 
     // Degradation flags come in consistent pairs, with positive values.
     let scenario = crashy.to_str().unwrap();

@@ -169,9 +169,7 @@ proptest! {
 /// 2% relative floor).
 #[test]
 fn f32_eval_matches_f64_within_gate() {
-    use mflb::rl::{
-        evaluate_checkpoint, evaluate_checkpoint_configured, train_scenario, PpoConfig,
-    };
+    use mflb::rl::{evaluate_checkpoint_configured, train_scenario, PpoConfig};
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios/aggregate.json");
@@ -188,7 +186,9 @@ fn f32_eval_matches_f64_within_gate() {
     let result = train_scenario(&scenario, ppo, 10, 1, false).expect("quick training");
     let ckpt = &result.checkpoint;
 
-    let f64_report = evaluate_checkpoint(ckpt, &scenario, &[], 20, 1, 0).expect("f64 eval");
+    let f64_report =
+        evaluate_checkpoint_configured(ckpt, &scenario, &[], 20, 1, 0, None, Default::default())
+            .expect("f64 eval");
     let f32_report = evaluate_checkpoint_configured(
         ckpt,
         &scenario,

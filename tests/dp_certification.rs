@@ -5,8 +5,9 @@
 //! its Bellman-residual self-check, and distillation must stay within 5%
 //! of the network it was projected from.
 
+use mflb::policy::InferenceConfig;
 use mflb::rl::{
-    distill_checkpoint, evaluate_checkpoint_with_oracle, solve_oracle, train_scenario,
+    distill_checkpoint, evaluate_checkpoint_configured, solve_oracle, train_scenario,
     DistillConfig, OracleConfig, PpoConfig,
 };
 use mflb::sim::{monte_carlo, EngineSpec, Scenario, ServiceLaw};
@@ -44,7 +45,7 @@ fn quick_oracle(grid: usize) -> OracleConfig {
 /// policy's optimality gap in percent.
 fn learned_gap_pct(scenario: &Scenario, iters: usize) -> f64 {
     let result = train_scenario(scenario, quick_ppo(), iters, 1, false).expect("training failed");
-    let report = evaluate_checkpoint_with_oracle(
+    let report = evaluate_checkpoint_configured(
         &result.checkpoint,
         scenario,
         &[],
@@ -52,6 +53,7 @@ fn learned_gap_pct(scenario: &Scenario, iters: usize) -> f64 {
         1,
         0,
         Some(&quick_oracle(6)),
+        InferenceConfig::default(),
     )
     .expect("evaluation failed");
     let gap = report.gap_pct_of("MF (learned)").expect("oracle evals must report a learned gap");

@@ -18,9 +18,9 @@ use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, sed_rule};
 use mflb::queue::{ArrivalProcess, PhaseType};
 use mflb::sim::{
-    run_episode, run_rng, serve, AggregateEngine, Engine, EngineSpec, EventEngine, FifoEngine,
-    GraphEngine, JobSource, PerClientEngine, RateClasses, Scenario, ServeOptions, ServiceLaw,
-    StaggeredEngine,
+    monte_carlo, run_episode, run_rng, serve, AggregateEngine, Engine, EngineSpec, EventEngine,
+    FifoEngine, GraphEngine, JobSource, PerClientEngine, RateClasses, Scenario, ServeOptions,
+    ServiceLaw, StaggeredEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,12 +145,8 @@ fn serve_run_reproduces_its_introduction_report() {
 }
 
 /// Episode drop totals of `runs` seeded JSQ(2) episodes of 15 epochs.
-fn drop_summary<E: Engine>(engine: &E, seed: u64, runs: u64) -> Summary {
-    let mut drops = Summary::new();
-    for r in 0..runs {
-        drops.push(run_episode(engine, &jsq(), 15, &mut run_rng(seed, r)).total_drops);
-    }
-    drops
+fn drop_summary<E: Engine>(engine: &E, seed: u64, runs: usize) -> Summary {
+    monte_carlo(engine, &jsq(), 15, runs, seed, 0).drops
 }
 
 #[test]

@@ -5,10 +5,9 @@
 
 use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField};
 use mflb::core::{MeanFieldMdp, SystemConfig};
-use mflb::linalg::stats::Summary;
 use mflb::policy::sed_rule;
 use mflb::queue::ArrivalProcess;
-use mflb::sim::{run_episode, run_rng, AggregateEngine, RateClasses};
+use mflb::sim::{monte_carlo, AggregateEngine, RateClasses};
 
 #[test]
 fn finite_hetero_system_tracks_hetero_mean_field() {
@@ -34,12 +33,7 @@ fn finite_hetero_system_tracks_hetero_mean_field() {
         let mut rates = vec![1.6; half];
         rates.extend(std::iter::repeat_n(0.4, half));
         let engine = AggregateEngine::with_service(cfg, RateClasses::new(&rates));
-        let mut s = Summary::new();
-        for r in 0..24 {
-            s.push(
-                run_episode(&engine, &policy, horizon, &mut run_rng(half as u64, r)).total_drops,
-            );
-        }
+        let s = monte_carlo(&engine, &policy, horizon, 24, half as u64, 0).drops;
         gaps.push(((s.mean() - mf_drops).abs(), s.std_err()));
     }
     // The largest pool must sit close to the limit (within noise + a

@@ -1,9 +1,11 @@
 //! The Monte-Carlo driver cuts runs into lockstep chunks whose layout
 //! depends on the worker count. No result may depend on that layout:
 //! for every worker count and run count, each run's outcome must equal,
-//! bit for bit, the same run played alone on its `run_rng(seed, run)`.
+//! bit for bit, the same run played alone on its `run_rng(seed, run)`
+//! through a one-episode call of the episode loop `run_episodes_lockstep`.
 //! Checked for a batched neural policy (one gemm per chunk and epoch)
-//! and a fixed rule, on `monte_carlo` and `monte_carlo_conditioned`.
+//! and a fixed rule, on `monte_carlo` and on `monte_carlo_conditioned`,
+//! whose prescribed `λ` path runs the same batched loop.
 //!
 //! `MonteCarloResult` exposes each run's `total_drops` (`per_run`) and
 //! the run-order mean of the per-epoch drops, so the per-epoch
@@ -14,7 +16,7 @@ use mflb::core::{DecisionRule, SystemConfig};
 use mflb::nn::{Activation, Mlp};
 use mflb::policy::NeuralUpperPolicy;
 use mflb::sim::{
-    monte_carlo, monte_carlo_conditioned, run_episode, run_episode_conditioned, run_rng,
+    monte_carlo, monte_carlo_conditioned, run_episode, run_episodes_lockstep, run_rng,
     AggregateEngine, EpisodeOutcome, MonteCarloResult,
 };
 use rand::rngs::StdRng;
@@ -62,9 +64,23 @@ fn check_policy(engine: &AggregateEngine, policy: &(dyn UpperPolicy + Sync)) {
     let solo: Vec<_> = (0..max_runs)
         .map(|r| run_episode(engine, policy, HORIZON, &mut run_rng(SEED, r)))
         .collect();
+    let path = Some(lambda_seq.as_slice());
     let solo_cond: Vec<_> = (0..max_runs)
-        .map(|r| run_episode_conditioned(engine, policy, &lambda_seq, &mut run_rng(SEED, r)))
+        .map(|r| {
+            let mut rng = run_rng(SEED, r);
+            run_episodes_lockstep(engine, policy, HORIZON, path, std::slice::from_mut(&mut rng))
+                .remove(0)
+        })
         .collect();
+    assert!(solo_cond.iter().all(|o| o.lambda_trace == lambda_seq), "runs follow the path");
+    // All runs in one batch: a single decide_batch of 100 rows per epoch.
+    let mut rngs: Vec<StdRng> = (0..max_runs).map(|r| run_rng(SEED, r)).collect();
+    let batched = run_episodes_lockstep(engine, policy, HORIZON, path, &mut rngs);
+    for (r, (b, o)) in batched.iter().zip(&solo_cond).enumerate() {
+        let what = format!("{} run {r}: one batch vs solo", policy.name());
+        assert_eq!(bits(&b.drops_per_epoch), bits(&o.drops_per_epoch), "{what}");
+        assert_eq!(b.mean_queue_len, o.mean_queue_len, "{what}");
+    }
     for threads in THREADS {
         for n_runs in RUN_COUNTS {
             let what = format!("{} threads={threads} runs={n_runs}", policy.name());

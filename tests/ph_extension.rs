@@ -5,10 +5,9 @@
 
 use mflb::core::mdp::{FixedRulePolicy, Integrand, MeanField};
 use mflb::core::{MeanFieldMdp, SystemConfig};
-use mflb::linalg::stats::Summary;
 use mflb::policy::{jsq_rule, rnd_rule, softmin_rule};
 use mflb::queue::PhaseType;
-use mflb::sim::{monte_carlo, run_episode, run_episode_conditioned, run_rng, AggregateEngine};
+use mflb::sim::{monte_carlo, monte_carlo_conditioned, AggregateEngine};
 
 fn config() -> SystemConfig {
     SystemConfig::paper().with_dt(4.0).with_size(1_600, 40)
@@ -36,10 +35,7 @@ fn whole_stack_collapses_to_exponential_at_one_phase() {
     let agg = AggregateEngine::new(cfg.clone());
     let ph_engine = AggregateEngine::with_service(cfg.clone(), PhaseType::exponential(1.0));
     let mc = monte_carlo(&agg, &policy, 20, 40, 3, 0);
-    let mut s = Summary::new();
-    for r in 0..40 {
-        s.push(run_episode(&ph_engine, &policy, 20, &mut run_rng(4, r)).total_drops);
-    }
+    let s = monte_carlo(&ph_engine, &policy, 20, 40, 4, 0).drops;
     let tol = 4.0 * (mc.drops.std_err() + s.std_err());
     assert!(
         (mc.mean() - s.mean()).abs() < tol,
@@ -61,11 +57,7 @@ fn scv_ordering_holds_in_mean_field_and_finite_system() {
         let mdp = ph_mdp(&cfg, &service);
         mf.push(-mdp.rollout_conditioned(&policy, &seq).total_return);
         let engine = AggregateEngine::with_service(cfg.clone(), service);
-        let mut s = Summary::new();
-        for r in 0..24 {
-            s.push(run_episode(&engine, &policy, 25, &mut run_rng(9, r)).total_drops);
-        }
-        fin.push(s.mean());
+        fin.push(monte_carlo(&engine, &policy, 25, 24, 9, 0).mean());
     }
     assert!(mf[0] < mf[1] && mf[1] < mf[2], "mean-field SCV ordering: {mf:?}");
     assert!(fin[0] < fin[1] && fin[1] < fin[2], "finite SCV ordering: {fin:?}");
@@ -88,14 +80,9 @@ fn finite_ph_system_approaches_mean_field_with_size() {
         let mdp = ph_mdp(&cfg, &service);
         let reference = -mdp.rollout_conditioned(&policy, &seq).total_return;
         let engine = AggregateEngine::with_service(cfg, service.clone());
-        // Conditioned finite episodes (same arrival path) — the unified
-        // driver handles the fixed λ sequence for every engine now.
-        let mut s = Summary::new();
-        for r in 0..30 {
-            let rng = &mut run_rng(100 + m as u64, r);
-            s.push(run_episode_conditioned(&engine, &policy, &seq, rng).total_drops);
-        }
-        gaps.push((s.mean() - reference).abs() / reference.max(1.0));
+        // Conditioned finite episodes on the same arrival path.
+        let mc = monte_carlo_conditioned(&engine, &policy, &seq, 30, 100 + m as u64, 0);
+        gaps.push((mc.mean() - reference).abs() / reference.max(1.0));
     }
     assert!(gaps[2] < gaps[0] + 0.02, "relative gap should not grow with M: {gaps:?}");
     assert!(gaps[2] < 0.1, "largest system should be within 10%: {gaps:?}");

@@ -5,7 +5,11 @@
 //!
 //! Run with `cargo test --release -- --ignored` (CI's long-tests job).
 
-use mflb::rl::{evaluate_checkpoint, train_scenario, train_scenario_from, PpoConfig};
+use mflb::policy::InferenceConfig;
+use mflb::rl::{
+    evaluate_checkpoint_configured, train_scenario, train_scenario_from, EvalReport, PpoConfig,
+    TrainingCheckpoint,
+};
 use mflb::sim::Scenario;
 
 /// The CLI's quick-scale preset, shortened: enough training to clear RND.
@@ -23,6 +27,20 @@ fn quick_ppo() -> PpoConfig {
         rollout_threads: 2,
         ..PpoConfig::paper()
     }
+}
+
+/// Plain evaluation (no oracle, default inference) at the scenario's size.
+fn eval(ckpt: &TrainingCheckpoint, scenario: &Scenario, runs: usize) -> Result<EvalReport, String> {
+    evaluate_checkpoint_configured(
+        ckpt,
+        scenario,
+        &[],
+        runs,
+        1,
+        0,
+        None,
+        InferenceConfig::default(),
+    )
 }
 
 fn scenario_from_file(name: &str) -> Scenario {
@@ -61,11 +79,11 @@ fn fault_trained_policy_beats_fault_blind_on_the_crash_scenario() {
         train_scenario_from(&faulted, ppo, 250, 1, false, Some(&blind_ckpt.checkpoint.policy_net))
             .expect("fault-aware fine-tuning");
 
-    let aware = evaluate_checkpoint(&aware_ckpt.checkpoint, &faulted, &[], 20, 1, 0)
+    let aware = eval(&aware_ckpt.checkpoint, &faulted, 20)
         .expect("fault-aware eval")
         .mean_drops_of("MF (learned)")
         .unwrap();
-    let blind = evaluate_checkpoint(&blind_ckpt.checkpoint, &faulted, &[], 20, 1, 0)
+    let blind = eval(&blind_ckpt.checkpoint, &faulted, 20)
         .expect("fault-blind eval")
         .mean_drops_of("MF (learned)")
         .unwrap();
@@ -89,8 +107,7 @@ fn learned_policy_beats_rnd_on_four_engine_kinds() {
         let scenario = scenario_from_file(file);
         let result =
             train_scenario(&scenario, quick_ppo(), iters, 1, false).expect("training failed");
-        let report = evaluate_checkpoint(&result.checkpoint, &scenario, &[], 10, 1, 0)
-            .expect("evaluation failed");
+        let report = eval(&result.checkpoint, &scenario, 10).expect("evaluation failed");
         let learned = report.mean_drops_of("MF (learned)").unwrap();
         let rnd = report.rows.iter().find(|r| r.policy == "RND").map(|r| r.mean_drops).unwrap();
         assert!(
