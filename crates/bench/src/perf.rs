@@ -38,7 +38,7 @@
 
 use mflb_core::mdp::MeanField;
 use mflb_core::SystemConfig;
-use mflb_nn::{Activation, DiagGaussian, F32Workspace, Mlp, Tensor, Workspace};
+use mflb_nn::{Activation, F32Workspace, Mlp, Tensor, Workspace};
 use mflb_policy::{action_dim, observation_dim, NeuralUpperPolicy};
 use mflb_rl::{train_scenario, MeanFieldEnv, PpoConfig, PpoTrainer};
 use mflb_sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario};
@@ -223,21 +223,33 @@ fn time_loop<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 const ROUNDS: usize = 20;
 
 /// Times `iters` repetitions of each closure in `min(ROUNDS, iters)`
-/// alternating rounds, so that drift in machine speed over the run hits
-/// every side alike. Returns each side's median round scaled to `iters`
-/// repetitions (total seconds, like [`time_loop`]).
-fn interleaved<const K: usize>(iters: usize, mut sides: [&mut dyn FnMut(); K]) -> [f64; K] {
+/// alternating rounds (see [`interleaved_rounds`]). Returns each side's
+/// median round scaled to `iters` repetitions (total seconds, like
+/// [`time_loop`]).
+fn interleaved<const K: usize>(iters: usize, sides: [&mut dyn FnMut(); K]) -> [f64; K] {
     let rounds = ROUNDS.min(iters);
     assert!(iters.is_multiple_of(rounds), "{iters} repetitions do not split into {rounds} rounds");
+    interleaved_rounds(rounds, [iters / rounds; K], sides).map(|per_op| per_op * iters as f64)
+}
+
+/// Times `rounds` alternating rounds in which side `k` runs `reps[k]`
+/// repetitions, so that drift in machine speed over the run hits every
+/// side alike, whatever each side's cost. Returns each side's median
+/// round per repetition (seconds).
+fn interleaved_rounds<const K: usize>(
+    rounds: usize,
+    reps: [usize; K],
+    mut sides: [&mut dyn FnMut(); K],
+) -> [f64; K] {
     let mut secs = [(); K].map(|_| Vec::with_capacity(rounds));
     for _ in 0..rounds {
-        for (side, f) in secs.iter_mut().zip(sides.iter_mut()) {
-            side.push(time_loop(iters / rounds, f));
+        for ((side, f), &n) in secs.iter_mut().zip(sides.iter_mut()).zip(&reps) {
+            side.push(time_loop(n, f) / n as f64);
         }
     }
     secs.map(|mut side| {
         side.sort_by(f64::total_cmp);
-        (side[(rounds - 1) / 2] + side[rounds / 2]) / 2.0 * rounds as f64
+        (side[(rounds - 1) / 2] + side[rounds / 2]) / 2.0
     })
 }
 
@@ -649,22 +661,14 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         });
         entries.push(entry("ppo_collect_batch_mfc", iters, collect, steps, "steps/s"));
         let mut it = buffers.iter();
+        // With two or more workers the value head trains on a second
+        // thread beside the policy head (the per-row Gaussian loss loop
+        // runs inside the policy head).
         let update = time_loop(iters, || {
             let buf = it.next().expect("one buffer per iter");
             black_box(trainer.update(buf, &mut rng));
         });
         entries.push(entry("ppo_update_minibatch_sgd", iters, update, steps * epochs, "steps/s"));
-
-        // Gaussian head micro-op riding along: per-sample log-prob (the
-        // dominant scalar loop inside the update).
-        let mean = trainer.deterministic_action(&vec![0.1; env_obs_dim(&env)]);
-        let dist = DiagGaussian::new(&mean, trainer.log_std());
-        let action = vec![0.05; mean.len()];
-        let liters = 20_000 * scale;
-        let lp = time_loop(liters, || {
-            black_box(dist.log_prob(black_box(&action)));
-        });
-        entries.push(entry("gaussian_log_prob_72d", liters, lp, 1.0, "ops/s"));
     }
 
     // --- 5. Deployment-side Monte Carlo: neural decide per epoch. ---
@@ -701,7 +705,10 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
     //     states. Each state evolves across iterations (steady-state
     //     epochs, not cold ones). Tracked: the naive twin is the
     //     per-client engine's O(N·d) epoch at the same N and M, so the
-    //     gate catches either service model falling off the O(M) path. ---
+    //     gate catches either service model falling off the O(M) path.
+    //     The three engines alternate rounds of one per-client epoch and
+    //     `reps` aggregate epochs each; every side reports its median
+    //     round per epoch. ---
     {
         use mflb_policy::{jsq_rule, sed_rule};
         use mflb_sim::aggregate::AggregateState;
@@ -711,40 +718,50 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
         let config = SystemConfig::paper().with_m_squared(1000).with_dt(5.0);
         let m = config.num_queues;
         let jsq = jsq_rule(config.num_states(), config.d);
-        let mut rng = StdRng::seed_from_u64(19);
 
         let per = PerClientEngine::new(config.clone());
-        let mut state = PerClientState::from_queues(vec![1; m], config.d);
-        let naive_iters = if quick { 3 } else { 20 };
-        let naive = time_loop(naive_iters, || {
-            black_box(per.step(&mut state, &jsq, 0.9, &mut rng));
-        });
-        let iters = if quick { 100 } else { 1_000 };
-        let naive_secs = naive / naive_iters as f64 * iters as f64;
+        let mut per_state = PerClientState::from_queues(vec![1; m], config.d);
+        let mut per_rng = StdRng::seed_from_u64(19);
 
         let exp = AggregateEngine::new(config.clone());
-        let mut state = AggregateState::from_queues(vec![1; m]);
-        let secs = time_loop(iters, || {
-            black_box(exp.step(&mut state, &jsq, 0.9, &mut rng));
-        });
-        entries.push(with_baseline(
-            entry("aggregate_epoch_exp_M1000_N1e6", iters, secs, 1.0, "epochs/s"),
-            naive_secs,
-        ));
+        let mut exp_state = AggregateState::from_queues(vec![1; m]);
+        let mut exp_rng = StdRng::seed_from_u64(20);
 
         let mut rates = vec![1.6; m / 2];
         rates.resize(m, 0.4);
         let classes = RateClasses::new(&rates);
         let sed = sed_rule(config.num_states(), config.d, classes.class_rates());
         let hetero = AggregateEngine::with_service(config, classes);
-        let mut state = AggregateState::from_queues(vec![1; m]);
-        let secs = time_loop(iters, || {
-            black_box(hetero.step(&mut state, &sed, 0.9, &mut rng));
-        });
-        entries.push(with_baseline(
-            entry("aggregate_epoch_rate_classes_M1000_N1e6", iters, secs, 1.0, "epochs/s"),
-            naive_secs,
-        ));
+        let mut hetero_state = AggregateState::from_queues(vec![1; m]);
+        let mut hetero_rng = StdRng::seed_from_u64(21);
+
+        let (rounds, reps) = if quick { (10, 10) } else { (20, 50) };
+        let [naive, exp_secs, hetero_secs] = interleaved_rounds(
+            rounds,
+            [1, reps, reps],
+            [
+                &mut || {
+                    black_box(per.step(&mut per_state, &jsq, 0.9, &mut per_rng));
+                },
+                &mut || {
+                    black_box(exp.step(&mut exp_state, &jsq, 0.9, &mut exp_rng));
+                },
+                &mut || {
+                    black_box(hetero.step(&mut hetero_state, &sed, 0.9, &mut hetero_rng));
+                },
+            ],
+        );
+        let iters = rounds * reps;
+        let total = |per_op: f64| per_op * iters as f64;
+        for (name, secs) in [
+            ("aggregate_epoch_exp_M1000_N1e6", exp_secs),
+            ("aggregate_epoch_rate_classes_M1000_N1e6", hetero_secs),
+        ] {
+            entries.push(with_baseline(
+                entry(name, iters, total(secs), 1.0, "epochs/s"),
+                total(naive),
+            ));
+        }
     }
 
     // --- 5c. Finite-system epochs off the aggregate path: the staggered
@@ -839,12 +856,6 @@ pub fn run_suite(quick: bool, workers: usize) -> BenchReport {
     }
 
     BenchReport { unix_time, quick, workers, entries }
-}
-
-/// Observation dimension of an env without dragging the trait into scope.
-fn env_obs_dim(env: &MeanFieldEnv<MeanField>) -> usize {
-    use mflb_rl::Env;
-    env.obs_dim()
 }
 
 /// Runs the sparse-graph suite behind `mflb bench --suite graph`

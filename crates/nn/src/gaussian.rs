@@ -99,31 +99,98 @@ impl<'a> DiagGaussian<'a> {
             })
             .collect()
     }
+}
 
-    /// Allocation-free twin of [`DiagGaussian::log_prob_grad_mean`]
-    /// writing into a caller-owned scratch slice (bit-identical values).
-    pub fn log_prob_grad_mean_into(&self, action: &[f64], out: &mut [f64]) {
-        assert_eq!(action.len(), self.dim());
-        assert_eq!(out.len(), self.dim());
-        for (o, ((&a, &m), &ls)) in
-            out.iter_mut().zip(action.iter().zip(self.mean).zip(self.log_std))
-        {
-            let inv_var = (-2.0 * ls).exp();
-            *o = (a - m) * inv_var;
-        }
+/// The per-dimension exponentials of one `log_std` vector.
+///
+/// Every sample, log-density and log-density gradient of a
+/// [`DiagGaussian`] reads `σ = exp(ls)`, `1/σ = exp(−ls)` or
+/// `1/σ² = exp(−2·ls)`, and an exact KL divergence from it reads
+/// `σ² = exp(2·ls)`; none of them depends on the mean or the action. Code
+/// that evaluates many rows against one fixed `log_std` (a rollout batch
+/// under fixed exploration noise, a PPO minibatch between two Adam steps)
+/// computes them here once and reads them per row. Each method evaluates
+/// the same expression as its [`DiagGaussian`] twin, so the results are
+/// bit-identical.
+#[derive(Debug, Clone, Default)]
+pub struct LogStdExps {
+    log_std: Vec<f64>,
+    std: Vec<f64>,
+    inv_std: Vec<f64>,
+    var: Vec<f64>,
+    inv_var: Vec<f64>,
+}
+
+impl LogStdExps {
+    /// The exponentials of `log_std`.
+    pub fn new(log_std: &[f64]) -> Self {
+        let mut exps = Self::default();
+        exps.set(log_std);
+        exps
     }
 
-    /// Allocation-free twin of [`DiagGaussian::log_prob_grad_log_std`]
-    /// writing into a caller-owned scratch slice (bit-identical values).
-    pub fn log_prob_grad_log_std_into(&self, action: &[f64], out: &mut [f64]) {
-        assert_eq!(action.len(), self.dim());
-        assert_eq!(out.len(), self.dim());
-        for (o, ((&a, &m), &ls)) in
-            out.iter_mut().zip(action.iter().zip(self.mean).zip(self.log_std))
+    /// Recomputes every vector for a new `log_std`, reusing the buffers
+    /// (no allocation once they have grown to the dimension).
+    pub fn set(&mut self, log_std: &[f64]) {
+        let fill = |out: &mut Vec<f64>, f: fn(f64) -> f64| {
+            out.clear();
+            out.extend(log_std.iter().map(|&ls| f(ls)));
+        };
+        fill(&mut self.log_std, |ls| ls);
+        fill(&mut self.std, |ls| ls.exp());
+        fill(&mut self.inv_std, |ls| (-ls).exp());
+        fill(&mut self.var, |ls| (2.0 * ls).exp());
+        fill(&mut self.inv_var, |ls| (-2.0 * ls).exp());
+    }
+
+    /// The `log_std` vector the exponentials belong to.
+    pub fn log_std(&self) -> &[f64] {
+        &self.log_std
+    }
+
+    /// `σ²_k = exp(2·ls_k)`.
+    pub fn var(&self) -> &[f64] {
+        &self.var
+    }
+
+    /// `1/σ²_k = exp(−2·ls_k)`.
+    pub fn inv_var(&self) -> &[f64] {
+        &self.inv_var
+    }
+
+    /// [`DiagGaussian::sample`] around `mean`.
+    pub fn sample<R: Rng + ?Sized>(&self, mean: &[f64], rng: &mut R) -> Vec<f64> {
+        assert_eq!(mean.len(), self.std.len(), "mean/log_std dim mismatch");
+        mean.iter().zip(&self.std).map(|(&m, &std)| m + std * standard_normal(rng)).collect()
+    }
+
+    /// [`DiagGaussian::log_prob`] of `action` around `mean`.
+    pub fn log_prob(&self, mean: &[f64], action: &[f64]) -> f64 {
+        assert_eq!(mean.len(), self.log_std.len(), "mean/log_std dim mismatch");
+        assert_eq!(action.len(), mean.len());
+        let mut lp = 0.0;
+        for (((&a, &m), &ls), &inv_std) in
+            action.iter().zip(mean).zip(&self.log_std).zip(&self.inv_std)
         {
-            let z = (a - m) * (-ls).exp();
-            *o = z * z - 1.0;
+            let z = (a - m) * inv_std;
+            lp += -0.5 * z * z - ls - LN_SQRT_2PI;
         }
+        lp
+    }
+
+    /// Entry `k` of [`DiagGaussian::log_prob_grad_mean`], given the
+    /// residual `diff = a_k − μ_k`.
+    #[inline]
+    pub fn grad_mean(&self, k: usize, diff: f64) -> f64 {
+        diff * self.inv_var[k]
+    }
+
+    /// Entry `k` of [`DiagGaussian::log_prob_grad_log_std`], given the
+    /// residual `diff = a_k − μ_k`.
+    #[inline]
+    pub fn grad_log_std(&self, k: usize, diff: f64) -> f64 {
+        let z = diff * self.inv_std[k];
+        z * z - 1.0
     }
 }
 
@@ -186,6 +253,35 @@ mod tests {
             s2[i] -= 2.0 * eps;
             let down = DiagGaussian::new(&mean, &s2).log_prob(&action);
             assert!(((up - down) / (2.0 * eps) - gs[i]).abs() < 1e-6, "log_std[{i}]");
+        }
+    }
+
+    #[test]
+    fn log_std_exps_match_the_allocating_formulas_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut exps = LogStdExps::default();
+        for dim in [1, 7, 72] {
+            for _ in 0..50 {
+                let draw = |rng: &mut StdRng, lo: f64, hi: f64| -> Vec<f64> {
+                    (0..dim).map(|_| rng.gen_range(lo..hi)).collect()
+                };
+                let mean = draw(&mut rng, -3.0, 3.0);
+                let log_std = draw(&mut rng, -5.0, 2.0);
+                let action = draw(&mut rng, -4.0, 4.0);
+                let g = DiagGaussian::new(&mean, &log_std);
+                exps.set(&log_std);
+                assert_eq!(exps.log_prob(&mean, &action).to_bits(), g.log_prob(&action).to_bits());
+                let gm = g.log_prob_grad_mean(&action);
+                let gs = g.log_prob_grad_log_std(&action);
+                for k in 0..dim {
+                    let diff = action[k] - mean[k];
+                    assert_eq!(exps.grad_mean(k, diff).to_bits(), gm[k].to_bits());
+                    assert_eq!(exps.grad_log_std(k, diff).to_bits(), gs[k].to_bits());
+                }
+                let mut a = StdRng::seed_from_u64(dim as u64);
+                let mut b = a.clone();
+                assert_eq!(exps.sample(&mean, &mut a), g.sample(&mut b));
+            }
         }
     }
 

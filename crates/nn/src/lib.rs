@@ -12,7 +12,9 @@
 //!   gradients,
 //! * [`adam::Adam`] — flat-vector Adam plus global-norm gradient clipping,
 //! * [`gaussian::DiagGaussian`] — diagonal Gaussian heads with closed-form
-//!   log-probability/entropy gradients.
+//!   log-probability/entropy gradients, and [`gaussian::LogStdExps`], the
+//!   per-dimension exponentials of a fixed `log_std` that batched callers
+//!   compute once instead of once per row.
 //!
 //! # Performance
 //!
@@ -58,7 +60,7 @@ pub mod tensor;
 
 pub use adam::{clip_grad_norm, Adam};
 pub use fast::{fast_tanh, fast_tanh_f32, F32Mlp, F32Workspace, TanhMode};
-pub use gaussian::{standard_normal, DiagGaussian};
+pub use gaussian::{standard_normal, DiagGaussian, LogStdExps};
 pub use linear::Linear;
 pub use mlp::{Activation, ForwardCache, Mlp, Workspace};
 pub use tensor::Tensor;

@@ -17,6 +17,21 @@
 //! scheduling — so training with 1 worker and with `k` workers produces
 //! bit-identical networks (verified by `tests/training_determinism.rs`).
 //!
+//! # The update's two heads
+//!
+//! [`PpoTrainer::update`] trains two heads that share nothing but the
+//! batch and the minibatch sample orders: the policy head (network plus
+//! Gaussian `log_std`, one Adam) and the value head (value network, its own
+//! Adam). The orders, the update's only use of its RNG, are drawn for all
+//! epochs before either head starts. With `rollout_threads ≥ 2` the value
+//! head then runs on a scoped thread, with its own gather buffer and
+//! workspace, while the calling thread runs the policy head; with one
+//! thread both run inline. Each head performs the same arithmetic in the
+//! same order either way, so the trained networks do not depend on the
+//! thread count. Inside the policy head the Gaussian's exponentials
+//! ([`LogStdExps`]) are computed once per minibatch, since `log_std` only
+//! moves at the Adam step that ends one.
+//!
 //! Loss per minibatch sample `i` with ratio `r_i = exp(lnπ(a|s) − lnπ_old)`:
 //!
 //! ```text
@@ -27,7 +42,7 @@
 
 use crate::buffer::RolloutBuffer;
 use crate::env::Env;
-use mflb_nn::{clip_grad_norm, Activation, Adam, DiagGaussian, Mlp, Tensor, Workspace};
+use mflb_nn::{clip_grad_norm, Activation, Adam, DiagGaussian, LogStdExps, Mlp, Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -157,32 +172,250 @@ struct RolloutScratch {
     value: Workspace,
 }
 
-/// Long-lived scratch for the minibatch loop: gather buffers, network
-/// workspaces (whose flat-gradient tails hold the `log_std` gradients for
-/// joint norm clipping) and the per-sample Gaussian gradient slices. All
-/// buffers are reshaped in place per minibatch, so one warmed-up
-/// [`PpoTrainer::update`] call performs O(1) heap allocations (verified by
-/// `tests/update_allocations.rs`).
-#[derive(Default)]
-struct UpdateWorkspace {
-    /// Shuffled sample indices (Fisher–Yates, reused across epochs).
-    indices: Vec<usize>,
+/// The policy head: network, Gaussian `log_std`, their joint Adam state
+/// and the long-lived scratch of its minibatch loop. All buffers reshape in
+/// place, so a warmed-up [`PpoTrainer::update`] performs O(1) heap
+/// allocations (verified by `tests/update_allocations.rs`).
+struct PolicyHead {
+    net: Mlp,
+    log_std: Vec<f64>,
+    /// Adam over `[network params ‖ log_std]`.
+    opt: Adam,
     /// Minibatch observation gather.
     obs: Tensor,
-    /// Policy-network activations/gradients/flat-grad (+`log_std` tail).
-    policy: Workspace,
-    /// Value-network activations/gradients/flat-grad.
-    value: Workspace,
+    /// Activations/gradients/flat-grad, whose tail holds the `log_std`
+    /// gradients for joint norm clipping.
+    ws: Workspace,
     /// `∂L/∂μ` per minibatch row.
     grad_mean: Tensor,
     /// `∂L/∂log_std` accumulator.
     grad_log_std: Vec<f64>,
-    /// Value-head output gradient.
+    /// Exponentials of `log_std`, refreshed once per minibatch.
+    exps: LogStdExps,
+    /// Exponentials of the batch's behaviour `log_std`.
+    behaviour: LogStdExps,
+}
+
+/// The value head: network, its Adam state and its own minibatch scratch,
+/// so it can train on another thread while the policy head trains.
+struct ValueHead {
+    net: Mlp,
+    opt: Adam,
+    /// Minibatch observation gather.
+    obs: Tensor,
+    /// Activations/gradients/flat-grad.
+    ws: Workspace,
+    /// Output gradient.
     vgrad: Tensor,
-    /// Scratch for [`DiagGaussian::log_prob_grad_mean_into`].
-    glp_mean: Vec<f64>,
-    /// Scratch for [`DiagGaussian::log_prob_grad_log_std_into`].
-    glp_log_std: Vec<f64>,
+}
+
+/// The policy head's last-epoch means (see [`UpdateStats`]).
+struct PolicyStats {
+    loss: f64,
+    kl: f64,
+    entropy: f64,
+}
+
+/// Copies the observations of the `chunk` rows into `obs`.
+fn gather(obs: &mut Tensor, buffer: &RolloutBuffer, chunk: &[usize]) {
+    let obs_dim = buffer.obs.first().map_or(0, Vec::len);
+    obs.reset(chunk.len(), obs_dim);
+    for (row, &idx) in chunk.iter().enumerate() {
+        obs.row_mut(row).copy_from_slice(&buffer.obs[idx]);
+    }
+}
+
+/// Draws every epoch's sample order up front into `orders` (`epochs`
+/// slices of length `n`): epoch `e` is a Fisher–Yates shuffle of epoch
+/// `e − 1`'s order (of `0..n` for the first), so the draws and the orders
+/// are those of one index vector reshuffled at the start of each epoch.
+fn draw_orders(orders: &mut Vec<usize>, n: usize, epochs: usize, rng: &mut StdRng) {
+    orders.clear();
+    for e in 0..epochs {
+        if e == 0 {
+            orders.extend(0..n);
+        } else {
+            orders.extend_from_within((e - 1) * n..e * n);
+        }
+        let order = &mut orders[e * n..];
+        for i in (1..n).rev() {
+            let j = rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+    }
+}
+
+/// The per-epoch slices of orders drawn by [`draw_orders`].
+fn epoch_orders(orders: &[usize], epochs: usize) -> impl Iterator<Item = &[usize]> {
+    let n = orders.len() / epochs.max(1);
+    (0..epochs).map(move |e| &orders[e * n..(e + 1) * n])
+}
+
+impl PolicyHead {
+    /// Runs every epoch of clipped-surrogate + KL-penalty minibatch SGD on
+    /// the policy network and `log_std`, over the epoch `orders`.
+    fn fit(
+        &mut self,
+        cfg: &PpoConfig,
+        kl_coeff: f64,
+        buffer: &RolloutBuffer,
+        orders: &[usize],
+    ) -> PolicyStats {
+        let act_dim = self.log_std.len();
+        let Self { net, log_std, opt, obs, ws, grad_mean, grad_log_std, exps, behaviour } = self;
+        behaviour.set(&buffer.behaviour_log_std);
+        grad_log_std.clear();
+        grad_log_std.resize(act_dim, 0.0);
+        let mut last = PolicyStats { loss: 0.0, kl: 0.0, entropy: 0.0 };
+
+        for order in epoch_orders(orders, cfg.num_epochs) {
+            let mut epoch = PolicyStats { loss: 0.0, kl: 0.0, entropy: 0.0 };
+            let mut minibatches = 0usize;
+            for chunk in order.chunks(cfg.minibatch_size) {
+                let b = chunk.len();
+                gather(obs, buffer, chunk);
+                // Forward through the workspace (activations stay alive
+                // for the backward pass below).
+                net.forward_into(obs, ws);
+
+                grad_mean.reset(b, act_dim);
+                grad_mean.fill(0.0);
+                for g in grad_log_std.iter_mut() {
+                    *g = 0.0;
+                }
+                // `log_std` only changes at the Adam step that ends the
+                // minibatch, so its exponentials are shared by every row.
+                exps.set(log_std);
+                let mut policy_loss = 0.0;
+                let mut kl_sum = 0.0;
+                // Entropy is mean-independent for a diagonal Gaussian, so
+                // it comes straight from the exploration head.
+                let entropy = DiagGaussian::entropy_from_log_std(log_std);
+                let inv_b = 1.0 / b as f64;
+
+                let means = ws.output();
+                for (row, &idx) in chunk.iter().enumerate() {
+                    let mean_new = means.row(row);
+                    let action = &buffer.actions[idx];
+                    let new_logp = exps.log_prob(mean_new, action);
+                    let ratio = (new_logp - buffer.log_probs[idx]).exp();
+                    let adv = buffer.advantages[idx];
+
+                    // Clipped surrogate.
+                    let unclipped = ratio * adv;
+                    let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * adv;
+                    let surrogate = unclipped.min(clipped);
+                    policy_loss -= surrogate * inv_b;
+                    // d(−surrogate)/d new_logp = −ratio·adv when the
+                    // unclipped branch is active (min picks it), else 0.
+                    let surr_coeff = if unclipped <= clipped { -ratio * adv * inv_b } else { 0.0 };
+
+                    // Exact diagonal-Gaussian KL(old‖new) and its
+                    // gradients, accumulated into the row slice.
+                    let mean_old = &buffer.means[idx];
+                    let gm_row = grad_mean.row_mut(row);
+                    let mut kl = 0.0;
+                    for k in 0..act_dim {
+                        let ls_old = behaviour.log_std()[k];
+                        let ls_new = log_std[k];
+                        let var_old = behaviour.var()[k];
+                        let inv_var_new = exps.inv_var()[k];
+                        let dmean = mean_new[k] - mean_old[k];
+                        kl += ls_new - ls_old + 0.5 * (var_old + dmean * dmean) * inv_var_new - 0.5;
+                        // Gradients of the KL penalty term (coefficient
+                        // applied below).
+                        let kl_grad_mean = dmean * inv_var_new;
+                        let kl_grad_ls = 1.0 - (var_old + dmean * dmean) * inv_var_new;
+                        let c = kl_coeff * inv_b;
+                        gm_row[k] += c * kl_grad_mean;
+                        grad_log_std[k] += c * kl_grad_ls;
+                    }
+                    kl_sum += kl;
+
+                    // Surrogate gradients through log-prob.
+                    if surr_coeff != 0.0 {
+                        for k in 0..act_dim {
+                            let diff = action[k] - mean_new[k];
+                            gm_row[k] += surr_coeff * exps.grad_mean(k, diff);
+                            grad_log_std[k] += surr_coeff * exps.grad_log_std(k, diff);
+                        }
+                    }
+                }
+
+                // Entropy bonus (state-independent for a Gaussian with
+                // fixed log-std): dH/d log_std_k = 1.
+                if cfg.entropy_coeff != 0.0 {
+                    for g in grad_log_std.iter_mut() {
+                        *g -= cfg.entropy_coeff;
+                    }
+                }
+
+                // Backprop into the workspace's flat buffer (whose tail
+                // holds the log_std gradients for joint clipping), then
+                // step Adam in place over the split parameter slices
+                // [network params ‖ log_std].
+                let np = net.num_params();
+                let flat = net.backward_into(ws, grad_mean);
+                flat[np..].copy_from_slice(grad_log_std);
+                clip_grad_norm(flat, cfg.grad_clip);
+                opt.step_segments(
+                    net.params_mut().chain(std::iter::once(log_std.as_mut_slice())),
+                    flat,
+                );
+                // Keep exploration noise in a sane band (RLlib clamps too).
+                for ls in log_std.iter_mut() {
+                    *ls = ls.clamp(-5.0, 2.0);
+                }
+
+                epoch.loss += policy_loss;
+                epoch.kl += kl_sum * inv_b;
+                epoch.entropy += entropy;
+                minibatches += 1;
+            }
+            let mb = minibatches.max(1) as f64;
+            last = PolicyStats {
+                loss: epoch.loss / mb,
+                kl: epoch.kl / mb,
+                entropy: epoch.entropy / mb,
+            };
+        }
+        last
+    }
+}
+
+impl ValueHead {
+    /// Runs every epoch of minibatch regression of the value network on
+    /// the returns, over the epoch `orders`; returns the last epoch's mean
+    /// loss.
+    fn fit(&mut self, cfg: &PpoConfig, buffer: &RolloutBuffer, orders: &[usize]) -> f64 {
+        let Self { net, opt, obs, ws, vgrad } = self;
+        let mut last_loss = 0.0;
+        for order in epoch_orders(orders, cfg.num_epochs) {
+            let mut epoch_loss = 0.0;
+            let mut minibatches = 0usize;
+            for chunk in order.chunks(cfg.minibatch_size) {
+                let b = chunk.len();
+                gather(obs, buffer, chunk);
+                net.forward_into(obs, ws);
+                vgrad.reset(b, 1);
+                let inv_b = 1.0 / b as f64;
+                let mut loss = 0.0;
+                let out = ws.output();
+                for (row, &idx) in chunk.iter().enumerate() {
+                    let err = out.get(row, 0) - buffer.returns[idx];
+                    loss += err * err * inv_b;
+                    vgrad.row_mut(row)[0] = 2.0 * err * inv_b;
+                }
+                let flat = net.backward_into(ws, vgrad);
+                clip_grad_norm(flat, cfg.grad_clip);
+                opt.step_segments(net.params_mut(), flat);
+                epoch_loss += loss;
+                minibatches += 1;
+            }
+            last_loss = epoch_loss / minibatches.max(1) as f64;
+        }
+        last_loss
+    }
 }
 
 /// One collected episode, tagged with its global index so shards can be
@@ -206,11 +439,8 @@ fn episode_rng(seed: u64, index: u64) -> StdRng {
 /// optimizers and the rollout-environment prototype.
 pub struct PpoTrainer {
     cfg: PpoConfig,
-    policy: Mlp,
-    log_std: Vec<f64>,
-    value: Mlp,
-    opt_policy: Adam,
-    opt_value: Adam,
+    policy: PolicyHead,
+    value: ValueHead,
     kl_coeff: f64,
     proto: Box<dyn Env>,
     seed: u64,
@@ -219,8 +449,9 @@ pub struct PpoTrainer {
     episodes_started: u64,
     total_steps: u64,
     iteration: u64,
-    /// Long-lived minibatch scratch (see [`UpdateWorkspace`]).
-    ws: UpdateWorkspace,
+    /// Every epoch's minibatch sample order of the running update (see
+    /// [`draw_orders`]), kept to reuse its allocation.
+    orders: Vec<usize>,
 }
 
 impl PpoTrainer {
@@ -257,27 +488,37 @@ impl PpoTrainer {
 
         Self {
             kl_coeff: cfg.kl_coeff,
+            policy: PolicyHead {
+                net: policy,
+                log_std,
+                opt: opt_policy,
+                obs: Tensor::default(),
+                ws: Workspace::new().with_grad_tail(act_dim),
+                grad_mean: Tensor::default(),
+                grad_log_std: Vec::new(),
+                exps: LogStdExps::default(),
+                behaviour: LogStdExps::default(),
+            },
+            value: ValueHead {
+                net: value,
+                opt: opt_value,
+                obs: Tensor::default(),
+                ws: Workspace::new(),
+                vgrad: Tensor::default(),
+            },
             cfg,
-            policy,
-            log_std,
-            value,
-            opt_policy,
-            opt_value,
             proto: prototype.boxed_clone(),
             seed,
             episodes_started: 0,
             total_steps: 0,
             iteration: 0,
-            ws: UpdateWorkspace {
-                policy: Workspace::new().with_grad_tail(act_dim),
-                ..UpdateWorkspace::default()
-            },
+            orders: Vec::new(),
         }
     }
 
     /// The policy network (deterministic head = decision-rule logits).
     pub fn policy_net(&self) -> &Mlp {
-        &self.policy
+        &self.policy.net
     }
 
     /// Warm-starts the policy network from an existing one (same shape),
@@ -285,21 +526,22 @@ impl PpoTrainer {
     /// value network keeps its fresh initialization and re-fits within the
     /// first few iterations.
     pub fn load_policy_net(&mut self, net: &Mlp) {
-        assert_eq!(net.input_dim(), self.policy.input_dim(), "input dim mismatch");
-        assert_eq!(net.output_dim(), self.policy.output_dim(), "output dim mismatch");
-        assert_eq!(net.num_params(), self.policy.num_params(), "hidden shape mismatch");
-        self.policy = net.clone();
-        self.opt_policy = Adam::new(self.policy.num_params() + self.log_std.len(), self.cfg.lr);
+        let policy = &mut self.policy;
+        assert_eq!(net.input_dim(), policy.net.input_dim(), "input dim mismatch");
+        assert_eq!(net.output_dim(), policy.net.output_dim(), "output dim mismatch");
+        assert_eq!(net.num_params(), policy.net.num_params(), "hidden shape mismatch");
+        policy.net = net.clone();
+        policy.opt = Adam::new(net.num_params() + policy.log_std.len(), self.cfg.lr);
     }
 
     /// The value network.
     pub fn value_net(&self) -> &Mlp {
-        &self.value
+        &self.value.net
     }
 
     /// Current Gaussian log-stds.
     pub fn log_std(&self) -> &[f64] {
-        &self.log_std
+        &self.policy.log_std
     }
 
     /// Cumulative environment steps.
@@ -309,7 +551,7 @@ impl PpoTrainer {
 
     /// Deterministic (mean) action for an observation.
     pub fn deterministic_action(&self, obs: &[f64]) -> Vec<f64> {
-        self.policy.forward_one(obs)
+        self.policy.net.forward_one(obs)
     }
 
     /// Runs one complete episode with the pinned per-episode RNG, stopping
@@ -323,7 +565,7 @@ impl PpoTrainer {
     fn collect_episode(
         policy: &Mlp,
         value: &Mlp,
-        log_std: &[f64],
+        exps: &LogStdExps,
         env: &mut dyn Env,
         scratch: &mut RolloutScratch,
         seed: u64,
@@ -337,9 +579,8 @@ impl PpoTrainer {
         let mut done = false;
         while !done && buf.len() < cap {
             let mean = policy.forward_one_into(&obs, &mut scratch.policy).to_vec();
-            let dist = DiagGaussian::new(&mean, log_std);
-            let action = dist.sample(&mut rng);
-            let log_prob = dist.log_prob(&action);
+            let action = exps.sample(&mean, &mut rng);
+            let log_prob = exps.log_prob(&mean, &action);
             let v = value.forward_one_into(&obs, &mut scratch.value)[0];
             let result = env.step(&action, &mut rng);
             episode_return += result.reward;
@@ -358,7 +599,7 @@ impl PpoTrainer {
         // with value 0 by definition.
         buf.last_value =
             if done { 0.0 } else { value.forward_one_into(&obs, &mut scratch.value)[0] };
-        buf.behaviour_log_std = log_std.to_vec();
+        buf.behaviour_log_std = exps.log_std().to_vec();
         EpisodeShard { index, buf, done, episode_return }
     }
 
@@ -372,9 +613,10 @@ impl PpoTrainer {
 
         let batch = self.cfg.train_batch_size;
         let n_workers = self.cfg.rollout_threads.max(1);
-        let policy = &self.policy;
-        let value = &self.value;
-        let log_std = self.log_std.clone();
+        let policy = &self.policy.net;
+        let value = &self.value.net;
+        // `log_std` is fixed for the whole batch.
+        let exps = LogStdExps::new(&self.policy.log_std);
         let seed = self.seed;
         let start = self.episodes_started;
 
@@ -404,7 +646,7 @@ impl PpoTrainer {
                 }
             }
             let shard =
-                Self::collect_episode(policy, value, &log_std, env, scratch, seed, e, batch.max(1));
+                Self::collect_episode(policy, value, &exps, env, scratch, seed, e, batch.max(1));
             let got = steps_collected.fetch_add(shard.buf.len() as u64, Ordering::Relaxed)
                 + shard.buf.len() as u64;
             shards.lock().push(shard);
@@ -466,7 +708,7 @@ impl PpoTrainer {
                 shard.buf.last_value = if *shard.buf.dones.last().unwrap_or(&true) {
                     0.0
                 } else {
-                    self.value.forward_one_into(&bootstrap_obs, &mut self.ws.value)[0]
+                    self.value.net.forward_one_into(&bootstrap_obs, &mut self.value.ws)[0]
                 };
                 shard.done = false;
             }
@@ -492,188 +734,39 @@ impl PpoTrainer {
 
     /// Runs `num_epochs` of minibatch SGD over a collected batch and
     /// adapts the KL coefficient — the optimization phase of one PPO
-    /// iteration. All per-minibatch buffers (observation gathers, network
-    /// activations, gradients, flat-gradient vectors) live in the
-    /// trainer's long-lived update workspace; after the first call the
-    /// loop performs O(1) heap allocations, and the arithmetic is
+    /// iteration.
+    ///
+    /// The minibatch orders of all epochs are drawn from `rng` first (the
+    /// same running Fisher–Yates shuffle, draw for draw, as reshuffling
+    /// at the start of each epoch). The policy head and the value head then
+    /// train over them independently: with `rollout_threads ≥ 2` the value
+    /// head runs on a scoped thread beside the policy head, joined once
+    /// per call; otherwise both run inline. Neither head reads the other's
+    /// state, and each runs its minibatches in the same order on either
+    /// path, so the result is bit-identical for every thread count.
+    ///
+    /// All per-minibatch buffers (each head's observation gather, network
+    /// activations, gradients, flat-gradient vectors) live in the heads'
+    /// long-lived workspaces; after the first call an update performs O(1)
+    /// heap allocations (the thread spawn included), and the arithmetic is
     /// bit-identical to the historical allocating implementation.
     pub fn update(&mut self, buffer: &RolloutBuffer, rng: &mut StdRng) -> UpdateStats {
-        let n = buffer.len();
-        let act_dim = self.log_std.len();
-        // An empty buffer degenerates to zero minibatches per epoch (the
-        // historical behaviour), so don't index into it.
-        let obs_dim = buffer.obs.first().map_or(0, Vec::len);
-        // Disjoint borrows of every trainer field the loop touches.
-        let Self { cfg, policy, log_std, value, opt_policy, opt_value, kl_coeff, ws, .. } = self;
-        let UpdateWorkspace {
-            indices,
-            obs,
-            policy: policy_ws,
-            value: value_ws,
-            grad_mean,
-            grad_log_std,
-            vgrad,
-            glp_mean,
-            glp_log_std,
-        } = ws;
-        indices.clear();
-        indices.extend(0..n);
-        grad_log_std.clear();
-        grad_log_std.resize(act_dim, 0.0);
-        glp_mean.clear();
-        glp_mean.resize(act_dim, 0.0);
-        glp_log_std.clear();
-        glp_log_std.resize(act_dim, 0.0);
-
-        let mut last_policy_loss = 0.0;
-        let mut last_value_loss = 0.0;
-        let mut last_kl = 0.0;
-        let mut last_entropy = 0.0;
-
-        for _epoch in 0..cfg.num_epochs {
-            // Fisher–Yates shuffle.
-            for i in (1..n).rev() {
-                let j = rng.gen_range(0..=i);
-                indices.swap(i, j);
-            }
-            let mut epoch_policy_loss = 0.0;
-            let mut epoch_value_loss = 0.0;
-            let mut epoch_kl = 0.0;
-            let mut epoch_entropy = 0.0;
-            let mut minibatches = 0usize;
-
-            for chunk in indices.chunks(cfg.minibatch_size) {
-                let b = chunk.len();
-                obs.reset(b, obs_dim);
-                for (row, &idx) in chunk.iter().enumerate() {
-                    obs.row_mut(row).copy_from_slice(&buffer.obs[idx]);
-                }
-
-                // Policy forward through the workspace (activations stay
-                // alive for the backward pass below).
-                policy.forward_into(obs, policy_ws);
-
-                grad_mean.reset(b, act_dim);
-                grad_mean.fill(0.0);
-                for g in grad_log_std.iter_mut() {
-                    *g = 0.0;
-                }
-                let mut policy_loss = 0.0;
-                let mut kl_sum = 0.0;
-                // Entropy is mean-independent for a diagonal Gaussian, so
-                // it comes straight from the exploration head.
-                let entropy = DiagGaussian::entropy_from_log_std(log_std);
-                let inv_b = 1.0 / b as f64;
-
-                {
-                    let means = policy_ws.output();
-                    for (row, &idx) in chunk.iter().enumerate() {
-                        let mean_new = means.row(row);
-                        let dist_new = DiagGaussian::new(mean_new, log_std);
-                        let action = &buffer.actions[idx];
-                        let new_logp = dist_new.log_prob(action);
-                        let ratio = (new_logp - buffer.log_probs[idx]).exp();
-                        let adv = buffer.advantages[idx];
-
-                        // Clipped surrogate.
-                        let unclipped = ratio * adv;
-                        let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip) * adv;
-                        let surrogate = unclipped.min(clipped);
-                        policy_loss -= surrogate * inv_b;
-                        // d(−surrogate)/d new_logp = −ratio·adv when the
-                        // unclipped branch is active (min picks it), else 0.
-                        let surr_coeff =
-                            if unclipped <= clipped { -ratio * adv * inv_b } else { 0.0 };
-
-                        // Exact diagonal-Gaussian KL(old‖new) and its
-                        // gradients, accumulated into the row slice.
-                        let mean_old = &buffer.means[idx];
-                        let gm_row = grad_mean.row_mut(row);
-                        let mut kl = 0.0;
-                        for k in 0..act_dim {
-                            let ls_old = buffer.behaviour_log_std[k];
-                            let ls_new = log_std[k];
-                            let var_old = (2.0 * ls_old).exp();
-                            let inv_var_new = (-2.0 * ls_new).exp();
-                            let dmean = mean_new[k] - mean_old[k];
-                            kl += ls_new - ls_old + 0.5 * (var_old + dmean * dmean) * inv_var_new
-                                - 0.5;
-                            // Gradients of the KL penalty term (coefficient
-                            // applied below).
-                            let kl_grad_mean = dmean * inv_var_new;
-                            let kl_grad_ls = 1.0 - (var_old + dmean * dmean) * inv_var_new;
-                            let c = *kl_coeff * inv_b;
-                            gm_row[k] += c * kl_grad_mean;
-                            grad_log_std[k] += c * kl_grad_ls;
-                        }
-                        kl_sum += kl;
-
-                        // Surrogate gradients through log-prob.
-                        if surr_coeff != 0.0 {
-                            dist_new.log_prob_grad_mean_into(action, glp_mean);
-                            dist_new.log_prob_grad_log_std_into(action, glp_log_std);
-                            for k in 0..act_dim {
-                                gm_row[k] += surr_coeff * glp_mean[k];
-                                grad_log_std[k] += surr_coeff * glp_log_std[k];
-                            }
-                        }
-                    }
-                }
-
-                // Entropy bonus (state-independent for a Gaussian with
-                // fixed log-std): dH/d log_std_k = 1.
-                if cfg.entropy_coeff != 0.0 {
-                    for g in grad_log_std.iter_mut() {
-                        *g -= cfg.entropy_coeff;
-                    }
-                }
-
-                // Backprop through the policy network into the workspace's
-                // flat buffer (whose tail holds the log_std gradients for
-                // joint clipping), then step Adam in place over the split
-                // parameter slices [network params ‖ log_std].
-                let np = policy.num_params();
-                let flat = policy.backward_into(policy_ws, grad_mean);
-                flat[np..].copy_from_slice(grad_log_std);
-                clip_grad_norm(flat, cfg.grad_clip);
-                opt_policy.step_segments(
-                    policy.params_mut().chain(std::iter::once(log_std.as_mut_slice())),
-                    flat,
-                );
-                // Keep exploration noise in a sane band (RLlib clamps too).
-                for ls in log_std.iter_mut() {
-                    *ls = ls.clamp(-5.0, 2.0);
-                }
-
-                // Value-network regression on returns.
-                value.forward_into(obs, value_ws);
-                vgrad.reset(b, 1);
-                let mut vloss = 0.0;
-                {
-                    let vout = value_ws.output();
-                    for (row, &idx) in chunk.iter().enumerate() {
-                        let err = vout.get(row, 0) - buffer.returns[idx];
-                        vloss += err * err * inv_b;
-                        vgrad.row_mut(row)[0] = 2.0 * err * inv_b;
-                    }
-                }
-                let vflat = value.backward_into(value_ws, vgrad);
-                clip_grad_norm(vflat, cfg.grad_clip);
-                opt_value.step_segments(value.params_mut(), vflat);
-
-                epoch_policy_loss += policy_loss;
-                epoch_value_loss += vloss;
-                epoch_kl += kl_sum * inv_b;
-                epoch_entropy += entropy;
-                minibatches += 1;
-            }
-
-            let mb = minibatches.max(1) as f64;
-            last_policy_loss = epoch_policy_loss / mb;
-            last_value_loss = epoch_value_loss / mb;
-            last_kl = epoch_kl / mb;
-            last_entropy = epoch_entropy / mb;
-        }
+        let Self { cfg, policy, value, kl_coeff, orders, .. } = self;
+        let cfg = &*cfg;
+        draw_orders(orders, buffer.len(), cfg.num_epochs, rng);
+        let orders = orders.as_slice();
+        let (policy_stats, value_loss) = if cfg.rollout_threads <= 1 {
+            (policy.fit(cfg, *kl_coeff, buffer, orders), value.fit(cfg, buffer, orders))
+        } else {
+            std::thread::scope(|scope| {
+                let value_head = scope.spawn(|| value.fit(cfg, buffer, orders));
+                let policy_stats = policy.fit(cfg, *kl_coeff, buffer, orders);
+                let value_loss =
+                    value_head.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (policy_stats, value_loss)
+            })
+        };
+        let last_kl = policy_stats.kl;
 
         // Adaptive KL coefficient (RLlib rule).
         if last_kl > 2.0 * cfg.kl_target {
@@ -683,10 +776,10 @@ impl PpoTrainer {
         }
 
         UpdateStats {
-            policy_loss: last_policy_loss,
-            value_loss: last_value_loss,
+            policy_loss: policy_stats.loss,
+            value_loss,
             mean_kl: last_kl,
-            entropy: last_entropy,
+            entropy: policy_stats.entropy,
         }
     }
 

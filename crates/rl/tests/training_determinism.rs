@@ -93,3 +93,51 @@ fn repeated_runs_at_fixed_seed_produce_identical_checkpoints() {
         "checkpoints must be bit-identical for a fixed (scenario, config, seed, worker count)"
     );
 }
+
+/// FNV-1a over the little-endian bytes of every checkpoint parameter:
+/// policy net, value net, then `log_std`.
+fn parameter_digest(trainer: &PpoTrainer) -> u64 {
+    let mut params = trainer.policy_net().params_vec();
+    params.extend(trainer.value_net().params_vec());
+    params.extend_from_slice(trainer.log_std());
+    params
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn quick_preset_parameters_match_the_pinned_digest_at_one_and_two_threads() {
+    // The `mflb train --scale quick` network (2×32 tanh, 72 Gaussian
+    // action dims on the paper's mean-field env) on a shortened batch:
+    // 520 = 4 × 125 + 20 leaves a short final minibatch in every epoch.
+    let mut config = SystemConfig::paper().with_dt(5.0);
+    config.train_episode_len = 40;
+    let env = MeanFieldEnv::homogeneous(config);
+    assert_eq!(env.act_dim(), 72);
+    for threads in [1, 2] {
+        let ppo = PpoConfig {
+            gamma: 0.9,
+            gae_lambda: 0.9,
+            lr: 1e-3,
+            train_batch_size: 520,
+            minibatch_size: 125,
+            num_epochs: 3,
+            kl_target: 0.02,
+            hidden: vec![32, 32],
+            initial_log_std: -0.5,
+            rollout_threads: threads,
+            ..PpoConfig::paper()
+        };
+        let mut trainer = PpoTrainer::new(&env, ppo, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..3 {
+            trainer.train_iteration(&mut rng);
+        }
+        assert_eq!(
+            parameter_digest(&trainer),
+            0x39ab_415b_7166_7790,
+            "quick-preset parameters moved at {threads} rollout thread(s)"
+        );
+    }
+}
