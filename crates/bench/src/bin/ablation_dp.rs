@@ -21,7 +21,8 @@
 //! quantifying the value of ν-feedback that the paper attributes to the
 //! learned policy.
 
-use mflb_bench::harness::{jsq_policy, mf_policy_for, print_table, rnd_policy, write_csv, Scale};
+use mflb_bench::harness::{jsq_policy, mf_policy_for, rnd_policy, Scale};
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_dp::{ActionLibrary, DpConfig, DpSolution};
 use mflb_linalg::stats::Summary;
@@ -37,8 +38,10 @@ fn main() {
         Scale::Paper => (14, vec![1.0, 3.0, 5.0, 7.0, 10.0], 40),
     };
 
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        &["dt", "DP", "MF", "JSQ(2)", "RND", "DP-MF gap", "dp solve", "mf-policy"],
+        &["dt", "dp", "mf", "jsq", "rnd", "grid_resolution", "mf_policy"],
+    );
     for &dt in &dt_grid {
         let cfg = SystemConfig::paper().with_dt(dt);
         let zs = cfg.num_states();
@@ -74,38 +77,20 @@ fn main() {
         let v_jsq = eval(&jsq);
         let v_rnd = eval(&rnd);
 
-        rows.push(vec![
-            format!("{dt}"),
-            format!("{:.2}", v_dp.mean()),
-            format!("{:.2}", v_mf.mean()),
-            format!("{:.2}", v_jsq.mean()),
-            format!("{:.2}", v_rnd.mean()),
-            format!("{:.2}", v_dp.mean() - v_mf.mean()),
-            format!("{sweeps} it / {solve_secs:.1}s"),
-            resolved.provenance.clone(),
+        let mut row = vec![Cell::text(dt)];
+        row.extend([&v_dp, &v_mf, &v_jsq, &v_rnd].map(|v| Cell::num(v.mean(), 2, 4)));
+        row.extend([
+            Cell::num(v_dp.mean() - v_mf.mean(), 2, 2).print_only(),
+            Cell::text(format!("{sweeps} it / {solve_secs:.1}s")).print_only(),
+            Cell::text(grid_resolution).csv_only(),
+            Cell::text(resolved.provenance),
         ]);
-        csv_rows.push(vec![
-            format!("{dt}"),
-            format!("{:.4}", v_dp.mean()),
-            format!("{:.4}", v_mf.mean()),
-            format!("{:.4}", v_jsq.mean()),
-            format!("{:.4}", v_rnd.mean()),
-            format!("{grid_resolution}"),
-            resolved.provenance.clone(),
-        ]);
+        table.push(row);
     }
-    print_table(
-        &format!(
-            "DP ablation (B = 5, lattice G = {grid_resolution}): mean episode return (higher is better)"
-        ),
-        &["dt", "DP", "MF", "JSQ(2)", "RND", "DP-MF gap", "dp solve", "mf-policy"],
-        &rows,
-    );
-    write_csv(
-        &format!("ablation_dp_{}.csv", scale.label()),
-        &["dt", "dp", "mf", "jsq", "rnd", "grid_resolution", "mf_policy"],
-        &csv_rows,
-    );
+    table.print(&format!(
+        "DP ablation (B = 5, lattice G = {grid_resolution}): mean episode return (higher is better)"
+    ));
+    table.write_csv(&format!("ablation_dp_{}.csv", scale.label()));
 
     println!("\n[shape] DP should dominate every column; the DP−MF gap is the");
     println!("        value of exact ν-feedback the deployed policy leaves behind.");

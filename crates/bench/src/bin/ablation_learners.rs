@@ -20,9 +20,10 @@
 //! it matches or beats both; see `--scale paper` and the shipped
 //! `assets/policies` checkpoints).
 
-use mflb_bench::harness::{jsq_policy, print_table, rnd_policy, write_csv, Scale};
+use mflb_bench::harness::{jsq_policy, rnd_policy, Scale};
+use mflb_bench::sweep::{Cell, Table};
 use mflb_bench::training::ppo_config_for;
-use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
+use mflb_core::mdp::UpperPolicy;
 use mflb_core::{worker_count, MeanFieldMdp, SystemConfig};
 use mflb_linalg::stats::Summary;
 use mflb_policy::NeuralUpperPolicy;
@@ -124,37 +125,34 @@ fn main() {
     let v_jsq = eval(&jsq_policy(&cfg));
     let v_rnd = eval(&rnd_policy(&cfg));
 
-    let fmt = |s: &Summary| format!("{:.2} ± {:.2}", s.mean(), s.ci95_half_width());
-    let final_curve = |c: &Curve| c.last().map(|&(_, r)| r).unwrap_or(f64::NAN);
-    let rows = vec![
-        vec!["PPO".into(), fmt(&v_ppo), format!("{:.2}", final_curve(&ppo_curve))],
-        vec!["REINFORCE".into(), fmt(&v_rf), format!("{:.2}", final_curve(&rf_curve))],
-        vec!["CEM".into(), fmt(&v_cem), format!("{:.2}", final_curve(&cem_curve))],
-        vec!["MF-JSQ(2)".into(), fmt(&v_jsq), "-".into()],
-        vec!["MF-RND".into(), fmt(&v_rnd), "-".into()],
-    ];
-    print_table(
-        &format!(
-            "Learner ablation (Δt = {dt}, {step_budget} env steps each): deterministic returns, T_e = {eval_horizon}"
-        ),
-        &["learner", "eval return", "final train return"],
-        &rows,
-    );
+    let final_curve = |c: &Curve| Cell::num(c.last().map_or(f64::NAN, |&(_, r)| r), 2, 2);
+    let mut table = Table::new(&["learner", "eval return", "final train return"], &[]);
+    for (name, eval, last) in [
+        ("PPO", &v_ppo, final_curve(&ppo_curve)),
+        ("REINFORCE", &v_rf, final_curve(&rf_curve)),
+        ("CEM", &v_cem, final_curve(&cem_curve)),
+        ("MF-JSQ(2)", &v_jsq, Cell::text("-")),
+        ("MF-RND", &v_rnd, Cell::text("-")),
+    ] {
+        table.push(vec![
+            Cell::text(name),
+            Cell::mean_ci(eval.mean(), eval.ci95_half_width()),
+            last,
+        ]);
+    }
+    table.print(&format!(
+        "Learner ablation (Δt = {dt}, {step_budget} env steps each): deterministic returns, T_e = {eval_horizon}"
+    ));
 
     // Curves to CSV (downsampled implicitly by iteration granularity).
-    let mut csv_rows = Vec::new();
+    let mut curves = Table::new(&[], &["learner", "steps", "train_return"]);
     for (name, curve) in [("ppo", &ppo_curve), ("reinforce", &rf_curve), ("cem", &cem_curve)] {
         for &(steps, ret) in curve {
-            csv_rows.push(vec![name.to_string(), steps.to_string(), format!("{ret:.4}")]);
+            curves.push(vec![Cell::text(name), Cell::text(steps), Cell::num(ret, 4, 4)]);
         }
     }
-    write_csv(
-        &format!("ablation_learners_{}.csv", scale.label()),
-        &["learner", "steps", "train_return"],
-        &csv_rows,
-    );
+    curves.write_csv(&format!("ablation_learners_{}.csv", scale.label()));
 
-    let _ = FixedRulePolicy::new(mflb_policy::rnd_rule(cfg.num_states(), cfg.d), "anchor");
     println!("\n[shape] every learner should end above MF-RND. At quick budgets the");
     println!("        derivative-free CEM leads (small MDP, few parameters) and");
     println!("        REINFORCE follows; PPO's advantage appears at paper scale.");

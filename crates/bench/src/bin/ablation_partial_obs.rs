@@ -20,9 +20,10 @@
 //! staleness costs roughly one Δt of the Fig. 5 degradation per epoch;
 //! hiding λ costs little at Δt = 5 (ν already encodes the load level).
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
+use mflb_bench::harness::Scale;
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::partial::{ObservationModel, PartialObservationPolicy};
-use mflb_core::{MeanFieldMdp, SystemConfig, UpperPolicy};
+use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_dp::{ActionLibrary, DpConfig, DpSolution, GridPolicy};
 use mflb_linalg::stats::Summary;
 use rand::rngs::StdRng;
@@ -82,35 +83,26 @@ fn main() {
     ];
 
     let exact_value = evaluate_model(&mdp, &base, ObservationModel::Exact, &seqs, seed).mean();
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        &["observation", "return", "vs exact"],
+        &["observation", "return", "ci95", "gap_vs_exact"],
+    );
     for model in models {
         let s = evaluate_model(&mdp, &base, model, &seqs, seed);
-        rows.push(vec![
-            model.label(),
-            format!("{:.2} ± {:.2}", s.mean(), s.ci95_half_width()),
-            format!("{:+.2}", s.mean() - exact_value),
-        ]);
-        csv_rows.push(vec![
-            model.label(),
-            format!("{:.4}", s.mean()),
-            format!("{:.4}", s.ci95_half_width()),
-            format!("{:.4}", s.mean() - exact_value),
+        let gap = s.mean() - exact_value;
+        table.push(vec![
+            Cell::text(model.label()),
+            Cell::mean_ci(s.mean(), s.ci95_half_width()),
+            Cell::text(format!("{gap:+.2}")).print_only(),
+            Cell::num(gap, 4, 4).csv_only(),
         ]);
     }
-    print_table(
-        &format!("Partial-observability ablation (Δt = {dt}, DP policy, B = 5): episode return"),
-        &["observation", "return", "vs exact"],
-        &rows,
-    );
-    write_csv(
-        &format!("ablation_partial_obs_{}.csv", scale.label()),
-        &["observation", "return", "ci95", "gap_vs_exact"],
-        &csv_rows,
-    );
+    table.print(&format!(
+        "Partial-observability ablation (Δt = {dt}, DP policy, B = 5): episode return"
+    ));
+    table.write_csv(&format!("ablation_partial_obs_{}.csv", scale.label()));
 
     println!("\n[shape] sampled(k) should climb towards exact as k grows;");
     println!("        staleness should cost more than estimation noise;");
     println!("        hiding λ should cost the least (ν encodes the load).");
-    let _ = base.name();
 }

@@ -24,7 +24,8 @@
 //! estimate; fitted points whose gap is inside 2·SE are flagged (the
 //! bias is below measurement resolution there).
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
+use mflb_bench::harness::Scale;
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::theory::conditioned_return;
 use mflb_core::SystemConfig;
@@ -54,8 +55,10 @@ fn main() {
     println!("mean-field reference J = {reference:.4} over {horizon} epochs (Δt = {dt})");
 
     // ---- Sweep 1: joint limit N = M². ----
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut joint = Table::new(
+        &["M", "N", "E[J^{N,M}]", "gap", "SE", "gap resolvable"],
+        &["M", "N", "finite", "gap", "se"],
+    );
     let mut log_m = Vec::new();
     let mut log_gap = Vec::new();
     for &m in &m_grid {
@@ -69,27 +72,18 @@ fn main() {
             log_m.push((m as f64).log2());
             log_gap.push(gap.log2());
         }
-        rows.push(vec![
-            format!("{m}"),
-            format!("{}", m * m),
-            format!("{:.4}", finite.mean()),
-            format!("{gap:.4}"),
-            format!("{:.4}", finite.std_err()),
-            if resolvable { "yes" } else { "below noise" }.into(),
-        ]);
-        csv_rows.push(vec![
-            format!("{m}"),
-            format!("{}", m * m),
-            format!("{:.6}", finite.mean()),
-            format!("{gap:.6}"),
-            format!("{:.6}", finite.std_err()),
+        joint.push(vec![
+            Cell::text(m),
+            Cell::text(m * m),
+            Cell::num(finite.mean(), 4, 6),
+            Cell::num(gap, 4, 6),
+            Cell::num(finite.std_err(), 4, 6),
+            Cell::text(if resolvable { "yes" } else { "below noise" }).print_only(),
         ]);
     }
-    print_table(
-        &format!("Theorem-1 rate, joint limit N = M² (J = {reference:.3}, n = {n_runs} runs)"),
-        &["M", "N", "E[J^{N,M}]", "gap", "SE", "gap resolvable"],
-        &rows,
-    );
+    joint.print(&format!(
+        "Theorem-1 rate, joint limit N = M² (J = {reference:.3}, n = {n_runs} runs)"
+    ));
     if log_m.len() >= 3 {
         let (slope, _, r2) = linear_fit(&log_m, &log_gap);
         println!(
@@ -100,11 +94,7 @@ fn main() {
     } else {
         println!("\n[rate] too few noise-resolvable points for a joint-limit fit");
     }
-    write_csv(
-        &format!("ablation_rate_joint_{}.csv", scale.label()),
-        &["M", "N", "finite", "gap", "se"],
-        &csv_rows,
-    );
+    joint.write_csv(&format!("ablation_rate_joint_{}.csv", scale.label()));
 
     // ---- Sweep 2: N → ∞ at fixed M. ----
     let m_fixed = 20usize;
@@ -115,39 +105,25 @@ fn main() {
     let mc_inf = monte_carlo_conditioned(&engine_inf, &policy, &seq, n_runs, seed ^ 0xA5A5, 0);
     let j_inf = -mc_inf.mean();
 
-    let mut rows2 = Vec::new();
-    let mut csv2 = Vec::new();
+    let mut clients =
+        Table::new(&["N", "E[J^{N,M}]", "gap vs surrogate", "SE"], &["N", "finite", "gap", "se"]);
     for &n in &n_grid {
         let cfg = base.clone().with_size(n, m_fixed);
         let engine = AggregateEngine::new(cfg);
         let mc = monte_carlo_conditioned(&engine, &policy, &seq, n_runs, seed + n, 0);
         let finite = -mc.mean();
         let gap = (j_inf - finite).abs();
-        rows2.push(vec![
-            format!("{n}"),
-            format!("{finite:.4}"),
-            format!("{gap:.4}"),
-            format!("{:.4}", mc.drops.std_err()),
-        ]);
-        csv2.push(vec![
-            format!("{n}"),
-            format!("{finite:.6}"),
-            format!("{gap:.6}"),
-            format!("{:.6}", mc.drops.std_err()),
+        clients.push(vec![
+            Cell::text(n),
+            Cell::num(finite, 4, 6),
+            Cell::num(gap, 4, 6),
+            Cell::num(mc.drops.std_err(), 4, 6),
         ]);
     }
-    print_table(
-        &format!(
-            "Theorem-1 rate, client limit at M = {m_fixed} (surrogate J^{{∞,M}} = {j_inf:.3} at N = {n_surrogate})"
-        ),
-        &["N", "E[J^{N,M}]", "gap vs surrogate", "SE"],
-        &rows2,
-    );
-    write_csv(
-        &format!("ablation_rate_clients_{}.csv", scale.label()),
-        &["N", "finite", "gap", "se"],
-        &csv2,
-    );
+    clients.print(&format!(
+        "Theorem-1 rate, client limit at M = {m_fixed} (surrogate J^{{∞,M}} = {j_inf:.3} at N = {n_surrogate})"
+    ));
+    clients.write_csv(&format!("ablation_rate_clients_{}.csv", scale.label()));
 
     println!("\n[shape] both gap columns should decay towards measurement noise;");
     println!("        the joint-limit slope quantifies the rate Theorem 1 leaves open.");

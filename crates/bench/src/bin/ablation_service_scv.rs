@@ -21,20 +21,21 @@
 //! advantage over JSQ(2) persists across SCV, and the finite system
 //! tracks the PH mean field.
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
-use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp, UpperPolicy};
+use mflb_bench::harness::{fixed_rules, Scale};
+use mflb_bench::sweep::{run_policies, Cell, Table};
+use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp};
 use mflb_core::{JobSizeLaw, SystemConfig};
 use mflb_linalg::stats::Summary;
-use mflb_policy::{jsq_rule, rnd_rule, softmin_rule};
+use mflb_policy::softmin_rule;
 use mflb_queue::PhaseType;
-use mflb_sim::{monte_carlo, EngineSpec, Scenario, ServiceLaw};
+use mflb_sim::{EngineSpec, Scenario, ServiceLaw};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Tunes softmin(β) in the PH mean-field model on common arrival
 /// sequences (coarse log grid; the deterministic model makes this exact
 /// up to the grid).
 fn tune_beta_ph(cfg: &SystemConfig, service: &PhaseType, horizon: usize, seed: u64) -> f64 {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let closure = MeanField::new(cfg, service.clone(), Integrand::FullMesh);
     let mdp = MeanFieldMdp::with_closure(cfg.clone(), closure);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -64,73 +65,10 @@ fn main() {
     };
     let dt = 5.0;
     let scv_grid = [0.25, 0.5, 1.0, 2.0, 4.0];
+    let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
+    let horizon = cfg.eval_episode_len();
 
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for &scv in &scv_grid {
-        let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
-        let zs = cfg.num_states();
-        let horizon = cfg.eval_episode_len();
-        let service = PhaseType::fit_mean_scv(1.0, scv);
-
-        let beta = tune_beta_ph(&cfg, &service, horizon.min(60), seed);
-        let policies: Vec<(&str, Box<dyn UpperPolicy + Send + Sync>)> = vec![
-            ("JSQ(2)", Box::new(FixedRulePolicy::new(jsq_rule(zs, 2), "JSQ(2)"))),
-            ("RND", Box::new(FixedRulePolicy::new(rnd_rule(zs, 2), "RND"))),
-            ("SOFT(beta*)", Box::new(FixedRulePolicy::new(softmin_rule(zs, 2, beta), "SOFT"))),
-        ];
-
-        // Finite PH system (aggregate multinomial + Gillespie PH queues),
-        // built from a data-level scenario and fanned out over threads.
-        let scenario = Scenario::new(
-            cfg.clone(),
-            EngineSpec::Ph { service: ServiceLaw::MeanScv { mean: 1.0, scv } },
-        );
-        let engine = scenario.build().expect("valid SCV scenario");
-        let mut finite = Vec::new();
-        for (i, (_, policy)) in policies.iter().enumerate() {
-            finite.push(
-                monte_carlo(&engine, policy.as_ref(), horizon, n_runs, seed + i as u64, 0).drops,
-            );
-        }
-
-        // PH mean-field reference (stochastic only through λ).
-        let closure = MeanField::new(&cfg, service.clone(), Integrand::FullMesh);
-        let mdp = MeanFieldMdp::with_closure(cfg.clone(), closure);
-        let mut mf = Vec::new();
-        for (i, (_, policy)) in policies.iter().enumerate() {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-            let mut rng = StdRng::seed_from_u64(seed ^ (100 + i as u64));
-            let mut s = Summary::new();
-            for _ in 0..24 {
-                s.push(-mdp.rollout(policy.as_ref(), horizon, &mut rng).total_return);
-            }
-            mf.push(s);
-        }
-
-        rows.push(vec![
-            format!("{scv}"),
-            format!("{}", service.num_phases()),
-            format!("{beta:.2}"),
-            format!("{:.2} ± {:.2}", finite[0].mean(), finite[0].ci95_half_width()),
-            format!("{:.2} ± {:.2}", finite[1].mean(), finite[1].ci95_half_width()),
-            format!("{:.2} ± {:.2}", finite[2].mean(), finite[2].ci95_half_width()),
-            format!("{:.2}", mf[2].mean()),
-        ]);
-        csv_rows.push(vec![
-            format!("{scv}"),
-            format!("{beta:.4}"),
-            format!("{:.4}", finite[0].mean()),
-            format!("{:.4}", finite[1].mean()),
-            format!("{:.4}", finite[2].mean()),
-            format!("{:.4}", mf[0].mean()),
-            format!("{:.4}", mf[1].mean()),
-            format!("{:.4}", mf[2].mean()),
-        ]);
-    }
-    print_table(
-        &format!("Service-variability ablation (M = {m}, N = M², Δt = {dt}): drops vs SCV"),
+    let mut table = Table::new(
         &[
             "SCV",
             "phases",
@@ -140,10 +78,6 @@ fn main() {
             "SOFT finite",
             "SOFT mean-field",
         ],
-        &rows,
-    );
-    write_csv(
-        &format!("ablation_service_scv_{}.csv", scale.label()),
         &[
             "scv",
             "beta_star",
@@ -154,8 +88,44 @@ fn main() {
             "rnd_mf",
             "soft_mf",
         ],
-        &csv_rows,
     );
+    for &scv in &scv_grid {
+        let service = PhaseType::fit_mean_scv(1.0, scv);
+        let beta = tune_beta_ph(&cfg, &service, horizon.min(60), seed);
+        let [jsq, rnd, soft] = fixed_rules(&cfg, beta);
+
+        // Finite PH system (aggregate multinomial + Gillespie PH queues),
+        // built from a data-level scenario and fanned out over threads.
+        let scenario = Scenario::new(
+            cfg.clone(),
+            EngineSpec::Ph { service: ServiceLaw::MeanScv { mean: 1.0, scv } },
+        );
+        let engine = scenario.build().expect("valid SCV scenario");
+        let finite = run_policies(&engine, &[&jsq, &rnd, &soft], horizon, n_runs, seed);
+
+        // PH mean-field reference (stochastic only through λ).
+        let closure = MeanField::new(&cfg, service.clone(), Integrand::FullMesh);
+        let mdp = MeanFieldMdp::with_closure(cfg.clone(), closure);
+        let mut mf = Vec::new();
+        for (i, policy) in [&jsq, &rnd, &soft].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed ^ (100 + i as u64));
+            let mut s = Summary::new();
+            for _ in 0..24 {
+                s.push(-mdp.rollout(policy, horizon, &mut rng).total_return);
+            }
+            mf.push(s.mean());
+        }
+
+        let mut row = vec![Cell::text(scv), Cell::text(service.num_phases()).print_only()];
+        row.push(Cell::num(beta, 2, 4));
+        row.extend(finite.iter().map(|r| Cell::mean_ci(r.mean(), r.ci95()).csv_mean_only()));
+        row.extend([Cell::num(mf[0], 4, 4).csv_only(), Cell::num(mf[1], 4, 4).csv_only()]);
+        row.push(Cell::num(mf[2], 2, 4));
+        table.push(row);
+    }
+    table
+        .print(&format!("Service-variability ablation (M = {m}, N = M², Δt = {dt}): drops vs SCV"));
+    table.write_csv(&format!("ablation_service_scv_{}.csv", scale.label()));
 
     // --- Heavy-tailed job sizes on the continuous-time event engine: the
     // variability axis carried past what two-moment phase-type fits can
@@ -168,54 +138,27 @@ fn main() {
         ("Pareto(2.5,0.6)", JobSizeLaw::Pareto { shape: 2.5, scale: 0.6 }),
         ("BPareto(1.5,.2,20)", JobSizeLaw::BoundedPareto { shape: 1.5, lo: 0.2, hi: 20.0 }),
     ];
-    let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
-    let zs = cfg.num_states();
-    let horizon = cfg.eval_episode_len();
     // The exponential-law tuning carries across laws: the softmin rule only
     // reads queue lengths, and mean work per job is matched.
     let beta = tune_beta_ph(&cfg, &PhaseType::exponential(1.0), horizon.min(60), seed);
+    let [jsq, rnd, soft] = fixed_rules(&cfg, beta);
     let jruns = (n_runs / 2).max(8);
-    let mut jrows = Vec::new();
-    let mut jcsv = Vec::new();
+    let mut jobs = Table::new(
+        &["law", "mean size", "JSQ(2)", "RND", "SOFT(beta*)"],
+        &["law", "mean_size", "jsq", "rnd", "soft"],
+    );
     for (label, law) in &job_laws {
-        let policies: Vec<(&str, Box<dyn UpperPolicy + Send + Sync>)> = vec![
-            ("JSQ(2)", Box::new(FixedRulePolicy::new(jsq_rule(zs, 2), "JSQ(2)"))),
-            ("RND", Box::new(FixedRulePolicy::new(rnd_rule(zs, 2), "RND"))),
-            ("SOFT(beta*)", Box::new(FixedRulePolicy::new(softmin_rule(zs, 2, beta), "SOFT"))),
-        ];
         let scenario = Scenario::new(cfg.clone(), EngineSpec::Event { job_size: law.clone() });
         let engine = scenario.build().expect("valid job-size scenario");
-        let mut finite = Vec::new();
-        for (i, (_, policy)) in policies.iter().enumerate() {
-            finite.push(
-                monte_carlo(&engine, policy.as_ref(), horizon, jruns, seed + i as u64, 0).drops,
-            );
-        }
-        jrows.push(vec![
-            label.to_string(),
-            format!("{:.2}", law.mean()),
-            format!("{:.2} ± {:.2}", finite[0].mean(), finite[0].ci95_half_width()),
-            format!("{:.2} ± {:.2}", finite[1].mean(), finite[1].ci95_half_width()),
-            format!("{:.2} ± {:.2}", finite[2].mean(), finite[2].ci95_half_width()),
-        ]);
-        jcsv.push(vec![
-            label.to_string(),
-            format!("{:.4}", law.mean()),
-            format!("{:.4}", finite[0].mean()),
-            format!("{:.4}", finite[1].mean()),
-            format!("{:.4}", finite[2].mean()),
-        ]);
+        let finite = run_policies(&engine, &[&jsq, &rnd, &soft], horizon, jruns, seed);
+        let mut row = vec![Cell::text(label), Cell::num(law.mean(), 2, 4)];
+        row.extend(finite.iter().map(|r| Cell::mean_ci(r.mean(), r.ci95()).csv_mean_only()));
+        jobs.push(row);
     }
-    print_table(
-        &format!("Job-size-law ablation (event engine, M = {m}, N = M², Δt = {dt}): drops vs tail"),
-        &["law", "mean size", "JSQ(2)", "RND", "SOFT(beta*)"],
-        &jrows,
-    );
-    write_csv(
-        &format!("ablation_job_size_{}.csv", scale.label()),
-        &["law", "mean_size", "jsq", "rnd", "soft"],
-        &jcsv,
-    );
+    jobs.print(&format!(
+        "Job-size-law ablation (event engine, M = {m}, N = M², Δt = {dt}): drops vs tail"
+    ));
+    jobs.write_csv(&format!("ablation_job_size_{}.csv", scale.label()));
 
     println!("\n[shape] drops should increase with SCV for every policy;");
     println!("        SOFT(beta*) should stay at or below JSQ(2) throughout;");

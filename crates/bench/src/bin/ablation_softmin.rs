@@ -13,9 +13,8 @@
 //! A second sanity shape from the paper: β* must fall as Δt grows
 //! (the staler the information, the softer the optimal routing).
 
-use mflb_bench::harness::{
-    jsq_policy, load_mf_checkpoint, print_table, rnd_policy, write_csv, Scale,
-};
+use mflb_bench::harness::{jsq_policy, load_mf_checkpoint, rnd_policy, Scale};
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_policy::optimize_beta;
 use rand::rngs::StdRng;
@@ -31,7 +30,18 @@ fn main() {
         Scale::Paper => 200,
     };
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        &["dt", "beta*", "SOFT(b*)", "JSQ(2)", "RND", "MF (PPO)", "PPO-SOFT"],
+        &[
+            "dt",
+            "beta_star",
+            "softmin_drops",
+            "jsq_drops",
+            "rnd_drops",
+            "ppo_drops",
+            "feedback_gain",
+        ],
+    );
     let mut betas = Vec::new();
     for &dt in &dt_grid {
         let cfg = SystemConfig::paper().with_dt(dt);
@@ -46,42 +56,22 @@ fn main() {
         let jsq_eval = mdp.evaluate(&jsq_policy(&cfg), horizon, episodes, &mut rng);
         let rnd_eval = mdp.evaluate(&rnd_policy(&cfg), horizon, episodes, &mut rng);
 
-        let (ppo_drops, feedback_gain) = match load_mf_checkpoint(&cfg) {
+        let mut row = vec![Cell::text(dt), Cell::num(search.beta, 3, 3)];
+        row.extend([&soft_eval, &jsq_eval, &rnd_eval].map(|e| Cell::num(-e.mean(), 2, 2)));
+        row.extend(match load_mf_checkpoint(&cfg) {
             Ok(p) => {
                 let e = mdp.evaluate(&p, horizon, episodes, &mut rng);
-                (format!("{:.2}", -e.mean()), format!("{:+.2}", -e.mean() - -soft_eval.mean()))
+                let gain = -e.mean() - -soft_eval.mean();
+                [Cell::num(-e.mean(), 2, 2), Cell::text(format!("{gain:+.2}"))]
             }
-            Err(_) => ("-".into(), "-".into()),
-        };
-
-        rows.push(vec![
-            format!("{dt}"),
-            format!("{:.3}", search.beta),
-            format!("{:.2}", -soft_eval.mean()),
-            format!("{:.2}", -jsq_eval.mean()),
-            format!("{:.2}", -rnd_eval.mean()),
-            ppo_drops,
-            feedback_gain,
-        ]);
+            Err(_) => [Cell::text("-"), Cell::text("-")],
+        });
+        table.push(row);
     }
-    print_table(
+    table.print(
         "Ablation: softmin(β*) vs JSQ(2) vs RND vs learned MF (mean-field drops, lower is better)",
-        &["dt", "beta*", "SOFT(b*)", "JSQ(2)", "RND", "MF (PPO)", "PPO-SOFT"],
-        &rows,
     );
-    write_csv(
-        &format!("ablation_softmin_{}.csv", scale.label()),
-        &[
-            "dt",
-            "beta_star",
-            "softmin_drops",
-            "jsq_drops",
-            "rnd_drops",
-            "ppo_drops",
-            "feedback_gain",
-        ],
-        &rows,
-    );
+    table.write_csv(&format!("ablation_softmin_{}.csv", scale.label()));
 
     // Shape check: β* decreasing in Δt (allowing plateau noise).
     let monotone_violations = betas.windows(2).filter(|w| w[1].1 > w[0].1 + 0.35).count();

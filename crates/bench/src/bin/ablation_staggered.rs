@@ -23,13 +23,13 @@
 //! Arrivals are held at the constant high level so both architectures
 //! see identical offered load regardless of epoch length.
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
-use mflb_core::mdp::FixedRulePolicy;
+use mflb_bench::harness::{fixed_rules, Scale};
+use mflb_bench::sweep::{run_policies, Cell, Table};
 use mflb_core::SystemConfig;
 use mflb_linalg::stats::welch_t_test;
-use mflb_policy::{jsq_rule, optimize_beta, softmin_rule};
+use mflb_policy::optimize_beta;
 use mflb_queue::ArrivalProcess;
-use mflb_sim::{monte_carlo, EngineSpec, Scenario};
+use mflb_sim::{EngineSpec, Scenario};
 
 fn main() {
     let args = mflb_bench::harness::args(env!("CARGO_BIN_NAME"));
@@ -44,54 +44,7 @@ fn main() {
     let mut base = SystemConfig::paper().with_size((m * m) as u64, m);
     base.arrivals = ArrivalProcess::constant(0.9);
 
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for &p in &periods {
-        // β tuned for the synchronized architecture at this period (the
-        // softmin both architectures deploy).
-        let sync_cfg = base.clone().with_dt(p as f64);
-        let beta = optimize_beta(&sync_cfg, 30, 6, seed).beta;
-        let zs = sync_cfg.num_states();
-        let jsq = FixedRulePolicy::new(jsq_rule(zs, 2), "JSQ(2)");
-        let soft = FixedRulePolicy::new(softmin_rule(zs, 2, beta), "SOFT");
-
-        // Synchronized: Δt = P, horizon = total_time / P epochs.
-        let sync_engine = Scenario::new(sync_cfg.clone(), EngineSpec::PerClient)
-            .build()
-            .expect("valid synchronized scenario");
-        let sync_horizon = (total_time / p as f64).round() as usize;
-        // Staggered: Δt = 1, c = P cohorts, horizon = total_time epochs.
-        let stag_engine =
-            Scenario::new(base.clone().with_dt(1.0), EngineSpec::Staggered { cohorts: p })
-                .build()
-                .expect("valid staggered scenario");
-        let stag_horizon = total_time.round() as usize;
-
-        let mut cells = vec![format!("{p}")];
-        let mut csv = vec![format!("{p}"), format!("{beta:.4}")];
-        for (pi, policy) in [&jsq, &soft].into_iter().enumerate() {
-            // Both architectures fan runs out over threads; per-run RNG
-            // derivation is unchanged, so results match the serial loops.
-            let s_sync =
-                monte_carlo(&sync_engine, policy, sync_horizon, n_runs, seed + pi as u64, 0).drops;
-            let s_stag =
-                monte_carlo(&stag_engine, policy, stag_horizon, n_runs, seed + 50 + pi as u64, 0)
-                    .drops;
-            let (_, _, p_value) = welch_t_test(&s_sync, &s_stag);
-            cells.push(format!("{:.2} ± {:.2}", s_sync.mean(), s_sync.ci95_half_width()));
-            cells.push(format!("{:.2} ± {:.2}", s_stag.mean(), s_stag.ci95_half_width()));
-            cells.push(format!("{p_value:.1e}"));
-            csv.push(format!("{:.4}", s_sync.mean()));
-            csv.push(format!("{:.4}", s_stag.mean()));
-            csv.push(format!("{p_value:.3e}"));
-        }
-        rows.push(cells);
-        csv_rows.push(csv);
-    }
-    print_table(
-        &format!(
-            "Staggered-information ablation (M = {m}, N = M², constant λ = 0.9, ≈{total_time} time units)"
-        ),
+    let mut table = Table::new(
         &[
             "period P",
             "JSQ sync",
@@ -101,10 +54,6 @@ fn main() {
             "SOFT staggered",
             "p (Welch)",
         ],
-        &rows,
-    );
-    write_csv(
-        &format!("ablation_staggered_{}.csv", scale.label()),
         &[
             "period",
             "beta_star",
@@ -115,8 +64,43 @@ fn main() {
             "soft_staggered",
             "soft_p",
         ],
-        &csv_rows,
     );
+    for &p in &periods {
+        // β tuned for the synchronized architecture at this period (the
+        // softmin both architectures deploy).
+        let sync_cfg = base.clone().with_dt(p as f64);
+        let beta = optimize_beta(&sync_cfg, 30, 6, seed).beta;
+        let [jsq, _, soft] = fixed_rules(&sync_cfg, beta);
+
+        // Synchronized: Δt = P, horizon = total_time / P epochs.
+        let sync_engine = Scenario::new(sync_cfg, EngineSpec::PerClient)
+            .build()
+            .expect("valid synchronized scenario");
+        let sync_horizon = (total_time / p as f64).round() as usize;
+        // Staggered: Δt = 1, c = P cohorts, horizon = total_time epochs.
+        let stag_engine =
+            Scenario::new(base.clone().with_dt(1.0), EngineSpec::Staggered { cohorts: p })
+                .build()
+                .expect("valid staggered scenario");
+        let stag_horizon = total_time.round() as usize;
+
+        let sync = run_policies(&sync_engine, &[&jsq, &soft], sync_horizon, n_runs, seed);
+        let stag = run_policies(&stag_engine, &[&jsq, &soft], stag_horizon, n_runs, seed + 50);
+        let mut row = vec![Cell::text(p), Cell::num(beta, 4, 4).csv_only()];
+        for (s_sync, s_stag) in sync.iter().zip(&stag) {
+            let (_, _, p_value) = welch_t_test(&s_sync.drops, &s_stag.drops);
+            row.extend([
+                Cell::mean_ci(s_sync.mean(), s_sync.ci95()).csv_mean_only(),
+                Cell::mean_ci(s_stag.mean(), s_stag.ci95()).csv_mean_only(),
+                Cell::sci(p_value, 1, 3),
+            ]);
+        }
+        table.push(row);
+    }
+    table.print(&format!(
+        "Staggered-information ablation (M = {m}, N = M², constant λ = 0.9, ≈{total_time} time units)"
+    ));
+    table.write_csv(&format!("ablation_staggered_{}.csv", scale.label()));
 
     println!("\n[shape] staggered < synchronized for JSQ, with the gap growing in P");
     println!("        (de-synchronized refreshes break the herd); SOFT is less");

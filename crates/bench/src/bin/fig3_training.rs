@@ -15,9 +15,9 @@
 //! beyond MF-JSQ(2) — is preserved.
 
 use mflb_bench::harness::{
-    checkpoint_path, jsq_policy, load_mf_checkpoint, paper_config, print_table, rnd_policy,
-    write_csv, Scale,
+    checkpoint_path, jsq_policy, load_mf_checkpoint, paper_config, rnd_policy, Scale,
 };
+use mflb_bench::sweep::{Cell, Table};
 use mflb_bench::training::{iterations_for, ppo_config_for};
 use mflb_core::MeanFieldMdp;
 use mflb_rl::train_scenario;
@@ -87,24 +87,21 @@ fn main() {
     }
 
     // Emit the curve (sub-sampled for the console, full in the CSV).
-    let rows: Vec<Vec<String>> = curve
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{}", p.steps),
-                format!("{:.3}", p.mean_return),
-                format!("{:.5}", p.kl),
-                format!("{:.2}", p.entropy),
-            ]
-        })
-        .collect();
-    let console_rows: Vec<Vec<String>> =
-        rows.iter().step_by((rows.len() / 20).max(1)).cloned().collect();
-    print_table(
-        &format!("Figure 3: MF training curve (Δt = {dt}, T = {horizon})"),
+    let mut table = Table::new(
         &["timesteps", "episode return", "KL", "entropy"],
-        &console_rows,
+        &["timesteps", "episode_return", "kl", "entropy"],
     );
+    for p in &curve {
+        table.push(vec![
+            Cell::text(p.steps),
+            Cell::num(p.mean_return, 3, 3),
+            Cell::num(p.kl, 5, 5),
+            Cell::num(p.entropy, 2, 2),
+        ]);
+    }
+    table
+        .every((curve.len() / 20).max(1))
+        .print(&format!("Figure 3: MF training curve (Δt = {dt}, T = {horizon})"));
     // Terminal rendering of the figure: training curve against the two
     // horizontal baselines.
     let returns: Vec<f64> = curve.iter().map(|p| p.mean_return).collect();
@@ -122,31 +119,18 @@ fn main() {
         );
     }
 
-    let mut csv_rows = rows.clone();
     // Append baseline markers so the CSV is self-contained for plotting.
-    csv_rows.push(vec![
-        "baseline:MF-JSQ(2)".into(),
-        format!("{:.3}", jsq.mean()),
-        String::new(),
-        String::new(),
-    ]);
-    csv_rows.push(vec![
-        "baseline:MF-RND".into(),
-        format!("{:.3}", rnd.mean()),
-        String::new(),
-        String::new(),
-    ]);
-    csv_rows.push(vec![
-        "final:MF".into(),
-        format!("{:.3}", final_eval.mean()),
-        String::new(),
-        String::new(),
-    ]);
-    write_csv(
-        "fig3_training_curve.csv",
-        &["timesteps", "episode_return", "kl", "entropy"],
-        &csv_rows,
-    );
+    for (label, value) in
+        [("baseline:MF-JSQ(2)", &jsq), ("baseline:MF-RND", &rnd), ("final:MF", &final_eval)]
+    {
+        table.push(vec![
+            Cell::text(label),
+            Cell::num(value.mean(), 3, 3),
+            Cell::text(""),
+            Cell::text(""),
+        ]);
+    }
+    table.write_csv("fig3_training_curve.csv");
 
     // Qualitative check mirrored from the figure: learning must end above
     // the MF-RND baseline.

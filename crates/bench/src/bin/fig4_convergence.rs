@@ -10,7 +10,8 @@
 //! dotted line) and one row per M with the finite-system estimate
 //! ("MF-NM") ± 95% CI, plus the absolute gap — the empirical Theorem 1.
 
-use mflb_bench::harness::{mf_policy_for, print_table, write_csv, Scale};
+use mflb_bench::harness::{mf_policy_for, Scale};
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::{MeanFieldMdp, SystemConfig};
 use mflb_sim::{monte_carlo, AggregateEngine};
 use rand::rngs::StdRng;
@@ -24,7 +25,10 @@ fn main() {
     let m_grid = scale.m_grid_fig4();
     let dt_grid = scale.dt_grid_fig4();
 
-    let mut all_rows: Vec<Vec<String>> = Vec::new();
+    let mut table = Table::new(
+        &["dt", "M", "N", "MF-NM drops", "ci95", "MF-MFC drops", "|gap|", "policy"],
+        &["dt", "M", "N", "mf_nm_drops", "ci95", "mf_mfc_drops", "abs_gap", "policy"],
+    );
     for &dt in &dt_grid {
         let base = SystemConfig::paper().with_dt(dt);
         let horizon = base.eval_episode_len();
@@ -42,32 +46,27 @@ fn main() {
         let mf_eval = mdp.evaluate(resolved.policy.as_ref(), horizon, 200, &mut rng);
         let mf_drops = -mf_eval.mean();
 
-        let mut rows = Vec::new();
+        let mut gaps = Vec::new();
         for &m in &m_grid {
             let cfg = base.clone().with_m_squared(m);
             let engine = AggregateEngine::new(cfg.clone());
             let mc = monte_carlo(&engine, resolved.policy.as_ref(), horizon, n_runs, seed, 0);
             let gap = (mc.mean() - mf_drops).abs();
-            rows.push(vec![
-                format!("{dt}"),
-                format!("{m}"),
-                format!("{}", cfg.num_clients),
-                format!("{:.3}", mc.mean()),
-                format!("{:.3}", mc.ci95()),
-                format!("{:.3}", mf_drops),
-                format!("{:.3}", gap),
-                resolved.provenance.clone(),
+            gaps.push(gap);
+            table.push(vec![
+                Cell::text(dt),
+                Cell::text(m),
+                Cell::text(cfg.num_clients),
+                Cell::num(mc.mean(), 3, 3),
+                Cell::num(mc.ci95(), 3, 3),
+                Cell::num(mf_drops, 3, 3),
+                Cell::num(gap, 3, 3),
+                Cell::text(&resolved.provenance),
             ]);
         }
-        print_table(
-            &format!("Figure 4 (Δt = {dt}): average packet drops, MF-NM vs MF-MFC"),
-            &["dt", "M", "N", "MF-NM drops", "ci95", "MF-MFC drops", "|gap|", "policy"],
-            &rows,
-        );
+        table.print(&format!("Figure 4 (Δt = {dt}): average packet drops, MF-NM vs MF-MFC"));
         // Theorem-1 shape note: compare first vs last gap.
-        if rows.len() >= 2 {
-            let first_gap: f64 = rows.first().unwrap()[6].parse().unwrap();
-            let last_gap: f64 = rows.last().unwrap()[6].parse().unwrap();
+        if let [first_gap, .., last_gap] = gaps[..] {
             println!(
                 "[shape] gap M={} -> M={}: {:.3} -> {:.3} ({})",
                 m_grid.first().unwrap(),
@@ -77,11 +76,6 @@ fn main() {
                 if last_gap <= first_gap + 0.15 { "OK: shrinking/stable" } else { "WARNING: grew" }
             );
         }
-        all_rows.extend(rows);
     }
-    write_csv(
-        &format!("fig4_convergence_{}.csv", scale.label()),
-        &["dt", "M", "N", "mf_nm_drops", "ci95", "mf_mfc_drops", "abs_gap", "policy"],
-        &all_rows,
-    );
+    table.write_csv(&format!("fig4_convergence_{}.csv", scale.label()));
 }

@@ -19,11 +19,11 @@
 //! crossover, the tuned softmin tracks the lower envelope. p95 amplifies
 //! the effect (herding creates long-queue episodes that tail jobs eat).
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
-use mflb_core::mdp::FixedRulePolicy;
+use mflb_bench::harness::{fixed_rules, Scale};
+use mflb_bench::sweep::{run_policies, Cell, Table};
 use mflb_core::SystemConfig;
-use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
-use mflb_sim::{monte_carlo, EngineSpec, Scenario};
+use mflb_policy::optimize_beta;
+use mflb_sim::{EngineSpec, Scenario};
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -46,46 +46,8 @@ fn main() {
         Scale::Paper => (1..=10).map(|d| d as f64).collect(),
     };
 
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for &dt in &dt_grid {
-        let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
-        let zs = cfg.num_states();
-        let horizon = cfg.eval_episode_len();
-        let beta = optimize_beta(&cfg, horizon.min(100), 6, seed).beta;
-        let engine =
-            Scenario::new(cfg, EngineSpec::JobLevel).build().expect("valid job-level scenario");
-        let policies: Vec<(&str, FixedRulePolicy)> = vec![
-            ("JSQ(2)", FixedRulePolicy::new(jsq_rule(zs, 2), "JSQ(2)")),
-            ("RND", FixedRulePolicy::new(rnd_rule(zs, 2), "RND")),
-            ("SOFT", FixedRulePolicy::new(softmin_rule(zs, 2, beta), "SOFT")),
-        ];
-        let mut cells = vec![format!("{dt}")];
-        let mut csv = vec![format!("{dt}"), format!("{beta:.4}")];
-        for (i, (_, policy)) in policies.iter().enumerate() {
-            let mc = monte_carlo(&engine, policy, horizon, n_runs, seed + i as u64, 0);
-            let drop_frac = mc.drop_fraction();
-            let mut all = mc.sojourns;
-            all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mean = all.iter().sum::<f64>() / all.len().max(1) as f64;
-            let p95 = percentile(&all, 0.95);
-            cells.push(format!("{mean:.2}/{p95:.2}/{:.1}%", drop_frac * 100.0));
-            csv.push(format!("{mean:.4}"));
-            csv.push(format!("{p95:.4}"));
-            csv.push(format!("{drop_frac:.5}"));
-        }
-        rows.push(cells);
-        csv_rows.push(csv);
-    }
-    print_table(
-        &format!(
-            "Fig. 8 (ours, M = {m}, N = M²): job sojourn mean/p95/drop% vs Δt (job-level FIFO)"
-        ),
+    let mut table = Table::new(
         &["dt", "JSQ(2)", "RND", "SOFT(beta*)"],
-        &rows,
-    );
-    write_csv(
-        &format!("fig8_sojourn_{}.csv", scale.label()),
         &[
             "dt",
             "beta_star",
@@ -99,8 +61,34 @@ fn main() {
             "soft_p95",
             "soft_dropfrac",
         ],
-        &csv_rows,
     );
+    for &dt in &dt_grid {
+        let cfg = SystemConfig::paper().with_dt(dt).with_m_squared(m);
+        let horizon = cfg.eval_episode_len();
+        let beta = optimize_beta(&cfg, horizon.min(100), 6, seed).beta;
+        let [jsq, rnd, soft] = fixed_rules(&cfg, beta);
+        let engine =
+            Scenario::new(cfg, EngineSpec::JobLevel).build().expect("valid job-level scenario");
+        let mut row = vec![Cell::text(dt), Cell::num(beta, 4, 4).csv_only()];
+        for mc in run_policies(&engine, &[&jsq, &rnd, &soft], horizon, n_runs, seed) {
+            let drop_frac = mc.drop_fraction();
+            let mut all = mc.sojourns;
+            all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mean = all.iter().sum::<f64>() / all.len().max(1) as f64;
+            let p95 = percentile(&all, 0.95);
+            row.extend([
+                Cell::text(format!("{mean:.2}/{p95:.2}/{:.1}%", drop_frac * 100.0)).print_only(),
+                Cell::num(mean, 4, 4).csv_only(),
+                Cell::num(p95, 4, 4).csv_only(),
+                Cell::num(drop_frac, 5, 5).csv_only(),
+            ]);
+        }
+        table.push(row);
+    }
+    table.print(&format!(
+        "Fig. 8 (ours, M = {m}, N = M²): job sojourn mean/p95/drop% vs Δt (job-level FIFO)"
+    ));
+    table.write_csv(&format!("fig8_sojourn_{}.csv", scale.label()));
 
     println!("\n[shape] sojourn times mirror the drop story: JSQ best at small Δt,");
     println!("        degrading past the crossover; SOFT tracks the lower envelope;");

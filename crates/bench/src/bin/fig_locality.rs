@@ -18,14 +18,19 @@
 //! one queue (the locality analogue of the paper's delay-herding effect)
 //! but also shrinks the choice set. At the Table-1 operating point the
 //! two roughly cancel; the herding cap dominates at small Δt. The
-//! mean-field column tracks the finite system to leading order (it is an
-//! annealed closure, so expect a several-percent bias on lattices).
+//! mean-field column is the annealed closure, which is not the ring's
+//! limit at small `k`: it sits below the finite system by a gap that does
+//! not shrink with `M` (quick scale: JSQ at `k = 3` is 35.70 finite
+//! against 29.13 mean-field; at `M = 10⁴` and Δt = 5 it is 15.37 ± 0.05
+//! against 13.26), and at Δt = 5 it ranks small rings ahead of the full
+//! mesh where the engine ranks them behind.
 
-use mflb_bench::harness::{paper_config, print_table, write_csv, Scale};
-use mflb_core::mdp::{FixedRulePolicy, Integrand, MeanField, MeanFieldMdp};
+use mflb_bench::harness::{fixed_rules, paper_config, Scale};
+use mflb_bench::sweep::{run_policies, Cell, Table};
+use mflb_core::mdp::{Integrand, MeanField, MeanFieldMdp};
 use mflb_core::{Exponential, Topology};
-use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, softmin_rule};
-use mflb_sim::{monte_carlo, GraphEngine};
+use mflb_policy::optimize_beta;
+use mflb_sim::GraphEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,17 +49,15 @@ fn main() {
     };
 
     let cfg = paper_config(dt).with_m_squared(m);
-    let zs = cfg.num_states();
-    let d = cfg.d;
     let horizon = cfg.eval_episode_len();
     let beta = optimize_beta(&cfg, horizon.min(120), 8, seed).beta;
+    let [jsq, rnd, soft] = fixed_rules(&cfg, beta);
 
-    let jsq = FixedRulePolicy::new(jsq_rule(zs, d), "JSQ");
-    let rnd = FixedRulePolicy::new(rnd_rule(zs, d), "RND");
-    let soft = FixedRulePolicy::new(softmin_rule(zs, d, beta), "SOFT");
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        &["topology", "k", "JSQ(d) finite", "JSQ(d) mean-field", "RND", "SOFT(β*)"],
+        &["radius", "k", "jsq", "jsq_ci", "jsq_mf", "rnd", "rnd_ci", "soft", "soft_ci"],
+    );
+    let mut trend = Vec::new();
     for &radius in &radii {
         let (topology, label) = match radius {
             Some(r) => (Topology::Ring { radius: r }, format!("ring r={r}")),
@@ -62,10 +65,8 @@ fn main() {
         };
         let k = topology.neighborhood_size(m);
         let engine = GraphEngine::new(cfg.clone(), topology);
-
-        let r_jsq = monte_carlo(&engine, &jsq, horizon, n_runs, seed, 0);
-        let r_rnd = monte_carlo(&engine, &rnd, horizon, n_runs, seed + 1, 0);
-        let r_soft = monte_carlo(&engine, &soft, horizon, n_runs, seed + 2, 0);
+        let results = run_policies(&engine, &[&jsq, &rnd, &soft], horizon, n_runs, seed);
+        let finite = |i: usize| Cell::mean_ci(results[i].mean(), results[i].ci95());
         // Mean-field prediction for the JSQ column (full mesh: k -> a size
         // large enough to be numerically at the limit).
         let mf_k = if radius.is_some() { k } else { 100_000 };
@@ -74,42 +75,24 @@ fn main() {
         let mf_rng = &mut StdRng::seed_from_u64(seed);
         let mf_jsq = -mdp.evaluate(&jsq, horizon, mf_episodes, mf_rng).mean();
 
-        rows.push(vec![
-            label.clone(),
-            format!("{k}"),
-            format!("{:.2} ± {:.2}", r_jsq.mean(), r_jsq.ci95()),
-            format!("{mf_jsq:.2}"),
-            format!("{:.2} ± {:.2}", r_rnd.mean(), r_rnd.ci95()),
-            format!("{:.2} ± {:.2}", r_soft.mean(), r_soft.ci95()),
+        table.push(vec![
+            Cell::text(label).print_only(),
+            Cell::text(radius.unwrap_or(0)).csv_only(),
+            Cell::text(k),
+            finite(0),
+            Cell::num(mf_jsq, 2, 4),
+            finite(1),
+            finite(2),
         ]);
-        csv.push(vec![
-            format!("{}", radius.map_or(0, |r| r)),
-            format!("{k}"),
-            format!("{:.4}", r_jsq.mean()),
-            format!("{:.4}", r_jsq.ci95()),
-            format!("{mf_jsq:.4}"),
-            format!("{:.4}", r_rnd.mean()),
-            format!("{:.4}", r_rnd.ci95()),
-            format!("{:.4}", r_soft.mean()),
-            format!("{:.4}", r_soft.ci95()),
-        ]);
+        trend.push(format!("k={k}: {:.4}", results[0].mean()));
     }
 
-    print_table(
-        &format!(
-            "Locality sweep (ours, M = {m}, N = M², Δt = {dt}, β* = {beta:.2}): \
-             drops vs neighborhood size k"
-        ),
-        &["topology", "k", "JSQ(d) finite", "JSQ(d) mean-field", "RND", "SOFT(β*)"],
-        &rows,
-    );
-    write_csv(
-        &format!("fig_locality_{}.csv", scale.label()),
-        &["radius", "k", "jsq", "jsq_ci", "jsq_mf", "rnd", "rnd_ci", "soft", "soft_ci"],
-        &csv,
-    );
+    table.print(&format!(
+        "Locality sweep (ours, M = {m}, N = M², Δt = {dt}, β* = {beta:.2}): \
+         drops vs neighborhood size k"
+    ));
+    table.write_csv(&format!("fig_locality_{}.csv", scale.label()));
 
     println!("\n[shape] JSQ(d) drops by neighborhood size (does locality cap the herd?):");
-    let trend: Vec<String> = csv.iter().map(|r| format!("k={}: {}", r[1], r[2])).collect();
     println!("  Δt={dt}: {}", trend.join("  "));
 }

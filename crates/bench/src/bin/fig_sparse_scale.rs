@@ -16,7 +16,8 @@
 //! at the dense `|Z|^d` tuple space. The tracked-gate twin of this demo
 //! lives in `mflb bench --suite graph` (`BENCH_graph_quick.json`).
 
-use mflb_bench::harness::{print_table, write_csv, Scale};
+use mflb_bench::harness::Scale;
+use mflb_bench::sweep::{Cell, Table};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_core::{SystemConfig, Topology};
 use mflb_policy::{optimize_beta, softmin_rule};
@@ -41,8 +42,31 @@ fn main() {
     let beta = optimize_beta(&base_cfg, 60, 8, seed).beta;
     let policy = FixedRulePolicy::new(softmin_rule(zs, d, beta), "SOFT");
 
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
+    let mut table = Table::new(
+        &[
+            "topology",
+            "M",
+            "k",
+            "epochs",
+            "build s",
+            "episode s",
+            "epochs/s",
+            "Mq·epochs/s",
+            "drops",
+        ],
+        &[
+            "topology",
+            "m",
+            "k",
+            "epochs",
+            "build_s",
+            "wall_s",
+            "epochs_per_s",
+            "q_epochs_per_s",
+            "drops",
+        ],
+    );
+    let mut trend = Vec::new();
     for &(m, side, epochs) in &cases {
         for (topology, label, m_eff) in [
             (Topology::Torus { radius: 1 }, "torus r=1", side * side),
@@ -60,67 +84,30 @@ fn main() {
             let eps = epochs as f64 / wall_s;
             let qeps = m_eff as f64 * eps;
 
-            rows.push(vec![
-                label.to_string(),
-                format!("{m_eff}"),
-                format!("{k}"),
-                format!("{epochs}"),
-                format!("{build_s:.2}"),
-                format!("{wall_s:.2}"),
-                format!("{eps:.1}"),
-                format!("{:.2}", qeps / 1e6),
-                format!("{:.3}", out.total_drops),
+            table.push(vec![
+                Cell::text(label).print_only(),
+                Cell::text(label.replace(' ', "_")).csv_only(),
+                Cell::text(m_eff),
+                Cell::text(k),
+                Cell::text(epochs),
+                Cell::num(build_s, 2, 4),
+                Cell::num(wall_s, 2, 4),
+                Cell::num(eps, 1, 2),
+                Cell::num(qeps / 1e6, 2, 2).print_only(),
+                Cell::num(qeps, 0, 0).csv_only(),
+                Cell::num(out.total_drops, 3, 4),
             ]);
-            csv.push(vec![
-                label.replace(' ', "_"),
-                format!("{m_eff}"),
-                format!("{k}"),
-                format!("{epochs}"),
-                format!("{build_s:.4}"),
-                format!("{wall_s:.4}"),
-                format!("{eps:.2}"),
-                format!("{qeps:.0}"),
-                format!("{:.4}", out.total_drops),
-            ]);
+            trend.push(format!("{} M={m_eff}: {qeps:.0}", label.replace(' ', "_")));
         }
     }
 
-    print_table(
-        &format!(
-            "Sparse-graph scaling (N = 4M, Δt = 5, β* = {beta:.2}, sharded engine, \
+    table.print(&format!(
+        "Sparse-graph scaling (N = 4M, Δt = 5, β* = {beta:.2}, sharded engine, \
              workers = {})",
-            if workers == 0 { "auto".to_string() } else { workers.to_string() }
-        ),
-        &[
-            "topology",
-            "M",
-            "k",
-            "epochs",
-            "build s",
-            "episode s",
-            "epochs/s",
-            "Mq·epochs/s",
-            "drops",
-        ],
-        &rows,
-    );
-    write_csv(
-        &format!("fig_sparse_scale_{}.csv", scale.label()),
-        &[
-            "topology",
-            "m",
-            "k",
-            "epochs",
-            "build_s",
-            "wall_s",
-            "epochs_per_s",
-            "q_epochs_per_s",
-            "drops",
-        ],
-        &csv,
-    );
+        if workers == 0 { "auto".to_string() } else { workers.to_string() }
+    ));
+    table.write_csv(&format!("fig_sparse_scale_{}.csv", scale.label()));
 
     println!("\n[shape] q·epochs/s should stay ~flat across three decades of M:");
-    let trend: Vec<String> = csv.iter().map(|r| format!("{} M={}: {}", r[0], r[1], r[7])).collect();
     println!("  {}", trend.join("  "));
 }

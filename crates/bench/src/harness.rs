@@ -9,15 +9,17 @@
 //! * [`mf_policy_for`] — resolves the "MF" policy for a given Δt: a trained
 //!   PPO checkpoint from `assets/policies/mf_dt<Δt>.json` when present,
 //!   otherwise the β-optimized softmin stand-in (clearly labelled).
-//! * table printing and CSV output under `target/experiments/`.
+//! * [`jsq_policy`], [`rnd_policy`] and [`fixed_rules`] — the fixed-rule
+//!   baselines.
 
 use crate::flags::{exit_usage, Args, Command, Flag, Kind};
 use crate::inputs::Checkpoint;
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::SystemConfig;
-use mflb_policy::{jsq_rule, optimize_beta, rnd_rule, NeuralUpperPolicy, SoftminPolicy};
+use mflb_policy::{
+    jsq_rule, optimize_beta, rnd_rule, softmin_rule, NeuralUpperPolicy, SoftminPolicy,
+};
 use mflb_sim::{EngineSpec, Scenario};
-use std::io::Write;
 use std::path::PathBuf;
 
 const SCALE: Flag = Flag::new(
@@ -178,13 +180,6 @@ impl Scale {
     }
 }
 
-/// The directory where experiment CSVs are written.
-pub(crate) fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from("target/experiments");
-    std::fs::create_dir_all(&dir).expect("create target/experiments");
-    dir
-}
-
 /// The directory holding trained policy checkpoints.
 pub(crate) fn policies_dir() -> PathBuf {
     PathBuf::from("assets/policies")
@@ -261,9 +256,9 @@ pub fn load_mf_checkpoint(config: &SystemConfig) -> Result<NeuralUpperPolicy, St
     Checkpoint::load(&checkpoint_path(config.dt).to_string_lossy())?.fit(&homog)
 }
 
-/// The MF-JSQ(2) baseline as an upper-level policy.
+/// The MF-JSQ(d) baseline as an upper-level policy.
 pub fn jsq_policy(config: &SystemConfig) -> FixedRulePolicy {
-    FixedRulePolicy::new(jsq_rule(config.num_states(), config.d), "JSQ(2)")
+    FixedRulePolicy::new(jsq_rule(config.num_states(), config.d), format!("JSQ({})", config.d))
 }
 
 /// The MF-RND baseline as an upper-level policy.
@@ -271,41 +266,11 @@ pub fn rnd_policy(config: &SystemConfig) -> FixedRulePolicy {
     FixedRulePolicy::new(rnd_rule(config.num_states(), config.d), "RND")
 }
 
-/// Prints an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>width$}  ", c, width = widths[i]));
-        }
-        s
-    };
-    println!("{}", line(headers.iter().map(|h| h.to_string()).collect()));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    for row in rows {
-        println!("{}", line(row.clone()));
-    }
-}
-
-/// Writes a CSV next to the printed table.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let path = experiments_dir().join(name);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
-    writeln!(f, "{}", headers.join(",")).unwrap();
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).unwrap();
-    }
-    f.flush().unwrap();
-    println!("[csv] wrote {}", path.display());
+/// The fixed rules the sweeps run, in their seed order: JSQ(d), RND and
+/// softmin(`beta`).
+pub fn fixed_rules(config: &SystemConfig, beta: f64) -> [FixedRulePolicy; 3] {
+    let soft = softmin_rule(config.num_states(), config.d, beta);
+    [jsq_policy(config), rnd_policy(config), FixedRulePolicy::new(soft, "SOFT")]
 }
 
 #[cfg(test)]

@@ -84,3 +84,20 @@ fn train_policy_rejects_bad_inputs_with_exit_2() {
     assert_usage_error("train_policy", &["--dt", "-1"], "--dt");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_unwritable_csv_directory_exits_1_and_names_the_path() {
+    // `target` is a regular file here, so `target/experiments` cannot exist.
+    let dir = std::env::temp_dir().join(format!("mflb_bench_csv_failure_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("target"), "not a directory").unwrap();
+    let out = Command::new(exe("ablation_staggered"))
+        .args(["--scale", "quick"])
+        .current_dir(&dir)
+        .output()
+        .expect("run binary");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("target/experiments"), "stderr must name the path:\n{stderr}");
+}

@@ -15,9 +15,17 @@
 //! * a tagged queue in state `z` belongs to the accessible sets of `k`
 //!   dispatchers (itself and its neighbors);
 //! * each such dispatcher's neighborhood contains the tagged queue plus
-//!   `k − 1` other queues, approximated as i.i.d. draws from `ν_t`
-//!   (exact on locally tree-like graphs at independence order 1, a
-//!   heuristic on lattices where neighbor states correlate);
+//!   `k − 1` other queues, approximated as i.i.d. draws from `ν_t`. Only
+//!   the `k → ∞` limit of this is exact. At finite `k` the closure sits
+//!   below the graph engine's drops on rings and on random-regular graphs
+//!   alike, tree-like or not, and the gap does not shrink with `M`. For
+//!   JSQ(2) at the Table-1 point and `M = 10⁴`: ring `k = 3` at Δt = 5
+//!   gives 13.26 here against 15.37 ± 0.05 on the engine, and
+//!   random-regular degree 2 is 14–25% low; degree 8 is 1.9% low at
+//!   Δt = 5. It also cannot tell a ring from a random-regular graph of
+//!   the same `k`. The likely cause is that the dispatchers covering a
+//!   queue share most of their neighborhoods, which correlates neighbor
+//!   states;
 //! * the dispatcher's sampling measure is therefore the **self-weighted**
 //!   mixture `H̄_z = (1/k)·δ_z + ((k−1)/k)·ν_t`, and the tagged queue's
 //!   arrival rate is `λ_t(ν, z) = λ_t · ρ(H̄_z)[z]` with `ρ` the Eq. 22

@@ -29,7 +29,8 @@ fn main() {
     // --- offline: PPO in the mean-field control MDP -----------------------
     // Variance-reduced demo settings: the rule fixes the epoch's drops
     // immediately, so a short credit horizon (γ = 0.9) keeps the optimum
-    // while making minutes-scale training possible (DESIGN.md §5).
+    // while making minutes-scale training possible (the same trade as
+    // `mflb_bench::training::ppo_config_for` at quick scale).
     let ppo = PpoConfig {
         gamma: 0.9,
         gae_lambda: 0.9,

@@ -1,6 +1,6 @@
 //! Cross-crate integration test: the literal per-client engine and the
-//! exact aggregated engine follow the same probability law (DESIGN.md §4),
-//! across policies and delays.
+//! exact aggregated engine follow the same probability law (README, "The
+//! engine layer"), across policies and delays.
 
 use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::SystemConfig;

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn quick_ppo() -> PpoConfig {
-    // Variance-reduced quick settings (see DESIGN.md §5): the decision rule
+    // Variance-reduced quick settings (as in `mflb_bench::training`): the decision rule
     // determines the epoch's drops immediately, so a short credit horizon
     // preserves the optimum while slashing advantage noise.
     PpoConfig {
