@@ -1032,13 +1032,16 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
 ///
 /// Two gated kernels time the event engine's algorithmic choices against
 /// their naive twins on the same machine and inputs: the binary-heap
-/// [`mflb_sim::Timeline`] against a linear-scan min-extraction over the
-/// same event batch, and the once-per-`Δt` sampled-and-delayed
-/// observation refresh against recomputing the empirical histogram for
-/// every dispatched job. The untracked throughput entries record the
-/// ROADMAP bar — jobs dispatched per wall-clock second through the full
-/// [`mflb_sim::serve()`] loop — for a synthetic Poisson/MMPP stream at
-/// M = 100 and M = 1000 queues and for a replayed 50k-job trace.
+/// [`mflb_sim::Timeline`] (the completion heap of an admission-capped
+/// sync interval; an uncapped one runs queue by queue and needs a heap
+/// only to order events due at the same instant)
+/// against a linear-scan min-extraction over the same event batch, and
+/// the once-per-`Δt` sampled-and-delayed observation refresh against
+/// recomputing the empirical histogram for every dispatched job. The
+/// untracked throughput entries record the ROADMAP bar — jobs dispatched
+/// per wall-clock second through the full [`mflb_sim::serve()`] loop, on
+/// the uncapped queue-by-queue path — for a synthetic Poisson/MMPP stream
+/// at M = 100 and M = 1000 queues and for a replayed 50k-job trace.
 pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
     use mflb_core::mdp::FixedRulePolicy;
     use mflb_core::{JobSizeLaw, StateDist};

@@ -12,6 +12,7 @@ use crate::harness::{jsq_policy, mf_policy_for, rnd_policy, Scale};
 use mflb_core::mdp::UpperPolicy;
 use mflb_core::SystemConfig;
 use mflb_sim::{monte_carlo, AggregateEngine, Engine, MonteCarloResult};
+use std::borrow::Cow;
 use std::fmt::Display;
 use std::path::PathBuf;
 
@@ -181,14 +182,17 @@ impl Table {
         out
     }
 
-    /// The CSV text: the header line, then one line per row.
+    /// The CSV text: the header line, then one line per row. A field
+    /// holding a comma, a quote or a line break is quoted (RFC 4180).
     fn csv(&self) -> String {
-        let mut out = self.csv_headers.join(",") + "\n";
+        let line = |fields: Vec<&str>| {
+            fields.into_iter().map(csv_field).collect::<Vec<_>>().join(",") + "\n"
+        };
+        let mut out = line(self.csv_headers.to_vec());
         for row in &self.rows {
             let fields: Vec<&str> = row.iter().flat_map(|c| &c.csv).map(String::as_str).collect();
             assert_eq!(fields.len(), self.csv_headers.len(), "row does not fill the CSV columns");
-            out += &fields.join(",");
-            out.push('\n');
+            out += &line(fields);
         }
         out
     }
@@ -203,6 +207,16 @@ impl Table {
         std::fs::write(&path, self.csv())
             .unwrap_or_else(|e| exit_failure(format!("cannot write {}: {e}", path.display())));
         println!("[csv] wrote {}", path.display());
+    }
+}
+
+/// `field` as one CSV field: verbatim, or in double quotes with its own
+/// quotes doubled if it holds a comma, a quote or a line break.
+fn csv_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
     }
 }
 
@@ -255,6 +269,18 @@ mod tests {
         ]);
         assert_eq!(table.csv(), "x,y,p\n1.0000,2.000,6.120e-3\n");
         assert!(table.render("t", &table.rows).contains("1.00 ± 0.25     n  6.1e-3"));
+    }
+
+    #[test]
+    fn fields_with_commas_quotes_or_line_breaks_are_quoted() {
+        let mut table = Table::new(&[], &["symbol", "value"]);
+        table.push(vec![Cell::text("(λh, λl)"), Cell::text("[256, 256] tanh")]);
+        table.push(vec![Cell::text("say \"hi\""), Cell::text("two\nlines")]);
+        table.push(vec![Cell::text("plain"), Cell::num(0.5, 1, 2)]);
+        assert_eq!(
+            table.csv(),
+            "symbol,value\n\"(λh, λl)\",\"[256, 256] tanh\"\n\"say \"\"hi\"\"\",\"two\nlines\"\nplain,0.50\n"
+        );
     }
 
     #[test]

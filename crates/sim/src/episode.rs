@@ -245,12 +245,13 @@ pub fn run_rng(base_seed: u64, run_index: u64) -> StdRng {
 /// engine-wide `StdRng` (whose `seed_from_u64` adds four more SplitMix64
 /// rounds), keeping streams decorrelated across entities and phases.
 /// Shared by the sharded [`crate::graph_engine::GraphEngine`], the
-/// event-heap [`crate::event_engine::EventEngine`] and the fault layer
+/// job-level [`crate::event_engine::EventEngine`] and the fault layer
 /// ([`mflb_core::FaultPlan`]): giving each logical entity (queue,
 /// dispatcher, job) its *own* counter-keyed stream is what makes epochs
-/// bit-identical regardless of shard partition, worker count, or heap
-/// tie-breaking. The scramble itself lives in `mflb_core::faults` so the
-/// fault streams are salts of the exact same scheme.
+/// bit-identical regardless of shard partition, worker count, or the
+/// order in which the event engine visits its queues. The scramble
+/// itself lives in `mflb_core::faults` so the fault streams are salts of
+/// the exact same scheme.
 pub(crate) use mflb_core::stream_rng;
 
 /// Shared per-client assignment sweep (Eq. 3–4): every client samples `d`

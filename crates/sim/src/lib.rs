@@ -32,9 +32,11 @@
 //!   dispatcher samples its `d` queues from its closed neighborhood; the
 //!   full mesh is the degenerate case and reproduces the aggregate
 //!   engine's RNG stream bit for bit;
-//! * [`event_engine::EventEngine`] — continuous-time job-level engine on
-//!   a [`Timeline`] event heap with exponential or Pareto/bounded-Pareto
-//!   job sizes ([`mflb_core::JobSizeLaw`]); the [`serve()`] runtime drives
+//! * [`event_engine::EventEngine`] — continuous-time job-level engine
+//!   with exponential or Pareto/bounded-Pareto job sizes
+//!   ([`mflb_core::JobSizeLaw`]) that runs each sync interval queue by
+//!   queue (an admission-capped one on a [`Timeline`] heap of pending
+//!   completions); the [`serve()`] runtime drives
 //!   it as a long-running dispatcher over synthetic or replayed-trace
 //!   job streams (`mflb serve`).
 //!

@@ -60,7 +60,7 @@
 //! | `{"Hetero": {"rates": [α…]}}` | heterogeneous pool | non-empty, `len == num_queues`, all rates > 0 and finite |
 //! | `{"Ph": {"service": law}}` | phase-type service | see laws below |
 //! | `{"Graph": {"topology": top, "shard_size": s}}` | locality-constrained routing | see topologies below; `shard_size` is optional (≥ 1 when given — the dispatcher range per shard, a scheduling granularity that never changes results; omitted = 16384) |
-//! | `{"Event": {"job_size": law}}` | continuous-time event-heap job-level engine | see job-size laws below |
+//! | `{"Event": {"job_size": law}}` | continuous-time job-level engine, run queue by queue per sync interval | see job-size laws below |
 //!
 //! Topologies for `Graph` (the [`mflb_core::Topology`] families; clients
 //! sample their `d` queues from the dispatcher's closed neighborhood
@@ -291,10 +291,11 @@ pub enum EngineSpec {
         #[serde(default)]
         shard_size: Option<usize>,
     },
-    /// Continuous-time event-heap job-level engine ([`EventEngine`]):
-    /// jobs as timeline events with exponential or heavy-tailed sizes,
-    /// serviced FIFO under sampled-and-delayed observations. The engine
-    /// behind `mflb serve`.
+    /// Continuous-time job-level engine ([`EventEngine`]): every job is
+    /// routed on the sync-interval snapshot and serviced FIFO, with
+    /// exponential or heavy-tailed sizes. Each interval runs queue by
+    /// queue (an admission-capped one on a heap of pending completions).
+    /// The engine behind `mflb serve`.
     Event {
         /// The job-size law (exponential reproduces the paper's length
         /// process in law; Pareto laws open the heavy-tailed axis).
@@ -495,7 +496,7 @@ pub enum AnyEngine {
     JobLevel(FifoEngine),
     /// Locality-constrained graph engine.
     Graph(GraphEngine),
-    /// Continuous-time event-heap job-level engine.
+    /// Continuous-time job-level engine.
     Event(EventEngine),
 }
 

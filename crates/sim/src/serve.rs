@@ -1,5 +1,6 @@
 //! The `mflb serve` runtime: a long-running dispatcher loop over the
-//! event-heap [`EventEngine`].
+//! job-level [`EventEngine`], one sync interval per policy refresh (run
+//! queue by queue, or on a completion heap under an admission cap).
 //!
 //! [`serve`] ingests a job stream — either the engine's own synthetic
 //! Poisson/Pareto generator or a replayed JSONL trace — and dispatches
@@ -109,16 +110,23 @@ pub fn parse_trace_line(raw: &str, lineno: usize, last_t: f64) -> Result<Option<
         None => serde_json::from_str(line)
             .map_err(|source| ServeError::TraceParse { line: lineno, source })?,
     };
+    check_job(&job, lineno, last_t)?;
+    Ok(Some(job))
+}
+
+/// The schema's checks on one job of a trace: `line` is its 1-based line
+/// (or position), `last_t` the previous job's arrival time.
+fn check_job(job: &Job, line: usize, last_t: f64) -> Result<(), ServeError> {
     if !(job.t.is_finite() && job.t >= 0.0) {
-        return Err(ServeError::ArrivalTime { line: lineno, t: job.t });
+        return Err(ServeError::ArrivalTime { line, t: job.t });
     }
     if job.t < last_t {
-        return Err(ServeError::ArrivalOrder { line: lineno, t: job.t, last_t });
+        return Err(ServeError::ArrivalOrder { line, t: job.t, last_t });
     }
     if !(job.size > 0.0 && job.size.is_finite()) {
-        return Err(ServeError::JobSize { line: lineno, size: job.size });
+        return Err(ServeError::JobSize { line, size: job.size });
     }
-    Ok(Some(job))
+    Ok(())
 }
 
 /// Decodes a flat JSON object whose members all have numeric values
@@ -450,7 +458,9 @@ pub enum JobSource {
     /// The engine's own Poisson arrivals with scenario job sizes,
     /// modulated by the configured MMPP λ-path.
     Synthetic,
-    /// A replayed, fully-buffered trace (see [`parse_trace`]).
+    /// A replayed, fully-buffered trace (see [`parse_trace`]). [`serve`]
+    /// checks it against the trace schema first; a complaint names the
+    /// job's 1-based position as its line.
     Trace(Vec<Job>),
     /// A trace streamed line-by-line from a reader (e.g. stdin); parsed
     /// lazily, consumed once.
@@ -675,6 +685,13 @@ pub fn serve_with(
             return Err(ServeError::Duration(te));
         }
     }
+    if let JobSource::Trace(jobs) = source {
+        let mut last_t = 0.0;
+        for (i, job) in jobs.iter().enumerate() {
+            check_job(job, i + 1, last_t)?;
+            last_t = job.t;
+        }
+    }
     if let Some(th) = opts.staleness_threshold {
         if th == 0 {
             return Err(ServeError::StalenessZero);
@@ -879,6 +896,22 @@ mod tests {
         ] {
             let err = parse_trace(text).unwrap_err().to_string();
             assert!(err.contains(needle), "{text:?} → {err}");
+        }
+    }
+
+    #[test]
+    fn buffered_traces_are_checked_against_the_schema() {
+        let e = engine();
+        let opts = ServeOptions::default();
+        for (jobs, needle) in [
+            (vec![Job { t: 1.0, size: 1.0 }, Job { t: 0.5, size: 1.0 }], "line 2"),
+            (vec![Job { t: f64::NAN, size: 1.0 }], "nonnegative"),
+            (vec![Job { t: 0.0, size: 0.0 }], "positive"),
+        ] {
+            let err = serve(&e, &jsq(), "JSQ(2)", &JobSource::Trace(jobs), &opts, |_| {})
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(needle), "{err}");
         }
     }
 
