@@ -192,6 +192,18 @@ impl SystemConfig {
         if self.train_episode_len == 0 {
             return Err("train_episode_len must be at least 1".into());
         }
+        if !(self.eval_time > 0.0 && self.eval_time.is_finite()) {
+            return Err(format!("eval_time must be positive and finite, got {}", self.eval_time));
+        }
+        if self.eval_time / self.dt > MAX_EVAL_EPOCHS as f64 {
+            return Err(format!(
+                "eval_time = {:e} at dt = {} means {:e} evaluation epochs, more than the \
+                 cap of {MAX_EVAL_EPOCHS}",
+                self.eval_time,
+                self.dt,
+                self.eval_time / self.dt
+            ));
+        }
         Ok(())
     }
 }
@@ -203,6 +215,11 @@ impl SystemConfig {
 /// `mflb-linalg` bounds its error up to this edge; the largest epoch any
 /// shipped experiment uses is 60.
 pub const MAX_EPOCH_EVENTS: f64 = 1e4;
+
+/// Largest evaluation horizon `eval_time / dt`, in epochs, a
+/// configuration may imply. The paper's longest is 500 (`Δt = 1`); the
+/// cap keeps every `simulate`, `eval` and `serve` run finite.
+pub const MAX_EVAL_EPOCHS: usize = 1_000_000;
 
 /// Largest decision-rule table, in entries `|Z|^d·d`, a configuration may
 /// imply. Every rule, policy and training env materializes the full table.
@@ -309,6 +326,27 @@ mod tests {
         assert!(rejection(|c| c.service_rate = 2.0 * MAX_EPOCH_EVENTS).contains("events"));
         SystemConfig::paper().with_dt(MAX_EPOCH_EVENTS).validate().unwrap();
         SystemConfig::paper().with_dt(60.0).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_bounds_the_eval_horizon() {
+        assert!(rejection(|c| c.eval_time = -1.0).contains("eval_time"));
+        assert!(rejection(|c| c.eval_time = 0.0).contains("eval_time"));
+        assert!(rejection(|c| c.eval_time = f64::NAN).contains("eval_time"));
+        assert!(rejection(|c| c.eval_time = f64::INFINITY).contains("eval_time"));
+        // 1e300 used to saturate the episode length to usize::MAX.
+        assert!(rejection(|c| c.eval_time = 1e300).contains("evaluation epochs"));
+        // The cap itself is admitted, and one epoch past it is not.
+        let at_cap = |dt: f64| {
+            let mut c = SystemConfig::paper().with_dt(dt);
+            c.eval_time = MAX_EVAL_EPOCHS as f64 * dt;
+            c
+        };
+        at_cap(0.5).validate().unwrap();
+        assert_eq!(at_cap(0.5).eval_episode_len(), MAX_EVAL_EPOCHS);
+        let mut over = at_cap(0.5);
+        over.eval_time += 0.5;
+        assert!(over.validate().unwrap_err().contains("evaluation epochs"));
     }
 
     #[test]

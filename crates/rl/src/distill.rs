@@ -273,13 +273,8 @@ pub fn distill_checkpoint(
         return Err(format!("polish slack must be finite and ≥ 0, got {}", config.polish_slack));
     }
     ckpt.validate_for(scenario)?;
-    let shape = PolicyShape::for_scenario(scenario);
-    if shape.rule_states != shape.obs_states {
-        return Err("distillation needs plain length-state rules; heterogeneous composite \
-             scenarios are not supported"
-            .into());
-    }
     let oracle = solve_oracle(scenario, &config.oracle)?;
+    let shape = PolicyShape::for_scenario(scenario);
     let sol = oracle.policy.solution();
     let nn = shape.into_policy(ckpt.policy_net.clone());
     let grid = sol.grid();

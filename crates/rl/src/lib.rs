@@ -22,11 +22,11 @@
 //!   Eq. 29–31): observation `[ν_t, onehot λ_t]`, action = decision-rule
 //!   logits with the §4 "manual normalization" softmax decoding, reward
 //!   `−D_t`; the MDP runs the epoch over a [`mflb_core::mdp::Closure`],
-//! * [`scenario_env`] — [`scenario_env::build_env`] picks the
-//!   `mflb_core::mdp` closure a serde [`mflb_sim::Scenario`] implies:
-//!   homogeneous (full-mesh or degree-indexed), heterogeneous pools
-//!   (§2.5), phase-type service (§5) or the fault-degraded two-pool
-//!   model,
+//! * [`scenario_env`] — [`scenario_env::limit`] maps a serde
+//!   [`mflb_sim::Scenario`] to its `mflb_core::mdp` closure (homogeneous,
+//!   degree-indexed, heterogeneous pools (§2.5), phase-type service (§5)
+//!   or the fault-degraded two-pool model) and the oracle's verdict on
+//!   it; [`scenario_env::build_env`] builds the training env from it,
 //! * [`checkpoint::TrainingCheckpoint`] — the versioned training artifact
 //!   (scenario + config + seed + curve + networks) with strict load-time
 //!   shape validation,
@@ -34,8 +34,8 @@
 //!   behind `mflb train`,
 //! * [`eval::evaluate_checkpoint_configured`] — finite-N Monte-Carlo comparison of a
 //!   checkpoint against JSQ(d)/RND/softmin, the Fig. 4–6 protocol,
-//! * [`oracle`] — the exact-DP bridge: classify a scenario's oracle
-//!   exactness, solve (or cache) the discretized MDP and report
+//! * [`oracle`] — the exact-DP bridge: read a scenario's oracle
+//!   exactness off its limit, solve (or cache) the discretized MDP and report
 //!   per-policy optimality gaps through
 //!   [`eval::evaluate_checkpoint_configured`] / `mflb eval --oracle`,
 //! * [`distill`] — projection of a neural checkpoint onto a tabular
@@ -76,5 +76,5 @@ pub use oracle::{
 };
 pub use ppo::{CollectStats, IterationStats, PpoConfig, PpoTrainer, UpdateStats};
 pub use reinforce::{ReinforceConfig, ReinforceStats, ReinforceTrainer};
-pub use scenario_env::{build_env, PolicyShape};
+pub use scenario_env::{build_env, limit, Limit, LimitClosure, PolicyShape};
 pub use train::{train_scenario, train_scenario_from, TrainResult};

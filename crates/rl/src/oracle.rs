@@ -6,13 +6,8 @@
 //! trained checkpoint can be certified against the model-based optimum
 //! instead of merely "beats RND":
 //!
-//! * [`oracle_feasibility`] classifies a [`Scenario`]: for every engine
-//!   whose mean-field limit *is* the homogeneous Eq. 20–31 model
-//!   (Aggregate, PerClient, Staggered, JobLevel, full-mesh Graph) the DP
-//!   optimum is **exact**; phase-type service and finite-neighborhood
-//!   graphs get a mean-matched homogeneous **reference** (clearly
-//!   labelled); heterogeneous pools are rejected — their composite rule
-//!   space is outside the DP action library.
+//! * [`oracle_feasibility`] reads a scenario's verdict off its [`limit`]
+//!   (exact, a labelled reference, or rejected) and checks the solve fits.
 //! * [`solve_oracle`] solves (or loads from a content-keyed cache) the
 //!   discretized MDP and wraps the greedy [`GridPolicy`] as an evaluable
 //!   policy named `MF-DP (oracle)`.
@@ -27,9 +22,10 @@
 //! `C(G + B, B)` points. [`OracleConfig::max_table_entries`] refuses
 //! infeasible solves with a readable message before any allocation.
 
+use crate::scenario_env::{limit, Limit};
 use mflb_dp::{ActionLibrary, DpConfig, DpSolution, GridPolicy};
 use mflb_queue::mmpp::ArrivalProcess;
-use mflb_sim::{EngineSpec, Scenario};
+use mflb_sim::Scenario;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -40,9 +36,8 @@ pub enum OracleExactness {
     /// solves: the oracle is exact up to lattice resolution and the
     /// softmin action family.
     Exact,
-    /// The DP solves a mean-matched homogeneous stand-in (phase-type
-    /// service reduced to its mean rate, or a finite-neighborhood graph
-    /// treated as full-mesh): gaps are indicative, not certificates.
+    /// The DP solves a homogeneous stand-in (see [`limit`]): gaps are
+    /// indicative, not certificates.
     Reference {
         /// Human-readable description of the approximation.
         note: String,
@@ -136,93 +131,9 @@ impl Oracle {
     }
 }
 
-/// Classifies how well the DP oracle describes a scenario, or rejects
-/// scenarios the oracle cannot model at all.
-fn oracle_exactness(scenario: &Scenario) -> Result<OracleExactness, String> {
-    match &scenario.engine {
-        EngineSpec::PerClient
-        | EngineSpec::Aggregate
-        | EngineSpec::Staggered { .. }
-        | EngineSpec::JobLevel => Ok(OracleExactness::Exact),
-        EngineSpec::Graph { topology, .. } => match topology.limit_neighborhood_size() {
-            None => Ok(OracleExactness::Exact),
-            Some(k) => Ok(OracleExactness::Reference {
-                note: format!(
-                    "finite neighborhood (k = {k}) treated as full-mesh; \
-                     gaps are indicative, not certificates"
-                ),
-            }),
-        },
-        EngineSpec::Ph { service } => {
-            let law = service.build()?;
-            let mean = law.mean();
-            if law.num_phases() == 1 {
-                // A single exponential phase *is* the homogeneous model.
-                Ok(OracleExactness::Exact)
-            } else {
-                Ok(OracleExactness::Reference {
-                    note: format!(
-                        "phase-type service mean-matched to an exponential rate \
-                         {:.4}; gaps are indicative, not certificates",
-                        1.0 / mean
-                    ),
-                })
-            }
-        }
-        EngineSpec::Event { job_size } => {
-            let mean = job_size.mean();
-            if !mean.is_finite() {
-                return Err(format!(
-                    "event job sizes have infinite mean ({job_size:?}); no mean-matched \
-                     exponential model exists — use shape > 1 or a bounded law"
-                ));
-            }
-            if matches!(job_size, mflb_core::JobSizeLaw::Exponential { .. }) {
-                // Exponential sizes over exponential servers: the length
-                // process is the homogeneous M/M/1/B in law.
-                Ok(OracleExactness::Exact)
-            } else {
-                Ok(OracleExactness::Reference {
-                    note: format!(
-                        "heavy-tailed job sizes mean-matched to an exponential service \
-                         rate {:.4}; gaps are indicative, not certificates",
-                        scenario.config.service_rate / mean
-                    ),
-                })
-            }
-        }
-        EngineSpec::Hetero { .. } => {
-            Err("the DP oracle does not support heterogeneous pools: its softmin action \
-             library is over plain length states, not composite (length, class) states"
-                .into())
-        }
-    }
-}
-
-/// The homogeneous `SystemConfig` the oracle solves for a scenario:
-/// identical to the scenario's except that phase-type service is replaced
-/// by its mean-matched exponential rate.
+/// The homogeneous `SystemConfig` the oracle solves: the scenario's [`Limit::config`].
 pub fn oracle_mdp_config(scenario: &Scenario) -> Result<mflb_core::SystemConfig, String> {
-    let mut config = scenario.config.clone();
-    match &scenario.engine {
-        EngineSpec::Ph { service } => {
-            let mean = service.build()?.mean();
-            if !(mean > 0.0 && mean.is_finite()) {
-                return Err(format!("phase-type service has unusable mean {mean}"));
-            }
-            config.service_rate = 1.0 / mean;
-        }
-        EngineSpec::Event { job_size } => {
-            // A server of rate α completes mean-size jobs at rate α/mean.
-            let mean = job_size.mean();
-            if !(mean > 0.0 && mean.is_finite()) {
-                return Err(format!("event job sizes have unusable mean {mean}"));
-            }
-            config.service_rate /= mean;
-        }
-        _ => {}
-    }
-    Ok(config)
+    Ok(limit(scenario)?.config)
 }
 
 /// Number of `(lattice point, level, action)` transition-table entries an
@@ -246,13 +157,22 @@ pub fn oracle_feasibility(
     scenario: &Scenario,
     oracle: &OracleConfig,
 ) -> Result<OracleExactness, String> {
+    feasible(scenario, oracle).map(|(exactness, _)| exactness)
+}
+
+/// [`oracle_feasibility`] plus the config the solve runs at.
+fn feasible(
+    scenario: &Scenario,
+    oracle: &OracleConfig,
+) -> Result<(OracleExactness, mflb_core::SystemConfig), String> {
     scenario.validate()?;
-    let exactness = oracle_exactness(scenario)?;
+    let Limit { config, oracle: verdict, .. } = limit(scenario)?;
+    let exactness = verdict?;
     if oracle.grid_resolution == 0 {
         return Err("oracle grid resolution must be at least 1".into());
     }
-    check_lattice(&oracle_mdp_config(scenario)?, oracle, "--oracle-grid")?;
-    Ok(exactness)
+    check_lattice(&config, oracle, "--oracle-grid")?;
+    Ok((exactness, config))
 }
 
 /// Checks that the lattice DP over `config` at `oracle`'s grid resolution
@@ -369,56 +289,45 @@ fn cache_entry_matches(
 /// writes are best-effort (an unwritable cache directory costs time, not
 /// correctness).
 pub fn solve_oracle(scenario: &Scenario, oracle: &OracleConfig) -> Result<Oracle, String> {
-    let exactness = oracle_feasibility(scenario, oracle)?;
-    let config = oracle_mdp_config(scenario)?;
+    let (exactness, config) = feasible(scenario, oracle)?;
     let key = scenario_oracle_key(&config, oracle.grid_resolution);
 
     let cache_path = oracle.cache_dir.as_ref().map(|dir| dir.join(format!("oracle_{key}.json")));
-    if let Some(path) = &cache_path {
-        if let Ok(sol) = DpSolution::load_json(path) {
-            if cache_entry_matches(&sol, &config, oracle) {
-                let (sweeps, residual) = (sol.sweeps, sol.residual);
-                return Ok(Oracle {
-                    policy: sol.into_policy().with_name("MF-DP (oracle)"),
-                    exactness,
-                    cache_hit: true,
-                    grid_resolution: oracle.grid_resolution,
-                    sweeps,
-                    residual,
-                    key,
-                });
+    let cached = cache_path.as_ref().and_then(|path| DpSolution::load_json(path).ok());
+    let cached = cached.filter(|sol| cache_entry_matches(sol, &config, oracle));
+    let cache_hit = cached.is_some();
+    let sol = match cached {
+        Some(sol) => sol,
+        None => {
+            let library = ActionLibrary::softmin_default(config.num_states(), config.d);
+            let dp = DpConfig {
+                grid_resolution: oracle.grid_resolution,
+                tol: oracle.tol,
+                max_sweeps: oracle.max_sweeps,
+                threads: oracle.threads,
+            };
+            let sol = DpSolution::solve(&config, library, &dp);
+            if sol.residual > oracle.tol {
+                return Err(format!(
+                    "oracle value iteration did not converge: residual {} after {} sweeps \
+                     (tol {}); raise --oracle-sweeps or loosen the tolerance",
+                    sol.residual, sol.sweeps, oracle.tol
+                ));
             }
+            if let Some(path) = &cache_path {
+                if let Some(dir) = path.parent() {
+                    let _ = std::fs::create_dir_all(dir);
+                }
+                let _ = sol.save_json(path);
+            }
+            sol
         }
-    }
-
-    let library = ActionLibrary::softmin_default(config.num_states(), config.d);
-    let dp = DpConfig {
-        grid_resolution: oracle.grid_resolution,
-        tol: oracle.tol,
-        max_sweeps: oracle.max_sweeps,
-        threads: oracle.threads,
     };
-    let sol = DpSolution::solve(&config, library, &dp);
-    if sol.residual > oracle.tol {
-        return Err(format!(
-            "oracle value iteration did not converge: residual {} after {} sweeps \
-             (tol {}); raise --oracle-sweeps or loosen the tolerance",
-            sol.residual, sol.sweeps, oracle.tol
-        ));
-    }
-
-    if let Some(path) = &cache_path {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = sol.save_json(path);
-    }
-
     let (sweeps, residual) = (sol.sweeps, sol.residual);
     Ok(Oracle {
         policy: sol.into_policy().with_name("MF-DP (oracle)"),
         exactness,
-        cache_hit: false,
+        cache_hit,
         grid_resolution: oracle.grid_resolution,
         sweeps,
         residual,
@@ -430,13 +339,18 @@ pub fn solve_oracle(scenario: &Scenario, oracle: &OracleConfig) -> Result<Oracle
 mod tests {
     use super::*;
     use mflb_core::mdp::UpperPolicy;
-    use mflb_core::{SystemConfig, Topology};
-    use mflb_sim::ServiceLaw;
+    use mflb_core::{CrashFaults, FaultPlan, SystemConfig, Topology};
+    use mflb_sim::{EngineSpec, ServiceLaw};
 
     fn tiny_scenario() -> Scenario {
         let mut config = SystemConfig::paper().with_size(100, 10).with_buffer(2).with_dt(5.0);
         config.eval_time = 100.0;
         Scenario::new(config, EngineSpec::Aggregate)
+    }
+
+    /// The oracle's verdict on a scenario, read off its limit.
+    fn oracle_exactness(scenario: &Scenario) -> Result<OracleExactness, String> {
+        limit(scenario).and_then(|l| l.oracle)
     }
 
     fn tiny_oracle() -> OracleConfig {
@@ -450,7 +364,12 @@ mod tests {
         assert!(oracle_exactness(&with(EngineSpec::Aggregate)).unwrap().is_exact());
         assert!(oracle_exactness(&with(EngineSpec::PerClient)).unwrap().is_exact());
         assert!(oracle_exactness(&with(EngineSpec::JobLevel)).unwrap().is_exact());
-        assert!(oracle_exactness(&with(EngineSpec::Staggered { cohorts: 4 })).unwrap().is_exact());
+        // One cohort is the synchronous engine; with more, the staggered
+        // engine sits well above the synchronous closure at every M.
+        assert!(oracle_exactness(&with(EngineSpec::Staggered { cohorts: 1 })).unwrap().is_exact());
+        let staggered = oracle_exactness(&with(EngineSpec::Staggered { cohorts: 4 })).unwrap();
+        assert!(!staggered.is_exact());
+        assert!(staggered.note().contains("synchronous"), "{}", staggered.note());
         assert!(oracle_exactness(&with(EngineSpec::Graph {
             topology: Topology::FullMesh,
             shard_size: None
@@ -494,6 +413,19 @@ mod tests {
         }));
         assert!(event_inf.is_err());
         assert!(event_inf.unwrap_err().contains("infinite mean"), "readable rejection");
+    }
+
+    #[test]
+    fn fault_plans_make_the_oracle_a_reference() {
+        // The DP solves the fault-free model, whatever the arm's own verdict.
+        let crashes = Some(CrashFaults { mttf: 15.0, mttr: 10.0 });
+        let plan = FaultPlan { crashes, ..FaultPlan::empty() };
+        let faulted = Scenario::new(tiny_scenario().config, EngineSpec::JobLevel).with_faults(plan);
+        let verdict = oracle_exactness(&faulted).unwrap();
+        assert!(!verdict.is_exact(), "a fault plan cannot carry an exact certificate");
+        assert!(verdict.note().contains("fault plan (crashes)"), "{}", verdict.note());
+        let empty = Scenario { faults: Some(FaultPlan::empty()), ..faulted };
+        assert!(oracle_exactness(&empty).unwrap().is_exact(), "an empty plan injects nothing");
     }
 
     #[test]

@@ -1,25 +1,10 @@
 //! Scenario-selected mean-field training environments.
 //!
-//! Given a scenario, [`build_env`] constructs the mean-field control MDP
-//! whose optimal policy is what the scenario's finite system should deploy
-//! (§2.3/§5 of the paper — train in the limit, evaluate at finite `N`).
-//! Every environment is one [`MeanFieldEnv`]; the engine arm only picks
-//! its [`Closure`] from [`mflb_core::mdp`]:
-//!
-//! | engine arm | closure |
-//! |---|---|
-//! | `PerClient`, `Aggregate`, `Staggered`, `JobLevel` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` (Eq. 20–28) |
-//! | `Graph` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` |
-//! | `Event` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected |
-//! | `Hetero` | [`MeanField`]`<`[`RateClasses`]`>` over `Integrand::FullMesh` (§2.5), the classes the finite engine quantizes |
-//! | `Ph` | [`MeanField`]`<`[`PhaseType`](mflb_queue::PhaseType)`>` over `Integrand::FullMesh` (§5) |
-//! | any of the above with a non-empty [`FaultPlan`](mflb_core::FaultPlan) | [`TwoPool`] over the arm's integrand |
-//!
-//! The `Aggregate`, `Hetero` and `Ph` closures run on the service types
-//! their finite `AggregateEngine<S>` runs on. Staggered refreshes and
-//! job-level FIFO queues share the homogeneous limit. Validation admits fault plans only on `Event`, `Graph` and
-//! `JobLevel`, so [`TwoPool`] only ever wraps an integrand; fault-free
-//! scenarios never touch it.
+//! [`limit`] maps a scenario to the mean-field control MDP whose optimum
+//! its finite system should deploy (§2.3/§5 of the paper — train in the
+//! limit, evaluate at finite `N`) and to what the DP oracle may claim
+//! about it. [`build_env`], [`PolicyShape::for_scenario`] and the
+//! [`oracle`](crate::oracle) all read that one map.
 //!
 //! [`PolicyShape`] is the single source of truth for the observation/action
 //! dimensions a scenario implies; checkpoint validation and policy
@@ -28,10 +13,162 @@
 
 use crate::env::Env;
 use crate::mfc_env::MeanFieldEnv;
+use crate::oracle::OracleExactness;
 use mflb_core::mdp::{action_dim, observation_dim, Closure, Integrand, MeanField, TwoPool};
-use mflb_core::{Exponential, RateClasses, ServiceModel, SystemConfig};
+use mflb_core::{Exponential, FaultPlan, JobSizeLaw, RateClasses, ServiceModel, SystemConfig};
 use mflb_policy::NeuralUpperPolicy;
+use mflb_queue::PhaseType;
 use mflb_sim::{EngineSpec, Scenario};
+
+/// The closure a scenario trains on, built at its [`Limit::config`].
+#[derive(Debug, Clone)]
+pub enum LimitClosure {
+    /// [`MeanField`]`<`[`Exponential`]`>` over the integrand.
+    Exponential(Integrand),
+    /// [`MeanField`]`<`[`RateClasses`]`>` over `Integrand::FullMesh`.
+    RateClasses(RateClasses),
+    /// [`MeanField`]`<`[`PhaseType`]`>` over `Integrand::FullMesh`.
+    PhaseType(PhaseType),
+    /// [`TwoPool`] degraded by the plan, over the integrand.
+    TwoPool(FaultPlan, Integrand),
+}
+
+/// A scenario's mean-field limit (see [`limit`]).
+#[derive(Debug, Clone)]
+pub struct Limit {
+    /// The closure to train on.
+    pub closure: LimitClosure,
+    /// The config it runs at, with a mean-matched service rate for `Event`
+    /// and `Ph`; the oracle solves the homogeneous model at this config.
+    pub config: SystemConfig,
+    /// States of the decision rule the policy emits.
+    pub rule_states: usize,
+    /// The oracle's verdict, or why it cannot model the scenario at all.
+    pub oracle: Result<OracleExactness, String>,
+}
+
+impl Limit {
+    /// The training environment: the closure built at the limit's config.
+    pub fn into_env(self) -> Box<dyn Env> {
+        use LimitClosure as L;
+        let (c, full) = (&self.config, Integrand::FullMesh);
+        match self.closure {
+            L::Exponential(integrand) => env(MeanField::new(c, Exponential, integrand), c),
+            L::RateClasses(classes) => env(MeanField::new(c, classes, full), c),
+            L::PhaseType(law) => env(MeanField::new(c, law, full), c),
+            L::TwoPool(plan, integrand) => env(TwoPool::new(c, plan, integrand), c),
+        }
+    }
+}
+
+fn env<C: Closure>(closure: C, config: &SystemConfig) -> Box<dyn Env> {
+    Box::new(MeanFieldEnv::new(config.clone(), closure))
+}
+
+/// The mean-field limit a scenario selects: the one map from engine arm to
+/// training closure, mean-matched config, rule states and oracle verdict.
+///
+/// | engine arm | closure | oracle |
+/// |---|---|---|
+/// | `PerClient`, `Aggregate`, `JobLevel`, `Staggered { cohorts: 1 }` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` (Eq. 20–28) | exact |
+/// | `Staggered { cohorts ≥ 2 }` | the same synchronous closure | reference: the staggered engine sits 3.3–7.5x above it at Δt = 1, flat from M = 100 to 1000 (delayed-information limits, arXiv:2112.05899) |
+/// | `Graph` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::Graph` with the topology's limit degree `k` (arXiv:2312.12973); a full mesh has no finite limit degree and takes `Integrand::FullMesh` | exact for a full mesh, else reference (solved as full-mesh) |
+/// | `Event` | [`MeanField`]`<`[`Exponential`]`>` over `Integrand::FullMesh` with the service rate mean-matched to the job-size law (`α / E[size]`); infinite-mean laws are rejected | exact for exponential sizes, else reference |
+/// | `Hetero` | [`MeanField`]`<`[`RateClasses`]`>` over `Integrand::FullMesh` (§2.5), the classes the finite engine quantizes, with `C·(B+1)` rule states | rejected: composite rules are outside the DP action library |
+/// | `Ph` | [`MeanField`]`<`[`PhaseType`]`>` over `Integrand::FullMesh` (§5), at the mean-matched rate `1 / E[service]` | exact for one phase, else reference |
+/// | any arm with a non-empty [`FaultPlan`] | [`TwoPool`] over the arm's integrand | reference: the DP solves the fault-free model |
+///
+/// The `Aggregate`, `Hetero` and `Ph` closures run on the service types
+/// their finite `AggregateEngine<S>` runs on; validation admits fault plans
+/// only where a closure has an integrand. The scenario is not validated
+/// here; an `Err` means it has no mean-field limit to train on.
+pub fn limit(scenario: &Scenario) -> Result<Limit, String> {
+    let mut config = scenario.config.clone();
+    let zs = config.num_states();
+    let finite_mean = |mean: f64, what: &str| match mean > 0.0 && mean.is_finite() {
+        true => Ok(mean),
+        false => Err(format!(
+            "{what} have infinite mean ({mean}); use Pareto shape > 1 or a bounded law"
+        )),
+    };
+    // The approximations the oracle's solve makes; none means exact.
+    let mut notes = Vec::new();
+    use EngineSpec as E;
+    let closure = match &scenario.engine {
+        E::PerClient | E::Aggregate | E::JobLevel | E::Staggered { cohorts: 1 } => {
+            LimitClosure::Exponential(Integrand::FullMesh)
+        }
+        E::Staggered { cohorts } => {
+            notes.push(format!(
+                "{cohorts} staggered refresh cohorts solved on the synchronous closure, which \
+                 the staggered engine exceeds by 3.3-7.5x at dt = 1, flat from M = 100 to 1000"
+            ));
+            LimitClosure::Exponential(Integrand::FullMesh)
+        }
+        E::Graph { topology, .. } => match topology.limit_neighborhood_size() {
+            Some(k) => {
+                notes.push(format!("finite neighborhood (k = {k}) treated as full-mesh"));
+                LimitClosure::Exponential(Integrand::Graph { k })
+            }
+            None => LimitClosure::Exponential(Integrand::FullMesh),
+        },
+        E::Event { job_size } => {
+            // Rate α through mean-size jobs is α/mean, exact for exponential sizes.
+            config.service_rate /= finite_mean(job_size.mean(), "event job sizes")?;
+            if !matches!(job_size, JobSizeLaw::Exponential { .. }) {
+                notes.push(format!(
+                    "heavy-tailed job sizes mean-matched to an exponential service rate {:.4}",
+                    config.service_rate
+                ));
+            }
+            LimitClosure::Exponential(Integrand::FullMesh)
+        }
+        E::Hetero { rates } => {
+            let classes = RateClasses::new(rates);
+            let rule_states = classes.num_observed(zs);
+            let oracle = Err("the DP oracle does not support heterogeneous pools: its softmin \
+                 action library is over plain length states, not composite (length, class) \
+                 states"
+                .into());
+            let closure = LimitClosure::RateClasses(classes);
+            return Ok(Limit { closure, config, rule_states, oracle });
+        }
+        E::Ph { service } => {
+            let law = service.build()?;
+            config.service_rate = 1.0 / finite_mean(law.mean(), "phase-type service times")?;
+            // A single exponential phase *is* the homogeneous model.
+            if law.num_phases() > 1 {
+                notes.push(format!(
+                    "phase-type service mean-matched to an exponential rate {:.4}",
+                    config.service_rate
+                ));
+            }
+            LimitClosure::PhaseType(law)
+        }
+    };
+    let closure = match (scenario.faults.clone().filter(|p| !p.is_empty()), closure) {
+        (Some(plan), LimitClosure::Exponential(integrand)) => {
+            let kinds = [
+                (plan.crashes.is_some(), "crashes"),
+                (!plan.stragglers.is_empty(), "stragglers"),
+                (plan.observation.is_some(), "observation drops"),
+                (!plan.overloads.is_empty(), "overload bursts"),
+            ];
+            let kinds: Vec<&str> = kinds.iter().filter(|k| k.0).map(|k| k.1).collect();
+            notes.push(format!("fault plan ({}) solved fault-free", kinds.join(", ")));
+            LimitClosure::TwoPool(plan, integrand)
+        }
+        (_, closure) => closure,
+    };
+    let oracle = Ok(match notes.is_empty() {
+        true => OracleExactness::Exact,
+        false => {
+            let note = format!("{}; gaps are indicative, not certificates", notes.join("; "));
+            OracleExactness::Reference { note }
+        }
+    });
+    Ok(Limit { closure, config, rule_states: zs, oracle })
+}
 
 /// The policy interface a scenario implies: what the learned network
 /// observes and the state space of the decision rule it emits.
@@ -50,13 +187,10 @@ pub struct PolicyShape {
 }
 
 impl PolicyShape {
-    /// Derives the shape from a scenario.
+    /// Derives the shape from a scenario's [`limit`]. A scenario with no
+    /// limit (an infinite-mean size law) still deploys length-state rules.
     pub fn for_scenario(scenario: &Scenario) -> Self {
-        let zs = scenario.config.num_states();
-        let rule_states = match &scenario.engine {
-            EngineSpec::Hetero { rates } => RateClasses::new(rates).num_observed(zs),
-            _ => zs,
-        };
+        let rule_states = limit(scenario).map_or(scenario.config.num_states(), |l| l.rule_states);
         Self::with_rule_states(&scenario.config, rule_states)
     }
 
@@ -93,51 +227,13 @@ impl PolicyShape {
     }
 }
 
-/// Builds the mean-field training environment a scenario selects (see the
-/// module docs for the arm-to-closure table).
+/// Builds the mean-field training environment a scenario's [`limit`]
+/// selects.
 ///
 /// The scenario is validated first; malformed specs come back as `Err`.
 pub fn build_env(scenario: &Scenario) -> Result<Box<dyn Env>, String> {
     scenario.validate()?;
-    let mut config = scenario.config.clone();
-    use EngineSpec as E;
-    let integrand = match &scenario.engine {
-        E::PerClient | E::Aggregate | E::Staggered { .. } | E::JobLevel => Integrand::FullMesh,
-        E::Graph { topology, .. } => match topology.limit_neighborhood_size() {
-            Some(k) => Integrand::Graph { k },
-            None => Integrand::FullMesh,
-        },
-        E::Event { job_size } => {
-            // A server of rate α working through mean-size jobs completes
-            // them at rate α/mean: exact in law for exponential sizes, a
-            // reference model for the heavy-tailed laws.
-            let mean = job_size.mean();
-            if !(mean > 0.0 && mean.is_finite()) {
-                return Err(format!(
-                    "event job sizes have unusable mean {mean}; training needs a \
-                     finite-mean law (Pareto shape > 1 or a bounded law)"
-                ));
-            }
-            config.service_rate /= mean;
-            Integrand::FullMesh
-        }
-        E::Hetero { rates } => {
-            let closure = MeanField::new(&config, RateClasses::new(rates), Integrand::FullMesh);
-            return Ok(boxed(closure, config));
-        }
-        E::Ph { service } => {
-            let closure = MeanField::new(&config, service.build()?, Integrand::FullMesh);
-            return Ok(boxed(closure, config));
-        }
-    };
-    Ok(match scenario.faults.clone().filter(|p| !p.is_empty()) {
-        Some(plan) => boxed(TwoPool::new(&config, plan, integrand), config),
-        None => boxed(MeanField::new(&config, Exponential, integrand), config),
-    })
-}
-
-fn boxed<C: Closure>(closure: C, config: SystemConfig) -> Box<dyn Env> {
-    Box::new(MeanFieldEnv::new(config, closure))
+    Ok(limit(scenario)?.into_env())
 }
 
 #[cfg(test)]
@@ -208,6 +304,47 @@ mod tests {
     fn crashy_plan() -> FaultPlan {
         let crashes = Some(CrashFaults { mttf: 10.0, mttr: 5.0 });
         FaultPlan { crashes, ..FaultPlan::empty() }
+    }
+
+    #[test]
+    fn every_shipped_scenario_has_a_pinned_oracle_verdict() {
+        // A new scenario file, engine kind or oracle label lands here first.
+        let pinned = [
+            ("aggregate", "exact"),
+            ("oracle_tiny", "exact"),
+            ("perclient", "exact"),
+            ("joblevel", "exact"),
+            ("staggered", "reference"),
+            ("event_crashy", "reference"),
+            ("event_pareto", "reference"),
+            ("graph_ring", "reference"),
+            ("graph_torus_large", "reference"),
+            ("ph_erlang2", "reference"),
+            ("hetero_two_speed", "rejected"),
+        ];
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+        let mut shipped = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("scenario directory") {
+            let path = entry.unwrap().path();
+            let Some(name) = path.file_name().unwrap().to_str().unwrap().strip_suffix(".json")
+            else {
+                continue;
+            };
+            let scenario = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let verdict = match limit(&scenario).expect("shipped scenarios have a limit").oracle {
+                Ok(OracleExactness::Exact) => "exact",
+                Ok(OracleExactness::Reference { .. }) => "reference",
+                Err(_) => "rejected",
+            };
+            let pin = pinned.iter().find(|(n, _)| *n == name);
+            assert_eq!(Some(verdict), pin.map(|p| p.1), "{name}.json");
+            built(&scenario);
+            shipped.push(name.to_string());
+        }
+        shipped.sort();
+        let mut names: Vec<&str> = pinned.iter().map(|p| p.0).collect();
+        names.sort();
+        assert_eq!(shipped, names, "every pinned scenario still ships");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! | `initial_dist` | float array | ν₀ over `{0..B}` | length `B+1`, sums to 1, entries ≥ 0 |
 //! | `gamma` | float | discount of the control objective | in (0, 1) |
 //! | `train_episode_len` | int | training horizon T in epochs (Table 1: 500) | ≥ 1 |
-//! | `eval_time` | float | evaluation horizon in *time units*; `T_e = round(eval_time/dt)` | > 0 |
+//! | `eval_time` | float | evaluation horizon in *time units*; `T_e = round(eval_time/dt)` | > 0, finite; `eval_time/dt ≤ 10⁶` |
 //! | `holding_cost` | float | per-job-per-time-unit cost added to the drop objective | ≥ 0; **default 0** (may be omitted) |
 //!
 //! All other fields are mandatory; a missing field is a parse error.

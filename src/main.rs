@@ -40,7 +40,7 @@ use mflb::policy::{
 };
 use mflb::rl::{
     check_lattice, distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility,
-    train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PpoConfig,
+    train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PolicyShape, PpoConfig,
     TrainingCheckpoint,
 };
 use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario, ServiceLaw};
@@ -204,10 +204,7 @@ impl Tier {
     /// checkpoints must fit the scenario's shape (exit 2 otherwise).
     fn build(self, args: &Args, scenario: &Scenario) -> Box<dyn UpperPolicy + Sync + Send> {
         let (zs, d) = (scenario.config.num_states(), scenario.config.d);
-        let classes = match &scenario.engine {
-            EngineSpec::Hetero { rates } => mflb::sim::RateClasses::new(rates).num_classes(),
-            _ => 1,
-        };
+        let classes = PolicyShape::for_scenario(scenario).rule_states / zs;
         let rule = |rule: DecisionRule, name: String| -> Box<dyn UpperPolicy + Sync + Send> {
             let rule = if classes > 1 { lift_to_composite(&rule, zs, classes) } else { rule };
             Box::new(FixedRulePolicy::new(rule, name))

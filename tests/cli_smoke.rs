@@ -223,8 +223,8 @@ fn regex_free_halve_speedups(text: &str) -> String {
 
 /// End-to-end `mflb train` → `mflb eval` at a deliberately tiny scale:
 /// the full loop must complete and produce the JSON artifacts. (The
-/// quick-scale quality bar — learned beats RND — is covered by the
-/// quarantined test in `tests/train_eval_loop.rs`.)
+/// quick-scale quality bar — learned beats RND — is covered by
+/// `tests/train_eval_loop.rs`.)
 #[test]
 fn train_then_eval_loop_completes_at_tiny_scale() {
     let dir = std::env::temp_dir().join("mflb_cli_loop");

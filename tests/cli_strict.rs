@@ -78,6 +78,14 @@ fn inputs_that_used_to_panic_exit_2() {
         std::fs::write(&path, body).unwrap();
         assert_usage_error(&["fit-mmpp", "--trace", path.to_str().unwrap()], needle);
     }
+    // A scenario's eval_time must be positive (the horizon cap is a
+    // config unit test: an uncapped run at 1e300 never finishes).
+    let spec = std::fs::read_to_string("examples/scenarios/aggregate.json").unwrap();
+    let bad = spec.replace("\"eval_time\": 500.0", "\"eval_time\": -1.0");
+    assert_ne!(bad, spec, "the spec's eval_time line moved");
+    let path = dir.join("negative_eval_time.json");
+    std::fs::write(&path, bad).unwrap();
+    assert_usage_error(&["simulate", "--scenario", path.to_str().unwrap()], "eval_time");
     std::fs::remove_dir_all(&dir).ok();
 }
 

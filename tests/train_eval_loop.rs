@@ -1,9 +1,10 @@
-//! Quarantined full-loop reproduction test: `Scenario → PPO → checkpoint →
+//! Full-loop reproduction tests: `Scenario → PPO → checkpoint →
 //! finite-N eval` for four engine kinds (including the locality-constrained
 //! ring graph), asserting the quality bar of the quick-scale pipeline —
 //! the learned policy beats the (neighborhood-restricted) RND baseline.
 //!
-//! Run with `cargo test --release -- --ignored` (CI's long-tests job).
+//! They are the slowest tier-1 tests (about 100 s together on 2 cores at
+//! the test profile); `cargo test --test train_eval_loop` runs them alone.
 
 use mflb::policy::InferenceConfig;
 use mflb::rl::{
@@ -51,7 +52,6 @@ fn scenario_from_file(name: &str) -> Scenario {
 }
 
 #[test]
-#[ignore = "two full training runs + faulted finite-N eval; quarantined for CI speed"]
 fn fault_trained_policy_beats_fault_blind_on_the_crash_scenario() {
     // Train twice on the quick-scale crash scenario: once fault-aware
     // (the scenario as shipped — the TwoPool closure: a two-pool Up/Down crash
@@ -96,7 +96,6 @@ fn fault_trained_policy_beats_fault_blind_on_the_crash_scenario() {
 }
 
 #[test]
-#[ignore = "full train->eval loop over four engine kinds; quarantined for CI speed"]
 fn learned_policy_beats_rnd_on_four_engine_kinds() {
     for (file, iters) in [
         ("aggregate.json", 40),
