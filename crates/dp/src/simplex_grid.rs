@@ -175,7 +175,7 @@ impl SimplexGrid {
     /// Decomposes a distribution into a convex combination of lattice
     /// points whose weighted average is **exactly** `ν` (linear-exact
     /// interpolation): returns `(index, weight)` pairs with positive
-    /// weights summing to 1, at most `|Z| + 1` of them.
+    /// weights summing to 1, at most `|Z|` of them.
     ///
     /// Construction: write `G·ν = f + φ` with integer floors `f` and
     /// fractional parts `φ` summing to an integer `r`; decompose `φ` over
@@ -184,20 +184,40 @@ impl SimplexGrid {
     /// interval `(C_{i−1}, C_i]` of cumulative `φ` contains a point of
     /// `u + ℤ`. `X(·)` is piecewise constant with `E[X] = φ`, so
     /// integrating `u` yields exact weights. Every resulting `f + X` is a
-    /// valid composition of `G`.
+    /// valid composition of `G`. The pieces of `u ↦ X(u)` lie between the
+    /// fractional parts of `C_0, …, C_{|Z|−2}` and `0` and `1` (`C_{|Z|−1}
+    /// = r` adds no breakpoint), so there are at most `|Z|` of them.
     ///
     /// Compared to [`SimplexGrid::snap`], this removes the `O(1/G)`
     /// first-order bias of nearest-point value lookups while remaining a
     /// sup-norm non-expansion (convex weights), so value iteration with
     /// interpolated continuation values is still a `γ`-contraction.
     pub fn interpolate(&self, dist: &StateDist) -> Vec<(usize, f64)> {
+        let mut out = Vec::with_capacity(self.num_states);
+        self.interpolate_into(dist, &mut InterpolationScratch::default(), &mut out);
+        out
+    }
+
+    /// [`SimplexGrid::interpolate`] into `out` (cleared first), with its
+    /// working buffers kept in `scratch`, so repeated calls allocate
+    /// nothing once the buffers have grown.
+    pub(crate) fn interpolate_into(
+        &self,
+        dist: &StateDist,
+        scratch: &mut InterpolationScratch,
+        out: &mut Vec<(usize, f64)>,
+    ) {
         assert_eq!(dist.num_states(), self.num_states);
+        out.clear();
         let n = self.num_states;
         let g = self.resolution as f64;
-        let mut floors = vec![0usize; n];
-        let mut fracs = vec![0.0f64; n];
+        let InterpolationScratch { floors, cum, breaks, vertex } = scratch;
+        floors.clear();
+        floors.reserve(n);
+        cum.clear();
+        cum.reserve(n);
         let mut floor_sum = 0usize;
-        for (i, &p) in dist.as_slice().iter().enumerate() {
+        for &p in dist.as_slice() {
             let y = p * g;
             let mut f = y.floor();
             let mut phi = y - f;
@@ -206,41 +226,43 @@ impl SimplexGrid {
                 f += 1.0;
                 phi = 0.0;
             }
-            floors[i] = f as usize;
-            fracs[i] = phi.max(0.0);
-            floor_sum += floors[i];
+            floors.push(f as usize);
+            cum.push(phi.max(0.0));
+            floor_sum += f as usize;
         }
         debug_assert!(floor_sum <= self.resolution, "floors exceed resolution");
         let r = self.resolution - floor_sum;
         if r == 0 {
-            return vec![(self.rank(&floors), 1.0)];
+            out.push((self.rank(floors), 1.0));
+            return;
         }
         // Force the fractional mass to sum to r exactly.
-        let s: f64 = fracs.iter().sum();
+        let s: f64 = cum.iter().sum();
         debug_assert!((s - r as f64).abs() < 1e-6, "fractional mass {s} vs r={r}");
         if s > 0.0 {
             let scale = r as f64 / s;
-            for phi in &mut fracs {
+            for phi in cum.iter_mut() {
                 *phi = (*phi * scale).min(1.0);
             }
         }
-        // Cumulative sums with the last pinned to r.
-        let mut cum = vec![0.0f64; n];
+        // Cumulative sums (in place) with the last pinned to r.
         let mut acc = 0.0;
-        for i in 0..n {
-            acc += fracs[i];
-            cum[i] = acc;
+        for c in cum.iter_mut() {
+            acc += *c;
+            *c = acc;
         }
         cum[n - 1] = r as f64;
         // Breakpoints of u ↦ X(u): fractional parts of the cumulative sums.
-        let mut breaks: Vec<f64> = cum.iter().map(|c| c - c.floor()).collect();
+        breaks.clear();
+        breaks.reserve(n + 2);
+        breaks.extend(cum.iter().map(|c| c - c.floor()));
         breaks.push(0.0);
         breaks.push(1.0);
         breaks.sort_by(|a, b| a.partial_cmp(b).unwrap());
         breaks.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
-        let mut out: Vec<(usize, f64)> = Vec::with_capacity(n + 1);
-        let mut vertex = vec![0usize; n];
+        vertex.clear();
+        vertex.resize(n, 0);
         for w in breaks.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let weight = hi - lo;
@@ -259,20 +281,29 @@ impl SimplexGrid {
                 prev = cum[i];
             }
             debug_assert_eq!(selected, r, "systematic sample size");
-            let idx = self.rank(&vertex);
+            let idx = self.rank(vertex);
             match out.iter_mut().find(|(i, _)| *i == idx) {
                 Some((_, acc_w)) => *acc_w += weight,
                 None => out.push((idx, weight)),
             }
         }
+        debug_assert!(out.len() <= n, "{} interpolation pairs for {n} states", out.len());
         // Weights sum to 1 up to fp; renormalize defensively.
         let total: f64 = out.iter().map(|(_, w)| w).sum();
         debug_assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
-        for (_, w) in &mut out {
+        for (_, w) in out.iter_mut() {
             *w /= total;
         }
-        out
     }
+}
+
+/// Working buffers of [`SimplexGrid::interpolate_into`]; one per thread.
+#[derive(Debug, Default)]
+pub(crate) struct InterpolationScratch {
+    floors: Vec<usize>,
+    cum: Vec<f64>,
+    breaks: Vec<f64>,
+    vertex: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -393,7 +424,7 @@ mod tests {
             let wsum: f64 = parts.iter().map(|(_, w)| w).sum();
             assert!((wsum - 1.0).abs() < 1e-12);
             assert!(parts.iter().all(|&(_, w)| w > 0.0));
-            assert!(parts.len() <= n + 1);
+            assert!(parts.len() <= n);
             let mut recon = vec![0.0f64; n];
             for &(idx, w) in &parts {
                 for (r, &p) in recon.iter_mut().zip(grid.point(idx).as_slice()) {

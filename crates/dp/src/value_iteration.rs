@@ -20,7 +20,16 @@
 //!
 //! All `|grid| × L × |A|` one-epoch transitions (one matrix-exponential
 //! batch each) are precomputed in parallel with crossbeam scoped threads
-//! into a CSR table; the sweeps afterwards are pure table arithmetic. The
+//! straight into their final table: it is allocated once at full size,
+//! each entry owning a reward and `|Z|` interpolation slots, and every
+//! worker writes its lattice points' entries through disjoint slices of
+//! it, with no staging or merge. The sweeps afterwards are pure table
+//! arithmetic, run by the same number of workers for the whole solve: the
+//! sweeps are Jacobi (each reads only the previous sweep's values), a
+//! worker backs up each row of its own block with the one-thread
+//! arithmetic and writes only that block's values and greedy actions, and
+//! the residual is a `max`, so splitting the rows changes no bit of the
+//! result; the workers meet at a barrier once per sweep. The
 //! greedy policy is exported as a [`GridPolicy`] — a one-step-lookahead
 //! [`UpperPolicy`] usable by every simulator and harness in the
 //! workspace.
@@ -31,11 +40,14 @@
 
 use crate::actions::ActionLibrary;
 use crate::error::DpError;
-use crate::simplex_grid::SimplexGrid;
+use crate::simplex_grid::{InterpolationScratch, SimplexGrid};
 use mflb_core::mdp::UpperPolicy;
 use mflb_core::{worker_count, DecisionRule, MeanFieldMdp, StateDist, SystemConfig};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// Configuration of the DP solve.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,8 +59,9 @@ pub struct DpConfig {
     pub tol: f64,
     /// Hard cap on sweeps.
     pub max_sweeps: usize,
-    /// Worker threads for the transition precompute (0 → available
-    /// parallelism).
+    /// Worker threads for the transition precompute and the
+    /// value-iteration sweeps (0 → available parallelism). The solution is
+    /// bit-identical at every count.
     pub threads: usize,
 }
 
@@ -58,14 +71,35 @@ impl Default for DpConfig {
     }
 }
 
-/// CSR-style table of precomputed one-epoch transitions: entry
-/// `(s·L + l)·A + a` owns `rewards[e]` and the interpolation pairs
-/// `targets/weights[offsets[e]..offsets[e+1]]` of the next distribution.
+/// Table of precomputed one-epoch transitions: entry `e = (s·L + l)·A + a`
+/// owns `rewards[e]` and the first `lens[e]` of its `stride = |Z|` slots
+/// `targets/weights[e·stride..(e+1)·stride]`, the interpolation pairs of
+/// the next distribution ([`SimplexGrid::interpolate`] returns at most
+/// `|Z|`; a lattice over more than `u16::MAX` states is never built, its
+/// binomial table alone would take 34 GB).
 struct TransitionTable {
-    offsets: Vec<u32>,
+    stride: usize,
+    rewards: Vec<f64>,
+    lens: Vec<u16>,
     targets: Vec<u32>,
     weights: Vec<f64>,
-    rewards: Vec<f64>,
+}
+
+impl TransitionTable {
+    /// The interpolation targets and weights of entry `e`.
+    #[inline]
+    fn pairs(&self, e: usize) -> (&[u32], &[f64]) {
+        let lo = e * self.stride;
+        let hi = lo + self.lens[e] as usize;
+        (&self.targets[lo..hi], &self.weights[lo..hi])
+    }
+}
+
+/// One of the two value buffers the sweeps alternate between: the values
+/// one sweep writes and the next reads, and each worker's residual.
+struct SweepBuffer {
+    values: Vec<f64>,
+    residuals: Vec<f64>,
 }
 
 /// The solved discretized MDP: optimal values and the greedy policy over
@@ -89,23 +123,52 @@ pub struct DpSolution {
 /// Interpolated continuation value of one table entry given the current
 /// value function: `Σ_{l'} P(l'|l) Σ_k w_k V(v_k, l')`.
 #[inline]
-fn continuation(
-    table: &TransitionTable,
-    kernel_row: &[f64],
-    values: &[f64],
-    num_levels: usize,
-    entry: usize,
-) -> f64 {
-    let (lo, hi) = (table.offsets[entry] as usize, table.offsets[entry + 1] as usize);
+fn continuation(table: &TransitionTable, kernel_row: &[f64], values: &[f64], entry: usize) -> f64 {
+    let (targets, weights) = table.pairs(entry);
     let mut cont = 0.0;
+    if let [p0, p1] = *kernel_row {
+        // Both levels' interpolants in one pass over the targets, each
+        // summed in the order of the general loop below.
+        let (mut v0, mut v1) = (0.0, 0.0);
+        for (&t, &w) in targets.iter().zip(weights) {
+            v0 += w * values[2 * t as usize];
+            v1 += w * values[2 * t as usize + 1];
+        }
+        cont += p0 * v0;
+        cont += p1 * v1;
+        return cont;
+    }
+    let num_levels = kernel_row.len();
     for (lp, &p) in kernel_row.iter().enumerate() {
         let mut v_next = 0.0;
-        for k in lo..hi {
-            v_next += table.weights[k] * values[table.targets[k] as usize * num_levels + lp];
+        for (&t, &w) in targets.iter().zip(weights) {
+            v_next += w * values[t as usize * num_levels + lp];
         }
         cont += p * v_next;
     }
     cont
+}
+
+/// Bellman backup of one lattice state from its action entries: the
+/// largest `r + γ·continuation` and the first action attaining it.
+#[inline]
+fn backup(
+    table: &TransitionTable,
+    kernel_row: &[f64],
+    values: &[f64],
+    gamma: f64,
+    entries: std::ops::Range<usize>,
+) -> (f64, u32) {
+    let mut best_q = f64::NEG_INFINITY;
+    let mut best_a = 0u32;
+    for (a, e) in entries.enumerate() {
+        let q = table.rewards[e] + gamma * continuation(table, kernel_row, values, e);
+        if q > best_q {
+            best_q = q;
+            best_a = a as u32;
+        }
+    }
+    (best_q, best_a)
 }
 
 impl DpSolution {
@@ -119,46 +182,108 @@ impl DpSolution {
         let mdp = MeanFieldMdp::new(config.clone());
         let grid = SimplexGrid::new(config.num_states(), dp.grid_resolution);
         let num_levels = config.arrivals.num_levels();
-        let s_count = grid.num_points();
-        let a_count = actions.len();
-
         let table = Self::precompute(&mdp, &grid, &actions, num_levels, dp.threads);
-
-        // ---- Value-iteration sweeps (pure table arithmetic). -----------
-        let gamma = config.gamma;
         let kernel: Vec<Vec<f64>> =
             (0..num_levels).map(|l| config.arrivals.kernel_row(l).to_vec()).collect();
-        let mut values = vec![0.0f64; s_count * num_levels];
-        let mut fresh = vec![0.0f64; s_count * num_levels];
-        let mut best = vec![0u32; s_count * num_levels];
-        let mut residual = f64::INFINITY;
-        let mut sweeps = 0;
-        while sweeps < dp.max_sweeps && residual > dp.tol {
-            residual = 0.0;
-            for s in 0..s_count {
-                for l in 0..num_levels {
-                    let sl = s * num_levels + l;
-                    let mut best_q = f64::NEG_INFINITY;
-                    let mut best_a = 0u32;
-                    for a in 0..a_count {
-                        let e = sl * a_count + a;
-                        let q = table.rewards[e]
-                            + gamma * continuation(&table, &kernel[l], &values, num_levels, e);
-                        if q > best_q {
-                            best_q = q;
-                            best_a = a as u32;
-                        }
-                    }
-                    fresh[sl] = best_q;
-                    best[sl] = best_a;
-                    residual = residual.max((best_q - values[sl]).abs());
-                }
-            }
-            std::mem::swap(&mut values, &mut fresh);
-            sweeps += 1;
-        }
-
+        let rows = grid.num_points() * num_levels;
+        let (values, best, sweeps, residual) =
+            Self::sweep(&table, &kernel, config.gamma, rows, actions.len(), dp);
         Self { mdp, grid, actions, num_levels, values, best, sweeps, residual }
+    }
+
+    /// Value-iteration sweeps (pure table arithmetic) from `V = 0` until
+    /// the residual is within `dp.tol` or `dp.max_sweeps` is spent.
+    /// Returns the values, the greedy actions of the last sweep, the sweep
+    /// count and the last residual.
+    ///
+    /// Worker `w` owns the contiguous rows `sl` (`= s·L + l`) of block `w`:
+    /// each sweep it backs them up from one value buffer, copies the new
+    /// values and its residual into the other and meets the others at a
+    /// barrier, after which every worker reads the same residuals and makes
+    /// the same stop decision.
+    fn sweep(
+        table: &TransitionTable,
+        kernel: &[Vec<f64>],
+        gamma: f64,
+        rows: usize,
+        a_count: usize,
+        dp: &DpConfig,
+    ) -> (Vec<f64>, Vec<u32>, usize, f64) {
+        let num_levels = kernel.len();
+        // Every worker gets a non-empty block (5 rows over 4 workers is
+        // blocks of 2, so 3 workers).
+        let block = rows.div_ceil(worker_count(dp.threads)).max(1);
+        let threads = rows.div_ceil(block).max(1);
+        let buffers = [(); 2].map(|_| {
+            RwLock::new(SweepBuffer { values: vec![0.0; rows], residuals: vec![0.0; threads] })
+        });
+        let barrier = Barrier::new(threads);
+        let failed = AtomicBool::new(false);
+        let (buffers_ref, barrier, failed) = (&buffers, &barrier, &failed);
+        let workers: Vec<(Vec<u32>, usize, f64)> = crossbeam::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let block = w * block..rows.min((w + 1) * block);
+                    scope.spawn(move |_| {
+                        let mut fresh = vec![0.0f64; block.len()];
+                        let mut best = vec![0u32; block.len()];
+                        let mut residual = f64::INFINITY;
+                        let mut sweeps = 0;
+                        while sweeps < dp.max_sweeps && residual > dp.tol {
+                            let swept = catch_unwind(AssertUnwindSafe(|| {
+                                let mut local = 0.0f64;
+                                {
+                                    let read = buffers_ref[sweeps % 2].read();
+                                    let values = &read.values;
+                                    for (i, sl) in block.clone().enumerate() {
+                                        let (best_q, best_a) = backup(
+                                            table,
+                                            &kernel[sl % num_levels],
+                                            values,
+                                            gamma,
+                                            sl * a_count..(sl + 1) * a_count,
+                                        );
+                                        fresh[i] = best_q;
+                                        best[i] = best_a;
+                                        local = local.max((best_q - values[sl]).abs());
+                                    }
+                                }
+                                let mut next = buffers_ref[(sweeps + 1) % 2].write();
+                                next.values[block.clone()].copy_from_slice(&fresh);
+                                next.residuals[w] = local;
+                            }));
+                            if swept.is_err() {
+                                failed.store(true, Ordering::Relaxed);
+                            }
+                            // A worker that panicked still meets the others
+                            // here, so they stop instead of waiting forever.
+                            barrier.wait();
+                            if let Err(panic) = swept {
+                                resume_unwind(panic);
+                            }
+                            if failed.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            residual = buffers_ref[(sweeps + 1) % 2]
+                                .read()
+                                .residuals
+                                .iter()
+                                .fold(0.0, |r, &x| r.max(x));
+                            sweeps += 1;
+                        }
+                        (best, sweeps, residual)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("DP sweep worker panicked")).collect()
+        })
+        .expect("DP sweep worker panicked");
+
+        let (sweeps, residual) = (workers[0].1, workers[0].2);
+        let best = workers.into_iter().flat_map(|(best, _, _)| best).collect();
+        let [even, odd] = buffers;
+        let values = if sweeps % 2 == 0 { even } else { odd }.into_inner().values;
+        (values, best, sweeps, residual)
     }
 
     /// Solves the discretized MDP by **policy iteration** (Howard's
@@ -200,8 +325,8 @@ impl DpSolution {
                     for l in 0..num_levels {
                         let sl = s * num_levels + l;
                         let e = sl * a_count + policy[sl] as usize;
-                        let v = table.rewards[e]
-                            + gamma * continuation(&table, &kernel[l], &values, num_levels, e);
+                        let v =
+                            table.rewards[e] + gamma * continuation(&table, &kernel[l], &values, e);
                         residual = residual.max((v - values[sl]).abs());
                         fresh[sl] = v;
                     }
@@ -218,8 +343,8 @@ impl DpSolution {
                     let mut best_a = policy[sl];
                     for a in 0..a_count {
                         let e = sl * a_count + a;
-                        let q = table.rewards[e]
-                            + gamma * continuation(&table, &kernel[l], &values, num_levels, e);
+                        let q =
+                            table.rewards[e] + gamma * continuation(&table, &kernel[l], &values, e);
                         if q > best_q + 1e-12 {
                             best_q = q;
                             best_a = a as u32;
@@ -255,7 +380,9 @@ impl DpSolution {
     }
 
     /// Parallel precompute of every `(lattice point, level, action)`
-    /// one-epoch transition.
+    /// one-epoch transition, written in place: the table is allocated at
+    /// its final size and worker `w` fills the entries of the contiguous
+    /// lattice points of block `w` through its own slices of it.
     fn precompute(
         mdp: &MeanFieldMdp,
         grid: &SimplexGrid,
@@ -265,56 +392,56 @@ impl DpSolution {
     ) -> TransitionTable {
         let s_count = grid.num_points();
         let a_count = actions.len();
-        let entries = s_count * num_levels * a_count;
-
-        // Per-lattice-point staging, merged in order afterwards so the
-        // result is independent of thread scheduling.
-        type Staged = Vec<(f64, Vec<(usize, f64)>)>; // per (l, a) of one s
-        let staged: Mutex<Vec<Option<Staged>>> = Mutex::new(vec![None; s_count]);
+        let per_point = num_levels * a_count;
+        let stride = grid.num_states();
+        let entries = s_count * per_point;
+        let mut table = TransitionTable {
+            stride,
+            rewards: vec![0.0; entries],
+            lens: vec![0; entries],
+            targets: vec![0; entries * stride],
+            weights: vec![0.0; entries * stride],
+        };
 
         let threads = worker_count(threads).min(s_count.max(1));
-
-        let counter = std::sync::atomic::AtomicUsize::new(0);
+        let block = s_count.div_ceil(threads);
+        let blocks = table
+            .rewards
+            .chunks_mut(block * per_point)
+            .zip(table.lens.chunks_mut(block * per_point))
+            .zip(table.targets.chunks_mut(block * per_point * stride))
+            .zip(table.weights.chunks_mut(block * per_point * stride));
         crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    let s = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if s >= s_count {
-                        break;
-                    }
-                    let point = mdp.closure().with_dist(grid.point(s));
-                    let mut rows: Staged = Vec::with_capacity(num_levels * a_count);
-                    for l in 0..num_levels {
-                        for a in 0..a_count {
-                            let mut next = point.clone();
-                            let reward = mdp.epoch(&mut next, actions.rule(a), l, 0);
-                            rows.push((reward, grid.interpolate(next.dist())));
+            for (w, (((rewards, lens), targets), weights)) in blocks.enumerate() {
+                scope.spawn(move |_| {
+                    let mut scratch = InterpolationScratch::default();
+                    let mut pairs = Vec::with_capacity(stride);
+                    for p in 0..rewards.len() / per_point {
+                        let point = mdp.closure().with_dist(grid.point(w * block + p));
+                        for l in 0..num_levels {
+                            for a in 0..a_count {
+                                let e = (p * num_levels + l) * a_count + a;
+                                let mut next = point.clone();
+                                rewards[e] = mdp.epoch(&mut next, actions.rule(a), l, 0);
+                                grid.interpolate_into(next.dist(), &mut scratch, &mut pairs);
+                                lens[e] = u16::try_from(pairs.len())
+                                    .expect("at most |Z| ≤ u16::MAX pairs");
+                                // Entry `e`'s own slots: a pair beyond
+                                // them panics instead of overwriting `e + 1`.
+                                let slots = e * stride..(e + 1) * stride;
+                                let (ts, ws) = (&mut targets[slots.clone()], &mut weights[slots]);
+                                for (k, &(idx, w)) in pairs.iter().enumerate() {
+                                    ts[k] = idx as u32;
+                                    ws[k] = w;
+                                }
+                            }
                         }
                     }
-                    staged.lock()[s] = Some(rows);
                 });
             }
         })
         .expect("DP precompute worker panicked");
-
-        let staged = staged.into_inner();
-        let mut offsets = Vec::with_capacity(entries + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut rewards = Vec::with_capacity(entries);
-        offsets.push(0u32);
-        for rows in staged {
-            let rows = rows.expect("every lattice point processed");
-            for (reward, pairs) in rows {
-                rewards.push(reward);
-                for (idx, w) in pairs {
-                    targets.push(idx as u32);
-                    weights.push(w);
-                }
-                offsets.push(targets.len() as u32);
-            }
-        }
-        TransitionTable { offsets, targets, weights, rewards }
+        table
     }
 
     /// The lattice used.
@@ -353,11 +480,13 @@ impl DpSolution {
         let config = self.mdp.config();
         let point = self.mdp.closure().with_dist(dist.clone());
         let kernel = config.arrivals.kernel_row(lambda_idx);
+        let mut scratch = InterpolationScratch::default();
+        let mut pairs = Vec::with_capacity(self.grid.num_states());
         (0..self.actions.len())
             .map(|a| {
                 let mut next = point.clone();
                 let reward = self.mdp.epoch(&mut next, self.actions.rule(a), lambda_idx, 0);
-                let pairs = self.grid.interpolate(next.dist());
+                self.grid.interpolate_into(next.dist(), &mut scratch, &mut pairs);
                 let mut cont = 0.0;
                 for (lp, &p) in kernel.iter().enumerate() {
                     cont += p * self.interpolated_value(&pairs, lp);
@@ -686,18 +815,29 @@ mod tests {
 
     #[test]
     fn threads_do_not_change_the_solution() {
+        // |Z| = 4 and L = 2: G = 1, 6, 8, 9 give 4, 84, 165 and 220
+        // lattice points, so 8, 168, 330 and 440 rows, which split unevenly
+        // over 3 sweep workers at G = 1 and 9 and over 5 at G = 6; at G = 1,
+        // 7 workers would get blocks of 2 rows, so only 4 of them run.
         let cfg = small_config();
         let zs = cfg.num_states();
-        let mk = |threads: usize| {
-            let dp = DpConfig { threads, ..small_dp() };
-            DpSolution::solve(&cfg, ActionLibrary::softmin_default(zs, cfg.d), &dp)
-        };
-        let a = mk(1);
-        let b = mk(4);
-        for (x, y) in a.values.iter().zip(b.values.iter()) {
-            assert_eq!(x, y, "value tables must be bit-identical across thread counts");
+        for grid_resolution in [1, 6, 8, 9] {
+            let mk = |threads: usize| {
+                let dp = DpConfig { grid_resolution, threads, ..small_dp() };
+                DpSolution::solve(&cfg, ActionLibrary::softmin_default(zs, cfg.d), &dp)
+            };
+            let one = mk(1);
+            assert!(one.sweeps > 1, "G = {grid_resolution} converged in {} sweeps", one.sweeps);
+            for threads in [2, 3, 5, 7] {
+                let many = mk(threads);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let at = format!("G = {grid_resolution}, {threads} threads");
+                assert_eq!(bits(&one.values), bits(&many.values), "values at {at}");
+                assert_eq!(one.best, many.best, "greedy actions at {at}");
+                assert_eq!(one.sweeps, many.sweeps, "sweeps at {at}");
+                assert_eq!(one.residual.to_bits(), many.residual.to_bits(), "residual at {at}");
+            }
         }
-        assert_eq!(a.best, b.best);
     }
 
     #[test]

@@ -212,10 +212,9 @@ fn binomial_btrs<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     let a = -0.0873 + 0.0248 * b + 0.01 * p;
     let c = nf * p + 0.5;
     let v_r = 0.92 - 4.2 / b;
-    let alpha = (2.83 + 5.1 / b) * spq;
-    let lpq = (p / q).ln();
-    let m = ((n + 1) as f64 * p).floor(); // mode
-    let h = ln_gamma(m + 1.0) + ln_gamma(nf - m + 1.0);
+    // The exact test's constants (two `ln_gamma`s and a `ln`), set up the
+    // first time a draw reaches it: most leave through the quick box.
+    let mut exact: Option<(f64, f64, f64, f64)> = None;
     loop {
         let u: f64 = rng.gen::<f64>() - 0.5;
         let v: f64 = rng.gen();
@@ -227,7 +226,12 @@ fn binomial_btrs<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
         if us >= 0.07 && v <= v_r {
             return k_f as u64;
         }
-        // Exact acceptance against the pmf ratio f(k)/f(m).
+        // Exact acceptance against the pmf ratio f(k)/f(m), m the mode.
+        let (alpha, lpq, m, h) = *exact.get_or_insert_with(|| {
+            let m = ((n + 1) as f64 * p).floor();
+            let h = ln_gamma(m + 1.0) + ln_gamma(nf - m + 1.0);
+            ((2.83 + 5.1 / b) * spq, (p / q).ln(), m, h)
+        });
         let k = k_f;
         let lhs = (v * alpha / (a / (us * us) + b)).ln();
         let rhs = h - ln_gamma(k + 1.0) - ln_gamma(nf - k + 1.0) + (k - m) * lpq;
@@ -512,6 +516,46 @@ mod tests {
             ones += Sampler::categorical(&mut rng, &pmf);
         }
         assert!((ones as f64 - 5_000.0).abs() < 300.0);
+    }
+
+    /// Uniform draws pinned just below 1, so BINV walks its whole
+    /// chop-down.
+    struct TopOfUnitInterval;
+
+    impl rand::RngCore for TopOfUnitInterval {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn binomial_draws_match_their_pinned_digest() {
+        // 36 (n, p) cells × 3 000 draws: BINV (n·min(p, 1−p) < 30) and both
+        // BTRS exits (the quick acceptance box and the exact log-pmf test),
+        // for p on both sides of 1/2.
+        let ns = [1u64, 7, 50, 400, 5_000, 1_000_000];
+        let ps = [0.001, 0.03, 0.2, 0.5, 0.8, 0.999];
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &n in &ns {
+            for &p in &ps {
+                for _ in 0..3_000 {
+                    mix(Sampler::binomial(&mut rng, n, p));
+                }
+            }
+        }
+        // BINV's tail exit: a uniform above the summed pmf, as for these two
+        // cells.
+        for (n, p) in [(2u64, 0.3), (40, 0.25)] {
+            mix(Sampler::binomial(&mut TopOfUnitInterval, n, p));
+        }
+        assert_eq!(hash, 0x7d7b_c13e_1d09_d2ed, "binomial draw digest moved");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::checkpoint::TrainingCheckpoint;
 use crate::oracle::{solve_oracle, OracleConfig};
-use crate::scenario_env::PolicyShape;
+use crate::scenario_env::{limit, PolicyShape};
 use mflb_core::mdp::FixedRulePolicy;
 use mflb_policy::InferenceConfig;
 use mflb_sim::{monte_carlo, EngineSpec, MonteCarloResult, Scenario};
@@ -120,7 +120,8 @@ const GAP_EPSILON: f64 = 1e-9;
 
 /// Evaluates a checkpoint on its scenario's finite system for each `M` in
 /// `m_sweep` (empty sweep → the scenario's own size), comparing the
-/// learned policy against JSQ(d), RND and softmin(β*).
+/// learned policy against JSQ(d), RND and softmin(β*), with β* tuned in
+/// the mean-field model at the scenario's [`limit`] config.
 ///
 /// `threads = 0` uses all available cores for the Monte-Carlo fan-out.
 ///
@@ -158,9 +159,12 @@ pub fn evaluate_checkpoint_configured(
     let classes = shape.rule_states / zs;
 
     // Tune the softmin temperature once, in the homogeneous mean-field
-    // model (cheap, deterministic up to arrival noise).
+    // model at the limit's config (mean-matched service rate for `Event`
+    // and `Ph`, as training and the oracle use); cheap, deterministic up
+    // to arrival noise.
     let horizon = scenario.config.eval_episode_len();
-    let beta = mflb_policy::optimize_beta(&scenario.config, horizon.min(60), 6, seed).beta;
+    let tuned_at = limit(scenario)?.config;
+    let beta = mflb_policy::optimize_beta(&tuned_at, horizon.min(60), 6, seed).beta;
 
     let lift = |rule: mflb_core::DecisionRule| {
         if classes > 1 {

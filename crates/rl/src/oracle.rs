@@ -70,7 +70,9 @@ pub struct OracleConfig {
     pub tol: f64,
     /// Hard cap on value-iteration sweeps.
     pub max_sweeps: usize,
-    /// Worker threads for the transition precompute (0 → all cores).
+    /// Worker threads for the transition precompute and the
+    /// value-iteration sweeps (0 → all cores); the solve is bit-identical
+    /// at every count.
     pub threads: usize,
     /// Refuse solves whose transition table would exceed this many
     /// `(lattice point, level, action)` entries — the readable-error

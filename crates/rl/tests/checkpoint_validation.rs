@@ -1,8 +1,8 @@
 //! Round-trip and strict-validation behaviour of the versioned checkpoint.
 
-use mflb_core::SystemConfig;
-use mflb_policy::InferenceConfig;
-use mflb_rl::{train_scenario, PpoConfig, TrainingCheckpoint, CHECKPOINT_FORMAT_VERSION};
+use mflb_core::{JobSizeLaw, SystemConfig};
+use mflb_policy::{optimize_beta, InferenceConfig};
+use mflb_rl::{limit, train_scenario, PpoConfig, TrainingCheckpoint, CHECKPOINT_FORMAT_VERSION};
 use mflb_sim::{EngineSpec, Scenario, ServiceLaw};
 
 fn tiny_ppo() -> PpoConfig {
@@ -131,4 +131,33 @@ fn eval_report_structure_for_ph_scenario() {
     assert!(report.mean_drops_of("MF (learned)").is_some());
     let json = report.to_json();
     assert!(json.contains("\"rows\""));
+}
+
+#[test]
+fn event_eval_tunes_softmin_at_the_mean_matched_rate() {
+    // BoundedPareto(1.5, 0.2, 20) sizes have mean 0.541, so the limit
+    // serves at α / 0.541 ≈ 1.85 and its β* differs from the raw config's.
+    let job_size = JobSizeLaw::BoundedPareto { shape: 1.5, lo: 0.2, hi: 20.0 };
+    let mut config = small_config();
+    config.eval_time = 50.0;
+    let scenario = Scenario::new(config, EngineSpec::Event { job_size });
+    let result = train_tiny(&scenario);
+    let seed = 1;
+    let report = mflb_rl::evaluate_checkpoint_configured(
+        &result.checkpoint,
+        &scenario,
+        &[],
+        1,
+        seed,
+        0,
+        None,
+        InferenceConfig::default(),
+    )
+    .unwrap();
+    let horizon = scenario.config.eval_episode_len().min(60);
+    let matched = limit(&scenario).unwrap().config;
+    assert!((matched.service_rate - 1.0).abs() > 0.5, "rate {}", matched.service_rate);
+    let beta_at = |config: &SystemConfig| optimize_beta(config, horizon, 6, seed).beta;
+    assert_eq!(report.softmin_beta, beta_at(&matched));
+    assert_ne!(report.softmin_beta, beta_at(&scenario.config));
 }
