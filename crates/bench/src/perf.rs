@@ -1030,71 +1030,53 @@ pub fn run_graph_suite(quick: bool, workers: usize) -> BenchReport {
 /// Runs the serving suite behind `mflb bench --suite serve`
 /// (`BENCH_serve_quick.json` is its committed CI baseline).
 ///
-/// Two gated kernels time the event engine's algorithmic choices against
-/// their naive twins on the same machine and inputs: the binary-heap
-/// [`mflb_sim::Timeline`] (the completion heap of an admission-capped
-/// sync interval; an uncapped one runs queue by queue and needs a heap
-/// only to order events due at the same instant)
-/// against a linear-scan min-extraction over the same event batch, and
-/// the once-per-`Δt` sampled-and-delayed observation refresh against
-/// recomputing the empirical histogram for every dispatched job. The
-/// untracked throughput entries record the ROADMAP bar — jobs dispatched
-/// per wall-clock second through the full [`mflb_sim::serve()`] loop, on
-/// the uncapped queue-by-queue path — for a synthetic Poisson/MMPP stream
-/// at M = 100 and M = 1000 queues and for a replayed 50k-job trace.
+/// Two gated entries time the event engine's design choices against
+/// their naive twins on the same machine and inputs: a synthetic serve
+/// run at M = 1000 on the uncapped queue-by-queue interval path against
+/// the same run under an admission cap that never binds, whose intervals
+/// merge every job with a heap of pending completions (the two runs agree
+/// bit for bit), and the once-per-`Δt` sampled-and-delayed observation
+/// refresh against recomputing the empirical histogram for every
+/// dispatched job. The untracked throughput entries record the ROADMAP
+/// bar — jobs dispatched per wall-clock second through the full
+/// [`mflb_sim::serve()`] loop, on the uncapped path — for a synthetic
+/// Poisson/MMPP stream at M = 100 and M = 1000 queues and for a replayed
+/// 50k-job trace.
 pub fn run_serve_suite(quick: bool, workers: usize) -> BenchReport {
     use mflb_core::mdp::FixedRulePolicy;
     use mflb_core::{JobSizeLaw, StateDist};
     use mflb_policy::jsq_rule;
-    use mflb_sim::{serve, EventEngine, Job, JobSource, ServeOptions, Timeline};
+    use mflb_sim::{serve, EventEngine, Job, JobSource, ServeOptions};
 
     let unix_time =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_secs();
     let scale = if quick { 1 } else { 10 };
     let mut entries = Vec::new();
 
-    // --- 1. Timeline heap vs linear-scan min-extraction over the same
-    //     4096-event batch (the naive O(n²) "next event" loop the heap
-    //     replaces). Low-discrepancy times, so the batch is deterministic
-    //     without an RNG. ---
+    // --- 1. The queue-by-queue interval vs the heap-merged one: the
+    //     same synthetic serve at M = 1000 uncapped and under a cap of
+    //     u64::MAX, one run per side and round, in alternating rounds. ---
     {
-        let n = 4096usize;
-        let events: Vec<f64> =
-            (0..n).map(|i| (i as f64 * 0.618_033_988_75).fract() * 1e3).collect();
-        let iters = 20 * scale;
-        let [scan, heap] = interleaved(
-            iters,
-            [
-                &mut || {
-                    let mut pending = black_box(&events).clone();
-                    let mut checksum = 0.0f64;
-                    while !pending.is_empty() {
-                        let mut min = 0usize;
-                        for (i, &t) in pending.iter().enumerate() {
-                            if t < pending[min] {
-                                min = i;
-                            }
-                        }
-                        checksum += pending.swap_remove(min);
-                    }
-                    black_box(checksum);
-                },
-                &mut || {
-                    let mut tl: Timeline<usize> = Timeline::new();
-                    for (i, &t) in events.iter().enumerate() {
-                        tl.schedule(t, i);
-                    }
-                    let mut checksum = 0.0f64;
-                    while let Some((t, _, _)) = tl.pop() {
-                        checksum += t;
-                    }
-                    black_box(checksum);
-                },
-            ],
-        );
+        let cfg = SystemConfig::paper().with_size(1_000_000, 1000);
+        let policy = FixedRulePolicy::new(jsq_rule(cfg.num_states(), cfg.d), "JSQ(d)");
+        let engine = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
+        let run = |admission_cap| {
+            let opts = ServeOptions {
+                duration: Some(20.0 * scale as f64),
+                seed: 17,
+                admission_cap,
+                ..Default::default()
+            };
+            let report = serve(&engine, &policy, "JSQ(d)", &JobSource::Synthetic, &opts, |_| {})
+                .expect("synthetic serve run");
+            report.jobs_arrived as f64
+        };
+        let mut jobs = 0.0;
+        let [heap, per_queue] =
+            interleaved(ROUNDS, [&mut || _ = run(Some(u64::MAX)), &mut || jobs = run(None)]);
         entries.push(with_baseline(
-            entry("serve_timeline_heap_n4k", iters, heap, n as f64, "events/s"),
-            scan,
+            entry("serve_interval_per_queue_M1k", ROUNDS, per_queue, jobs, "jobs/s"),
+            heap,
         ));
     }
 

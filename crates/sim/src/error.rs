@@ -106,6 +106,18 @@ pub enum ServeError {
         /// The offending size.
         size: f64,
     },
+    /// A trace job arrives, or takes service, beyond the horizon cap of
+    /// [`mflb_core::config::MAX_EVAL_EPOCHS`] sync intervals.
+    BeyondHorizon {
+        /// 1-based line number.
+        line: usize,
+        /// What spans too many intervals: `"arrival time"` or `"job size"`.
+        what: &'static str,
+        /// The offending arrival time or size.
+        value: f64,
+        /// Sync intervals it spans (`t / Δt`, or `size / (α·Δt)`).
+        intervals: f64,
+    },
     /// A streamed trace line is not valid UTF-8.
     TraceUtf8 {
         /// 1-based line number.
@@ -146,6 +158,12 @@ impl fmt::Display for ServeError {
             ServeError::JobSize { line, size } => {
                 write!(f, "trace line {line}: job size must be positive and finite, got {size}")
             }
+            ServeError::BeyondHorizon { line, what, value, intervals } => write!(
+                f,
+                "trace line {line}: {what} {value:e} spans {intervals:e} sync intervals, more \
+                 than the cap of {}",
+                mflb_core::config::MAX_EVAL_EPOCHS
+            ),
             ServeError::TraceUtf8 { line, source } => {
                 write!(f, "trace line {line}: invalid UTF-8: {source}")
             }
@@ -215,6 +233,11 @@ mod tests {
         assert_eq!(
             ServeError::JobSize { line: 1, size: 0.0 }.to_string(),
             "trace line 1: job size must be positive and finite, got 0"
+        );
+        assert_eq!(
+            ServeError::BeyondHorizon { line: 4, what: "job size", value: 1e300, intervals: 2e300 }
+                .to_string(),
+            "trace line 4: job size 1e300 spans 2e300 sync intervals, more than the cap of 1000000"
         );
         assert_eq!(
             ServeError::Duration(-3.0).to_string(),

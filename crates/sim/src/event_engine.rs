@@ -30,8 +30,7 @@
 //! Between two refreshes every job routes on the same frozen snapshot, so
 //! no routing decision reads live queue state, and once each job's queue
 //! is known the queues evolve independently. An interval therefore runs
-//! in three steps, with no event heap unless two of its events are due
-//! at the same instant (see below):
+//! in three steps, with no event heap:
 //!
 //! 1. **route** — the interval's jobs are pulled from the feed in arrival
 //!    order and routed on the snapshot;
@@ -44,8 +43,9 @@
 //! Bounded admission (`ServeOptions::admission_cap`) couples the queues:
 //! whether a job is shed depends on the system-wide in-system count at
 //! its arrival. An admission-capped interval therefore pulls its jobs one
-//! at a time and merges them with a completion-only [`Timeline`] heap in
-//! global time order, routing only the jobs it admits.
+//! at a time and merges them in global time order with a heap of the
+//! pending completions, keyed by `(time, queue)`, routing only the jobs
+//! it admits.
 //!
 //! # Determinism
 //!
@@ -57,25 +57,21 @@
 //! is a deterministic function of the episode RNG's one `epoch_base` draw
 //! per interval.
 //!
-//! Both interval paths process each queue's events in the order of one
-//! `(time, seq)` heap holding every arrival, completion and refresh,
-//! where `seq` is the order in which events are scheduled: the refresh
-//! and then job 0 as the interval opens, job `k` as job `k − 1` is
-//! processed, a completion as its service starts. At an exact time tie —
-//! trace timestamps make them real — the event scheduled first goes
-//! first, so a completion at exactly `clock + Δt` belongs to the interval
-//! only if it was scheduled before the interval opened. Sojourns are
-//! reported in that same order. The two paths therefore agree bit for
-//! bit, and the regression suite pins episodes and serve runs of this
-//! engine bit-exactly.
+//! With Poisson arrivals and continuous sizes two events share an instant
+//! with probability zero, but trace timestamps make exact ties real. Both
+//! interval paths settle them by one rule:
 //!
-//! On the queue-by-queue path a tie within one queue, between a pending
-//! completion and a job, is settled by how many of the interval's jobs
-//! popped before the event that scheduled the completion, a count worked
-//! out at most once per completion. If any completion of an interval
-//! shares its instant with another event, the interval's pop order is
-//! found by replaying its events on a heap, each event scheduling the
-//! completion it started as it pops.
+//! * at one instant, completions go before arrivals, so a job arriving
+//!   as its queue's head finishes finds that slot free — a completion
+//!   started at the instant (a zero-length service) included;
+//! * an event due exactly at the refresh `clock + Δt` belongs to the next
+//!   interval, as an arrival at that instant already does;
+//! * an interval's sojourns are reported sorted by (completion time,
+//!   queue), and completions of one queue at one instant stay in service
+//!   order.
+//!
+//! The two paths therefore agree bit for bit, and the regression suite
+//! pins episodes and serve runs of this engine bit-exactly.
 
 use crate::episode::{sample_initial_queues, stream_rng, Engine, EpochStats};
 use mflb_core::{DecisionRule, FaultPlan, JobSizeLaw, StateDist, SystemConfig};
@@ -90,125 +86,6 @@ use std::collections::{BinaryHeap, VecDeque};
 const SALT_ARRIVE: u64 = 0x6C62_272E_07BB_0142;
 const SALT_SIZE: u64 = 0x27D4_EB2F_1656_67C5;
 const SALT_ROUTE: u64 = 0x5851_F42D_4C95_7F2D;
-
-/// One scheduled entry of a [`Timeline`].
-#[derive(Debug, Clone)]
-struct Scheduled<T> {
-    time: f64,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Scheduled<T> {}
-
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap; reversing `(time, seq)` makes
-        // `pop` yield the earliest event, ties broken by schedule order.
-        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A deterministic event heap: entries pop in nondecreasing
-/// `(time, seq)` order, where `seq` is the monotone counter assigned by
-/// [`Timeline::schedule`]. Equal-time events therefore resolve in
-/// schedule order — deterministically, independent of the underlying
-/// heap's internal layout.
-#[derive(Debug, Clone)]
-pub struct Timeline<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    next_seq: u64,
-}
-
-impl<T> Default for Timeline<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Timeline<T> {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `payload` at `time` (must be finite) and returns the
-    /// sequence number that breaks ties against equal-time events.
-    pub fn schedule(&mut self, time: f64, payload: T) -> u64 {
-        assert!(time.is_finite(), "event times must be finite, got {time}");
-        let seq = self.reserve();
-        self.heap.push(Scheduled { time, seq, payload });
-        seq
-    }
-
-    /// Takes the next sequence number without scheduling anything, so an
-    /// event kept off the heap still holds its place in the tie order.
-    pub fn reserve(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// The earliest `(time, seq)`, left on the heap.
-    pub fn peek(&self) -> Option<(f64, u64)> {
-        self.heap.peek().map(|s| (s.time, s.seq))
-    }
-
-    /// Removes and returns the earliest `(time, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        self.heap.pop().map(|s| (s.time, s.seq, s.payload))
-    }
-
-    /// The sequence number the next scheduled event will take.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Replaces the scheduled events with `events`, given as `(time,
-    /// seq, payload)` with every `seq` below `next_seq`, and numbers the
-    /// events scheduled later from `next_seq` on. Builds the heap in
-    /// linear time.
-    pub(crate) fn refill(&mut self, next_seq: u64, events: impl Iterator<Item = (f64, u64, T)>) {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
-        entries.extend(events.map(|(time, seq, payload)| Scheduled { time, seq, payload }));
-        self.heap = BinaryHeap::from(entries);
-        self.next_seq = next_seq;
-    }
-
-    /// Removes every scheduled event, in no particular order, as `(time,
-    /// seq, payload)`.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (f64, u64, T)> + '_ {
-        self.heap.drain().map(|s| (s.time, s.seq, s.payload))
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all scheduled events (sequence numbers keep advancing).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
 
 /// A stream of jobs feeding one [`EventEngine`] interval: either the
 /// engine's own counter-keyed Poisson process or a replayed trace.
@@ -270,39 +147,42 @@ struct Routed {
     queue: u32,
 }
 
-/// What scheduled a pending completion. Its place in the pop order
-/// breaks ties against events due at the same instant.
-#[derive(Debug, Clone, Copy)]
-enum Cause {
-    /// Scheduled before the interval opened, with this schedule rank.
-    Earlier(u64),
-    /// Service started as the interval's job `k` arrived.
-    Arrival(u32),
-    /// Service started as the interval's completion `i` finished.
-    Completion(u32),
-}
-
-/// `Done::jobs_before` before it is first needed.
-const UNKNOWN: u32 = u32::MAX;
-
 /// A service completion of the current interval.
 #[derive(Debug, Clone, Copy)]
 struct Done {
     t: f64,
+    queue: u32,
     sojourn: f64,
-    cause: Cause,
-    /// How many of the interval's jobs pop before this completion;
-    /// worked out only at an exact tie (see `jobs_before`).
-    jobs_before: u32,
 }
 
-/// An event of the current interval: a job by its arrival index, or a
-/// completion by its index in the interval's completion record.
+/// A pending completion on the admission-capped path's heap: the
+/// earliest pops first, ties by queue index.
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    Arrival(u32),
-    Completion(u32),
+struct Pending {
+    t: f64,
+    queue: u32,
 }
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `BinaryHeap` is a max-heap, so the comparison is reversed.
+        other.t.total_cmp(&self.t).then(other.queue.cmp(&self.queue))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
 
 /// Buffers one interval reuses from the last.
 #[derive(Debug, Clone, Default)]
@@ -315,24 +195,12 @@ struct Scratch {
     starts: Vec<u32>,
     /// Queues with jobs or a completion due this interval (a prefix).
     active: Vec<u32>,
-    /// The interval's completions, queue by queue.
+    /// The interval's completions, each queue's in service order.
     done: Vec<Done>,
-    /// Completions whose `jobs_before` waits on an earlier one's.
-    chain: Vec<u32>,
-    /// The completions in pop order, as `(time, index into done)`.
+    /// The completions in report order, as `(time, index into done)`.
     order: Vec<(f64, u32)>,
-    /// Pop position of each job and of each completion in the interval.
-    job_pos: Vec<u32>,
-    done_pos: Vec<u32>,
-    /// Queues whose pending completion was scheduled this interval.
-    fresh: Vec<(u32, Cause)>,
-    /// By job, then by completion: the completion whose service that
-    /// event started this interval, or `UNKNOWN` (intervals with ties).
-    started: Vec<u32>,
-    /// The interval's events replayed on a heap (intervals with ties).
-    replay: Timeline<Ev>,
     /// Pending completions of an admission-capped interval.
-    timeline: Timeline<usize>,
+    heap: BinaryHeap<Pending>,
 }
 
 /// Episode state of [`EventEngine`]: job-level queues, their pending
@@ -352,11 +220,6 @@ pub struct EventState {
     /// with none pending until [`EventEngine::begin_interval`] rescues it
     /// on recovery.
     next_done: Vec<f64>,
-    /// Schedule rank of each pending completion: completions due at the
-    /// same instant pop in this order.
-    done_seq: Vec<u64>,
-    /// The next unused schedule rank.
-    next_seq: u64,
     /// Jobs queued or in service: the sum of `lengths`.
     in_system: u64,
     /// Simulation clock (end of the last completed interval).
@@ -523,8 +386,6 @@ impl EventEngine {
             if state.next_done[j] == f64::INFINITY && state.lengths[j] > 0 && state.mult[j] > 0.0 {
                 let size = state.queues[j].front().expect("nonempty queue has a head job").1;
                 state.next_done[j] = t0 + size / (service_rate * state.mult[j]);
-                state.done_seq[j] = state.next_seq;
-                state.next_seq += 1;
             }
         }
         factor
@@ -632,43 +493,18 @@ impl EventEngine {
 
     /// Steps 2 and 3 of an uncapped interval: buckets the routed jobs by
     /// queue and advances each queue alone to `t_end`. Returns the drop
-    /// count and the interval's sojourns in pop order.
+    /// count and the interval's sojourns in report order.
     fn advance_queues(&self, state: &mut EventState, t_end: f64) -> (u64, Vec<f64>) {
         let m = self.config.num_queues;
         let buffer = self.config.buffer;
-        let EventState {
-            queues,
-            lengths,
-            next_done,
-            done_seq,
-            next_seq,
-            in_system,
-            counts,
-            mult,
-            scratch,
-            ..
-        } = state;
-        let Scratch {
-            jobs,
-            by_queue,
-            starts,
-            active,
-            done,
-            chain,
-            order,
-            job_pos,
-            done_pos,
-            fresh,
-            started,
-            replay,
-            ..
-        } = &mut **scratch;
+        let EventState { queues, lengths, next_done, in_system, counts, mult, scratch, .. } = state;
+        let Scratch { jobs, by_queue, starts, active, done, order, .. } = &mut **scratch;
 
         // Step 2: a stable counting sort of the jobs by queue over the
         // dispatch counts. `starts[j + 1]` first holds where queue j's
         // group begins and is advanced past each job placed, ending where
         // the group ends. A queue is active if it has jobs or a completion
-        // due by `t_end`.
+        // due before `t_end`.
         starts.clear();
         starts.resize(m + 1, 0);
         active.clear();
@@ -679,7 +515,7 @@ impl EventEngine {
             starts[j + 1] = placed;
             placed += counts[j] as u32;
             active[n_active] = j as u32;
-            n_active += ((counts[j] > 0) | (next_done[j] <= t_end)) as usize;
+            n_active += ((counts[j] > 0) | (next_done[j] < t_end)) as usize;
         }
         by_queue.clear();
         by_queue.resize(jobs.len(), 0);
@@ -689,30 +525,20 @@ impl EventEngine {
             *slot += 1;
         }
 
-        // Step 3: each active queue on its own. A pending completion goes
-        // ahead of a job due at the same instant only if it was scheduled
-        // first, and ahead of the refresh only if it was scheduled before
-        // the interval opened.
-        // Every index and pop position of the interval's events must fit
-        // below `UNKNOWN`; a completion's job arrived earlier or now.
-        assert!(
-            2 * jobs.len() as u64 + *in_system < UNKNOWN as u64,
-            "too many events in one interval"
-        );
+        // Step 3: each active queue on its own, in queue order, so `done`
+        // lists each queue's completions in service order. A completion
+        // goes ahead of a job due at the same instant; one due at `t_end`
+        // is left to the next interval.
         done.clear();
-        fresh.clear();
         let mut dropped = 0u64;
         for &j in &active[..n_active] {
-            let j = j as usize;
-            let rate = self.rate(mult, j);
-            let queue = &mut queues[j];
-            let mut due = next_done[j];
-            let mut cause = Cause::Earlier(done_seq[j]);
-            for &k in &by_queue[starts[j] as usize..starts[j + 1] as usize] {
+            let rate = self.rate(mult, j as usize);
+            let queue = &mut queues[j as usize];
+            let mut due = next_done[j as usize];
+            for &k in &by_queue[starts[j as usize] as usize..starts[j as usize + 1] as usize] {
                 let job = jobs[k as usize];
-                while due <= job.t && (due < job.t || completes_first(jobs, done, chain, cause, k))
-                {
-                    complete(queue, done, &mut due, &mut cause, rate);
+                while due <= job.t {
+                    complete(queue, done, j, &mut due, rate);
                 }
                 if queue.len() >= buffer {
                     dropped += 1;
@@ -720,56 +546,25 @@ impl EventEngine {
                 }
                 if due == f64::INFINITY && rate > 0.0 {
                     due = job.t + job.size / rate;
-                    cause = Cause::Arrival(k);
                 }
                 queue.push_back((job.t, job.size));
             }
-            while due <= t_end && (due < t_end || matches!(cause, Cause::Earlier(_))) {
-                complete(queue, done, &mut due, &mut cause, rate);
+            while due < t_end {
+                complete(queue, done, j, &mut due, rate);
             }
+            let j = j as usize;
             *in_system = *in_system - lengths[j] as u64 + queue.len() as u64;
             lengths[j] = queue.len();
             next_done[j] = due;
-            if due.is_finite() && !matches!(cause, Cause::Earlier(_)) {
-                fresh.push((j as u32, cause));
-            }
         }
-
-        // Every event's pop position: from the times alone, unless two
-        // events are due at the same instant. A completion scheduled this
-        // interval takes its schedule rank from the position of the event
-        // that scheduled it.
-        order.clear();
-        order.extend(done.iter().enumerate().map(|(i, d)| (d.t, i as u32)));
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        job_pos.clear();
-        job_pos.resize(jobs.len(), 0);
-        done_pos.clear();
-        done_pos.resize(done.len(), 0);
-        if !merge_by_time(jobs, order, job_pos, done_pos) {
-            replay_ties(jobs, done, order, job_pos, done_pos, started, replay);
-        }
-        let base = *next_seq;
-        for &(j, cause) in fresh.iter() {
-            let p = match cause {
-                Cause::Arrival(k) => job_pos[k as usize],
-                Cause::Completion(i) => done_pos[i as usize],
-                Cause::Earlier(_) => {
-                    unreachable!("fresh completions are scheduled in the interval")
-                }
-            };
-            done_seq[j as usize] = base + p as u64;
-        }
-        *next_seq = base + (jobs.len() + done.len()) as u64;
-        let sojourns = order.iter().map(|&(_, i)| done[i as usize].sojourn).collect();
-        (dropped, sojourns)
+        (dropped, sojourns_in_order(done, order))
     }
 
     /// An admission-capped interval: shedding reads the system-wide
     /// in-system count at each arrival, so the jobs are pulled from the
-    /// feed one at a time and merged in pop order with a heap of the
+    /// feed one at a time and merged in time order with a heap of the
     /// pending completions; a shed job is not routed. Returns the arrival,
-    /// drop and shed counts and the sojourns in pop order.
+    /// drop and shed counts and the sojourns in report order.
     #[allow(clippy::too_many_arguments)]
     fn run_capped(
         &self,
@@ -788,8 +583,6 @@ impl EventEngine {
             lengths,
             snapshot,
             next_done,
-            done_seq,
-            next_seq,
             in_system,
             clock,
             counts,
@@ -799,43 +592,42 @@ impl EventEngine {
             scratch,
             ..
         } = state;
-        let timeline = &mut scratch.timeline;
+        let Scratch { done, order, heap, .. } = &mut **scratch;
 
-        // The pending completions keep their schedule ranks; the refresh
-        // and then job 0 are scheduled as the interval opens, each holding
-        // its place in the tie order without entering the heap.
+        // The heap is rebuilt from the pending completions in linear time;
+        // `next_done` stays the record, so nothing is drained back.
         counts.iter_mut().for_each(|c| *c = 0);
-        timeline.refill(
-            *next_seq,
-            (0..m).filter(|&j| next_done[j].is_finite()).map(|j| (next_done[j], done_seq[j], j)),
+        let mut pending = std::mem::take(heap).into_vec();
+        pending.clear();
+        pending.extend(
+            (0..m)
+                .filter(|&j| next_done[j].is_finite())
+                .map(|j| Pending { t: next_done[j], queue: j as u32 }),
         );
-        let refresh = (t_end, timeline.reserve());
-        let mut job_seq = timeline.reserve();
-        let pops_before =
-            |a: (f64, u64), b: (f64, u64)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt();
+        *heap = BinaryHeap::from(pending);
 
+        done.clear();
         let (mut dropped, mut shed) = (0u64, 0u64);
-        let mut sojourns = Vec::new();
         let mut k = 0;
         let mut next = next_job(feed, *clock, 0, t_end, max_arrivals);
         loop {
-            let completion_first = timeline.peek().is_some_and(|top| {
-                pops_before(top, refresh)
-                    && next.is_none_or(|(t, _)| pops_before(top, (t, job_seq)))
-            });
-            if completion_first {
-                let (t, _, j) = timeline.pop().expect("peeked");
+            // A completion goes ahead of a job due at the same instant; one
+            // due at `t_end` is left to the next interval.
+            let completion =
+                heap.peek().copied().filter(|c| c.t < t_end && next.is_none_or(|(t, _)| c.t <= t));
+            if let Some(Pending { t, queue }) = completion {
+                heap.pop();
+                let j = queue as usize;
                 let (arrived_at, _) =
                     queues[j].pop_front().expect("a completion implies a job in service");
                 lengths[j] -= 1;
                 *in_system -= 1;
-                sojourns.push(t - arrived_at);
+                done.push(Done { t, queue, sojourn: t - arrived_at });
                 next_done[j] = f64::INFINITY;
                 let rate = self.rate(mult, j);
                 if let Some(&(_, size)) = queues[j].front() {
                     if rate > 0.0 {
-                        next_done[j] = t + size / rate;
-                        timeline.schedule(next_done[j], j);
+                        schedule(heap, next_done, j, t + size / rate);
                     }
                 }
             } else if let Some((t, size)) = next {
@@ -850,29 +642,23 @@ impl EventEngine {
                     } else {
                         let rate = self.rate(mult, j);
                         if next_done[j] == f64::INFINITY && rate > 0.0 {
-                            next_done[j] = t + size / rate;
-                            timeline.schedule(next_done[j], j);
+                            schedule(heap, next_done, j, t + size / rate);
                         }
                         queues[j].push_back((t, size));
                         lengths[j] += 1;
                         *in_system += 1;
                     }
                 }
-                // The next job is scheduled as this one is processed.
                 k += 1;
-                job_seq = timeline.reserve();
                 next = next_job(feed, t, k, t_end, max_arrivals);
             } else {
                 break;
             }
         }
-
-        // What is left pending carries its schedule rank over.
-        *next_seq = timeline.next_seq();
-        for (_, seq, j) in timeline.drain() {
-            done_seq[j] = seq;
-        }
-        (k, dropped, shed, sojourns)
+        // A job starting a zero-length service after other queues'
+        // completions at the same instant popped puts its completion out
+        // of (time, queue) order; the sort restores it.
+        (k, dropped, shed, sojourns_in_order(done, order))
     }
 }
 
@@ -891,174 +677,44 @@ fn next_job(
     feed.peek(prev, k).filter(|&(t, _)| t < t_end)
 }
 
-/// Completes the in-service job of `queue`, due at `*due`, recording it
-/// in `done`, and starts the next one (if any, and if the queue serves).
+/// Completes the in-service job of `queue` (queue `j`), due at `*due`,
+/// recording it in `done`, and starts the next one (if any, and if the
+/// queue serves).
 #[inline(always)]
 fn complete(
     queue: &mut VecDeque<(f64, f64)>,
     done: &mut Vec<Done>,
+    j: u32,
     due: &mut f64,
-    cause: &mut Cause,
     rate: f64,
 ) {
     let (arrived_at, _) = queue.pop_front().expect("a pending completion implies a job in service");
-    done.push(Done { t: *due, sojourn: *due - arrived_at, cause: *cause, jobs_before: UNKNOWN });
-    *cause = Cause::Completion(done.len() as u32 - 1);
+    done.push(Done { t: *due, queue: j, sojourn: *due - arrived_at });
     *due = match queue.front() {
         Some(&(_, size)) if rate > 0.0 => *due + size / rate,
         _ => f64::INFINITY,
     };
 }
 
-/// Whether a completion scheduled by `cause` pops before job `k`, both
-/// being due at the same instant, in the same queue: whether it was
-/// scheduled first. Job `k` is scheduled as job `k − 1` pops, after any
-/// completion that job starts; so a completion scheduled before the
-/// interval or by an earlier job of the queue goes first, and one
-/// scheduled by completion `i` goes first if `i` popped before job `k − 1`.
-fn completes_first(
-    jobs: &[Routed],
-    done: &mut [Done],
-    chain: &mut Vec<u32>,
-    cause: Cause,
-    k: u32,
-) -> bool {
-    match cause {
-        Cause::Earlier(_) | Cause::Arrival(_) => true,
-        Cause::Completion(i) => jobs_before(jobs, done, chain, i) < k,
-    }
+/// Makes `t` queue `j`'s pending completion on the capped path's heap.
+fn schedule(heap: &mut BinaryHeap<Pending>, next_done: &mut [f64], j: usize, t: f64) {
+    assert!(t.is_finite(), "event times must be finite, got {t}");
+    next_done[j] = t;
+    heap.push(Pending { t, queue: j as u32 });
 }
 
-/// How many of the interval's jobs pop before completion `i`, memoised
-/// in `done`. Jobs due before it pop first and jobs due after it pop
-/// later. Of the jobs due at its instant, job `j` pops first if it was
-/// scheduled first: job `0` as the interval opened, job `j` as job
-/// `j − 1` popped; the completion when the event that started its
-/// service popped — before the interval, job `k`, or completion `p`.
-/// That is if `j` is below 0, `k + 1` or `p`'s own count plus one, so
-/// the counts of a chain of completions are found oldest first.
-fn jobs_before(jobs: &[Routed], done: &mut [Done], chain: &mut Vec<u32>, i: u32) -> u32 {
-    let mut x = i;
-    while done[x as usize].jobs_before == UNKNOWN {
-        chain.push(x);
-        match done[x as usize].cause {
-            Cause::Completion(p) => x = p,
-            _ => break,
-        }
-    }
-    while let Some(x) = chain.pop() {
-        let d = done[x as usize];
-        let scheduled_after = match d.cause {
-            Cause::Earlier(_) => 0,
-            Cause::Arrival(k) => k + 1,
-            Cause::Completion(p) => done[p as usize].jobs_before + 1,
-        };
-        let due_before = jobs.partition_point(|job| job.t < d.t);
-        let due_by = due_before + jobs[due_before..].partition_point(|job| job.t == d.t);
-        done[x as usize].jobs_before = scheduled_after.clamp(due_before as u32, due_by as u32);
-    }
-    done[i as usize].jobs_before
-}
-
-/// Gives every event of the interval its pop position by merging the
-/// jobs with the completions sorted by time. Returns `false`, leaving the
-/// positions unfinished, if a completion is due at the same instant as
-/// another completion or a job: their order then depends on when each was
-/// scheduled.
-fn merge_by_time(
-    jobs: &[Routed],
-    order: &[(f64, u32)],
-    job_pos: &mut [u32],
-    done_pos: &mut [u32],
-) -> bool {
-    if order.windows(2).any(|w| w[0].0 == w[1].0) {
-        return false;
-    }
-    // Each step writes the current position to both heads; the head that
-    // does not move is written again on a later step.
-    let (mut k, mut c) = (0, 0);
-    while k < jobs.len() && c < order.len() {
-        let (t, i) = order[c];
-        if jobs[k].t == t {
-            return false;
-        }
-        job_pos[k] = (k + c) as u32;
-        done_pos[i as usize] = (k + c) as u32;
-        let job_first = jobs[k].t < t;
-        k += job_first as usize;
-        c += !job_first as usize;
-    }
-    for (k, p) in job_pos.iter_mut().enumerate().skip(k) {
-        *p = (k + c) as u32;
-    }
-    for (c, &(_, i)) in order.iter().enumerate().skip(c) {
-        done_pos[i as usize] = (k + c) as u32;
-    }
-    true
-}
-
-/// The pop positions of an interval with exact time ties, and its
-/// completions in pop order: the interval's events are replayed on a
-/// `(time, seq)` heap, each scheduling as it pops the completion it
-/// started and, for a job, the next job, as the one heap holding every
-/// event of the interval did. The completions scheduled before the
-/// interval enter first, in their schedule order.
-fn replay_ties(
-    jobs: &[Routed],
-    done: &[Done],
-    order: &mut Vec<(f64, u32)>,
-    job_pos: &mut [u32],
-    done_pos: &mut [u32],
-    started: &mut Vec<u32>,
-    heap: &mut Timeline<Ev>,
-) {
-    let n = jobs.len();
-    started.clear();
-    started.resize(n + done.len(), UNKNOWN);
-    heap.clear();
+/// The sojourns of `done` sorted by (completion time, queue), the
+/// completions of one queue at one instant kept in their order in `done`
+/// (service order).
+fn sojourns_in_order(done: &[Done], order: &mut Vec<(f64, u32)>) -> Vec<f64> {
     order.clear();
-    for (i, d) in done.iter().enumerate() {
-        match d.cause {
-            Cause::Earlier(_) => order.push((d.t, i as u32)),
-            Cause::Arrival(k) => started[k as usize] = i as u32,
-            Cause::Completion(p) => started[n + p as usize] = i as u32,
-        }
-    }
-    order.sort_unstable_by_key(|&(_, i)| match done[i as usize].cause {
-        Cause::Earlier(seq) => seq,
-        _ => unreachable!("only earlier completions are listed"),
+    order.extend(done.iter().enumerate().map(|(i, d)| (d.t, i as u32)));
+    order.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| done[a.1 as usize].queue.cmp(&done[b.1 as usize].queue))
+            .then(a.1.cmp(&b.1))
     });
-    for &(_, i) in order.iter() {
-        heap.schedule(done[i as usize].t, Ev::Completion(i));
-    }
-    if let Some(first) = jobs.first() {
-        heap.schedule(first.t, Ev::Arrival(0));
-    }
-    order.clear();
-    let mut pos = 0;
-    while let Some((t, _, ev)) = heap.pop() {
-        let event = match ev {
-            Ev::Arrival(k) => {
-                job_pos[k as usize] = pos;
-                k as usize
-            }
-            Ev::Completion(i) => {
-                done_pos[i as usize] = pos;
-                order.push((t, i));
-                n + i as usize
-            }
-        };
-        pos += 1;
-        let i = started[event];
-        if i != UNKNOWN {
-            heap.schedule(done[i as usize].t, Ev::Completion(i));
-        }
-        if let Ev::Arrival(k) = ev {
-            if let Some(job) = jobs.get(k as usize + 1) {
-                heap.schedule(job.t, Ev::Arrival(k + 1));
-            }
-        }
-    }
+    order.iter().map(|&(_, i)| done[i as usize].sojourn).collect()
 }
 
 impl Engine for EventEngine {
@@ -1072,8 +728,6 @@ impl Engine for EventEngine {
         let lengths = sample_initial_queues(&self.config, rng);
         let m = lengths.len();
         let mut next_done = vec![f64::INFINITY; m];
-        let mut done_seq = vec![0; m];
-        let mut next_seq = 0;
         let queues: Vec<VecDeque<(f64, f64)>> = lengths
             .iter()
             .enumerate()
@@ -1083,8 +737,6 @@ impl Engine for EventEngine {
                     let size = self.job_size.sample(rng);
                     if i == 0 {
                         next_done[j] = size / self.config.service_rate;
-                        done_seq[j] = next_seq;
-                        next_seq += 1;
                     }
                     q.push_back((0.0, size));
                 }
@@ -1097,8 +749,6 @@ impl Engine for EventEngine {
             snapshot: lengths.clone(),
             lengths,
             next_done,
-            done_seq,
-            next_seq,
             in_system: preloaded,
             clock: 0.0,
             counts: vec![0; m],
@@ -1148,24 +798,6 @@ mod tests {
 
     fn engine(law: JobSizeLaw) -> EventEngine {
         EventEngine::new(SystemConfig::paper().with_size(400, 20).with_dt(4.0), law)
-    }
-
-    #[test]
-    fn timeline_pops_in_time_then_seq_order() {
-        let mut tl = Timeline::new();
-        tl.schedule(3.0, "c");
-        tl.schedule(1.0, "a");
-        tl.schedule(2.0, "b1");
-        tl.schedule(2.0, "b2");
-        let popped: Vec<&str> = std::iter::from_fn(|| tl.pop()).map(|(_, _, p)| p).collect();
-        assert_eq!(popped, vec!["a", "b1", "b2", "c"]);
-        assert!(tl.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn timeline_rejects_non_finite_times() {
-        Timeline::new().schedule(f64::NAN, ());
     }
 
     #[test]
@@ -1223,38 +855,33 @@ mod tests {
     }
 
     #[test]
-    fn jobs_before_counts_the_jobs_scheduled_ahead_of_a_tied_completion() {
-        // Jobs at 0, 1, 1 and 2; completions due at 1 scheduled before
-        // the interval, by job 1 and by that completion (both of zero
-        // duration), and one due at 2 started by the first. Job 2 is
-        // scheduled as job 1 pops: after job 1's completion, before the
-        // completion that one starts. Job 3 is scheduled as job 2 pops,
-        // after the first completion.
-        let jobs = [0.0, 1.0, 1.0, 2.0].map(|t| Routed { t, size: 1.0, queue: 0 });
-        let mut done = [
-            (1.0, Cause::Earlier(0)),
-            (1.0, Cause::Arrival(1)),
-            (1.0, Cause::Completion(1)),
-            (2.0, Cause::Completion(0)),
-        ]
-        .map(|(t, cause)| Done { t, sojourn: 1.0, cause, jobs_before: UNKNOWN });
-        let mut chain = Vec::new();
-        let counts: Vec<u32> =
-            (0..4).map(|i| jobs_before(&jobs, &mut done, &mut chain, i)).collect();
-        assert_eq!(counts, [1, 2, 3, 3]);
+    fn a_completion_due_at_the_refresh_counts_in_the_next_interval() {
+        // One queue, Δt = 1: the job of interval 0 finishes at exactly
+        // 2.0, the end of interval 1, so both paths count it in interval 2.
+        let cfg = SystemConfig::paper().with_size(4, 1).with_buffer(2).with_dt(1.0);
+        let e = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
+        let rule = rnd_rule(3, 2);
+        for cap in [None, Some(u64::MAX)] {
+            let mut state = e.init_state(&mut run_rng(3, 1));
+            assert_eq!(state.jobs_in_system(), 0);
+            let mut feed = Replay { jobs: &[(0.5, 1.5)], next: 0 };
+            let completed: Vec<u64> = (0..3)
+                .map(|i| {
+                    e.begin_interval(&mut state, i);
+                    let t_end = state.clock() + 1.0;
+                    e.run_interval(&mut state, &rule, i, t_end, &mut feed, u64::MAX, cap).completed
+                })
+                .collect();
+            assert_eq!(completed, [0, 0, 1], "cap {cap:?}");
+        }
     }
 
     /// Runs `jobs` through `intervals` sync intervals with no cap, with a
     /// cap that never binds and with `cap`, asserts that the first two
     /// agree, and returns FNV digests of every interval's sojourn bits in
-    /// pop order and its drop, completion and shed counts: without a cap
-    /// and under `cap`.
-    fn heap_order_digests(
-        cfg: SystemConfig,
-        jobs: &[(f64, f64)],
-        intervals: u64,
-        cap: u64,
-    ) -> (u64, u64) {
+    /// report order and its drop, completion and shed counts: without a
+    /// cap and under `cap`.
+    fn tie_digests(cfg: SystemConfig, jobs: &[(f64, f64)], intervals: u64, cap: u64) -> (u64, u64) {
         let dt = cfg.dt;
         let rule = rnd_rule(cfg.buffer + 1, 2);
         let e = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
@@ -1299,9 +926,12 @@ mod tests {
         // boundaries on the same instants, with sojourns whose order
         // moves float sums and buffers small enough that tie order
         // decides drops. The sizes of 1e-300 finish service on the
-        // instant it starts. The digests are those of the engine that
-        // kept every arrival, completion and refresh on one `(time, seq)`
-        // heap.
+        // instant it starts. Both paths follow the order of the capped
+        // path's `(time, queue)` completion heap, completions ahead of
+        // arrivals (see the module docs). The digests were re-pinned
+        // when that rule replaced the emulated `(time, seq)` schedule
+        // order; the serve-level pins of `tests/interval_paths.rs`, which
+        // recorded the `(time, seq)` engine, still hold.
         let paper = SystemConfig::paper();
         let cases = [
             (
@@ -1310,7 +940,7 @@ mod tests {
                 grid_trace(2000, 1.0, 5, &[1.0, 0.5, 0.731_820_431_7, 1.294_387_192_5, 2.0]),
                 2000,
                 8,
-                (0x88a1_1432_eab2_5115, 0xd352_f1b9_c5cf_088f),
+                (0x1538_334b_ee18_8f69, 0xdd82_e9c3_5ead_8bb3),
             ),
             (
                 "quarter grid",
@@ -1318,7 +948,7 @@ mod tests {
                 grid_trace(8000, 0.25, 3, &[0.25, 0.5, 0.75, 1.25, 1e-300]),
                 2000,
                 6,
-                (0x8978_b973_45a4_a99f, 0x8e70_e9e3_517e_1a23),
+                (0x204c_63b1_294b_2e27, 0x6989_8e18_b359_4ec5),
             ),
             (
                 "one job or none per instant",
@@ -1326,7 +956,7 @@ mod tests {
                 grid_trace(8000, 0.25, 1, &[0.25, 0.5, 0.75, 1.0]),
                 2000,
                 3,
-                (0xdcdc_7da5_4525_98eb, 0x09d3_877b_c269_93a4),
+                (0x6c94_7da5_4525_98eb, 0x1bbb_877b_c269_93a4),
             ),
             (
                 "overloaded eighth grid",
@@ -1334,12 +964,12 @@ mod tests {
                 grid_trace(5120, 0.125, 5, &[0.125]),
                 40,
                 20,
-                (0x3b67_de07_0e87_a9fd, 0x1e6e_7029_edde_a352),
+                (0xbda7_de07_0e87_a9fd, 0xacde_7029_edde_a352),
             ),
         ];
-        for (what, cfg, jobs, intervals, cap, heap) in cases {
-            let digests = heap_order_digests(cfg, &jobs, intervals, cap);
-            assert_eq!(digests, heap, "{what}: {:#x}, {:#x}", digests.0, digests.1);
+        for (what, cfg, jobs, intervals, cap, pinned) in cases {
+            let digests = tie_digests(cfg, &jobs, intervals, cap);
+            assert_eq!(digests, pinned, "{what}: {:#x}, {:#x}", digests.0, digests.1);
         }
     }
 }

@@ -35,10 +35,9 @@
 //! * [`event_engine::EventEngine`] — continuous-time job-level engine
 //!   with exponential or Pareto/bounded-Pareto job sizes
 //!   ([`mflb_core::JobSizeLaw`]) that runs each sync interval queue by
-//!   queue (an admission-capped one on a [`Timeline`] heap of pending
-//!   completions); the [`serve()`] runtime drives
-//!   it as a long-running dispatcher over synthetic or replayed-trace
-//!   job streams (`mflb serve`).
+//!   queue (an admission-capped one on a heap of pending completions);
+//!   the [`serve()`] runtime drives it as a long-running dispatcher over
+//!   synthetic or replayed-trace job streams (`mflb serve`).
 //!
 //! [`scenario`] adds a serde-driven construction layer: a [`Scenario`]
 //! (engine kind + [`mflb_core::SystemConfig`] + service law / pool /
@@ -67,7 +66,7 @@ pub use episode::{
     EpochStats,
 };
 pub use error::{ScenarioError, ServeError};
-pub use event_engine::{EventEngine, EventState, Timeline};
+pub use event_engine::{EventEngine, EventState};
 pub use fifo_engine::FifoEngine;
 pub use graph_engine::{GraphEngine, GraphState};
 pub use monte_carlo::{monte_carlo, monte_carlo_conditioned, MonteCarloResult};

@@ -1,6 +1,7 @@
 //! The `mflb serve` runtime: a long-running dispatcher loop over the
 //! job-level [`EventEngine`], one sync interval per policy refresh (run
-//! queue by queue, or on a completion heap under an admission cap).
+//! queue by queue, or merged with a heap of pending completions under an
+//! admission cap).
 //!
 //! [`serve`] ingests a job stream — either the engine's own synthetic
 //! Poisson/Pareto generator or a replayed JSONL trace — and dispatches
@@ -17,6 +18,10 @@
 //! times must be finite, nonnegative and nondecreasing; sizes positive
 //! and finite. Blank lines and `#` comments are skipped. A malformed
 //! line is reported with its 1-based line number ([`parse_trace`]).
+//! [`serve`] also rejects a job whose arrival `t / Δt` or service
+//! `size / (α·Δt)` spans more than [`MAX_EVAL_EPOCHS`] sync intervals,
+//! the cap on `eval_time`: a trace run drains to completion, so one such
+//! job would keep it going for as many intervals.
 //! Traces replay either fully buffered ([`JobSource::Trace`]) or
 //! streamed from any reader — e.g. stdin — with the same 1-based
 //! diagnostics ([`JobSource::Stream`], [`LineTraceReader`]). A streamed
@@ -64,8 +69,9 @@
 use crate::episode::{run_rng, Engine};
 use crate::error::ServeError;
 use crate::event_engine::{ArrivalFeed, EventEngine, EventState, PoissonFeed};
+use mflb_core::config::MAX_EVAL_EPOCHS;
 use mflb_core::mdp::{ObservationBatch, UpperPolicy};
-use mflb_core::DecisionRule;
+use mflb_core::{DecisionRule, SystemConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -127,6 +133,36 @@ fn check_job(job: &Job, line: usize, last_t: f64) -> Result<(), ServeError> {
         return Err(ServeError::JobSize { line, size: job.size });
     }
     Ok(())
+}
+
+/// The horizon cap on served jobs: neither an arrival nor a service may
+/// span more than [`MAX_EVAL_EPOCHS`] sync intervals of the config.
+#[derive(Debug, Clone, Copy)]
+struct Horizon {
+    dt: f64,
+    service_rate: f64,
+}
+
+impl Horizon {
+    fn of(config: &SystemConfig) -> Self {
+        Self { dt: config.dt, service_rate: config.service_rate }
+    }
+
+    /// Rejects `job`, at 1-based line `line`, if it arrives or takes
+    /// service beyond the cap.
+    fn check(&self, job: &Job, line: usize) -> Result<(), ServeError> {
+        let span = MAX_EVAL_EPOCHS as f64 * self.dt;
+        let beyond = |what, value, intervals| {
+            Err(ServeError::BeyondHorizon { line, what, value, intervals })
+        };
+        if job.t > span {
+            return beyond("arrival time", job.t, job.t / self.dt);
+        }
+        if job.size > span * self.service_rate {
+            return beyond("job size", job.size, job.size / (self.service_rate * self.dt));
+        }
+        Ok(())
+    }
 }
 
 /// Decodes a flat JSON object whose members all have numeric values
@@ -243,9 +279,10 @@ const INGEST_BATCH: usize = 4096;
 /// Batches the ingest channel holds ahead of the serve loop.
 const INGEST_DEPTH: usize = 4;
 
-/// One message of the ingest thread: a batch of parsed jobs, or the
-/// error that ended the trace (always the last message).
-type IngestMsg = Result<Vec<Job>, ServeError>;
+/// One message of the ingest thread: a batch of parsed jobs with the
+/// 1-based line of each, or the error that ended the trace (always the
+/// last message).
+type IngestMsg = Result<(Vec<Job>, Vec<usize>), ServeError>;
 
 /// A streaming JSONL trace reader: a dedicated `mflb-ingest` thread reads
 /// and parses lines from any [`BufRead`] `+ Send` source (a file, stdin, a
@@ -266,7 +303,11 @@ pub struct LineTraceReader {
     /// reader dropped early leaves the thread to notice the hang-up.
     thread: Option<JoinHandle<()>>,
     batch: Vec<Job>,
+    /// The 1-based line of each job in `batch`.
+    lines: Vec<usize>,
     cursor: usize,
+    /// Set by [`serve`]; a job beyond it ends the trace with an error.
+    horizon: Option<Horizon>,
     error: Option<ServeError>,
     done: bool,
 }
@@ -294,14 +335,24 @@ impl LineTraceReader {
     pub fn with_retry(reader: Box<dyn BufRead + Send>, retries: u32, backoff_ms: u64) -> Self {
         let (tx, rx) = sync_channel(INGEST_DEPTH);
         let spawned = std::thread::Builder::new().name("mflb-ingest".into()).spawn(move || {
-            let batch = Vec::with_capacity(INGEST_BATCH);
-            Ingest { tx, lineno: 0, last_t: 0.0, batch }.run(reader, retries, backoff_ms);
+            let (batch, lines) =
+                (Vec::with_capacity(INGEST_BATCH), Vec::with_capacity(INGEST_BATCH));
+            Ingest { tx, lineno: 0, last_t: 0.0, batch, lines }.run(reader, retries, backoff_ms);
         });
         let (thread, error) = match spawned {
             Ok(handle) => (Some(handle), None),
             Err(source) => (None, Some(ServeError::TraceIo { line: 1, retries: 0, source })),
         };
-        Self { rx, thread, batch: Vec::new(), cursor: 0, done: error.is_some(), error }
+        Self {
+            rx,
+            thread,
+            batch: Vec::new(),
+            lines: Vec::new(),
+            cursor: 0,
+            horizon: None,
+            done: error.is_some(),
+            error,
+        }
     }
 
     /// Whether the stream has been fully consumed (EOF reached and the
@@ -321,8 +372,9 @@ impl LineTraceReader {
     fn fill(&mut self) {
         while self.cursor == self.batch.len() && !self.done {
             match self.rx.recv() {
-                Ok(Ok(batch)) => {
+                Ok(Ok((batch, lines))) => {
                     self.batch = batch;
+                    self.lines = lines;
                     self.cursor = 0;
                 }
                 Ok(Err(e)) => {
@@ -343,7 +395,15 @@ impl LineTraceReader {
 impl ArrivalFeed for LineTraceReader {
     fn peek(&mut self, _prev_time: f64, _k: u64) -> Option<(f64, f64)> {
         self.fill();
-        self.batch.get(self.cursor).map(|j| (j.t, j.size))
+        let job = self.batch.get(self.cursor)?;
+        if let Some(Err(e)) = self.horizon.map(|h| h.check(job, self.lines[self.cursor])) {
+            // The jobs before it have been served; the trace ends here.
+            self.batch.truncate(self.cursor);
+            self.error = Some(e);
+            self.done = true;
+            return None;
+        }
+        Some((job.t, job.size))
     }
 
     fn advance(&mut self) {
@@ -359,6 +419,8 @@ struct Ingest {
     lineno: usize,
     last_t: f64,
     batch: Vec<Job>,
+    /// The 1-based line of each job in `batch`.
+    lines: Vec<usize>,
 }
 
 impl Ingest {
@@ -426,6 +488,7 @@ impl Ingest {
             Ok(Some(job)) => {
                 self.last_t = job.t;
                 self.batch.push(job);
+                self.lines.push(line);
                 if self.batch.len() == INGEST_BATCH {
                     self.flush()?;
                 }
@@ -440,8 +503,9 @@ impl Ingest {
         if self.batch.is_empty() {
             return Some(());
         }
-        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(INGEST_BATCH));
-        self.tx.send(Ok(full)).ok()
+        let jobs = std::mem::replace(&mut self.batch, Vec::with_capacity(INGEST_BATCH));
+        let lines = std::mem::replace(&mut self.lines, Vec::with_capacity(INGEST_BATCH));
+        self.tx.send(Ok((jobs, lines))).ok()
     }
 
     /// Sends the jobs before the failure, then the error; always `None`.
@@ -459,8 +523,8 @@ pub enum JobSource {
     /// modulated by the configured MMPP λ-path.
     Synthetic,
     /// A replayed, fully-buffered trace (see [`parse_trace`]). [`serve`]
-    /// checks it against the trace schema first; a complaint names the
-    /// job's 1-based position as its line.
+    /// checks it against the trace schema and the horizon cap first; a
+    /// complaint names the job's 1-based position as its line.
     Trace(Vec<Job>),
     /// A trace streamed line-by-line from a reader (e.g. stdin); parsed
     /// lazily, consumed once.
@@ -685,10 +749,12 @@ pub fn serve_with(
             return Err(ServeError::Duration(te));
         }
     }
+    let horizon = Horizon::of(config);
     if let JobSource::Trace(jobs) = source {
         let mut last_t = 0.0;
         for (i, job) in jobs.iter().enumerate() {
             check_job(job, i + 1, last_t)?;
+            horizon.check(job, i + 1)?;
             last_t = job.t;
         }
     }
@@ -710,7 +776,11 @@ pub fn serve_with(
         JobSource::Synthetic | JobSource::Stream(_) => None,
     };
     let mut stream_feed = match source {
-        JobSource::Stream(reader) => Some(reader.borrow_mut()),
+        JobSource::Stream(reader) => {
+            let mut reader = reader.borrow_mut();
+            reader.horizon = Some(horizon);
+            Some(reader)
+        }
         JobSource::Synthetic | JobSource::Trace(_) => None,
     };
 
@@ -913,6 +983,38 @@ mod tests {
                 .to_string();
             assert!(err.contains(needle), "{err}");
         }
+    }
+
+    #[test]
+    fn jobs_beyond_the_horizon_cap_are_rejected_naming_their_line() {
+        // Δt = 2 and α = 1: the cap is 2e6 time units for both.
+        let e = engine();
+        let opts = ServeOptions { seed: 2, ..Default::default() };
+        let ok = Job { t: 0.0, size: 1.0 };
+        for (bad, needle) in [
+            (Job { t: 1e300, size: 1.0 }, "arrival time 1e300 spans 5e299 sync intervals"),
+            (Job { t: 1.0, size: 1e300 }, "job size 1e300 spans 5e299 sync intervals"),
+            (Job { t: 2.1e6, size: 1.0 }, "arrival time"),
+        ] {
+            let buffered = JobSource::Trace(vec![ok, bad]);
+            let err = serve(&e, &jsq(), "JSQ(2)", &buffered, &opts, |_| {}).unwrap_err();
+            assert!(matches!(err, ServeError::BeyondHorizon { line: 2, .. }), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+
+            // Streamed, after a comment and a blank line: the reader hands
+            // over the good job, then ends the trace naming line 4.
+            let text = format!("# trace\n{}\n\n{}\n", ok.to_jsonl(), bad.to_jsonl());
+            let stream = JobSource::Stream(RefCell::new(LineTraceReader::new(Box::new(
+                std::io::Cursor::new(text),
+            ))));
+            let err = serve(&e, &jsq(), "JSQ(2)", &stream, &opts, |_| {}).unwrap_err();
+            assert!(matches!(err, ServeError::BeyondHorizon { line: 4, .. }), "{err}");
+            assert!(err.to_string().starts_with("trace line 4: "), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // A job at the cap itself passes.
+        let horizon = Horizon::of(e.config());
+        assert!(horizon.check(&Job { t: 2e6, size: 2e6 }, 1).is_ok());
     }
 
     #[test]

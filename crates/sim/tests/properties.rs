@@ -8,7 +8,7 @@ use mflb_core::{DecisionRule, JobSizeLaw, StateDist, SystemConfig, Topology};
 use mflb_sim::aggregate::sample_client_assignments;
 use mflb_sim::{
     parse_trace_line, run_episode, run_rng, serve, AggregateEngine, Engine, EventEngine,
-    GraphEngine, Job, JobSource, ServeError, ServeOptions, Timeline,
+    GraphEngine, Job, JobSource, ServeError, ServeOptions,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -305,59 +305,68 @@ proptest! {
     }
 
     #[test]
-    fn timeline_pops_in_nondecreasing_time_seq_order(
-        raw in prop::collection::vec(0.0f64..100.0, 1..200),
+    fn a_cap_that_never_binds_changes_nothing_on_tie_heavy_traces(
+        step_pick in 0usize..4,
+        size_mask in 1u32..64,
+        buffer in 1usize..5,
+        dt_steps in 1u32..12,
+        m in 1usize..7,
+        most in 1usize..5,
+        seed in 0u64..10_000,
     ) {
-        // Quantizing to a coarse grid forces plenty of exact time ties,
-        // so the monotone-seq tiebreak is actually exercised.
-        let mut tl: Timeline<usize> = Timeline::new();
-        for (i, &t) in raw.iter().enumerate() {
-            tl.schedule((t * 4.0).round() / 4.0, i);
-        }
-        let mut last: Option<(f64, u64)> = None;
-        let mut popped = 0usize;
-        while let Some((t, seq, _)) = tl.pop() {
-            if let Some((lt, ls)) = last {
-                prop_assert!(
-                    t > lt || (t == lt && seq > ls),
-                    "(time, seq) must strictly increase: ({lt}, {ls}) then ({t}, {seq})"
-                );
-            }
-            last = Some((t, seq));
-            popped += 1;
-        }
-        prop_assert_eq!(popped, raw.len(), "every scheduled event pops exactly once");
-    }
-
-    #[test]
-    fn timeline_pop_order_is_insertion_order_independent(
-        raw in prop::collection::vec(0.0f64..1e4, 1..120),
-        perm_seed in 0u64..10_000,
-    ) {
-        // With distinct times the popped (time, payload) sequence is a
-        // pure function of the event set — heap layout (and therefore
-        // insertion order) must not show through.
-        let mut times = raw;
-        times.sort_by(f64::total_cmp);
-        times.dedup();
-        let sorted: Vec<(f64, usize)> = times.iter().copied().zip(0..).collect();
-        let mut shuffled = sorted.clone();
-        let mut rng = StdRng::seed_from_u64(perm_seed);
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, rng.gen_range(0..=i));
-        }
-        let drain = |events: &[(f64, usize)]| {
-            let mut tl: Timeline<usize> = Timeline::new();
-            for &(t, id) in events {
-                tl.schedule(t, id);
-            }
-            let mut out = Vec::with_capacity(events.len());
-            while let Some((t, _, id)) = tl.pop() {
-                out.push((t, id));
-            }
-            out
+        // Jobs on a time grid with sizes that are grid multiples (or
+        // 1e-300, a service that ends on the instant it starts) put
+        // arrivals, completions and sync boundaries on the same instants.
+        // Uncapped and under a cap that never binds, every interval's
+        // tick must agree: drop, completion and shed counts and the bits
+        // of the running sojourn sum, which moves with the order and the
+        // values of the interval's sojourns.
+        let step = [1.0, 0.5, 0.25, 0.125][step_pick];
+        let sizes: Vec<f64> = [1.0, 2.0, 3.0, 4.0, 8.0]
+            .iter()
+            .map(|&s| s * step)
+            .chain([1e-300])
+            .enumerate()
+            .filter(|&(i, _)| size_mask & (1 << i) != 0)
+            .map(|(_, s)| s)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let jobs: Vec<Job> = (0..120)
+            .flat_map(|i| {
+                let n = rng.gen_range(0..=most);
+                (0..n)
+                    .map(|_| Job { t: i as f64 * step, size: sizes[rng.gen_range(0..sizes.len())] })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let cfg = SystemConfig::paper()
+            .with_size(4 * m as u64, m)
+            .with_buffer(buffer)
+            .with_dt(dt_steps as f64 * step);
+        let engine = EventEngine::new(cfg, JobSizeLaw::Exponential { rate: 1.0 });
+        let policy = FixedRulePolicy::new(mflb_policy::rnd_rule(buffer + 1, 2), "RND");
+        let source = JobSource::Trace(jobs);
+        let run = |admission_cap| {
+            let opts = ServeOptions { report_every: 1, seed, admission_cap, ..Default::default() };
+            let mut ticks = Vec::new();
+            let report = serve(&engine, &policy, "RND", &source, &opts, |t| ticks.push(t.clone()))
+                .unwrap();
+            (ticks, report)
         };
-        prop_assert_eq!(drain(&sorted), drain(&shuffled));
+        let (ticks, report) = run(None);
+        let (capped_ticks, capped_report) = run(Some(u64::MAX));
+        prop_assert_eq!(ticks.len(), capped_ticks.len());
+        for (i, (a, b)) in ticks.iter().zip(&capped_ticks).enumerate() {
+            prop_assert_eq!(
+                (a.jobs_dropped, a.jobs_completed, a.jobs_shed),
+                (b.jobs_dropped, b.jobs_completed, b.jobs_shed),
+                "interval {}", i
+            );
+            prop_assert_eq!(a.mean_sojourn.to_bits(), b.mean_sojourn.to_bits(), "interval {}", i);
+            prop_assert_eq!(a.mean_queue_len.to_bits(), b.mean_queue_len.to_bits());
+        }
+        prop_assert_eq!(report.max_sojourn.to_bits(), capped_report.max_sojourn.to_bits());
+        prop_assert_eq!(report.jobs_in_system, 0);
     }
 
     #[test]

@@ -921,7 +921,8 @@ fn cmd_serve(args: &Args) {
         | ServeError::TraceUtf8 { .. }
         | ServeError::ArrivalTime { .. }
         | ServeError::ArrivalOrder { .. }
-        | ServeError::JobSize { .. } => fail_usage(e.to_string()),
+        | ServeError::JobSize { .. }
+        | ServeError::BeyondHorizon { .. } => fail_usage(e.to_string()),
         _ => fail(e.to_string()),
     });
     // Compact, so stdout stays strict JSONL: ticks, then this last line.

@@ -86,6 +86,24 @@ fn inputs_that_used_to_panic_exit_2() {
     let path = dir.join("negative_eval_time.json");
     std::fs::write(&path, bad).unwrap();
     assert_usage_error(&["simulate", "--scenario", path.to_str().unwrap()], "eval_time");
+    // A trace job arriving or taking service beyond the same horizon cap
+    // used to keep `serve` draining for ~1e300 intervals.
+    for (name, body, needle) in [
+        (
+            "late.jsonl",
+            "{\"t\": 0.0, \"size\": 1.0}\n{\"t\": 1e300, \"size\": 1.0}\n",
+            "arrival time",
+        ),
+        ("huge.jsonl", "{\"t\": 0.0, \"size\": 1e300}\n", "job size"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        for cap in [None, Some("5")] {
+            let mut args = vec!["serve", "--policy", "rnd", "--trace", path.to_str().unwrap()];
+            args.extend(cap.iter().flat_map(|c| ["--admission-cap", *c]));
+            assert_usage_error(&args, needle);
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
