@@ -64,7 +64,8 @@ fn main() {
     );
 
     // Save the checkpoint so fig4-6 pick it up — but never clobber a
-    // better previously trained one (e.g. a longer train_policy run).
+    // better previously trained one (e.g. a longer `mflb train --scale
+    // paper` run written to the same path).
     let ckpt = checkpoint_path(dt);
     if let Some(parent) = ckpt.parent() {
         std::fs::create_dir_all(parent).ok();

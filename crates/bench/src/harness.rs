@@ -13,12 +13,12 @@
 //!   baselines.
 
 use crate::flags::{exit_usage, Args, Command, Flag, Kind};
-use crate::inputs::Checkpoint;
 use mflb_core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb_core::SystemConfig;
 use mflb_policy::{
     jsq_rule, optimize_beta, rnd_rule, softmin_rule, NeuralUpperPolicy, SoftminPolicy,
 };
+use mflb_rl::TrainingCheckpoint;
 use mflb_sim::{EngineSpec, Scenario};
 use std::path::PathBuf;
 
@@ -69,24 +69,6 @@ pub static BINARIES: &[Command] = &[
     ),
     bin("table1_params", "Table 1: system parameters", &[]),
     bin("table2_hyperparams", "Table 2: PPO hyper-parameters", &[]),
-    bin(
-        "train_policy",
-        "trains an MF policy with PPO and saves a versioned checkpoint",
-        &[
-            SCALE,
-            DT,
-            THREADS,
-            seed("1"),
-            ITERS,
-            Flag::new(
-                "--out",
-                Kind::Text,
-                "checkpoint path [default assets/policies/mf_dt<Δt>.json]",
-            ),
-            Flag::new("--scenario", Kind::Text, "scenario spec JSON (wins over --dt)"),
-            Flag::new("--init", Kind::Text, "warm-start from this checkpoint"),
-        ],
-    ),
 ];
 
 /// Parses the process arguments against the table of binary `name`
@@ -247,13 +229,14 @@ pub fn mf_policy_for(config: &SystemConfig, search_horizon: usize, seed: u64) ->
     }
 }
 
-/// The PPO checkpoint trained for `config.dt` (see [`checkpoint_path`]),
-/// in either checkpoint format. Its network must fit *this* homogeneous
-/// configuration: the dt-keyed path may hold a checkpoint trained for a
-/// different engine kind or buffer.
+/// The PPO checkpoint trained for `config.dt` (see [`checkpoint_path`]).
+/// Its network must fit *this* homogeneous configuration: the dt-keyed
+/// path may hold a checkpoint trained for a different engine kind or
+/// buffer.
 pub fn load_mf_checkpoint(config: &SystemConfig) -> Result<NeuralUpperPolicy, String> {
     let homog = Scenario::new(config.clone(), EngineSpec::Aggregate);
-    Checkpoint::load(&checkpoint_path(config.dt).to_string_lossy())?.fit(&homog)
+    let path = checkpoint_path(config.dt).to_string_lossy().into_owned();
+    TrainingCheckpoint::load(&path)?.fit(&path, &homog)
 }
 
 /// The MF-JSQ(d) baseline as an upper-level policy.

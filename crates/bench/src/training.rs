@@ -7,8 +7,6 @@
 use crate::harness;
 use mflb_rl::PpoConfig;
 
-pub use mflb_rl::CurvePoint;
-
 /// The PPO configuration used at each harness scale. `paper` is Table 2
 /// verbatim; `quick` shrinks networks/batches so training fits in minutes.
 pub fn ppo_config_for(scale: harness::Scale, threads: usize) -> PpoConfig {

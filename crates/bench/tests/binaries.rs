@@ -25,7 +25,6 @@ fn exe(name: &str) -> &'static str {
         "fig_sparse_scale" => env!("CARGO_BIN_EXE_fig_sparse_scale"),
         "table1_params" => env!("CARGO_BIN_EXE_table1_params"),
         "table2_hyperparams" => env!("CARGO_BIN_EXE_table2_hyperparams"),
-        "train_policy" => env!("CARGO_BIN_EXE_train_policy"),
         other => panic!("binary {other} has a flag table but no test entry"),
     }
 }
@@ -63,26 +62,6 @@ fn every_binary_rejects_bad_flags_with_exit_2() {
     }
     // The case that used to panic with exit 101.
     assert_usage_error("fig6_ablation", &["--seed", "x"], "--seed");
-}
-
-#[test]
-fn train_policy_rejects_bad_inputs_with_exit_2() {
-    let dir = std::env::temp_dir().join("mflb_bench_train_policy_inputs");
-    std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("bad_scenario.json");
-    std::fs::write(&bad, "{\"engine\": \"Quantum\"}").unwrap();
-    assert_usage_error("train_policy", &["--scenario", bad.to_str().unwrap()], "bad_scenario");
-    let invalid = dir.join("invalid_scenario.json");
-    let aggregate = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../examples/scenarios/aggregate.json");
-    let text = std::fs::read_to_string(aggregate).unwrap();
-    std::fs::write(&invalid, text.replace("\"dt\": 5.0", "\"dt\": -5.0")).unwrap();
-    assert_usage_error("train_policy", &["--scenario", invalid.to_str().unwrap()], "dt");
-    let garbled = dir.join("garbled_ckpt.json");
-    std::fs::write(&garbled, "{not a checkpoint").unwrap();
-    assert_usage_error("train_policy", &["--init", garbled.to_str().unwrap()], "--init");
-    assert_usage_error("train_policy", &["--dt", "-1"], "--dt");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -176,6 +176,42 @@ impl Mlp {
         Self { layers, activation, tanh_mode: TanhMode::default() }
     }
 
+    /// Checks the shape a deserialized network claims: at least one layer,
+    /// each layer's weight buffer holding `fan_in·fan_out` values and its
+    /// bias `fan_out`, and each layer's `fan_out` feeding the next layer's
+    /// `fan_in`. O(layers): no weight is read.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("network has no layers".into());
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (rows, cols) = (layer.w.rows(), layer.w.cols());
+            if rows.checked_mul(cols) != Some(layer.w.as_slice().len()) {
+                return Err(format!(
+                    "layer {i}: weights hold {} values, shape {rows}x{cols} needs {}",
+                    layer.w.as_slice().len(),
+                    rows as u128 * cols as u128
+                ));
+            }
+            if layer.b.len() != cols {
+                return Err(format!(
+                    "layer {i}: bias has {} entries, expected {cols}",
+                    layer.b.len()
+                ));
+            }
+            if let Some(next) = self.layers.get(i + 1) {
+                if next.fan_in() != cols {
+                    return Err(format!(
+                        "layer {i} emits {cols} values but layer {} takes {}",
+                        i + 1,
+                        next.fan_in()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.layers.first().unwrap().fan_in()
@@ -581,6 +617,35 @@ mod tests {
             for (a, b) in y.row(i).iter().zip(single.iter()) {
                 assert!((a - b).abs() < 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn check_shape_rejects_what_a_forward_pass_would_panic_on() {
+        // Each layer as (rows, cols, weight values, bias entries).
+        let net = |layers: &[(usize, usize, usize, usize)]| -> Mlp {
+            let layers: Vec<String> = layers
+                .iter()
+                .map(|&(rows, cols, w, b)| {
+                    format!(
+                        "{{\"w\":{{\"rows\":{rows},\"cols\":{cols},\"data\":{:?}}},\"b\":{:?}}}",
+                        vec![0.5; w],
+                        vec![0.0; b]
+                    )
+                })
+                .collect();
+            let json = format!("{{\"layers\":[{}],\"activation\":\"Tanh\"}}", layers.join(","));
+            serde_json::from_str(&json).unwrap()
+        };
+        net(&[(3, 5, 15, 5), (5, 2, 10, 2)]).check_shape().unwrap();
+        for (layers, needle) in [
+            (vec![], "no layers"),
+            (vec![(3, 5, 15, 5), (5, 2, 9, 2)], "layer 1: weights hold 9 values"),
+            (vec![(3, 5, 15, 6), (5, 2, 10, 2)], "layer 0: bias has 6"),
+            (vec![(3, 5, 15, 5), (4, 2, 8, 2)], "layer 0 emits 5 values but layer 1 takes 4"),
+        ] {
+            let err = net(&layers).check_shape().unwrap_err();
+            assert!(err.contains(needle), "{layers:?}: {err}");
         }
     }
 }

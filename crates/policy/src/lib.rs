@@ -5,8 +5,8 @@
 //! * [`softmin`] — the softmin(β) family interpolating RND ↔ JSQ with a
 //!   deterministic β optimizer in the mean-field MDP (ablation + learned-
 //!   policy stand-in);
-//! * [`upper`] — the neural upper-level policy π̃ (Fig. 2) with JSON
-//!   checkpointing.
+//! * [`upper`] — the neural upper-level policy π̃ (Fig. 2); its networks
+//!   travel in `mflb_rl`'s versioned `TrainingCheckpoint`.
 //!
 //! All policies implement [`mflb_core::mdp::UpperPolicy`] and therefore run
 //! unchanged in the mean-field MDP *and* in the finite `N,M` simulator
@@ -36,7 +36,6 @@ pub use rules::{
 pub use softmin::{optimize_beta, softmin_rule, BetaSearchResult, SoftminPolicy};
 pub use upper::{
     action_dim, encode_observation, observation_dim, InferenceConfig, NeuralUpperPolicy,
-    PolicyCheckpoint,
 };
 // The inference-tier switch travels with [`InferenceConfig`]; re-exported
 // so CLI layers need not depend on `mflb-nn` directly.

@@ -15,8 +15,6 @@
 use mflb_core::mdp::{encode_observation_into, ObservationBatch, UpperPolicy};
 use mflb_core::{DecisionRule, StateDist};
 use mflb_nn::{F32Mlp, F32Workspace, Mlp, TanhMode, Workspace};
-use serde::{Deserialize, Serialize};
-use std::path::Path;
 use std::sync::Mutex;
 
 // Canonical encoders live in `mflb_core::mdp` so the RL environment and the
@@ -68,24 +66,6 @@ struct DecideScratch {
     ws: Workspace,
     ws32: F32Workspace,
     logits64: Vec<f64>,
-}
-
-/// A trained policy checkpoint: network weights plus the shape metadata
-/// needed to rebuild the decision-rule decoding, and provenance fields.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolicyCheckpoint {
-    /// The policy network.
-    pub net: Mlp,
-    /// Number of queue states `|Z| = B+1`.
-    pub num_states: usize,
-    /// Number of sampled queues d.
-    pub d: usize,
-    /// Number of arrival levels `|Λ|`.
-    pub num_levels: usize,
-    /// Synchronization delay the policy was trained for.
-    pub dt: f64,
-    /// Free-form provenance (training steps, date, config hash …).
-    pub meta: String,
 }
 
 /// The neural upper-level policy π̃.
@@ -182,48 +162,6 @@ impl NeuralUpperPolicy {
     /// The currently configured inference tier.
     pub fn inference(&self) -> InferenceConfig {
         InferenceConfig { tanh_mode: self.net.tanh_mode(), f32_weights: self.f32_net.is_some() }
-    }
-
-    /// Builds from a checkpoint.
-    pub fn from_checkpoint(ckpt: PolicyCheckpoint) -> Self {
-        Self::new(ckpt.net, ckpt.num_states, ckpt.d, ckpt.num_levels)
-    }
-
-    /// Loads a checkpoint from a JSON file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| format!("read {}: {e}", path.as_ref().display()))?;
-        let ckpt: PolicyCheckpoint =
-            serde_json::from_str(&text).map_err(|e| format!("parse checkpoint: {e}"))?;
-        Ok(Self::from_checkpoint(ckpt))
-    }
-
-    /// Saves the policy as a checkpoint JSON file.
-    ///
-    /// This legacy format cannot represent composite-rule policies; those
-    /// travel in `mflb_rl`'s versioned `TrainingCheckpoint` instead.
-    pub fn save(
-        &self,
-        path: impl AsRef<Path>,
-        dt: f64,
-        meta: impl Into<String>,
-    ) -> Result<(), String> {
-        if self.rule_states != self.obs_states {
-            return Err("legacy PolicyCheckpoint cannot hold a composite-rule policy; \
-                 save the versioned training checkpoint instead"
-                .into());
-        }
-        let ckpt = PolicyCheckpoint {
-            net: self.net.clone(),
-            num_states: self.obs_states,
-            d: self.d,
-            num_levels: self.num_levels,
-            dt,
-            meta: meta.into(),
-        };
-        let text = serde_json::to_string(&ckpt).map_err(|e| format!("serialize: {e}"))?;
-        std::fs::write(path.as_ref(), text)
-            .map_err(|e| format!("write {}: {e}", path.as_ref().display()))
     }
 
     /// Access to the wrapped network (e.g. for continued training).
@@ -358,21 +296,6 @@ mod tests {
         // A random net almost surely produces different logits for
         // different one-hot inputs.
         assert!(a.max_abs_diff(&b) > 1e-9);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_decisions() {
-        let p = tiny_policy();
-        let dir = std::env::temp_dir().join("mflb_test_ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("policy.json");
-        p.save(&path, 5.0, "unit-test").unwrap();
-        let q = NeuralUpperPolicy::load(&path).unwrap();
-        let dist = StateDist::new(vec![0.3, 0.3, 0.2, 0.1, 0.05, 0.05]);
-        let a = p.decide(&dist, 1, 0.6);
-        let b = q.decide(&dist, 1, 0.6);
-        assert!(a.max_abs_diff(&b) < 1e-15);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! [`PpoConfig`], the seed, the cumulative step count, the training curve
 //! and both networks (policy + value) with the Gaussian head's log-stds.
 //! The JSON layout is guarded by [`CHECKPOINT_FORMAT_VERSION`]; loading a
-//! file with a different version — or one whose network shapes disagree
-//! with its embedded scenario — is a hard error, never a silent
-//! misdeployment.
+//! file with a different version — or one whose networks are malformed or
+//! disagree with its embedded scenario — is a typed error, never a panic
+//! or a silent misdeployment.
 //!
-//! The legacy `mflb_policy::PolicyCheckpoint` (weights + bare shape ints)
-//! remains readable for old artifacts; everything written by `mflb train`,
-//! `train_policy` and `fig3_training` uses this format.
+//! It is the one on-disk format of a neural policy: `mflb train` and
+//! `fig3_training` write it, and every command that deploys a network
+//! reads it through [`TrainingCheckpoint::load`] and
+//! [`TrainingCheckpoint::fit`].
 
 use crate::ppo::PpoConfig;
 use crate::scenario_env::PolicyShape;
@@ -77,7 +78,8 @@ impl TrainingCheckpoint {
     }
 
     /// Checks internal consistency: the scenario must be valid and both
-    /// networks must match the shape the scenario implies.
+    /// networks well formed ([`Mlp::check_shape`]) and of the shape the
+    /// scenario implies.
     pub fn validate(&self) -> Result<(), String> {
         if self.format_version != CHECKPOINT_FORMAT_VERSION {
             return Err(format!(
@@ -86,6 +88,8 @@ impl TrainingCheckpoint {
             ));
         }
         self.scenario.validate().map_err(|e| format!("embedded scenario: {e}"))?;
+        self.policy_net.check_shape().map_err(|e| format!("policy network: {e}"))?;
+        self.value_net.check_shape().map_err(|e| format!("value network: {e}"))?;
         self.validate_for(&self.scenario)
     }
 
@@ -182,10 +186,20 @@ impl TrainingCheckpoint {
         std::fs::write(path, self.to_json()).map_err(|e| format!("write {}: {e}", path.display()))
     }
 
-    /// Reads and validates a checkpoint from a JSON file.
+    /// Reads and validates a checkpoint from a JSON file. Every error names
+    /// the file.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| format!("read {}: {e}", path.as_ref().display()))?;
-        Self::from_json(&text)
+        let path = path.as_ref();
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        Self::from_json(&text).map_err(|e| format!("load {}: {e}", path.display()))
+    }
+
+    /// The policy this checkpoint, read from `path`, deploys on `target`:
+    /// [`Self::validate_for`], then [`Self::into_policy`]. Every error
+    /// names `path`.
+    pub fn fit(&self, path: &str, target: &Scenario) -> Result<NeuralUpperPolicy, String> {
+        self.validate_for(target).map_err(|e| format!("{path} does not fit this scenario: {e}"))?;
+        self.into_policy().map_err(|e| format!("{path}: {e}"))
     }
 }

@@ -103,19 +103,6 @@ impl PpoConfig {
             rollout_threads: 1,
         }
     }
-
-    /// A reduced configuration for CI-scale smoke training: smaller nets,
-    /// batches and epoch counts, higher learning rate.
-    pub fn quick() -> Self {
-        Self {
-            lr: 3e-4,
-            train_batch_size: 1024,
-            minibatch_size: 128,
-            num_epochs: 8,
-            hidden: vec![64, 64],
-            ..Self::paper()
-        }
-    }
 }
 
 /// Per-iteration training statistics.

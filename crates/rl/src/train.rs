@@ -1,11 +1,12 @@
 //! The scenario-driven training driver: `Scenario → PPO → checkpoint`.
 //!
-//! This is the single entry point behind `mflb train`, the
-//! `train_policy` / `fig3_training` bench binaries and the examples. It
-//! builds the mean-field environment the scenario selects
-//! ([`crate::scenario_env::build_env`]), runs PPO with parallel
-//! episode-indexed rollouts, and packages the result as a versioned
-//! [`TrainingCheckpoint`] plus the deployable deterministic policy.
+//! This is the single entry point behind `mflb train` (whose `--init`
+//! warm start is [`train_scenario_from`]), the `fig3_training` bench
+//! binary and the examples. It builds the mean-field environment the
+//! scenario selects ([`crate::scenario_env::build_env`]), runs PPO with
+//! parallel episode-indexed rollouts, and packages the result as a
+//! versioned [`TrainingCheckpoint`] plus the deployable deterministic
+//! policy.
 //!
 //! For a fixed `(scenario, ppo, iterations, seed)` the produced checkpoint
 //! is bit-identical across runs and worker counts (see the determinism
@@ -77,6 +78,14 @@ pub fn train_scenario_from(
                 shape.act_dim()
             ));
         }
+        let want = trainer.policy_net().num_params();
+        if net.num_params() != want {
+            return Err(format!(
+                "warm-start network has {} parameters, hidden layers {:?} need {want}",
+                net.num_params(),
+                ppo.hidden
+            ));
+        }
         trainer.load_policy_net(net);
         if verbose {
             println!("warm-started policy network from checkpoint");
@@ -141,5 +150,20 @@ mod tests {
             Ok(_) => panic!("over-long horizon must be refused"),
         };
         assert!(err.contains("train_episode_len"), "{err}");
+    }
+
+    #[test]
+    fn warm_start_with_other_hidden_layers_is_refused() {
+        let mut config = SystemConfig::paper().with_size(100, 10);
+        config.train_episode_len = 8;
+        let scenario = Scenario::new(config, EngineSpec::Aggregate);
+        let ppo = PpoConfig { train_batch_size: 64, hidden: vec![8], ..PpoConfig::paper() };
+        let narrow = PpoConfig { hidden: vec![4], ..ppo.clone() };
+        let init = train_scenario(&scenario, narrow, 0, 1, false).unwrap().checkpoint.policy_net;
+        let err = match train_scenario_from(&scenario, ppo, 1, 1, false, Some(&init)) {
+            Err(e) => e,
+            Ok(_) => panic!("a warm start of another hidden shape must be refused"),
+        };
+        assert!(err.contains("hidden layers [8]"), "{err}");
     }
 }

@@ -106,6 +106,26 @@ fn corrupt_json_is_a_parse_error_not_a_panic() {
     assert!(TrainingCheckpoint::from_json("{\"not\": \"a checkpoint\"}").is_err());
     assert!(TrainingCheckpoint::from_json("}garbage{").is_err());
     assert!(TrainingCheckpoint::load("/nonexistent/ckpt.json").is_err());
+
+    // Networks that parse but cannot run, with input and output dims that
+    // still fit the scenario: the hidden layers do not chain (8 → 16 then
+    // a 12 → 16 layer), or a weight buffer is one value short of its shape.
+    let scenario = Scenario::new(small_config(), EngineSpec::Aggregate);
+    let ppo = PpoConfig { hidden: vec![16, 12], ..tiny_ppo() };
+    let json = train_scenario(&scenario, ppo, 1, 1, false).unwrap().checkpoint.to_json();
+    let hidden = "\"rows\":16,\"cols\":12";
+    let unchained = json.replacen(hidden, "\"rows\":12,\"cols\":16", 1);
+    let first = "\"rows\":8,\"cols\":16,\"data\":[";
+    let at = json.find(first).expect("first policy layer") + first.len();
+    let short = format!("{}{}", &json[..at], &json[at + json[at..].find(',').unwrap() + 1..]);
+    for (text, needle) in [
+        (unchained, "policy network: layer 0 emits 16 values but layer 1 takes 12"),
+        (short, "policy network: layer 0: weights hold 127 values"),
+    ] {
+        assert_ne!(text, json);
+        let err = TrainingCheckpoint::from_json(&text).unwrap_err();
+        assert!(err.contains(needle), "{err}");
+    }
 }
 
 #[test]

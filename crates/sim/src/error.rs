@@ -136,6 +136,14 @@ pub enum ServeError {
     },
     /// The requested serve duration is not positive and finite.
     Duration(f64),
+    /// A synthetic run with no job cap would span more than
+    /// [`mflb_core::config::MAX_EVAL_EPOCHS`] sync intervals.
+    DurationBeyondHorizon {
+        /// The requested duration.
+        duration: f64,
+        /// Sync intervals it spans (`duration / Δt`).
+        intervals: f64,
+    },
     /// A staleness threshold of zero intervals was requested.
     StalenessZero,
     /// A staleness threshold was set without a fallback policy tier.
@@ -173,6 +181,12 @@ impl fmt::Display for ServeError {
             ServeError::Duration(te) => {
                 write!(f, "serve duration must be positive and finite, got {te}")
             }
+            ServeError::DurationBeyondHorizon { duration, intervals } => write!(
+                f,
+                "a synthetic serve run of duration {duration:e} spans {intervals:e} sync \
+                 intervals, more than the cap of {}; shorten it or cap the job count",
+                mflb_core::config::MAX_EVAL_EPOCHS
+            ),
             ServeError::StalenessZero => {
                 write!(f, "staleness threshold must be at least 1 interval")
             }

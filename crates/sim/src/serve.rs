@@ -21,7 +21,8 @@
 //! [`serve`] also rejects a job whose arrival `t / Δt` or service
 //! `size / (α·Δt)` spans more than [`MAX_EVAL_EPOCHS`] sync intervals,
 //! the cap on `eval_time`: a trace run drains to completion, so one such
-//! job would keep it going for as many intervals.
+//! job would keep it going for as many intervals. A synthetic run with no
+//! job cap is held to the same cap on `duration / Δt`.
 //! Traces replay either fully buffered ([`JobSource::Trace`]) or
 //! streamed from any reader — e.g. stdin — with the same 1-based
 //! diagnostics ([`JobSource::Stream`], [`LineTraceReader`]). A streamed
@@ -748,6 +749,15 @@ pub fn serve_with(
         if !(te > 0.0 && te.is_finite()) {
             return Err(ServeError::Duration(te));
         }
+        // A synthetic stream never runs dry, so without a job cap the
+        // duration alone ends the run: hold it to the horizon cap.
+        let intervals = te / dt;
+        if matches!(source, JobSource::Synthetic)
+            && opts.max_jobs.is_none()
+            && intervals > MAX_EVAL_EPOCHS as f64
+        {
+            return Err(ServeError::DurationBeyondHorizon { duration: te, intervals });
+        }
     }
     let horizon = Horizon::of(config);
     if let JobSource::Trace(jobs) = source {
@@ -813,7 +823,8 @@ pub fn serve_with(
             break;
         }
         // Synthetic runs without a job cap only ever stop at `hard_stop`
-        // (always set for them), so this loop cannot run away.
+        // (always set for them, and held to the horizon cap above), so
+        // this loop cannot run away.
 
         // One `epoch_base` per interval, drawn before the policy decides:
         // `decide` consumes no master randomness, so the draw order (and
@@ -1015,6 +1026,25 @@ mod tests {
         // A job at the cap itself passes.
         let horizon = Horizon::of(e.config());
         assert!(horizon.check(&Job { t: 2e6, size: 2e6 }, 1).is_ok());
+    }
+
+    #[test]
+    fn synthetic_runs_past_the_horizon_cap_need_a_job_cap() {
+        // Δt = 2: the cap is 2e6 time units.
+        let e = engine();
+        let run = |duration, max_jobs| {
+            let opts =
+                ServeOptions { duration: Some(duration), max_jobs, seed: 4, ..Default::default() };
+            serve(&e, &jsq(), "JSQ(2)", &JobSource::Synthetic, &opts, |_| {})
+        };
+        let err = run(1e300, None).unwrap_err();
+        assert!(matches!(err, ServeError::DurationBeyondHorizon { .. }), "{err}");
+        assert!(err.to_string().contains("spans 5e299 sync intervals"), "{err}");
+        assert!(matches!(run(2.1e6, None), Err(ServeError::DurationBeyondHorizon { .. })));
+        // A job cap ends the run on its own, whatever the duration.
+        let capped = run(1e300, Some(25)).unwrap();
+        assert_eq!(capped.jobs_arrived, 25);
+        assert_eq!(capped.jobs_in_system, 0);
     }
 
     #[test]

@@ -82,11 +82,13 @@ fn main() {
         println!("  {name:<13} {:6.2} ± {:.2}", mc.mean(), mc.ci95());
     }
 
-    // --- persistence: the versioned checkpoint -----------------------------
+    // --- persistence: the one checkpoint format, read back through the ----
+    // same load + fit that `mflb eval`, `simulate` and `serve` use.
     let path = std::env::temp_dir().join("mflb_quick_policy.json");
     result.checkpoint.save(&path).unwrap();
-    let reloaded = TrainingCheckpoint::load(&path).unwrap();
-    let check = monte_carlo(&engine, &reloaded.into_policy().unwrap(), horizon, 5, 1, 0);
+    let file = path.to_str().unwrap();
+    let reloaded = TrainingCheckpoint::load(file).unwrap();
+    let check = monte_carlo(&engine, &reloaded.fit(file, &scenario).unwrap(), horizon, 5, 1, 0);
     println!(
         "\ncheckpoint round-trip via {} (format v{}, drops {:.2}) — same policy, ready for production.",
         path.display(),

@@ -114,6 +114,7 @@ pub static COMMANDS: &[Command] = &[
                 "checkpoint [default target/checkpoints/mf_<engine>_dt<Δt>.json]",
             ),
             Flag::new("--curve", Text, "training curve JSON [default <out>.curve.json]"),
+            Flag::new("--init", Text, "warm-start from this training checkpoint's network"),
         ],
         &[&ENGINE, &SYSTEM, &FAULTS],
     ),
@@ -247,7 +248,7 @@ pub static COMMANDS: &[Command] = &[
             workers("1"),
             Flag::new("--out", Text, "report JSON [default BENCH_<suite>.json]"),
         ],
-        &[&INFERENCE],
+        &[],
     ),
     Command::new(
         "bench-diff",

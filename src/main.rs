@@ -29,18 +29,19 @@
 //! verdict or a gate breach exits 1.
 
 use mflb::bench::flags::{self, exit_failure as fail, exit_usage as fail_usage, Args};
-use mflb::bench::inputs::{load_scenario, Checkpoint};
+use mflb::bench::inputs::load_scenario;
 use mflb::cli;
 use mflb::core::mdp::{FixedRulePolicy, UpperPolicy};
 use mflb::core::{
     check_rule_table, DecisionRule, FaultPlan, JobSizeLaw, MeanFieldMdp, SystemConfig, Topology,
 };
 use mflb::policy::{
-    jsq_rule, lift_to_composite, optimize_beta, rnd_rule, softmin_rule, InferenceConfig, TanhMode,
+    jsq_rule, lift_to_composite, optimize_beta, rnd_rule, softmin_rule, InferenceConfig,
+    NeuralUpperPolicy, TanhMode,
 };
 use mflb::rl::{
     check_lattice, distill_checkpoint, evaluate_checkpoint_configured, oracle_feasibility,
-    train_scenario, DistillConfig, DistilledCheckpoint, OracleConfig, PolicyShape, PpoConfig,
+    train_scenario_from, DistillConfig, DistilledCheckpoint, OracleConfig, PolicyShape, PpoConfig,
     TrainingCheckpoint,
 };
 use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario, ServiceLaw};
@@ -49,10 +50,10 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 
 /// The neural inference tier (`--precision`, `--fast-math`), spelled
-/// identically across eval / simulate / serve / bench. `f64` (the default)
-/// is bit-compatible with training; `f32` converts the network weights
-/// once at load; `--fast-math` swaps libm tanh for the vectorizable
-/// rational approximation. Rule-table tiers ignore it.
+/// identically across eval / simulate / meanfield / scv-compare / serve.
+/// `f64` (the default) is bit-compatible with training; `f32` converts
+/// the network weights once at load; `--fast-math` swaps libm tanh for
+/// the vectorizable rational approximation. Rule-table tiers ignore it.
 fn inference(args: &Args) -> InferenceConfig {
     let tanh_mode = if args.has("--fast-math") { TanhMode::Fast } else { TanhMode::BitCompat };
     InferenceConfig { tanh_mode, f32_weights: args.str("--precision") == Some("f32") }
@@ -165,7 +166,7 @@ enum Tier {
     Jsq,
     Rnd,
     Softmin(f64),
-    Neural(Checkpoint),
+    Neural(String, Box<TrainingCheckpoint>),
     Distilled(String, Box<DistilledCheckpoint>),
 }
 
@@ -178,7 +179,7 @@ fn load_policy(args: &Args, default: &str) -> Tier {
             .unwrap_or_else(|| fail_usage(format!("--policy {tier} needs --checkpoint <path>")))
     };
     match tier {
-        "checkpoint" => Tier::Neural(Checkpoint::load(path()).unwrap_or_else(|e| fail_usage(e))),
+        "checkpoint" => Tier::Neural(path().to_string(), Box::new(load_checkpoint(path()))),
         "distilled" => Tier::Distilled(
             path().to_string(),
             Box::new(DistilledCheckpoint::load(path()).unwrap_or_else(|e| fail_usage(e))),
@@ -193,7 +194,7 @@ impl Tier {
     /// The scenario a checkpoint tier was trained or distilled on.
     fn scenario(&self) -> Option<&Scenario> {
         match self {
-            Tier::Neural(ckpt) => ckpt.scenario(),
+            Tier::Neural(_, ckpt) => Some(&ckpt.scenario),
             Tier::Distilled(_, table) => Some(&table.scenario),
             _ => None,
         }
@@ -213,11 +214,9 @@ impl Tier {
             Tier::Jsq => rule(jsq_rule(zs, d), "JSQ(d)".into()),
             Tier::Rnd => rule(rnd_rule(zs, d), "RND".into()),
             Tier::Softmin(beta) => rule(softmin_rule(zs, d, beta), format!("SOFT({beta})")),
-            Tier::Neural(ckpt) => Box::new(
-                ckpt.fit(scenario)
-                    .unwrap_or_else(|e| fail_usage(e))
-                    .with_inference(inference(args)),
-            ),
+            Tier::Neural(path, ckpt) => {
+                Box::new(fit(&path, &ckpt, scenario).with_inference(inference(args)))
+            }
             Tier::Distilled(path, table) => {
                 table.validate_for(scenario).unwrap_or_else(|e| {
                     fail_usage(format!("{path} does not fit this scenario: {e}"))
@@ -270,6 +269,11 @@ fn cmd_train(args: &Args) {
     let seed: u64 = args.get("--seed");
     let (ppo, default_iters) = ppo_for_scale(scale, threads);
     let iters: usize = args.get_or("--iters", default_iters);
+    // Warm start: the checkpoint's network must fit the scenario trained.
+    let init = args.str("--init").map(|path| {
+        let policy = TrainingCheckpoint::load(path).and_then(|c| c.fit(path, &scenario));
+        policy.unwrap_or_else(|e| fail_usage(format!("--init: {e}"))).net().clone()
+    });
     let out = out_path(args, "target/checkpoints/mf", &scenario);
     let curve_path = args.str("--curve").map(PathBuf::from).unwrap_or_else(|| {
         let mut p = out.clone();
@@ -286,7 +290,11 @@ fn cmd_train(args: &Args) {
         scenario.config.train_episode_len,
     );
     let t0 = std::time::Instant::now();
-    let result = train_scenario(&scenario, ppo, iters, seed, true).unwrap_or_else(|e| fail(e));
+    // Every error training returns is a check of its inputs (the horizon
+    // against the batch, the warm-start network against the preset) made
+    // before the first iteration.
+    let result = train_scenario_from(&scenario, ppo, iters, seed, true, init.as_ref())
+        .unwrap_or_else(|e| fail_usage(e));
     println!(
         "trained {} steps in {:.1}s",
         result.checkpoint.total_steps,
@@ -326,17 +334,29 @@ fn engine_slug(spec: &EngineSpec) -> &'static str {
     }
 }
 
+/// The training checkpoint at `path`; an unreadable or malformed file
+/// exits 2.
+fn load_checkpoint(path: &str) -> TrainingCheckpoint {
+    TrainingCheckpoint::load(path).unwrap_or_else(|e| fail_usage(e))
+}
+
+/// The policy `ckpt`, read from `path`, deploys on `scenario`; a network
+/// that does not fit the scenario exits 2.
+fn fit(path: &str, ckpt: &TrainingCheckpoint, scenario: &Scenario) -> NeuralUpperPolicy {
+    ckpt.fit(path, scenario).unwrap_or_else(|e| fail_usage(e))
+}
+
 /// The training checkpoint `--checkpoint` names and the scenario to run
 /// it on: `--scenario` when given, else the checkpoint's own. Bad input
 /// exits 2.
-fn load_trained(args: &Args) -> (TrainingCheckpoint, Scenario) {
+fn load_trained(args: &Args) -> (&str, TrainingCheckpoint, Scenario) {
     let path = args.required("--checkpoint");
-    let ckpt = TrainingCheckpoint::load(path).unwrap_or_else(|e| fail_usage(e));
+    let ckpt = load_checkpoint(path);
     let scenario = match args.str("--scenario") {
         Some(p) => load_scenario(p).unwrap_or_else(|e| fail_usage(e)),
         None => ckpt.scenario.clone(),
     };
-    (ckpt, scenario)
+    (path, ckpt, scenario)
 }
 
 fn cmd_eval(args: &Args) {
@@ -349,7 +369,7 @@ fn cmd_eval(args: &Args) {
             })
             .collect()
     });
-    let (ckpt, scenario) = load_trained(args);
+    let (path, ckpt, scenario) = load_trained(args);
     let scenario = load_faults(args, scenario);
     let runs: usize = args.get("--runs");
     let seed: u64 = args.get("--seed");
@@ -369,6 +389,8 @@ fn cmd_eval(args: &Args) {
     } else {
         None
     };
+    // Pre-flight: a network that does not fit the scenario exits 2 here.
+    fit(path, &ckpt, &scenario);
 
     let report = evaluate_checkpoint_configured(
         &ckpt,
@@ -472,13 +494,14 @@ fn cmd_eval(args: &Args) {
 /// policy (greedy-match against the softmin library + DP-polish sweep)
 /// and write the versioned [`DistilledCheckpoint`] artifact.
 fn cmd_distill(args: &Args) {
-    let (ckpt, scenario) = load_trained(args);
+    let (path, ckpt, scenario) = load_trained(args);
     // `--grid` is the natural spelling here (mirrors dp-solve);
     // --oracle-grid stays as its alias.
     let oracle = oracle_config(args, "--grid");
     if let Err(e) = oracle_feasibility(&scenario, &oracle) {
         fail_usage(e);
     }
+    let nn = fit(path, &ckpt, &scenario);
     let config = DistillConfig { oracle, polish_slack: args.get("--slack") };
 
     let t0 = std::time::Instant::now();
@@ -516,7 +539,6 @@ fn cmd_distill(args: &Args) {
         let workers: usize = args.get("--workers");
         let engine = scenario.build().unwrap_or_else(|e| fail(e.to_string()));
         let horizon = scenario.config.eval_episode_len();
-        let nn = ckpt.into_policy().unwrap_or_else(|e| fail(e));
         let tabular = table.into_policy().unwrap_or_else(|e| fail(e));
         let mc_nn = monte_carlo(&engine, &nn, horizon, runs, seed, workers);
         let mc_tab = monte_carlo(&engine, &tabular, horizon, runs, seed, workers);
@@ -593,7 +615,7 @@ fn record_trace(args: &Args, scenario: &Scenario, out: &str) {
         Some(&mut jobs),
         |_| {},
     )
-    .unwrap_or_else(|e| fail(e.to_string()));
+    .unwrap_or_else(|e| serve_failure(e));
     let mut text = String::with_capacity(jobs.len() * 32);
     for job in &jobs {
         text.push_str(&job.to_jsonl());
@@ -772,7 +794,7 @@ fn cmd_scv_compare(args: &Args) {
 /// runtime failures exit 1.
 fn cmd_serve(args: &Args) {
     use mflb::sim::{
-        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeError, ServeOptions,
+        parse_trace, serve_with, EventEngine, JobSource, LineTraceReader, ServeOptions,
     };
     use std::cell::RefCell;
 
@@ -916,15 +938,7 @@ fn cmd_serve(args: &Args) {
             println!("{}", serde_json::to_string(tick).expect("tick serialization cannot fail"));
         },
     )
-    .unwrap_or_else(|e| match e {
-        ServeError::TraceParse { .. }
-        | ServeError::TraceUtf8 { .. }
-        | ServeError::ArrivalTime { .. }
-        | ServeError::ArrivalOrder { .. }
-        | ServeError::JobSize { .. }
-        | ServeError::BeyondHorizon { .. } => fail_usage(e.to_string()),
-        _ => fail(e.to_string()),
-    });
+    .unwrap_or_else(|e| serve_failure(e));
     // Compact, so stdout stays strict JSONL: ticks, then this last line.
     println!("{}", serde_json::to_string(&report).expect("report serialization cannot fail"));
     eprintln!(
@@ -953,16 +967,27 @@ fn cmd_serve(args: &Args) {
     }
 }
 
+/// Exits on a serve failure: bad input (a malformed trace, a job or a
+/// synthetic run past the horizon cap) with 2, anything else with 1.
+fn serve_failure(e: mflb::sim::ServeError) -> ! {
+    use mflb::sim::ServeError;
+    match e {
+        ServeError::TraceParse { .. }
+        | ServeError::TraceUtf8 { .. }
+        | ServeError::ArrivalTime { .. }
+        | ServeError::ArrivalOrder { .. }
+        | ServeError::JobSize { .. }
+        | ServeError::BeyondHorizon { .. }
+        | ServeError::DurationBeyondHorizon { .. } => fail_usage(e),
+        _ => fail(e),
+    }
+}
+
 /// Runs the tracked perf suite ([`mflb::bench::perf`]) and writes the
 /// `BENCH_kernels.json` trajectory file.
 fn cmd_bench(args: &Args) {
     let quick = args.has("--quick");
     let workers: usize = args.get("--workers");
-    // Same spelling as eval/simulate/serve; the kernel suite itself times
-    // every inference tier regardless.
-    if inference(args) != InferenceConfig::default() {
-        eprintln!("note: the perf suites time every inference tier; --precision/--fast-math do not narrow them");
-    }
     let suite = args.str("--suite").unwrap_or("kernels");
     let out = args.str("--out").map_or_else(|| format!("BENCH_{suite}.json"), String::from);
     println!(

@@ -6,6 +6,7 @@
 
 use mflb::bench::flags::{parse, Command, Kind};
 use mflb::cli;
+use std::path::{Path, PathBuf};
 use std::process::{Command as Process, Output};
 
 fn mflb(args: &[&str]) -> Output {
@@ -51,6 +52,9 @@ fn silently_defaulted_lines_now_exit_2() {
     assert_usage_error(&["simulate", "--seed", "1", "--seed", "2"], "--seed");
     assert_usage_error(&["simulate", "--workers", "1", "--threads", "2"], "--workers");
     assert_usage_error(&["validate", "--strict", "examples/scenarios/aggregate.json"], "--strict");
+    // `bench` times every inference tier; it used to accept and ignore these.
+    assert_usage_error(&["bench", "--precision", "f32"], "--precision");
+    assert_usage_error(&["bench", "--fast-math"], "--fast-math");
 }
 
 #[test]
@@ -104,6 +108,82 @@ fn inputs_that_used_to_panic_exit_2() {
             assert_usage_error(&args, needle);
         }
     }
+    // So did a synthetic run with no job cap and a duration past it.
+    let needle = "more than the cap";
+    assert_usage_error(
+        &["serve", "--policy", "rnd", "--duration", "1e300", "--report-every", "1000000"],
+        needle,
+    );
+    let trace = dir.join("unbounded.jsonl");
+    let record =
+        ["simulate", "--engine", "event", "--m", "20", "--n", "400", "--duration", "1e300"];
+    assert_usage_error(
+        &[&record[..], &["--record-trace", trace.to_str().unwrap()]].concat(),
+        needle,
+    );
+    assert!(!trace.exists(), "a refused recording writes no trace");
+
+    // Checkpoint networks that parse but cannot run, with input and output
+    // dims that fit the scenario. The quick preset's second 32 -> 32 layer
+    // relabelled 16 -> 64 keeps its 1024 weights, but layer 0 emits 32
+    // values and layer 1 takes 16; dropping the first policy weight leaves
+    // 255 values for an 8 x 32 shape.
+    let json = std::fs::read_to_string(train_checkpoint(&dir)).unwrap();
+    let unchained = json.replacen("\"rows\":32,\"cols\":32", "\"rows\":16,\"cols\":64", 1);
+    let first = "\"policy_net\":{\"layers\":[{\"w\":{\"rows\":8,\"cols\":32,\"data\":[";
+    let at = json.find(first).expect("first policy layer") + first.len();
+    let short = format!("{}{}", &json[..at], &json[at + json[at..].find(',').unwrap() + 1..]);
+    for (name, text, needle) in [
+        ("unchained.json", unchained, "layer 0 emits 32 values but layer 1 takes 16"),
+        ("short.json", short, "weights hold 255 values"),
+    ] {
+        assert_ne!(text, json, "{name}: the checkpoint layout moved");
+        let file = dir.join(name);
+        std::fs::write(&file, text).unwrap();
+        let ckpt = file.to_str().unwrap();
+        assert_usage_error(&["simulate", "--policy", "checkpoint", "--checkpoint", ckpt], needle);
+        assert_usage_error(&["eval", "--checkpoint", ckpt], needle);
+        assert_usage_error(&["serve", "--checkpoint", ckpt], needle);
+        assert_usage_error(&["distill", "--checkpoint", ckpt], needle);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A one-iteration checkpoint of the quick preset on `aggregate.json`.
+fn train_checkpoint(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let ckpt = dir.join("ckpt.json");
+    let spec = "examples/scenarios/aggregate.json";
+    let out = mflb(&["train", "--scenario", spec, "--iters", "1", "--out", ckpt.to_str().unwrap()]);
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+    ckpt
+}
+
+#[test]
+fn train_rejects_bad_inputs_with_exit_2() {
+    let dir = std::env::temp_dir().join("mflb_cli_strict_train");
+    let ckpt = train_checkpoint(&dir);
+    let bad = dir.join("bad_scenario.json");
+    std::fs::write(&bad, "{\"engine\": \"Quantum\"}").unwrap();
+    assert_usage_error(&["train", "--scenario", bad.to_str().unwrap()], "bad_scenario");
+    let spec = std::fs::read_to_string("examples/scenarios/aggregate.json").unwrap();
+    let invalid = dir.join("invalid_scenario.json");
+    std::fs::write(&invalid, spec.replace("\"dt\": 5.0", "\"dt\": -5.0")).unwrap();
+    assert_usage_error(&["train", "--scenario", invalid.to_str().unwrap()], "dt");
+    assert_usage_error(&["train", "--dt", "-1"], "dt");
+    let garbled = dir.join("garbled_ckpt.json");
+    std::fs::write(&garbled, "{not a checkpoint").unwrap();
+    assert_usage_error(&["train", "--init", garbled.to_str().unwrap()], "--init: load");
+    // The paper preset trains 256-wide hidden layers, the checkpoint 32.
+    assert_usage_error(
+        &["train", "--init", ckpt.to_str().unwrap(), "--scale", "paper"],
+        "hidden layers [256, 256]",
+    );
+    // B = 9 observes ten length states; the checkpoint was trained on six.
+    assert_usage_error(
+        &["train", "--init", ckpt.to_str().unwrap(), "--buffer", "9"],
+        "does not fit",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

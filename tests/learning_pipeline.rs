@@ -5,8 +5,8 @@
 use mflb::core::mdp::FixedRulePolicy;
 use mflb::core::{MeanFieldMdp, SystemConfig};
 use mflb::policy::{rnd_rule, NeuralUpperPolicy};
-use mflb::rl::{Env, MeanFieldEnv, PpoConfig, PpoTrainer};
-use mflb::sim::{monte_carlo, AggregateEngine};
+use mflb::rl::{train_scenario, Env, MeanFieldEnv, PpoConfig, PpoTrainer, TrainingCheckpoint};
+use mflb::sim::{monte_carlo, AggregateEngine, EngineSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,22 +65,17 @@ fn ppo_improves_over_initial_policy_on_mfc_mdp() {
 #[test]
 fn checkpoint_roundtrip_drives_identical_finite_episodes() {
     let config = SystemConfig::paper().with_dt(3.0).with_size(400, 20);
-    let env = MeanFieldEnv::homogeneous(config.clone());
-    let trainer = PpoTrainer::new(&env, quick_ppo(), 9);
-    let policy = NeuralUpperPolicy::new(
-        trainer.policy_net().clone(),
-        config.num_states(),
-        config.d,
-        config.arrivals.num_levels(),
-    );
+    let scenario = Scenario::new(config.clone(), EngineSpec::Aggregate);
+    let result = train_scenario(&scenario, quick_ppo(), 0, 9, false).unwrap();
 
     let path = std::env::temp_dir().join("mflb_itest_ckpt.json");
-    policy.save(&path, config.dt, "integration-test").unwrap();
-    let reloaded = NeuralUpperPolicy::load(&path).unwrap();
+    result.checkpoint.save(&path).unwrap();
+    let file = path.to_str().unwrap();
+    let reloaded = TrainingCheckpoint::load(file).unwrap().fit(file, &scenario).unwrap();
     std::fs::remove_file(&path).ok();
 
     let engine = AggregateEngine::new(config.clone());
-    let a = monte_carlo(&engine, &policy, 20, 6, 77, 0);
+    let a = monte_carlo(&engine, &result.policy, 20, 6, 77, 0);
     let b = monte_carlo(&engine, &reloaded, 20, 6, 77, 0);
     assert_eq!(a.per_run, b.per_run, "reloaded checkpoint must act identically");
 }
